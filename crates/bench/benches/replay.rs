@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use pacman_common::{Row, TableId, Value};
-use pacman_core::runtime::exec::replay_record_serial;
+use pacman_core::runtime::exec::Replayer;
 use pacman_engine::Database;
 use pacman_sproc::ProcRegistry;
 use pacman_wal::{LogPayload, TxnLogRecord};
@@ -26,6 +26,7 @@ fn bench_replay(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1));
     let mut ts = 1u64;
     g.bench_function("clr_reexecute_transfer", |b| {
+        let mut replayer = Replayer::new(&db);
         let mut k = 0u64;
         b.iter(|| {
             k = (k + 2) % 4096;
@@ -37,7 +38,7 @@ fn bench_replay(c: &mut Criterion) {
                     params: vec![Value::Int(k as i64), Value::Int(1)].into(),
                 },
             };
-            replay_record_serial(&db, &reg, black_box(&rec)).unwrap()
+            replayer.replay_record(&reg, black_box(&rec)).unwrap()
         })
     });
     g.bench_function("llrp_install_write", |b| {

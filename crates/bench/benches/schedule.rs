@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use pacman_common::Value;
-use pacman_core::dynamic::build_piece_dag;
+use pacman_core::dynamic::{build_piece_dag, DagScratch};
 use pacman_core::schedule::ExecutionSchedule;
 use pacman_core::static_analysis::GlobalGraph;
 use pacman_wal::{LogBatch, LogPayload, TxnLogRecord};
@@ -51,8 +51,16 @@ fn bench_schedule(c: &mut Criterion) {
             ctx.vars
                 .set(pacman_common::VarId::new(0), Value::Int((i % 7) as i64));
         }
+        // One scratch per worker in the runtime: reused across piece-sets.
+        let mut scratch = DagScratch::default();
         g.bench_function(format!("dynamic_dag/{n}txn"), |bench| {
-            bench.iter(|| black_box(build_piece_dag(&schedule.piece_sets[1], &schedule.txns)))
+            bench.iter(|| {
+                black_box(build_piece_dag(
+                    &schedule.piece_sets[1],
+                    &schedule.txns,
+                    &mut scratch,
+                ))
+            })
         });
     }
     g.finish();

@@ -10,127 +10,226 @@
 //! * a write depends on the previous writer *and* all readers since;
 //! * a read depends on the previous writer only;
 //! * read-read pairs never conflict.
+//!
+//! The resolved accesses are kept: they land in one flat arena per
+//! piece-set (a range of slots per piece, laid out by
+//! [`pacman_sproc::resolve_accesses`]) that travels with the DAG, and the
+//! executor takes its keys from there instead of evaluating them again.
+//! The arena lives exactly as long as the piece-set is active.
 
 use crate::schedule::{PieceOps, PieceSet, TxnCtx};
 use pacman_common::{Key, TableId};
-use pacman_sproc::compute_accesses;
+use pacman_sproc::{resolve_accesses, Access};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU32;
 
-/// Dependency DAG over the pieces of one piece-set.
+/// Dependency DAG over the pieces of one piece-set, plus the accesses
+/// parameter checking resolved for them.
 #[derive(Debug)]
 pub struct PieceDag {
     /// Remaining unmet dependencies per piece (consumed during execution).
     pub indeg: Vec<AtomicU32>,
-    /// Forward adjacency: pieces unblocked by each piece.
-    pub dependents: Vec<Vec<u32>>,
     /// Pieces with no dependencies (execution seeds).
     pub initial_ready: Vec<u32>,
     /// Number of pieces.
     pub n: usize,
+    /// Forward adjacency in CSR form: the pieces unblocked by piece `i`
+    /// are `dependents[dependents_off[i]..dependents_off[i + 1]]`.
+    dependents_off: Vec<u32>,
+    dependents: Vec<u32>,
+    /// Resolved-access arena: piece `i` owns
+    /// `slots[slots_off[i]..slots_off[i + 1]]` (empty for write-set pieces
+    /// and for pieces whose access set could not be computed).
+    slots_off: Vec<u32>,
+    slots: Vec<Option<Access>>,
 }
 
-#[derive(Default)]
+impl PieceDag {
+    /// Pieces unblocked by piece `i`, in ascending order.
+    pub fn dependents(&self, i: usize) -> &[u32] {
+        &self.dependents[self.dependents_off[i] as usize..self.dependents_off[i + 1] as usize]
+    }
+
+    /// The access slots resolved for piece `i`, for the executor to take
+    /// its keys from; `None` when there are none (see `slots_off`).
+    pub fn resolved(&self, i: usize) -> Option<&[Option<Access>]> {
+        let slots = &self.slots[self.slots_off[i] as usize..self.slots_off[i + 1] as usize];
+        (!slots.is_empty()).then_some(slots)
+    }
+}
+
+const NONE: u32 = u32::MAX;
+
+/// Last-writer/readers chain of one key. Reader lists are singly linked
+/// through [`DagScratch::readers`], so clearing one is a store.
 struct KeyState {
-    last_writer: Option<u32>,
-    readers: Vec<u32>,
+    last_writer: u32,
+    readers_head: u32,
+}
+
+/// Working memory of [`build_piece_dag`], reused from one piece-set to the
+/// next by the worker that owns it.
+#[derive(Default)]
+pub struct DagScratch {
+    keys: HashMap<(TableId, Key), KeyState>,
+    /// `(reader piece, next node)` nodes of every key's reader list.
+    readers: Vec<(u32, u32)>,
+    /// Backward adjacency in CSR form while the set is scanned.
+    deps_off: Vec<u32>,
+    deps: Vec<u32>,
+    since_opaque: Vec<u32>,
+    /// Per-piece write position while the adjacency is transposed.
+    fill: Vec<u32>,
+}
+
+/// Append the dependencies the access `(table, key, write)` of `piece`
+/// creates to `deps`, and enter the access into the key's chain.
+fn chain_access(
+    keys: &mut HashMap<(TableId, Key), KeyState>,
+    readers: &mut Vec<(u32, u32)>,
+    deps: &mut Vec<u32>,
+    piece: u32,
+    (table, key, write): (TableId, Key, bool),
+) {
+    let st = keys.entry((table, key)).or_insert(KeyState {
+        last_writer: NONE,
+        readers_head: NONE,
+    });
+    if st.last_writer != NONE {
+        deps.push(st.last_writer);
+    }
+    if write {
+        let mut node = st.readers_head;
+        while node != NONE {
+            let (reader, next) = readers[node as usize];
+            deps.push(reader);
+            node = next;
+        }
+        st.last_writer = piece;
+        st.readers_head = NONE;
+    } else {
+        readers.push((piece, st.readers_head));
+        st.readers_head = (readers.len() - 1) as u32;
+    }
 }
 
 /// Build the conflict DAG for `set`. This is the "parameter checking" cost
 /// of Fig. 20.
-pub fn build_piece_dag(set: &PieceSet, txns: &[TxnCtx]) -> PieceDag {
+pub fn build_piece_dag(set: &PieceSet, txns: &[TxnCtx], scratch: &mut DagScratch) -> PieceDag {
     let n = set.pieces.len();
-    let mut deps: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut keys: HashMap<(TableId, Key), KeyState> = HashMap::new();
+    let DagScratch {
+        keys,
+        readers,
+        deps_off,
+        deps,
+        since_opaque,
+        fill,
+    } = scratch;
+    keys.clear();
+    readers.clear();
+    deps_off.clear();
+    deps.clear();
+    since_opaque.clear();
+    deps_off.push(0);
+    let mut slots: Vec<Option<Access>> = Vec::new();
+    let mut slots_off: Vec<u32> = Vec::with_capacity(n + 1);
+    slots_off.push(0);
     // Pieces whose access set could not be computed serialize against
     // everything around them.
     let mut last_opaque: Option<u32> = None;
-    let mut since_opaque: Vec<u32> = Vec::new();
 
     for (i, piece) in set.pieces.iter().enumerate() {
         let i = i as u32;
-        // Resolve the piece's deduplicated access set (write dominates).
-        let mut acc: HashMap<(TableId, Key), bool> = HashMap::new();
-        let mut opaque = false;
-        match &piece.ops {
-            PieceOps::Slice(ops) => {
+        let deps_start = deps.len();
+        let slots_start = slots.len();
+        let opaque = match &piece.ops {
+            PieceOps::Slice(plan) => {
                 let ctx = &txns[piece.txn];
                 let proc = ctx.proc.as_ref().expect("slice piece has a procedure");
-                match compute_accesses(proc, ops, &ctx.params, Some(&ctx.vars)) {
-                    Ok(list) => {
-                        for a in list {
-                            let e = acc.entry((a.table, a.key)).or_insert(false);
-                            *e |= a.write;
-                        }
-                    }
-                    Err(_) => opaque = true,
+                let r = resolve_accesses(proc, plan, &ctx.params, Some(&ctx.vars), &mut slots);
+                if r.is_err() {
+                    slots.truncate(slots_start);
                 }
+                r.is_err()
             }
-            PieceOps::Writes(writes) => {
-                for w in writes.iter() {
-                    acc.insert((w.table, w.key), true);
-                }
-            }
-        }
-
-        let mut my_deps: Vec<u32> = Vec::new();
+            PieceOps::Writes(_) => false,
+        };
         if opaque {
             // Depends on everything since (and including) the last opaque.
-            my_deps.extend(since_opaque.iter().copied());
-            if let Some(o) = last_opaque {
-                my_deps.push(o);
-            }
+            deps.extend(since_opaque.iter().copied());
+            deps.extend(last_opaque);
             last_opaque = Some(i);
             since_opaque.clear();
             // Conservative: future key accesses must also wait for this
             // piece; model by clearing chains so everyone re-chains through
             // the opaque barrier.
             keys.clear();
+            readers.clear();
         } else {
-            if let Some(o) = last_opaque {
-                my_deps.push(o);
-            }
-            for ((table, key), write) in &acc {
-                let st = keys.entry((*table, *key)).or_default();
-                if *write {
-                    if let Some(w) = st.last_writer {
-                        my_deps.push(w);
+            deps.extend(last_opaque);
+            match &piece.ops {
+                PieceOps::Slice(_) => {
+                    for a in slots[slots_start..].iter().flatten() {
+                        chain_access(keys, readers, deps, i, (a.table, a.key, a.write));
                     }
-                    my_deps.extend(st.readers.iter().copied());
-                    st.last_writer = Some(i);
-                    st.readers.clear();
-                } else {
-                    if let Some(w) = st.last_writer {
-                        my_deps.push(w);
+                }
+                PieceOps::Writes(writes) => {
+                    for w in writes.iter() {
+                        chain_access(keys, readers, deps, i, (w.table, w.key, true));
                     }
-                    st.readers.push(i);
                 }
             }
             since_opaque.push(i);
         }
-        my_deps.sort_unstable();
-        my_deps.dedup();
-        my_deps.retain(|&d| d != i);
-        deps[i as usize] = my_deps;
+        // Sort, drop duplicates and the piece itself (a piece may name one
+        // tuple through several sites).
+        deps[deps_start..].sort_unstable();
+        let mut kept = deps_start;
+        for k in deps_start..deps.len() {
+            let d = deps[k];
+            if d != i && (kept == deps_start || deps[kept - 1] != d) {
+                deps[kept] = d;
+                kept += 1;
+            }
+        }
+        deps.truncate(kept);
+        deps_off.push(deps.len() as u32);
+        slots_off.push(slots.len() as u32);
     }
 
-    let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n];
+    // Transpose the backward adjacency into the forward one the runtime
+    // walks: count, prefix-sum, fill in ascending piece order.
+    let mut dependents_off = vec![0u32; n + 1];
+    for &p in deps.iter() {
+        dependents_off[p as usize + 1] += 1;
+    }
+    for p in 0..n {
+        dependents_off[p + 1] += dependents_off[p];
+    }
+    let mut dependents = vec![0u32; deps.len()];
     let mut indeg = Vec::with_capacity(n);
     let mut initial_ready = Vec::new();
-    for (i, d) in deps.iter().enumerate() {
-        indeg.push(AtomicU32::new(d.len() as u32));
-        if d.is_empty() {
+    fill.clear();
+    fill.extend_from_slice(&dependents_off[..n]);
+    for i in 0..n {
+        let mine = &deps[deps_off[i] as usize..deps_off[i + 1] as usize];
+        indeg.push(AtomicU32::new(mine.len() as u32));
+        if mine.is_empty() {
             initial_ready.push(i as u32);
         }
-        for &p in d {
-            dependents[p as usize].push(i as u32);
+        for &p in mine {
+            dependents[fill[p as usize] as usize] = i as u32;
+            fill[p as usize] += 1;
         }
     }
     PieceDag {
         indeg,
-        dependents,
         initial_ready,
         n,
+        dependents_off,
+        dependents,
+        slots_off,
+        slots,
     }
 }
 
@@ -140,7 +239,7 @@ mod tests {
     use crate::schedule::Piece;
     use pacman_common::{BlockId, ProcId, Row, Value};
     use pacman_engine::{WriteKind, WriteRecord};
-    use pacman_sproc::{Expr, Params, ProcBuilder, ProcedureDef, VarStore};
+    use pacman_sproc::{Expr, Params, PiecePlan, ProcBuilder, ProcedureDef, VarStore};
     use std::sync::Arc;
 
     const T: TableId = TableId::new(0);
@@ -167,11 +266,16 @@ mod tests {
         }
     }
 
+    /// Ops `ops` of `proc` as a piece's work.
+    fn slice(proc: &ProcedureDef, ops: &[usize]) -> PieceOps {
+        PieceOps::Slice(Arc::new(PiecePlan::compile(&proc.ops, ops)))
+    }
+
     fn slice_piece(txn: usize, ts: u64) -> Piece {
         Piece {
             txn,
             ts,
-            ops: PieceOps::Slice(Arc::new(vec![0, 1])),
+            ops: slice(&rmw_proc(), &[0, 1]),
         }
     }
 
@@ -190,10 +294,10 @@ mod tests {
             block: BlockId::new(0),
             pieces: (0..3).map(|i| slice_piece(i, 10 + i as u64)).collect(),
         };
-        let dag = build_piece_dag(&set, &txns);
+        let dag = build_piece_dag(&set, &txns, &mut DagScratch::default());
         assert_eq!(dag.initial_ready, vec![0, 1]);
-        assert_eq!(dag.dependents[0], vec![2]);
-        assert!(dag.dependents[1].is_empty());
+        assert_eq!(dag.dependents(0), vec![2]);
+        assert!(dag.dependents(1).is_empty());
         assert_eq!(dag.indeg[2].load(std::sync::atomic::Ordering::Relaxed), 1);
     }
 
@@ -222,9 +326,9 @@ mod tests {
             block: BlockId::new(0),
             pieces: vec![w(5), w(5), w(6)],
         };
-        let dag = build_piece_dag(&set, &txns);
+        let dag = build_piece_dag(&set, &txns, &mut DagScratch::default());
         assert_eq!(dag.initial_ready, vec![0, 2]);
-        assert_eq!(dag.dependents[0], vec![1]);
+        assert_eq!(dag.dependents(0), vec![1]);
     }
 
     /// Readers between writers: the second writer waits for both the first
@@ -268,15 +372,15 @@ mod tests {
                 Piece {
                     txn: 1,
                     ts: 2,
-                    ops: PieceOps::Slice(Arc::new(vec![0])),
+                    ops: slice(&read_proc, &[0]),
                 },
                 writer(3),
             ],
         };
-        let dag = build_piece_dag(&set, &txns);
+        let dag = build_piece_dag(&set, &txns, &mut DagScratch::default());
         assert_eq!(dag.initial_ready, vec![0]);
-        assert_eq!(dag.dependents[0], vec![1, 2]);
-        assert_eq!(dag.dependents[1], vec![2]);
+        assert_eq!(dag.dependents(0), vec![1, 2]);
+        assert_eq!(dag.dependents(1), vec![2]);
         assert_eq!(dag.indeg[2].load(std::sync::atomic::Ordering::Relaxed), 2);
     }
 
@@ -299,16 +403,16 @@ mod tests {
                 Piece {
                     txn: 0,
                     ts: 0,
-                    ops: PieceOps::Slice(Arc::new(vec![0])),
+                    ops: slice(&read_proc, &[0]),
                 },
                 Piece {
                     txn: 1,
                     ts: 1,
-                    ops: PieceOps::Slice(Arc::new(vec![0])),
+                    ops: slice(&read_proc, &[0]),
                 },
             ],
         };
-        let dag = build_piece_dag(&set, &txns);
+        let dag = build_piece_dag(&set, &txns, &mut DagScratch::default());
         assert_eq!(dag.initial_ready, vec![0, 1], "read-read parallel");
     }
 
@@ -337,13 +441,13 @@ mod tests {
                 .map(|i| Piece {
                     txn: i,
                     ts: i as u64,
-                    ops: PieceOps::Slice(Arc::new(vec![1])),
+                    ops: slice(&proc, &[1]),
                 })
                 .collect(),
         };
-        let dag = build_piece_dag(&set, &txns);
+        let dag = build_piece_dag(&set, &txns, &mut DagScratch::default());
         assert_eq!(dag.initial_ready, vec![0, 1]);
-        assert_eq!(dag.dependents[0], vec![2], "same dst chains");
+        assert_eq!(dag.dependents(0), vec![2], "same dst chains");
     }
 
     /// Unresolvable access sets serialize through the opaque barrier.
@@ -368,13 +472,13 @@ mod tests {
                 .map(|i| Piece {
                     txn: i,
                     ts: i as u64,
-                    ops: PieceOps::Slice(Arc::new(vec![1])),
+                    ops: slice(&proc, &[1]),
                 })
                 .collect(),
         };
-        let dag = build_piece_dag(&set, &txns);
+        let dag = build_piece_dag(&set, &txns, &mut DagScratch::default());
         assert_eq!(dag.initial_ready, vec![0], "fully serialized");
-        assert_eq!(dag.dependents[0], vec![1]);
-        assert_eq!(dag.dependents[1], vec![2]);
+        assert_eq!(dag.dependents(0), vec![1]);
+        assert_eq!(dag.dependents(1), vec![2]);
     }
 }

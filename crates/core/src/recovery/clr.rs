@@ -8,7 +8,7 @@
 use crate::metrics::RecoveryMetrics;
 use crate::recovery::plr::LogRecovery;
 use crate::recovery::{read_merged_batch, LogInventory};
-use crate::runtime::exec::replay_record_serial;
+use crate::runtime::exec::Replayer;
 use pacman_common::{Result, Timestamp};
 use pacman_engine::Database;
 use pacman_sproc::ProcRegistry;
@@ -50,6 +50,7 @@ pub fn recover_log_online(
     let mut reload = std::time::Duration::ZERO;
     let mut max_ts = 0u64;
     let mut txns = 0u64;
+    let mut replayer = Replayer::new(db);
     for (bi, batch) in inventory.batches().into_iter().enumerate() {
         let tr = Instant::now();
         let merged = read_merged_batch(storage, inventory, batch, pepoch, after_ts)?;
@@ -57,7 +58,7 @@ pub fn recover_log_online(
         metrics.add_load(tr.elapsed());
         let tw = Instant::now();
         for rec in &merged.records {
-            replay_record_serial(db, registry, rec)?;
+            replayer.replay_record(registry, rec)?;
             max_ts = max_ts.max(rec.ts);
             txns += 1;
             metrics.count_txn();

@@ -7,8 +7,8 @@
 
 use crate::schedule::{Piece, PieceOps, TxnCtx};
 use pacman_common::{Result, Timestamp};
-use pacman_engine::{execute_ops, Database, ReplayAccess, WriteKind, WriteRecord};
-use pacman_sproc::{ProcRegistry, VarStore};
+use pacman_engine::{execute_plan, Database, ExecFrame, ReplayAccess, WriteKind, WriteRecord};
+use pacman_sproc::{Access, ProcRegistry, VarStore};
 use pacman_wal::{LogPayload, TxnLogRecord};
 
 /// Install a tuple-level write set at timestamp `ts`.
@@ -27,41 +27,92 @@ pub fn apply_writes(db: &Database, ts: Timestamp, writes: &[WriteRecord]) -> Res
     Ok(())
 }
 
-/// Execute one piece of the schedule (a procedure slice or an ad-hoc write
-/// group). Returns the number of write images applied for metrics.
-pub fn execute_piece(db: &Database, piece: &Piece, txns: &[TxnCtx]) -> Result<u64> {
-    match &piece.ops {
-        PieceOps::Slice(ops) => {
-            let ctx = &txns[piece.txn];
-            let proc = ctx.proc.as_ref().expect("slice piece has a procedure");
-            let mut access = ReplayAccess::new(db, piece.ts);
-            let executed = execute_ops(proc, ops, &ctx.params, &ctx.vars, &mut access)?;
-            Ok(executed)
-        }
-        PieceOps::Writes(writes) => {
-            apply_writes(db, piece.ts, writes)?;
-            Ok(writes.len() as u64)
-        }
-    }
+/// One replay thread's executor: the tuple cursor, the interpreter scratch
+/// and (for serial replay) the variable frame, all reused from piece to
+/// piece and record to record.
+pub struct Replayer<'a> {
+    db: &'a Database,
+    access: ReplayAccess<'a>,
+    frame: ExecFrame,
+    vars: VarStore,
 }
 
-/// Fully re-execute one log record in commitment order (the CLR path: one
-/// thread, reads included).
-pub fn replay_record_serial(
-    db: &Database,
-    registry: &ProcRegistry,
-    record: &TxnLogRecord,
-) -> Result<()> {
-    match &record.payload {
-        LogPayload::Command { proc, params } => {
-            let def = registry.get(*proc)?;
-            let vars = VarStore::new(def.num_vars);
-            let ops: Vec<usize> = (0..def.ops.len()).collect();
-            let mut access = ReplayAccess::new(db, record.ts);
-            execute_ops(def, &ops, params, &vars, &mut access).map(|_| ())
+impl<'a> Replayer<'a> {
+    /// An executor against the recovering database.
+    pub fn new(db: &'a Database) -> Self {
+        Replayer {
+            db,
+            access: ReplayAccess::new(db, 0),
+            frame: ExecFrame::default(),
+            vars: VarStore::new(0),
         }
-        LogPayload::Writes { writes, .. } | LogPayload::TaggedWrites { writes, .. } => {
-            apply_writes(db, record.ts, writes)
+    }
+
+    /// Execute one piece of the schedule (a procedure slice or an ad-hoc
+    /// write group). `resolved` are the piece's access slots from parameter
+    /// checking, if it ran ([`crate::dynamic::PieceDag::resolved`]).
+    /// Returns the number of operations executed (write images applied,
+    /// for a write group) for metrics.
+    ///
+    /// Every image the piece produced is installed when this returns `Ok`.
+    /// Callers rely on it: the runtime releases the piece's DAG dependents,
+    /// completes its piece-set and publishes the block watermark only after
+    /// this call, and that order is what makes the cursor's deferred
+    /// installs invisible (see [`ReplayAccess`]). On an error the image
+    /// still pending is dropped; recovery fails as a whole.
+    pub fn execute_piece(
+        &mut self,
+        piece: &Piece,
+        txns: &[TxnCtx],
+        resolved: Option<&[Option<Access>]>,
+    ) -> Result<u64> {
+        match &piece.ops {
+            PieceOps::Slice(plan) => {
+                let ctx = &txns[piece.txn];
+                let proc = ctx.proc.as_ref().expect("slice piece has a procedure");
+                self.access.retarget(piece.ts);
+                let executed = execute_plan(
+                    proc,
+                    plan,
+                    &ctx.params,
+                    &ctx.vars,
+                    resolved,
+                    &mut self.frame,
+                    &mut self.access,
+                )?;
+                self.access.finish();
+                Ok(executed)
+            }
+            PieceOps::Writes(writes) => {
+                apply_writes(self.db, piece.ts, writes)?;
+                Ok(writes.len() as u64)
+            }
+        }
+    }
+
+    /// Fully re-execute one log record in commitment order (the CLR path:
+    /// one thread, reads included), through the procedure's own plan.
+    pub fn replay_record(&mut self, registry: &ProcRegistry, record: &TxnLogRecord) -> Result<()> {
+        match &record.payload {
+            LogPayload::Command { proc, params } => {
+                let def = registry.get(*proc)?;
+                self.vars.reset(def.num_vars);
+                self.access.retarget(record.ts);
+                execute_plan(
+                    def,
+                    def.plan(),
+                    params,
+                    &self.vars,
+                    None,
+                    &mut self.frame,
+                    &mut self.access,
+                )?;
+                self.access.finish();
+                Ok(())
+            }
+            LogPayload::Writes { writes, .. } | LogPayload::TaggedWrites { writes, .. } => {
+                apply_writes(self.db, record.ts, writes)
+            }
         }
     }
 }
@@ -135,7 +186,7 @@ mod tests {
                 params: Arc::from(vec![Value::Int(2), Value::Int(5)]),
             },
         };
-        replay_record_serial(&db, &reg, &rec).unwrap();
+        Replayer::new(&db).replay_record(&reg, &rec).unwrap();
         let chain = db.table(T).unwrap().get(2).unwrap();
         let (ts, row) = chain.newest();
         assert_eq!(ts, 7);

@@ -21,7 +21,7 @@
 
 pub mod exec;
 
-use crate::dynamic::{build_piece_dag, PieceDag};
+use crate::dynamic::{build_piece_dag, DagScratch, PieceDag};
 use crate::metrics::RecoveryMetrics;
 use crate::schedule::ExecutionSchedule;
 use crate::static_analysis::GlobalGraph;
@@ -103,14 +103,12 @@ pub fn assign_cores(piece_estimate: &[usize], total_threads: usize) -> Vec<usize
 
 /// Execution state of one *activated* piece-set.
 struct ActiveSet {
-    #[allow(dead_code)] // diagnostic field (batch identity in debugging)
-    batch: usize,
     block: usize,
     entry: Arc<BatchEntry>,
     /// Dynamic-analysis DAG, built *lazily* by the first worker that picks
     /// the set (not at activation): parameter checking is a large share of
     /// replay time, and deferring it lets online recovery's priority order
-    /// govern where that time goes. Empty (pre-set) in pure-static mode.
+    /// govern where that time goes. Never built in pure-static mode.
     dag: std::sync::OnceLock<PieceDag>,
     /// Claimed by the worker building the DAG.
     dag_claim: AtomicBool,
@@ -249,27 +247,16 @@ fn activation_sweep(shared: &Shared, gdg: &GlobalGraph, wanted_only: bool) -> bo
                 progressed = true;
                 continue;
             }
-            // Pure static mode never consults the DAG (no dynamic
-            // analysis — that is the Fig. 18/19 baseline); otherwise the
-            // DAG is built lazily by the first worker to pick the set.
-            let n = pieces.pieces.len();
-            let dag = std::sync::OnceLock::new();
-            if shared.mode == ReplayMode::PureStatic {
-                let _ = dag.set(PieceDag {
-                    indeg: Vec::new(),
-                    dependents: Vec::new(),
-                    initial_ready: Vec::new(),
-                    n,
-                });
-            }
+            // Pure static mode never consults a DAG (no dynamic analysis —
+            // that is the Fig. 18/19 baseline); otherwise it is built
+            // lazily by the first worker to pick the set.
             let set = Arc::new(ActiveSet {
-                batch: batch as usize,
                 block,
                 entry: Arc::clone(&entry),
-                dag,
+                dag: std::sync::OnceLock::new(),
                 dag_claim: AtomicBool::new(false),
                 ready: Mutex::new(VecDeque::new()),
-                remaining: AtomicUsize::new(n),
+                remaining: AtomicUsize::new(pieces.pieces.len()),
                 serial_claim: AtomicBool::new(false),
                 done_flag: AtomicBool::new(false),
             });
@@ -300,8 +287,10 @@ fn complete_set(shared: &Shared, gdg: &GlobalGraph, set: &ActiveSet) {
 
 /// Run the replay: consume schedules from `rx` (produced by the reload
 /// pipeline in batch order) and execute every piece-set with exactly
-/// `threads` workers. `piece_estimate` is the §4.4 distribution (reported
-/// through `assign_cores`; the pool shares idle capacity across blocks).
+/// `threads` workers. `piece_estimate` is the §4.4 distribution; the pool
+/// shares idle capacity across blocks instead of pinning cores by it
+/// ([`assign_cores`] is the paper's reference policy) and uses it to order
+/// on-demand redo (`Shared::sjf_order`).
 pub fn run_replay(
     db: &Arc<Database>,
     gdg: &Arc<GlobalGraph>,
@@ -334,8 +323,6 @@ pub fn run_replay_gated(
         while rx.recv().is_ok() {}
         return Ok(());
     }
-    // The reference static assignment (kept for §4.4 fidelity/reporting).
-    let _assignment = assign_cores(piece_estimate, threads);
     let mut sjf_order: Vec<usize> = (0..blocks).collect();
     sjf_order.sort_by_key(|&b| piece_estimate.get(b).copied().unwrap_or(0));
 
@@ -396,87 +383,97 @@ pub fn run_replay_gated(
 /// traffic for the common tiny-piece case.
 const CHUNK: usize = 16;
 
+/// What a scan of one active set found.
+enum Pick {
+    /// Nothing to take from this set right now.
+    Nothing,
+    /// Pieces to execute (empty = the whole set, pure-static mode).
+    Chunk(Vec<u32>),
+    /// This worker claimed the set's DAG construction.
+    BuildDag,
+}
+
+/// Try to take work from one active set.
+fn pick_from(shared: &Shared, set: &ActiveSet) -> Pick {
+    if set.done_flag.load(Ordering::Acquire) {
+        return Pick::Nothing;
+    }
+    if shared.mode == ReplayMode::PureStatic {
+        return if set.serial_claim.swap(true, Ordering::AcqRel) {
+            Pick::Nothing
+        } else {
+            Pick::Chunk(Vec::new())
+        };
+    }
+    if set.dag.get().is_none() {
+        return if set.dag_claim.swap(true, Ordering::AcqRel) {
+            Pick::Nothing // another worker is building this set's DAG
+        } else {
+            Pick::BuildDag
+        };
+    }
+    let mut ready = set.ready.lock();
+    if ready.is_empty() {
+        return Pick::Nothing;
+    }
+    let take = ready.len().min(CHUNK);
+    Pick::Chunk(ready.drain(..take).collect())
+}
+
 /// Pick a chunk of runnable pieces from the active sets. `rot` staggers
 /// the scan start per worker to avoid convoying on one set. When an
 /// online-recovery gate reports blocked admissions, sets of the wanted
-/// blocks are scanned first (on-demand redo priority). The picking worker
-/// builds a set's dynamic-analysis DAG on first contact.
+/// blocks are scanned first, cheapest block first (on-demand redo
+/// priority, see `Shared::sjf_order`). The picking worker builds a set's
+/// dynamic-analysis DAG on first contact.
 fn pick_work(
     shared: &Shared,
     rot: usize,
     metrics: &RecoveryMetrics,
+    scratch: &mut DagScratch,
 ) -> Option<(Arc<ActiveSet>, Vec<u32>)> {
-    let active = shared.active.lock();
-    let n = active.len();
-    let prioritize = shared.gate.as_ref().is_some_and(|g| g.any_wanted());
-    let passes = if prioritize { 2 } else { 1 };
-    // The priority pass visits wanted blocks cheapest-first (SJF, see
-    // `Shared::sjf_order`); the normal pass keeps the rotating scan.
-    let sjf_rank: Vec<usize> = if prioritize {
-        let mut rank = vec![usize::MAX; shared.sjf_order.len()];
-        for (pos, &b) in shared.sjf_order.iter().enumerate() {
-            rank[b] = pos;
+    let set = {
+        let active = shared.active.lock();
+        let n = active.len();
+        let wanted_first = shared
+            .gate
+            .as_ref()
+            .filter(|g| g.any_wanted())
+            .into_iter()
+            .flat_map(|g| {
+                shared
+                    .sjf_order
+                    .iter()
+                    .filter(|&&b| g.is_wanted(b))
+                    .flat_map(|&b| active.iter().filter(move |s| s.block == b))
+            });
+        let rotating = (0..n).map(|k| &active[(rot + k) % n]);
+        let mut to_build = None;
+        for set in wanted_first.chain(rotating) {
+            match pick_from(shared, set) {
+                Pick::Nothing => {}
+                Pick::Chunk(chunk) => return Some((Arc::clone(set), chunk)),
+                Pick::BuildDag => {
+                    to_build = Some(Arc::clone(set));
+                    break;
+                }
+            }
         }
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| rank.get(active[i].block).copied().unwrap_or(usize::MAX));
-        order
-    } else {
-        Vec::new()
+        to_build?
     };
-    let mut to_build: Option<Arc<ActiveSet>> = None;
-    'scan: for pass in 0..passes {
-        for k in 0..n {
-            let set = if pass == 0 && prioritize {
-                &active[sjf_rank[k]]
-            } else {
-                &active[(rot + k) % n]
-            };
-            if prioritize && pass == 0 {
-                let wanted = shared.gate.as_ref().is_some_and(|g| g.is_wanted(set.block));
-                if !wanted {
-                    continue;
-                }
-            }
-            if set.done_flag.load(Ordering::Acquire) {
-                continue;
-            }
-            if shared.mode == ReplayMode::PureStatic {
-                if !set.serial_claim.swap(true, Ordering::AcqRel) {
-                    return Some((Arc::clone(set), Vec::new()));
-                }
-                continue;
-            }
-            if set.dag.get().is_none() {
-                if set.dag_claim.swap(true, Ordering::AcqRel) {
-                    continue; // another worker is building this set's DAG
-                }
-                // Claimed: build outside the active-sets lock below, so
-                // parameter checking never serializes the other workers.
-                to_build = Some(Arc::clone(set));
-                break 'scan;
-            }
-            let mut ready = set.ready.lock();
-            if !ready.is_empty() {
-                let take = ready.len().min(CHUNK);
-                let chunk: Vec<u32> = ready.drain(..take).collect();
-                return Some((Arc::clone(set), chunk));
-            }
-        }
-    }
-    drop(active);
-    let set = to_build?;
+    // Claimed: build outside the active-sets lock, so parameter checking
+    // never serializes the other workers.
     let t0 = Instant::now();
     let pieces = &set.entry.schedule.piece_sets[set.block];
-    let dag = build_piece_dag(pieces, &set.entry.schedule.txns);
+    let dag = build_piece_dag(pieces, &set.entry.schedule.txns, scratch);
     metrics.add_param(t0.elapsed());
-    let initial: Vec<u32> = dag.initial_ready.clone();
-    let _ = set.dag.set(dag);
     let chunk: Vec<u32> = {
         let mut ready = set.ready.lock();
-        ready.extend(initial);
+        ready.extend(dag.initial_ready.iter().copied());
         let take = ready.len().min(CHUNK);
         ready.drain(..take).collect()
     };
+    let _ = set.dag.set(dag);
     shared.notify();
     if chunk.is_empty() {
         return None;
@@ -492,11 +489,13 @@ fn worker_loop(
     metrics: &RecoveryMetrics,
 ) {
     let mut rot = worker;
+    let mut replayer = exec::Replayer::new(db);
+    let mut scratch = DagScratch::default();
     loop {
         if shared.aborted.load(Ordering::Acquire) {
             return;
         }
-        let Some((set, chunk)) = pick_work(shared, rot, metrics) else {
+        let Some((set, chunk)) = pick_work(shared, rot, metrics, &mut scratch) else {
             if shared.finished() {
                 shared.notify();
                 return;
@@ -514,13 +513,14 @@ fn worker_loop(
             continue;
         };
         rot = rot.wrapping_add(1);
+        let pieces = &set.entry.schedule.piece_sets[set.block];
+        let txns = &set.entry.schedule.txns;
 
         if shared.mode == ReplayMode::PureStatic {
             // Pure static: execute the whole set serially (§4.2.1).
-            let pieces = &set.entry.schedule.piece_sets[set.block];
             let t0 = Instant::now();
             for p in &pieces.pieces {
-                match exec::execute_piece(db, p, &set.entry.schedule.txns) {
+                match replayer.execute_piece(p, txns, None) {
                     Ok(w) => metrics.count_writes(w),
                     Err(e) => {
                         shared.fail(e);
@@ -535,13 +535,16 @@ fn worker_loop(
 
         // Work-following: execute the chunk, preferring locally-unblocked
         // pieces; spill surplus back to the shared queue.
-        let pieces = &set.entry.schedule.piece_sets[set.block];
         let dag = set.dag.get().expect("chunk implies a built DAG");
         let mut local: Vec<u32> = chunk;
         let mut finished = 0usize;
         let t0 = Instant::now();
         while let Some(pi) = local.pop() {
-            match exec::execute_piece(db, &pieces.pieces[pi as usize], &set.entry.schedule.txns) {
+            let pi = pi as usize;
+            // `execute_piece` has installed everything the piece wrote
+            // before it returns — only then may its dependents be
+            // released (below) and the set be completed.
+            match replayer.execute_piece(&pieces.pieces[pi], txns, dag.resolved(pi)) {
                 Ok(w) => metrics.count_writes(w),
                 Err(e) => {
                     shared.fail(e);
@@ -549,7 +552,7 @@ fn worker_loop(
                 }
             }
             finished += 1;
-            for &d in &dag.dependents[pi as usize] {
+            for &d in dag.dependents(pi) {
                 if dag.indeg[d as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
                     local.push(d);
                 }

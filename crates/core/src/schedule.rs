@@ -9,7 +9,7 @@
 use crate::static_analysis::GlobalGraph;
 use pacman_common::{BlockId, Result, Timestamp};
 use pacman_engine::WriteRecord;
-use pacman_sproc::{Params, ProcRegistry, ProcedureDef, VarStore};
+use pacman_sproc::{Params, PiecePlan, ProcRegistry, ProcedureDef, VarStore};
 use pacman_wal::{LogBatch, LogPayload};
 use std::sync::Arc;
 
@@ -29,8 +29,9 @@ pub struct TxnCtx {
 /// What a piece executes.
 #[derive(Clone, Debug)]
 pub enum PieceOps {
-    /// A slice of the transaction's procedure: op indices to interpret.
-    Slice(Arc<Vec<usize>>),
+    /// A slice of the transaction's procedure, as the plan the global
+    /// dependency graph compiled for its piece template.
+    Slice(Arc<PiecePlan>),
     /// Write images to install (ad-hoc transactions, §4.5).
     Writes(Arc<Vec<WriteRecord>>),
 }
@@ -92,11 +93,11 @@ impl ExecutionSchedule {
                 LogPayload::Command { proc, params } => {
                     let def = Arc::clone(registry.get(*proc)?);
                     let vars = Arc::new(VarStore::new(def.num_vars));
-                    for (k, tmpl) in gdg.templates_for(*proc).iter().enumerate() {
+                    for (tmpl, plan) in gdg.templates_for(*proc).iter().zip(gdg.plans_for(*proc)) {
                         piece_sets[tmpl.block.index()].pieces.push(Piece {
                             txn: txn_idx,
                             ts: record.ts,
-                            ops: PieceOps::Slice(Arc::clone(gdg.template_ops_arc(*proc, k))),
+                            ops: PieceOps::Slice(Arc::clone(plan)),
                         });
                     }
                     txns.push(TxnCtx {

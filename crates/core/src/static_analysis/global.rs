@@ -7,12 +7,17 @@
 //! merge into a single slice (properties 1-4). The result — Fig. 5(c) for
 //! the bank example — drives both schedule construction and the per-block
 //! core assignment of the recovery runtime.
+//!
+//! The last step compiles every piece template into a
+//! [`PiecePlan`] (loop groups and deduplicated access sites), so that
+//! replay-time parameter checking and execution walk prepared plans instead
+//! of regrouping op lists and re-evaluating key expressions per operation.
 
 use super::local::LocalGraph;
 use super::ops_data_dependent;
 use super::union_find::UnionFind;
 use pacman_common::{BlockId, Error, ProcId, Result, SliceId, TableId};
-use pacman_sproc::ProcedureDef;
+use pacman_sproc::{PiecePlan, ProcedureDef};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -46,9 +51,9 @@ pub struct GlobalGraph {
     succs: Vec<Vec<BlockId>>,
     reach: Vec<Vec<bool>>,
     templates: Vec<Vec<PieceTemplate>>,
-    /// Shared op lists mirroring `templates` (cloned per piece at schedule
-    /// construction without reallocating).
-    template_ops: Vec<Vec<Arc<Vec<usize>>>>,
+    /// Compiled plans mirroring `templates` (one `Arc` clone per piece at
+    /// schedule construction).
+    plans: Vec<Vec<Arc<PiecePlan>>>,
     write_block: HashMap<TableId, BlockId>,
     locals: Vec<LocalGraph>,
     procs: Vec<Arc<ProcedureDef>>,
@@ -265,9 +270,14 @@ impl GlobalGraph {
             }
         }
 
-        let template_ops = templates
+        let plans = templates
             .iter()
-            .map(|list| list.iter().map(|t| Arc::new(t.ops.clone())).collect())
+            .zip(procs)
+            .map(|(list, proc)| {
+                list.iter()
+                    .map(|t| Arc::new(PiecePlan::compile(&proc.ops, &t.ops)))
+                    .collect()
+            })
             .collect();
         let graph = GlobalGraph {
             blocks,
@@ -276,7 +286,7 @@ impl GlobalGraph {
             succs,
             reach,
             templates,
-            template_ops,
+            plans,
             write_block,
             locals,
             procs: procs.to_vec(),
@@ -327,9 +337,10 @@ impl GlobalGraph {
         &self.templates[proc.index()]
     }
 
-    /// Shared op list of template `k` of `proc` (cheap Arc clone per piece).
-    pub fn template_ops_arc(&self, proc: ProcId, k: usize) -> &Arc<Vec<usize>> {
-        &self.template_ops[proc.index()][k]
+    /// Compiled plans of a procedure's piece templates, in the order of
+    /// [`GlobalGraph::templates_for`].
+    pub fn plans_for(&self, proc: ProcId) -> &[Arc<PiecePlan>] {
+        &self.plans[proc.index()]
     }
 
     /// Direct predecessor blocks.

@@ -10,9 +10,12 @@
 //!   timestamp, *without latching* — the replay schedule has already
 //!   serialized all conflicting accesses.
 
+use crate::chain::TupleChain;
 use crate::database::Database;
+use crate::table::Table;
 use crate::txn::Txn;
 use pacman_common::{Error, Key, Result, Row, TableId, Timestamp, Value};
+use std::sync::Arc;
 
 /// The interpreter's view of storage.
 pub trait DataAccess {
@@ -44,7 +47,7 @@ impl DataAccess for TxnAccess<'_, '_> {
         row.cols()
             .get(col)
             .cloned()
-            .ok_or_else(|| Error::Unknown(format!("column {col} of {table}:{key}")))
+            .ok_or_else(|| no_such_column(table, key, col))
     }
 
     fn write_col(&mut self, table: TableId, key: Key, col: usize, value: Value) -> Result<()> {
@@ -52,7 +55,7 @@ impl DataAccess for TxnAccess<'_, '_> {
         // materialize the new row exactly once at stage time.
         let mut row = self.txn.read_for_update(table, key)?;
         if col >= row.arity() {
-            return Err(Error::Unknown(format!("column {col} of {table}:{key}")));
+            return Err(no_such_column(table, key, col));
         }
         row.set_col(col, value);
         row.stage();
@@ -68,72 +71,192 @@ impl DataAccess for TxnAccess<'_, '_> {
     }
 }
 
-/// Latch-free single-version replay access (recovery).
+/// Latch-free single-version replay access (recovery): a **tuple cursor**.
+///
+/// Consecutive operations of a piece mostly revisit one tuple (a TPC-C
+/// NewOrder line reads and writes three columns of one STOCK row), so the
+/// access keeps the tuple it was last asked for open: one index lookup and
+/// one `newest()` when the cursor moves onto a tuple, column writes edit a
+/// private image (copied on the first write into a buffer that is reused
+/// from tuple to tuple), and exactly one `mark_dirty` + `install_lww`
+/// when the cursor moves on or [`ReplayAccess::finish`] is called.
+///
+/// # Why deferring the install is safe
+///
+/// Between the first write to a tuple and its install, the table still
+/// shows the previous image. Nobody may look during that window, and
+/// nobody does: the replay schedule runs a piece that conflicts with this
+/// one (same tuple, at least one writer) only after this piece's
+/// execution has returned — the runtime releases DAG dependents, completes
+/// the piece-set, and publishes the block watermark that admits online
+/// transactions strictly *after* the executor returns — and the executor
+/// calls [`ReplayAccess::finish`] before it returns. Within the piece,
+/// reads go through the cursor and see the pending image. Intermediate
+/// per-operation images were never observable under op-at-a-time replay
+/// either; only their timing relative to the end of the piece changed.
+///
+/// An access that is dropped or [`retarget`](ReplayAccess::retarget)ed
+/// without `finish` discards the pending image: a failed piece fails the
+/// whole recovery, and a half-executed image must not outlive it.
 pub struct ReplayAccess<'a> {
     db: &'a Database,
     ts: Timestamp,
+    cursor: Option<Cursor<'a>>,
+    /// The open tuple's edited columns while `Cursor::edited` is set.
+    buf: Vec<Value>,
+}
+
+/// The tuple a [`ReplayAccess`] currently has open.
+struct Cursor<'a> {
+    table_id: TableId,
+    key: Key,
+    table: &'a Table,
+    /// The key's index entry, if it has one (a tombstoned key does).
+    chain: Option<Arc<TupleChain>>,
+    /// The tuple's image unless `edited`: as found in the table, or as a
+    /// pending insert (`Some`) or delete (`None`) left it.
+    image: Option<Arc<Row>>,
+    /// Column writes are pending; the image lives in `ReplayAccess::buf`.
+    edited: bool,
+    /// Anything is pending — an install is due when the cursor moves.
+    dirty: bool,
 }
 
 impl<'a> ReplayAccess<'a> {
     /// Replay on behalf of the transaction originally committed at `ts`.
     pub fn new(db: &'a Database, ts: Timestamp) -> Self {
-        ReplayAccess { db, ts }
+        ReplayAccess {
+            db,
+            ts,
+            cursor: None,
+            buf: Vec::new(),
+        }
     }
 
     /// The timestamp being replayed.
     pub fn ts(&self) -> Timestamp {
         self.ts
     }
+
+    /// Reuse this access (and its image buffer) for another transaction.
+    /// Whatever the previous piece left pending is discarded.
+    pub fn retarget(&mut self, ts: Timestamp) {
+        self.cursor = None;
+        self.ts = ts;
+    }
+
+    /// Install the open tuple's pending image, if any, and close the
+    /// cursor. Must run before the piece is reported executed — see the
+    /// type-level safety argument.
+    pub fn finish(&mut self) {
+        let Some(cur) = self.cursor.take() else {
+            return;
+        };
+        if !cur.dirty {
+            return;
+        }
+        let image = if cur.edited {
+            Some(Arc::new(Row::from_slice(&self.buf)))
+        } else {
+            cur.image
+        };
+        // Mark before the version becomes visible (`Table::mark_dirty`).
+        cur.table.mark_dirty(cur.key, self.ts);
+        cur.chain
+            .unwrap_or_else(|| cur.table.get_or_create(cur.key))
+            .install_lww(self.ts, image);
+    }
+
+    /// Move the cursor onto `(table, key)`, installing what the previous
+    /// tuple had pending. Returns the open tuple and the edit buffer.
+    fn seek(&mut self, table_id: TableId, key: Key) -> Result<(&mut Cursor<'a>, &mut Vec<Value>)> {
+        let open = self
+            .cursor
+            .as_ref()
+            .is_some_and(|c| c.key == key && c.table_id == table_id);
+        if !open {
+            self.finish();
+            let table = self.db.table(table_id)?;
+            let chain = table.get(key);
+            let image = chain.as_ref().and_then(|c| c.newest().1);
+            self.cursor = Some(Cursor {
+                table_id,
+                key,
+                table,
+                chain,
+                image,
+                edited: false,
+                dirty: false,
+            });
+        }
+        let cur = self.cursor.as_mut().expect("cursor opened above");
+        Ok((cur, &mut self.buf))
+    }
+}
+
+fn key_not_found(table: TableId, key: Key) -> Error {
+    Error::KeyNotFound {
+        table: table.0,
+        key,
+    }
+}
+
+fn no_such_column(table: TableId, key: Key, col: usize) -> Error {
+    Error::Unknown(format!("column {col} of {table}:{key}"))
 }
 
 impl DataAccess for ReplayAccess<'_> {
     fn read(&mut self, table: TableId, key: Key, col: usize) -> Result<Value> {
-        let chain = self.db.table(table)?.get(key).ok_or(Error::KeyNotFound {
-            table: table.0,
-            key,
-        })?;
-        let (_, row) = chain.newest();
-        let row = row.ok_or(Error::KeyNotFound {
-            table: table.0,
-            key,
-        })?;
-        row.cols()
-            .get(col)
+        let (cur, buf) = self.seek(table, key)?;
+        let cols = match (&cur.image, cur.edited) {
+            (_, true) => &buf[..],
+            (Some(row), false) => row.cols(),
+            (None, false) => return Err(key_not_found(table, key)),
+        };
+        cols.get(col)
             .cloned()
-            .ok_or_else(|| Error::Unknown(format!("column {col} of {table}:{key}")))
+            .ok_or_else(|| no_such_column(table, key, col))
     }
 
     fn write_col(&mut self, table: TableId, key: Key, col: usize, value: Value) -> Result<()> {
-        let t = self.db.table(table)?;
-        let chain = t.get(key).ok_or(Error::KeyNotFound {
-            table: table.0,
-            key,
-        })?;
-        let (_, row) = chain.newest();
-        let row = row.ok_or(Error::KeyNotFound {
-            table: table.0,
-            key,
-        })?;
-        t.mark_dirty(key, self.ts);
-        chain.install_lww(self.ts, Some(std::sync::Arc::new(row.with_col(col, value))));
+        let (cur, buf) = self.seek(table, key)?;
+        if !cur.edited {
+            let row = cur
+                .image
+                .as_ref()
+                .ok_or_else(|| key_not_found(table, key))?;
+            if col >= row.arity() {
+                return Err(no_such_column(table, key, col));
+            }
+            buf.clear();
+            buf.extend_from_slice(row.cols());
+            cur.image = None;
+            cur.edited = true;
+        }
+        *buf.get_mut(col)
+            .ok_or_else(|| no_such_column(table, key, col))? = value;
+        cur.dirty = true;
         Ok(())
     }
 
     fn insert(&mut self, table: TableId, key: Key, row: Row) -> Result<()> {
-        self.db
-            .table(table)?
-            .install_lww(key, self.ts, Some(std::sync::Arc::new(row)));
+        let (cur, _) = self.seek(table, key)?;
+        cur.image = Some(Arc::new(row));
+        cur.edited = false;
+        cur.dirty = true;
         Ok(())
     }
 
     fn delete(&mut self, table: TableId, key: Key) -> Result<()> {
-        let t = self.db.table(table)?;
-        let chain = t.get(key).ok_or(Error::KeyNotFound {
-            table: table.0,
-            key,
-        })?;
-        t.mark_dirty(key, self.ts);
-        chain.install_lww(self.ts, None);
+        let (cur, _) = self.seek(table, key)?;
+        // A key that never had an index entry (and has no pending insert)
+        // cannot be deleted; a tombstoned one can.
+        if cur.chain.is_none() && !cur.dirty {
+            return Err(key_not_found(table, key));
+        }
+        cur.image = None;
+        cur.edited = false;
+        cur.dirty = true;
         Ok(())
     }
 }
@@ -173,28 +296,106 @@ mod tests {
         txn.commit().unwrap();
     }
 
+    fn newest(db: &Database, key: Key) -> (Timestamp, Option<Arc<Row>>) {
+        db.table(T).unwrap().get(key).unwrap().newest()
+    }
+
     #[test]
     fn replay_access_installs_at_fixed_ts() {
         let db = db();
         let mut a = ReplayAccess::new(&db, 42);
         a.write_col(T, 1, 0, Value::Int(77)).unwrap();
-        let chain = db.table(T).unwrap().get(1).unwrap();
-        let (ts, row) = chain.newest();
+        a.finish();
+        let (ts, row) = newest(&db, 1);
         assert_eq!(ts, 42);
-        assert_eq!(row.unwrap().col(0), &Value::Int(77));
+        let row = row.unwrap();
+        assert_eq!(row.col(0), &Value::Int(77));
+        assert_eq!(row.col(1), &Value::str("x"), "other columns carried over");
+        let chain = db.table(T).unwrap().get(1).unwrap();
         assert_eq!(chain.num_versions(), 1, "single-version recovered state");
+    }
+
+    #[test]
+    fn pending_image_is_private_until_finish() {
+        let db = db();
+        let table = db.table(T).unwrap();
+        let dirty_before = table.shard_dirty_ts(table.shard_index(1));
+        let mut a = ReplayAccess::new(&db, 42);
+        a.write_col(T, 1, 0, Value::Int(77)).unwrap();
+        a.write_col(T, 1, 1, Value::str("y")).unwrap();
+        // The piece sees its own writes ...
+        assert_eq!(a.read(T, 1, 0).unwrap(), Value::Int(77));
+        // ... the table does not, yet.
+        let (ts, row) = newest(&db, 1);
+        assert_eq!((ts, row.unwrap().col(0)), (0, &Value::Int(10)));
+        assert_eq!(table.shard_dirty_ts(table.shard_index(1)), dirty_before);
+        a.finish();
+        let (ts, row) = newest(&db, 1);
+        let row = row.unwrap();
+        assert_eq!(ts, 42);
+        assert_eq!(row.cols(), &[Value::Int(77), Value::str("y")]);
+        assert_eq!(table.shard_dirty_ts(table.shard_index(1)), 42);
+        assert_eq!(table.get(1).unwrap().num_versions(), 1, "one install");
+    }
+
+    #[test]
+    fn moving_the_cursor_installs_the_tuple_left_behind() {
+        let db = db();
+        db.seed_row(T, 2, Row::from([Value::Int(20), Value::str("z")]))
+            .unwrap();
+        let mut a = ReplayAccess::new(&db, 9);
+        a.write_col(T, 1, 0, Value::Int(11)).unwrap();
+        a.write_col(T, 2, 0, Value::Int(21)).unwrap();
+        assert_eq!(newest(&db, 1).0, 9, "tuple 1 installed on the move");
+        assert_eq!(newest(&db, 2).0, 0, "tuple 2 still pending");
+        // Coming back re-opens the installed image.
+        assert_eq!(a.read(T, 1, 0).unwrap(), Value::Int(11));
+        assert_eq!(newest(&db, 2).0, 9);
+    }
+
+    #[test]
+    fn unfinished_image_is_discarded() {
+        let db = db();
+        let mut a = ReplayAccess::new(&db, 42);
+        a.write_col(T, 1, 0, Value::Int(77)).unwrap();
+        a.retarget(43);
+        a.finish();
+        drop(a);
+        let (ts, row) = newest(&db, 1);
+        assert_eq!((ts, row.unwrap().col(0)), (0, &Value::Int(10)));
     }
 
     #[test]
     fn replay_insert_and_delete() {
         let db = db();
         let mut a = ReplayAccess::new(&db, 7);
+        assert!(a.delete(T, 99).is_err(), "never-inserted key");
         a.insert(T, 99, Row::from([Value::Int(1), Value::str("n")]))
             .unwrap();
         assert_eq!(a.read(T, 99, 0).unwrap(), Value::Int(1));
+        a.write_col(T, 99, 0, Value::Int(2)).unwrap();
+        a.finish();
+        assert_eq!(newest(&db, 99).1.unwrap().col(0), &Value::Int(2));
         let mut a2 = ReplayAccess::new(&db, 8);
         a2.delete(T, 99).unwrap();
         assert!(a2.read(T, 99, 0).is_err());
+        assert!(a2.write_col(T, 99, 0, Value::Int(3)).is_err());
+        a2.finish();
+        assert_eq!(newest(&db, 99), (8, None));
+        // A tombstoned key still has its index entry: deleting again is
+        // not an error (it never was).
+        let mut a3 = ReplayAccess::new(&db, 9);
+        a3.delete(T, 99).unwrap();
+    }
+
+    #[test]
+    fn replay_bad_column_is_an_error_not_a_panic() {
+        let db = db();
+        let mut a = ReplayAccess::new(&db, 7);
+        assert!(a.read(T, 1, 9).is_err());
+        assert!(a.write_col(T, 1, 9, Value::Int(0)).is_err());
+        a.write_col(T, 1, 0, Value::Int(1)).unwrap();
+        assert!(a.write_col(T, 1, 9, Value::Int(0)).is_err());
     }
 
     #[test]

@@ -10,84 +10,88 @@
 use crate::access::{DataAccess, TxnAccess};
 use crate::database::Database;
 use crate::txn::{CommitInfo, Txn};
-use pacman_common::{Error, Result, Row, Value};
-use pacman_sproc::{EvalCtx, LocalBindings, OpGroup, OpKind, Params, ProcedureDef, VarStore};
+use pacman_common::{Error, Key, Result, Row};
+use pacman_sproc::{
+    Access, EvalCtx, LocalBindings, OpKind, Params, PiecePlan, ProcedureDef, VarStore,
+};
 
-/// Execute ops `op_indices` (ascending program order) of `proc`.
+/// Reusable interpreter scratch: the loop-local bindings and the site keys
+/// of the iteration in flight. Callers keep one per thread (replay
+/// workers) or per pooled transaction scratch (normal processing), so a
+/// warm interpreter allocates nothing of its own.
+#[derive(Debug, Default)]
+pub struct ExecFrame {
+    locals: LocalBindings,
+    site_keys: Vec<Option<Key>>,
+}
+
+impl ExecFrame {
+    /// Drop every binding, keeping capacity (pooled-scratch reset).
+    pub fn clear(&mut self) {
+        self.locals.clear();
+        self.site_keys.clear();
+    }
+}
+
+/// Execute `plan` — a compiled set of ops of `proc`: the whole procedure
+/// during normal processing and serial replay, one piece during CLR-P.
 /// Returns the number of operations actually executed (loops unrolled,
 /// guard-skipped ops excluded) — the dynamic replay-cost signal of the
 /// adaptive-logging cost model.
-pub fn execute_ops(
+///
+/// Every access site's key is determined at most once per iteration: taken
+/// from `resolved` — the piece's slots as `pacman_sproc::resolve_accesses`
+/// laid them out at parameter-checking time — when given, and otherwise
+/// (or for a slot that check left empty) evaluated when the first
+/// operation of the site executes.
+pub fn execute_plan(
     proc: &ProcedureDef,
-    op_indices: &[usize],
+    plan: &PiecePlan,
     params: &Params,
     vars: &VarStore,
+    resolved: Option<&[Option<Access>]>,
+    frame: &mut ExecFrame,
     access: &mut dyn DataAccess,
 ) -> Result<u64> {
+    let ExecFrame { locals, site_keys } = frame;
     let mut executed = 0u64;
-    // Whole-procedure execution (normal processing, CLR replay) borrows
-    // the grouping cached on the definition; only true sub-slices (CLR-P
-    // pieces) compute one.
-    let sliced;
-    let groups: &[OpGroup] = if op_indices.len() == proc.ops.len() {
-        proc.all_groups()
-    } else {
-        sliced = proc.groups(op_indices);
-        &sliced
-    };
-    let mut locals = LocalBindings::new();
-    for group in groups {
-        let members = &op_indices[group.start..group.end];
-        let iterations: u64 = match &proc.ops[members[0]].loop_count {
-            None => 1,
-            Some(count) => {
+    // Start of the current iteration's slots in `resolved`.
+    let mut slot_base = 0usize;
+    for group in plan.groups() {
+        let iterations = group.iterations(&proc.name, params, Some(vars))?;
+        let num_sites = group.sites.len();
+        for i in 0..iterations {
+            locals.clear();
+            site_keys.clear();
+            site_keys.resize(num_sites, None);
+            let slots = resolved.and_then(|r| r.get(slot_base..slot_base + num_sites));
+            slot_base += num_sites;
+            let loop_index = group.looped.then_some(i);
+            for pop in &group.ops {
+                let op = &proc.ops[pop.op];
                 let ctx = EvalCtx {
                     params,
                     vars: Some(vars),
-                    locals: None,
-                    loop_index: None,
+                    locals: Some(&*locals),
+                    loop_index,
                 };
-                match count.eval(&ctx)? {
-                    Value::Int(n) if n >= 0 => n as u64,
-                    v => {
-                        return Err(Error::InvalidProcedure(format!(
-                            "{}: loop count evaluated to {v}",
-                            proc.name
-                        )))
+                if let Some(g) = &op.guard {
+                    if !g.eval(&ctx)?.truthy() {
+                        continue;
                     }
-                }
-            }
-        };
-        for i in 0..iterations {
-            locals.clear();
-            for &op_idx in members {
-                let op = &proc.ops[op_idx];
-                let loop_index = group.loop_id.map(|_| i);
-                // Guard check.
-                let skip = {
-                    let ctx = EvalCtx {
-                        params,
-                        vars: Some(vars),
-                        locals: Some(&locals),
-                        loop_index,
-                    };
-                    match &op.guard {
-                        Some(g) => !g.eval(&ctx)?.truthy(),
-                        None => false,
-                    }
-                };
-                if skip {
-                    continue;
                 }
                 executed += 1;
-                let key = {
-                    let ctx = EvalCtx {
-                        params,
-                        vars: Some(vars),
-                        locals: Some(&locals),
-                        loop_index,
-                    };
-                    op.key.eval_key(&ctx)?
+                let key = match (slots.and_then(|s| s[pop.site]), site_keys[pop.site]) {
+                    (Some(a), _) => {
+                        debug_assert_eq!(a.table, op.table, "slot layout drifted");
+                        a.key
+                    }
+                    (None, Some(key)) => key,
+                    (None, None) => {
+                        let key = op.key.eval_key(&ctx)?;
+                        site_keys[pop.site] = Some(key);
+                        key
+                    }
                 };
                 match &op.kind {
                     OpKind::Read { col, out } => {
@@ -105,24 +109,10 @@ pub fn execute_ops(
                         }
                     }
                     OpKind::Write { col, value } => {
-                        let val = {
-                            let ctx = EvalCtx {
-                                params,
-                                vars: Some(vars),
-                                locals: Some(&locals),
-                                loop_index,
-                            };
-                            value.eval(&ctx)?
-                        };
+                        let val = value.eval(&ctx)?;
                         access.write_col(op.table, key, *col, val)?;
                     }
                     OpKind::Insert { row } => {
-                        let ctx = EvalCtx {
-                            params,
-                            vars: Some(vars),
-                            locals: Some(&locals),
-                            loop_index,
-                        };
                         let cols = row
                             .iter()
                             .map(|e| e.eval(&ctx))
@@ -137,12 +127,6 @@ pub fn execute_ops(
         }
     }
     Ok(executed)
-}
-
-/// All op indices of a procedure, in program order. Callers that can
-/// borrow should prefer [`ProcedureDef::all_op_indices`] (no allocation).
-pub fn all_ops(proc: &ProcedureDef) -> Vec<usize> {
-    proc.all_op_indices().to_vec()
 }
 
 /// Run a whole procedure as one OCC transaction. Returns the commit info
@@ -174,14 +158,25 @@ pub fn run_procedure_in(
     params: &Params,
     epoch_fn: impl FnOnce() -> u64,
 ) -> Result<CommitInfo> {
-    // The variable frame comes from the transaction's pooled scratch and
-    // goes back before any `?` below, so abort paths keep it in the cycle.
+    // The variable frame and the interpreter scratch come from the
+    // transaction's pooled scratch and go back before any `?` below, so
+    // abort paths keep them in the cycle.
     let vars = txn.take_var_frame(proc.num_vars);
+    let mut frame = txn.take_exec_frame();
     let result = {
         let mut access = TxnAccess::new(&mut txn);
-        execute_ops(proc, proc.all_op_indices(), params, &vars, &mut access)
+        execute_plan(
+            proc,
+            proc.plan(),
+            params,
+            &vars,
+            None,
+            &mut frame,
+            &mut access,
+        )
     };
     txn.put_var_frame(vars);
+    txn.put_exec_frame(frame);
     let executed = result.map_err(|e| match e {
         // A read of a missing key inside a transaction aborts it.
         Error::KeyNotFound { table, key } => {
@@ -199,7 +194,7 @@ mod tests {
     use super::*;
     use crate::access::ReplayAccess;
     use crate::catalog::Catalog;
-    use pacman_common::{ProcId, TableId, VarId};
+    use pacman_common::{ProcId, TableId, Value, VarId};
     use pacman_sproc::{params, Expr, ProcBuilder};
 
     const FAMILY: TableId = TableId::new(0);
@@ -325,12 +320,22 @@ mod tests {
         let args = params([Value::Int(1), Value::Int(25)]);
         let vars = VarStore::new(p.num_vars);
 
-        let mut a1 = ReplayAccess::new(&db, 10);
-        execute_ops(&p, &[0], &args, &vars, &mut a1).unwrap();
+        let mut frame = ExecFrame::default();
+        let mut access = ReplayAccess::new(&db, 10);
+        let head = PiecePlan::compile(&p.ops, &[0]);
+        execute_plan(&p, &head, &args, &vars, None, &mut frame, &mut access).unwrap();
+        access.finish();
         assert_eq!(vars.get(VarId::new(0)), Some(Value::Int(2)), "dst bound");
 
-        let mut a2 = ReplayAccess::new(&db, 10);
-        execute_ops(&p, &[1, 2, 3, 4, 5, 6], &args, &vars, &mut a2).unwrap();
+        let tail = PiecePlan::compile(&p.ops, &[1, 2, 3, 4, 5, 6]);
+        let n = execute_plan(&p, &tail, &args, &vars, None, &mut frame, &mut access).unwrap();
+        assert_eq!(n, 6);
+        // The piece's last tuple is installed at the end of the piece, not
+        // by its last write.
+        let saving = db.table(SAVING).unwrap().get(1).unwrap();
+        assert_eq!(saving.newest().1.unwrap().col(0), &Value::Int(0));
+        access.finish();
+        assert_eq!(saving.newest().1.unwrap().col(0), &Value::Int(1));
         let mut t = db.begin();
         assert_eq!(t.read(CURRENT, 1).unwrap().col(0), &Value::Int(75));
         assert_eq!(t.read(CURRENT, 2).unwrap().col(0), &Value::Int(125));

@@ -35,7 +35,9 @@ pub use catalog::{Catalog, TableMeta};
 pub use chain::{TupleChain, DEFAULT_VERSION_PRUNE_THRESHOLD};
 pub use database::Database;
 pub use epoch::EpochManager;
-pub use interp::{all_ops, execute_ops, run_procedure, run_procedure_in, run_procedure_with_epoch};
+pub use interp::{
+    execute_plan, run_procedure, run_procedure_in, run_procedure_with_epoch, ExecFrame,
+};
 pub use recovery_gate::{AdmissionControl, RecoveryGate};
 pub use table::Table;
 pub use txn::{recycle_commit_info, CommitInfo, RowMut, Txn, TxnScratch, WriteKind, WriteRecord};

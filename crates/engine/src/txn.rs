@@ -11,7 +11,7 @@
 //! A steady-state write transaction allocates nothing but its row images:
 //!
 //! * the read map, write map, lock-set vector, write-record vector and the
-//!   interpreter's variable frame live in a [`TxnScratch`] recycled through
+//!   interpreter's variable frame and scratch live in a [`TxnScratch`] recycled through
 //!   a thread-local pool (the same arena pattern as the WAL's
 //!   `WorkerLogBuffer`) — `clear()` keeps their capacity warm;
 //! * each written row image is materialized exactly once, as an
@@ -29,6 +29,7 @@
 
 use crate::chain::TupleChain;
 use crate::database::Database;
+use crate::interp::ExecFrame;
 use pacman_common::{Error, Key, Result, Row, TableId, Timestamp, Value};
 use pacman_obs::Counter;
 use pacman_sproc::VarStore;
@@ -140,6 +141,7 @@ pub struct TxnScratch {
     records: Vec<WriteRecord>,
     row_buf: Vec<Value>,
     vars: VarStore,
+    frame: ExecFrame,
 }
 
 /// Scratch blocks (and recycled `CommitInfo` write vectors) retained per
@@ -188,6 +190,7 @@ impl TxnScratch {
         self.records.clear();
         self.row_buf.clear();
         self.vars.reset(0);
+        self.frame.clear();
     }
 
     fn release(mut self) {
@@ -490,6 +493,17 @@ impl<'db> Txn<'db> {
     /// Return the variable frame taken with [`Txn::take_var_frame`].
     pub fn put_var_frame(&mut self, vars: VarStore) {
         self.scratch.vars = vars;
+    }
+
+    /// Take the pooled interpreter scratch; returned, like the variable
+    /// frame, via [`Txn::put_exec_frame`] when the procedure body finishes.
+    pub fn take_exec_frame(&mut self) -> ExecFrame {
+        std::mem::take(&mut self.scratch.frame)
+    }
+
+    /// Return the interpreter scratch taken with [`Txn::take_exec_frame`].
+    pub fn put_exec_frame(&mut self, frame: ExecFrame) {
+        self.scratch.frame = frame;
     }
 
     /// Distinct keys in the read set (diagnostic/test use).

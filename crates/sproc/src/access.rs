@@ -2,10 +2,11 @@
 //!
 //! §4.3.1: "the read and write sets of each transaction piece could be
 //! identified from the piece's input arguments at replay time". Given a
-//! procedure, a subset of its ops (a slice), the invocation parameters and
-//! the variables already produced by upstream pieces, [`compute_accesses`]
-//! expands loops and evaluates keys and guards to the exact tuple set the
-//! piece will touch:
+//! procedure, the compiled plan of one of its pieces, the invocation
+//! parameters and the variables already produced by upstream pieces,
+//! [`resolve_accesses`] expands loops and evaluates guards and site keys to
+//! the exact tuple set the piece will touch — each distinct tuple of an
+//! iteration once, however many operations name it:
 //!
 //! * a guard that cannot be evaluated yet (it reads a variable defined
 //!   *inside* this very piece) degrades gracefully: the access is included
@@ -14,11 +15,12 @@
 //!   (the key-computability check, §5) rejects such procedures up front.
 
 use crate::expr::EvalCtx;
+use crate::plan::PiecePlan;
 use crate::procedure::ProcedureDef;
 use crate::vars::VarStore;
 use pacman_common::{Error, Key, Result, TableId, Value};
 
-/// One tuple access of a piece.
+/// One resolved tuple access of a piece.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Access {
     /// Table accessed.
@@ -29,72 +31,68 @@ pub struct Access {
     pub write: bool,
 }
 
-/// Compute the access set of the ops `op_indices` (program order) of
-/// `proc`, invoked with `params`, with `vars` holding upstream pieces'
-/// outputs.
+/// Resolve the access sites of `plan` (a piece of `proc` invoked with
+/// `params`, `vars` holding upstream pieces' outputs) and append them to
+/// `out`.
 ///
-/// Returns an over-approximation: guarded-out accesses whose guard is
-/// already evaluable are excluded; unevaluable guards keep their accesses.
-pub fn compute_accesses(
+/// Exactly one slot is appended per `(group, iteration, site)`, in that
+/// order — the layout the interpreter walks when it takes its keys from
+/// here instead of re-evaluating them. A slot is `None` when every
+/// operation of the site is guarded out for that iteration (its key is
+/// then never evaluated), and otherwise carries the key and whether any
+/// operation that may execute writes.
+///
+/// The result is an over-approximation: operations whose guard is
+/// evaluable and false are excluded, unevaluable guards keep theirs. On an
+/// error `out` holds a partial piece; the caller truncates it.
+pub fn resolve_accesses(
     proc: &ProcedureDef,
-    op_indices: &[usize],
+    plan: &PiecePlan,
     params: &[Value],
     vars: Option<&VarStore>,
-) -> Result<Vec<Access>> {
-    let mut out = Vec::with_capacity(op_indices.len());
-    for group in proc.groups(op_indices) {
-        let members = &op_indices[group.start..group.end];
-        let iterations: u64 = match &proc.ops[members[0]].loop_count {
-            None => 1,
-            Some(count) => {
-                let ctx = EvalCtx {
-                    params,
-                    vars,
-                    locals: None,
-                    loop_index: None,
-                };
-                match count.eval(&ctx)? {
-                    Value::Int(n) if n >= 0 => n as u64,
-                    v => {
-                        return Err(Error::InvalidProcedure(format!(
-                            "{}: loop count evaluated to {v}",
-                            proc.name
-                        )))
-                    }
-                }
-            }
-        };
+    out: &mut Vec<Option<Access>>,
+) -> Result<()> {
+    for group in plan.groups() {
+        let iterations = group.iterations(&proc.name, params, vars)?;
         for i in 0..iterations {
             let ctx = EvalCtx {
                 params,
                 vars,
                 locals: None,
-                loop_index: group.loop_id.map(|_| i),
+                loop_index: group.looped.then_some(i),
             };
-            for &op_idx in members {
-                let op = &proc.ops[op_idx];
-                if let Some(guard) = &op.guard {
-                    match guard.eval(&ctx) {
-                        Ok(v) if !v.truthy() => continue, // statically skipped
-                        Ok(_) => {}
-                        Err(_) => {} // depends on an in-piece read: keep conservatively
+            let base = out.len();
+            out.resize(base + group.sites.len(), None);
+            for pop in &group.ops {
+                let op = &proc.ops[pop.op];
+                if let (Some(guard), false) = (&op.guard, pop.guard_deferred) {
+                    // An error here means the guard reads an upstream
+                    // variable nobody bound (its read was skipped): keep
+                    // the access conservatively, as for a deferred guard.
+                    if guard.eval(&ctx).is_ok_and(|v| !v.truthy()) {
+                        continue; // statically skipped
                     }
                 }
-                let key = op.key.eval_key(&ctx).map_err(|e| {
-                    Error::InvalidProcedure(format!(
-                        "{}: key of op {} not computable from piece inputs: {e}",
-                        proc.name, op.id
-                    ))
-                })?;
-                out.push(Access {
-                    table: op.table,
-                    key,
-                    write: op.is_write(),
-                });
+                match &mut out[base + pop.site] {
+                    Some(access) => access.write |= op.is_write(),
+                    slot => {
+                        let key = op.key.eval_key(&ctx).map_err(|e| {
+                            Error::InvalidProcedure(format!(
+                                "{}: key of op {} not computable from piece inputs: {e}",
+                                proc.name, op.id
+                            ))
+                        })?;
+                        *slot = Some(Access {
+                            table: op.table,
+                            key,
+                            write: op.is_write(),
+                        });
+                    }
+                }
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -107,6 +105,19 @@ mod tests {
     const T0: TableId = TableId::new(0);
     const T1: TableId = TableId::new(1);
 
+    /// Resolve ops `op_indices` of `p`; the live accesses in slot order.
+    fn resolve(
+        p: &ProcedureDef,
+        op_indices: &[usize],
+        params: &[Value],
+        vars: Option<&VarStore>,
+    ) -> Result<Vec<Access>> {
+        let plan = PiecePlan::compile(&p.ops, op_indices);
+        let mut out = Vec::new();
+        resolve_accesses(p, &plan, params, vars, &mut out)?;
+        Ok(out.into_iter().flatten().collect())
+    }
+
     #[test]
     fn simple_rmw_access_set() {
         let mut b = ProcBuilder::new(ProcId::new(0), "P", 2);
@@ -118,21 +129,15 @@ mod tests {
             Expr::add(Expr::var(v), Expr::param(1)),
         );
         let p = b.build().unwrap();
-        let acc = compute_accesses(&p, &[0, 1], &[Value::Int(42), Value::Int(5)], None).unwrap();
+        let acc = resolve(&p, &[0, 1], &[Value::Int(42), Value::Int(5)], None).unwrap();
+        // The read and the write name one tuple: one site, write wins.
         assert_eq!(
             acc,
-            vec![
-                Access {
-                    table: T0,
-                    key: 42,
-                    write: false
-                },
-                Access {
-                    table: T0,
-                    key: 42,
-                    write: true
-                },
-            ]
+            vec![Access {
+                table: T0,
+                key: 42,
+                write: true
+            }]
         );
     }
 
@@ -149,7 +154,7 @@ mod tests {
             );
         });
         let p = b.build().unwrap();
-        let acc = compute_accesses(
+        let acc = resolve(
             &p,
             &[0],
             &[
@@ -175,9 +180,9 @@ mod tests {
             b.write(T0, Expr::int(1), 0, Expr::int(0));
         });
         let p = b.build().unwrap();
-        let acc = compute_accesses(&p, &[0], &[Value::Int(5)], None).unwrap();
+        let acc = resolve(&p, &[0], &[Value::Int(5)], None).unwrap();
         assert!(acc.is_empty());
-        let acc = compute_accesses(&p, &[0], &[Value::Int(500)], None).unwrap();
+        let acc = resolve(&p, &[0], &[Value::Int(500)], None).unwrap();
         assert_eq!(acc.len(), 1);
     }
 
@@ -190,8 +195,9 @@ mod tests {
             b.write(T0, Expr::param(0), 0, Expr::int(9));
         });
         let p = b.build().unwrap();
-        let acc = compute_accesses(&p, &[0, 1], &[Value::Int(7)], None).unwrap();
-        assert_eq!(acc.len(), 2, "write kept despite unknown guard");
+        let acc = resolve(&p, &[0, 1], &[Value::Int(7)], None).unwrap();
+        assert_eq!(acc.len(), 1);
+        assert!(acc[0].write, "write kept despite unknown guard");
     }
 
     #[test]
@@ -205,7 +211,7 @@ mod tests {
         let vars = VarStore::new(1);
         vars.set(dst, Value::Int(77));
         // Access set of the *second* slice only.
-        let acc = compute_accesses(&p, &[1], &[Value::Int(5)], Some(&vars)).unwrap();
+        let acc = resolve(&p, &[1], &[Value::Int(5)], Some(&vars)).unwrap();
         assert_eq!(
             acc,
             vec![Access {
@@ -223,7 +229,7 @@ mod tests {
         b.write(T1, Expr::var(dst), 0, Expr::int(1));
         let p = b.build().unwrap();
         // No var store: the key of op 1 cannot be evaluated.
-        let r = compute_accesses(&p, &[1], &[Value::Int(5)], None);
+        let r = resolve(&p, &[1], &[Value::Int(5)], None);
         assert!(matches!(r, Err(Error::InvalidProcedure(_))));
     }
 
@@ -234,6 +240,50 @@ mod tests {
             b.write(T0, Expr::LoopIndex, 0, Expr::int(0));
         });
         let p = b.build().unwrap();
-        assert!(compute_accesses(&p, &[0], &[Value::Int(-1)], None).is_err());
+        assert!(resolve(&p, &[0], &[Value::Int(-1)], None).is_err());
+    }
+
+    #[test]
+    fn guarded_out_sites_leave_an_empty_slot_and_skip_the_key() {
+        // The guarded write's key is a string unless the guard holds; the
+        // slot layout still has one entry per (iteration, site).
+        let mut b = ProcBuilder::new(ProcId::new(0), "P", 2);
+        b.repeat(Expr::int(2), |b| {
+            let _ = b.read(T0, Expr::LoopIndex, 0);
+            b.guarded(Expr::gt(Expr::param(0), Expr::int(100)), |b| {
+                b.write(T1, Expr::param(1), 0, Expr::int(0));
+            });
+        });
+        let p = b.build().unwrap();
+        let plan = PiecePlan::compile(&p.ops, &[0, 1]);
+        let mut out = Vec::new();
+        resolve_accesses(
+            &p,
+            &plan,
+            &[Value::Int(5), Value::str("NULL")],
+            None,
+            &mut out,
+        )
+        .unwrap();
+        let read = |key| {
+            Some(Access {
+                table: T0,
+                key,
+                write: false,
+            })
+        };
+        assert_eq!(out, vec![read(0), None, read(1), None]);
+    }
+
+    #[test]
+    fn write_flag_ignores_guarded_out_writers() {
+        let mut b = ProcBuilder::new(ProcId::new(0), "P", 1);
+        let _ = b.read(T0, Expr::int(1), 0);
+        b.guarded(Expr::gt(Expr::param(0), Expr::int(100)), |b| {
+            b.write(T0, Expr::int(1), 0, Expr::int(0));
+        });
+        let p = b.build().unwrap();
+        assert!(!resolve(&p, &[0, 1], &[Value::Int(5)], None).unwrap()[0].write);
+        assert!(resolve(&p, &[0, 1], &[Value::Int(500)], None).unwrap()[0].write);
     }
 }

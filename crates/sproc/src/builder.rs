@@ -199,8 +199,9 @@ mod tests {
         assert_eq!(p.ops[0].loop_id, Some(0));
         assert_eq!(p.ops[1].loop_id, Some(0));
         assert_eq!(p.ops[2].loop_id, None);
-        let groups = p.groups(&[0, 1, 2]);
+        let groups = p.plan().groups();
         assert_eq!(groups.len(), 2);
+        assert_eq!(groups[0].sites.len(), 1, "read and write share a site");
     }
 
     #[test]

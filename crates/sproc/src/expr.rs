@@ -195,6 +195,25 @@ impl Expr {
         }
     }
 
+    /// Whether *every* evaluation of this expression reads a variable for
+    /// which `is_target` holds — mirrors [`Expr::eval`]'s order, where the
+    /// right side of an `And` is skipped when the left side is falsy and
+    /// every other operator evaluates all of its operands. While such a
+    /// variable is unbound, evaluation is certain to fail.
+    pub fn must_read(&self, is_target: &dyn Fn(VarId) -> bool) -> bool {
+        match self {
+            Expr::Const(_) | Expr::Param(_) | Expr::ParamOffset { .. } | Expr::LoopIndex => false,
+            Expr::Var(v) => is_target(*v),
+            Expr::And(a, _) | Expr::Not(a) => a.must_read(is_target),
+            Expr::Add(a, b)
+            | Expr::Sub(a, b)
+            | Expr::Mul(a, b)
+            | Expr::Gt(a, b)
+            | Expr::Eq(a, b)
+            | Expr::Ne(a, b) => a.must_read(is_target) || b.must_read(is_target),
+        }
+    }
+
     /// Evaluate under a context. Fails only on unbound variables or
     /// out-of-range parameters.
     pub fn eval(&self, ctx: &EvalCtx<'_>) -> Result<Value> {
@@ -364,6 +383,20 @@ mod tests {
         vars.sort();
         vars.dedup();
         assert_eq!(vars, vec![VarId::new(1), VarId::new(2)]);
+    }
+
+    #[test]
+    fn must_read_follows_evaluation_order() {
+        let v1 = |v: VarId| v == VarId::new(1);
+        let reads_v1 = Expr::gt(Expr::var(VarId::new(1)), Expr::int(0));
+        assert!(reads_v1.must_read(&v1));
+        assert!(Expr::not(reads_v1.clone()).must_read(&v1));
+        assert!(!Expr::var(VarId::new(2)).must_read(&v1));
+        // `And` skips its right side when the left is falsy.
+        assert!(!Expr::and(Expr::param(0), reads_v1.clone()).must_read(&v1));
+        assert!(Expr::and(reads_v1.clone(), Expr::param(0)).must_read(&v1));
+        // Every other operator evaluates both sides.
+        assert!(Expr::eq(Expr::param(0), reads_v1).must_read(&v1));
     }
 
     #[test]

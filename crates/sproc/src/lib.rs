@@ -15,6 +15,9 @@
 //!   dependencies (define-use and control relations, §4.1.1);
 //! * [`ProcBuilder`] — the DSL used by the workloads to define procedures;
 //! * [`ProcRegistry`] — the dispatch table command logging refers to;
+//! * [`PiecePlan`] — a set of operations compiled into loop groups and
+//!   deduplicated access sites, the form both parameter checking and the
+//!   interpreter consume;
 //! * [`access`] — runtime read/write-set computation ("the read and write
 //!   sets of each transaction piece could be identified from the piece's
 //!   input arguments at replay time", §4.3.1).
@@ -23,15 +26,17 @@ pub mod access;
 pub mod builder;
 pub mod expr;
 pub mod op;
+pub mod plan;
 pub mod procedure;
 pub mod registry;
 pub mod vars;
 
-pub use access::{compute_accesses, Access};
+pub use access::{resolve_accesses, Access};
 pub use builder::ProcBuilder;
 pub use expr::{EvalCtx, Expr, LocalBindings};
 pub use op::{OpDef, OpKind};
-pub use procedure::{OpGroup, ProcedureDef};
+pub use plan::{AccessSite, PiecePlan, PlanGroup, PlanOp};
+pub use procedure::ProcedureDef;
 pub use registry::ProcRegistry;
 pub use vars::VarStore;
 

@@ -8,6 +8,7 @@
 //! exactly the dependencies of Fig. 2(b).
 
 use crate::op::{OpDef, OpKind};
+use crate::plan::PiecePlan;
 use pacman_common::{Error, OpId, ProcId, Result, VarId};
 
 /// A fully-validated stored procedure.
@@ -34,25 +35,9 @@ pub struct ProcedureDef {
     var_escapes: Vec<bool>,
     /// Per-op: the ops it directly flow-depends on.
     flow_deps: Vec<Vec<OpId>>,
-    /// Cached `0..ops.len()` — the "execute the whole procedure" op-index
-    /// slice, so normal processing never materializes it per transaction.
-    all_ops: Vec<usize>,
-    /// Cached [`ProcedureDef::groups`] of the whole procedure, for the
-    /// same reason.
-    all_groups: Vec<OpGroup>,
-}
-
-/// A contiguous group of operations sharing a counted loop, or a single
-/// un-looped operation. The unit of iteration during execution and
-/// access-set expansion.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OpGroup {
-    /// Range of op indices `[start, end)`.
-    pub start: usize,
-    /// One past the final op index.
-    pub end: usize,
-    /// The shared loop id, if this group is a loop body.
-    pub loop_id: Option<u32>,
+    /// The whole procedure compiled into an access plan — what normal
+    /// processing and serial command-log replay execute.
+    plan: PiecePlan,
 }
 
 impl ProcedureDef {
@@ -189,7 +174,7 @@ impl ProcedureDef {
         }
 
         let all_ops: Vec<usize> = (0..ops.len()).collect();
-        let all_groups = groups_impl(&ops, &all_ops);
+        let plan = PiecePlan::compile(&ops, &all_ops);
         Ok(ProcedureDef {
             id,
             name,
@@ -200,21 +185,14 @@ impl ProcedureDef {
             var_loop_local,
             var_escapes,
             flow_deps,
-            all_ops,
-            all_groups,
+            plan,
         })
     }
 
-    /// All op indices in program order — the whole-procedure "slice".
-    /// Cached at build time so per-transaction execution borrows it.
-    pub fn all_op_indices(&self) -> &[usize] {
-        &self.all_ops
-    }
-
-    /// [`ProcedureDef::groups`] over the whole procedure, cached at build
-    /// time.
-    pub fn all_groups(&self) -> &[OpGroup] {
-        &self.all_groups
+    /// The access plan of the whole procedure, compiled at build time so
+    /// per-transaction execution borrows it.
+    pub fn plan(&self) -> &PiecePlan {
+        &self.plan
     }
 
     /// Direct flow dependencies of op `i` (ops whose outputs it consumes,
@@ -239,13 +217,6 @@ impl ProcedureDef {
         self.var_escapes[v.index()]
     }
 
-    /// Op groups (loop bodies and singleton ops) in program order,
-    /// optionally restricted to a subset of op indices (a slice). Prefer
-    /// [`ProcedureDef::all_groups`] for the whole procedure — it is cached.
-    pub fn groups(&self, op_indices: &[usize]) -> Vec<OpGroup> {
-        groups_impl(&self.ops, op_indices)
-    }
-
     /// Pretty-print the whole procedure (used by the examples).
     pub fn pretty(&self) -> String {
         use std::fmt::Write as _;
@@ -257,37 +228,6 @@ impl ProcedureDef {
         s.push('}');
         s
     }
-}
-
-/// [`ProcedureDef::groups`] without a finished `self` (the constructor
-/// caches the whole-procedure grouping before the struct exists).
-fn groups_impl(ops: &[OpDef], op_indices: &[usize]) -> Vec<OpGroup> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < op_indices.len() {
-        let idx = op_indices[i];
-        let lid = ops[idx].loop_id;
-        if lid.is_none() {
-            out.push(OpGroup {
-                start: i,
-                end: i + 1,
-                loop_id: None,
-            });
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        while j < op_indices.len() && ops[op_indices[j]].loop_id == lid {
-            j += 1;
-        }
-        out.push(OpGroup {
-            start: i,
-            end: j,
-            loop_id: lid,
-        });
-        i = j;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -398,43 +338,6 @@ mod tests {
         w.key = Expr::add(Expr::param(0), Expr::LoopIndex);
         let r = ProcedureDef::new(ProcId::new(0), "P".into(), 1, vec![w], 0);
         assert!(matches!(r, Err(Error::InvalidProcedure(_))));
-    }
-
-    #[test]
-    fn groups_split_loops_and_singletons() {
-        let mut a = read(0, 0, 0);
-        a.loop_id = Some(0);
-        a.loop_count = Some(Expr::int(2));
-        let mut b = write_using(1, 0, 0);
-        b.loop_id = Some(0);
-        b.loop_count = Some(Expr::int(2));
-        let c = {
-            let mut c = write_using(2, 1, 0);
-            c.kind = OpKind::Write {
-                col: 0,
-                value: Expr::int(5),
-            };
-            c
-        };
-        let p = ProcedureDef::new(ProcId::new(0), "P".into(), 1, vec![a, b, c], 1).unwrap();
-        let g = p.groups(&[0, 1, 2]);
-        assert_eq!(g.len(), 2);
-        assert_eq!(
-            g[0],
-            OpGroup {
-                start: 0,
-                end: 2,
-                loop_id: Some(0)
-            }
-        );
-        assert_eq!(
-            g[1],
-            OpGroup {
-                start: 2,
-                end: 3,
-                loop_id: None
-            }
-        );
     }
 
     #[test]

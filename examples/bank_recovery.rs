@@ -7,7 +7,7 @@
 //! ```
 
 use pacman_common::Value;
-use pacman_core::dynamic::build_piece_dag;
+use pacman_core::dynamic::{build_piece_dag, DagScratch};
 use pacman_core::recovery::{recover, RecoveryConfig, RecoveryScheme};
 use pacman_core::runtime::ReplayMode;
 use pacman_core::schedule::ExecutionSchedule;
@@ -76,11 +76,12 @@ fn main() {
             batch.records.len(),
             schedule.piece_counts()
         );
+        let mut scratch = DagScratch::default();
         for set in &schedule.piece_sets {
             if set.pieces.is_empty() {
                 continue;
             }
-            let dag = build_piece_dag(set, &schedule.txns);
+            let dag = build_piece_dag(set, &schedule.txns, &mut scratch);
             println!(
                 "  PS{} ({} pieces, {} immediately runnable after dynamic analysis)",
                 set.block.0,

@@ -1,0 +1,592 @@
+//! Differential test of tuple-at-a-time replay.
+//!
+//! Random single-piece procedures — a handful of ops over four keys, so
+//! that tuples interleave and repeat — run through the plan interpreter
+//! over the [`ReplayAccess`] tuple cursor, with and without keys taken
+//! from parameter checking, and through a naive **op-at-a-time** reference
+//! kept here: every op evaluates its own guard and key, looks its tuple
+//! up, and installs its own full-row image at once. Both must agree on the
+//! executed-op count or the error, on every variable binding, and (when
+//! the piece succeeds) on the table fingerprint.
+//!
+//! A failed piece is the one place the two legitimately differ: the
+//! reference has installed the failing tuple's earlier writes, the cursor
+//! drops them. Recovery fails as a whole there, so nobody sees either.
+
+use pacman_common::{Error, Key, ProcId, Result, Row, TableId, Timestamp, Value, VarId};
+use pacman_engine::{execute_plan, Catalog, DataAccess, Database, ExecFrame, ReplayAccess};
+use pacman_sproc::{
+    resolve_accesses, EvalCtx, Expr, LocalBindings, OpKind, Params, ProcBuilder, ProcedureDef,
+    VarStore,
+};
+use proptest::prelude::*;
+use std::sync::Arc;
+
+const T: TableId = TableId::new(0);
+const U: TableId = TableId::new(1);
+const ARITY: usize = 2;
+const TS: Timestamp = 77;
+
+/// Keys 0..3 are live, 4 never existed, 5 is a tombstone.
+const MISSING: u64 = 4;
+const TOMBSTONE: u64 = 5;
+
+fn seeded_db() -> Database {
+    let mut c = Catalog::new();
+    c.add_table("t", ARITY);
+    c.add_table("u", ARITY);
+    let db = Database::new(c);
+    for table in [T, U] {
+        for k in 0..MISSING {
+            let base = (table.0 as i64 + 1) * 100 + k as i64 * 10;
+            db.seed_row(
+                table,
+                k,
+                Row::from([Value::Int(base), Value::Int(base + 1)]),
+            )
+            .unwrap();
+        }
+        db.table(table).unwrap().install_lww(TOMBSTONE, 0, None);
+    }
+    db
+}
+
+// ---------------------------------------------------------------------
+// The op-at-a-time reference.
+// ---------------------------------------------------------------------
+
+/// Replay access that finishes every operation on its own: one index
+/// lookup, one `newest()`, one full-row copy and one install per op.
+struct NaiveAccess<'a> {
+    db: &'a Database,
+    ts: Timestamp,
+}
+
+impl NaiveAccess<'_> {
+    fn live_row(&self, table: TableId, key: Key) -> Result<Arc<Row>> {
+        let missing = Error::KeyNotFound {
+            table: table.0,
+            key,
+        };
+        let chain = self.db.table(table)?.get(key).ok_or(missing.clone())?;
+        chain.newest().1.ok_or(missing)
+    }
+}
+
+impl DataAccess for NaiveAccess<'_> {
+    fn read(&mut self, table: TableId, key: Key, col: usize) -> Result<Value> {
+        let row = self.live_row(table, key)?;
+        row.cols()
+            .get(col)
+            .cloned()
+            .ok_or_else(|| Error::Unknown(format!("column {col} of {table}:{key}")))
+    }
+
+    fn write_col(&mut self, table: TableId, key: Key, col: usize, value: Value) -> Result<()> {
+        let row = self.live_row(table, key)?;
+        if col >= row.arity() {
+            return Err(Error::Unknown(format!("column {col} of {table}:{key}")));
+        }
+        self.db
+            .table(table)?
+            .install_lww(key, self.ts, Some(Arc::new(row.with_col(col, value))));
+        Ok(())
+    }
+
+    fn insert(&mut self, table: TableId, key: Key, row: Row) -> Result<()> {
+        self.db
+            .table(table)?
+            .install_lww(key, self.ts, Some(Arc::new(row)));
+        Ok(())
+    }
+
+    fn delete(&mut self, table: TableId, key: Key) -> Result<()> {
+        let t = self.db.table(table)?;
+        if t.get(key).is_none() {
+            return Err(Error::KeyNotFound {
+                table: table.0,
+                key,
+            });
+        }
+        t.install_lww(key, self.ts, None);
+        Ok(())
+    }
+}
+
+/// Interpret the whole procedure straight off its op list: no plan, no
+/// sites — every op evaluates its own guard and key.
+fn naive_execute(
+    proc: &ProcedureDef,
+    params: &Params,
+    vars: &VarStore,
+    access: &mut dyn DataAccess,
+) -> Result<u64> {
+    let mut executed = 0;
+    let mut locals = LocalBindings::new();
+    let mut start = 0;
+    while start < proc.ops.len() {
+        // A loop body, or one un-looped op.
+        let loop_id = proc.ops[start].loop_id;
+        let mut end = start + 1;
+        while loop_id.is_some() && end < proc.ops.len() && proc.ops[end].loop_id == loop_id {
+            end += 1;
+        }
+        let iterations = match &proc.ops[start].loop_count {
+            None => 1,
+            Some(count) => match count.eval(&EvalCtx::of_params(params))? {
+                Value::Int(n) if n >= 0 => n as u64,
+                v => return Err(Error::InvalidProcedure(format!("loop count {v}"))),
+            },
+        };
+        for i in 0..iterations {
+            locals.clear();
+            for op in &proc.ops[start..end] {
+                let ctx = EvalCtx {
+                    params,
+                    vars: Some(vars),
+                    locals: Some(&locals),
+                    loop_index: loop_id.map(|_| i),
+                };
+                if let Some(g) = &op.guard {
+                    if !g.eval(&ctx)?.truthy() {
+                        continue;
+                    }
+                }
+                executed += 1;
+                let key = op.key.eval_key(&ctx)?;
+                match &op.kind {
+                    OpKind::Read { col, out } => {
+                        let val = access.read(op.table, key, *col)?;
+                        if proc.is_loop_local(*out) {
+                            if proc.loop_var_escapes(*out) {
+                                vars.set_indexed(*out, i, val.clone());
+                            }
+                            locals.set(*out, val);
+                        } else {
+                            vars.set(*out, val);
+                        }
+                    }
+                    OpKind::Write { col, value } => {
+                        let val = value.eval(&ctx)?;
+                        access.write_col(op.table, key, *col, val)?;
+                    }
+                    OpKind::Insert { row } => {
+                        let cols = row.iter().map(|e| e.eval(&ctx)).collect::<Result<_>>()?;
+                        access.insert(op.table, key, Row::new(cols))?;
+                    }
+                    OpKind::Delete => access.delete(op.table, key)?,
+                }
+            }
+        }
+        start = end;
+    }
+    Ok(executed)
+}
+
+// ---------------------------------------------------------------------
+// Random pieces.
+// ---------------------------------------------------------------------
+
+#[derive(Clone, Debug)]
+enum OpSpec {
+    Read {
+        col: usize,
+    },
+    /// Write a constant, or the most recent read's value plus one.
+    Write {
+        col: usize,
+        from_last_read: bool,
+    },
+    Insert,
+    Delete,
+}
+
+#[derive(Clone, Debug)]
+struct OpGen {
+    spec: OpSpec,
+    other_table: bool,
+    key: u64,
+    /// Which of several spellings of the same key to use — different
+    /// spellings are different access sites naming one tuple.
+    key_form: u8,
+    /// 0 = unguarded, 1 = parameter guard that holds, 2 = parameter guard
+    /// that fails, 3 = guard on the most recent read (decided in-piece).
+    guard: u8,
+}
+
+fn op_strategy() -> impl Strategy<Value = OpGen> {
+    // Column 2 is out of range and keys 4 and 5 are missing / tombstoned;
+    // both are drawn rarely, so that most pieces run to completion.
+    let col = || (0usize..24).prop_map(|c| if c == 0 { ARITY } else { c % ARITY });
+    let spec = prop_oneof![
+        col().prop_map(|col| OpSpec::Read { col }),
+        col().prop_map(|col| OpSpec::Read { col }),
+        (col(), any::<bool>()).prop_map(|(col, from_last_read)| OpSpec::Write {
+            col,
+            from_last_read
+        }),
+        (col(), any::<bool>()).prop_map(|(col, from_last_read)| OpSpec::Write {
+            col,
+            from_last_read
+        }),
+        Just(OpSpec::Insert),
+        Just(OpSpec::Delete),
+    ];
+    let key = (0u64..48).prop_map(|k| if k < 6 { k } else { k % 4 });
+    (spec, any::<bool>(), key, 0u8..3, 0u8..6).prop_map(|(spec, other, key, key_form, guard)| {
+        OpGen {
+            spec,
+            // Mostly one table, so that tuples repeat.
+            other_table: other && key_form == 0,
+            key,
+            key_form,
+            guard: guard.min(3),
+        }
+    })
+}
+
+/// `params[0] = 0`, `params[1] = 1`, `params[2 + k] = k`.
+fn piece_params() -> Params {
+    let mut p = vec![Value::Int(0), Value::Int(1)];
+    p.extend((0..6).map(Value::Int));
+    p.into()
+}
+
+/// Build the procedure: `ops` straight-line, or as the body of a
+/// two-iteration loop whose keys shift by the loop index.
+fn build(ops: &[OpGen], looped: bool) -> ProcedureDef {
+    let mut b = ProcBuilder::new(ProcId::new(0), "Piece", 8);
+    let body = |b: &mut ProcBuilder| {
+        let mut last_read: Option<VarId> = None;
+        for (n, op) in ops.iter().enumerate() {
+            let table = if op.other_table { U } else { T };
+            let k = op.key as i64;
+            let mut key = match op.key_form {
+                0 => Expr::int(k),
+                1 => Expr::param(2 + op.key as usize),
+                _ => Expr::add(Expr::param(0), Expr::int(k)),
+            };
+            if looped {
+                // Iteration 1 shifts every key by one (mod the live keys
+                // for those that were live).
+                key = Expr::add(key, Expr::LoopIndex);
+            }
+            let guard = match (op.guard, last_read) {
+                (1, _) => Some(Expr::gt(Expr::param(1), Expr::int(0))),
+                (2, _) => Some(Expr::gt(Expr::param(0), Expr::int(0))),
+                (3, Some(v)) => Some(Expr::gt(Expr::var(v), Expr::int(150))),
+                _ => None,
+            };
+            let emit = |b: &mut ProcBuilder, last_read: &mut Option<VarId>| match &op.spec {
+                OpSpec::Read { col } => {
+                    let v = b.read(table, key.clone(), *col);
+                    // A read behind the failing guard never binds; later
+                    // ops do not lean on it.
+                    if op.guard != 2 {
+                        *last_read = Some(v);
+                    }
+                }
+                OpSpec::Write {
+                    col,
+                    from_last_read,
+                } => {
+                    let value = match (from_last_read, *last_read) {
+                        (true, Some(v)) => Expr::add(Expr::var(v), Expr::int(1)),
+                        _ => Expr::int(1000 + n as i64),
+                    };
+                    b.write(table, key.clone(), *col, value);
+                }
+                OpSpec::Insert => b.insert(
+                    table,
+                    key.clone(),
+                    vec![Expr::int(2000 + n as i64), Expr::param(1)],
+                ),
+                OpSpec::Delete => b.delete(table, key.clone()),
+            };
+            match guard {
+                Some(g) => b.guarded(g, |b| emit(b, &mut last_read)),
+                None => emit(b, &mut last_read),
+            }
+        }
+    };
+    if looped {
+        b.repeat(Expr::int(2), body);
+    } else {
+        body(&mut b);
+    }
+    b.build().expect("generated procedure is valid")
+}
+
+/// Every binding of the store, loop iterations included.
+fn bindings(proc: &ProcedureDef, vars: &VarStore) -> Vec<(Option<Value>, [Option<Value>; 2])> {
+    (0..proc.num_vars as u32)
+        .map(|v| {
+            let v = VarId::new(v);
+            (
+                vars.get(v),
+                [vars.get_indexed(v, 0), vars.get_indexed(v, 1)],
+            )
+        })
+        .collect()
+}
+
+/// Run `proc` through the plan interpreter over the tuple cursor.
+fn cursor_execute(
+    proc: &ProcedureDef,
+    params: &Params,
+    use_resolved: bool,
+) -> (Result<u64>, Database, VarStore) {
+    let db = seeded_db();
+    let vars = VarStore::new(proc.num_vars);
+    let slots = use_resolved.then(|| {
+        let mut slots = Vec::new();
+        resolve_accesses(proc, proc.plan(), params, Some(&vars), &mut slots)
+            .expect("keys depend on parameters and the loop index only");
+        slots
+    });
+    let result = {
+        let mut access = ReplayAccess::new(&db, TS);
+        let r = execute_plan(
+            proc,
+            proc.plan(),
+            params,
+            &vars,
+            slots.as_deref(),
+            &mut ExecFrame::default(),
+            &mut access,
+        );
+        if r.is_ok() {
+            access.finish();
+        }
+        r
+    };
+    (result, db, vars)
+}
+
+/// Run `ops` both ways and compare; `Err` describes the first difference.
+fn compare(ops: &[OpGen], looped: bool) -> std::result::Result<(), String> {
+    fn same<V: PartialEq + std::fmt::Debug>(
+        what: &str,
+        got: V,
+        expected: V,
+    ) -> std::result::Result<(), String> {
+        if got == expected {
+            Ok(())
+        } else {
+            Err(format!("{what}: cursor {got:?}, op-at-a-time {expected:?}"))
+        }
+    }
+    let proc = build(ops, looped);
+    let params = piece_params();
+    let naive_db = seeded_db();
+    let naive_vars = VarStore::new(proc.num_vars);
+    let expected = naive_execute(
+        &proc,
+        &params,
+        &naive_vars,
+        &mut NaiveAccess {
+            db: &naive_db,
+            ts: TS,
+        },
+    );
+    for use_resolved in [false, true] {
+        let (got, db, vars) = cursor_execute(&proc, &params, use_resolved);
+        same("outcome", &got, &expected)?;
+        same(
+            "bindings",
+            bindings(&proc, &vars),
+            bindings(&proc, &naive_vars),
+        )?;
+        if expected.is_err() {
+            continue;
+        }
+        same("fingerprint", db.fingerprint(), naive_db.fingerprint())?;
+        // Beyond the fingerprint (live rows only): the same keys are
+        // tombstoned, at the same timestamps.
+        for table in [T, U] {
+            for k in 0..=TOMBSTONE + 1 {
+                let newest = |db: &Database| db.table(table).unwrap().get(k).map(|c| c.newest());
+                same(&format!("{table}:{k}"), newest(&db), newest(&naive_db))?;
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(600))]
+
+    #[test]
+    fn cursor_replay_equals_op_at_a_time_replay(
+        ops in proptest::collection::vec(op_strategy(), 1..12),
+        looped in any::<bool>(),
+    ) {
+        compare(&ops, looped).map_err(TestCaseError::fail)?;
+    }
+}
+
+/// The cases the issue names, pinned so that a generator change cannot
+/// silently stop covering them.
+#[test]
+fn named_sequences_agree() {
+    use OpSpec::*;
+    let op = |spec, key, key_form| OpGen {
+        spec,
+        other_table: false,
+        key,
+        key_form,
+        guard: 0,
+    };
+    let cases: Vec<(&str, Vec<OpGen>)> = vec![
+        (
+            "interleaved tuples",
+            vec![
+                op(
+                    Write {
+                        col: 0,
+                        from_last_read: false,
+                    },
+                    0,
+                    0,
+                ),
+                op(
+                    Write {
+                        col: 0,
+                        from_last_read: false,
+                    },
+                    1,
+                    0,
+                ),
+                op(
+                    Write {
+                        col: 1,
+                        from_last_read: false,
+                    },
+                    0,
+                    1,
+                ),
+                op(Read { col: 0 }, 1, 2),
+                op(Read { col: 1 }, 0, 0),
+            ],
+        ),
+        (
+            "read after write of the same column",
+            vec![
+                op(
+                    Write {
+                        col: 0,
+                        from_last_read: false,
+                    },
+                    2,
+                    0,
+                ),
+                op(Read { col: 0 }, 2, 0),
+                op(
+                    Write {
+                        col: 1,
+                        from_last_read: true,
+                    },
+                    2,
+                    0,
+                ),
+            ],
+        ),
+        (
+            "two writes to one column",
+            vec![
+                op(
+                    Write {
+                        col: 0,
+                        from_last_read: false,
+                    },
+                    3,
+                    0,
+                ),
+                op(
+                    Write {
+                        col: 0,
+                        from_last_read: false,
+                    },
+                    3,
+                    1,
+                ),
+            ],
+        ),
+        (
+            "insert then write",
+            vec![
+                op(Insert, MISSING, 0),
+                op(
+                    Write {
+                        col: 1,
+                        from_last_read: false,
+                    },
+                    MISSING,
+                    0,
+                ),
+            ],
+        ),
+        (
+            "write then delete",
+            vec![
+                op(
+                    Write {
+                        col: 0,
+                        from_last_read: false,
+                    },
+                    1,
+                    0,
+                ),
+                op(Delete, 1, 0),
+            ],
+        ),
+        (
+            "delete then insert",
+            vec![
+                op(Delete, 1, 0),
+                op(Insert, 1, 0),
+                op(Read { col: 0 }, 1, 0),
+            ],
+        ),
+        ("missing key", vec![op(Read { col: 0 }, MISSING, 0)]),
+        ("missing key delete", vec![op(Delete, MISSING, 0)]),
+        (
+            "tombstone write",
+            vec![op(
+                Write {
+                    col: 0,
+                    from_last_read: false,
+                },
+                TOMBSTONE,
+                0,
+            )],
+        ),
+        ("out-of-range read", vec![op(Read { col: 2 }, 0, 0)]),
+        (
+            "out-of-range write",
+            vec![
+                op(
+                    Write {
+                        col: 0,
+                        from_last_read: false,
+                    },
+                    0,
+                    0,
+                ),
+                op(
+                    Write {
+                        col: 2,
+                        from_last_read: false,
+                    },
+                    0,
+                    0,
+                ),
+            ],
+        ),
+    ];
+    for (name, ops) in cases {
+        for looped in [false, true] {
+            compare(&ops, looped).unwrap_or_else(|e| panic!("{name} (looped: {looped}): {e}"));
+        }
+    }
+}
