@@ -51,6 +51,9 @@ fn main() {
         "\n{:>8} {:>12} {:>14} {:>14} {:>10}",
         "threads", "scheme", "reload (s)", "overall (s)", "txns"
     );
+    // LLR-P's overall time at 1 thread (every sweep starts there): each
+    // LLR-P row prints its speed-up over it.
+    let mut llrp_base = None;
     for threads in opts.thread_sweep() {
         for (crashed, scheme) in [
             (&pl, RecoveryScheme::Plr { latch: true }),
@@ -68,7 +71,7 @@ fn main() {
                 continue; // CLR cannot use extra threads (that is the point)
             }
             let out = recover_checked(crashed, scheme, threads);
-            println!(
+            print!(
                 "{:>8} {:>12} {:>14.4} {:>14.4} {:>10}",
                 threads,
                 out.report.scheme,
@@ -76,6 +79,17 @@ fn main() {
                 out.report.log_total_secs,
                 out.report.txns
             );
+            if scheme == RecoveryScheme::LlrP {
+                let r = &out.report;
+                let base = *llrp_base.get_or_insert(r.log_total_secs);
+                print!(
+                    "   installed {} + skipped {} writes, {:.2}x its 1-thread row",
+                    r.installed_writes,
+                    r.skipped_writes,
+                    base / r.log_total_secs,
+                );
+            }
+            println!();
         }
     }
 

@@ -168,6 +168,7 @@ pub fn recover_log_online(
         txns: txn_count.load(Ordering::Relaxed),
         replayed_commands: commands.load(Ordering::Relaxed),
         applied_writes: logicals.load(Ordering::Relaxed),
+        ..Default::default()
     })
 }
 

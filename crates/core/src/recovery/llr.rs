@@ -111,6 +111,7 @@ pub fn recover_log(
         total: t0.elapsed(),
         max_ts: max_ts.load(Ordering::Relaxed),
         txns: txns.load(Ordering::Relaxed),
+        applied_writes: txns.load(Ordering::Relaxed),
         ..Default::default()
     })
 }

@@ -1,23 +1,82 @@
 //! LLR-P: the parallel logical log recovery adapted from PACMAN (§4.5,
 //! §6.2).
 //!
-//! Every log entry is treated as a write-only transaction: each batch's
-//! writes are shuffled by (table, primary key) onto the recovery threads,
-//! then reinstalled latch-free with last-writer-wins. A key is owned by
-//! exactly one thread, and each thread applies its stream in commitment
-//! order, so no synchronization is needed — the property that lets LLR-P
-//! outperform latched LLR (Fig. 16).
+//! Every log entry is treated as a write-only transaction: writes are
+//! shuffled by (table, primary key) onto the recovery threads and
+//! reinstalled latch-free with last-writer-wins. A key is owned by exactly
+//! one thread, so no synchronization is needed — the property that lets
+//! LLR-P outperform latched LLR (Fig. 16).
+//!
+//! Two replay orders live here, on purpose:
+//!
+//! * offline ([`recover_log`]) has the whole log on the devices and wants
+//!   only the final state, so it walks the log **newest first** and skips
+//!   every write a newer one already covers — before decoding it;
+//! * online / standby ([`recover_log_online`], `shard_apply.rs`) serve a
+//!   live stream: the gate's watermark counts batches applied *in order*
+//!   (an admitted transaction must see every batch up to the watermark),
+//!   and a standby never has "the newest batch" to start from. They stay
+//!   ascending and install every write.
 
 use crate::metrics::RecoveryMetrics;
 use crate::recovery::plr::LogRecovery;
 use crate::recovery::{read_merged_batch_view, LogInventory};
-use pacman_common::{Error, Result, Timestamp};
+use bytes::Bytes;
+use pacman_common::codec::Cursor;
+use pacman_common::{Error, Result, TableId, Timestamp};
 use pacman_engine::{Database, WriteRecord};
 use pacman_storage::StorageSet;
-use std::time::Instant;
+use pacman_wal::{decode_after_image, RecordView};
+use std::time::{Duration, Instant};
 
-/// LLR-P log recovery.
-#[allow(clippy::too_many_arguments)]
+/// Where one write's after-image sits in a log file: what the indexer
+/// hands a lane instead of a decoded row (32 bytes).
+struct WriteLoc {
+    ts: Timestamp,
+    key: u64,
+    table: TableId,
+    /// Offset of the encoded row within the file.
+    at: u32,
+    /// Its length; 0 marks a tombstone (an encoded row is never empty).
+    len: u32,
+}
+
+/// The lane that owns `(table, key)`.
+#[inline]
+fn lane_of(table: TableId, key: u64, lanes: usize) -> usize {
+    let h = (key ^ ((table.0 as u64) << 32)).wrapping_mul(0x9E3779B97F4A7C15) >> 32;
+    h as usize % lanes
+}
+
+/// LLR-P log recovery (offline): reader → indexer → lanes, newest first.
+///
+/// 1. The **reader** thread walks the inventory from the newest file to
+///    the oldest and does nothing but the paced device read, so device
+///    wait overlaps the CPU stages (`load` bucket).
+/// 2. The **indexer** (the calling thread) validates each file with one
+///    [`RecordView::parse`] per record, applies the `pepoch` / `after_ts`
+///    filters, and emits one [`WriteLoc`] per write into the owning key's
+///    lane — no row is decoded, nothing is sorted (`param` bucket).
+/// 3. Each **lane** walks its references newest first and asks the owning
+///    chain `newest_ts() >= ts`: a stale write is skipped without its
+///    bytes being touched, a winning one is decoded by the lane and
+///    installed last-writer-wins (`work` bucket).
+///
+/// Why the result equals ascending replay:
+///
+/// * a key belongs to exactly one lane, so its check-then-install cannot
+///   race another thread;
+/// * `install_lww` keeps the version with the highest timestamp, so the
+///   final chain is the same for any arrival order — order only decides
+///   how many writes are skipped, which is why the per-logger files of a
+///   batch need no merge;
+/// * a delete installs a tombstone *carrying its timestamp*, so an older
+///   insert met later loses to it and cannot resurrect the key;
+/// * chains restored from the checkpoint carry `ts <= after_ts`, below
+///   every replayed record, so the base image never shadows the log;
+/// * equal timestamps (one record writing a key twice; the commit path
+///   never produces it) resolve as ascending replay does, later in the
+///   record wins: references are walked in reverse and skipped on `>=`.
 pub fn recover_log(
     storage: &StorageSet,
     inventory: &LogInventory,
@@ -29,132 +88,177 @@ pub fn recover_log(
 ) -> Result<LogRecovery> {
     let threads = threads.max(1);
     let t0 = Instant::now();
-    let reload_ns = std::sync::atomic::AtomicU64::new(0);
-    let stats = parking_lot::Mutex::new((0u64, 0u64)); // (max_ts, txns)
     let err = parking_lot::Mutex::new(None::<Error>);
+    // Every stage stops at the first latched error, whoever latched it.
+    let fail = |e: Error| {
+        err.lock().get_or_insert(e);
+    };
+    let failed = || err.lock().is_some();
 
-    // Producer: reload + merge + shuffle the next batch while consumers
-    // reinstall the current one (batch pipelining adopted from PACMAN).
-    let (tx, rx) = crossbeam::channel::bounded::<Vec<Vec<(Timestamp, WriteRecord)>>>(2);
-    crossbeam::thread::scope(|scope| {
-        {
-            let err = &err;
-            let stats = &stats;
-            let reload_ns = &reload_ns;
-            let metrics = &metrics;
-            scope.spawn(move |_| {
-                for batch in inventory.batches() {
-                    let tr = Instant::now();
-                    let merged =
-                        match read_merged_batch_view(storage, inventory, batch, pepoch, after_ts) {
-                            Ok(m) => m,
-                            Err(e) => {
-                                *err.lock() = Some(e);
-                                return;
-                            }
-                        };
-                    reload_ns.fetch_add(
-                        tr.elapsed().as_nanos() as u64,
-                        std::sync::atomic::Ordering::Relaxed,
-                    );
-                    metrics.add_load(tr.elapsed());
-                    if merged.is_empty() {
-                        continue;
-                    }
-                    // Shuffle writes by (table, key) onto the threads —
-                    // decoded straight off the borrowed batch spans, so
-                    // each write is materialized exactly once, already
-                    // owned by its destination partition.
-                    let tp = Instant::now();
-                    let mut partitions: Vec<Vec<(Timestamp, WriteRecord)>> =
-                        (0..threads).map(|_| Vec::new()).collect();
-                    {
-                        let mut st = stats.lock();
-                        for rec in merged.iter() {
-                            let Some(writes) = rec.writes() else {
-                                *err.lock() = Some(Error::Corrupt(
-                                    "LLR-P requires tuple-level log records".into(),
-                                ));
-                                return;
-                            };
-                            st.0 = st.0.max(rec.ts());
-                            st.1 += 1;
-                            for w in writes {
-                                let h = (w.key ^ ((w.table.0 as u64) << 32))
-                                    .wrapping_mul(0x9E3779B97F4A7C15)
-                                    >> 32;
-                                partitions[h as usize % threads].push((rec.ts(), w));
-                            }
+    let (file_tx, file_rx) = crossbeam::channel::bounded::<Bytes>(2);
+    let (reload, max_ts, txns, installed, skipped) = crossbeam::thread::scope(|scope| {
+        let reader = scope.spawn(move |_| {
+            let mut reload = Duration::ZERO;
+            for f in inventory.files.iter().rev() {
+                if failed() {
+                    break;
+                }
+                let t = Instant::now();
+                let read = storage.disk(f.disk).read(&f.name);
+                let waited = t.elapsed();
+                metrics.add_load(waited);
+                reload += waited;
+                match read {
+                    Ok(bytes) => {
+                        if file_tx.send(bytes).is_err() {
+                            break;
                         }
                     }
-                    metrics.add_param(tp.elapsed());
-                    if tx.send(partitions).is_err() {
-                        return;
+                    // Deleted between scan and read: see
+                    // `read_merged_batch_view`.
+                    Err(Error::FileNotFound(_)) => {}
+                    Err(e) => {
+                        fail(e);
+                        break;
                     }
                 }
-                drop(tx);
-            });
-        }
+            }
+            drop(file_tx);
+            reload
+        });
 
-        // Consumers: one persistent worker per partition lane, latch-free.
-        let lanes: Vec<crossbeam::channel::Sender<Vec<(Timestamp, WriteRecord)>>> = (0..threads)
+        let (lane_txs, lanes): (Vec<_>, Vec<_>) = (0..threads)
             .map(|_| {
-                let (ltx, lrx) = crossbeam::channel::bounded::<Vec<(Timestamp, WriteRecord)>>(2);
-                let err = &err;
-                let metrics = &metrics;
-                scope.spawn(move |_| {
-                    for part in lrx.iter() {
-                        let t0 = Instant::now();
-                        for (ts, w) in part {
-                            match db.table(w.table) {
-                                Ok(table) => {
-                                    // `w` is owned here: the after-image
-                                    // moves into the version chain.
-                                    table.install_lww(w.key, ts, w.after);
-                                }
-                                Err(e) => {
-                                    let mut s = err.lock();
-                                    if s.is_none() {
-                                        *s = Some(e);
-                                    }
-                                    return;
-                                }
-                            }
+                let (tx, rx) = crossbeam::channel::bounded::<(Bytes, Vec<WriteLoc>)>(2);
+                let lane = scope.spawn(move |_| {
+                    let (mut installed, mut skipped) = (0u64, 0u64);
+                    for (file, locs) in rx.iter() {
+                        if failed() {
+                            break;
                         }
-                        metrics.add_work(t0.elapsed());
+                        let t = Instant::now();
+                        for w in locs.iter().rev() {
+                            let table = match db.table(w.table) {
+                                Ok(t) => t,
+                                Err(e) => {
+                                    fail(e);
+                                    return (installed, skipped);
+                                }
+                            };
+                            let chain = table.get_or_create(w.key);
+                            if chain.newest_ts() >= w.ts {
+                                skipped += 1;
+                                continue;
+                            }
+                            let (at, len) = (w.at as usize, w.len as usize);
+                            let after = (len != 0).then(|| decode_after_image(&file[at..at + len]));
+                            table.mark_dirty(w.key, w.ts);
+                            chain.install_lww(w.ts, after);
+                            installed += 1;
+                        }
+                        metrics.add_work(t.elapsed());
                     }
+                    (installed, skipped)
                 });
-                ltx
+                (tx, lane)
             })
-            .collect();
+            .unzip();
 
-        // Distributor: fan each batch's partitions out to the lanes. Lane
-        // order preserves per-key commitment order (each key maps to one
-        // lane; batches are sent in order).
-        for partitions in rx.iter() {
-            for (lane, part) in lanes.iter().zip(partitions) {
-                if !part.is_empty() && lane.send(part).is_err() {
+        let (mut max_ts, mut txns) = (0u64, 0u64);
+        'files: for file in file_rx.iter() {
+            if failed() {
+                break;
+            }
+            let t = Instant::now();
+            let mut parts: Vec<Vec<WriteLoc>> = (0..threads).map(|_| Vec::new()).collect();
+            match index_file(&file, pepoch, after_ts, &mut parts) {
+                Ok((file_max_ts, records)) => {
+                    max_ts = max_ts.max(file_max_ts);
+                    txns += records;
+                }
+                Err(e) => {
+                    fail(e);
                     break;
                 }
             }
+            metrics.add_param(t.elapsed());
+            for (tx, locs) in lane_txs.iter().zip(parts) {
+                // A lane that failed has dropped its receiver.
+                if !locs.is_empty() && (failed() || tx.send((file.clone(), locs)).is_err()) {
+                    break 'files;
+                }
+            }
         }
-        drop(lanes);
+        // Unblock a reader waiting to send, then let the lanes drain.
+        drop(file_rx);
+        drop(lane_txs);
+        let reload = reader.join().expect("llr-p reader");
+        let (mut installed, mut skipped) = (0u64, 0u64);
+        for lane in lanes {
+            let (i, s) = lane.join().expect("llr-p lane");
+            installed += i;
+            skipped += s;
+        }
+        (reload, max_ts, txns, installed, skipped)
     })
     .expect("llr-p scope");
     if let Some(e) = err.into_inner() {
         return Err(e);
     }
 
-    let (max_ts, txns) = stats.into_inner();
     Ok(LogRecovery {
-        reload: std::time::Duration::from_nanos(
-            reload_ns.load(std::sync::atomic::Ordering::Relaxed),
-        ),
+        reload,
         total: t0.elapsed(),
         max_ts,
         txns,
+        applied_writes: txns,
+        installed_writes: installed,
+        skipped_writes: skipped,
         ..Default::default()
     })
+}
+
+/// Validate one log file record by record and append a [`WriteLoc`] for
+/// every write of every surviving record to its lane in `parts`. Returns
+/// the surviving records' highest timestamp and their count.
+fn index_file(
+    file: &Bytes,
+    pepoch: u64,
+    after_ts: Timestamp,
+    parts: &mut [Vec<WriteLoc>],
+) -> Result<(Timestamp, u64)> {
+    if u32::try_from(file.len()).is_err() {
+        return Err(Error::Corrupt(format!(
+            "log file of {} bytes exceeds the 4 GiB reference range",
+            file.len()
+        )));
+    }
+    let (mut max_ts, mut records) = (0, 0);
+    let mut cur = Cursor::new(file);
+    while !cur.is_empty() {
+        let start = cur.position();
+        let rec = RecordView::parse(&mut cur)?;
+        if rec.epoch() > pepoch || rec.ts() <= after_ts {
+            continue;
+        }
+        let Some(writes) = rec.write_refs() else {
+            return Err(Error::Corrupt(
+                "LLR-P requires tuple-level log records".into(),
+            ));
+        };
+        max_ts = max_ts.max(rec.ts());
+        records += 1;
+        for w in writes {
+            parts[lane_of(w.table, w.key, parts.len())].push(WriteLoc {
+                ts: rec.ts(),
+                key: w.key,
+                table: w.table,
+                at: (start + w.after_at) as u32,
+                len: w.after.map_or(0, |a| a.len() as u32),
+            });
+        }
+    }
+    Ok((max_ts, records))
 }
 
 /// Online LLR-P: per-(table, shard) replay with admission watermarks.
@@ -290,6 +394,7 @@ pub fn recover_log_online(
         total: t0.elapsed(),
         max_ts,
         txns,
+        applied_writes: txns,
         ..Default::default()
     })
 }
@@ -351,6 +456,78 @@ mod tests {
         );
         // Single-version recovered state.
         assert_eq!(t.get(7).unwrap().num_versions(), 1);
+    }
+
+    #[test]
+    fn llr_p_skips_overwritten_writes_before_decoding() {
+        // N = 12 updates of key 7 spread over 3 batches, plus M = 5 keys
+        // written once: newest-first installs each key's last image only.
+        let storage = StorageSet::for_tests();
+        let (n, m) = (12u64, 5u64);
+        for batch in 0..3u64 {
+            let mut buf = Vec::new();
+            for i in 0..n / 3 {
+                let seq = batch * 10 + i + 1;
+                logical(epoch_floor(batch + 1) | seq, 7, seq as i64).encode(&mut buf);
+            }
+            storage.disk(0).append(&format!("log/00/{batch:010}"), &buf);
+        }
+        let mut buf = Vec::new();
+        for k in 0..m {
+            logical(epoch_floor(1) | (50 + k), 100 + k, k as i64).encode(&mut buf);
+        }
+        storage.disk(0).append("log/01/0000000000", &buf);
+
+        for threads in [1, 2, 3] {
+            let mut c = Catalog::new();
+            c.add_table("t", 1);
+            let db = Database::new(c);
+            let inv = LogInventory::scan(&storage);
+            let m_ = RecoveryMetrics::new();
+            let r = recover_log(&storage, &inv, &db, threads, u64::MAX, 0, &m_).unwrap();
+            assert_eq!((r.txns, r.applied_writes), (n + m, n + m));
+            assert_eq!(r.installed_writes, m + 1, "{threads} threads");
+            assert_eq!(r.skipped_writes, n - 1, "{threads} threads");
+            let chain = db.table(TableId::new(0)).unwrap().get(7).unwrap();
+            assert_eq!(chain.newest().1.unwrap().col(0), &Value::Int(24));
+            assert_eq!(chain.num_versions(), 1);
+        }
+    }
+
+    #[test]
+    fn llr_p_stops_reading_at_the_first_error() {
+        // 40 batches; the newest — the first one the pipeline reaches —
+        // writes a table the catalog does not have. The lane that meets it
+        // latches the error and every stage stops: at most the files already
+        // in flight (one per stage plus the two bounded channels) are read.
+        let storage = StorageSet::for_tests();
+        let batches = 40u64;
+        for batch in 0..batches {
+            let mut rec = logical(epoch_floor(batch + 1) | 1, batch, 1);
+            if batch == batches - 1 {
+                let LogPayload::Writes { writes, .. } = &mut rec.payload else {
+                    unreachable!()
+                };
+                writes[0].table = TableId::new(9);
+            }
+            storage
+                .disk(0)
+                .append(&format!("log/00/{batch:010}"), &rec.to_bytes());
+        }
+        let file_len = storage.disk(0).len("log/00/0000000000").unwrap() as u64;
+        let mut c = Catalog::new();
+        c.add_table("t", 1);
+        let db = Database::new(c);
+        let inv = LogInventory::scan(&storage);
+        let m = RecoveryMetrics::new();
+        let before = storage.total_stats().bytes_read;
+        let e = recover_log(&storage, &inv, &db, 1, u64::MAX, 0, &m).unwrap_err();
+        assert!(matches!(e, Error::Unknown(_)), "unexpected error: {e}");
+        let files_read = (storage.total_stats().bytes_read - before) / file_len;
+        assert!(
+            (1..=8).contains(&files_read),
+            "read {files_read} of {batches} files after the error"
+        );
     }
 
     #[test]

@@ -159,6 +159,11 @@ pub struct RecoveryReport {
     pub replayed_commands: u64,
     /// Tuple-level records applied as after-images.
     pub applied_writes: u64,
+    /// Writes offline LLR-P decoded and installed (0 for schemes that
+    /// install every write).
+    pub installed_writes: u64,
+    /// Writes offline LLR-P skipped undecoded as already overwritten.
+    pub skipped_writes: u64,
     /// Tuples restored from the checkpoint.
     pub checkpoint_tuples: u64,
     /// Manifest-chain links the base image was resolved across (0 = no
@@ -274,6 +279,8 @@ pub fn recover(
         txns: log.txns,
         replayed_commands: log.replayed_commands,
         applied_writes: log.applied_writes,
+        installed_writes: log.installed_writes,
+        skipped_writes: log.skipped_writes,
         checkpoint_tuples: ckpt.tuples,
         ckpt_chain_len: ckpt.chain_len,
         ondemand_shard_loads: 0,
@@ -678,6 +685,8 @@ pub fn recover_online(
                             txns: log.txns,
                             replayed_commands: log.replayed_commands,
                             applied_writes: log.applied_writes,
+                            installed_writes: log.installed_writes,
+                            skipped_writes: log.skipped_writes,
                             checkpoint_tuples: ckpt.tuples,
                             ckpt_chain_len: ckpt.chain_len,
                             ondemand_shard_loads: metrics.ondemand_shard_loads(),

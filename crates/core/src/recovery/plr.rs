@@ -29,8 +29,16 @@ pub struct LogRecovery {
     pub txns: u64,
     /// Command records re-executed through the interpreter (ALR-P/CLR).
     pub replayed_commands: u64,
-    /// Tuple-level records applied as after-images (ALR-P/LLR paths).
+    /// Tuple-level records applied as after-images (ALR-P and every
+    /// tuple-level scheme).
     pub applied_writes: u64,
+    /// Writes offline LLR-P decoded and installed (the other schemes
+    /// install every write and leave both counts 0).
+    pub installed_writes: u64,
+    /// Writes offline LLR-P skipped undecoded because a newer version of
+    /// the key was already installed; `installed + skipped` is every write
+    /// in the replayed records.
+    pub skipped_writes: u64,
 }
 
 /// Phase A shared by the tuple-level schemes: read every log file into
@@ -162,6 +170,7 @@ pub fn recover_log(
         total: t0.elapsed(),
         max_ts: max_ts.load(Ordering::Relaxed),
         txns: txns.load(Ordering::Relaxed),
+        applied_writes: txns.load(Ordering::Relaxed),
         ..Default::default()
     })
 }

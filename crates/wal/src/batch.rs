@@ -8,7 +8,7 @@
 //! files of a batch and sorts by commit timestamp, yielding exactly the
 //! paper's batch abstraction.
 
-use crate::record::{RecordView, TxnLogRecord};
+use crate::record::{PayloadKind, RecordView, TxnLogRecord};
 use bytes::Bytes;
 use pacman_common::codec::Cursor;
 use pacman_common::Result;
@@ -160,13 +160,17 @@ pub fn read_merged_batch(
     Ok(read_merged_batch_view(storage, num_loggers, index, pepoch, after_ts)?.to_batch())
 }
 
-/// One record's location inside a [`MergedBatchView`].
+/// One validated record's location inside a [`MergedBatchView`], with the
+/// header fields `RecordView::parse` extracted, so iteration rebuilds the
+/// view without walking the record again.
 #[derive(Clone, Copy, Debug)]
 struct Span {
     ts: u64,
     buf: u32,
     start: u32,
     len: u32,
+    kind: PayloadKind,
+    body_at: u8,
 }
 
 /// A commit-ordered view over one batch's per-logger files.
@@ -209,7 +213,7 @@ impl MergedBatchView {
     pub fn iter(&self) -> impl Iterator<Item = RecordView<'_>> + '_ {
         self.spans.iter().map(move |s| {
             let slice = &self.buffers[s.buf as usize][s.start as usize..(s.start + s.len) as usize];
-            RecordView::parse(&mut Cursor::new(slice)).expect("span validated at read time")
+            RecordView::from_validated(s.ts, s.kind, slice, s.body_at as usize)
         })
     }
 
@@ -263,6 +267,8 @@ pub fn merged_view_from_buffers(
                     buf: buf as u32,
                     start: start as u32,
                     len: (cur.position() - start) as u32,
+                    kind: view.kind(),
+                    body_at: view.body_at() as u8,
                 });
             }
         }

@@ -44,7 +44,10 @@ pub use checkpoint::{
 pub use classify::{CommitClassifier, LogChoice, WriteCountClassifier};
 pub use durability::{Durability, DurabilityConfig, LogScheme, ResumeInfo, WorkerLogBuffer};
 pub use pepoch::DurableSignal;
-pub use record::{LogPayload, PayloadKind, PayloadRef, RecordView, TxnLogRecord, WritesIter};
+pub use record::{
+    decode_after_image, LogPayload, PayloadKind, PayloadRef, RecordView, TxnLogRecord, WriteRef,
+    WriteRefs, WritesIter,
+};
 pub use retention::{
     HoldKind, ReclaimStats, RetentionHold, RetentionManager, RetentionPolicy, RETENTION_FILE,
 };

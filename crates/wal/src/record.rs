@@ -15,9 +15,10 @@
 //!   transactions not issued from stored procedures (§4.5).
 
 use pacman_common::codec::{put_u32, put_u64, put_varint, Cursor};
-use pacman_common::{Decoder, Encoder, Error, ProcId, Result, Row, Timestamp, Value};
+use pacman_common::{Decoder, Encoder, Error, ProcId, Result, Row, TableId, Timestamp, Value};
 use pacman_engine::{WriteKind, WriteRecord};
 use pacman_sproc::Params;
+use std::sync::Arc;
 
 /// A transaction's log record.
 #[derive(Clone, Debug, PartialEq)]
@@ -187,17 +188,21 @@ fn encode_write(buf: &mut Vec<u8>, w: &WriteRecord, physical: bool) {
     }
 }
 
+fn write_kind(byte: u8) -> Result<WriteKind> {
+    match byte {
+        0 => Ok(WriteKind::Update),
+        1 => Ok(WriteKind::Insert),
+        2 => Ok(WriteKind::Delete),
+        t => Err(Error::Corrupt(format!("bad write kind {t}"))),
+    }
+}
+
 fn decode_write(cur: &mut Cursor<'_>, physical: bool) -> Result<WriteRecord> {
-    let table = pacman_common::TableId::new(cur.read_u32()?);
+    let table = TableId::new(cur.read_u32()?);
     let key = cur.read_u64()?;
-    let kind = match cur.read_u8()? {
-        0 => WriteKind::Update,
-        1 => WriteKind::Insert,
-        2 => WriteKind::Delete,
-        t => return Err(Error::Corrupt(format!("bad write kind {t}"))),
-    };
+    let kind = write_kind(cur.read_u8()?)?;
     let after = match cur.read_u8()? {
-        1 => Some(std::sync::Arc::new(Row::decode(cur)?)),
+        1 => Some(Arc::new(Row::decode(cur)?)),
         0 => None,
         t => return Err(Error::Corrupt(format!("bad after flag {t}"))),
     };
@@ -308,10 +313,7 @@ fn skip_row(cur: &mut Cursor<'_>) -> Result<()> {
 fn skip_write(cur: &mut Cursor<'_>, physical: bool) -> Result<()> {
     cur.read_u32()?; // table
     cur.read_u64()?; // key
-    match cur.read_u8()? {
-        0..=2 => {}
-        t => return Err(Error::Corrupt(format!("bad write kind {t}"))),
-    }
+    write_kind(cur.read_u8()?)?;
     match cur.read_u8()? {
         1 => skip_row(cur)?,
         0 => {}
@@ -424,6 +426,28 @@ impl<'a> RecordView<'a> {
         })
     }
 
+    /// Rebuild the view [`RecordView::parse`] returned for `bytes` from the
+    /// header fields it extracted — for spans validated once and revisited
+    /// (`MergedBatchView::iter`), so a record is walked once, not per visit.
+    pub(crate) fn from_validated(
+        ts: Timestamp,
+        kind: PayloadKind,
+        bytes: &'a [u8],
+        body_at: usize,
+    ) -> RecordView<'a> {
+        RecordView {
+            ts,
+            kind,
+            bytes,
+            body_at,
+        }
+    }
+
+    /// Offset of the count varint within the span (see `from_validated`).
+    pub(crate) fn body_at(&self) -> usize {
+        self.body_at
+    }
+
     /// Commit timestamp.
     pub fn ts(&self) -> Timestamp {
         self.ts
@@ -457,6 +481,32 @@ impl<'a> RecordView<'a> {
     /// point for replay: one owned [`WriteRecord`] per write, no
     /// intermediate owned record.
     pub fn writes(&self) -> Option<WritesIter<'a>> {
+        let (cur, remaining, physical) = self.write_cursor()?;
+        Some(WritesIter {
+            cur,
+            remaining,
+            physical,
+        })
+    }
+
+    /// Iterate this record's write *headers* without decoding any
+    /// after-image (tuple-level payloads only): each [`WriteRef`] borrows
+    /// the encoded row from the batch buffer, so a consumer that may
+    /// discard the write (newest-first LLR-P skips every overwritten one)
+    /// pays for [`WriteRef::decode_after`] only on the writes it keeps.
+    pub fn write_refs(&self) -> Option<WriteRefs<'a>> {
+        let (cur, remaining, physical) = self.write_cursor()?;
+        Some(WriteRefs {
+            cur,
+            base: self.body_at,
+            remaining,
+            physical,
+        })
+    }
+
+    /// A cursor over the span from `body_at`, positioned at the first
+    /// write; the write count; whether writes carry physical locations.
+    fn write_cursor(&self) -> Option<(Cursor<'a>, usize, bool)> {
         let physical = match self.kind {
             PayloadKind::Writes { physical, .. } => physical,
             PayloadKind::TaggedWrites { .. } => false,
@@ -464,11 +514,7 @@ impl<'a> RecordView<'a> {
         };
         let mut cur = Cursor::new(&self.bytes[self.body_at..]);
         let remaining = cur.read_varint().expect("validated by parse") as usize;
-        Some(WritesIter {
-            cur,
-            remaining,
-            physical,
-        })
+        Some((cur, remaining, physical))
     }
 }
 
@@ -496,6 +542,86 @@ impl Iterator for WritesIter<'_> {
 }
 
 impl ExactSizeIterator for WritesIter<'_> {}
+
+/// One write's header plus its still-encoded after-image, borrowed from a
+/// validated [`RecordView`] span.
+#[derive(Clone, Copy, Debug)]
+pub struct WriteRef<'a> {
+    /// Table written.
+    pub table: TableId,
+    /// Primary key written.
+    pub key: u64,
+    /// Update / insert / delete.
+    pub kind: WriteKind,
+    /// The encoded after-image row (`None` = tombstone).
+    pub after: Option<&'a [u8]>,
+    /// Offset of `after` within [`RecordView::as_bytes`], so a consumer can
+    /// keep a `(buffer, offset, len)` reference instead of the borrow.
+    pub after_at: usize,
+}
+
+impl WriteRef<'_> {
+    /// Decode the after-image (the copy point: one `Arc<Row>` per call).
+    pub fn decode_after(&self) -> Option<Arc<Row>> {
+        self.after.map(decode_after_image)
+    }
+}
+
+/// Decode an after-image delimited by [`RecordView::write_refs`].
+pub fn decode_after_image(bytes: &[u8]) -> Arc<Row> {
+    Arc::new(Row::decode(&mut Cursor::new(bytes)).expect("image validated by parse"))
+}
+
+/// Lazy write-header iterator over a validated [`RecordView`] span.
+pub struct WriteRefs<'a> {
+    cur: Cursor<'a>,
+    /// Offset of `cur`'s slice within the record span.
+    base: usize,
+    remaining: usize,
+    physical: bool,
+}
+
+impl<'a> Iterator for WriteRefs<'a> {
+    type Item = WriteRef<'a>;
+
+    fn next(&mut self) -> Option<WriteRef<'a>> {
+        const VALID: &str = "span validated by parse";
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let cur = &mut self.cur;
+        let table = TableId::new(cur.read_u32().expect(VALID));
+        let key = cur.read_u64().expect(VALID);
+        let kind = write_kind(cur.read_u8().expect(VALID)).expect(VALID);
+        let (after, after_at) = match cur.read_u8().expect(VALID) {
+            0 => (None, 0),
+            _ => {
+                let (at, rest) = (cur.position(), cur.rest());
+                skip_row(cur).expect(VALID);
+                (Some(&rest[..cur.position() - at]), self.base + at)
+            }
+        };
+        if self.physical {
+            for _ in 0..3 {
+                cur.read_u64().expect(VALID); // prev_ts, slot, new location
+            }
+        }
+        Some(WriteRef {
+            table,
+            key,
+            kind,
+            after,
+            after_at,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for WriteRefs<'_> {}
 
 // `WriteRecord` equality is needed by the round-trip tests but lives in the
 // engine crate without `PartialEq`; compare field-wise here.

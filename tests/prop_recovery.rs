@@ -325,8 +325,25 @@ proptest! {
                 ) => {
                     let from_view: Vec<WriteRecord> = it.collect();
                     prop_assert_eq!(&from_view, writes);
+                    // The header-only iterator sees the same writes and
+                    // delimits exactly the after-image the owned decode
+                    // materializes.
+                    let refs: Vec<_> = view.write_refs().expect("tuple-level").collect();
+                    prop_assert_eq!(refs.len(), writes.len());
+                    for (r, w) in refs.iter().zip(writes) {
+                        prop_assert_eq!((r.table, r.key, r.kind), (w.table, w.key, w.kind));
+                        prop_assert_eq!(&r.decode_after(), &w.after);
+                        if let Some(bytes) = r.after {
+                            prop_assert_eq!(
+                                &view.as_bytes()[r.after_at..r.after_at + bytes.len()],
+                                bytes
+                            );
+                        }
+                    }
                 }
-                (LogPayload::Command { .. }, None) => {}
+                (LogPayload::Command { .. }, None) => {
+                    prop_assert!(view.write_refs().is_none());
+                }
                 (p, v) => {
                     return Err(TestCaseError::fail(format!(
                         "writes()/payload mismatch: {p:?} vs Some={}",
@@ -365,6 +382,109 @@ proptest! {
                     )));
                 }
             }
+        }
+    }
+
+    /// Newest-first LLR-P equals ascending replay: on random logical logs
+    /// over a handful of hot keys — updates, inserts, deletes, re-inserts,
+    /// records writing their key twice, several logger files per batch, a
+    /// durability-frontier cut and a checkpoint cut — every thread count
+    /// leaves each key at the `(ts, row)` an in-order oracle leaves it at,
+    /// single-versioned.
+    #[test]
+    fn llr_p_newest_first_matches_ascending_oracle(
+        ops in proptest::collection::vec((0u32..2, 0u64..8, 0u32..4, any::<i64>(), 0u32..4), 1..48),
+        files in 1usize..4,
+        batches in 1u64..6,
+        pepoch_cut in 0u64..3,
+        after_cut in 0usize..3,
+    ) {
+        use pacman_common::clock::epoch_floor;
+        use pacman_core::metrics::RecoveryMetrics;
+        use pacman_core::recovery::{llr_p, LogInventory};
+        use std::collections::BTreeMap;
+
+        // One record per op, timestamps ascending, batch b = epoch b + 1.
+        let n = ops.len() as u64;
+        let write = |table: u32, key: u64, kind: u32, val: i64| WriteRecord {
+            table: TableId::new(table),
+            key,
+            kind: [WriteKind::Update, WriteKind::Insert, WriteKind::Delete][kind.min(2) as usize],
+            after: (kind != 2).then(|| std::sync::Arc::new(Row::from([Value::Int(val)]))),
+            prev_ts: 0,
+        };
+        let storage = StorageSet::for_tests();
+        let mut bufs: BTreeMap<(usize, u64), Vec<u8>> = BTreeMap::new();
+        let mut records = Vec::new();
+        for (i, &(table, key, kind, val, twice)) in ops.iter().enumerate() {
+            let batch = i as u64 * batches / n;
+            let ts = epoch_floor(batch + 1) | (i as u64 + 1);
+            // kind 3 = delete then re-insert within one record; `twice == 0`
+            // makes any other record write its key a second time.
+            let writes = match (kind, twice) {
+                (3, _) => vec![write(table, key, 2, 0), write(table, key, 1, val)],
+                (k, 0) => vec![write(table, key, k, val), write(table, key, 0, val ^ 1)],
+                (k, _) => vec![write(table, key, k, val)],
+            };
+            let rec = TxnLogRecord {
+                ts,
+                payload: LogPayload::Writes { writes, physical: false, adhoc: false },
+            };
+            rec.encode(bufs.entry((val.unsigned_abs() as usize % files, batch)).or_default());
+            records.push(rec);
+        }
+        for ((logger, batch), buf) in &bufs {
+            storage.disk(0).append(&format!("log/{logger:02}/{batch:010}"), buf);
+        }
+        // Cuts: the frontier drops the newest epochs, the checkpoint covers
+        // the oldest records.
+        let pepoch = batches.saturating_sub(pepoch_cut).max(1);
+        let after_ts = match after_cut {
+            0 => 0,
+            c => records[(records.len() - 1) * (c - 1) / 2].ts,
+        };
+
+        // Ascending oracle; writes at or below `after_ts` are the base image.
+        let build = |upto: Option<u64>| {
+            let db = Database::new(catalog());
+            for rec in &records {
+                let LogPayload::Writes { writes, .. } = &rec.payload else { unreachable!() };
+                let replayed = rec.epoch() <= pepoch && rec.ts > after_ts;
+                if rec.ts <= upto.unwrap_or(u64::MAX) && (replayed || rec.ts <= after_ts) {
+                    for w in writes {
+                        db.table(w.table).unwrap().install_lww(w.key, rec.ts, w.after.clone());
+                    }
+                }
+            }
+            db
+        };
+        let oracle = build(None);
+        let inv = LogInventory::scan(&storage);
+        let mut counts = None;
+        for threads in [1usize, 2, 3, 8] {
+            let db = build(Some(after_ts));
+            let m = RecoveryMetrics::new();
+            let r = llr_p::recover_log(&storage, &inv, &db, threads, pepoch, after_ts, &m)
+                .map_err(|e| TestCaseError::fail(format!("llr-p x{threads}: {e}")))?;
+            prop_assert_eq!(db.fingerprint(), oracle.fingerprint(), "{} threads", threads);
+            for table in 0..2 {
+                for key in 0..8 {
+                    let want = oracle.table(TableId::new(table)).unwrap().get(key);
+                    let got = db.table(TableId::new(table)).unwrap().get(key);
+                    prop_assert_eq!(
+                        got.as_ref().map(|c| c.newest()),
+                        want.as_ref().map(|c| c.newest()),
+                        "t{} key {} at {} threads", table, key, threads
+                    );
+                    if let Some(c) = got {
+                        prop_assert_eq!(c.num_versions(), 1);
+                    }
+                }
+            }
+            // Skipping is decided per key, so the counts do not depend on
+            // how keys are spread over lanes.
+            let c = (r.txns, r.installed_writes, r.skipped_writes);
+            prop_assert_eq!(*counts.get_or_insert(c), c, "{} threads", threads);
         }
     }
 
