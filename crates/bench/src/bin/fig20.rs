@@ -25,13 +25,8 @@ fn main() {
     );
     let secs = opts.run_secs();
     let workers = default_workers();
-    let crashed = prepare_crashed(
-        &bench_tpcc(opts.quick),
-        LogScheme::Command,
-        secs,
-        workers,
-        0.0,
-    );
+    let tpcc = bench_tpcc(opts.quick);
+    let crashed = prepare_crashed(&tpcc, LogScheme::Command, secs, workers, 0.0);
     let t0 = Instant::now();
     let gdg = GlobalGraph::analyze(crashed.registry.all()).expect("TPC-C analyzes");
     println!(
@@ -39,6 +34,7 @@ fn main() {
         gdg.num_blocks(),
         t0.elapsed().as_secs_f64() * 1e3
     );
+    print!("{}", pacman_bench::replay_summary(&tpcc, &gdg));
     println!(
         "{:>8} {:>12} {:>14} {:>18} {:>14}",
         "threads", "work %", "loading %", "param check %", "scheduling %"

@@ -16,6 +16,7 @@
 
 use pacman_common::Fingerprint;
 use pacman_core::recovery::{recover, RecoveryConfig, RecoveryOutcome, RecoveryScheme};
+use pacman_core::static_analysis::GlobalGraph;
 use pacman_engine::{Catalog, Database};
 use pacman_sproc::ProcRegistry;
 use pacman_storage::{DiskConfig, StorageSet};
@@ -158,6 +159,15 @@ pub fn bench_smallbank(quick: bool) -> Smallbank {
         accounts: if quick { 2_048 } else { 8_192 },
         ..Smallbank::default()
     }
+}
+
+/// [`GlobalGraph::replay_summary`] of `workload`, whose registry `gdg`
+/// analyzes: what replay executes of each procedure, and blocks and pieces
+/// per logged transaction over 10 000 draws of the workload's generator.
+pub fn replay_summary(workload: &dyn Workload, gdg: &GlobalGraph) -> String {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+    gdg.replay_summary((0..10_000).map(|_| workload.next_txn(&mut rng).0))
 }
 
 /// A running system plus its workload handles.

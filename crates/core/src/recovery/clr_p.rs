@@ -84,7 +84,8 @@ pub fn recover_log_online(
     let first_batch = read_merged_batch(storage, inventory, batches[0], pepoch, after_ts)?;
     let (c0, l0) = mix_of(&first_batch);
     let first = ExecutionSchedule::build(gdg, registry, &first_batch)?;
-    metrics.add_load(tload.elapsed());
+    let first_load = tload.elapsed();
+    metrics.add_load(first_load);
     let estimate = {
         let counts = first.piece_counts();
         // An all-empty first batch still needs a sane assignment.
@@ -101,7 +102,7 @@ pub fn recover_log_online(
     let txn_count = Arc::new(AtomicU64::new(first_batch.records.len() as u64));
     let commands = Arc::new(AtomicU64::new(c0));
     let logicals = Arc::new(AtomicU64::new(l0));
-    let reload_ns = Arc::new(AtomicU64::new(0));
+    let reload_ns = Arc::new(AtomicU64::new(first_load.as_nanos() as u64));
 
     let (tx, rx) = crossbeam::channel::bounded::<ExecutionSchedule>(4);
     let result: Result<()> = crossbeam::thread::scope(|scope| {

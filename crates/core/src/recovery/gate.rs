@@ -7,10 +7,15 @@
 //!
 //! * **command schemes** (CLR / CLR-P / ALR-P) replay by re-executing
 //!   procedure pieces block by block, so a partition is one global
-//!   dependency-graph block. A procedure's footprint is the blocks of its
-//!   piece templates plus their ancestors (a block only reaches its final
-//!   state once every upstream block has, so flagging ancestors lets the
-//!   replay workers pull the whole chain forward);
+//!   dependency-graph block. A procedure's footprint is, for *every* one
+//!   of its operations, the block in which replay installs writes to the
+//!   operation's table, plus the blocks of its piece templates, plus their
+//!   ancestors (a block only reaches its final state once every upstream
+//!   block has, so flagging ancestors lets the replay workers pull the
+//!   whole chain forward). The footprint is **not** the replay plan: the
+//!   dependency graph only holds replay-live operations, and a transaction
+//!   that merely reads `SAVINGS` (Smallbank `Balance`, whose replay plan is
+//!   empty) must still wait for the block that rebuilds `SAVINGS`;
 //! * **tuple schemes** (LLR-P) replay by reinstalling after-images, so a
 //!   partition is one (table, index-shard) pair. A procedure's footprint
 //!   resolves each op's key against the invocation parameters where the
@@ -121,10 +126,15 @@ impl GateMap {
             .unwrap_or(0);
         let mut footprints = vec![Vec::new(); max_id];
         for def in registry.all() {
-            let mut blocks: Vec<usize> = gdg
-                .templates_for(def.id)
+            // Everything the running transaction may touch, from the full
+            // operation list — replay-dead reads included: they are not
+            // replayed, but what they read is.
+            let mut blocks: Vec<usize> = def
+                .ops
                 .iter()
-                .map(|t| t.block.index())
+                .map(|op| gdg.install_block(op.table))
+                .chain(gdg.templates_for(def.id).iter().map(|t| t.block))
+                .map(|b| b.index())
                 .collect();
             // Ancestor closure: a block is only final once its upstream
             // blocks are, and prioritizing the ancestors is what makes

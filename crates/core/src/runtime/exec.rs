@@ -51,8 +51,7 @@ impl<'a> Replayer<'a> {
     /// Execute one piece of the schedule (a procedure slice or an ad-hoc
     /// write group). `resolved` are the piece's access slots from parameter
     /// checking, if it ran ([`crate::dynamic::PieceDag::resolved`]).
-    /// Returns the number of operations executed (write images applied,
-    /// for a write group) for metrics.
+    /// Returns the number of tuple images the piece installed, for metrics.
     ///
     /// Every image the piece produced is installed when this returns `Ok`.
     /// Callers rely on it: the runtime releases the piece's DAG dependents,
@@ -71,7 +70,7 @@ impl<'a> Replayer<'a> {
                 let ctx = &txns[piece.txn];
                 let proc = ctx.proc.as_ref().expect("slice piece has a procedure");
                 self.access.retarget(piece.ts);
-                let executed = execute_plan(
+                execute_plan(
                     proc,
                     plan,
                     &ctx.params,
@@ -81,7 +80,7 @@ impl<'a> Replayer<'a> {
                     &mut self.access,
                 )?;
                 self.access.finish();
-                Ok(executed)
+                Ok(self.access.take_installed())
             }
             PieceOps::Writes(writes) => {
                 apply_writes(self.db, piece.ts, writes)?;
@@ -90,8 +89,10 @@ impl<'a> Replayer<'a> {
         }
     }
 
-    /// Fully re-execute one log record in commitment order (the CLR path:
-    /// one thread, reads included), through the procedure's own plan.
+    /// Re-execute one log record in commitment order (the CLR path: one
+    /// thread), through the procedure's replay plan — the same replay-live
+    /// operations CLR-P spreads over its pieces, so the two differ in
+    /// scheduling only.
     pub fn replay_record(&mut self, registry: &ProcRegistry, record: &TxnLogRecord) -> Result<()> {
         match &record.payload {
             LogPayload::Command { proc, params } => {
@@ -100,7 +101,7 @@ impl<'a> Replayer<'a> {
                 self.access.retarget(record.ts);
                 execute_plan(
                     def,
-                    def.plan(),
+                    def.replay_plan(),
                     params,
                     &self.vars,
                     None,

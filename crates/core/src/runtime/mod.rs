@@ -126,8 +126,39 @@ struct BatchEntry {
     activated: Vec<AtomicBool>,
 }
 
+/// The batches received from the loader that some block has yet to
+/// finish, addressed by batch index. A standby feeds one replay call for
+/// the lifetime of its session, so a batch's schedule must go once the
+/// last block is through with it, not when the call returns.
+#[derive(Default)]
+struct BatchWindow {
+    /// Batch index of `live[0]`: every earlier batch has been completed by
+    /// every block and released.
+    base: u64,
+    live: VecDeque<Arc<BatchEntry>>,
+}
+
+impl BatchWindow {
+    fn get(&self, batch: u64) -> Option<&Arc<BatchEntry>> {
+        self.live.get(batch.checked_sub(self.base)? as usize)
+    }
+
+    /// Number of batches received so far (released ones included).
+    fn received(&self) -> u64 {
+        self.base + self.live.len() as u64
+    }
+
+    /// Take out every batch below `batch`; the caller drops them outside
+    /// the lock.
+    fn release_below(&mut self, batch: u64) -> Vec<Arc<BatchEntry>> {
+        let n = (batch.saturating_sub(self.base) as usize).min(self.live.len());
+        self.base += n as u64;
+        self.live.drain(..n).collect()
+    }
+}
+
 struct Shared {
-    entries: Mutex<Vec<Arc<BatchEntry>>>,
+    entries: Mutex<BatchWindow>,
     loading_done: AtomicBool,
     /// Per block: number of completed batches (== next batch to activate).
     done: Vec<AtomicU64>,
@@ -154,13 +185,62 @@ impl Shared {
         self.wake_cv.notify_all();
     }
 
+    fn new(
+        blocks: usize,
+        mode: ReplayMode,
+        gate: Option<Arc<RecoveryGate>>,
+        piece_estimate: &[usize],
+    ) -> Shared {
+        let mut sjf_order: Vec<usize> = (0..blocks).collect();
+        sjf_order.sort_by_key(|&b| piece_estimate.get(b).copied().unwrap_or(0));
+        Shared {
+            entries: Mutex::new(BatchWindow::default()),
+            loading_done: AtomicBool::new(false),
+            done: (0..blocks).map(|_| AtomicU64::new(0)).collect(),
+            active: Mutex::new(Vec::new()),
+            wake_mutex: Mutex::new(()),
+            wake_cv: Condvar::new(),
+            error: Mutex::new(None),
+            aborted: AtomicBool::new(false),
+            mode,
+            gate,
+            sjf_order,
+        }
+    }
+
+    /// Take in the next batch from the loader.
+    fn receive(&self, schedule: ExecutionSchedule) {
+        let activated = (0..schedule.piece_sets.len())
+            .map(|_| AtomicBool::new(false))
+            .collect();
+        self.entries.lock().live.push_back(Arc::new(BatchEntry {
+            schedule,
+            activated,
+        }));
+    }
+
     /// Record one completed batch for `block`, publishing the watermark to
-    /// the online-recovery gate if one is attached.
+    /// the online-recovery gate if one is attached, and release the batches
+    /// every block is now through with.
     fn complete_batch(&self, block: usize) {
         let done = self.done[block].fetch_add(1, Ordering::AcqRel) + 1;
         if let Some(gate) = &self.gate {
             gate.publish(block, done);
         }
+        let released = {
+            let mut entries = self.entries.lock();
+            // Read under the lock: of two blocks finishing a batch at the
+            // same moment, the second one in here sees both counters.
+            let floor = self
+                .done
+                .iter()
+                .map(|d| d.load(Ordering::Acquire))
+                .min()
+                .expect("at least one block");
+            entries.release_below(floor)
+        };
+        // The schedules are freed here, after the lock is.
+        drop(released);
     }
 
     fn fail(&self, e: Error) {
@@ -191,7 +271,7 @@ impl Shared {
         if !self.loading_done.load(Ordering::Acquire) {
             return false;
         }
-        let total = self.entries.lock().len() as u64;
+        let total = self.entries.lock().received();
         self.done.iter().all(|d| d.load(Ordering::Acquire) >= total)
     }
 }
@@ -228,7 +308,7 @@ fn activation_sweep(shared: &Shared, gdg: &GlobalGraph, wanted_only: bool) -> bo
             let batch = shared.done[block].load(Ordering::Acquire);
             let entry = {
                 let entries = shared.entries.lock();
-                match entries.get(batch as usize) {
+                match entries.get(batch) {
                     Some(e) => Arc::clone(e),
                     None => continue,
                 }
@@ -318,27 +398,7 @@ pub fn run_replay_gated(
     rx: crossbeam::channel::Receiver<ExecutionSchedule>,
     gate: Option<Arc<RecoveryGate>>,
 ) -> Result<()> {
-    let blocks = gdg.num_blocks();
-    if blocks == 0 {
-        while rx.recv().is_ok() {}
-        return Ok(());
-    }
-    let mut sjf_order: Vec<usize> = (0..blocks).collect();
-    sjf_order.sort_by_key(|&b| piece_estimate.get(b).copied().unwrap_or(0));
-
-    let shared = Arc::new(Shared {
-        entries: Mutex::new(Vec::new()),
-        loading_done: AtomicBool::new(false),
-        done: (0..blocks).map(|_| AtomicU64::new(0)).collect(),
-        active: Mutex::new(Vec::new()),
-        wake_mutex: Mutex::new(()),
-        wake_cv: Condvar::new(),
-        error: Mutex::new(None),
-        aborted: AtomicBool::new(false),
-        mode,
-        gate,
-        sjf_order,
-    });
+    let shared = Arc::new(Shared::new(gdg.num_blocks(), mode, gate, piece_estimate));
 
     crossbeam::thread::scope(|scope| {
         // Intake thread.
@@ -347,13 +407,7 @@ pub fn run_replay_gated(
             let gdg = Arc::clone(gdg);
             scope.spawn(move |_| {
                 for schedule in rx.iter() {
-                    let activated = (0..schedule.piece_sets.len())
-                        .map(|_| AtomicBool::new(false))
-                        .collect();
-                    shared.entries.lock().push(Arc::new(BatchEntry {
-                        schedule,
-                        activated,
-                    }));
+                    shared.receive(schedule);
                     try_activate(&shared, &gdg);
                     shared.notify();
                 }
@@ -519,9 +573,10 @@ fn worker_loop(
         if shared.mode == ReplayMode::PureStatic {
             // Pure static: execute the whole set serially (§4.2.1).
             let t0 = Instant::now();
+            let mut images = 0u64;
             for p in &pieces.pieces {
                 match replayer.execute_piece(p, txns, None) {
-                    Ok(w) => metrics.count_writes(w),
+                    Ok(w) => images += w,
                     Err(e) => {
                         shared.fail(e);
                         return;
@@ -529,6 +584,7 @@ fn worker_loop(
                 }
             }
             metrics.add_work(t0.elapsed());
+            metrics.count_writes(images);
             complete_set(shared, gdg, &set);
             continue;
         }
@@ -538,6 +594,7 @@ fn worker_loop(
         let dag = set.dag.get().expect("chunk implies a built DAG");
         let mut local: Vec<u32> = chunk;
         let mut finished = 0usize;
+        let mut images = 0u64;
         let t0 = Instant::now();
         while let Some(pi) = local.pop() {
             let pi = pi as usize;
@@ -545,7 +602,7 @@ fn worker_loop(
             // before it returns — only then may its dependents be
             // released (below) and the set be completed.
             match replayer.execute_piece(&pieces.pieces[pi], txns, dag.resolved(pi)) {
-                Ok(w) => metrics.count_writes(w),
+                Ok(w) => images += w,
                 Err(e) => {
                     shared.fail(e);
                     return;
@@ -564,6 +621,7 @@ fn worker_loop(
             }
         }
         metrics.add_work(t0.elapsed());
+        metrics.count_writes(images);
         if set.remaining.fetch_sub(finished, Ordering::AcqRel) == finished {
             complete_set(shared, gdg, &set);
         }
@@ -573,6 +631,142 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pacman_common::{ProcId, Row, TableId, Value};
+    use pacman_engine::Catalog;
+    use pacman_sproc::{Expr, ProcBuilder, ProcRegistry};
+    use pacman_wal::{LogBatch, LogPayload, TxnLogRecord};
+    use std::sync::Weak;
+    use std::time::Duration;
+
+    /// Two increment procedures on two tables: two independent blocks.
+    fn two_blocks() -> (ProcRegistry, Arc<GlobalGraph>) {
+        let mut reg = ProcRegistry::new();
+        for (id, name) in [(0, "IncA"), (1, "IncB")] {
+            let t = TableId::new(id);
+            let mut b = ProcBuilder::new(ProcId::new(id), name, 1);
+            let v = b.read(t, Expr::param(0), 0);
+            b.write(t, Expr::param(0), 0, Expr::add(Expr::var(v), Expr::int(1)));
+            reg.register(b.build().unwrap()).unwrap();
+        }
+        let gdg = Arc::new(GlobalGraph::analyze(reg.all()).unwrap());
+        assert_eq!(gdg.num_blocks(), 2);
+        (reg, gdg)
+    }
+
+    /// Batch `index`: one IncA and one IncB on key `index % 4`.
+    fn batch(index: u64) -> LogBatch {
+        let records = (0..2u32)
+            .map(|p| TxnLogRecord {
+                ts: 10 + 2 * index + p as u64,
+                payload: LogPayload::Command {
+                    proc: ProcId::new(p),
+                    params: vec![Value::Int((index % 4) as i64)].into(),
+                },
+            })
+            .collect();
+        LogBatch { index, records }
+    }
+
+    fn alive(canaries: &[Weak<BatchEntry>]) -> usize {
+        canaries.iter().filter(|w| w.strong_count() > 0).count()
+    }
+
+    /// A batch is released when the slowest block is through with it — not
+    /// earlier, and not when the replay call returns.
+    #[test]
+    fn batches_are_released_as_the_slowest_block_passes_them() {
+        const N: u64 = 6;
+        let (reg, gdg) = two_blocks();
+        let shared = Shared::new(2, ReplayMode::Pipelined, None, &[1, 1]);
+        let mut canaries = Vec::new();
+        for i in 0..N {
+            shared.receive(ExecutionSchedule::build(&gdg, &reg, &batch(i)).unwrap());
+            canaries.push(Arc::downgrade(shared.entries.lock().get(i).unwrap()));
+        }
+        // Block 0 runs ahead through every batch; block 1 has not started.
+        for _ in 0..N {
+            shared.complete_batch(0);
+        }
+        assert_eq!(alive(&canaries), N as usize);
+        for k in 1..=N {
+            shared.complete_batch(1);
+            assert_eq!(alive(&canaries), (N - k) as usize, "after {k} batches");
+            let entries = shared.entries.lock();
+            assert!(entries.get(k - 1).is_none());
+            assert_eq!(entries.get(k).is_some(), k < N);
+            assert_eq!(entries.received(), N);
+        }
+        assert!(!shared.finished(), "the loader may still send");
+        shared.loading_done.store(true, Ordering::Release);
+        assert!(shared.finished());
+    }
+
+    /// The standby's shape: one replay call fed over an unbounded channel
+    /// that stays open. Schedules must not pile up behind the workers.
+    #[test]
+    fn a_long_lived_feed_does_not_retain_finished_batches() {
+        const N: u64 = 24;
+        let (reg, gdg) = two_blocks();
+        let mut c = Catalog::new();
+        c.add_table("a", 1);
+        c.add_table("b", 1);
+        let db = Arc::new(Database::new(c));
+        for t in 0..2 {
+            for k in 0..4 {
+                db.seed_row(TableId::new(t), k, Row::from([Value::Int(0)]))
+                    .unwrap();
+            }
+        }
+        let gate = RecoveryGate::new(2);
+        let metrics = Arc::new(RecoveryMetrics::new());
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let replay = {
+            let (db, gdg, gate, metrics) = (
+                Arc::clone(&db),
+                Arc::clone(&gdg),
+                Arc::clone(&gate),
+                Arc::clone(&metrics),
+            );
+            std::thread::spawn(move || {
+                run_replay_gated(
+                    &db,
+                    &gdg,
+                    ReplayMode::Pipelined,
+                    2,
+                    &[1, 1],
+                    &metrics,
+                    rx,
+                    Some(gate),
+                )
+            })
+        };
+        // The parameter vector of each batch's first transaction lives
+        // exactly as long as the batch's schedule.
+        let mut canaries = Vec::new();
+        for i in 0..N {
+            let schedule = ExecutionSchedule::build(&gdg, &reg, &batch(i)).unwrap();
+            canaries.push(Arc::downgrade(&schedule.txns[0].params));
+            tx.send(schedule).unwrap();
+        }
+        let wait_for = |what: &str, cond: &dyn Fn() -> bool| {
+            let t0 = Instant::now();
+            while !cond() {
+                assert!(t0.elapsed() < Duration::from_secs(30), "timed out: {what}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        wait_for("every batch applied", &|| gate.min_watermark() == N);
+        // The channel is still open and the call has not returned.
+        wait_for("finished batches released", &|| {
+            canaries.iter().all(|w| w.strong_count() == 0)
+        });
+        assert!(!replay.is_finished());
+        drop(tx);
+        replay.join().unwrap().unwrap();
+        assert_eq!(metrics.writes(), 2 * N, "one image per transaction");
+        let a = db.table(TableId::new(0)).unwrap().get(0).unwrap();
+        assert_eq!(a.newest().1.unwrap().col(0), &Value::Int((N / 4) as i64));
+    }
 
     #[test]
     fn core_assignment_is_proportional_with_floor_one() {

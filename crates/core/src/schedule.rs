@@ -116,7 +116,7 @@ impl ExecutionSchedule {
                     // block that owns its table.
                     by_block.clear();
                     for w in writes {
-                        let block = gdg.block_for_write(w.table).unwrap_or(BlockId::new(0));
+                        let block = gdg.install_block(w.table);
                         match by_block.iter_mut().find(|(b, _)| *b == block) {
                             Some((_, v)) => v.push(w.clone()),
                             None => by_block.push((block, vec![w.clone()])),

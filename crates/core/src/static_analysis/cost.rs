@@ -10,8 +10,10 @@
 //!
 //! * **static** — a per-procedure replay-cost estimate derived from the
 //!   procedure's definition and local dependency graph (§4.1): every
-//!   operation re-executes at replay, loops multiply by an assumed
-//!   iteration count, guarded ops replay only when taken;
+//!   operation is charged as if it re-executed at replay, loops multiply
+//!   by an assumed iteration count, guarded ops replay only when taken.
+//!   Replay in fact skips reads that feed no write, so this — like the
+//!   observed op count below — is an upper bound on the replay cost;
 //! * **dynamic** — an EWMA of the *observed* per-procedure op counts
 //!   (loops resolved against real parameters, guards as actually taken),
 //!   fed mid-run through [`CostModel::observe`] — wired from the

@@ -12,6 +12,14 @@
 //! [`PiecePlan`] (loop groups and deduplicated access sites), so that
 //! replay-time parameter checking and execution walk prepared plans instead
 //! of regrouping op lists and re-evaluating key expressions per operation.
+//!
+//! Slices, blocks, templates and plans are formed from **replay-live**
+//! operations only ([`ProcedureDef::is_replay_live`]): a read whose value
+//! reaches no write is not replayed, a procedure that writes nothing has no
+//! template, and a block that would hold nothing but such reads does not
+//! exist. The graph is therefore a description of *replay*; what a running
+//! transaction may touch is a different question, answered from the full
+//! operation list by `recovery::gate::GateMap::blocks`.
 
 use super::local::LocalGraph;
 use super::ops_data_dependent;
@@ -169,7 +177,7 @@ impl GlobalGraph {
 
         // Materialize blocks.
         let groups = uf.groups();
-        let blocks: Vec<Block> = groups
+        let mut blocks: Vec<Block> = groups
             .iter()
             .enumerate()
             .map(|(bi, g)| Block {
@@ -183,6 +191,16 @@ impl GlobalGraph {
                     .collect(),
             })
             .collect();
+        // Block 0 always exists: tuple-level records (ad-hoc transactions,
+        // adaptive logical records) are replayed through the schedule too,
+        // and with no procedure writing anything they still need a block to
+        // be dispatched to ([`GlobalGraph::install_block`]).
+        if blocks.is_empty() {
+            blocks.push(Block {
+                id: BlockId::new(0),
+                slices: Vec::new(),
+            });
+        }
         let mut block_of = vec![0usize; n];
         for (bi, g) in groups.iter().enumerate() {
             for &u in g {
@@ -327,7 +345,7 @@ impl GlobalGraph {
         Ok(())
     }
 
-    /// Number of blocks.
+    /// Number of blocks (at least one).
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()
     }
@@ -359,9 +377,17 @@ impl GlobalGraph {
         self.reach[a.index()][b.index()]
     }
 
-    /// The block owning writes to `table` (ad-hoc dispatch, §4.5).
+    /// The block owning writes to `table`, if any procedure writes it.
     pub fn block_for_write(&self, table: TableId) -> Option<BlockId> {
         self.write_block.get(&table).copied()
+    }
+
+    /// The block in which replay installs tuple-level writes to `table`
+    /// (ad-hoc dispatch, §4.5): its owner, or block 0 for a table no
+    /// procedure writes. Writes to one table always share a block, so the
+    /// per-key chains of dynamic analysis order them.
+    pub fn install_block(&self, table: TableId) -> BlockId {
+        self.block_for_write(table).unwrap_or(BlockId::new(0))
     }
 
     /// The local dependency graph of a procedure.
@@ -372,6 +398,41 @@ impl GlobalGraph {
     /// The analyzed procedures.
     pub fn procs(&self) -> &[Arc<ProcedureDef>] {
         &self.procs
+    }
+
+    /// What the tools print about replay: per procedure its replay-live and
+    /// replay-dead op counts and its pieces, then the block count and the
+    /// mean number of pieces per logged transaction over `mix` — procedure
+    /// ids as the workload's generator draws them; a procedure with nothing
+    /// to replay logs nothing and is left out of the mean.
+    pub fn replay_summary(&self, mix: impl IntoIterator<Item = ProcId>) -> String {
+        use std::fmt::Write as _;
+        let mut s = String::new();
+        for p in &self.procs {
+            let live = p.replay_plan().op_indices().count();
+            let _ = writeln!(
+                s,
+                "{}: {live} live + {} dead ops, {} pieces",
+                p.name,
+                p.ops.len() - live,
+                self.templates_for(p.id).len()
+            );
+        }
+        let (mut pieces, mut logged) = (0usize, 0usize);
+        for proc in mix {
+            let n = self.templates_for(proc).len();
+            if n > 0 {
+                pieces += n;
+                logged += 1;
+            }
+        }
+        let _ = writeln!(
+            s,
+            "replay: {} blocks, {:.2} pieces per logged transaction",
+            self.num_blocks(),
+            pieces as f64 / logged.max(1) as f64
+        );
+        s
     }
 
     /// Render the GDG in the style of Fig. 21 (blocks with their member
@@ -396,14 +457,24 @@ impl GlobalGraph {
     }
 }
 
-/// Wrap an arbitrary piece decomposition as a local graph: pieces become
-/// slices (ordered by first op) and edges come from op-level flow deps.
+/// Wrap an arbitrary piece decomposition as a local graph: the replay-live
+/// ops of each piece become a slice (ordered by first op; a piece left
+/// with none is dropped) and edges come from op-level flow deps.
 fn local_from_pieces(proc: &ProcedureDef, pieces: &[Vec<usize>]) -> LocalGraph {
-    let mut ordered: Vec<Vec<usize>> = pieces.to_vec();
-    for p in &mut ordered {
-        p.sort_unstable();
-    }
-    ordered.sort_by_key(|p| p.first().copied().unwrap_or(usize::MAX));
+    let mut ordered: Vec<Vec<usize>> = pieces
+        .iter()
+        .map(|p| {
+            let mut live: Vec<usize> = p
+                .iter()
+                .copied()
+                .filter(|&op| proc.is_replay_live(op))
+                .collect();
+            live.sort_unstable();
+            live
+        })
+        .filter(|p| !p.is_empty())
+        .collect();
+    ordered.sort_by_key(|p| p[0]);
     let slice_of = |op: usize| -> usize {
         ordered
             .iter()
@@ -411,7 +482,7 @@ fn local_from_pieces(proc: &ProcedureDef, pieces: &[Vec<usize>]) -> LocalGraph {
             .expect("op covered by decomposition")
     };
     let mut edges = Vec::new();
-    for j in 0..proc.ops.len() {
+    for j in proc.replay_plan().op_indices() {
         for dep in proc.flow_deps_of(j) {
             let (a, b) = (slice_of(dep.index()), slice_of(j));
             if a != b {

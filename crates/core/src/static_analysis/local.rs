@@ -9,6 +9,12 @@
 //! then slices are connected by flow-dependency edges and mutually
 //! reachable slices are contracted (cycle breaking), yielding the local
 //! dependency graph — Fig. 5(a)/(b) for the bank example.
+//!
+//! The graph describes what *replay* executes, so it is built over the
+//! procedure's replay-live operations only
+//! ([`ProcedureDef::is_replay_live`]): a read whose value reaches no write
+//! belongs to no slice. Everything a live operation flow-depends on is
+//! live too, so no edge is lost by leaving the dead reads out.
 
 use super::ops_data_dependent;
 use super::union_find::UnionFind;
@@ -35,15 +41,30 @@ pub struct LocalGraph {
 }
 
 impl LocalGraph {
-    /// Run Algorithm 1 on a procedure.
+    /// Run Algorithm 1 on a procedure's replay-live operations.
     pub fn analyze(proc: &ProcedureDef) -> LocalGraph {
-        let n = proc.ops.len();
+        // The union-find and every index below are positions in `ops`.
+        let ops: Vec<usize> = proc.replay_plan().op_indices().collect();
+        let n = ops.len();
+        let pos_of = |op: usize| {
+            ops.binary_search(&op)
+                .expect("a live op flow-depends on live ops only")
+        };
+        let flow_deps: Vec<Vec<usize>> = ops
+            .iter()
+            .map(|&o| {
+                proc.flow_deps_of(o)
+                    .iter()
+                    .map(|d| pos_of(d.index()))
+                    .collect()
+            })
+            .collect();
         let mut uf = UnionFind::new(n);
 
         // Merge slices: mutually data-dependent ops into the same slice.
         for i in 0..n {
             for j in (i + 1)..n {
-                if ops_data_dependent(&proc.ops[i], &proc.ops[j]) {
+                if ops_data_dependent(&proc.ops[ops[i]], &proc.ops[ops[j]]) {
                     uf.union(i, j);
                 }
             }
@@ -53,9 +74,8 @@ impl LocalGraph {
         // Merging can create new in-slice flow pairs, so iterate to fixpoint.
         loop {
             let mut changed = false;
-            for j in 0..n {
-                for dep in proc.flow_deps_of(j) {
-                    let i = dep.index();
+            for (j, deps) in flow_deps.iter().enumerate() {
+                for &i in deps {
                     if uf.same(i, j) {
                         for k in (i + 1)..j {
                             changed |= uf.union(i, k);
@@ -86,9 +106,9 @@ impl LocalGraph {
             // Build slice-level adjacency.
             let m = groups.len();
             let mut adj = vec![vec![false; m]; m];
-            for j in 0..n {
-                for dep in proc.flow_deps_of(j) {
-                    let (si, sj) = (id_of(&mut uf, dep.index()), id_of(&mut uf, j));
+            for (j, deps) in flow_deps.iter().enumerate() {
+                for &i in deps {
+                    let (si, sj) = (id_of(&mut uf, i), id_of(&mut uf, j));
                     if si != sj {
                         adj[si][sj] = true;
                     }
@@ -123,9 +143,8 @@ impl LocalGraph {
             // Re-apply contiguity after contraction.
             loop {
                 let mut c2 = false;
-                for j in 0..n {
-                    for dep in proc.flow_deps_of(j) {
-                        let i = dep.index();
+                for (j, deps) in flow_deps.iter().enumerate() {
+                    for &i in deps {
                         if uf.same(i, j) {
                             for k in (i + 1)..j {
                                 c2 |= uf.union(i, k);
@@ -144,23 +163,23 @@ impl LocalGraph {
         let slices: Vec<Slice> = groups
             .iter()
             .enumerate()
-            .map(|(i, ops)| Slice {
+            .map(|(i, members)| Slice {
                 id: SliceId::new(i as u32),
-                ops: ops.clone(),
+                ops: members.iter().map(|&k| ops[k]).collect(),
             })
             .collect();
-        let slice_of = |op: usize| -> SliceId {
+        let slice_of = |k: usize| -> SliceId {
             SliceId::new(
                 groups
                     .iter()
-                    .position(|g| g.contains(&op))
+                    .position(|g| g.contains(&k))
                     .expect("op in a slice") as u32,
             )
         };
         let mut edges = Vec::new();
-        for j in 0..n {
-            for dep in proc.flow_deps_of(j) {
-                let (si, sj) = (slice_of(dep.index()), slice_of(j));
+        for (j, deps) in flow_deps.iter().enumerate() {
+            for &i in deps {
+                let (si, sj) = (slice_of(i), slice_of(j));
                 if si != sj && !edges.contains(&(si, sj)) {
                     edges.push((si, sj));
                 }
@@ -171,6 +190,10 @@ impl LocalGraph {
     }
 
     /// The slice containing op index `op`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a replay-dead op: it is in no slice.
     pub fn slice_of(&self, op: usize) -> SliceId {
         self.slices
             .iter()
@@ -184,7 +207,8 @@ impl LocalGraph {
         self.slices.len()
     }
 
-    /// Whether the procedure decomposed into zero slices (no ops).
+    /// Whether the procedure decomposed into zero slices (it writes
+    /// nothing, so replay has nothing to run for it).
     pub fn is_empty(&self) -> bool {
         self.slices.is_empty()
     }

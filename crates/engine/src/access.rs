@@ -104,6 +104,8 @@ pub struct ReplayAccess<'a> {
     cursor: Option<Cursor<'a>>,
     /// The open tuple's edited columns while `Cursor::edited` is set.
     buf: Vec<Value>,
+    /// Images installed since [`ReplayAccess::take_installed`].
+    installed: u64,
 }
 
 /// The tuple a [`ReplayAccess`] currently has open.
@@ -130,7 +132,14 @@ impl<'a> ReplayAccess<'a> {
             ts,
             cursor: None,
             buf: Vec::new(),
+            installed: 0,
         }
+    }
+
+    /// How many tuple images this access has installed since the last
+    /// call (what recovery reports as applied write images).
+    pub fn take_installed(&mut self) -> u64 {
+        std::mem::take(&mut self.installed)
     }
 
     /// The timestamp being replayed.
@@ -160,6 +169,7 @@ impl<'a> ReplayAccess<'a> {
         } else {
             cur.image
         };
+        self.installed += 1;
         // Mark before the version becomes visible (`Table::mark_dirty`).
         cur.table.mark_dirty(cur.key, self.ts);
         cur.chain

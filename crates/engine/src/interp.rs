@@ -1,11 +1,12 @@
 //! The operation interpreter.
 //!
-//! Executes a subset of a procedure's operations (a whole procedure during
-//! normal processing and CLR replay; a single slice during CLR-P replay)
-//! against any [`DataAccess`] back-end. Loop groups re-bind loop-local
-//! variables per iteration; top-level variables go to the transaction's
-//! shared [`VarStore`] so downstream pieces can consume them (Fig. 7: slice
-//! `T2` receives `dst` produced by slice `T1`).
+//! Executes a subset of a procedure's operations (the whole procedure
+//! during normal processing; its replay-live operations during CLR replay;
+//! a single slice of those during CLR-P replay) against any [`DataAccess`]
+//! back-end. Loop groups re-bind loop-local variables per iteration;
+//! top-level variables go to the transaction's shared [`VarStore`] so
+//! downstream pieces can consume them (Fig. 7: slice `T2` receives `dst`
+//! produced by slice `T1`).
 
 use crate::access::{DataAccess, TxnAccess};
 use crate::database::Database;
@@ -34,10 +35,10 @@ impl ExecFrame {
 }
 
 /// Execute `plan` — a compiled set of ops of `proc`: the whole procedure
-/// during normal processing and serial replay, one piece during CLR-P.
-/// Returns the number of operations actually executed (loops unrolled,
-/// guard-skipped ops excluded) — the dynamic replay-cost signal of the
-/// adaptive-logging cost model.
+/// during normal processing, its replay plan during serial replay, one
+/// piece during CLR-P. Returns the number of operations actually executed
+/// (loops unrolled, guard-skipped ops excluded) — the dynamic replay-cost
+/// signal of the adaptive-logging cost model.
 ///
 /// Every access site's key is determined at most once per iteration: taken
 /// from `resolved` — the piece's slots as `pacman_sproc::resolve_accesses`

@@ -16,8 +16,9 @@
 //!   defined *inside* the plan cannot be decided before the piece runs, so
 //!   parameter checking keeps its operation conservatively without trying.
 //!
-//! The whole-procedure plan is cached on [`ProcedureDef`]; the global
-//! dependency graph compiles one plan per piece template.
+//! The whole-procedure plan and the plan of the replay-live operations are
+//! cached on [`ProcedureDef`]; the global dependency graph compiles one plan
+//! per piece template.
 
 use crate::expr::{EvalCtx, Expr};
 use crate::op::OpDef;

@@ -36,8 +36,41 @@ pub struct ProcedureDef {
     /// Per-op: the ops it directly flow-depends on.
     flow_deps: Vec<Vec<OpId>>,
     /// The whole procedure compiled into an access plan — what normal
-    /// processing and serial command-log replay execute.
+    /// processing executes.
     plan: PiecePlan,
+    /// Per-op: whether command-log replay must execute it (see
+    /// [`replay_liveness`]).
+    replay_live: Vec<bool>,
+    /// The replay-live ops compiled into an access plan — what serial
+    /// command-log replay executes.
+    replay_plan: PiecePlan,
+}
+
+/// Which ops command-log replay has to execute: every write, insert and
+/// delete, and every read whose variable a replay-live op uses — as key,
+/// written value, insert column, guard or loop count ([`OpDef::used_vars`]
+/// names all five). The rest are reads whose value reaches no write.
+///
+/// Recovery owes the committed *state*, not the reads a client once asked
+/// for, so a replay-dead read is simply not run. That drops no error:
+/// replay only sees transactions that committed, and each of their reads
+/// found its tuple then — a read cannot fail at replay if it did not fail
+/// before commit, so skipping it hides nothing recovery would have raised.
+///
+/// Uses follow definitions in program order (checked by
+/// [`ProcedureDef::new`]), so one backward pass reaches the fixpoint.
+fn replay_liveness(ops: &[OpDef], num_vars: usize) -> Vec<bool> {
+    let mut needed = vec![false; num_vars];
+    let mut live = vec![false; ops.len()];
+    for (i, op) in ops.iter().enumerate().rev() {
+        live[i] = op.defined_var().is_none_or(|v| needed[v.index()]);
+        if live[i] {
+            for v in op.used_vars() {
+                needed[v.index()] = true;
+            }
+        }
+    }
+    live
 }
 
 impl ProcedureDef {
@@ -175,6 +208,9 @@ impl ProcedureDef {
 
         let all_ops: Vec<usize> = (0..ops.len()).collect();
         let plan = PiecePlan::compile(&ops, &all_ops);
+        let replay_live = replay_liveness(&ops, num_vars);
+        let live_ops: Vec<usize> = all_ops.into_iter().filter(|&i| replay_live[i]).collect();
+        let replay_plan = PiecePlan::compile(&ops, &live_ops);
         Ok(ProcedureDef {
             id,
             name,
@@ -186,13 +222,27 @@ impl ProcedureDef {
             var_escapes,
             flow_deps,
             plan,
+            replay_live,
+            replay_plan,
         })
     }
 
     /// The access plan of the whole procedure, compiled at build time so
-    /// per-transaction execution borrows it.
+    /// per-transaction execution borrows it. The commit path runs this one:
+    /// clients see every read and OCC validates it.
     pub fn plan(&self) -> &PiecePlan {
         &self.plan
+    }
+
+    /// The access plan of the replay-live ops only — empty for a procedure
+    /// that writes nothing.
+    pub fn replay_plan(&self) -> &PiecePlan {
+        &self.replay_plan
+    }
+
+    /// Whether command-log replay executes op `i`.
+    pub fn is_replay_live(&self, i: usize) -> bool {
+        self.replay_live[i]
     }
 
     /// Direct flow dependencies of op `i` (ops whose outputs it consumes,
@@ -264,6 +314,111 @@ mod tests {
             loop_id: None,
             loop_count: None,
         }
+    }
+
+    use crate::builder::ProcBuilder;
+
+    const T0: TableId = TableId::new(0);
+    const T1: TableId = TableId::new(1);
+
+    fn live(p: &ProcedureDef) -> Vec<bool> {
+        (0..p.ops.len()).map(|i| p.is_replay_live(i)).collect()
+    }
+
+    #[test]
+    fn liveness_follows_transitive_chains() {
+        // a feeds the key of b, b feeds the written value: both live. c is
+        // read and dropped; d feeds only the dead e.
+        let mut b = ProcBuilder::new(ProcId::new(0), "P", 1);
+        let a = b.read(T0, Expr::param(0), 0);
+        let v = b.read(T0, Expr::var(a), 0);
+        let _c = b.read(T0, Expr::param(0), 1);
+        let d = b.read(T0, Expr::param(0), 2);
+        let _e = b.read(T0, Expr::var(d), 0);
+        b.write(T1, Expr::param(0), 0, Expr::var(v));
+        let p = b.build().unwrap();
+        assert_eq!(live(&p), [true, true, false, false, false, true]);
+        assert_eq!(p.replay_plan().op_indices().collect::<Vec<_>>(), [0, 1, 5]);
+        assert_eq!(
+            p.plan().op_indices().count(),
+            6,
+            "the commit path runs everything"
+        );
+    }
+
+    /// One procedure per place an expression can sit in: the read `v` is
+    /// used there and nowhere else. `with_use` false builds the same
+    /// procedure with a constant in that place.
+    fn single_use(site: &str, with_use: bool) -> ProcedureDef {
+        let mut b = ProcBuilder::new(ProcId::new(0), site, 1);
+        let v = b.read(T0, Expr::param(0), 0);
+        let e = if with_use { Expr::var(v) } else { Expr::int(1) };
+        match site {
+            "key" => b.write(T1, e, 0, Expr::int(0)),
+            "value" => b.write(T1, Expr::param(0), 0, e),
+            "insert column" => b.insert(T1, Expr::param(0), vec![Expr::int(0), e]),
+            "delete key" => b.delete(T1, e),
+            "guard" => b.guarded(Expr::gt(e, Expr::int(0)), |b| {
+                b.write(T1, Expr::param(0), 0, Expr::int(0));
+            }),
+            "loop count" => b.repeat(e, |b| {
+                b.write(T1, Expr::LoopIndex, 0, Expr::int(0));
+            }),
+            other => panic!("unknown site {other}"),
+        }
+        b.build().unwrap()
+    }
+
+    /// A use in any one place keeps the read alive, and it is that use
+    /// alone that does: a liveness pass that forgot the place would see
+    /// the second procedure of each pair, where the read is dead.
+    #[test]
+    fn every_use_site_alone_keeps_a_read_live() {
+        for site in [
+            "key",
+            "value",
+            "insert column",
+            "delete key",
+            "guard",
+            "loop count",
+        ] {
+            let p = single_use(site, true);
+            assert!(p.is_replay_live(0), "{site}: read dropped, {}", p.pretty());
+            assert_eq!(p.replay_plan().op_indices().count(), 2, "{site}");
+            let mutant = single_use(site, false);
+            assert_eq!(live(&mutant), [false, true], "{site}");
+        }
+    }
+
+    #[test]
+    fn escaping_loop_locals_stay_live() {
+        // Per iteration: `fk` read from T0 names the T1 row to write — a
+        // loop-local consumed by another table's op, i.e. by another piece.
+        let mut b = ProcBuilder::new(ProcId::new(0), "P", 1);
+        b.repeat(Expr::param(0), |b| {
+            let fk = b.read(T0, Expr::LoopIndex, 0);
+            let _unused = b.read(T0, Expr::LoopIndex, 1);
+            b.write(T1, Expr::var(fk), 0, Expr::int(1));
+        });
+        let p = b.build().unwrap();
+        assert!(p.loop_var_escapes(VarId::new(0)));
+        assert_eq!(live(&p), [true, false, true]);
+        let groups = p.replay_plan().groups();
+        assert_eq!(groups.len(), 1);
+        assert!(groups[0].looped && groups[0].ops.len() == 2);
+    }
+
+    #[test]
+    fn procedures_that_write_nothing_have_an_empty_replay_plan() {
+        let mut b = ProcBuilder::new(ProcId::new(0), "ReadOnly", 1);
+        let n = b.read(T0, Expr::param(0), 0);
+        b.repeat(Expr::var(n), |b| {
+            let _ = b.read(T1, Expr::LoopIndex, 0);
+        });
+        let p = b.build().unwrap();
+        assert_eq!(live(&p), [false, false]);
+        assert!(p.replay_plan().groups().is_empty());
+        assert_eq!(p.plan().groups().len(), 2);
     }
 
     #[test]

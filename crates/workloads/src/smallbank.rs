@@ -256,13 +256,22 @@ mod tests {
         let sb = Smallbank::default();
         let reg = sb.registry();
         let gdg = GlobalGraph::analyze(reg.all()).unwrap();
-        // Savings and Checking are each written by multiple procedures and
-        // SendPayment/Amalgamate couple them… Amalgamate writes both, so
-        // they land in one block; Accounts reads stay separate.
-        assert!(gdg.num_blocks() >= 1);
+        // One block per written table. Every procedure opens with Accounts
+        // reads whose value feeds no write: replay drops them, so they form
+        // no blocks of their own and Balance has nothing left to replay.
+        assert_eq!(gdg.num_blocks(), 2, "{}", gdg.pretty());
         assert!(gdg.block_for_write(SAVINGS).is_some());
         assert!(gdg.block_for_write(CHECKING).is_some());
+        assert_ne!(gdg.block_for_write(SAVINGS), gdg.block_for_write(CHECKING));
         assert!(gdg.block_for_write(ACCOUNTS).is_none());
+        let pieces: Vec<usize> = reg
+            .all()
+            .iter()
+            .map(|p| gdg.templates_for(p.id).len())
+            .collect();
+        // TransactSavings, DepositChecking, SendPayment, WriteCheck,
+        // Amalgamate, Balance.
+        assert_eq!(pieces, [1, 1, 1, 2, 2, 0]);
     }
 
     #[test]

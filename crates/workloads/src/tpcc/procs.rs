@@ -229,9 +229,28 @@ mod tests {
     fn new_order_slices_split_district_from_stock() {
         let p = new_order();
         let lg = LocalGraph::analyze(&p);
-        // Warehouse-tax read, district RMW, and the stock loop land in
-        // different slices (different tables, no interleaving).
-        assert!(lg.len() >= 3, "{lg:?}");
+        // The district RMW and the stock loop land in different slices
+        // (different tables, no interleaving). The warehouse-tax and
+        // item-price reads feed no write: replay drops them.
+        assert_eq!(lg.len(), 2, "{lg:?}");
+        assert!(
+            !p.is_replay_live(0) && !p.is_replay_live(3),
+            "{}",
+            p.pretty()
+        );
+        assert_eq!(p.replay_plan().op_indices().count(), p.ops.len() - 2);
+    }
+
+    #[test]
+    fn replay_pieces_per_procedure() {
+        let reg = registry(10);
+        let gdg = GlobalGraph::analyze(reg.all()).unwrap();
+        let pieces = |p: ProcId| gdg.templates_for(p).len();
+        assert_eq!(pieces(NEW_ORDER), 2, "district, stock");
+        assert_eq!(pieces(PAYMENT), 3, "warehouse, district, customer");
+        assert_eq!(pieces(DELIVERY), 2, "order, customer");
+        assert_eq!(pieces(ORDER_STATUS), 0);
+        assert_eq!(pieces(STOCK_LEVEL), 0);
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! Print the static-analysis artifacts for the paper's bank example and
-//! for TPC-C: local dependency graphs (Fig. 5a/b), the global dependency
-//! graph (Fig. 5c / Fig. 21), and the transaction-chopping comparison.
+//! Print the static-analysis artifacts for the paper's bank example, for
+//! TPC-C and for Smallbank: local dependency graphs (Fig. 5a/b), the global
+//! dependency graph (Fig. 5c / Fig. 21), what replay executes of each
+//! procedure (replay-live vs replay-dead operations, pieces per logged
+//! transaction), and the transaction-chopping comparison.
 //!
 //! ```sh
 //! cargo run --release --example dependency_graphs
@@ -8,15 +10,22 @@
 
 use pacman_core::static_analysis::{ChoppingGraph, GlobalGraph, LocalGraph};
 use pacman_workloads::bank::Bank;
-use pacman_workloads::tpcc::{procs, TpccConfig};
+use pacman_workloads::smallbank::Smallbank;
+use pacman_workloads::tpcc::{Tpcc, TpccConfig};
 use pacman_workloads::Workload;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
-fn show(reg: &pacman_sproc::ProcRegistry, title: &str) {
+fn show(workload: &dyn Workload, title: &str) {
     println!("==== {title} ====");
+    let reg = &workload.registry();
     for proc in reg.all() {
         println!("\n{}", proc.pretty());
         let lg = LocalGraph::analyze(proc);
-        println!("local dependency graph: {} slices", lg.len());
+        println!(
+            "local dependency graph (replay-live ops): {} slices",
+            lg.len()
+        );
         for s in &lg.slices {
             println!("  slice {}: ops {:?}", s.id, s.ops);
         }
@@ -27,6 +36,9 @@ fn show(reg: &pacman_sproc::ProcRegistry, title: &str) {
     let gdg = GlobalGraph::analyze(reg.all()).expect("analyzable");
     println!("\nglobal dependency graph ({} blocks):", gdg.num_blocks());
     print!("{}", gdg.pretty());
+    let mut rng = SmallRng::seed_from_u64(1);
+    let mix = (0..10_000).map(|_| workload.next_txn(&mut rng).0);
+    print!("\n{}", gdg.replay_summary(mix));
     let chop = ChoppingGraph::analyze(reg.all());
     let pacman_pieces: usize = reg.all().iter().map(|p| LocalGraph::analyze(p).len()).sum();
     println!(
@@ -37,12 +49,7 @@ fn show(reg: &pacman_sproc::ProcRegistry, title: &str) {
 }
 
 fn main() {
-    let bank = Bank::default();
-    show(&bank.registry(), "Bank example (paper Figs. 2-5)");
-    show(
-        &procs::registry(TpccConfig::default().districts_per_warehouse),
-        "TPC-C (paper Fig. 21)",
-    );
-    let sb = pacman_workloads::smallbank::Smallbank::default();
-    show(&sb.registry(), "Smallbank");
+    show(&Bank::default(), "Bank example (paper Figs. 2-5)");
+    show(&Tpcc::new(TpccConfig::default()), "TPC-C (paper Fig. 21)");
+    show(&Smallbank::default(), "Smallbank");
 }

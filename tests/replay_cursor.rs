@@ -12,13 +12,27 @@
 //! A failed piece is the one place the two legitimately differ: the
 //! reference has installed the failing tuple's earlier writes, the cursor
 //! drops them. Recovery fails as a whole there, so nobody sees either.
+//!
+//! The same generator drives a second differential test: replaying only a
+//! procedure's **replay-live** operations — serially, through CLR, and
+//! through CLR-P at one to three threads — must leave the database the
+//! full procedure leaves.
 
+use pacman_common::clock::epoch_floor;
+use pacman_common::Encoder;
 use pacman_common::{Error, Key, ProcId, Result, Row, TableId, Timestamp, Value, VarId};
+use pacman_core::metrics::RecoveryMetrics;
+use pacman_core::recovery::{clr, clr_p, LogInventory};
+use pacman_core::runtime::ReplayMode;
+use pacman_core::static_analysis::GlobalGraph;
 use pacman_engine::{execute_plan, Catalog, DataAccess, Database, ExecFrame, ReplayAccess};
 use pacman_sproc::{
     resolve_accesses, EvalCtx, Expr, LocalBindings, OpKind, Params, ProcBuilder, ProcedureDef,
     VarStore,
 };
+use pacman_sproc::{PiecePlan, ProcRegistry};
+use pacman_storage::StorageSet;
+use pacman_wal::{LogPayload, TxnLogRecord};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -422,6 +436,125 @@ proptest! {
         looped in any::<bool>(),
     ) {
         compare(&ops, looped).map_err(TestCaseError::fail)?;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Replay-live plans against the full plan.
+// ---------------------------------------------------------------------
+
+/// Commit timestamps of the logged transactions: the procedure runs four
+/// times, two records per log batch.
+fn logged_ts() -> [Timestamp; 4] {
+    [1, 2, 3, 4].map(|i| epoch_floor(1) | i)
+}
+
+/// Run `plan` of `proc` once per logged timestamp, the way serial replay
+/// does. `None` if any run fails.
+fn replay_serially(proc: &ProcedureDef, plan: &PiecePlan, params: &Params) -> Option<Database> {
+    let db = seeded_db();
+    let mut access = ReplayAccess::new(&db, 0);
+    let mut frame = ExecFrame::default();
+    for ts in logged_ts() {
+        let vars = VarStore::new(proc.num_vars);
+        access.retarget(ts);
+        execute_plan(proc, plan, params, &vars, None, &mut frame, &mut access).ok()?;
+        access.finish();
+    }
+    drop(access);
+    Some(db)
+}
+
+/// Every tuple of both tables, tombstones and their timestamps included.
+fn all_newest(db: &Database) -> Vec<Option<(Timestamp, Option<Arc<Row>>)>> {
+    [T, U]
+        .into_iter()
+        .flat_map(|table| {
+            (0..=TOMBSTONE + 1).map(move |k| db.table(table).unwrap().get(k).map(|c| c.newest()))
+        })
+        .collect()
+}
+
+/// Replaying the replay-live operations must be indistinguishable from
+/// replaying everything, whenever replaying everything succeeds (as it
+/// does for any transaction that committed).
+fn compare_live_to_full(ops: &[OpGen], looped: bool) -> std::result::Result<(), String> {
+    let proc = build(ops, looped);
+    let params = piece_params();
+    // The reference compiles its own full plan; product replay has none.
+    let everything: Vec<usize> = (0..proc.ops.len()).collect();
+    let full_plan = PiecePlan::compile(&proc.ops, &everything);
+    let Some(full) = replay_serially(&proc, &full_plan, &params) else {
+        return Ok(()); // would have aborted before commit: never logged
+    };
+    let same = |what: &str, db: &Database| {
+        if db.fingerprint() != full.fingerprint() || all_newest(db) != all_newest(&full) {
+            return Err(format!(
+                "{what} diverged from full replay\nlive ops {:?} of\n{}",
+                proc.replay_plan().op_indices().collect::<Vec<_>>(),
+                proc.pretty()
+            ));
+        }
+        Ok(())
+    };
+    let live = replay_serially(&proc, proc.replay_plan(), &params)
+        .ok_or("a dead read hid an error: the replay plan failed where the full plan ran")?;
+    same("serial replay plan", &live)?;
+
+    // The same four transactions as a command log, through recovery.
+    let mut registry = ProcRegistry::new();
+    registry.register(proc.clone()).unwrap();
+    let storage = StorageSet::for_tests();
+    for (batch, pair) in logged_ts().chunks(2).enumerate() {
+        let mut buf = Vec::new();
+        for &ts in pair {
+            TxnLogRecord {
+                ts,
+                payload: LogPayload::Command {
+                    proc: proc.id,
+                    params: Arc::clone(&params),
+                },
+            }
+            .encode(&mut buf);
+        }
+        storage.disk(0).append(&format!("log/00/{batch:010}"), &buf);
+    }
+    let inventory = LogInventory::scan(&storage);
+    let metrics = Arc::new(RecoveryMetrics::new());
+    let db = seeded_db();
+    clr::recover_log(&storage, &inventory, &db, &registry, u64::MAX, 0, &metrics)
+        .map_err(|e| format!("CLR failed: {e}"))?;
+    same("CLR", &db)?;
+    let gdg = Arc::new(GlobalGraph::analyze(registry.all()).map_err(|e| e.to_string())?);
+    for threads in 1..=3 {
+        let db = Arc::new(seeded_db());
+        clr_p::recover_log(
+            &storage,
+            &inventory,
+            &db,
+            &gdg,
+            &registry,
+            threads,
+            ReplayMode::Pipelined,
+            u64::MAX,
+            0,
+            &metrics,
+        )
+        .map_err(|e| format!("CLR-P at {threads} threads failed: {e}"))?;
+        same(&format!("CLR-P at {threads} threads"), &db)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(600))]
+
+    #[test]
+    fn replay_live_plan_equals_full_replay(
+        ops in proptest::collection::vec(op_strategy(), 1..12),
+        looped in any::<bool>(),
+    ) {
+        compare_live_to_full(&ops, looped).map_err(TestCaseError::fail)?;
     }
 }
 
