@@ -1,4 +1,5 @@
-//! Fig. 13: checkpoint recovery — pure file reloading (a) and overall
+//! Fig. 13: checkpoint recovery — file reloading (a: when the last part
+//! byte left the device; the restore runs beside the reads) and overall
 //! duration (b) per scheme across thread counts. PLR restores records
 //! only (indexes deferred), so its overall time is the lowest.
 

@@ -203,17 +203,38 @@ impl Encoder for Row {
     }
 }
 
+/// Read a row's column count, refusing one the bytes left cannot hold
+/// (every encoded value takes at least two bytes) before anything is
+/// allocated for it. Shared by [`Row::decode`] and the log's borrowed
+/// views, so both reject the same inputs with the same error.
+pub fn read_row_arity(cur: &mut Cursor<'_>) -> Result<usize> {
+    let n = cur.read_varint()? as usize;
+    if n > 1 << 20 || n > cur.remaining() {
+        return Err(Error::Corrupt(format!("implausible row arity {n}")));
+    }
+    Ok(n)
+}
+
 impl Decoder for Row {
     fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
-        let n = cur.read_varint()? as usize;
-        if n > 1 << 20 {
-            return Err(Error::Corrupt(format!("implausible row arity {n}")));
-        }
-        let mut cols = Vec::with_capacity(n);
-        for _ in 0..n {
-            cols.push(Value::decode(cur)?);
-        }
-        Ok(Row::new(cols))
+        let n = read_row_arity(cur)?;
+        // An exact-size iterator lets `collect` write the values straight
+        // into the row's shared slab: one allocation per row. An error is
+        // therefore latched rather than returned from inside the iterator
+        // (the placeholders die with the slab).
+        let mut err = None;
+        let row: Row = (0..n)
+            .map(|_| {
+                if err.is_none() {
+                    match Value::decode(cur) {
+                        Ok(v) => return v,
+                        Err(e) => err = Some(e),
+                    }
+                }
+                Value::Int(0)
+            })
+            .collect();
+        err.map_or(Ok(row), Err)
     }
 }
 

@@ -82,6 +82,16 @@ impl fmt::Debug for Row {
     }
 }
 
+impl FromIterator<Value> for Row {
+    /// An iterator of exactly known length (a range, a slice, a `Vec`)
+    /// fills the shared slab directly, without an intermediate `Vec`.
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
+        Row {
+            cols: iter.into_iter().collect(),
+        }
+    }
+}
+
 impl<const N: usize> From<[Value; N]> for Row {
     fn from(cols: [Value; N]) -> Self {
         Row::new(cols.to_vec())

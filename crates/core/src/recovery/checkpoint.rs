@@ -3,8 +3,16 @@
 //!
 //! The durable base image is a *manifest chain* (full checkpoint + delta
 //! links, see `pacman_wal::checkpoint`); the [`ShardLoader`] resolves
-//! every `(table, shard)` to its newest part along the chain and installs
-//! parts with `threads` workers. Two consumption modes:
+//! every `(table, shard)` to its newest part along the chain. All three
+//! consumers restore through one pipeline ([`ShardLoader::stream`]): a
+//! reader per device does nothing but the paced read and hands each part
+//! over a bounded channel to `threads` installers, so part *k+1* is on the
+//! device while part *k* is decoded and installed, and only the parts in
+//! flight are resident. An installer walks the part once
+//! ([`PartView`]) and installs it with [`pacman_engine::Table::load_shard`]
+//! — the whole shard in one build when the part is the sorted, complete
+//! shard the checkpointer writes and the shard is still empty, per-key
+//! timestamped last-writer-wins otherwise.
 //!
 //! * [`recover_checkpoint_chain`] — **eager**: load everything before
 //!   returning (all offline schemes, and the inline stage of command-
@@ -12,23 +20,32 @@
 //!   needs the whole base image resident);
 //! * [`run_lazy_loader`] — **lazy**: stream shards in *during* an online
 //!   session, publishing per-shard residency to the
-//!   [`pacman_engine::RecoveryGate`]. Workers pull *wanted* shards (a
+//!   [`pacman_engine::RecoveryGate`]. Readers pull *wanted* shards (a
 //!   blocked admission's footprint) first, then sweep the rest cheapest-
 //!   first — smallest part next, mirroring the replay runtime's SJF
-//!   drain. Installs use timestamped last-writer-wins, so a loader racing
-//!   the tuple-level replay of the same shard converges to the same state
-//!   regardless of order (part timestamps sort below every replayed
-//!   record).
+//!   drain. A shard the tuple-level replay reached first is no longer
+//!   empty and installs last-writer-wins, so loader and replay converge
+//!   to the same state regardless of order (part timestamps sort below
+//!   every replayed record);
+//! * [`resync_checkpoint_chain`] — a standby's re-bootstrap onto a newer
+//!   chain: the same walk plus the tombstone rule.
 
 use crate::metrics::RecoveryMetrics;
 use crate::recovery::raw::RawStore;
-use pacman_common::{Result, TableId, Timestamp};
-use pacman_engine::{Database, RecoveryGate, TupleChain};
+use bytes::Bytes;
+use pacman_common::{Error, Key, Result, Row, TableId, Timestamp};
+use pacman_engine::{Database, RecoveryGate, ShardLoad};
 use pacman_storage::StorageSet;
-use pacman_wal::checkpoint::{decode_part, part_name, CheckpointChain, ResolvedPart};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use pacman_wal::checkpoint::{part_name, CheckpointChain, PartView, ResolvedPart};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Parts the readers may queue ahead of the installers: with one part in
+/// each reader's and each installer's hands, the bound on resident part
+/// bytes.
+const PART_QUEUE: usize = 4;
 
 /// Where restored tuples go.
 pub enum CheckpointTarget<'a> {
@@ -41,7 +58,9 @@ pub enum CheckpointTarget<'a> {
 /// Timing result of checkpoint recovery.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CheckpointRecovery {
-    /// Wall time of the pure file-reload phase (Fig. 13a).
+    /// Wall time until the last part byte left the device (Fig. 13a). The
+    /// installers run beside the readers, so this is a point inside
+    /// `total`, not a phase that precedes the restore.
     pub reload: Duration,
     /// Wall time of reload + restore (Fig. 13b).
     pub total: Duration,
@@ -51,6 +70,8 @@ pub struct CheckpointRecovery {
     pub tuples: u64,
     /// Chain links the base image was resolved across (1 = full only).
     pub chain_len: usize,
+    /// Parts installed as one sorted shard build (the rest went per key).
+    pub bulk_parts: u64,
 }
 
 /// One `(table, shard)` load unit resolved to its newest part.
@@ -62,6 +83,32 @@ pub struct LoadUnit {
     pub bytes: usize,
 }
 
+/// One part off its device, on its way to an installer.
+struct ReadPart {
+    /// Index into [`ShardLoader::units`].
+    unit: usize,
+    /// Whether a blocked admission wanted the shard when it was claimed.
+    wanted: bool,
+    /// Time its reader spent in the device read.
+    read: Duration,
+    bytes: Bytes,
+}
+
+/// Tuples and bulk-built parts counted across installers.
+#[derive(Default)]
+struct Tally {
+    tuples: AtomicU64,
+    bulk_parts: AtomicU64,
+}
+
+impl Tally {
+    fn add(&self, load: ShardLoad) {
+        self.tuples.fetch_add(load.tuples, Ordering::Relaxed);
+        self.bulk_parts
+            .fetch_add(load.bulk as u64, Ordering::Relaxed);
+    }
+}
+
 /// Resolves a manifest chain into per-shard load units.
 pub struct ShardLoader {
     units: Vec<LoadUnit>,
@@ -71,23 +118,26 @@ pub struct ShardLoader {
 
 impl ShardLoader {
     /// Resolve `chain` against `storage`. Units are sorted by ascending
-    /// part size (cheapest first).
-    pub fn new(storage: &StorageSet, chain: &CheckpointChain) -> ShardLoader {
-        let mut units: Vec<LoadUnit> = chain
-            .resolve_parts()
-            .into_iter()
-            .map(|part| {
-                let name = part_name(part.ts, part.table, part.shard as usize);
-                let bytes = storage.disk(part.disk as usize).len(&name).unwrap_or(0);
-                LoadUnit { part, bytes }
-            })
-            .collect();
+    /// part size (cheapest first). A part the chain names and its device
+    /// does not hold is corruption, reported before any thread starts.
+    pub fn new(storage: &StorageSet, chain: &CheckpointChain) -> Result<ShardLoader> {
+        let mut units = Vec::new();
+        for part in chain.resolve_parts() {
+            let name = part_name(part.ts, part.table, part.shard as usize);
+            let bytes = storage.disk(part.disk as usize).len(&name).map_err(|_| {
+                Error::Corrupt(format!(
+                    "checkpoint chain names part {name} missing from device {}",
+                    part.disk
+                ))
+            })?;
+            units.push(LoadUnit { part, bytes });
+        }
         units.sort_by_key(|u| (u.bytes, u.part.table, u.part.shard));
-        ShardLoader {
+        Ok(ShardLoader {
             units,
             ckpt_ts: chain.ts(),
             chain_len: chain.len(),
-        }
+        })
     }
 
     /// The resolved load units (ascending size).
@@ -100,62 +150,139 @@ impl ShardLoader {
         self.ckpt_ts
     }
 
-    /// Load one unit through the table's timestamped LWW install path —
-    /// safe against a concurrent tuple-level replay of the same keys
-    /// (lazy online reload). Returns tuples installed.
-    fn load_unit_lww(&self, storage: &StorageSet, u: &LoadUnit, db: &Database) -> Result<u64> {
-        let p = &u.part;
-        let name = part_name(p.ts, p.table, p.shard as usize);
-        let bytes = storage.disk(p.disk as usize).read(&name)?;
-        let decoded = decode_part(&bytes)?;
-        let n = decoded.len() as u64;
-        let t = db.table(TableId::new(p.table))?;
-        for (key, row) in decoded {
-            t.install_lww(key, p.ts, Some(Arc::new(row)));
+    /// Read every unit and hand it to `install`, pipelined: one reader per
+    /// device claims its next unit — the first for which `wanted` holds,
+    /// else the cheapest left — reads it, and queues it for one of
+    /// `threads` installers. The readers sleep in the device pacer, so
+    /// runnable threads stay at `threads`. Returns the time at which the
+    /// last part byte left its device.
+    ///
+    /// The first error, whoever meets it, stops the run: readers stop
+    /// claiming and installers leave. The receiver is owned by the
+    /// installers alone and goes with the last of them — on an error or a
+    /// panic alike — which fails the `send` of any reader still blocked
+    /// on the full channel, so nobody is left waiting. Parts already
+    /// installed stay installed.
+    fn stream(
+        &self,
+        storage: &StorageSet,
+        threads: usize,
+        wanted: impl Fn(usize) -> bool + Sync,
+        install: impl Fn(&ReadPart) -> Result<()> + Sync,
+    ) -> Result<Duration> {
+        let t0 = Instant::now();
+        let disks = storage.num_disks();
+        let mut queues: Vec<Vec<usize>> = vec![Vec::new(); disks];
+        for (i, u) in self.units.iter().enumerate() {
+            queues[u.part.disk as usize % disks].push(i);
         }
-        Ok(n)
+        let err = parking_lot::Mutex::new(None::<Error>);
+        let fail = |e: Error| {
+            err.lock().get_or_insert(e);
+        };
+        let failed = || err.lock().is_some();
+        let (tx, rx) = crossbeam::channel::bounded::<ReadPart>(PART_QUEUE);
+        let rx = Arc::new(parking_lot::Mutex::new(rx));
+
+        let reload = crossbeam::thread::scope(|scope| {
+            let readers: Vec<_> = queues
+                .into_iter()
+                .enumerate()
+                .filter(|(_, queue)| !queue.is_empty())
+                .map(|(disk, mut queue)| {
+                    let tx = tx.clone();
+                    let (fail, failed, wanted) = (&fail, &failed, &wanted);
+                    scope.spawn(move |_| {
+                        let mut last_read = Duration::ZERO;
+                        while !queue.is_empty() && !failed() {
+                            let hit = queue.iter().position(|&i| wanted(i));
+                            let unit = queue.remove(hit.unwrap_or(0));
+                            let p = &self.units[unit].part;
+                            let t = Instant::now();
+                            let read = storage.disk(disk).read(&part_name(
+                                p.ts,
+                                p.table,
+                                p.shard as usize,
+                            ));
+                            last_read = t0.elapsed();
+                            let part = match read {
+                                Ok(bytes) => ReadPart {
+                                    unit,
+                                    wanted: hit.is_some(),
+                                    read: t.elapsed(),
+                                    bytes,
+                                },
+                                Err(e) => {
+                                    fail(e);
+                                    break;
+                                }
+                            };
+                            if tx.send(part).is_err() {
+                                break;
+                            }
+                        }
+                        last_read
+                    })
+                })
+                .collect();
+            // A receive ends when the last reader is gone, a send when the
+            // last installer is.
+            drop(tx);
+            for _ in 0..threads.max(1) {
+                let rx = Arc::clone(&rx);
+                let (fail, failed, install) = (&fail, &failed, &install);
+                scope.spawn(move |_| loop {
+                    // One installer waits in `recv`, the others on the lock.
+                    let next = rx.lock().recv();
+                    match next {
+                        Ok(part) if !failed() => {
+                            if let Err(e) = install(&part) {
+                                return fail(e);
+                            }
+                        }
+                        _ => return,
+                    }
+                });
+            }
+            drop(rx);
+            readers
+                .into_iter()
+                .map(|r| r.join().expect("checkpoint reader"))
+                .max()
+                .unwrap_or_default()
+        })
+        .expect("checkpoint restore scope");
+        match err.into_inner() {
+            Some(e) => Err(e),
+            None => Ok(reload),
+        }
+    }
+
+    fn report(&self, t0: Instant, reload: Duration, tally: Tally) -> CheckpointRecovery {
+        CheckpointRecovery {
+            reload,
+            total: t0.elapsed(),
+            ckpt_ts: self.ckpt_ts,
+            tuples: tally.tuples.into_inner(),
+            chain_len: self.chain_len,
+            bulk_parts: tally.bulk_parts.into_inner(),
+        }
     }
 }
 
-/// Run `work(i)` over `0..n` unit indices with `threads` workers,
-/// stopping at — and returning — the first error (later units are left
-/// unclaimed). The shared scaffolding of the eager, lazy and resync
-/// loaders.
-fn parallel_units(
-    n: usize,
-    threads: usize,
-    work: impl Fn(usize) -> Result<()> + Sync,
-) -> Result<()> {
-    let next = AtomicUsize::new(0);
-    let err = parking_lot::Mutex::new(None::<pacman_common::Error>);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            let next = &next;
-            let err = &err;
-            let work = &work;
-            scope.spawn(move |_| loop {
-                if err.lock().is_some() {
-                    return;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                if let Err(e) = work(i) {
-                    let mut slot = err.lock();
-                    if slot.is_none() {
-                        *slot = Some(e);
-                    }
-                    return;
-                }
-            });
-        }
-    })
-    .expect("parallel unit scope");
-    match err.into_inner() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+/// Decode a part into the run [`pacman_engine::Table::load_shard`] takes:
+/// whole, or the part's first decode error.
+fn decode_run(bytes: &[u8]) -> Result<Vec<(Key, Arc<Row>)>> {
+    PartView::new(bytes)
+        .map(|tuple| tuple.map(|(key, row)| (key, Arc::new(row))))
+        .collect()
+}
+
+/// Decode one part and install it into its table.
+fn install_part(db: &Database, p: &ResolvedPart, bytes: &[u8], tally: &Tally) -> Result<()> {
+    let table = db.table(TableId::new(p.table))?;
+    tally.add(table.load_shard(p.shard as usize, p.ts, decode_run(bytes)?));
+    Ok(())
 }
 
 /// Validate every resolved part against the live catalog: a corrupt
@@ -169,7 +296,7 @@ fn validate_units_against_catalog(units: &[LoadUnit], db: &Database, what: &str)
             .get(p.table as usize)
             .is_some_and(|t| (p.shard as usize) < t.num_shards());
         if !valid {
-            return Err(pacman_common::Error::Corrupt(format!(
+            return Err(Error::Corrupt(format!(
                 "{what} part (table {}, shard {}) outside the catalog",
                 p.table, p.shard
             )));
@@ -178,7 +305,7 @@ fn validate_units_against_catalog(units: &[LoadUnit], db: &Database, what: &str)
     Ok(())
 }
 
-/// Restore the whole chain eagerly with `threads` workers (offline
+/// Restore the whole chain eagerly with `threads` installers (offline
 /// recovery and the inline stage of command-scheme online sessions).
 pub fn recover_checkpoint_chain(
     storage: &StorageSet,
@@ -186,74 +313,51 @@ pub fn recover_checkpoint_chain(
     threads: usize,
     target: CheckpointTarget<'_>,
 ) -> Result<CheckpointRecovery> {
-    let threads = threads.max(1);
     let t0 = Instant::now();
-    let loader = ShardLoader::new(storage, chain);
-
-    // Phase 1: reload all parts (parallel, device-bandwidth bound).
-    let units = loader.units();
+    let loader = ShardLoader::new(storage, chain)?;
     // A corrupt manifest naming a table outside the catalog must surface
-    // as a clean error, matching the lazy path's validation.
+    // as a clean error. A shard index outside the table is tolerated here
+    // (a part written under another sharding): it installs per key.
     let num_tables = match &target {
         CheckpointTarget::Tables(db) => db.tables().len(),
         CheckpointTarget::Raw(raw) => raw.num_tables(),
     };
-    for u in units {
-        if u.part.table as usize >= num_tables {
-            return Err(pacman_common::Error::Corrupt(format!(
-                "checkpoint part names table {} outside the catalog",
-                u.part.table
-            )));
-        }
-    }
-    let loaded: Vec<parking_lot::Mutex<Option<bytes::Bytes>>> = units
+    if let Some(u) = loader
+        .units
         .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-    parallel_units(units.len(), threads, |i| {
-        let p = &units[i].part;
-        let name = part_name(p.ts, p.table, p.shard as usize);
-        *loaded[i].lock() = Some(storage.disk(p.disk as usize).read(&name)?);
-        Ok(())
-    })?;
-    let reload = t0.elapsed();
+        .find(|u| u.part.table as usize >= num_tables)
+    {
+        return Err(Error::Corrupt(format!(
+            "checkpoint part names table {} outside the catalog",
+            u.part.table
+        )));
+    }
 
-    // Phase 2: decode + install.
-    let tuples = AtomicUsize::new(0);
-    parallel_units(units.len(), threads, |i| {
-        let bytes = loaded[i].lock().take().expect("loaded in phase 1");
-        let p = &units[i].part;
-        let decoded = decode_part(&bytes)?;
-        tuples.fetch_add(decoded.len(), Ordering::Relaxed);
-        let tid = TableId::new(p.table);
-        match &target {
-            CheckpointTarget::Tables(db) => {
-                let t = db.table(tid).expect("catalog covers checkpoint");
-                for (key, row) in decoded {
-                    t.put_chain(
-                        key,
-                        Arc::new(TupleChain::with_version(p.ts, Some(Arc::new(row)))),
-                    );
+    let tally = Tally::default();
+    let reload = loader.stream(
+        storage,
+        threads,
+        |_| false,
+        |part| {
+            let p = &loader.units[part.unit].part;
+            match &target {
+                CheckpointTarget::Tables(db) => install_part(db, p, &part.bytes, &tally),
+                CheckpointTarget::Raw(raw) => {
+                    let heap = raw.table(TableId::new(p.table));
+                    let mut tuples = 0;
+                    for tuple in PartView::new(&part.bytes) {
+                        let (key, row) = tuple?;
+                        heap.get_or_create(key)
+                            .install_lww(p.ts, Some(Arc::new(row)));
+                        tuples += 1;
+                    }
+                    tally.tuples.fetch_add(tuples, Ordering::Relaxed);
+                    Ok(())
                 }
             }
-            CheckpointTarget::Raw(raw) => {
-                for (key, row) in decoded {
-                    raw.table(tid)
-                        .get_or_create(key)
-                        .install_lww(p.ts, Some(Arc::new(row)));
-                }
-            }
-        }
-        Ok(())
-    })?;
-
-    Ok(CheckpointRecovery {
-        reload,
-        total: t0.elapsed(),
-        ckpt_ts: loader.ckpt_ts(),
-        tuples: tuples.load(Ordering::Relaxed) as u64,
-        chain_len: loader.chain_len,
-    })
+        },
+    )?;
+    Ok(loader.report(t0, reload, tally))
 }
 
 /// Re-synchronize an *already-populated* database onto a newer manifest
@@ -263,11 +367,11 @@ pub fn recover_checkpoint_chain(
 /// (reclaimed on the primary), so the chain is installed as
 /// **replace-shard** state:
 ///
-/// * every part tuple installs timestamped-LWW at its link's snapshot
-///   timestamp (all of the standby's existing versions sort below it —
-///   a shard resolved to link `L` had no primary writes in `(L, tip]`,
-///   and everything the standby ever applied was sealed below the
-///   coverage that broke the cursor);
+/// * every part tuple installs at its link's snapshot timestamp — last-
+///   writer-wins over whatever the shard holds (all of the standby's
+///   existing versions sort below it: a shard resolved to link `L` had no
+///   primary writes in `(L, tip]`, and everything the standby ever applied
+///   was sealed below the coverage that broke the cursor);
 /// * keys live in the standby but absent from the shard's part are
 ///   **tombstoned** at the part timestamp (they were deleted on the
 ///   primary inside the reclaimed gap);
@@ -283,67 +387,60 @@ pub fn resync_checkpoint_chain(
     threads: usize,
 ) -> Result<CheckpointRecovery> {
     let t0 = Instant::now();
-    let loader = ShardLoader::new(storage, chain);
+    let loader = ShardLoader::new(storage, chain)?;
     let units = loader.units();
     validate_units_against_catalog(units, db, "resync")?;
-    let covered: std::collections::HashSet<(u32, u32)> =
-        units.iter().map(|u| (u.part.table, u.part.shard)).collect();
+    let live_keys = |t: &pacman_engine::Table, shard: usize| {
+        let mut keys = Vec::new();
+        t.for_each_visible_at_shard(shard, u64::MAX, |key, _| keys.push(key));
+        keys
+    };
 
-    let tuples = std::sync::atomic::AtomicU64::new(0);
-    parallel_units(units.len(), threads, |i| {
-        let p = &units[i].part;
-        let name = part_name(p.ts, p.table, p.shard as usize);
-        let decoded = decode_part(&storage.disk(p.disk as usize).read(&name)?)?;
-        let t = db.table(TableId::new(p.table)).expect("validated above");
-        let mut part_keys = std::collections::HashSet::with_capacity(decoded.len());
-        tuples.fetch_add(decoded.len() as u64, Ordering::Relaxed);
-        for (key, row) in decoded {
-            part_keys.insert(key);
-            t.install_lww(key, p.ts, Some(Arc::new(row)));
-        }
-        let mut stale = Vec::new();
-        t.for_each_visible_at_shard(p.shard as usize, u64::MAX, |key, _| {
-            if !part_keys.contains(&key) {
-                stale.push(key);
+    let tally = Tally::default();
+    let reload = loader.stream(
+        storage,
+        threads,
+        |_| false,
+        |part| {
+            let p = &units[part.unit].part;
+            let t = db.table(TableId::new(p.table))?;
+            let run = decode_run(&part.bytes)?;
+            // The apply engines are quiesced, so what is live now and
+            // absent from the part is what the gap deleted.
+            let mut stale = live_keys(t, p.shard as usize);
+            if !stale.is_empty() {
+                let kept: HashSet<Key> = run.iter().map(|&(key, _)| key).collect();
+                stale.retain(|key| !kept.contains(key));
             }
-        });
-        for key in stale {
-            t.install_lww(key, p.ts, None);
-        }
-        Ok(())
-    })?;
+            tally.add(t.load_shard(p.shard as usize, p.ts, run));
+            for key in stale {
+                t.install_lww(key, p.ts, None);
+            }
+            Ok(())
+        },
+    )?;
 
     // Shards the chain does not cover were empty at the tip: clear any
     // survivors the reclaimed gap deleted on the primary.
+    let covered: HashSet<(u32, u32)> = units.iter().map(|u| (u.part.table, u.part.shard)).collect();
     let tip = chain.ts();
     for t in db.tables() {
         for shard in 0..t.num_shards() {
-            if covered.contains(&(t.meta().id.0, shard as u32)) {
-                continue;
-            }
-            let mut stale = Vec::new();
-            t.for_each_visible_at_shard(shard, u64::MAX, |key, _| stale.push(key));
-            for key in stale {
-                t.install_lww(key, tip, None);
+            if !covered.contains(&(t.meta().id.0, shard as u32)) {
+                for key in live_keys(t, shard) {
+                    t.install_lww(key, tip, None);
+                }
             }
         }
     }
-
-    let elapsed = t0.elapsed();
-    Ok(CheckpointRecovery {
-        reload: elapsed,
-        total: elapsed,
-        ckpt_ts: tip,
-        tuples: tuples.load(Ordering::Relaxed),
-        chain_len: loader.chain_len,
-    })
+    Ok(loader.report(t0, reload, tally))
 }
 
-/// Stream the chain in lazily with `threads` workers, publishing per-
+/// Stream the chain in lazily with `threads` installers, publishing per-
 /// shard residency to `gate` as each `(table, shard)` lands. `partition`
 /// maps a resolved part to its gate shard index. Shards without any part
 /// in the chain are published resident immediately (they were empty at
-/// the checkpoint). Workers prefer *wanted* shards (smallest first), then
+/// the checkpoint). Readers prefer *wanted* shards (smallest first), then
 /// sweep the remainder cheapest-first.
 pub fn run_lazy_loader(
     storage: &StorageSet,
@@ -355,102 +452,48 @@ pub fn run_lazy_loader(
     metrics: &RecoveryMetrics,
 ) -> Result<CheckpointRecovery> {
     let t0 = Instant::now();
-    let loader = ShardLoader::new(storage, chain);
+    let loader = ShardLoader::new(storage, chain)?;
     let units = loader.units();
     // Validate the manifest against the catalog *before* mapping into the
     // gate's residency plane.
     validate_units_against_catalog(units, db, "checkpoint")?;
     let parts: Vec<usize> = units.iter().map(|u| partition(&u.part)).collect();
     if let Some(&bad) = parts.iter().find(|&&s| s >= gate.num_shards()) {
-        return Err(pacman_common::Error::Corrupt(format!(
+        return Err(Error::Corrupt(format!(
             "checkpoint shard maps to partition {bad} outside the gate's {} shards",
             gate.num_shards()
         )));
     }
 
     // Everything the chain does not cover is resident by definition.
-    {
-        let covered: std::collections::HashSet<usize> = parts.iter().copied().collect();
-        for s in 0..gate.num_shards() {
-            if !covered.contains(&s) {
-                gate.publish_resident(s);
-            }
-        }
+    let covered: HashSet<usize> = parts.iter().copied().collect();
+    for s in (0..gate.num_shards()).filter(|s| !covered.contains(s)) {
+        gate.publish_resident(s);
     }
 
-    // Pending unit indices, ascending size (the loader sorted them).
-    let pending = parking_lot::Mutex::new((0..units.len()).collect::<Vec<usize>>());
-    let tuples = std::sync::atomic::AtomicU64::new(0);
-    let err = parking_lot::Mutex::new(None::<pacman_common::Error>);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            let pending = &pending;
-            let tuples = &tuples;
-            let err = &err;
-            let parts = &parts;
-            let loader = &loader;
-            scope.spawn(move |_| loop {
-                if err.lock().is_some() {
-                    return;
-                }
-                // Claim: first wanted shard (they are size-ordered, so the
-                // first hit is also the cheapest wanted one), else the
-                // cheapest remaining.
-                let claimed = {
-                    let mut q = pending.lock();
-                    if q.is_empty() {
-                        return;
-                    }
-                    let pos = q
-                        .iter()
-                        .position(|&i| gate.is_shard_wanted(parts[i]))
-                        .unwrap_or(0);
-                    let wanted = gate.is_shard_wanted(parts[q[pos]]);
-                    (q.remove(pos), wanted)
-                };
-                let (ui, wanted) = claimed;
-                let tr = Instant::now();
-                match loader.load_unit_lww(storage, &units[ui], db) {
-                    Ok(n) => {
-                        tuples.fetch_add(n, Ordering::Relaxed);
-                        metrics.add_load(tr.elapsed());
-                        metrics.count_shard_load(wanted);
-                        gate.publish_resident(parts[ui]);
-                    }
-                    Err(e) => {
-                        let mut slot = err.lock();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        return;
-                    }
-                }
-            });
-        }
-    })
-    .expect("lazy checkpoint loader scope");
-    if let Some(e) = err.into_inner() {
-        return Err(e);
-    }
-
-    // Loading and installing interleave for the whole run, so reload and
-    // total coincide (unlike the eager path's two distinct phases) —
-    // keeping the `total >= reload` invariant reports rely on.
-    let elapsed = t0.elapsed();
-    Ok(CheckpointRecovery {
-        reload: elapsed,
-        total: elapsed,
-        ckpt_ts: loader.ckpt_ts(),
-        tuples: tuples.load(Ordering::Relaxed),
-        chain_len: loader.chain_len,
-    })
+    let tally = Tally::default();
+    let reload = loader.stream(
+        storage,
+        threads,
+        |unit| gate.is_shard_wanted(parts[unit]),
+        |part| {
+            let t = Instant::now();
+            install_part(db, &units[part.unit].part, &part.bytes, &tally)?;
+            metrics.add_load(part.read + t.elapsed());
+            metrics.count_shard_load(part.wanted);
+            gate.publish_resident(parts[part.unit]);
+            Ok(())
+        },
+    )?;
+    Ok(loader.report(t0, reload, tally))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pacman_common::{Row, Value};
+    use pacman_common::Value;
     use pacman_engine::Catalog;
+    use pacman_storage::DiskConfig;
     use pacman_wal::checkpoint::read_chain;
     use pacman_wal::{run_checkpoint, run_checkpoint_incremental};
 
@@ -493,12 +536,134 @@ mod tests {
     }
 
     #[test]
-    fn missing_part_is_an_error() {
+    fn missing_part_is_corruption_named_before_any_read() {
         let (db, storage, mut chain) = seeded();
         chain.manifests[0].parts.push((0, 999, 0));
         let fresh = Arc::new(Database::new(db.catalog().clone()));
-        let r = recover_checkpoint_chain(&storage, &chain, 2, CheckpointTarget::Tables(&fresh));
-        assert!(r.is_err());
+        let before = storage.total_stats().bytes_read;
+        let e = recover_checkpoint_chain(&storage, &chain, 2, CheckpointTarget::Tables(&fresh))
+            .unwrap_err();
+        let name = part_name(chain.ts(), 0, 999);
+        assert!(
+            matches!(&e, Error::Corrupt(m) if m.contains(&name)),
+            "unexpected error: {e}"
+        );
+        assert_eq!(storage.total_stats().bytes_read, before);
+        assert_eq!(fresh.total_tuples(), 0);
+    }
+
+    /// 64 parts over two devices — more than the channel, both readers
+    /// and four installers hold between them.
+    fn many_parts() -> (Arc<Database>, StorageSet, CheckpointChain) {
+        let mut c = Catalog::new();
+        c.add_table_sharded("a", 1, 6);
+        let db = Arc::new(Database::new(c));
+        for k in 0..4000u64 {
+            db.seed_row(TableId::new(0), k, Row::from([Value::Int(k as i64)]))
+                .unwrap();
+        }
+        let storage = StorageSet::identical(2, DiskConfig::unthrottled("t"));
+        run_checkpoint(&db, &storage, 2).unwrap();
+        let chain = read_chain(&storage).unwrap().unwrap();
+        assert!(chain.resolve_parts().len() > 4 * (PART_QUEUE + 2 + 4));
+        (db, storage, chain)
+    }
+
+    /// Cut the last byte off a part early in the walk, so that it ends
+    /// inside its last tuple — not the very first part: by the ninth the
+    /// readers have had time to fill the channel behind the installers.
+    fn truncate_early_part(storage: &StorageSet, chain: &CheckpointChain) {
+        let loader = ShardLoader::new(storage, chain).unwrap();
+        let p = loader.units()[2 * PART_QUEUE].part;
+        let name = part_name(p.ts, p.table, p.shard as usize);
+        let disk = storage.disk(p.disk as usize);
+        let bytes = disk.read(&name).unwrap();
+        disk.write_file(&name, &bytes[..bytes.len() - 1]);
+    }
+
+    /// `f` on its own thread; a restore that has not returned after 20 s
+    /// is hung (an unthrottled one takes milliseconds).
+    fn within_bounded_wait<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(Duration::from_secs(20))
+            .expect("checkpoint restore hung on its error path")
+    }
+
+    #[test]
+    fn eager_restore_errors_without_hanging() {
+        for threads in [1, 4] {
+            // (a) a truncated part early in the walk.
+            let (db, storage, chain) = many_parts();
+            truncate_early_part(&storage, &chain);
+            let catalog = db.catalog().clone();
+            let r = within_bounded_wait(move || {
+                let fresh = Database::new(catalog);
+                recover_checkpoint_chain(
+                    &storage,
+                    &chain,
+                    threads,
+                    CheckpointTarget::Tables(&fresh),
+                )
+            });
+            assert!(
+                matches!(r, Err(Error::Corrupt(_))),
+                "{threads} threads: {r:?}"
+            );
+
+            // (b) a manifest naming a missing part.
+            let (db, storage, mut chain) = many_parts();
+            chain.manifests[0].parts.push((0, 999, 1));
+            let catalog = db.catalog().clone();
+            let r = within_bounded_wait(move || {
+                let fresh = Database::new(catalog);
+                recover_checkpoint_chain(
+                    &storage,
+                    &chain,
+                    threads,
+                    CheckpointTarget::Tables(&fresh),
+                )
+            });
+            assert!(
+                matches!(r, Err(Error::Corrupt(_))),
+                "{threads} threads: {r:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn lazy_loader_errors_without_hanging() {
+        for threads in [1, 4] {
+            for missing in [false, true] {
+                let (db, storage, chain) = many_parts();
+                if missing {
+                    let gone = part_name(chain.ts(), 0, 63);
+                    storage.disks().iter().for_each(|d| d.delete(&gone));
+                } else {
+                    truncate_early_part(&storage, &chain);
+                }
+                let fresh = Arc::new(Database::new(db.catalog().clone()));
+                let shards = fresh.table(TableId::new(0)).unwrap().num_shards();
+                let gate = RecoveryGate::with_residency(shards, shards);
+                let gate2 = Arc::clone(&gate);
+                let r = within_bounded_wait(move || {
+                    run_lazy_loader(
+                        &storage,
+                        &chain,
+                        &fresh,
+                        &gate2,
+                        |p| p.shard as usize,
+                        threads,
+                        &RecoveryMetrics::new(),
+                    )
+                });
+                assert!(
+                    matches!(r, Err(Error::Corrupt(_))),
+                    "{threads} threads, missing {missing}: {r:?}"
+                );
+                assert!(!gate.all_resident(), "the failed shard must stay cold");
+            }
+        }
     }
 
     #[test]

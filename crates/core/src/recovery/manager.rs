@@ -141,7 +141,9 @@ pub struct RecoveryReport {
     pub scheme: String,
     /// Threads used.
     pub threads: usize,
-    /// Pure checkpoint file reloading (Fig. 13a), seconds.
+    /// Checkpoint file reloading (Fig. 13a): seconds until the last part
+    /// byte left the device. The restore runs beside the reads, so this
+    /// is a point inside `checkpoint_total_secs`, not a phase before it.
     pub checkpoint_reload_secs: f64,
     /// Overall checkpoint recovery (Fig. 13b), seconds.
     pub checkpoint_total_secs: f64,
@@ -979,57 +981,83 @@ mod tests {
 
     /// A lazy LLR-P session whose base image cannot be fully loaded must
     /// settle `Failed` with a *closed* gate: admitting against the
-    /// half-loaded image would serve (and durably log) corrupt state.
+    /// half-loaded image would serve (and durably log) corrupt state. A
+    /// part that is missing fails before any loader thread starts; one
+    /// that is truncated fails inside the restore pipeline, among more
+    /// parts than the pipeline holds — either way a blocked admission
+    /// returns instead of waiting forever.
     #[test]
     fn llr_p_lazy_load_failure_poisons_the_gate() {
-        let (catalog, reg, storage) = setup();
-        let reference = Arc::new(Database::new(catalog.clone()));
-        for k in 0..64u64 {
-            reference
-                .seed_row(T, k, Row::from([Value::Int(k as i64)]))
+        for truncate in [false, true] {
+            let (_, reg, storage) = setup();
+            let mut catalog = Catalog::new();
+            catalog.add_table_sharded("t", 1, 6);
+            let reference = Arc::new(Database::new(catalog.clone()));
+            for k in 0..4000u64 {
+                reference
+                    .seed_row(T, k, Row::from([Value::Int(k as i64)]))
+                    .unwrap();
+            }
+            pacman_wal::run_checkpoint(&reference, &storage, 1).unwrap();
+            // Corrupt the chain behind recovery's back: one part the tip
+            // manifest references.
+            let manifest = pacman_wal::checkpoint::read_manifest(&storage)
+                .unwrap()
                 .unwrap();
-        }
-        pacman_wal::run_checkpoint(&reference, &storage, 1).unwrap();
-        // Corrupt the chain behind recovery's back: delete one part the
-        // tip manifest references.
-        let manifest = pacman_wal::checkpoint::read_manifest(&storage)
-            .unwrap()
-            .unwrap();
-        let (table, shard, disk) = manifest.parts[0];
-        storage
-            .disk(disk as usize)
-            .delete(&pacman_wal::checkpoint::part_name(
-                manifest.ts,
-                table,
-                shard as usize,
-            ));
-        storage
-            .disk(0)
-            .write_file("pepoch.log", &u64::MAX.to_le_bytes());
+            let (table, shard, disk) = manifest.parts[0];
+            let name = pacman_wal::checkpoint::part_name(manifest.ts, table, shard as usize);
+            let disk = storage.disk(disk as usize);
+            if truncate {
+                let bytes = disk.read(&name).unwrap();
+                disk.write_file(&name, &bytes[..bytes.len() - 1]);
+            } else {
+                disk.delete(&name);
+            }
+            storage
+                .disk(0)
+                .write_file("pepoch.log", &u64::MAX.to_le_bytes());
 
-        let session = recover_online(
-            &storage,
-            &catalog,
-            &reg,
-            &RecoveryConfig {
-                scheme: RecoveryScheme::LlrP,
-                threads: 2,
-            },
-        )
-        .unwrap();
-        let admission = session.admission();
-        let gate = Arc::clone(session.gate());
-        let err = session.wait();
-        assert!(err.is_err(), "missing part must fail the session");
-        assert!(gate.is_failed());
-        assert!(!admission.is_open());
-        assert!(
-            !admission.try_admit(
-                ProcId::new(0),
-                &pacman_sproc::params([Value::Int(1), Value::Int(1)])
-            ),
-            "a poisoned gate must not admit anything"
-        );
+            let session = recover_online(
+                &storage,
+                &catalog,
+                &reg,
+                &RecoveryConfig {
+                    scheme: RecoveryScheme::LlrP,
+                    threads: 2,
+                },
+            )
+            .unwrap();
+            let admission = session.admission();
+            let gate = Arc::clone(session.gate());
+            // A transaction on a key of the broken shard: blocked until
+            // the session settles, then refused.
+            let key = (0..4000u64)
+                .find(|&k| reference.table(T).unwrap().shard_index(k) == shard as usize)
+                .unwrap();
+            let params = pacman_sproc::params([Value::Int(key as i64), Value::Int(1)]);
+            let (tx, rx) = std::sync::mpsc::channel();
+            let waiter = {
+                let (admission, params) = (Arc::clone(&admission), params.clone());
+                std::thread::spawn(move || {
+                    let stop = std::sync::atomic::AtomicBool::new(false);
+                    tx.send(admission.admit(ProcId::new(0), &params, &stop))
+                })
+            };
+            let err = session.wait();
+            assert!(err.is_err(), "a broken part must fail the session");
+            assert!(gate.is_failed());
+            assert!(!admission.is_open());
+            assert_eq!(
+                rx.recv_timeout(std::time::Duration::from_secs(20)),
+                Ok(false),
+                "the blocked admission must return, refused (truncate: {truncate})"
+            );
+            waiter.join().unwrap().unwrap();
+            assert!(
+                !admission.try_admit(ProcId::new(0), &params),
+                "a poisoned gate must not admit anything"
+            );
+        }
     }
 
     /// A tip manifest referencing a shard outside the catalog must fail

@@ -49,7 +49,7 @@ const SLOT_SPIN_LIMIT: u32 = 64;
 
 /// Registry-backed version-memory telemetry, bound lazily like the OCC
 /// counters in `txn.rs` so installs pay one `OnceLock` load + relaxed add.
-fn versions_retained() -> &'static Gauge {
+pub(crate) fn versions_retained() -> &'static Gauge {
     static G: OnceLock<Gauge> = OnceLock::new();
     G.get_or_init(|| pacman_obs::registry().gauge("engine.versions.retained"))
 }
@@ -141,14 +141,29 @@ impl TupleChain {
 
     /// A chain seeded with one version (initial load / checkpoint load).
     pub fn with_version(ts: Timestamp, row: Option<Arc<Row>>) -> Self {
-        let chain = Self::new();
-        {
-            let mut st = chain.state.lock();
-            st.list.install_committed(ts, row);
-            versions_retained().inc();
-            chain.publish_newest(&mut st);
+        versions_retained().inc();
+        Self::seeded(ts, row)
+    }
+
+    /// [`TupleChain::with_version`] without the gauge: the caller adds the
+    /// version to `engine.versions.retained` (a bulk load adds a shard's
+    /// count at once). Nobody shares the chain yet, so the list and the
+    /// slot are written directly — no lock, no seqlock round.
+    pub(crate) fn seeded(ts: Timestamp, row: Option<Arc<Row>>) -> Self {
+        let slot = row.as_ref().map_or(std::ptr::null_mut(), |r| {
+            Arc::into_raw(Arc::clone(r)) as *mut Row
+        });
+        TupleChain {
+            latch: SpinLatch::default(),
+            state: Mutex::new(ChainState {
+                list: VersionList::seeded(ts, row),
+                retired: Vec::new(),
+            }),
+            slot_seq: AtomicU64::new(0),
+            slot_ts: AtomicU64::new(ts),
+            slot_row: AtomicPtr::new(slot),
+            slot_readers: AtomicU64::new(0),
         }
-        chain
     }
 
     /// Publish the version list's newest entry into the slot. Callers hold

@@ -39,6 +39,6 @@ pub use interp::{
     execute_plan, run_procedure, run_procedure_in, run_procedure_with_epoch, ExecFrame,
 };
 pub use recovery_gate::{AdmissionControl, RecoveryGate};
-pub use table::Table;
+pub use table::{ShardLoad, Table};
 pub use txn::{recycle_commit_info, CommitInfo, RowMut, Txn, TxnScratch, WriteKind, WriteRecord};
 pub use version::{VersionEntry, VersionList};

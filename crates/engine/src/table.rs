@@ -6,7 +6,7 @@
 //! the concurrent database indexes", §6.2.2).
 
 use crate::catalog::TableMeta;
-use crate::chain::TupleChain;
+use crate::chain::{versions_retained, TupleChain};
 use pacman_common::fingerprint::{Fingerprint, Fnv};
 use pacman_common::{Key, Row, Timestamp};
 use parking_lot::RwLock;
@@ -16,6 +16,16 @@ use std::sync::Arc;
 
 /// One ordered shard: keys to their version chains.
 type Shard = RwLock<BTreeMap<Key, Arc<TupleChain>>>;
+
+/// What [`Table::load_shard`] did with a run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ShardLoad {
+    /// Tuples in the run.
+    pub tuples: u64,
+    /// Whether the shard was built in one piece (`false`: per-key
+    /// last-writer-wins).
+    pub bulk: bool,
+}
 
 /// One table: `2^shard_bits` ordered shards of tuple chains.
 #[derive(Debug)]
@@ -107,8 +117,46 @@ impl Table {
         self.get_or_create(key).install_lww(ts, row);
     }
 
-    /// Bulk-insert a seeded chain (initial load / checkpoint load). Replaces
-    /// any existing chain for the key.
+    /// Install `run`, the tuples of a snapshot of `shard` taken at `ts` (a
+    /// checkpoint part), every version at `ts`.
+    ///
+    /// A run that *is* the shard — keys strictly ascending, all owned by
+    /// `shard`, and the shard still empty — becomes the shard's map in one
+    /// build under one write lock, with one dirty mark and one addition to
+    /// `engine.versions.retained`. Anything else (a shard a racing replay
+    /// or an earlier state already populated, a part out of order or
+    /// holding another shard's keys) installs per key, timestamped
+    /// last-writer-wins, which reaches the same state in any order and
+    /// never replaces a newer version.
+    pub fn load_shard(&self, shard: usize, ts: Timestamp, run: Vec<(Key, Arc<Row>)>) -> ShardLoad {
+        let tuples = run.len() as u64;
+        let is_shard = shard < self.shards.len()
+            && run.iter().all(|&(k, _)| self.shard_of(k) == shard)
+            && run.windows(2).all(|w| w[0].0 < w[1].0);
+        if is_shard {
+            // Marked before the versions become visible, as every install.
+            self.mark_shard_dirty(shard, ts);
+            let mut map = self.shards[shard].write();
+            if map.is_empty() {
+                *map = run
+                    .into_iter()
+                    .map(|(k, row)| (k, Arc::new(TupleChain::seeded(ts, Some(row)))))
+                    .collect();
+                versions_retained().add(tuples);
+                return ShardLoad { tuples, bulk: true };
+            }
+        }
+        for (key, row) in run {
+            self.install_lww(key, ts, Some(row));
+        }
+        ShardLoad {
+            tuples,
+            bulk: false,
+        }
+    }
+
+    /// Insert a seeded chain (index rebuild from a raw heap). Replaces any
+    /// existing chain for the key.
     pub fn put_chain(&self, key: Key, chain: Arc<TupleChain>) {
         self.mark_dirty(key, chain.newest_ts());
         self.shards[self.shard_of(key)].write().insert(key, chain);
@@ -298,6 +346,60 @@ mod tests {
         let c = Arc::new(TupleChain::with_version(12, row(5)));
         t.put_chain(42, c);
         assert_eq!(t.shard_dirty_ts(s), 12);
+    }
+
+    #[test]
+    fn load_shard_builds_whole_shards_and_falls_back_per_key() {
+        let t = table();
+        let shard = t.shard_index(42);
+        let keys: Vec<Key> = (0..400).filter(|&k| t.shard_index(k) == shard).collect();
+        let run = |keys: &[Key]| -> Vec<(Key, Arc<Row>)> {
+            keys.iter().map(|&k| (k, row(k as i64).unwrap())).collect()
+        };
+        let n = keys.len() as u64;
+
+        // The sorted, complete shard into the empty shard: one build.
+        let load = t.load_shard(shard, 7, run(&keys));
+        assert_eq!(
+            load,
+            ShardLoad {
+                tuples: n,
+                bulk: true
+            }
+        );
+        assert_eq!(t.scan_shard_range(shard, 0, u64::MAX), keys);
+        assert_eq!(t.shard_dirty_ts(shard), 7);
+        assert_eq!(t.get(42).unwrap().newest().0, 7);
+        assert_eq!(t.get(42).unwrap().num_versions(), 1);
+
+        // Again, older: the shard is no longer empty, every key loses.
+        let load = t.load_shard(shard, 5, run(&keys));
+        assert_eq!(
+            load,
+            ShardLoad {
+                tuples: n,
+                bulk: false
+            }
+        );
+        assert_eq!(t.get(42).unwrap().newest().0, 7);
+
+        // Out of order, or holding another shard's key, or naming a shard
+        // the table does not have: per key, same state.
+        for spoil in 0..3 {
+            let u = table();
+            let (mut keys, mut target) = (keys.clone(), shard);
+            match spoil {
+                0 => keys.swap(0, 1),
+                1 => keys.push((0..400).find(|&k| u.shard_index(k) != shard).unwrap()),
+                _ => target = u.num_shards() + shard,
+            }
+            let load = u.load_shard(target, 7, run(&keys));
+            assert!(!load.bulk, "spoil {spoil}");
+            assert_eq!(u.num_keys(), keys.len(), "spoil {spoil}");
+            for &k in &keys {
+                assert_eq!(u.get(k).unwrap().newest().0, 7, "spoil {spoil}");
+            }
+        }
     }
 
     #[test]

@@ -38,6 +38,14 @@ impl VersionList {
         Self::default()
     }
 
+    /// A list holding one version, allocated for exactly that one: most
+    /// restored tuples are never written again.
+    pub fn seeded(ts: Timestamp, row: Option<Arc<Row>>) -> Self {
+        VersionList {
+            entries: vec![VersionEntry { ts, row }],
+        }
+    }
+
     /// Number of versions retained.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -270,6 +270,13 @@ pub fn run_checkpoint_incremental_chained(
 /// Shared body of full and delta rounds. `base = None` writes a full
 /// checkpoint; `base = Some(chain)` writes a delta over the chain tip.
 /// Returns the round's stats plus the resulting chain (new link first).
+///
+/// **Part-file invariant.** A part holds the tuples of exactly one
+/// `(table, shard)` visible at the round's timestamp, in ascending key
+/// order (the shard's `BTreeMap` order, via `for_each_visible_at_shard`),
+/// each key once. Restore relies on it to build a shard in one piece
+/// ([`pacman_engine::Table::load_shard`]), and checks it per part: a file
+/// that breaks it still restores, per key.
 fn checkpoint_round(
     db: &Arc<Database>,
     storage: &StorageSet,
@@ -425,16 +432,43 @@ pub fn read_chain(storage: &StorageSet) -> Result<Option<CheckpointChain>> {
     Ok(Some(CheckpointChain { manifests }))
 }
 
-/// Decode one checkpoint part into `(key, row)` pairs.
-pub fn decode_part(bytes: &[u8]) -> Result<Vec<(Key, Row)>> {
-    let mut cur = Cursor::new(bytes);
-    let mut out = Vec::new();
-    while !cur.is_empty() {
-        let key = cur.read_u64()?;
-        let row = Row::decode(&mut cur)?;
-        out.push((key, row));
+/// A borrowed walk over one checkpoint part (the bytes stay in the read
+/// buffer): `put_u64(key)` + `Row::encode` per tuple, back to back, as
+/// [`checkpoint_round`] wrote them.
+///
+/// Each step delimits and validates one tuple and decodes its row at that
+/// point, so a part is walked once and nothing is collected here. Restore
+/// installs every tuple of a part, which is why the view does not delimit
+/// first and decode later as `RecordView` does for writes replay may skip:
+/// that would walk every row twice. A tuple that does not decode yields
+/// its error and ends the walk — bytes after it cannot be delimited.
+pub struct PartView<'a> {
+    cur: Cursor<'a>,
+}
+
+impl<'a> PartView<'a> {
+    /// Walk `bytes`, the whole content of a part file.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        PartView {
+            cur: Cursor::new(bytes),
+        }
     }
-    Ok(out)
+}
+
+impl Iterator for PartView<'_> {
+    type Item = Result<(Key, Row)>;
+
+    fn next(&mut self) -> Option<Result<(Key, Row)>> {
+        if self.cur.is_empty() {
+            return None;
+        }
+        let cur = &mut self.cur;
+        let tuple = cur.read_u64().and_then(|key| Ok((key, Row::decode(cur)?)));
+        if tuple.is_err() {
+            self.cur = Cursor::new(&[]);
+        }
+        Some(tuple)
+    }
 }
 
 /// Chain-aware retention: delete checkpoint files older than the live
@@ -524,7 +558,7 @@ mod tests {
                 .disk(*disk as usize)
                 .read(&part_name(ts, *table, *shard as usize))
                 .unwrap();
-            total += decode_part(&bytes).unwrap().len();
+            total += PartView::new(&bytes).count();
         }
         assert_eq!(total, 140);
     }
@@ -546,7 +580,7 @@ mod tests {
                 .disk(*disk as usize)
                 .read(&part_name(ts, *table, *shard as usize))
                 .unwrap();
-            for (k, row) in decode_part(&bytes).unwrap() {
+            for (k, row) in PartView::new(&bytes).map(|t| t.unwrap()) {
                 if k == 5 {
                     found = Some(row);
                 }
@@ -612,7 +646,7 @@ mod tests {
             .disk(p.disk as usize)
             .read(&part_name(p.ts, p.table, p.shard as usize))
             .unwrap();
-        let rows = decode_part(&bytes).unwrap();
+        let rows: Vec<(Key, Row)> = PartView::new(&bytes).map(|t| t.unwrap()).collect();
         assert!(rows
             .iter()
             .any(|(k, r)| *k == 7 && r.col(0) == &Value::Int(-7)));
@@ -678,7 +712,7 @@ mod tests {
             .disk(resolved[0].disk as usize)
             .read(&part_name(delta.ts, 0, 0))
             .unwrap();
-        assert!(decode_part(&bytes).unwrap().is_empty());
+        assert!(PartView::new(&bytes).next().is_none());
     }
 
     #[test]

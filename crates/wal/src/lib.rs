@@ -39,7 +39,7 @@ pub use batch::{
 pub use checkpoint::{
     read_chain, run_checkpoint, run_checkpoint_full, run_checkpoint_full_chained,
     run_checkpoint_incremental, run_checkpoint_incremental_chained, CheckpointChain,
-    CheckpointManifest, CheckpointStats, ResolvedPart,
+    CheckpointManifest, CheckpointStats, PartView, ResolvedPart,
 };
 pub use classify::{CommitClassifier, LogChoice, WriteCountClassifier};
 pub use durability::{Durability, DurabilityConfig, LogScheme, ResumeInfo, WorkerLogBuffer};

@@ -14,7 +14,7 @@
 //! * `AdHoc` — logical payload logged under command logging for
 //!   transactions not issued from stored procedures (§4.5).
 
-use pacman_common::codec::{put_u32, put_u64, put_varint, Cursor};
+use pacman_common::codec::{put_u32, put_u64, put_varint, read_row_arity, Cursor};
 use pacman_common::{Decoder, Encoder, Error, ProcId, Result, Row, TableId, Timestamp, Value};
 use pacman_engine::{WriteKind, WriteRecord};
 use pacman_sproc::Params;
@@ -299,10 +299,7 @@ fn skip_value(cur: &mut Cursor<'_>) -> Result<()> {
 
 /// Skip one encoded [`Row`] (same arity guard as `Row::decode`).
 fn skip_row(cur: &mut Cursor<'_>) -> Result<()> {
-    let n = cur.read_varint()? as usize;
-    if n > 1 << 20 {
-        return Err(Error::Corrupt(format!("implausible row arity {n}")));
-    }
+    let n = read_row_arity(cur)?;
     for _ in 0..n {
         skip_value(cur)?;
     }
