@@ -19,16 +19,6 @@ impl Row {
         Row { cols: cols.into() }
     }
 
-    /// Build a row by copying a column slice (one `Arc<[Value]>`
-    /// allocation; `Value` clones are shallow). The write path's image
-    /// materializer: a reusable scratch buffer feeds this without giving
-    /// up its capacity the way [`Row::new`] would.
-    pub fn from_slice(cols: &[Value]) -> Self {
-        Row {
-            cols: Arc::from(cols),
-        }
-    }
-
     /// Number of columns.
     #[inline]
     pub fn arity(&self) -> usize {

@@ -19,7 +19,7 @@
 
 use crate::schedule::{PieceOps, PieceSet, TxnCtx};
 use pacman_common::{Key, TableId};
-use pacman_sproc::{resolve_accesses, Access};
+use pacman_sproc::{resolve_accesses, Access, ExecFrame};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU32;
 
@@ -80,6 +80,8 @@ pub struct DagScratch {
     since_opaque: Vec<u32>,
     /// Per-piece write position while the adjacency is transposed.
     fill: Vec<u32>,
+    /// Registers the pieces' guard and key code runs over.
+    frame: ExecFrame,
 }
 
 /// Append the dependencies the access `(table, key, write)` of `piece`
@@ -124,6 +126,7 @@ pub fn build_piece_dag(set: &PieceSet, txns: &[TxnCtx], scratch: &mut DagScratch
         deps,
         since_opaque,
         fill,
+        frame,
     } = scratch;
     keys.clear();
     readers.clear();
@@ -146,7 +149,8 @@ pub fn build_piece_dag(set: &PieceSet, txns: &[TxnCtx], scratch: &mut DagScratch
             PieceOps::Slice(plan) => {
                 let ctx = &txns[piece.txn];
                 let proc = ctx.proc.as_ref().expect("slice piece has a procedure");
-                let r = resolve_accesses(proc, plan, &ctx.params, Some(&ctx.vars), &mut slots);
+                let vars = Some(&*ctx.vars);
+                let r = resolve_accesses(proc, plan, &ctx.params, vars, frame, &mut slots);
                 if r.is_err() {
                     slots.truncate(slots_start);
                 }

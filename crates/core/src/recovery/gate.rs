@@ -28,7 +28,7 @@
 use crate::static_analysis::GlobalGraph;
 use pacman_common::{BlockId, Key, ProcId, Result, TableId};
 use pacman_engine::{AdmissionControl, Database, RecoveryGate};
-use pacman_sproc::{EvalCtx, Params, ProcRegistry, ProcedureDef};
+use pacman_sproc::{EvalCtx, ExecFrame, ExprCode, Params, ProcRegistry};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -85,8 +85,8 @@ impl ShardMap {
 /// One op's contribution to a tuple-scheme static footprint.
 #[derive(Clone, Debug)]
 enum ShardFp {
-    /// Key computable from the parameters alone: op index to evaluate.
-    Exact { table: TableId, op: usize },
+    /// Key computable from the parameters alone: its compiled expression.
+    Exact { table: TableId, key: ExprCode },
     /// Key depends on runtime state: every shard of the table.
     Whole(TableId),
 }
@@ -108,9 +108,8 @@ enum MapKind {
         db: Arc<Database>,
         /// The partition numbering.
         map: ShardMap,
-        /// Procedures indexed by `ProcId::index()` (`None` = id gap).
-        procs: Vec<Option<Arc<ProcedureDef>>>,
-        /// Static per-op resolvers, same indexing.
+        /// Static per-op resolvers indexed by `ProcId::index()` (empty for
+        /// an id gap).
         footprints: Vec<Vec<ShardFp>>,
     },
 }
@@ -170,30 +169,27 @@ impl GateMap {
             .map(|p| p.id.index() + 1)
             .max()
             .unwrap_or(0);
-        let mut procs: Vec<Option<Arc<ProcedureDef>>> = vec![None; max_id];
         let mut footprints = vec![Vec::new(); max_id];
         for def in registry.all() {
             let mut fp = Vec::with_capacity(def.ops.len());
-            for (oi, op) in def.ops.iter().enumerate() {
+            for op in &def.ops {
                 let mut vars = Vec::new();
                 op.key.collect_vars(&mut vars);
                 if vars.is_empty() && !op.key.uses_loop() {
                     fp.push(ShardFp::Exact {
                         table: op.table,
-                        op: oi,
+                        key: ExprCode::compile(&op.key, &|_| false),
                     });
                 } else {
                     fp.push(ShardFp::Whole(op.table));
                 }
             }
             footprints[def.id.index()] = fp;
-            procs[def.id.index()] = Some(Arc::clone(def));
         }
         GateMap {
             kind: MapKind::Shards {
                 db,
                 map,
-                procs,
                 footprints,
             },
         }
@@ -216,20 +212,18 @@ impl GateMap {
             MapKind::Shards {
                 db,
                 map,
-                procs,
                 footprints,
             } => {
-                let (Some(fp), Some(Some(def))) =
-                    (footprints.get(proc.index()), procs.get(proc.index()))
-                else {
+                let Some(fp) = footprints.get(proc.index()) else {
                     return Vec::new();
                 };
                 let ctx = EvalCtx::of_params(params);
+                let mut frame = ExecFrame::default();
                 let mut out = Vec::new();
                 for entry in fp {
                     match entry {
-                        ShardFp::Exact { table, op } => {
-                            match def.ops[*op].key.eval_key(&ctx) {
+                        ShardFp::Exact { table, key } => {
+                            match key.eval_key(&ctx, &mut frame) {
                                 Ok(key) => {
                                     if let Ok(p) = map.partition(db, *table, key) {
                                         out.push(p);

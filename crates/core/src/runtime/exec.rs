@@ -27,14 +27,12 @@ pub fn apply_writes(db: &Database, ts: Timestamp, writes: &[WriteRecord]) -> Res
     Ok(())
 }
 
-/// One replay thread's executor: the tuple cursor, the interpreter scratch
-/// and (for serial replay) the variable frame, all reused from piece to
-/// piece and record to record.
+/// One replay thread's executor: the tuple cursor and the interpreter
+/// scratch, reused from piece to piece and record to record.
 pub struct Replayer<'a> {
     db: &'a Database,
     access: ReplayAccess<'a>,
     frame: ExecFrame,
-    vars: VarStore,
 }
 
 impl<'a> Replayer<'a> {
@@ -44,7 +42,6 @@ impl<'a> Replayer<'a> {
             db,
             access: ReplayAccess::new(db, 0),
             frame: ExecFrame::default(),
-            vars: VarStore::new(0),
         }
     }
 
@@ -97,13 +94,14 @@ impl<'a> Replayer<'a> {
         match &record.payload {
             LogPayload::Command { proc, params } => {
                 let def = registry.get(*proc)?;
-                self.vars.reset(def.num_vars);
                 self.access.retarget(record.ts);
+                // One plan holds every operation replay runs: no variable
+                // leaves its register.
                 execute_plan(
                     def,
                     def.replay_plan(),
                     params,
-                    &self.vars,
+                    VarStore::shared_empty(),
                     None,
                     &mut self.frame,
                     &mut self.access,

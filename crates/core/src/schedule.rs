@@ -22,7 +22,9 @@ pub struct TxnCtx {
     pub proc: Option<Arc<ProcedureDef>>,
     /// Invocation parameters (empty for ad-hoc records).
     pub params: Params,
-    /// Cross-piece variable store (Fig. 7's `dst` hand-off).
+    /// Cross-piece variable store (Fig. 7's `dst` hand-off); the batch's
+    /// shared empty one when no piece of the procedure hands a variable
+    /// over.
     pub vars: Arc<VarStore>,
 }
 
@@ -80,9 +82,10 @@ impl ExecutionSchedule {
         let mut txns = Vec::with_capacity(batch.records.len());
         // Scratch arena reused across the whole batch: the outer grouping
         // vector keeps its capacity from record to record (the per-group
-        // vectors move into their pieces' `Arc`s), and write-only
-        // transactions share one empty param/var context instead of
-        // allocating fresh ones per record.
+        // vectors move into their pieces' `Arc`s), and transactions with
+        // nothing to hand over — write-only ones, and procedures none of
+        // whose pieces publishes or imports a variable — share one empty
+        // param/var context instead of allocating fresh ones per record.
         let mut by_block: Vec<(BlockId, Vec<WriteRecord>)> = Vec::new();
         let empty_params: Params = Arc::from(Vec::new());
         let empty_vars = Arc::new(VarStore::new(0));
@@ -92,8 +95,13 @@ impl ExecutionSchedule {
             match &record.payload {
                 LogPayload::Command { proc, params } => {
                     let def = Arc::clone(registry.get(*proc)?);
-                    let vars = Arc::new(VarStore::new(def.num_vars));
-                    for (tmpl, plan) in gdg.templates_for(*proc).iter().zip(gdg.plans_for(*proc)) {
+                    let plans = gdg.plans_for(*proc);
+                    let vars = if plans.iter().any(|p| p.hands_off()) {
+                        Arc::new(VarStore::new(def.num_vars))
+                    } else {
+                        Arc::clone(&empty_vars)
+                    };
+                    for (tmpl, plan) in gdg.templates_for(*proc).iter().zip(plans) {
                         piece_sets[tmpl.block.index()].pieces.push(Piece {
                             txn: txn_idx,
                             ts: record.ts,

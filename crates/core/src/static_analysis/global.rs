@@ -293,7 +293,7 @@ impl GlobalGraph {
             .zip(procs)
             .map(|(list, proc)| {
                 list.iter()
-                    .map(|t| Arc::new(PiecePlan::compile(&proc.ops, &t.ops)))
+                    .map(|t| Arc::new(proc.replay_piece(&t.ops)))
                     .collect()
             })
             .collect();

@@ -23,10 +23,32 @@ pub trait DataAccess {
     fn read(&mut self, table: TableId, key: Key, col: usize) -> Result<Value>;
     /// Read-modify-write one column.
     fn write_col(&mut self, table: TableId, key: Key, col: usize, value: Value) -> Result<()>;
+    /// `col ← col + delta` (`- delta` if `negate`): [`DataAccess::read`]
+    /// followed by [`DataAccess::write_col`] of the sum, with the errors of
+    /// either, on one tuple lookup where the back-end can.
+    fn add_col(
+        &mut self,
+        table: TableId,
+        key: Key,
+        col: usize,
+        delta: &Value,
+        negate: bool,
+    ) -> Result<()> {
+        let old = self.read(table, key, col)?;
+        self.write_col(table, key, col, plus(&old, delta, negate))
+    }
     /// Insert a full row.
     fn insert(&mut self, table: TableId, key: Key, row: Row) -> Result<()>;
     /// Delete the row.
     fn delete(&mut self, table: TableId, key: Key) -> Result<()>;
+}
+
+fn plus(old: &Value, delta: &Value, negate: bool) -> Value {
+    if negate {
+        old.sub(delta)
+    } else {
+        old.add(delta)
+    }
 }
 
 /// OCC-transactional access.
@@ -58,6 +80,25 @@ impl DataAccess for TxnAccess<'_, '_> {
             return Err(no_such_column(table, key, col));
         }
         row.set_col(col, value);
+        row.stage();
+        Ok(())
+    }
+
+    fn add_col(
+        &mut self,
+        table: TableId,
+        key: Key,
+        col: usize,
+        delta: &Value,
+        negate: bool,
+    ) -> Result<()> {
+        // Opening for update observes the tuple exactly as a read does.
+        let mut row = self.txn.read_for_update(table, key)?;
+        if col >= row.arity() {
+            return Err(no_such_column(table, key, col));
+        }
+        let sum = plus(row.col(col), delta, negate);
+        row.set_col(col, sum);
         row.stage();
         Ok(())
     }
@@ -165,7 +206,9 @@ impl<'a> ReplayAccess<'a> {
             return;
         }
         let image = if cur.edited {
-            Some(Arc::new(Row::from_slice(&self.buf)))
+            // The edited columns move into the image; the buffer keeps its
+            // capacity for the next tuple.
+            Some(Arc::new(self.buf.drain(..).collect::<Row>()))
         } else {
             cur.image
         };
@@ -202,6 +245,30 @@ impl<'a> ReplayAccess<'a> {
         let cur = self.cursor.as_mut().expect("cursor opened above");
         Ok((cur, &mut self.buf))
     }
+
+    /// Open column `col` of `(table, key)` for writing: the tuple's image
+    /// moves to the edit buffer on the first write, and an install is due.
+    fn edit(&mut self, table: TableId, key: Key, col: usize) -> Result<&mut Value> {
+        let (cur, buf) = self.seek(table, key)?;
+        if !cur.edited {
+            let row = cur
+                .image
+                .as_ref()
+                .ok_or_else(|| key_not_found(table, key))?;
+            if col >= row.arity() {
+                return Err(no_such_column(table, key, col));
+            }
+            buf.clear();
+            buf.extend_from_slice(row.cols());
+            cur.image = None;
+            cur.edited = true;
+        }
+        let slot = buf
+            .get_mut(col)
+            .ok_or_else(|| no_such_column(table, key, col))?;
+        cur.dirty = true;
+        Ok(slot)
+    }
 }
 
 fn key_not_found(table: TableId, key: Key) -> Error {
@@ -229,23 +296,20 @@ impl DataAccess for ReplayAccess<'_> {
     }
 
     fn write_col(&mut self, table: TableId, key: Key, col: usize, value: Value) -> Result<()> {
-        let (cur, buf) = self.seek(table, key)?;
-        if !cur.edited {
-            let row = cur
-                .image
-                .as_ref()
-                .ok_or_else(|| key_not_found(table, key))?;
-            if col >= row.arity() {
-                return Err(no_such_column(table, key, col));
-            }
-            buf.clear();
-            buf.extend_from_slice(row.cols());
-            cur.image = None;
-            cur.edited = true;
-        }
-        *buf.get_mut(col)
-            .ok_or_else(|| no_such_column(table, key, col))? = value;
-        cur.dirty = true;
+        *self.edit(table, key, col)? = value;
+        Ok(())
+    }
+
+    fn add_col(
+        &mut self,
+        table: TableId,
+        key: Key,
+        col: usize,
+        delta: &Value,
+        negate: bool,
+    ) -> Result<()> {
+        let slot = self.edit(table, key, col)?;
+        *slot = plus(slot, delta, negate);
         Ok(())
     }
 
@@ -406,6 +470,43 @@ mod tests {
         assert!(a.write_col(T, 1, 9, Value::Int(0)).is_err());
         a.write_col(T, 1, 0, Value::Int(1)).unwrap();
         assert!(a.write_col(T, 1, 9, Value::Int(0)).is_err());
+    }
+
+    /// `add_col` is a read and a write of the sum — to the state, to the
+    /// read set, and in what it reports for a missing tuple or column.
+    #[test]
+    fn add_col_is_read_then_write() {
+        let db = db();
+        let mut txn = db.begin();
+        let mut a = TxnAccess::new(&mut txn);
+        a.add_col(T, 1, 0, &Value::Int(5), false).unwrap();
+        a.add_col(T, 1, 0, &Value::Int(2), true).unwrap();
+        assert_eq!(a.read(T, 1, 0).unwrap(), Value::Int(13));
+        assert_eq!(
+            a.add_col(T, 9, 0, &Value::Int(1), false),
+            a.read(T, 9, 0).map(drop)
+        );
+        assert_eq!(
+            a.add_col(T, 1, 9, &Value::Int(1), false),
+            a.read(T, 1, 9).map(drop)
+        );
+        assert_eq!((txn.reads_len(), txn.writes_len()), (1, 1));
+        txn.commit().unwrap();
+
+        let mut a = ReplayAccess::new(&db, newest(&db, 1).0 + 1);
+        a.add_col(T, 1, 0, &Value::Float(0.5), false).unwrap();
+        assert_eq!(a.read(T, 1, 0).unwrap(), Value::Float(13.5));
+        assert_eq!(
+            a.add_col(T, 9, 0, &Value::Int(1), false),
+            a.read(T, 9, 0).map(drop)
+        );
+        assert_eq!(
+            a.add_col(T, 1, 9, &Value::Int(1), false),
+            a.read(T, 1, 9).map(drop)
+        );
+        a.finish();
+        let row = newest(&db, 1).1.unwrap();
+        assert_eq!(row.cols(), &[Value::Float(13.5), Value::str("x")]);
     }
 
     #[test]

@@ -1,50 +1,41 @@
 //! The operation interpreter.
 //!
-//! Executes a subset of a procedure's operations (the whole procedure
-//! during normal processing; its replay-live operations during CLR replay;
-//! a single slice of those during CLR-P replay) against any [`DataAccess`]
-//! back-end. Loop groups re-bind loop-local variables per iteration;
-//! top-level variables go to the transaction's shared [`VarStore`] so
-//! downstream pieces can consume them (Fig. 7: slice `T2` receives `dst`
-//! produced by slice `T1`).
+//! Executes a compiled plan — the whole procedure during normal
+//! processing; its replay-live operations during CLR replay; a single
+//! slice of those during CLR-P replay — against any [`DataAccess`]
+//! back-end: a `pc` loop over each group's flat register code
+//! (`pacman_sproc::code`). Expressions are the evaluator's
+//! ([`pacman_sproc::Machine`]); the loop here adds the instructions that
+//! touch storage. A read's value lives in its variable's register; it
+//! goes to the transaction's shared [`VarStore`] as well only when the plan
+//! says a piece outside it is waiting for it (Fig. 7: slice `T2` receives
+//! `dst` produced by slice `T1`).
 
 use crate::access::{DataAccess, TxnAccess};
 use crate::database::Database;
 use crate::txn::{CommitInfo, Txn};
-use pacman_common::{Error, Key, Result, Row};
-use pacman_sproc::{
-    Access, EvalCtx, LocalBindings, OpKind, Params, PiecePlan, ProcedureDef, VarStore,
-};
+use pacman_common::{Error, Result, Row};
+use pacman_sproc::{Access, AccessKind, Instr, Params, PiecePlan, ProcedureDef, VarStore};
 
-/// Reusable interpreter scratch: the loop-local bindings and the site keys
-/// of the iteration in flight. Callers keep one per thread (replay
-/// workers) or per pooled transaction scratch (normal processing), so a
-/// warm interpreter allocates nothing of its own.
-#[derive(Debug, Default)]
-pub struct ExecFrame {
-    locals: LocalBindings,
-    site_keys: Vec<Option<Key>>,
-}
-
-impl ExecFrame {
-    /// Drop every binding, keeping capacity (pooled-scratch reset).
-    pub fn clear(&mut self) {
-        self.locals.clear();
-        self.site_keys.clear();
-    }
-}
+pub use pacman_sproc::ExecFrame;
 
 /// Execute `plan` — a compiled set of ops of `proc`: the whole procedure
 /// during normal processing, its replay plan during serial replay, one
 /// piece during CLR-P. Returns the number of operations actually executed
-/// (loops unrolled, guard-skipped ops excluded) — the dynamic replay-cost
-/// signal of the adaptive-logging cost model.
+/// (loops unrolled, guard-skipped ops excluded, a fused read–write pair
+/// counted as the two it is) — the dynamic replay-cost signal of the
+/// adaptive-logging cost model.
 ///
 /// Every access site's key is determined at most once per iteration: taken
 /// from `resolved` — the piece's slots as `pacman_sproc::resolve_accesses`
 /// laid them out at parameter-checking time — when given, and otherwise
-/// (or for a slot that check left empty) evaluated when the first
-/// operation of the site executes.
+/// (or for a slot that check left empty) computed by the site's key code
+/// when the first operation of the site executes.
+///
+/// `frame` holds the register file and the site keys; a warm one makes the
+/// run allocation-free. `vars` is looked at only for variables another
+/// plan of the transaction hands over, and written only for those this
+/// plan hands over ([`PiecePlan::hands_off`]).
 pub fn execute_plan(
     proc: &ProcedureDef,
     plan: &PiecePlan,
@@ -54,76 +45,65 @@ pub fn execute_plan(
     frame: &mut ExecFrame,
     access: &mut dyn DataAccess,
 ) -> Result<u64> {
-    let ExecFrame { locals, site_keys } = frame;
+    let mut m = plan.machine(params, vars, frame);
     let mut executed = 0u64;
     // Start of the current iteration's slots in `resolved`.
     let mut slot_base = 0usize;
     for group in plan.groups() {
-        let iterations = group.iterations(&proc.name, params, Some(vars))?;
+        let iterations = group.iterations(&proc.name, &mut m)?;
         let num_sites = group.sites.len();
+        let code = group.code();
         for i in 0..iterations {
-            locals.clear();
-            site_keys.clear();
-            site_keys.resize(num_sites, None);
+            group.begin_iteration(i, &mut m);
             let slots = resolved.and_then(|r| r.get(slot_base..slot_base + num_sites));
+            m.reset_site_keys(num_sites, slots);
             slot_base += num_sites;
-            let loop_index = group.looped.then_some(i);
-            for pop in &group.ops {
-                let op = &proc.ops[pop.op];
-                let ctx = EvalCtx {
-                    params,
-                    vars: Some(vars),
-                    locals: Some(&*locals),
-                    loop_index,
+            let mut pc = group.body();
+            while let Some(ins) = code.get(pc) {
+                let Instr::Access { site, kind, .. } = *ins else {
+                    pc = m.step(ins, pc)?;
+                    continue;
                 };
-                if let Some(g) = &op.guard {
-                    if !g.eval(&ctx)?.truthy() {
-                        continue;
+                let table = group.sites[site as usize].table;
+                let key = m.site_key(site);
+                match kind {
+                    AccessKind::Read { col, dst, publish } => {
+                        let val = access.read(table, key, col as usize)?;
+                        m.bind(dst, val, publish);
+                        executed += 1;
                     }
-                }
-                executed += 1;
-                let key = match (slots.and_then(|s| s[pop.site]), site_keys[pop.site]) {
-                    (Some(a), _) => {
-                        debug_assert_eq!(a.table, op.table, "slot layout drifted");
-                        a.key
+                    AccessKind::Write { col, value } => {
+                        let val = m.peek(value)?.clone();
+                        access.write_col(table, key, col as usize, val)?;
+                        executed += 1;
                     }
-                    (None, Some(key)) => key,
-                    (None, None) => {
-                        let key = op.key.eval_key(&ctx)?;
-                        site_keys[pop.site] = Some(key);
-                        key
-                    }
-                };
-                match &op.kind {
-                    OpKind::Read { col, out } => {
-                        let val = access.read(op.table, key, *col)?;
-                        if proc.is_loop_local(*out) {
-                            // Publish per-iteration only when a downstream
-                            // piece of the same loop may consume the value
-                            // (cross-slice foreign-key pattern, §4.3.1).
-                            if proc.loop_var_escapes(*out) {
-                                vars.set_indexed(*out, i, val.clone());
+                    AccessKind::AddCol { col, delta, negate } => {
+                        let delta = match m.peek(delta) {
+                            Ok(delta) => delta,
+                            // The read came first, and so does its error.
+                            Err(e) => {
+                                access.read(table, key, col as usize)?;
+                                return Err(e);
                             }
-                            locals.set(*out, val);
-                        } else {
-                            vars.set(*out, val);
-                        }
+                        };
+                        access.add_col(table, key, col as usize, delta, negate)?;
+                        executed += 2;
                     }
-                    OpKind::Write { col, value } => {
-                        let val = value.eval(&ctx)?;
-                        access.write_col(op.table, key, *col, val)?;
-                    }
-                    OpKind::Insert { row } => {
-                        let cols = row
+                    AccessKind::Insert { start, len } => {
+                        let cols = group
+                            .row(start, len)
                             .iter()
-                            .map(|e| e.eval(&ctx))
+                            .map(|&o| m.peek(o).cloned())
                             .collect::<Result<Vec<_>>>()?;
-                        access.insert(op.table, key, Row::new(cols))?;
+                        access.insert(table, key, Row::new(cols))?;
+                        executed += 1;
                     }
-                    OpKind::Delete => {
-                        access.delete(op.table, key)?;
+                    AccessKind::Delete => {
+                        access.delete(table, key)?;
+                        executed += 1;
                     }
                 }
+                pc += 1;
             }
         }
     }
@@ -159,10 +139,10 @@ pub fn run_procedure_in(
     params: &Params,
     epoch_fn: impl FnOnce() -> u64,
 ) -> Result<CommitInfo> {
-    // The variable frame and the interpreter scratch come from the
-    // transaction's pooled scratch and go back before any `?` below, so
-    // abort paths keep them in the cycle.
-    let vars = txn.take_var_frame(proc.num_vars);
+    // The interpreter scratch comes from the transaction's pooled scratch
+    // and goes back before any `?` below, so abort paths keep it in the
+    // cycle. The plan is the whole procedure: every variable stays in its
+    // register, nothing is handed over.
     let mut frame = txn.take_exec_frame();
     let result = {
         let mut access = TxnAccess::new(&mut txn);
@@ -170,13 +150,12 @@ pub fn run_procedure_in(
             proc,
             proc.plan(),
             params,
-            &vars,
+            VarStore::shared_empty(),
             None,
             &mut frame,
             &mut access,
         )
     };
-    txn.put_var_frame(vars);
     txn.put_exec_frame(frame);
     let executed = result.map_err(|e| match e {
         // A read of a missing key inside a transaction aborts it.

@@ -11,7 +11,7 @@
 //! A steady-state write transaction allocates nothing but its row images:
 //!
 //! * the read map, write map, lock-set vector, write-record vector and the
-//!   interpreter's variable frame and scratch live in a [`TxnScratch`] recycled through
+//!   interpreter's register file live in a [`TxnScratch`] recycled through
 //!   a thread-local pool (the same arena pattern as the WAL's
 //!   `WorkerLogBuffer`) — `clear()` keeps their capacity warm;
 //! * each written row image is materialized exactly once, as an
@@ -32,7 +32,6 @@ use crate::database::Database;
 use crate::interp::ExecFrame;
 use pacman_common::{Error, Key, Result, Row, TableId, Timestamp, Value};
 use pacman_obs::Counter;
-use pacman_sproc::VarStore;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -125,7 +124,7 @@ struct ReadEntry {
 
 /// Reusable per-transaction working memory: the read/write sets, the
 /// commit lock-set and write-record buffers, the read-modify-write column
-/// scratch, and the interpreter's variable frame.
+/// scratch, and the interpreter's register file.
 ///
 /// [`Database::begin`] draws scratch from a thread-local pool and the
 /// ending transaction returns it (after [`TxnScratch::reset`] — the
@@ -140,7 +139,6 @@ pub struct TxnScratch {
     lock_set: Vec<((TableId, Key), Arc<TupleChain>)>,
     records: Vec<WriteRecord>,
     row_buf: Vec<Value>,
-    vars: VarStore,
     frame: ExecFrame,
 }
 
@@ -189,7 +187,6 @@ impl TxnScratch {
         self.lock_set.clear();
         self.records.clear();
         self.row_buf.clear();
-        self.vars.reset(0);
         self.frame.clear();
     }
 
@@ -305,7 +302,9 @@ impl RowMut<'_, '_> {
     /// the shared base image without copying.
     pub fn stage(self) {
         let image = if self.dirty {
-            Arc::new(Row::from_slice(&self.txn.scratch.row_buf))
+            // The handle is consumed: the edited columns move into the
+            // image, the buffer keeps its capacity.
+            Arc::new(self.txn.scratch.row_buf.drain(..).collect::<Row>())
         } else {
             Arc::clone(&self.base)
         };
@@ -480,23 +479,10 @@ impl<'db> Txn<'db> {
         Ok(())
     }
 
-    /// Take the pooled interpreter variable frame, sized to `n` slots.
-    /// The interpreter returns it via [`Txn::put_var_frame`] when the
-    /// procedure body finishes (success or error), keeping the frame's
-    /// capacity in the scratch cycle.
-    pub fn take_var_frame(&mut self, n: usize) -> VarStore {
-        let mut vars = std::mem::take(&mut self.scratch.vars);
-        vars.reset(n);
-        vars
-    }
-
-    /// Return the variable frame taken with [`Txn::take_var_frame`].
-    pub fn put_var_frame(&mut self, vars: VarStore) {
-        self.scratch.vars = vars;
-    }
-
-    /// Take the pooled interpreter scratch; returned, like the variable
-    /// frame, via [`Txn::put_exec_frame`] when the procedure body finishes.
+    /// Take the pooled interpreter scratch (register file and site keys).
+    /// The interpreter returns it via [`Txn::put_exec_frame`] when the
+    /// procedure body finishes (success or error), keeping its capacity in
+    /// the scratch cycle.
     pub fn take_exec_frame(&mut self) -> ExecFrame {
         std::mem::take(&mut self.scratch.frame)
     }
@@ -770,18 +756,12 @@ mod tests {
         let mut t1 = db.begin();
         t1.read(T, 1).unwrap();
         t1.write(T, 2, Row::from([Value::Int(-1)])).unwrap();
-        let vars = t1.take_var_frame(3);
-        vars.set(pacman_common::VarId::new(0), Value::Int(9));
-        t1.put_var_frame(vars);
         t1.abort();
         // The next transaction on this thread reuses the scratch: it must
         // observe none of t1's state.
         let mut t2 = db.begin();
         assert_eq!(t2.reads_len(), 0);
         assert_eq!(t2.writes_len(), 0);
-        let vars = t2.take_var_frame(3);
-        assert_eq!(vars.get(pacman_common::VarId::new(0)), None);
-        t2.put_var_frame(vars);
         assert_eq!(t2.read(T, 2).unwrap().col(0), &Value::Int(100));
         let info = t2.commit().unwrap();
         assert!(info.writes.is_empty(), "t1's aborted write leaked");

@@ -14,7 +14,7 @@
 //! * a **key** that cannot be evaluated is a hard error — static analysis
 //!   (the key-computability check, §5) rejects such procedures up front.
 
-use crate::expr::EvalCtx;
+use crate::code::ExecFrame;
 use crate::plan::PiecePlan;
 use crate::procedure::ProcedureDef;
 use crate::vars::VarStore;
@@ -33,59 +33,60 @@ pub struct Access {
 
 /// Resolve the access sites of `plan` (a piece of `proc` invoked with
 /// `params`, `vars` holding upstream pieces' outputs) and append them to
-/// `out`.
+/// `out`. `frame` is evaluator scratch the caller reuses from piece to
+/// piece.
 ///
 /// Exactly one slot is appended per `(group, iteration, site)`, in that
 /// order — the layout the interpreter walks when it takes its keys from
-/// here instead of re-evaluating them. A slot is `None` when every
+/// here instead of evaluating them. A slot is `None` when every
 /// operation of the site is guarded out for that iteration (its key is
 /// then never evaluated), and otherwise carries the key and whether any
 /// operation that may execute writes.
 ///
-/// The result is an over-approximation: operations whose guard is
-/// evaluable and false are excluded, unevaluable guards keep theirs. On an
-/// error `out` holds a partial piece; the caller truncates it.
+/// The guard and key programs run here are the ones the interpreter runs,
+/// over a register file in which none of the plan's own variables is bound
+/// yet and upstream variables are imported from `vars`. The result is an
+/// over-approximation: operations whose guard is evaluable and false are
+/// excluded, unevaluable guards keep theirs. On an error `out` holds a
+/// partial piece; the caller truncates it.
 pub fn resolve_accesses(
     proc: &ProcedureDef,
     plan: &PiecePlan,
     params: &[Value],
     vars: Option<&VarStore>,
+    frame: &mut ExecFrame,
     out: &mut Vec<Option<Access>>,
 ) -> Result<()> {
+    let mut m = plan.machine(params, vars.unwrap_or(VarStore::shared_empty()), frame);
     for group in plan.groups() {
-        let iterations = group.iterations(&proc.name, params, vars)?;
+        let iterations = group.iterations(&proc.name, &mut m)?;
         for i in 0..iterations {
-            let ctx = EvalCtx {
-                params,
-                vars,
-                locals: None,
-                loop_index: group.looped.then_some(i),
-            };
+            group.begin_iteration(i, &mut m);
             let base = out.len();
             out.resize(base + group.sites.len(), None);
             for pop in &group.ops {
-                let op = &proc.ops[pop.op];
-                if let (Some(guard), false) = (&op.guard, pop.guard_deferred) {
+                if let (Some(guard), false) = (&pop.guard, pop.guard_deferred) {
                     // An error here means the guard reads an upstream
                     // variable nobody bound (its read was skipped): keep
                     // the access conservatively, as for a deferred guard.
-                    if guard.eval(&ctx).is_ok_and(|v| !v.truthy()) {
+                    if m.eval(group.code(), guard).is_ok_and(|v| !v.truthy()) {
                         continue; // statically skipped
                     }
                 }
                 match &mut out[base + pop.site] {
-                    Some(access) => access.write |= op.is_write(),
+                    Some(access) => access.write |= pop.write,
                     slot => {
-                        let key = op.key.eval_key(&ctx).map_err(|e| {
+                        let site = &group.sites[pop.site];
+                        let key = m.eval_key(group.code(), &site.key_prog).map_err(|e| {
                             Error::InvalidProcedure(format!(
                                 "{}: key of op {} not computable from piece inputs: {e}",
-                                proc.name, op.id
+                                proc.name, proc.ops[pop.op].id
                             ))
                         })?;
                         *slot = Some(Access {
-                            table: op.table,
+                            table: site.table,
                             key,
-                            write: op.is_write(),
+                            write: pop.write,
                         });
                     }
                 }
@@ -114,7 +115,7 @@ mod tests {
     ) -> Result<Vec<Access>> {
         let plan = PiecePlan::compile(&p.ops, op_indices);
         let mut out = Vec::new();
-        resolve_accesses(p, &plan, params, vars, &mut out)?;
+        resolve_accesses(p, &plan, params, vars, &mut ExecFrame::default(), &mut out)?;
         Ok(out.into_iter().flatten().collect())
     }
 
@@ -262,6 +263,7 @@ mod tests {
             &plan,
             &[Value::Int(5), Value::str("NULL")],
             None,
+            &mut ExecFrame::default(),
             &mut out,
         )
         .unwrap();

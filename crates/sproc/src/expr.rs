@@ -6,49 +6,15 @@
 //! enclosing loop. Evaluation is total except for references to variables
 //! that have not been bound yet — that case is surfaced as an error so the
 //! dynamic analysis can fall back to conservative scheduling (§4.3.1).
+//!
+//! The tree is what static analysis reads. Nothing executes it: plans are
+//! lowered to the flat code of [`crate::code`], and [`Expr::eval`] remains
+//! as the definition that code is tested against.
 
+use crate::code::BinOp;
 use crate::vars::VarStore;
 use pacman_common::{Error, Key, Result, Value, VarId};
 use std::fmt;
-
-/// Loop-iteration-local variable bindings. Procedures have a handful of
-/// variables, so linear scan over a reusable vector beats hashing on the
-/// recovery hot path.
-#[derive(Debug, Default)]
-pub struct LocalBindings {
-    entries: Vec<(VarId, Value)>,
-}
-
-impl LocalBindings {
-    /// Empty bindings.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Remove all bindings (start of a loop iteration).
-    #[inline]
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Bind (or rebind) a variable.
-    #[inline]
-    pub fn set(&mut self, v: VarId, val: Value) {
-        for e in &mut self.entries {
-            if e.0 == v {
-                e.1 = val;
-                return;
-            }
-        }
-        self.entries.push((v, val));
-    }
-
-    /// Look up a binding.
-    #[inline]
-    pub fn get(&self, v: VarId) -> Option<&Value> {
-        self.entries.iter().find(|e| e.0 == v).map(|e| &e.1)
-    }
-}
 
 /// An expression tree.
 #[derive(Clone, Debug, PartialEq)]
@@ -231,19 +197,12 @@ impl Expr {
                 .loop_index
                 .map(|i| Value::Int(i as i64))
                 .ok_or_else(|| Error::Unknown("LoopIndex outside of a loop".to_string())),
-            Expr::Add(a, b) => Ok(a.eval(ctx)?.add(&b.eval(ctx)?)),
-            Expr::Sub(a, b) => Ok(a.eval(ctx)?.sub(&b.eval(ctx)?)),
-            Expr::Mul(a, b) => Ok(a.eval(ctx)?.mul(&b.eval(ctx)?)),
-            Expr::Gt(a, b) => {
-                let (x, y) = (a.eval(ctx)?, b.eval(ctx)?);
-                let gt = match (&x, &y) {
-                    (Value::Int(p), Value::Int(q)) => p > q,
-                    _ => x.as_float().unwrap_or(f64::NAN) > y.as_float().unwrap_or(f64::NAN),
-                };
-                Ok(Value::Int(gt as i64))
-            }
-            Expr::Eq(a, b) => Ok(Value::Int((a.eval(ctx)? == b.eval(ctx)?) as i64)),
-            Expr::Ne(a, b) => Ok(Value::Int((a.eval(ctx)? != b.eval(ctx)?) as i64)),
+            Expr::Add(a, b) => Ok(BinOp::Add.apply(&a.eval(ctx)?, &b.eval(ctx)?)),
+            Expr::Sub(a, b) => Ok(BinOp::Sub.apply(&a.eval(ctx)?, &b.eval(ctx)?)),
+            Expr::Mul(a, b) => Ok(BinOp::Mul.apply(&a.eval(ctx)?, &b.eval(ctx)?)),
+            Expr::Gt(a, b) => Ok(BinOp::Gt.apply(&a.eval(ctx)?, &b.eval(ctx)?)),
+            Expr::Eq(a, b) => Ok(BinOp::Eq.apply(&a.eval(ctx)?, &b.eval(ctx)?)),
+            Expr::Ne(a, b) => Ok(BinOp::Ne.apply(&a.eval(ctx)?, &b.eval(ctx)?)),
             Expr::And(a, b) => Ok(Value::Int(
                 (a.eval(ctx)?.truthy() && b.eval(ctx)?.truthy()) as i64,
             )),
@@ -253,10 +212,7 @@ impl Expr {
 
     /// Evaluate as a primary key. Keys must be integer-valued.
     pub fn eval_key(&self, ctx: &EvalCtx<'_>) -> Result<Key> {
-        match self.eval(ctx)? {
-            Value::Int(i) => Ok(i as Key),
-            v => Err(Error::Unknown(format!("non-integer key: {v}"))),
-        }
+        crate::code::as_key(&self.eval(ctx)?)
     }
 }
 
@@ -280,15 +236,16 @@ impl fmt::Display for Expr {
     }
 }
 
-/// Evaluation context: parameters, the transaction's variable store, an
-/// optional loop index and optional loop-local bindings.
+/// Evaluation context: parameters, the variables bound so far and an
+/// optional loop index.
 pub struct EvalCtx<'a> {
     /// Procedure arguments.
     pub params: &'a [Value],
     /// Cross-slice variables (written once by the defining piece).
     pub vars: Option<&'a VarStore>,
-    /// Loop-local bindings (variables defined inside the current iteration).
-    pub locals: Option<&'a LocalBindings>,
+    /// Variables bound by the code being run itself; looked at before
+    /// `vars`, the first entry of a variable wins.
+    pub locals: &'a [(VarId, Value)],
     /// Current loop iteration, if inside a loop.
     pub loop_index: Option<u64>,
 }
@@ -299,7 +256,7 @@ impl<'a> EvalCtx<'a> {
         EvalCtx {
             params,
             vars: None,
-            locals: None,
+            locals: &[],
             loop_index: None,
         }
     }
@@ -312,10 +269,8 @@ impl<'a> EvalCtx<'a> {
     }
 
     fn var(&self, v: VarId) -> Result<Value> {
-        if let Some(locals) = self.locals {
-            if let Some(val) = locals.get(v) {
-                return Ok(val.clone());
-            }
+        if let Some((_, val)) = self.locals.iter().find(|(l, _)| *l == v) {
+            return Ok(val.clone());
         }
         if let Some(vars) = self.vars {
             // Loop-local variables produced by an upstream piece of the

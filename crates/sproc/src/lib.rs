@@ -15,15 +15,16 @@
 //!   dependencies (define-use and control relations, §4.1.1);
 //! * [`ProcBuilder`] — the DSL used by the workloads to define procedures;
 //! * [`ProcRegistry`] — the dispatch table command logging refers to;
-//! * [`PiecePlan`] — a set of operations compiled into loop groups and
-//!   deduplicated access sites, the form both parameter checking and the
-//!   interpreter consume;
+//! * [`PiecePlan`] — a set of operations compiled into loop groups,
+//!   deduplicated access sites and flat register code ([`code`]), the form
+//!   both parameter checking and the interpreter run;
 //! * [`access`] — runtime read/write-set computation ("the read and write
 //!   sets of each transaction piece could be identified from the piece's
 //!   input arguments at replay time", §4.3.1).
 
 pub mod access;
 pub mod builder;
+pub mod code;
 pub mod expr;
 pub mod op;
 pub mod plan;
@@ -33,7 +34,8 @@ pub mod vars;
 
 pub use access::{resolve_accesses, Access};
 pub use builder::ProcBuilder;
-pub use expr::{EvalCtx, Expr, LocalBindings};
+pub use code::{AccessKind, BinOp, ExecFrame, ExprCode, Instr, Machine, Operand, Prog};
+pub use expr::{EvalCtx, Expr};
 pub use op::{OpDef, OpKind};
 pub use plan::{AccessSite, PiecePlan, PlanGroup, PlanOp};
 pub use procedure::ProcedureDef;

@@ -63,25 +63,24 @@ impl OpDef {
     /// Variables referenced by this op (key, value/row, guard, loop count).
     pub fn used_vars(&self) -> Vec<VarId> {
         let mut out = Vec::new();
-        self.key.collect_vars(&mut out);
-        match &self.kind {
-            OpKind::Write { value, .. } => value.collect_vars(&mut out),
-            OpKind::Insert { row } => {
-                for e in row {
-                    e.collect_vars(&mut out);
-                }
-            }
-            OpKind::Read { .. } | OpKind::Delete => {}
-        }
-        if let Some(g) = &self.guard {
-            g.collect_vars(&mut out);
-        }
-        if let Some(c) = &self.loop_count {
-            c.collect_vars(&mut out);
-        }
+        self.exprs().for_each(|e| e.collect_vars(&mut out));
         out.sort();
         out.dedup();
         out
+    }
+
+    /// Every expression of the operation: key, written value or inserted
+    /// columns, guard, loop count.
+    pub fn exprs(&self) -> impl Iterator<Item = &Expr> {
+        let payload: &[Expr] = match &self.kind {
+            OpKind::Write { value, .. } => std::slice::from_ref(value),
+            OpKind::Insert { row } => row,
+            OpKind::Read { .. } | OpKind::Delete => &[],
+        };
+        std::iter::once(&self.key)
+            .chain(payload)
+            .chain(&self.guard)
+            .chain(&self.loop_count)
     }
 
     /// Variables referenced by the expressions that determine *whether and

@@ -29,10 +29,6 @@ pub struct ProcedureDef {
     var_def: Vec<usize>,
     /// Per-variable: whether it is defined inside a loop (loop-local).
     var_loop_local: Vec<bool>,
-    /// Per-variable: whether a loop-local variable may be consumed by an op
-    /// that static analysis could place in a *different* slice (cross-piece
-    /// foreign-key pattern) — only those need per-iteration publication.
-    var_escapes: Vec<bool>,
     /// Per-op: the ops it directly flow-depends on.
     flow_deps: Vec<Vec<OpId>>,
     /// The whole procedure compiled into an access plan — what normal
@@ -164,29 +160,6 @@ impl ProcedureDef {
             flow_deps.push(deps);
         }
 
-        // A loop-local variable "escapes" if some using op could land in a
-        // different slice: any use from another table, or a same-table use
-        // where neither op writes (read-read pairs are not data-dependent
-        // and may be sliced apart).
-        let mut var_escapes = vec![false; num_vars];
-        for (i, op) in ops.iter().enumerate() {
-            for v in op.used_vars() {
-                if !var_loop_local[v.index()] {
-                    continue;
-                }
-                let def = var_def[v.index()];
-                if def == i {
-                    continue;
-                }
-                let def_op = &ops[def];
-                let same_table = def_op.table == op.table;
-                let write_link = op.is_write() || def_op.is_write();
-                if !(same_table && write_link) {
-                    var_escapes[v.index()] = true;
-                }
-            }
-        }
-
         // Loop groups must be contiguous.
         let mut seen: Vec<u32> = Vec::new();
         let mut prev: Option<u32> = None;
@@ -210,7 +183,7 @@ impl ProcedureDef {
         let plan = PiecePlan::compile(&ops, &all_ops);
         let replay_live = replay_liveness(&ops, num_vars);
         let live_ops: Vec<usize> = all_ops.into_iter().filter(|&i| replay_live[i]).collect();
-        let replay_plan = PiecePlan::compile(&ops, &live_ops);
+        let replay_plan = PiecePlan::compile_among(&ops, &live_ops, &|i| replay_live[i]);
         Ok(ProcedureDef {
             id,
             name,
@@ -219,7 +192,6 @@ impl ProcedureDef {
             num_vars,
             var_def,
             var_loop_local,
-            var_escapes,
             flow_deps,
             plan,
             replay_live,
@@ -261,10 +233,12 @@ impl ProcedureDef {
         self.var_loop_local[v.index()]
     }
 
-    /// Whether a loop-local variable may be consumed by another piece and
-    /// therefore needs per-iteration publication to the [`crate::VarStore`].
-    pub fn loop_var_escapes(&self, v: VarId) -> bool {
-        self.var_escapes[v.index()]
+    /// Compile the replay-live operations `op_indices` as one piece of
+    /// command-log replay: a variable is handed to another piece through
+    /// the [`crate::VarStore`] only if a replay-live operation outside
+    /// `op_indices` uses it — a dead user never runs.
+    pub fn replay_piece(&self, op_indices: &[usize]) -> PiecePlan {
+        PiecePlan::compile_among(&self.ops, op_indices, &|i| self.replay_live[i])
     }
 
     /// Pretty-print the whole procedure (used by the examples).
@@ -277,6 +251,12 @@ impl ProcedureDef {
         }
         s.push('}');
         s
+    }
+
+    /// [`ProcedureDef::pretty`] followed by the register code the whole
+    /// procedure compiles to — what the commit path runs.
+    pub fn pretty_code(&self) -> String {
+        format!("{}\nCODE {{\n{}}}", self.pretty(), self.plan)
     }
 }
 
@@ -401,7 +381,6 @@ mod tests {
             b.write(T1, Expr::var(fk), 0, Expr::int(1));
         });
         let p = b.build().unwrap();
-        assert!(p.loop_var_escapes(VarId::new(0)));
         assert_eq!(live(&p), [true, false, true]);
         let groups = p.replay_plan().groups();
         assert_eq!(groups.len(), 1);

@@ -1,13 +1,20 @@
-//! Per-transaction variable stores.
+//! Per-transaction variable stores: cross-piece hand-offs.
 //!
 //! During recovery a transaction's pieces execute on different threads;
 //! variables produced by an upstream piece (e.g. `dst` in the bank-transfer
 //! example, Fig. 7) are delivered to downstream pieces through a write-once
 //! [`VarStore`]. The block-level ordering enforced by the scheduler
 //! establishes the happens-before edge; `OnceLock` makes the hand-off safe.
+//!
+//! Hand-offs are all a store holds. A variable lives in the register of the
+//! plan whose read defines it ([`crate::code`]); the read publishes it here
+//! only when the compiled plan says an operation *outside* the plan uses it,
+//! and a plan looks here only for variables it does not define itself. A
+//! plan that covers every user of its variables — the whole procedure on
+//! the commit path, most replay pieces — never touches its store, and runs
+//! against [`VarStore::shared_empty`].
 
 use pacman_common::{Value, VarId};
-use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 /// Write-once variable slots for one transaction instance.
@@ -15,30 +22,32 @@ use std::sync::{Mutex, OnceLock};
 /// Loop-local variables get one binding *per loop iteration* (the
 /// foreign-key pattern of §4.3.1 can span slices inside a loop — e.g.
 /// TPC-C Delivery reads an order's amount and credits the customer from a
-/// different piece), stored in the indexed side table.
+/// different piece), stored in the indexed side table — a handful of
+/// entries per transaction, scanned.
 #[derive(Debug, Default)]
 pub struct VarStore {
     slots: Vec<OnceLock<Value>>,
-    indexed: Mutex<HashMap<(u32, u64), Value>>,
+    indexed: Mutex<Vec<(u32, u64, Value)>>,
 }
+
+static EMPTY: VarStore = VarStore {
+    slots: Vec::new(),
+    indexed: Mutex::new(Vec::new()),
+};
 
 impl VarStore {
     /// A store with `n` slots (the procedure's variable count).
     pub fn new(n: usize) -> Self {
         VarStore {
             slots: (0..n).map(|_| OnceLock::new()).collect(),
-            indexed: Mutex::new(HashMap::new()),
+            indexed: Mutex::new(Vec::new()),
         }
     }
 
-    /// Drop every binding and resize to `n` slots, keeping allocated
-    /// capacity. Requires exclusive access, so no reader can observe the
-    /// wipe — this is how the engine's pooled transaction scratch recycles
-    /// one frame across transactions without reallocating it.
-    pub fn reset(&mut self, n: usize) {
-        self.slots.clear();
-        self.slots.resize_with(n, OnceLock::new);
-        self.indexed.get_mut().expect("varstore poisoned").clear();
+    /// The store of a transaction none of whose plans hands a variable
+    /// over: no slots, so nothing can be bound and every lookup misses.
+    pub fn shared_empty() -> &'static VarStore {
+        &EMPTY
     }
 
     /// Bind a variable. Binding twice is a logic error (each variable has
@@ -55,12 +64,15 @@ impl VarStore {
 
     /// Bind a loop-local variable for iteration `iter`.
     pub fn set_indexed(&self, v: VarId, iter: u64, val: Value) {
-        let prev = self
-            .indexed
-            .lock()
-            .expect("varstore poisoned")
-            .insert((v.0, iter), val);
-        debug_assert!(prev.is_none(), "loop variable {v}@{iter} bound twice");
+        // Like `set`, out of range is a bug — and must not reach the side
+        // table of the shared empty store.
+        assert!(v.index() < self.slots.len(), "no slot for {v}");
+        let mut indexed = self.indexed.lock().expect("varstore poisoned");
+        debug_assert!(
+            !indexed.iter().any(|e| (e.0, e.1) == (v.0, iter)),
+            "loop variable {v}@{iter} bound twice"
+        );
+        indexed.push((v.0, iter, val));
     }
 
     /// Read a loop-local variable for iteration `iter`, if bound.
@@ -68,18 +80,9 @@ impl VarStore {
         self.indexed
             .lock()
             .expect("varstore poisoned")
-            .get(&(v.0, iter))
-            .cloned()
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the store has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+            .iter()
+            .find(|e| (e.0, e.1) == (v.0, iter))
+            .map(|e| e.2.clone())
     }
 }
 
@@ -93,21 +96,6 @@ mod tests {
         assert_eq!(vs.get(VarId::new(1)), None);
         vs.set(VarId::new(1), Value::Int(7));
         assert_eq!(vs.get(VarId::new(1)), Some(Value::Int(7)));
-        assert_eq!(vs.len(), 3);
-    }
-
-    #[test]
-    fn reset_drops_all_bindings() {
-        let mut vs = VarStore::new(2);
-        vs.set(VarId::new(0), Value::Int(1));
-        vs.set_indexed(VarId::new(1), 3, Value::Int(2));
-        vs.reset(4);
-        assert_eq!(vs.len(), 4);
-        assert_eq!(vs.get(VarId::new(0)), None);
-        assert_eq!(vs.get_indexed(VarId::new(1), 3), None);
-        // Slots are fresh: rebinding after reset is not "bound twice".
-        vs.set(VarId::new(0), Value::Int(9));
-        assert_eq!(vs.get(VarId::new(0)), Some(Value::Int(9)));
     }
 
     #[test]

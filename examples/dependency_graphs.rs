@@ -2,7 +2,8 @@
 //! TPC-C and for Smallbank: local dependency graphs (Fig. 5a/b), the global
 //! dependency graph (Fig. 5c / Fig. 21), what replay executes of each
 //! procedure (replay-live vs replay-dead operations, pieces per logged
-//! transaction), and the transaction-chopping comparison.
+//! transaction), the register code each procedure and each replay piece
+//! compiles to, and the transaction-chopping comparison.
 //!
 //! ```sh
 //! cargo run --release --example dependency_graphs
@@ -20,7 +21,7 @@ fn show(workload: &dyn Workload, title: &str) {
     println!("==== {title} ====");
     let reg = &workload.registry();
     for proc in reg.all() {
-        println!("\n{}", proc.pretty());
+        println!("\n{}", proc.pretty_code());
         let lg = LocalGraph::analyze(proc);
         println!(
             "local dependency graph (replay-live ops): {} slices",
@@ -36,6 +37,24 @@ fn show(workload: &dyn Workload, title: &str) {
     let gdg = GlobalGraph::analyze(reg.all()).expect("analyzable");
     println!("\nglobal dependency graph ({} blocks):", gdg.num_blocks());
     print!("{}", gdg.pretty());
+    for proc in reg.all() {
+        let pieces = gdg
+            .templates_for(proc.id)
+            .iter()
+            .zip(gdg.plans_for(proc.id));
+        for (tmpl, plan) in pieces {
+            let store = if plan.hands_off() {
+                " (uses the transaction's variable store)"
+            } else {
+                ""
+            };
+            println!(
+                "\n{} piece in {}, ops {:?}{store}:",
+                proc.name, tmpl.block, tmpl.ops
+            );
+            print!("{plan}");
+        }
+    }
     let mut rng = SmallRng::seed_from_u64(1);
     let mix = (0..10_000).map(|_| workload.next_txn(&mut rng).0);
     print!("\n{}", gdg.replay_summary(mix));

@@ -26,6 +26,10 @@
 //!   set, record vec, interpreter frame) is recycled capacity, and the
 //!   staged image is the same `Arc` the chain installs and the log
 //!   record carries (no clones).
+//! * **interpret** — running a compiled plan through `execute_plan` on a
+//!   warm `ExecFrame` allocates nothing of its own: the register file and
+//!   the site keys reuse the frame's capacity, operands are read in place,
+//!   and no variable store is touched.
 //!
 //! Pre-change constants (measured before the arena/view rework, same
 //! shapes as below): the per-record `log_commit` path paid ~2.2
@@ -33,8 +37,11 @@
 //! traffic), and owned decode paid ~3x the view path's bytes/record.
 
 use pacman_common::clock::epoch_floor;
-use pacman_common::{ProcId, Row, TableId, Value};
-use pacman_engine::{Catalog, CommitInfo, Database, WriteKind, WriteRecord};
+use pacman_common::{Key, ProcId, Row, TableId, Value};
+use pacman_engine::{
+    execute_plan, Catalog, CommitInfo, DataAccess, Database, ExecFrame, WriteKind, WriteRecord,
+};
+use pacman_sproc::VarStore;
 use pacman_storage::{DiskConfig, StorageSet};
 use pacman_wal::{
     batch_name, read_merged_batch, read_merged_batch_view, Durability, DurabilityConfig,
@@ -353,4 +360,78 @@ fn replay_view_copies_fewer_bytes_than_owned_decode() {
         view_bytes < owned_bytes,
         "view replay must copy fewer bytes than owned decode: {view_bytes} >= {owned_bytes}"
     );
+}
+
+/// Storage that owns no memory: every read is `Int(7)`, every write is
+/// dropped. What `execute_plan` allocates over it is the interpreter's own.
+struct NoStorage;
+
+impl DataAccess for NoStorage {
+    fn read(&mut self, _: TableId, _: Key, _: usize) -> pacman_common::Result<Value> {
+        Ok(Value::Int(7))
+    }
+    fn write_col(&mut self, _: TableId, _: Key, _: usize, _: Value) -> pacman_common::Result<()> {
+        Ok(())
+    }
+    fn insert(&mut self, _: TableId, _: Key, _: Row) -> pacman_common::Result<()> {
+        Ok(())
+    }
+    fn delete(&mut self, _: TableId, _: Key) -> pacman_common::Result<()> {
+        Ok(())
+    }
+}
+
+/// A warm `ExecFrame` runs TPC-C NewOrder (a ten-line order: loop, guards,
+/// fused and unfused writes) and Payment through `execute_plan` without a
+/// single allocation — whole-procedure plan and replay plan alike.
+#[test]
+fn warm_exec_frame_interprets_without_allocating() {
+    use pacman_workloads::tpcc::procs::{new_order, payment};
+    let new_order = new_order();
+    let payment = payment();
+    let mut args = vec![Value::Int(1), Value::Int(2), Value::Int(10)];
+    for line in 0..10 {
+        args.extend([Value::Int(100 + line), Value::Int(1), Value::Int(5)]);
+    }
+    let order_params: pacman_sproc::Params = args.into();
+    let payment_params = pacman_sproc::params([
+        Value::Int(1),
+        Value::Int(2),
+        Value::Int(1),
+        Value::Int(2),
+        Value::Int(33),
+        Value::Float(12.5),
+    ]);
+    let mut frame = ExecFrame::default();
+    let mut run = |measured: bool| {
+        let mut ops = 0;
+        for (proc, params) in [(&new_order, &order_params), (&payment, &payment_params)] {
+            for plan in [proc.plan(), proc.replay_plan()] {
+                let a0 = allocs_now();
+                ops += execute_plan(
+                    proc,
+                    plan,
+                    params,
+                    VarStore::shared_empty(),
+                    None,
+                    &mut frame,
+                    &mut NoStorage,
+                )
+                .unwrap();
+                let allocated = allocs_now() - a0;
+                assert!(
+                    !measured || allocated == 0,
+                    "{}: a warm frame allocated {allocated} times",
+                    proc.name
+                );
+            }
+        }
+        ops
+    };
+    let warmup = run(false);
+    assert_eq!(run(true), warmup);
+    // NewOrder runs 3 + 10 x 7 operations (one of a line's two guarded
+    // writes executes), its replay plan 1 + 10 fewer reads; Payment 10 both
+    // ways. A fused pair counts as the two operations it is.
+    assert_eq!(warmup, 73 + 62 + 10 + 10);
 }

@@ -45,7 +45,7 @@ fn expand_ops(proc: &ProcedureDef, ops: &[usize], ctx: &TxnCtx) -> AccessSet {
                 let ectx = EvalCtx {
                     params: &ctx.params,
                     vars: Some(&ctx.vars),
-                    locals: None,
+                    locals: &[],
                     loop_index: None,
                 };
                 match count.eval(&ectx) {
@@ -58,7 +58,7 @@ fn expand_ops(proc: &ProcedureDef, ops: &[usize], ctx: &TxnCtx) -> AccessSet {
             let ectx = EvalCtx {
                 params: &ctx.params,
                 vars: Some(&ctx.vars),
-                locals: None,
+                locals: &[],
                 loop_index: op.loop_id.map(|_| i),
             };
             if let Some(guard) = &op.guard {

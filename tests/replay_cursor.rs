@@ -2,12 +2,19 @@
 //!
 //! Random single-piece procedures — a handful of ops over four keys, so
 //! that tuples interleave and repeat — run through the plan interpreter
-//! over the [`ReplayAccess`] tuple cursor, with and without keys taken
-//! from parameter checking, and through a naive **op-at-a-time** reference
-//! kept here: every op evaluates its own guard and key, looks its tuple
-//! up, and installs its own full-row image at once. Both must agree on the
-//! executed-op count or the error, on every variable binding, and (when
-//! the piece succeeds) on the table fingerprint.
+//! (compiled register code) over the [`ReplayAccess`] tuple cursor, with
+//! and without keys taken from parameter checking, and through a naive
+//! **op-at-a-time** reference kept here: every op walks its own guard and
+//! key expression trees, looks its tuple up, and installs its own full-row
+//! image at once. Both must agree on the executed-op count or the error,
+//! on what a downstream plan can observe of the variables, and (when the
+//! piece succeeds) on the table fingerprint.
+//!
+//! Each procedure is also cut at a random op into two plans that run one
+//! after the other over one variable store, the way two pieces of a
+//! transaction do: the first publishes exactly the variables the second
+//! uses, the second imports them, and the pair must agree with the
+//! reference run over the same two op sets.
 //!
 //! A failed piece is the one place the two legitimately differ: the
 //! reference has installed the failing tuple's earlier writes, the cursor
@@ -27,8 +34,7 @@ use pacman_core::runtime::ReplayMode;
 use pacman_core::static_analysis::GlobalGraph;
 use pacman_engine::{execute_plan, Catalog, DataAccess, Database, ExecFrame, ReplayAccess};
 use pacman_sproc::{
-    resolve_accesses, EvalCtx, Expr, LocalBindings, OpKind, Params, ProcBuilder, ProcedureDef,
-    VarStore,
+    resolve_accesses, EvalCtx, Expr, OpKind, Params, ProcBuilder, ProcedureDef, VarStore,
 };
 use pacman_sproc::{PiecePlan, ProcRegistry};
 use pacman_storage::StorageSet;
@@ -127,22 +133,24 @@ impl DataAccess for NaiveAccess<'_> {
     }
 }
 
-/// Interpret the whole procedure straight off its op list: no plan, no
-/// sites — every op evaluates its own guard and key.
+/// Interpret ops `only` (ascending) of the procedure straight off its op
+/// list: no plan, no sites, no registers — every op walks its own guard
+/// and key trees, and every read is published to `vars`.
 fn naive_execute(
     proc: &ProcedureDef,
+    only: std::ops::Range<usize>,
     params: &Params,
     vars: &VarStore,
     access: &mut dyn DataAccess,
 ) -> Result<u64> {
     let mut executed = 0;
-    let mut locals = LocalBindings::new();
-    let mut start = 0;
-    while start < proc.ops.len() {
+    let mut locals: Vec<(VarId, Value)> = Vec::new();
+    let mut start = only.start;
+    while start < only.end {
         // A loop body, or one un-looped op.
         let loop_id = proc.ops[start].loop_id;
         let mut end = start + 1;
-        while loop_id.is_some() && end < proc.ops.len() && proc.ops[end].loop_id == loop_id {
+        while loop_id.is_some() && end < only.end && proc.ops[end].loop_id == loop_id {
             end += 1;
         }
         let iterations = match &proc.ops[start].loop_count {
@@ -158,7 +166,7 @@ fn naive_execute(
                 let ctx = EvalCtx {
                     params,
                     vars: Some(vars),
-                    locals: Some(&locals),
+                    locals: &locals,
                     loop_index: loop_id.map(|_| i),
                 };
                 if let Some(g) = &op.guard {
@@ -172,10 +180,8 @@ fn naive_execute(
                     OpKind::Read { col, out } => {
                         let val = access.read(op.table, key, *col)?;
                         if proc.is_loop_local(*out) {
-                            if proc.loop_var_escapes(*out) {
-                                vars.set_indexed(*out, i, val.clone());
-                            }
-                            locals.set(*out, val);
+                            vars.set_indexed(*out, i, val.clone());
+                            locals.push((*out, val));
                         } else {
                             vars.set(*out, val);
                         }
@@ -331,12 +337,25 @@ fn build(ops: &[OpGen], looped: bool) -> ProcedureDef {
     b.build().expect("generated procedure is valid")
 }
 
-/// Every binding of the store, loop iterations included.
-fn bindings(proc: &ProcedureDef, vars: &VarStore) -> Vec<(Option<Value>, [Option<Value>; 2])> {
-    (0..proc.num_vars as u32)
+/// What a plan made of ops `from..` can observe of the variables defined
+/// before `from`: the store's bindings, loop iterations included, of those
+/// it uses.
+fn observable(
+    proc: &ProcedureDef,
+    from: usize,
+    vars: &VarStore,
+) -> Vec<(VarId, Option<Value>, [Option<Value>; 2])> {
+    let mut used: Vec<VarId> = proc.ops[from..]
+        .iter()
+        .flat_map(|op| op.used_vars())
+        .filter(|v| proc.defining_op(*v) < from)
+        .collect();
+    used.sort();
+    used.dedup();
+    used.into_iter()
         .map(|v| {
-            let v = VarId::new(v);
             (
+                v,
                 vars.get(v),
                 [vars.get_indexed(v, 0), vars.get_indexed(v, 1)],
             )
@@ -344,41 +363,61 @@ fn bindings(proc: &ProcedureDef, vars: &VarStore) -> Vec<(Option<Value>, [Option
         .collect()
 }
 
-/// Run `proc` through the plan interpreter over the tuple cursor.
+/// Run `proc` through the plan interpreter over the tuple cursor, as the
+/// plans of ops `..cut` and `cut..` one after the other over one store
+/// (`cut` = 0: the whole procedure's plan alone).
 fn cursor_execute(
     proc: &ProcedureDef,
+    cut: usize,
     params: &Params,
     use_resolved: bool,
 ) -> (Result<u64>, Database, VarStore) {
     let db = seeded_db();
     let vars = VarStore::new(proc.num_vars);
-    let slots = use_resolved.then(|| {
-        let mut slots = Vec::new();
-        resolve_accesses(proc, proc.plan(), params, Some(&vars), &mut slots)
+    let mut frame = ExecFrame::default();
+    let mut check_frame = ExecFrame::default();
+    let mut access = ReplayAccess::new(&db, TS);
+    let mut result = Ok(0);
+    for part in [0..cut, cut..proc.ops.len()] {
+        if part.is_empty() {
+            continue;
+        }
+        let plan = PiecePlan::compile(&proc.ops, &part.collect::<Vec<_>>());
+        let slots = use_resolved.then(|| {
+            let mut slots = Vec::new();
+            resolve_accesses(
+                proc,
+                &plan,
+                params,
+                Some(&vars),
+                &mut check_frame,
+                &mut slots,
+            )
             .expect("keys depend on parameters and the loop index only");
-        slots
-    });
-    let result = {
-        let mut access = ReplayAccess::new(&db, TS);
+            slots
+        });
         let r = execute_plan(
             proc,
-            proc.plan(),
+            &plan,
             params,
             &vars,
             slots.as_deref(),
-            &mut ExecFrame::default(),
+            &mut frame,
             &mut access,
         );
-        if r.is_ok() {
-            access.finish();
+        result = result.and_then(|n| Ok(n + r?));
+        if result.is_err() {
+            break;
         }
-        r
-    };
+        access.finish();
+    }
+    drop(access);
     (result, db, vars)
 }
 
-/// Run `ops` both ways and compare; `Err` describes the first difference.
-fn compare(ops: &[OpGen], looped: bool) -> std::result::Result<(), String> {
+/// Run `ops` both ways, cut at `cut`, and compare; `Err` describes the
+/// first difference.
+fn compare(ops: &[OpGen], looped: bool, cut: usize) -> std::result::Result<(), String> {
     fn same<V: PartialEq + std::fmt::Debug>(
         what: &str,
         got: V,
@@ -391,36 +430,57 @@ fn compare(ops: &[OpGen], looped: bool) -> std::result::Result<(), String> {
         }
     }
     let proc = build(ops, looped);
+    let cut = cut % proc.ops.len();
     let params = piece_params();
     let naive_db = seeded_db();
     let naive_vars = VarStore::new(proc.num_vars);
-    let expected = naive_execute(
-        &proc,
-        &params,
-        &naive_vars,
-        &mut NaiveAccess {
-            db: &naive_db,
-            ts: TS,
-        },
-    );
+    let mut naive_access = NaiveAccess {
+        db: &naive_db,
+        ts: TS,
+    };
+    let mut expected = Ok(0);
+    for part in [0..cut, cut..proc.ops.len()] {
+        expected = expected.and_then(|n| {
+            Ok(n + naive_execute(&proc, part, &params, &naive_vars, &mut naive_access)?)
+        });
+    }
     for use_resolved in [false, true] {
-        let (got, db, vars) = cursor_execute(&proc, &params, use_resolved);
-        same("outcome", &got, &expected)?;
+        let (got, db, vars) = cursor_execute(&proc, cut, &params, use_resolved);
+        let what = |w: &str| format!("{w} (cut at {cut}, resolved keys: {use_resolved})");
+        same(&what("outcome"), &got, &expected)?;
         same(
-            "bindings",
-            bindings(&proc, &vars),
-            bindings(&proc, &naive_vars),
+            &what("published variables"),
+            observable(&proc, cut, &vars),
+            observable(&proc, cut, &naive_vars),
         )?;
+        // Nothing is handed over that nobody is waiting for: the whole
+        // procedure's plan leaves the store untouched.
+        let unobserved = observable(&proc, proc.ops.len(), &vars);
+        if cut == 0
+            && unobserved
+                .iter()
+                .any(|(_, v, it)| (v, it) != (&None, &[None, None]))
+        {
+            return Err(format!("whole plan published {unobserved:?}"));
+        }
         if expected.is_err() {
             continue;
         }
-        same("fingerprint", db.fingerprint(), naive_db.fingerprint())?;
+        same(
+            &what("fingerprint"),
+            db.fingerprint(),
+            naive_db.fingerprint(),
+        )?;
         // Beyond the fingerprint (live rows only): the same keys are
         // tombstoned, at the same timestamps.
         for table in [T, U] {
             for k in 0..=TOMBSTONE + 1 {
                 let newest = |db: &Database| db.table(table).unwrap().get(k).map(|c| c.newest());
-                same(&format!("{table}:{k}"), newest(&db), newest(&naive_db))?;
+                same(
+                    &what(&format!("{table}:{k}")),
+                    newest(&db),
+                    newest(&naive_db),
+                )?;
             }
         }
     }
@@ -435,7 +495,16 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..12),
         looped in any::<bool>(),
     ) {
-        compare(&ops, looped).map_err(TestCaseError::fail)?;
+        compare(&ops, looped, 0).map_err(TestCaseError::fail)?;
+    }
+
+    #[test]
+    fn two_plans_over_one_store_equal_op_at_a_time_replay(
+        ops in proptest::collection::vec(op_strategy(), 2..12),
+        looped in any::<bool>(),
+        cut in 1usize..12,
+    ) {
+        compare(&ops, looped, cut).map_err(TestCaseError::fail)?;
     }
 }
 
@@ -681,6 +750,21 @@ fn named_sequences_agree() {
                 op(Read { col: 0 }, 1, 0),
             ],
         ),
+        (
+            "read then add to the same column (one fused instruction, two ops)",
+            vec![
+                op(Read { col: 0 }, 2, 0),
+                op(
+                    Write {
+                        col: 0,
+                        from_last_read: true,
+                    },
+                    2,
+                    0,
+                ),
+                op(Read { col: 0 }, 2, 0),
+            ],
+        ),
         ("missing key", vec![op(Read { col: 0 }, MISSING, 0)]),
         ("missing key delete", vec![op(Delete, MISSING, 0)]),
         (
@@ -719,7 +803,10 @@ fn named_sequences_agree() {
     ];
     for (name, ops) in cases {
         for looped in [false, true] {
-            compare(&ops, looped).unwrap_or_else(|e| panic!("{name} (looped: {looped}): {e}"));
+            for cut in 0..ops.len() {
+                compare(&ops, looped, cut)
+                    .unwrap_or_else(|e| panic!("{name} (looped: {looped}): {e}"));
+            }
         }
     }
 }

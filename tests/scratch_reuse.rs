@@ -3,7 +3,7 @@
 //! transaction on fresh allocations.
 //!
 //! The write path hands each committed or aborted transaction's scratch
-//! (read map, write map, lock set, record vec, interpreter var frame)
+//! (read map, write map, lock set, record vec, interpreter register file)
 //! back to a thread-local pool, and `Database::begin` draws from it. The
 //! poison/clear contract says a recycled scratch carries nothing over —
 //! these tests enforce that end to end:
@@ -21,7 +21,7 @@
 
 use pacman_common::{Error, ProcId, TableId, Value};
 use pacman_engine::{run_procedure_in, run_procedure_with_epoch, CommitInfo, Database, TxnScratch};
-use pacman_sproc::{Params, ProcRegistry};
+use pacman_sproc::{params, Expr, Params, ProcBuilder, ProcRegistry};
 use pacman_workloads::{bank::Bank, smallbank::Smallbank, Workload};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -152,7 +152,8 @@ proptest! {
 
 /// Abort-then-reuse: a transaction that read, staged writes and bound
 /// interpreter variables is dropped; the next pooled transaction must
-/// observe empty read/write sets and an untouched database.
+/// observe empty read/write sets, unbound variables and an untouched
+/// database.
 #[test]
 fn aborted_scratch_does_not_bleed_into_the_next_txn() {
     let w = Bank {
@@ -165,11 +166,28 @@ fn aborted_scratch_does_not_bleed_into_the_next_txn() {
     let current = TableId::new(1);
 
     let before = db.fingerprint();
+    // Binds v0 in the pooled register file, then aborts on a missing key.
+    let mut b = ProcBuilder::new(ProcId::new(90), "BindThenAbort", 1);
+    let _ = b.read(current, Expr::param(0), 0);
+    let _ = b.read(current, Expr::int(999_999), 0);
+    let binds = b.build().unwrap();
+    let r = run_procedure_with_epoch(&db, &binds, &params([Value::Int(3)]), || 1);
+    assert!(matches!(r, Err(Error::TxnAborted(_))), "{r:?}");
+    // The same register in the next pooled transaction: its read is guarded
+    // out, so the write must find v0 unbound, not the aborted value.
+    let mut b = ProcBuilder::new(ProcId::new(91), "UseUnbound", 1);
+    let never = Expr::gt(Expr::param(0), Expr::int(100));
+    let mut v0 = None;
+    b.guarded(never, |b| v0 = Some(b.read(current, Expr::param(0), 0)));
+    b.write(current, Expr::param(0), 0, Expr::var(v0.unwrap()));
+    let uses = b.build().unwrap();
+    let r = run_procedure_with_epoch(&db, &uses, &params([Value::Int(3)]), || 1);
+    assert!(
+        matches!(&r, Err(Error::Unknown(why)) if why.contains("unbound variable v0")),
+        "registers bled through the pool: {r:?}"
+    );
     {
         let mut txn = db.begin();
-        let frame = txn.take_var_frame(4);
-        frame.set(pacman_common::VarId::new(0), Value::Int(77));
-        txn.put_var_frame(frame);
         let mut row = txn.read_for_update(current, 3).unwrap();
         row.set_col(0, Value::Int(-1));
         row.stage();
@@ -183,12 +201,6 @@ fn aborted_scratch_does_not_bleed_into_the_next_txn() {
     let mut txn = db.begin();
     assert_eq!(txn.reads_len(), 0, "read set bled through the pool");
     assert_eq!(txn.writes_len(), 0, "write set bled through the pool");
-    let frame = txn.take_var_frame(4);
-    assert!(
-        frame.get(pacman_common::VarId::new(0)).is_none(),
-        "var frame bled through the pool"
-    );
-    txn.put_var_frame(frame);
     // The recycled transaction still works end to end.
     let row = txn.read(current, 3).unwrap();
     assert_eq!(row.col(0).as_int(), Some(5_000));
