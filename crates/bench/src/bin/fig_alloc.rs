@@ -15,7 +15,7 @@
 //!   newest-slot validation). Budget: ≤ 1, the read-set map itself.
 //! * **allocs/txn (write)** — allocator calls per single-row
 //!   read-modify-write transaction on the pooled-scratch write path
-//!   (`read_for_update` + staged `Arc<Row>` image shared with the log).
+//!   (tuple cursor + one staged `Arc<Row>` image shared with the log).
 //!   Budget: ≤ 2, the two allocations that materialize the new image
 //!   (`Arc<[Value]>` column slab + `Arc<Row>` header).
 //!
@@ -26,7 +26,7 @@
 use pacman_bench::{banner, print_row, BenchOpts};
 use pacman_common::clock::epoch_floor;
 use pacman_common::{ProcId, Row, TableId, Value};
-use pacman_engine::{Catalog, CommitInfo, Database, WriteKind, WriteRecord};
+use pacman_engine::{Catalog, CommitInfo, DataAccess, Database, TxnAccess, WriteKind, WriteRecord};
 use pacman_storage::{DiskConfig, StorageSet};
 use pacman_wal::{
     batch_name, read_merged_batch, read_merged_batch_view, Durability, DurabilityConfig,
@@ -247,10 +247,11 @@ fn measure_write(txns: u64) -> (f64, f64) {
         let a0 = allocs_now();
         let b0 = bytes_now();
         let mut txn = db.begin();
-        let mut row = txn.read_for_update(t, i % ACCTS).unwrap();
-        let v = row.col(0).as_int().unwrap();
-        row.set_col(0, Value::Int(v + 1));
-        row.stage();
+        let mut access = TxnAccess::new(&mut txn);
+        access
+            .add_col(t, i % ACCTS, 0, &Value::Int(1), false)
+            .unwrap();
+        access.finish();
         let info = txn.commit().unwrap();
         pacman_engine::recycle_commit_info(info);
         if i >= warmup {

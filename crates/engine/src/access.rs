@@ -9,6 +9,10 @@
 //!   install single-version images stamped with the original commit
 //!   timestamp, *without latching* — the replay schedule has already
 //!   serialized all conflicting accesses.
+//!
+//! Both are one **tuple cursor** (`TupleCursor`) over two stores: the
+//! tuple last asked for stays open, column writes edit a buffer after one
+//! copy, and one image is built when the cursor leaves the tuple.
 
 use crate::chain::TupleChain;
 use crate::database::Database;
@@ -51,155 +55,68 @@ fn plus(old: &Value, delta: &Value, negate: bool) -> Value {
     }
 }
 
-/// OCC-transactional access.
-pub struct TxnAccess<'a, 'db> {
-    txn: &'a mut Txn<'db>,
+/// Where a [`TupleCursor`] gets a tuple's current image and leaves the
+/// image it built: the transaction ([`Txn`]) during normal processing, the
+/// recovering table ([`ReplayStore`]) during replay.
+pub(crate) trait TupleStore {
+    /// What `open` found that `put` wants back.
+    type Slot;
+    /// The current image of `(table, key)`: `None` if the key is missing or
+    /// deleted.
+    fn open(&mut self, table: TableId, key: Key) -> Result<(Self::Slot, Option<Arc<Row>>)>;
+    /// Take the image the cursor built for the tuple it is leaving.
+    fn put(&mut self, table: TableId, key: Key, slot: Self::Slot, image: Option<Arc<Row>>);
+    /// The buffer the open tuple's columns are edited in; it keeps its
+    /// capacity from tuple to tuple.
+    fn buf(&mut self) -> &mut Vec<Value>;
 }
 
-impl<'a, 'db> TxnAccess<'a, 'db> {
-    /// Wrap a transaction.
-    pub fn new(txn: &'a mut Txn<'db>) -> Self {
-        TxnAccess { txn }
-    }
-}
-
-impl DataAccess for TxnAccess<'_, '_> {
-    fn read(&mut self, table: TableId, key: Key, col: usize) -> Result<Value> {
-        let row = self.txn.read(table, key)?;
-        row.cols()
-            .get(col)
-            .cloned()
-            .ok_or_else(|| no_such_column(table, key, col))
-    }
-
-    fn write_col(&mut self, table: TableId, key: Key, col: usize, value: Value) -> Result<()> {
-        // The dominant update shape: edit the cached image in place and
-        // materialize the new row exactly once at stage time.
-        let mut row = self.txn.read_for_update(table, key)?;
-        if col >= row.arity() {
-            return Err(no_such_column(table, key, col));
-        }
-        row.set_col(col, value);
-        row.stage();
-        Ok(())
-    }
-
-    fn add_col(
-        &mut self,
-        table: TableId,
-        key: Key,
-        col: usize,
-        delta: &Value,
-        negate: bool,
-    ) -> Result<()> {
-        // Opening for update observes the tuple exactly as a read does.
-        let mut row = self.txn.read_for_update(table, key)?;
-        if col >= row.arity() {
-            return Err(no_such_column(table, key, col));
-        }
-        let sum = plus(row.col(col), delta, negate);
-        row.set_col(col, sum);
-        row.stage();
-        Ok(())
-    }
-
-    fn insert(&mut self, table: TableId, key: Key, row: Row) -> Result<()> {
-        self.txn.insert(table, key, row)
-    }
-
-    fn delete(&mut self, table: TableId, key: Key) -> Result<()> {
-        self.txn.delete(table, key)
-    }
-}
-
-/// Latch-free single-version replay access (recovery): a **tuple cursor**.
-///
-/// Consecutive operations of a piece mostly revisit one tuple (a TPC-C
-/// NewOrder line reads and writes three columns of one STOCK row), so the
-/// access keeps the tuple it was last asked for open: one index lookup and
-/// one `newest()` when the cursor moves onto a tuple, column writes edit a
-/// private image (copied on the first write into a buffer that is reused
-/// from tuple to tuple), and exactly one `mark_dirty` + `install_lww`
-/// when the cursor moves on or [`ReplayAccess::finish`] is called.
-///
-/// # Why deferring the install is safe
-///
-/// Between the first write to a tuple and its install, the table still
-/// shows the previous image. Nobody may look during that window, and
-/// nobody does: the replay schedule runs a piece that conflicts with this
-/// one (same tuple, at least one writer) only after this piece's
-/// execution has returned — the runtime releases DAG dependents, completes
-/// the piece-set, and publishes the block watermark that admits online
-/// transactions strictly *after* the executor returns — and the executor
-/// calls [`ReplayAccess::finish`] before it returns. Within the piece,
-/// reads go through the cursor and see the pending image. Intermediate
-/// per-operation images were never observable under op-at-a-time replay
-/// either; only their timing relative to the end of the piece changed.
-///
-/// An access that is dropped or [`retarget`](ReplayAccess::retarget)ed
-/// without `finish` discards the pending image: a failed piece fails the
-/// whole recovery, and a half-executed image must not outlive it.
-pub struct ReplayAccess<'a> {
-    db: &'a Database,
-    ts: Timestamp,
-    cursor: Option<Cursor<'a>>,
-    /// The open tuple's edited columns while `Cursor::edited` is set.
-    buf: Vec<Value>,
-    /// Images installed since [`ReplayAccess::take_installed`].
-    installed: u64,
-}
-
-/// The tuple a [`ReplayAccess`] currently has open.
-struct Cursor<'a> {
-    table_id: TableId,
+/// The tuple a [`TupleCursor`] has open.
+struct OpenTuple<H> {
+    table: TableId,
     key: Key,
-    table: &'a Table,
-    /// The key's index entry, if it has one (a tombstoned key does).
-    chain: Option<Arc<TupleChain>>,
-    /// The tuple's image unless `edited`: as found in the table, or as a
-    /// pending insert (`Some`) or delete (`None`) left it.
+    slot: H,
+    /// The tuple's image unless `edited`: as the store gave it, or as a
+    /// whole-row write left it.
     image: Option<Arc<Row>>,
-    /// Column writes are pending; the image lives in `ReplayAccess::buf`.
+    /// Column writes are pending; the image lives in [`TupleStore::buf`].
     edited: bool,
-    /// Anything is pending — an install is due when the cursor moves.
+    /// Anything is pending — the store is owed an image when the cursor moves.
     dirty: bool,
 }
 
-impl<'a> ReplayAccess<'a> {
-    /// Replay on behalf of the transaction originally committed at `ts`.
-    pub fn new(db: &'a Database, ts: Timestamp) -> Self {
-        ReplayAccess {
-            db,
-            ts,
-            cursor: None,
-            buf: Vec::new(),
-            installed: 0,
-        }
+impl<H> OpenTuple<H> {
+    /// Replace the whole image (`None` deletes the tuple).
+    fn set(&mut self, image: Option<Arc<Row>>) {
+        self.image = image;
+        self.edited = false;
+        self.dirty = true;
+    }
+}
+
+/// The **tuple cursor** both back-ends execute through.
+///
+/// Consecutive operations of a procedure mostly revisit one tuple (a TPC-C
+/// NewOrder line reads and writes three columns of one STOCK row), so the
+/// cursor keeps the tuple it was last asked for open: one [`TupleStore::open`]
+/// when it moves onto a tuple, reads of the open tuple answered from its
+/// image, column writes made in place in the store's buffer after one copy on
+/// the first of them, and exactly one image built and [`TupleStore::put`]
+/// when the cursor moves on or is [`flush`](TupleCursor::flush)ed. A cursor
+/// dropped without `flush` leaves the store as it was.
+struct TupleCursor<S: TupleStore> {
+    open: Option<OpenTuple<S::Slot>>,
+}
+
+impl<S: TupleStore> TupleCursor<S> {
+    fn new() -> Self {
+        TupleCursor { open: None }
     }
 
-    /// How many tuple images this access has installed since the last
-    /// call (what recovery reports as applied write images).
-    pub fn take_installed(&mut self) -> u64 {
-        std::mem::take(&mut self.installed)
-    }
-
-    /// The timestamp being replayed.
-    pub fn ts(&self) -> Timestamp {
-        self.ts
-    }
-
-    /// Reuse this access (and its image buffer) for another transaction.
-    /// Whatever the previous piece left pending is discarded.
-    pub fn retarget(&mut self, ts: Timestamp) {
-        self.cursor = None;
-        self.ts = ts;
-    }
-
-    /// Install the open tuple's pending image, if any, and close the
-    /// cursor. Must run before the piece is reported executed — see the
-    /// type-level safety argument.
-    pub fn finish(&mut self) {
-        let Some(cur) = self.cursor.take() else {
+    /// Hand the open tuple's pending image, if any, to the store, and close
+    /// the cursor.
+    fn flush(&mut self, store: &mut S) {
+        let Some(cur) = self.open.take() else {
             return;
         };
         if !cur.dirty {
@@ -208,48 +125,57 @@ impl<'a> ReplayAccess<'a> {
         let image = if cur.edited {
             // The edited columns move into the image; the buffer keeps its
             // capacity for the next tuple.
-            Some(Arc::new(self.buf.drain(..).collect::<Row>()))
+            Some(Arc::new(store.buf().drain(..).collect::<Row>()))
         } else {
             cur.image
         };
-        self.installed += 1;
-        // Mark before the version becomes visible (`Table::mark_dirty`).
-        cur.table.mark_dirty(cur.key, self.ts);
-        cur.chain
-            .unwrap_or_else(|| cur.table.get_or_create(cur.key))
-            .install_lww(self.ts, image);
+        store.put(cur.table, cur.key, cur.slot, image);
     }
 
-    /// Move the cursor onto `(table, key)`, installing what the previous
-    /// tuple had pending. Returns the open tuple and the edit buffer.
-    fn seek(&mut self, table_id: TableId, key: Key) -> Result<(&mut Cursor<'a>, &mut Vec<Value>)> {
+    /// Move the cursor onto `(table, key)`, flushing the tuple it leaves.
+    fn seek(&mut self, store: &mut S, table: TableId, key: Key) -> Result<&mut OpenTuple<S::Slot>> {
         let open = self
-            .cursor
+            .open
             .as_ref()
-            .is_some_and(|c| c.key == key && c.table_id == table_id);
+            .is_some_and(|c| c.key == key && c.table == table);
         if !open {
-            self.finish();
-            let table = self.db.table(table_id)?;
-            let chain = table.get(key);
-            let image = chain.as_ref().and_then(|c| c.newest().1);
-            self.cursor = Some(Cursor {
-                table_id,
-                key,
+            self.flush(store);
+            let (slot, image) = store.open(table, key)?;
+            self.open = Some(OpenTuple {
                 table,
-                chain,
+                key,
+                slot,
                 image,
                 edited: false,
                 dirty: false,
             });
         }
-        let cur = self.cursor.as_mut().expect("cursor opened above");
-        Ok((cur, &mut self.buf))
+        Ok(self.open.as_mut().expect("cursor opened above"))
+    }
+
+    fn read(&mut self, store: &mut S, table: TableId, key: Key, col: usize) -> Result<Value> {
+        let cur = self.seek(store, table, key)?;
+        let cols = match (&cur.image, cur.edited) {
+            (_, true) => &store.buf()[..],
+            (Some(row), false) => row.cols(),
+            (None, false) => return Err(key_not_found(table, key)),
+        };
+        cols.get(col)
+            .cloned()
+            .ok_or_else(|| no_such_column(table, key, col))
     }
 
     /// Open column `col` of `(table, key)` for writing: the tuple's image
-    /// moves to the edit buffer on the first write, and an install is due.
-    fn edit(&mut self, table: TableId, key: Key, col: usize) -> Result<&mut Value> {
-        let (cur, buf) = self.seek(table, key)?;
+    /// moves to the edit buffer on the first write, and a `put` is due.
+    fn edit<'s>(
+        &mut self,
+        store: &'s mut S,
+        table: TableId,
+        key: Key,
+        col: usize,
+    ) -> Result<&'s mut Value> {
+        let cur = self.seek(store, table, key)?;
+        let buf = store.buf();
         if !cur.edited {
             let row = cur
                 .image
@@ -282,21 +208,47 @@ fn no_such_column(table: TableId, key: Key, col: usize) -> Error {
     Error::Unknown(format!("column {col} of {table}:{key}"))
 }
 
-impl DataAccess for ReplayAccess<'_> {
+/// OCC-transactional access: the tuple cursor over a [`Txn`].
+///
+/// A tuple opens on the transaction's own pending write, else on the image
+/// its read set holds, else on the index — joining the read set exactly as
+/// [`Txn::read`] does. Column writes edit the transaction's pooled buffer,
+/// and the tuple is staged as one pending update when the cursor leaves it:
+/// for another tuple, before an `insert` or `delete` (which go to the
+/// transaction directly), or at [`TxnAccess::finish`]. Staging happens in
+/// the order tuples were first written, so the write set — keys, kinds,
+/// final images — is what staging every column write would have produced.
+///
+/// An access dropped without `finish` leaves the open tuple's edits
+/// unstaged: a procedure that failed aborts its transaction anyway.
+pub struct TxnAccess<'a, 'db> {
+    txn: &'a mut Txn<'db>,
+    cursor: TupleCursor<Txn<'db>>,
+}
+
+impl<'a, 'db> TxnAccess<'a, 'db> {
+    /// Wrap a transaction.
+    pub fn new(txn: &'a mut Txn<'db>) -> Self {
+        TxnAccess {
+            txn,
+            cursor: TupleCursor::new(),
+        }
+    }
+
+    /// Stage the open tuple's pending image, if any, and close the cursor.
+    /// Must run before the transaction commits.
+    pub fn finish(&mut self) {
+        self.cursor.flush(self.txn);
+    }
+}
+
+impl DataAccess for TxnAccess<'_, '_> {
     fn read(&mut self, table: TableId, key: Key, col: usize) -> Result<Value> {
-        let (cur, buf) = self.seek(table, key)?;
-        let cols = match (&cur.image, cur.edited) {
-            (_, true) => &buf[..],
-            (Some(row), false) => row.cols(),
-            (None, false) => return Err(key_not_found(table, key)),
-        };
-        cols.get(col)
-            .cloned()
-            .ok_or_else(|| no_such_column(table, key, col))
+        self.cursor.read(self.txn, table, key, col)
     }
 
     fn write_col(&mut self, table: TableId, key: Key, col: usize, value: Value) -> Result<()> {
-        *self.edit(table, key, col)? = value;
+        *self.cursor.edit(self.txn, table, key, col)? = value;
         Ok(())
     }
 
@@ -308,29 +260,163 @@ impl DataAccess for ReplayAccess<'_> {
         delta: &Value,
         negate: bool,
     ) -> Result<()> {
-        let slot = self.edit(table, key, col)?;
+        let slot = self.cursor.edit(self.txn, table, key, col)?;
         *slot = plus(slot, delta, negate);
         Ok(())
     }
 
     fn insert(&mut self, table: TableId, key: Key, row: Row) -> Result<()> {
-        let (cur, _) = self.seek(table, key)?;
-        cur.image = Some(Arc::new(row));
-        cur.edited = false;
-        cur.dirty = true;
+        self.finish();
+        self.txn.insert(table, key, row)
+    }
+
+    fn delete(&mut self, table: TableId, key: Key) -> Result<()> {
+        self.finish();
+        self.txn.delete(table, key)
+    }
+}
+
+/// Latch-free single-version replay access (recovery): the tuple cursor
+/// over the recovering tables. A tuple opens with one index lookup and one
+/// `newest()`; leaving it costs exactly one `mark_dirty` + `install_lww`,
+/// stamped with the original commit timestamp, whole-row inserts and
+/// deletes included.
+///
+/// # Why deferring the install is safe
+///
+/// Between the first write to a tuple and its install, the table still
+/// shows the previous image. Nobody may look during that window, and
+/// nobody does: the replay schedule runs a piece that conflicts with this
+/// one (same tuple, at least one writer) only after this piece's
+/// execution has returned — the runtime releases DAG dependents, completes
+/// the piece-set, and publishes the block watermark that admits online
+/// transactions strictly *after* the executor returns — and the executor
+/// calls [`ReplayAccess::finish`] before it returns. Within the piece,
+/// reads go through the cursor and see the pending image. Intermediate
+/// per-operation images were never observable under op-at-a-time replay
+/// either; only their timing relative to the end of the piece changed.
+///
+/// An access that is dropped or [`retarget`](ReplayAccess::retarget)ed
+/// without `finish` discards the pending image: a failed piece fails the
+/// whole recovery, and a half-executed image must not outlive it.
+pub struct ReplayAccess<'a> {
+    store: ReplayStore<'a>,
+    cursor: TupleCursor<ReplayStore<'a>>,
+}
+
+/// The recovering database as a [`TupleStore`].
+struct ReplayStore<'a> {
+    db: &'a Database,
+    ts: Timestamp,
+    buf: Vec<Value>,
+    /// Images installed since [`ReplayAccess::take_installed`].
+    installed: u64,
+}
+
+impl<'a> TupleStore for ReplayStore<'a> {
+    /// The table, and the key's index entry if it has one (a tombstoned
+    /// key does).
+    type Slot = (&'a Table, Option<Arc<TupleChain>>);
+
+    fn open(&mut self, table: TableId, key: Key) -> Result<(Self::Slot, Option<Arc<Row>>)> {
+        let table = self.db.table(table)?;
+        let chain = table.get(key);
+        let image = chain.as_ref().and_then(|c| c.newest().1);
+        Ok(((table, chain), image))
+    }
+
+    fn put(&mut self, _: TableId, key: Key, (table, chain): Self::Slot, image: Option<Arc<Row>>) {
+        self.installed += 1;
+        // Mark before the version becomes visible (`Table::mark_dirty`).
+        table.mark_dirty(key, self.ts);
+        chain
+            .unwrap_or_else(|| table.get_or_create(key))
+            .install_lww(self.ts, image);
+    }
+
+    fn buf(&mut self) -> &mut Vec<Value> {
+        &mut self.buf
+    }
+}
+
+impl<'a> ReplayAccess<'a> {
+    /// Replay on behalf of the transaction originally committed at `ts`.
+    pub fn new(db: &'a Database, ts: Timestamp) -> Self {
+        ReplayAccess {
+            store: ReplayStore {
+                db,
+                ts,
+                buf: Vec::new(),
+                installed: 0,
+            },
+            cursor: TupleCursor::new(),
+        }
+    }
+
+    /// How many tuple images this access has installed since the last
+    /// call (what recovery reports as applied write images).
+    pub fn take_installed(&mut self) -> u64 {
+        std::mem::take(&mut self.store.installed)
+    }
+
+    /// The timestamp being replayed.
+    pub fn ts(&self) -> Timestamp {
+        self.store.ts
+    }
+
+    /// Reuse this access (and its image buffer) for another transaction.
+    /// Whatever the previous piece left pending is discarded.
+    pub fn retarget(&mut self, ts: Timestamp) {
+        self.cursor.open = None;
+        self.store.ts = ts;
+    }
+
+    /// Install the open tuple's pending image, if any, and close the
+    /// cursor. Must run before the piece is reported executed — see the
+    /// type-level safety argument.
+    pub fn finish(&mut self) {
+        self.cursor.flush(&mut self.store);
+    }
+}
+
+impl DataAccess for ReplayAccess<'_> {
+    fn read(&mut self, table: TableId, key: Key, col: usize) -> Result<Value> {
+        self.cursor.read(&mut self.store, table, key, col)
+    }
+
+    fn write_col(&mut self, table: TableId, key: Key, col: usize, value: Value) -> Result<()> {
+        *self.cursor.edit(&mut self.store, table, key, col)? = value;
+        Ok(())
+    }
+
+    fn add_col(
+        &mut self,
+        table: TableId,
+        key: Key,
+        col: usize,
+        delta: &Value,
+        negate: bool,
+    ) -> Result<()> {
+        let slot = self.cursor.edit(&mut self.store, table, key, col)?;
+        *slot = plus(slot, delta, negate);
+        Ok(())
+    }
+
+    fn insert(&mut self, table: TableId, key: Key, row: Row) -> Result<()> {
+        self.cursor
+            .seek(&mut self.store, table, key)?
+            .set(Some(Arc::new(row)));
         Ok(())
     }
 
     fn delete(&mut self, table: TableId, key: Key) -> Result<()> {
-        let (cur, _) = self.seek(table, key)?;
+        let cur = self.cursor.seek(&mut self.store, table, key)?;
         // A key that never had an index entry (and has no pending insert)
         // cannot be deleted; a tombstoned one can.
-        if cur.chain.is_none() && !cur.dirty {
+        if cur.slot.1.is_none() && !cur.dirty {
             return Err(key_not_found(table, key));
         }
-        cur.image = None;
-        cur.edited = false;
-        cur.dirty = true;
+        cur.set(None);
         Ok(())
     }
 }
@@ -339,6 +425,7 @@ impl DataAccess for ReplayAccess<'_> {
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
+    use crate::txn::WriteKind;
 
     fn db() -> Database {
         let mut c = Catalog::new();
@@ -366,8 +453,73 @@ mod tests {
             assert_eq!(a.read(T, 1, 0).unwrap(), Value::Int(15));
             // Untouched column preserved by the RMW.
             assert_eq!(a.read(T, 1, 1).unwrap(), Value::str("x"));
+            a.finish();
         }
-        txn.commit().unwrap();
+        let info = txn.commit().unwrap();
+        assert_eq!(info.writes.len(), 1);
+        assert_eq!(info.writes[0].kind, WriteKind::Update);
+        // The chain and the log record share the one image that was built.
+        let after = info.writes[0].after.as_ref().unwrap();
+        assert_eq!(after.cols(), &[Value::Int(15), Value::str("x")]);
+        assert!(Arc::ptr_eq(after, &newest(&db, 1).1.unwrap()));
+    }
+
+    #[test]
+    fn one_image_is_staged_when_the_cursor_leaves_the_tuple() {
+        let db = db();
+        db.seed_row(T, 2, Row::from([Value::Int(20), Value::str("z")]))
+            .unwrap();
+        let mut txn = db.begin();
+        let mut a = TxnAccess::new(&mut txn);
+        a.write_col(T, 1, 0, Value::Int(11)).unwrap();
+        a.write_col(T, 1, 1, Value::str("y")).unwrap();
+        assert_eq!(a.txn.writes_len(), 0, "tuple 1 is still open");
+        a.write_col(T, 2, 0, Value::Int(21)).unwrap();
+        assert_eq!(a.txn.writes_len(), 1, "tuple 1 staged on the move");
+        // Coming back re-opens the staged image.
+        assert_eq!(a.read(T, 1, 1).unwrap(), Value::str("y"));
+        a.write_col(T, 1, 0, Value::Int(12)).unwrap();
+        a.finish();
+        let info = txn.commit().unwrap();
+        let keys: Vec<_> = info.writes.iter().map(|w| w.key).collect();
+        assert_eq!(keys, [1, 2], "first-write order");
+        let image = info.writes[0].after.as_ref().unwrap();
+        assert_eq!(image.cols(), &[Value::Int(12), Value::str("y")]);
+    }
+
+    #[test]
+    fn cursor_sees_and_keeps_the_kind_of_own_pending_writes() {
+        let db = db();
+        let mut txn = db.begin();
+        let mut a = TxnAccess::new(&mut txn);
+        a.write_col(T, 1, 0, Value::Int(11)).unwrap();
+        // Whole-row writes stage what is pending first, then go straight
+        // to the transaction.
+        a.insert(T, 55, Row::from([Value::Int(5), Value::str("n")]))
+            .unwrap();
+        a.write_col(T, 55, 0, Value::Int(6)).unwrap();
+        a.delete(T, 1).unwrap();
+        assert!(a.read(T, 1, 0).is_err(), "pending delete hides the row");
+        assert!(a.write_col(T, 1, 0, Value::Int(0)).is_err());
+        a.finish();
+        assert_eq!(txn.reads_len(), 1, "the inserted key was never read");
+        let info = txn.commit().unwrap();
+        let staged: Vec<_> = info.writes.iter().map(|w| (w.key, w.kind)).collect();
+        // Updating a pending insert must still install as an insert.
+        assert_eq!(staged, [(1, WriteKind::Delete), (55, WriteKind::Insert)]);
+        assert_eq!(newest(&db, 55).1.unwrap().col(0), &Value::Int(6));
+    }
+
+    #[test]
+    fn unfinished_txn_access_leaves_the_txn_read_only() {
+        let db = db();
+        let mut txn = db.begin();
+        let mut a = TxnAccess::new(&mut txn);
+        a.write_col(T, 1, 0, Value::Int(0)).unwrap();
+        // Never finished: the failed-procedure path.
+        let info = txn.commit().unwrap();
+        assert!(info.writes.is_empty());
+        assert_eq!(newest(&db, 1).1.unwrap().col(0), &Value::Int(10));
     }
 
     fn newest(db: &Database, key: Key) -> (Timestamp, Option<Arc<Row>>) {
@@ -490,6 +642,7 @@ mod tests {
             a.add_col(T, 1, 9, &Value::Int(1), false),
             a.read(T, 1, 9).map(drop)
         );
+        a.finish();
         assert_eq!((txn.reads_len(), txn.writes_len()), (1, 1));
         txn.commit().unwrap();
 

@@ -146,7 +146,7 @@ pub fn run_procedure_in(
     let mut frame = txn.take_exec_frame();
     let result = {
         let mut access = TxnAccess::new(&mut txn);
-        execute_plan(
+        let result = execute_plan(
             proc,
             proc.plan(),
             params,
@@ -154,7 +154,13 @@ pub fn run_procedure_in(
             None,
             &mut frame,
             &mut access,
-        )
+        );
+        // The last tuple written is still open; a failed body drops it
+        // unstaged and aborts below.
+        if result.is_ok() {
+            access.finish();
+        }
+        result
     };
     txn.put_exec_frame(frame);
     let executed = result.map_err(|e| match e {

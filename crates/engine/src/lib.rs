@@ -40,5 +40,5 @@ pub use interp::{
 };
 pub use recovery_gate::{AdmissionControl, RecoveryGate};
 pub use table::{ShardLoad, Table};
-pub use txn::{recycle_commit_info, CommitInfo, RowMut, Txn, TxnScratch, WriteKind, WriteRecord};
+pub use txn::{recycle_commit_info, CommitInfo, Txn, TxnScratch, WriteKind, WriteRecord};
 pub use version::{VersionEntry, VersionList};

@@ -17,9 +17,10 @@
 //! * each written row image is materialized exactly once, as an
 //!   `Arc<Row>`, and shared by the pending write, the version chain, the
 //!   newest slot and the [`CommitInfo`] after-image the log encodes from;
-//! * the dominant read-modify-write shape goes through
-//!   [`Txn::read_for_update`], which edits the cached image's columns in a
-//!   reusable scratch buffer instead of clone-modify-reinsert.
+//! * column writes reach the transaction through the tuple cursor
+//!   ([`crate::access::TxnAccess`]), which edits the open tuple's columns in
+//!   a reusable scratch buffer and stages one image per written tuple
+//!   instead of clone-modify-reinsert per operation.
 //!
 //! The poison/clear contract: a transaction that ends — commit, abort or
 //! plain drop — runs [`TxnScratch::reset`] before its scratch re-enters
@@ -27,13 +28,14 @@
 //! binding can leak into a later transaction. The budget is enforced by
 //! `tests/alloc_count.rs` and the `fig_alloc` bench.
 
+use crate::access::TupleStore;
 use crate::chain::TupleChain;
 use crate::database::Database;
 use crate::interp::ExecFrame;
 use pacman_common::{Error, Key, Result, Row, TableId, Timestamp, Value};
 use pacman_obs::Counter;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Arc, OnceLock};
 
 /// Registry-backed OCC conflict counters. Lazily bound into the global
@@ -58,8 +60,8 @@ fn scratch_reuse() -> &'static Counter {
 }
 
 /// Full-row images materialized through the general [`Txn::write`] path
-/// (clone-modify-reinsert) rather than the [`Txn::read_for_update`] fast
-/// lane. Near zero under TPC-C confirms the fast path is actually taken.
+/// (clone-modify-reinsert) rather than the tuple cursor. Near zero under
+/// TPC-C confirms the cursor is actually taken.
 fn row_copies() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     C.get_or_init(|| pacman_obs::registry().counter("engine.txn.row_copies"))
@@ -251,68 +253,6 @@ impl Drop for Txn<'_> {
     }
 }
 
-/// A mutable view of one row inside a transaction — the read-modify-write
-/// fast lane handed out by [`Txn::read_for_update`].
-///
-/// The first [`RowMut::set_col`] copies the shared base image's columns
-/// into the transaction's reusable column buffer (capacity warm, `Value`
-/// clones shallow); further edits mutate that buffer in place. [`RowMut::stage`]
-/// materializes the final image once. Dropping the handle without staging
-/// leaves the transaction untouched.
-pub struct RowMut<'t, 'db> {
-    txn: &'t mut Txn<'db>,
-    table: TableId,
-    key: Key,
-    base: Arc<Row>,
-    dirty: bool,
-}
-
-impl RowMut<'_, '_> {
-    /// Number of columns.
-    pub fn arity(&self) -> usize {
-        if self.dirty {
-            self.txn.scratch.row_buf.len()
-        } else {
-            self.base.arity()
-        }
-    }
-
-    /// Current column value — pending edits included.
-    pub fn col(&self, i: usize) -> &Value {
-        if self.dirty {
-            &self.txn.scratch.row_buf[i]
-        } else {
-            self.base.col(i)
-        }
-    }
-
-    /// Replace column `i` in place.
-    pub fn set_col(&mut self, i: usize, v: Value) {
-        if !self.dirty {
-            let buf = &mut self.txn.scratch.row_buf;
-            buf.clear();
-            buf.extend_from_slice(self.base.cols());
-            self.dirty = true;
-        }
-        self.txn.scratch.row_buf[i] = v;
-    }
-
-    /// Buffer the edited row as this transaction's pending update,
-    /// materializing the new image exactly once. Unedited handles restage
-    /// the shared base image without copying.
-    pub fn stage(self) {
-        let image = if self.dirty {
-            // The handle is consumed: the edited columns move into the
-            // image, the buffer keeps its capacity.
-            Arc::new(self.txn.scratch.row_buf.drain(..).collect::<Row>())
-        } else {
-            Arc::clone(&self.base)
-        };
-        self.txn
-            .stage(self.table, self.key, WriteKind::Update, Some(image));
-    }
-}
-
 impl<'db> Txn<'db> {
     pub(crate) fn new(db: &'db Database, scratch: TxnScratch) -> Self {
         debug_assert!(
@@ -322,142 +262,85 @@ impl<'db> Txn<'db> {
         Txn { db, scratch }
     }
 
-    /// Read the current row for `key`, observing own pending writes first.
-    pub fn read(&mut self, table: TableId, key: Key) -> Result<Row> {
+    /// The transaction's view of `key`'s current image: its own pending
+    /// write first (a pending delete holds none), else the image observed
+    /// first — repeatable read: the one commit validation will check, served
+    /// without re-touching the shard map or the chain — else the index, and
+    /// then the key joins the read set. `None`: missing or deleted.
+    fn image(&mut self, table: TableId, key: Key) -> Result<Option<Arc<Row>>> {
         if let Some(w) = self.scratch.writes.get(&(table, key)) {
-            return match (&w.kind, &w.row) {
-                (WriteKind::Delete, _) | (_, None) => Err(Error::KeyNotFound {
-                    table: table.0,
-                    key,
-                }),
-                (_, Some(row)) => Ok((**row).clone()),
-            };
+            return Ok(w.row.clone());
         }
-        if let Some(r) = self.scratch.reads.get(&(table, key)) {
-            // Repeatable read: serve the image observed first (the one
-            // commit validation will check) without re-touching the shard
-            // map or the chain.
-            return Ok((*r.row).clone());
-        }
-        let chain = self.db.table(table)?.get(key).ok_or(Error::KeyNotFound {
-            table: table.0,
-            key,
-        })?;
+        let vacant = match self.scratch.reads.entry((table, key)) {
+            Entry::Occupied(r) => return Ok(Some(Arc::clone(&r.get().row))),
+            Entry::Vacant(v) => v,
+        };
+        let Some(chain) = self.db.table(table)?.get(key) else {
+            return Ok(None);
+        };
         let (ts, row) = chain.newest();
-        let row = row.ok_or(Error::KeyNotFound {
-            table: table.0,
-            key,
-        })?;
-        let out = (*row).clone();
-        self.scratch.reads.insert(
-            (table, key),
-            ReadEntry {
+        if let Some(row) = &row {
+            vacant.insert(ReadEntry {
                 chain,
                 observed_ts: ts,
-                row,
-            },
-        );
-        Ok(out)
+                row: Arc::clone(row),
+            });
+        }
+        Ok(row)
     }
 
-    /// Open `key` for read-modify-write. The returned [`RowMut`] reads
-    /// through to the shared cached image and only copies columns (into
-    /// the transaction's reusable buffer) once a column is actually
-    /// edited — the allocation-free fast lane for the dominant TPC-C
-    /// update shape. Observes own pending writes; the key joins the read
-    /// set exactly as [`Txn::read`] would place it there.
-    pub fn read_for_update(&mut self, table: TableId, key: Key) -> Result<RowMut<'_, 'db>> {
-        let base = if let Some(w) = self.scratch.writes.get(&(table, key)) {
-            match (&w.kind, &w.row) {
-                (WriteKind::Delete, _) | (_, None) => {
-                    return Err(Error::KeyNotFound {
-                        table: table.0,
-                        key,
-                    })
-                }
-                (_, Some(row)) => Arc::clone(row),
-            }
-        } else if let Some(r) = self.scratch.reads.get(&(table, key)) {
-            Arc::clone(&r.row)
-        } else {
-            let chain = self.db.table(table)?.get(key).ok_or(Error::KeyNotFound {
+    /// Read the current row for `key`, observing own pending writes first.
+    pub fn read(&mut self, table: TableId, key: Key) -> Result<Row> {
+        match self.image(table, key)? {
+            Some(row) => Ok((*row).clone()),
+            None => Err(Error::KeyNotFound {
                 table: table.0,
                 key,
-            })?;
-            let (ts, row) = chain.newest();
-            let row = row.ok_or(Error::KeyNotFound {
-                table: table.0,
-                key,
-            })?;
-            self.scratch.reads.insert(
-                (table, key),
-                ReadEntry {
-                    chain,
-                    observed_ts: ts,
-                    row: Arc::clone(&row),
-                },
-            );
-            row
-        };
-        Ok(RowMut {
-            txn: self,
-            table,
-            key,
-            base,
-            dirty: false,
-        })
+            }),
+        }
     }
 
     fn stage(&mut self, table: TableId, key: Key, kind: WriteKind, row: Option<Arc<Row>>) {
-        if let Some(existing) = self.scratch.writes.get_mut(&(table, key)) {
-            match (existing.kind, kind) {
-                // insert then update: still an insert with the newer image
-                (WriteKind::Insert, WriteKind::Update) => existing.row = row,
-                // insert then delete: net nothing; drop the pending write
-                (WriteKind::Insert, WriteKind::Delete) => {
-                    self.scratch.writes.remove(&(table, key));
-                    self.scratch.write_order.retain(|k| *k != (table, key));
+        let vacant = match self.scratch.writes.entry((table, key)) {
+            Entry::Occupied(mut existing) => {
+                let w = existing.get_mut();
+                match (w.kind, kind) {
+                    // insert then update: still an insert with the newer image
+                    (WriteKind::Insert, WriteKind::Update) => w.row = row,
+                    // insert then delete: net nothing; drop the pending write
+                    (WriteKind::Insert, WriteKind::Delete) => {
+                        existing.remove();
+                        self.scratch.write_order.retain(|k| *k != (table, key));
+                    }
+                    _ => {
+                        w.kind = kind;
+                        w.row = row;
+                    }
                 }
-                _ => {
-                    existing.kind = kind;
-                    existing.row = row;
-                }
+                return;
             }
-            return;
-        }
+            Entry::Vacant(v) => v,
+        };
         // A prior read of the key already resolved the chain; reuse the
         // handle so read-modify-write does one shard-map lookup per key.
         let chain = if let Some(r) = self.scratch.reads.get(&(table, key)) {
             Arc::clone(&r.chain)
         } else {
+            let t = self.db.table(table).expect("validated table id");
             match kind {
-                WriteKind::Insert => self
-                    .db
-                    .table(table)
-                    .expect("validated table id")
-                    .get_or_create(key),
-                _ => match self.db.table(table).expect("validated table id").get(key) {
-                    Some(c) => c,
-                    None => {
-                        // Blind update/delete of a missing key: stage against a
-                        // fresh chain; commit-time validation will abort.
-                        self.db
-                            .table(table)
-                            .expect("validated table id")
-                            .get_or_create(key)
-                    }
-                },
+                WriteKind::Insert => t.get_or_create(key),
+                // Blind update/delete of a missing key: stage against a
+                // fresh chain; commit-time validation will abort.
+                _ => t.get(key).unwrap_or_else(|| t.get_or_create(key)),
             }
         };
-        self.scratch
-            .writes
-            .insert((table, key), PendingWrite { chain, kind, row });
+        vacant.insert(PendingWrite { chain, kind, row });
         self.scratch.write_order.push((table, key));
     }
 
     /// Buffer a full-row update (the general clone-modify-reinsert path;
-    /// prefer [`Txn::read_for_update`] on hot shapes — this one bumps the
-    /// `engine.txn.row_copies` counter).
+    /// column writes on hot shapes go through [`crate::access::TxnAccess`] —
+    /// this one bumps the `engine.txn.row_copies` counter).
     pub fn write(&mut self, table: TableId, key: Key, row: Row) -> Result<()> {
         self.db.table(table)?; // validate id
         row_copies().inc();
@@ -565,13 +448,16 @@ impl<'db> Txn<'db> {
             }
         }
         // Write preconditions.
-        for ((t, k), w) in writes.iter() {
-            let (_, live) = w.chain.newest();
+        for (key @ (t, k), w) in writes.iter() {
+            // A key in the read set was observed live and has just been
+            // validated at an unchanged timestamp; only blind writes and
+            // inserts of unread keys need the chain's word.
+            let live = reads.contains_key(key) || w.chain.newest().1.is_some();
             match w.kind {
-                WriteKind::Insert if live.is_some() => {
+                WriteKind::Insert if live => {
                     return Err(abort_err(format!("insert of live key {t}:{k}")));
                 }
-                WriteKind::Update | WriteKind::Delete if live.is_none() => {
+                WriteKind::Update | WriteKind::Delete if !live => {
                     return Err(abort_err(format!("update/delete of missing key {t}:{k}")));
                 }
                 _ => {}
@@ -648,6 +534,26 @@ impl<'db> Txn<'db> {
     pub fn abort(self) {}
 }
 
+/// The transaction as the tuple cursor's store: a tuple opens on the
+/// transaction's view of it, joining the read set exactly as [`Txn::read`]
+/// places it there, and the image the cursor built is staged as a pending
+/// update.
+impl TupleStore for Txn<'_> {
+    type Slot = ();
+
+    fn open(&mut self, table: TableId, key: Key) -> Result<((), Option<Arc<Row>>)> {
+        Ok(((), self.image(table, key)?))
+    }
+
+    fn put(&mut self, table: TableId, key: Key, (): (), image: Option<Arc<Row>>) {
+        self.stage(table, key, WriteKind::Update, image);
+    }
+
+    fn buf(&mut self) -> &mut Vec<Value> {
+        &mut self.scratch.row_buf
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -679,74 +585,6 @@ mod tests {
         assert_eq!(info.writes[0].kind, WriteKind::Update);
         let mut t2 = db.begin();
         assert_eq!(t2.read(T, 1).unwrap().col(0), &Value::Int(70));
-    }
-
-    #[test]
-    fn read_for_update_edits_in_place() {
-        let db = db();
-        let mut t = db.begin();
-        let mut r = t.read_for_update(T, 1).unwrap();
-        assert_eq!(r.arity(), 1);
-        let v = r.col(0).as_int().unwrap();
-        r.set_col(0, Value::Int(v - 30));
-        assert_eq!(r.col(0), &Value::Int(70), "edits read back before stage");
-        r.stage();
-        let info = t.commit().unwrap();
-        assert_eq!(info.writes.len(), 1);
-        assert_eq!(info.writes[0].kind, WriteKind::Update);
-        let mut t2 = db.begin();
-        assert_eq!(t2.read(T, 1).unwrap().col(0), &Value::Int(70));
-    }
-
-    #[test]
-    fn read_for_update_sees_own_pending_writes() {
-        let db = db();
-        let mut t = db.begin();
-        t.insert(T, 55, Row::from([Value::Int(5)])).unwrap();
-        let mut r = t.read_for_update(T, 55).unwrap();
-        r.set_col(0, Value::Int(6));
-        r.stage();
-        let info = t.commit().unwrap();
-        // Updating a pending insert must still install as an insert.
-        assert_eq!(info.writes[0].kind, WriteKind::Insert);
-        let mut t2 = db.begin();
-        assert_eq!(t2.read(T, 55).unwrap().col(0), &Value::Int(6));
-
-        let mut t3 = db.begin();
-        t3.delete(T, 55).unwrap();
-        assert!(
-            t3.read_for_update(T, 55).is_err(),
-            "pending delete hides row"
-        );
-    }
-
-    #[test]
-    fn unstaged_row_mut_leaves_txn_read_only() {
-        let db = db();
-        let mut t = db.begin();
-        let mut r = t.read_for_update(T, 1).unwrap();
-        r.set_col(0, Value::Int(0));
-        drop(r); // never staged
-        let info = t.commit().unwrap();
-        assert!(info.writes.is_empty());
-        let mut t2 = db.begin();
-        assert_eq!(t2.read(T, 1).unwrap().col(0), &Value::Int(100));
-    }
-
-    #[test]
-    fn commit_shares_the_installed_image_with_the_log_record() {
-        let db = db();
-        let mut t = db.begin();
-        let mut r = t.read_for_update(T, 2).unwrap();
-        r.set_col(0, Value::Int(42));
-        r.stage();
-        let info = t.commit().unwrap();
-        let after = info.writes[0].after.as_ref().unwrap();
-        let (_, newest) = db.table(T).unwrap().get(2).unwrap().newest();
-        assert!(
-            Arc::ptr_eq(after, &newest.unwrap()),
-            "chain and log record must share one image"
-        );
     }
 
     #[test]

@@ -135,11 +135,12 @@ impl Tpcc {
         let w = rng.gen_range(0..self.cfg.warehouses);
         let d = rng.gen_range(1..=self.cfg.districts_per_warehouse);
         let ol_cnt = rng.gen_range(5..=15u64);
-        let mut params: Vec<Value> = vec![
+        let mut params: Vec<Value> = Vec::with_capacity(3 + 3 * ol_cnt as usize);
+        params.extend([
             Value::Int(w as i64),
             Value::Int(d as i64),
             Value::Int(ol_cnt as i64),
-        ];
+        ]);
         for _ in 0..ol_cnt {
             let item = rng.gen_range(0..self.cfg.items);
             let supply = if self.cfg.warehouses > 1 && rng.gen_bool(self.cfg.remote_fraction) {
@@ -185,8 +186,10 @@ impl Tpcc {
     fn gen_delivery(&self, rng: &mut SmallRng) -> Params {
         let w = rng.gen_range(0..self.cfg.warehouses);
         let carrier = rng.gen_range(1..=10i64);
-        let mut params: Vec<Value> = vec![Value::Int(w as i64), Value::Int(carrier)];
-        for _ in 0..self.cfg.districts_per_warehouse {
+        let districts = self.cfg.districts_per_warehouse;
+        let mut params: Vec<Value> = Vec::with_capacity(2 + 2 * districts as usize);
+        params.extend([Value::Int(w as i64), Value::Int(carrier)]);
+        for _ in 0..districts {
             let o = rng.gen_range(1..=self.cfg.orders_per_district);
             params.push(Value::Int(o as i64));
             params.push(Value::Int(schema::order_customer(&self.cfg, o) as i64));

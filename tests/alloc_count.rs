@@ -19,11 +19,12 @@
 //!   per transaction (the read-set map itself; the reads and the
 //!   lock-free validating commit allocate nothing — with the pooled
 //!   scratch it measures ~0 in steady state).
-//! * **write** — a single-row read-modify-write transaction through the
+//! * **write** — a transaction through the tuple cursor and the
 //!   pooled-scratch write path must stay at or under 2 allocations per
-//!   transaction: the `Arc<[Value]>` column slab and the `Arc<Row>`
-//!   header of the new image. Everything else (read/write maps, lock
-//!   set, record vec, interpreter frame) is recycled capacity, and the
+//!   *written tuple*, however many of its columns were written: the
+//!   `Arc<[Value]>` column slab and the `Arc<Row>` header of the new
+//!   image. Everything else (read/write maps, lock set, record vec,
+//!   column buffer, interpreter frame) is recycled capacity, and the
 //!   staged image is the same `Arc` the chain installs and the log
 //!   record carries (no clones).
 //! * **interpret** — running a compiled plan through `execute_plan` on a
@@ -39,7 +40,8 @@
 use pacman_common::clock::epoch_floor;
 use pacman_common::{Key, ProcId, Row, TableId, Value};
 use pacman_engine::{
-    execute_plan, Catalog, CommitInfo, DataAccess, Database, ExecFrame, WriteKind, WriteRecord,
+    execute_plan, Catalog, CommitInfo, DataAccess, Database, ExecFrame, TxnAccess, WriteKind,
+    WriteRecord,
 };
 use pacman_sproc::VarStore;
 use pacman_storage::{DiskConfig, StorageSet};
@@ -273,10 +275,11 @@ fn update_txn_stays_within_alloc_budget() {
     for i in 0..WARMUP + MEASURED {
         let a0 = allocs_now();
         let mut txn = db.begin();
-        let mut row = txn.read_for_update(t, i % ACCTS).unwrap();
-        let v = row.col(0).as_int().unwrap();
-        row.set_col(0, Value::Int(v + 1));
-        row.stage();
+        let mut access = TxnAccess::new(&mut txn);
+        access
+            .add_col(t, i % ACCTS, 0, &Value::Int(1), false)
+            .unwrap();
+        access.finish();
         let info = txn.commit().unwrap();
         if i >= WARMUP {
             measured_allocs += allocs_now() - a0;
@@ -298,6 +301,45 @@ fn update_txn_stays_within_alloc_budget() {
     assert!(
         per_txn <= 2.0,
         "update txn exceeded the allocation budget: {per_txn:.3} allocs/txn (budget 2.0)"
+    );
+}
+
+/// A warm ten-line TPC-C NewOrder through `run_procedure` writes eleven
+/// tuples — the district's order counter and three columns of each of ten
+/// stock rows — and pays for eleven images, two blocks each: the tuple
+/// cursor builds an image when it leaves a tuple, not per column write
+/// (which would be 31 images here).
+#[test]
+fn new_order_allocates_two_blocks_per_written_tuple() {
+    use pacman_workloads::tpcc::{procs::new_order, Tpcc, TpccConfig};
+    use pacman_workloads::Workload;
+    let tpcc = Tpcc::new(TpccConfig::small());
+    let db = Database::new(tpcc.catalog());
+    tpcc.load(&db);
+    let new_order = new_order();
+    let mut args = vec![Value::Int(1), Value::Int(2), Value::Int(10)];
+    for line in 0..10 {
+        args.extend([Value::Int(10 + line), Value::Int(1), Value::Int(5)]);
+    }
+    let params: pacman_sproc::Params = args.into();
+
+    const WARMUP: u64 = 100;
+    const MEASURED: u64 = 500;
+    let mut measured_allocs = 0u64;
+    for i in 0..WARMUP + MEASURED {
+        let a0 = allocs_now();
+        let info = pacman_engine::run_procedure(&db, &new_order, &params).unwrap();
+        assert_eq!(info.writes.len(), 11);
+        pacman_engine::recycle_commit_info(info);
+        if i >= WARMUP {
+            measured_allocs += allocs_now() - a0;
+        }
+    }
+    let per_tuple = measured_allocs as f64 / (MEASURED * 11) as f64;
+    println!("NewOrder: {per_tuple:.3} allocs/written tuple over {MEASURED} txns");
+    assert!(
+        per_tuple <= 2.0,
+        "NewOrder exceeded the allocation budget: {per_tuple:.3} allocs/written tuple (budget 2.0)"
     );
 }
 

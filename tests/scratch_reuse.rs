@@ -20,7 +20,10 @@
 //!   it to the next transaction.
 
 use pacman_common::{Error, ProcId, TableId, Value};
-use pacman_engine::{run_procedure_in, run_procedure_with_epoch, CommitInfo, Database, TxnScratch};
+use pacman_engine::{
+    run_procedure_in, run_procedure_with_epoch, CommitInfo, DataAccess, Database, TxnAccess,
+    TxnScratch,
+};
 use pacman_sproc::{params, Expr, Params, ProcBuilder, ProcRegistry};
 use pacman_workloads::{bank::Bank, smallbank::Smallbank, Workload};
 use proptest::prelude::*;
@@ -66,15 +69,16 @@ fn run_one_fresh(
 fn pollute_pool(db: &Database, table: TableId, key: u64) {
     let mut txn = db.begin();
     let _ = txn.read(table, key);
-    if let Ok(mut row) = txn.read_for_update(table, key) {
-        row.set_col(0, Value::Int(-987_654_321));
-        row.stage();
+    let mut access = TxnAccess::new(&mut txn);
+    if access
+        .write_col(table, key, 0, Value::Int(-987_654_321))
+        .is_ok()
+    {
+        access.finish();
     }
-    if let Ok(mut row) = txn.read_for_update(table, key) {
-        // A second edit left unstaged: the scratch row buffer is dirty
-        // when the transaction drops.
-        row.set_col(0, Value::str("poison"));
-    }
+    // A second edit left unstaged: the scratch row buffer is dirty when
+    // the transaction drops.
+    let _ = access.write_col(table, key, 0, Value::str("poison"));
     // Dropped without commit: everything above must vanish.
     drop(txn);
 }
@@ -188,9 +192,9 @@ fn aborted_scratch_does_not_bleed_into_the_next_txn() {
     );
     {
         let mut txn = db.begin();
-        let mut row = txn.read_for_update(current, 3).unwrap();
-        row.set_col(0, Value::Int(-1));
-        row.stage();
+        let mut access = TxnAccess::new(&mut txn);
+        access.write_col(current, 3, 0, Value::Int(-1)).unwrap();
+        access.finish();
         txn.write(current, 5, pacman_common::Row::from([Value::Int(-2)]))
             .unwrap();
         assert!(txn.writes_len() > 0 && txn.reads_len() > 0);
