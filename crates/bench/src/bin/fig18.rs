@@ -4,7 +4,7 @@
 
 use pacman_bench::{banner, bench_tpcc, default_workers, prepare_crashed, BenchOpts};
 use pacman_core::metrics::RecoveryMetrics;
-use pacman_core::recovery::{clr_p, LogInventory};
+use pacman_core::recovery::{clr_p, LogInventory, UnitSource};
 use pacman_core::runtime::ReplayMode;
 use pacman_core::static_analysis::{ChoppingGraph, GlobalGraph};
 use pacman_engine::Database;
@@ -68,17 +68,17 @@ fn main() {
             )
             .unwrap();
             let metrics = Arc::new(RecoveryMetrics::new());
+            let source = UnitSource::inventory(&crashed.storage, &inventory, u64::MAX, ckpt_ts);
+            let mode = ReplayMode::PureStatic;
             let r = clr_p::recover_log(
-                &crashed.storage,
-                &inventory,
+                source,
                 &db,
                 gdg,
                 &crashed.registry,
                 threads,
-                ReplayMode::PureStatic,
-                u64::MAX,
-                ckpt_ts,
+                mode,
                 &metrics,
+                None,
             )
             .unwrap();
             assert_eq!(db.fingerprint(), crashed.reference, "wrong state");

@@ -17,7 +17,8 @@
 //! * [`recovery`] — the five evaluated recovery schemes: PLR, LLR, LLR-P,
 //!   CLR and CLR-P (= PACMAN), plus checkpoint recovery (§6.2);
 //! * [`replication`] — hot-standby replication: continuous log shipping
-//!   with live PACMAN apply and instant failover (promote = epoch drain);
+//!   into a follow-mode recovery session and instant failover (promote =
+//!   instant restart's tail);
 //! * [`metrics`] — the time-breakdown instrumentation behind Fig. 20.
 
 pub mod dynamic;
@@ -31,7 +32,7 @@ pub mod static_analysis;
 pub use dynamic::PieceDag;
 pub use metrics::{Breakdown, RecoveryMetrics};
 pub use recovery::{RecoveryConfig, RecoveryOutcome, RecoveryReport, RecoveryScheme};
-pub use replication::{PromotedPrimary, ReplicationStats, Standby, StandbyConfig, StandbyState};
+pub use replication::{PromotedPrimary, ReplicationStats, Standby, StandbyConfig};
 pub use runtime::ReplayMode;
 pub use schedule::{ExecutionSchedule, Piece, PieceSet};
 pub use static_analysis::{ChoppingGraph, GlobalGraph, LocalGraph};

@@ -96,13 +96,13 @@ impl RecoveryMetrics {
         self.sched_ns.add(d.as_nanos() as u64);
     }
 
-    /// Count a replayed transaction.
+    /// Count replayed transactions (once per loaded unit, not per record).
     #[inline]
-    pub fn count_txn(&self) {
-        self.txns.inc();
+    pub fn count_txns(&self, n: u64) {
+        self.txns.add(n);
     }
 
-    /// Count applied write images.
+    /// Count installed tuple images.
     #[inline]
     pub fn count_writes(&self, n: u64) {
         self.writes.add(n);
@@ -136,11 +136,6 @@ impl RecoveryMetrics {
         self.applied_log_bytes.add(log_bytes);
     }
 
-    /// Replication apply batches fully applied (standby side).
-    pub fn applied_batches(&self) -> u64 {
-        self.applied_batches.get()
-    }
-
     /// Shipped log bytes applied (standby side).
     pub fn applied_log_bytes(&self) -> u64 {
         self.applied_log_bytes.get()
@@ -161,7 +156,7 @@ impl RecoveryMetrics {
         self.txns.get()
     }
 
-    /// Write images applied.
+    /// Tuple images installed.
     pub fn writes(&self) -> u64 {
         self.writes.get()
     }
@@ -206,7 +201,7 @@ mod tests {
         m.add_work(Duration::from_millis(10));
         m.add_work(Duration::from_millis(20));
         m.add_load(Duration::from_millis(5));
-        m.count_txn();
+        m.count_txns(1);
         m.count_writes(3);
         let b = m.breakdown();
         assert!((b.work - 0.030).abs() < 1e-6);

@@ -11,71 +11,29 @@
 //! blocks owning the written tables (§4.5's ad-hoc unification). The
 //! result combines command logging's small log with logical logging's
 //! cheap replay exactly where each wins.
-
-use crate::metrics::RecoveryMetrics;
-use crate::recovery::plr::LogRecovery;
-use crate::recovery::LogInventory;
-use crate::runtime::ReplayMode;
-use crate::static_analysis::GlobalGraph;
-use pacman_common::{Result, Timestamp};
-use pacman_engine::Database;
-use pacman_sproc::ProcRegistry;
-use pacman_storage::StorageSet;
-use std::sync::Arc;
-
-/// ALR-P log recovery: stream mixed-format batches through the PACMAN
-/// schedule. [`crate::schedule::ExecutionSchedule`] already dispatches
-/// every payload kind — command records into interpreter slices, logical
-/// and proc-tagged records into write-only pieces — so ALR-P shares
-/// CLR-P's loader/replay pipeline verbatim (one implementation, one place
-/// to fix); the pipeline reports the command/logical mix either way.
-#[allow(clippy::too_many_arguments)]
-pub fn recover_log(
-    storage: &StorageSet,
-    inventory: &LogInventory,
-    db: &Arc<Database>,
-    gdg: &Arc<GlobalGraph>,
-    registry: &ProcRegistry,
-    threads: usize,
-    mode: ReplayMode,
-    pepoch: u64,
-    after_ts: Timestamp,
-    metrics: &Arc<RecoveryMetrics>,
-) -> Result<LogRecovery> {
-    crate::recovery::clr_p::recover_log(
-        storage, inventory, db, gdg, registry, threads, mode, pepoch, after_ts, metrics,
-    )
-}
-
-/// [`recover_log`] with an online-recovery gate (shares CLR-P's gated
-/// pipeline: per-block watermarks, wanted-block priority).
-#[allow(clippy::too_many_arguments)]
-pub fn recover_log_online(
-    storage: &StorageSet,
-    inventory: &LogInventory,
-    db: &Arc<Database>,
-    gdg: &Arc<GlobalGraph>,
-    registry: &ProcRegistry,
-    threads: usize,
-    mode: ReplayMode,
-    pepoch: u64,
-    after_ts: Timestamp,
-    metrics: &Arc<RecoveryMetrics>,
-    gate: Option<Arc<pacman_engine::RecoveryGate>>,
-) -> Result<LogRecovery> {
-    crate::recovery::clr_p::recover_log_online(
-        storage, inventory, db, gdg, registry, threads, mode, pepoch, after_ts, metrics, gate,
-    )
-}
+//!
+//! [`crate::schedule::ExecutionSchedule`] already dispatches every payload
+//! kind — command records into interpreter slices, logical and
+//! proc-tagged records into write-only pieces — so ALR-P *is* CLR-P's
+//! loader/replay pipeline ([`crate::recovery::clr_p::recover_log`]), one
+//! implementation and one place to fix; the pipeline reports the
+//! command/logical mix either way. This module holds the mixed-log tests.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::metrics::RecoveryMetrics;
+    use crate::recovery::clr_p::recover_log;
+    use crate::recovery::plr::LogRecovery;
+    use crate::recovery::{LogInventory, UnitSource};
+    use crate::runtime::ReplayMode;
+    use crate::static_analysis::GlobalGraph;
     use pacman_common::clock::epoch_floor;
     use pacman_common::{Encoder, ProcId, Row, TableId, Value};
-    use pacman_engine::{Catalog, WriteKind, WriteRecord};
-    use pacman_sproc::{Expr, ProcBuilder};
+    use pacman_engine::{Catalog, Database, WriteKind, WriteRecord};
+    use pacman_sproc::{Expr, ProcBuilder, ProcRegistry};
+    use pacman_storage::StorageSet;
     use pacman_wal::{LogPayload, TxnLogRecord};
+    use std::sync::Arc;
 
     const ACCT: TableId = TableId::new(0);
     const AUDIT: TableId = TableId::new(1);
@@ -169,28 +127,24 @@ mod tests {
         (commands, logicals)
     }
 
-    fn run(mode: ReplayMode, threads: usize) -> (Arc<Database>, LogRecovery) {
+    fn replay(
+        storage: &StorageSet,
+        mode: ReplayMode,
+        threads: usize,
+    ) -> (Arc<Database>, LogRecovery) {
         let reg = registry();
         let gdg = Arc::new(GlobalGraph::analyze(reg.all()).unwrap());
+        let db = db();
+        let source = UnitSource::inventory(storage, &LogInventory::scan(storage), u64::MAX, 0);
+        let m = Arc::new(RecoveryMetrics::new());
+        let r = recover_log(source, &db, &gdg, &reg, threads, mode, &m, None).unwrap();
+        (db, r)
+    }
+
+    fn run(mode: ReplayMode, threads: usize) -> (Arc<Database>, LogRecovery) {
         let storage = StorageSet::for_tests();
         mixed_log(&storage, 48, 8);
-        let db = db();
-        let inv = LogInventory::scan(&storage);
-        let m = Arc::new(RecoveryMetrics::new());
-        let r = recover_log(
-            &storage,
-            &inv,
-            &db,
-            &gdg,
-            &reg,
-            threads,
-            mode,
-            u64::MAX,
-            0,
-            &m,
-        )
-        .unwrap();
-        (db, r)
+        replay(&storage, mode, threads)
     }
 
     #[test]
@@ -218,25 +172,7 @@ mod tests {
 
     #[test]
     fn empty_inventory_is_trivial() {
-        let reg = registry();
-        let gdg = Arc::new(GlobalGraph::analyze(reg.all()).unwrap());
-        let storage = StorageSet::for_tests();
-        let db = db();
-        let inv = LogInventory::scan(&storage);
-        let m = Arc::new(RecoveryMetrics::new());
-        let r = recover_log(
-            &storage,
-            &inv,
-            &db,
-            &gdg,
-            &reg,
-            2,
-            ReplayMode::Pipelined,
-            u64::MAX,
-            0,
-            &m,
-        )
-        .unwrap();
+        let (_, r) = replay(&StorageSet::for_tests(), ReplayMode::Pipelined, 2);
         assert_eq!(r.txns, 0);
     }
 }

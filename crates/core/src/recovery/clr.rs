@@ -7,85 +7,59 @@
 
 use crate::metrics::RecoveryMetrics;
 use crate::recovery::plr::LogRecovery;
-use crate::recovery::{read_merged_batch, LogInventory};
+use crate::recovery::UnitSource;
 use crate::runtime::exec::Replayer;
-use pacman_common::{Result, Timestamp};
-use pacman_engine::Database;
+use pacman_common::Result;
+use pacman_engine::{Database, RecoveryGate};
 use pacman_sproc::ProcRegistry;
-use pacman_storage::StorageSet;
 use std::time::Instant;
 
-/// CLR log recovery.
-#[allow(clippy::too_many_arguments)]
+/// CLR log recovery over `source`'s units. With an online-recovery
+/// `gate`, every partition's watermark advances together after each unit:
+/// CLR replays strictly serially, so on-demand priority has nothing to
+/// reorder.
 pub fn recover_log(
-    storage: &StorageSet,
-    inventory: &LogInventory,
+    source: UnitSource,
     db: &Database,
     registry: &ProcRegistry,
-    pepoch: u64,
-    after_ts: Timestamp,
     metrics: &RecoveryMetrics,
-) -> Result<LogRecovery> {
-    recover_log_online(
-        storage, inventory, db, registry, pepoch, after_ts, metrics, None,
-    )
-}
-
-/// [`recover_log`] publishing batch watermarks to an online-recovery
-/// gate. CLR replays strictly serially, so every block advances together:
-/// after batch `k`, every partition's watermark is `k + 1` (on-demand
-/// priority has nothing to reorder on a single thread).
-#[allow(clippy::too_many_arguments)]
-pub fn recover_log_online(
-    storage: &StorageSet,
-    inventory: &LogInventory,
-    db: &Database,
-    registry: &ProcRegistry,
-    pepoch: u64,
-    after_ts: Timestamp,
-    metrics: &RecoveryMetrics,
-    gate: Option<&pacman_engine::RecoveryGate>,
+    gate: Option<&RecoveryGate>,
 ) -> Result<LogRecovery> {
     let t0 = Instant::now();
-    let mut reload = std::time::Duration::ZERO;
-    let mut max_ts = 0u64;
-    let mut txns = 0u64;
+    let mut log = LogRecovery::default();
     let mut replayer = Replayer::new(db);
-    for (bi, batch) in inventory.batches().into_iter().enumerate() {
-        let tr = Instant::now();
-        let merged = read_merged_batch(storage, inventory, batch, pepoch, after_ts)?;
-        reload += tr.elapsed();
-        metrics.add_load(tr.elapsed());
+    for (unit, seq) in source.zip(1..) {
+        let (view, started) = unit?;
+        let merged = view.to_batch();
+        log.reload += started.elapsed();
+        metrics.add_load(started.elapsed());
+        log.count_unit(&merged, metrics);
         let tw = Instant::now();
+        let mut images = 0;
         for rec in &merged.records {
-            replayer.replay_record(registry, rec)?;
-            max_ts = max_ts.max(rec.ts);
-            txns += 1;
-            metrics.count_txn();
+            images += replayer.replay_record(registry, rec)?;
         }
         metrics.add_work(tw.elapsed());
+        metrics.count_writes(images);
         if let Some(g) = gate {
             for p in 0..g.num_partitions() {
-                g.publish(p, bi as u64 + 1);
+                g.publish(p, seq);
             }
         }
     }
-    Ok(LogRecovery {
-        reload,
-        total: t0.elapsed(),
-        max_ts,
-        txns,
-        ..Default::default()
-    })
+    log.total = t0.elapsed();
+    Ok(log)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::LogInventory;
     use pacman_common::clock::epoch_floor;
     use pacman_common::{Encoder, ProcId, Row, TableId, Value};
     use pacman_engine::Catalog;
     use pacman_sproc::{Expr, ProcBuilder};
+    use pacman_storage::StorageSet;
     use pacman_wal::{LogPayload, TxnLogRecord};
 
     const T: TableId = TableId::new(0);
@@ -123,10 +97,11 @@ mod tests {
         db.seed_row(T, 1, Row::from([Value::Int(100)])).unwrap();
         let inv = LogInventory::scan(&storage);
         let m = RecoveryMetrics::new();
-        let r = recover_log(&storage, &inv, &db, &reg, 5, 0, &m).unwrap();
-        assert_eq!(r.txns, 3);
+        let source = UnitSource::inventory(&storage, &inv, 5, 0);
+        let r = recover_log(source, &db, &reg, &m, None).unwrap();
+        assert_eq!((r.txns, r.replayed_commands), (3, 3));
         let chain = db.table(T).unwrap().get(1).unwrap();
         assert_eq!(chain.newest().1.unwrap().col(0), &Value::Int(110));
-        assert_eq!(m.txns(), 3);
+        assert_eq!((m.txns(), m.writes()), (3, 3));
     }
 }

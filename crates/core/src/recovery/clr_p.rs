@@ -1,94 +1,51 @@
 //! CLR-P: PACMAN — parallel command log recovery (§4, §6.2).
 //!
-//! A loader thread streams batches off the devices, merges them into
-//! commitment order, instantiates execution schedules from the global
-//! dependency graph and feeds them to the block worker groups of the
-//! [`crate::runtime`]. The workload distribution is estimated from the
-//! first batch at reload time (§4.4); replay runs in one of the three
-//! modes of Fig. 19 (pure-static / synchronous / pipelined).
+//! A loader thread takes units from the source in commitment order,
+//! instantiates execution schedules from the global dependency graph and
+//! feeds them to the block worker groups of the [`crate::runtime`]. The
+//! workload distribution is estimated from the first unit at reload time
+//! (§4.4); replay runs in one of the three modes of Fig. 19 (pure-static
+//! / synchronous / pipelined). ALR-P runs this same pipeline over a mixed
+//! log (see `alr_p.rs`).
 
 use crate::metrics::RecoveryMetrics;
 use crate::recovery::plr::LogRecovery;
-use crate::recovery::{read_merged_batch, LogInventory};
+use crate::recovery::UnitSource;
 use crate::runtime::{run_replay_gated, ReplayMode};
 use crate::schedule::ExecutionSchedule;
 use crate::static_analysis::GlobalGraph;
-use pacman_common::{Error, Result, Timestamp};
+use pacman_common::Result;
 use pacman_engine::{Database, RecoveryGate};
 use pacman_sproc::ProcRegistry;
-use pacman_storage::StorageSet;
-use pacman_wal::{LogBatch, LogPayload};
-use std::sync::atomic::{AtomicU64, Ordering};
+use pacman_wal::MergedBatchView;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Count one reloaded batch's format mix: (command records, tuple-level
-/// records). Under CL the second component counts ad-hoc records; under
-/// ALR it additionally counts the cost model's logical choices.
-fn mix_of(batch: &LogBatch) -> (u64, u64) {
-    let mut commands = 0;
-    let mut logical = 0;
-    for r in &batch.records {
-        match &r.payload {
-            LogPayload::Command { .. } => commands += 1,
-            LogPayload::Writes { .. } | LogPayload::TaggedWrites { .. } => logical += 1,
-        }
-    }
-    (commands, logical)
-}
-
-/// CLR-P (PACMAN) log recovery.
+/// CLR-P (PACMAN) log recovery over `source`'s units. With an
+/// online-recovery `gate`, per-block watermarks are published as
+/// piece-sets complete and blocks with waiting admissions run first.
 #[allow(clippy::too_many_arguments)]
 pub fn recover_log(
-    storage: &StorageSet,
-    inventory: &LogInventory,
+    mut source: UnitSource,
     db: &Arc<Database>,
     gdg: &Arc<GlobalGraph>,
     registry: &ProcRegistry,
     threads: usize,
     mode: ReplayMode,
-    pepoch: u64,
-    after_ts: Timestamp,
-    metrics: &Arc<RecoveryMetrics>,
-) -> Result<LogRecovery> {
-    recover_log_online(
-        storage, inventory, db, gdg, registry, threads, mode, pepoch, after_ts, metrics, None,
-    )
-}
-
-/// [`recover_log`] publishing per-block batch watermarks to an
-/// online-recovery gate and prioritizing blocks with waiting admissions.
-#[allow(clippy::too_many_arguments)]
-pub fn recover_log_online(
-    storage: &StorageSet,
-    inventory: &LogInventory,
-    db: &Arc<Database>,
-    gdg: &Arc<GlobalGraph>,
-    registry: &ProcRegistry,
-    threads: usize,
-    mode: ReplayMode,
-    pepoch: u64,
-    after_ts: Timestamp,
     metrics: &Arc<RecoveryMetrics>,
     gate: Option<Arc<RecoveryGate>>,
 ) -> Result<LogRecovery> {
     let t0 = Instant::now();
-    let batches = inventory.batches();
-    if batches.is_empty() {
-        return Ok(LogRecovery::default());
-    }
-
-    // Load the first batch synchronously: it provides the workload
+    let mut log = LogRecovery::default();
+    // Load the first unit synchronously: it provides the workload
     // distribution estimate for core assignment (§4.4).
-    let tload = Instant::now();
-    let first_batch = read_merged_batch(storage, inventory, batches[0], pepoch, after_ts)?;
-    let (c0, l0) = mix_of(&first_batch);
-    let first = ExecutionSchedule::build(gdg, registry, &first_batch)?;
-    let first_load = tload.elapsed();
-    metrics.add_load(first_load);
+    let Some(first) = source.next() else {
+        return Ok(log);
+    };
+    let first = load(first, &mut log, gdg, registry, metrics)?;
     let estimate = {
         let counts = first.piece_counts();
-        // An all-empty first batch still needs a sane assignment.
+        // An all-empty first unit still needs a sane assignment.
         if counts.iter().sum::<usize>() == 0 {
             vec![1; counts.len()]
         } else {
@@ -96,90 +53,63 @@ pub fn recover_log_online(
         }
     };
 
-    let max_ts = Arc::new(AtomicU64::new(
-        first_batch.records.last().map(|r| r.ts).unwrap_or(0),
-    ));
-    let txn_count = Arc::new(AtomicU64::new(first_batch.records.len() as u64));
-    let commands = Arc::new(AtomicU64::new(c0));
-    let logicals = Arc::new(AtomicU64::new(l0));
-    let reload_ns = Arc::new(AtomicU64::new(first_load.as_nanos() as u64));
-
     let (tx, rx) = crossbeam::channel::bounded::<ExecutionSchedule>(4);
-    let result: Result<()> = crossbeam::thread::scope(|scope| {
-        // Loader: stream the remaining batches in order.
-        let loader_err: Arc<parking_lot::Mutex<Option<Error>>> =
-            Arc::new(parking_lot::Mutex::new(None));
-        {
-            let loader_err = Arc::clone(&loader_err);
-            let max_ts = Arc::clone(&max_ts);
-            let txn_count = Arc::clone(&txn_count);
-            let commands = Arc::clone(&commands);
-            let logicals = Arc::clone(&logicals);
-            let reload_ns = Arc::clone(&reload_ns);
-            let metrics = Arc::clone(metrics);
-            // Scoped thread: borrow the batch list, no clone.
-            let batches = &batches;
-            scope.spawn(move |_| {
-                let _ = tx.send(first);
-                for &b in &batches[1..] {
-                    let t0 = Instant::now();
-                    let merged = match read_merged_batch(storage, inventory, b, pepoch, after_ts) {
-                        Ok(m) => m,
-                        Err(e) => {
-                            *loader_err.lock() = Some(e);
-                            return; // dropping tx ends the replay
-                        }
-                    };
-                    if let Some(last) = merged.records.last() {
-                        max_ts.fetch_max(last.ts, Ordering::Relaxed);
-                    }
-                    txn_count.fetch_add(merged.records.len() as u64, Ordering::Relaxed);
-                    let (c, l) = mix_of(&merged);
-                    commands.fetch_add(c, Ordering::Relaxed);
-                    logicals.fetch_add(l, Ordering::Relaxed);
-                    let schedule = match ExecutionSchedule::build(gdg, registry, &merged) {
-                        Ok(s) => s,
-                        Err(e) => {
-                            *loader_err.lock() = Some(e);
-                            return;
-                        }
-                    };
-                    let dt = t0.elapsed();
-                    reload_ns.fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
-                    metrics.add_load(dt);
-                    if tx.send(schedule).is_err() {
-                        return; // replay aborted
-                    }
+    let (replayed, loaded) = crossbeam::thread::scope(|scope| {
+        // Loader: schedule the remaining units in order. Dropping `tx`
+        // (done, or an error) ends the replay.
+        let loader = scope.spawn(move |_| -> Result<LogRecovery> {
+            let _ = tx.send(first);
+            for unit in source {
+                let schedule = load(unit, &mut log, gdg, registry, metrics)?;
+                if tx.send(schedule).is_err() {
+                    break; // replay aborted
                 }
-            });
+            }
+            Ok(log)
+        });
+        let replayed =
+            run_replay_gated(db, gdg, mode, threads, &estimate, metrics, rx, gate.clone());
+        if let (Err(_), Some(g)) = (&replayed, &gate) {
+            // Poison now: a follow source waiting for its next unit stops.
+            g.fail();
         }
-        run_replay_gated(db, gdg, mode, threads, &estimate, metrics, rx, gate)?;
-        if let Some(e) = loader_err.lock().take() {
-            return Err(e);
-        }
-        Ok(())
+        (replayed, loader.join().expect("clr-p loader"))
     })
     .expect("clr-p scope");
-    result?;
-
+    replayed?;
     Ok(LogRecovery {
-        reload: std::time::Duration::from_nanos(reload_ns.load(Ordering::Relaxed)),
         total: t0.elapsed(),
-        max_ts: max_ts.load(Ordering::Relaxed),
-        txns: txn_count.load(Ordering::Relaxed),
-        replayed_commands: commands.load(Ordering::Relaxed),
-        applied_writes: logicals.load(Ordering::Relaxed),
-        ..Default::default()
+        ..loaded?
     })
+}
+
+/// Decode and schedule one unit, billing it from the moment its read
+/// began to the load bucket.
+fn load(
+    unit: Result<(MergedBatchView, Instant)>,
+    log: &mut LogRecovery,
+    gdg: &GlobalGraph,
+    registry: &ProcRegistry,
+    metrics: &RecoveryMetrics,
+) -> Result<ExecutionSchedule> {
+    let (view, started) = unit?;
+    let batch = view.to_batch();
+    log.count_unit(&batch, metrics);
+    let schedule = ExecutionSchedule::build(gdg, registry, &batch)?;
+    log.reload += started.elapsed();
+    metrics.add_load(started.elapsed());
+    Ok(schedule)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::LogInventory;
     use pacman_common::clock::epoch_floor;
     use pacman_common::{Encoder, ProcId, Row, TableId, Value};
     use pacman_engine::Catalog;
     use pacman_sproc::{Expr, ProcBuilder};
+    use pacman_storage::StorageSet;
     use pacman_wal::{LogPayload, TxnLogRecord};
 
     const FAMILY: TableId = TableId::new(0);
@@ -262,27 +192,24 @@ mod tests {
         }
     }
 
-    fn run(mode: ReplayMode, threads: usize) -> (Arc<Database>, LogRecovery) {
+    fn replay(
+        storage: &StorageSet,
+        db: &Arc<Database>,
+        mode: ReplayMode,
+        threads: usize,
+    ) -> LogRecovery {
         let reg = registry();
         let gdg = Arc::new(GlobalGraph::analyze(reg.all()).unwrap());
+        let source = UnitSource::inventory(storage, &LogInventory::scan(storage), u64::MAX, 0);
+        let m = Arc::new(RecoveryMetrics::new());
+        recover_log(source, db, &gdg, &reg, threads, mode, &m, None).unwrap()
+    }
+
+    fn run(mode: ReplayMode, threads: usize) -> (Arc<Database>, LogRecovery) {
         let storage = StorageSet::for_tests();
         write_logs(&storage, 40, 8);
         let db = bank_db();
-        let inv = LogInventory::scan(&storage);
-        let m = Arc::new(RecoveryMetrics::new());
-        let r = recover_log(
-            &storage,
-            &inv,
-            &db,
-            &gdg,
-            &reg,
-            threads,
-            mode,
-            u64::MAX,
-            0,
-            &m,
-        )
-        .unwrap();
+        let r = replay(&storage, &db, mode, threads);
         (db, r)
     }
 
@@ -322,25 +249,12 @@ mod tests {
 
     #[test]
     fn empty_log_is_trivial() {
-        let reg = registry();
-        let gdg = Arc::new(GlobalGraph::analyze(reg.all()).unwrap());
-        let storage = StorageSet::for_tests();
-        let db = bank_db();
-        let inv = LogInventory::scan(&storage);
-        let m = Arc::new(RecoveryMetrics::new());
-        let r = recover_log(
-            &storage,
-            &inv,
-            &db,
-            &gdg,
-            &reg,
-            4,
+        let r = replay(
+            &StorageSet::for_tests(),
+            &bank_db(),
             ReplayMode::Pipelined,
-            u64::MAX,
-            0,
-            &m,
-        )
-        .unwrap();
+            4,
+        );
         assert_eq!(r.txns, 0);
     }
 }

@@ -12,21 +12,24 @@
 //! * offline ([`recover_log`]) has the whole log on the devices and wants
 //!   only the final state, so it walks the log **newest first** and skips
 //!   every write a newer one already covers — before decoding it;
-//! * online / standby ([`recover_log_online`], `shard_apply.rs`) serve a
-//!   live stream: the gate's watermark counts batches applied *in order*
-//!   (an admitted transaction must see every batch up to the watermark),
-//!   and a standby never has "the newest batch" to start from. They stay
-//!   ascending and install every write.
+//! * online ([`recover_log_online`], restart and hot standby alike)
+//!   serves a live stream: the gate's watermark counts units applied *in
+//!   order* (an admitted transaction must see every unit up to the
+//!   watermark), and a standby never has "the newest unit" to start from.
+//!   It stays ascending and installs every write.
 
 use crate::metrics::RecoveryMetrics;
+use crate::recovery::gate::ShardMap;
 use crate::recovery::plr::LogRecovery;
-use crate::recovery::{read_merged_batch_view, LogInventory};
+use crate::recovery::{LogInventory, UnitSource};
 use bytes::Bytes;
 use pacman_common::codec::Cursor;
 use pacman_common::{Error, Result, TableId, Timestamp};
-use pacman_engine::{Database, WriteRecord};
+use pacman_engine::{Database, RecoveryGate, WriteRecord};
 use pacman_storage::StorageSet;
-use pacman_wal::{decode_after_image, RecordView};
+use pacman_wal::{decode_after_image, MergedBatchView, RecordView};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Where one write's after-image sits in a log file: what the indexer
@@ -137,6 +140,7 @@ pub fn recover_log(
                             break;
                         }
                         let t = Instant::now();
+                        let before = installed;
                         for w in locs.iter().rev() {
                             let table = match db.table(w.table) {
                                 Ok(t) => t,
@@ -157,6 +161,7 @@ pub fn recover_log(
                             installed += 1;
                         }
                         metrics.add_work(t.elapsed());
+                        metrics.count_writes(installed - before);
                     }
                     (installed, skipped)
                 });
@@ -175,6 +180,7 @@ pub fn recover_log(
                 Ok((file_max_ts, records)) => {
                     max_ts = max_ts.max(file_max_ts);
                     txns += records;
+                    metrics.count_txns(records);
                 }
                 Err(e) => {
                     fail(e);
@@ -261,142 +267,200 @@ fn index_file(
     Ok((max_ts, records))
 }
 
-/// Online LLR-P: per-(table, shard) replay with admission watermarks.
+/// Online LLR-P: per-(table, shard) replay of `source`'s units with
+/// admission watermarks.
 ///
 /// The offline path partitions writes by key hash onto thread-private
 /// lanes; the online path partitions by *index shard* instead — the unit
 /// the [`RecoveryGate`] tracks — so a waiting transaction's cold shards
 /// can be redone on demand:
 ///
-/// * a loader streams batches in order and appends each batch's writes to
-///   per-shard queues, bumping the loaded-batch frontier;
-/// * workers drain whole shard queues (shards with blocked admissions
-///   first), install latch-free, and publish the shard's applied-batch
-///   watermark;
+/// * the calling thread loads units in order and appends each unit's
+///   writes to per-shard lanes, bumping the loaded-unit frontier;
+/// * `threads` workers drain whole lanes (shards with blocked admissions
+///   first), install latch-free, and publish the shard's watermark;
 /// * a shard's stream is applied by one worker at a time (the queue lock
 ///   is held across the install), preserving per-key commitment order.
-#[allow(clippy::too_many_arguments)]
 pub fn recover_log_online(
-    storage: &StorageSet,
-    inventory: &LogInventory,
-    db: &std::sync::Arc<Database>,
-    gate: &std::sync::Arc<pacman_engine::RecoveryGate>,
-    map: &crate::recovery::gate::ShardMap,
+    source: UnitSource,
+    db: &Database,
+    gate: &RecoveryGate,
+    map: &ShardMap,
     threads: usize,
-    pepoch: u64,
-    after_ts: Timestamp,
     metrics: &RecoveryMetrics,
 ) -> Result<LogRecovery> {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-    let threads = threads.max(1);
     let t0 = Instant::now();
-    let batches = inventory.batches();
-    let reload_ns = AtomicU64::new(0);
-    let stats = parking_lot::Mutex::new((0u64, 0u64)); // (max_ts, txns)
-    let err = parking_lot::Mutex::new(None::<Error>);
-
-    let shards = crate::recovery::shard_apply::lanes(map.total());
-    let loaded = AtomicU64::new(0);
-    let loader_done = AtomicBool::new(false);
-
-    crossbeam::thread::scope(|scope| {
-        {
-            let err = &err;
-            let stats = &stats;
-            let reload_ns = &reload_ns;
-            let metrics = &metrics;
-            let shards = &shards;
-            let loaded = &loaded;
-            let loader_done = &loader_done;
-            let batches = &batches;
-            scope.spawn(move |_| {
-                let mut groups: Vec<Vec<(Timestamp, WriteRecord)>> =
-                    (0..shards.len()).map(|_| Vec::new()).collect();
-                for (bi, &batch) in batches.iter().enumerate() {
-                    let tr = Instant::now();
-                    let merged =
-                        match read_merged_batch_view(storage, inventory, batch, pepoch, after_ts) {
-                            Ok(m) => m,
-                            Err(e) => {
-                                *err.lock() = Some(e);
-                                break;
-                            }
-                        };
-                    reload_ns.fetch_add(tr.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    metrics.add_load(tr.elapsed());
-                    {
-                        let mut st = stats.lock();
-                        for rec in merged.iter() {
-                            let Some(writes) = rec.writes() else {
-                                *err.lock() = Some(Error::Corrupt(
-                                    "LLR-P requires tuple-level log records".into(),
-                                ));
-                                break;
-                            };
-                            st.0 = st.0.max(rec.ts());
-                            st.1 += 1;
-                            for w in writes {
-                                match map.partition(db, w.table, w.key) {
-                                    Ok(p) => groups[p].push((rec.ts(), w)),
-                                    Err(e) => {
-                                        *err.lock() = Some(e);
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if err.lock().is_some() {
-                        break;
-                    }
-                    for (p, g) in groups.iter_mut().enumerate() {
-                        if !g.is_empty() {
-                            shards[p].queue.lock().append(g);
-                        }
-                    }
-                    loaded.store(bi as u64 + 1, Ordering::Release);
-                }
-                loader_done.store(true, Ordering::Release);
-            });
+    let lanes = ShardLanes {
+        lanes: (0..map.total()).map(|_| Lane::default()).collect(),
+        loaded: AtomicU64::new(0),
+        done: AtomicBool::new(false),
+        err: Mutex::new(None),
+    };
+    let log = crossbeam::thread::scope(|scope| {
+        for worker in 0..threads.max(1) {
+            let lanes = &lanes;
+            scope.spawn(move |_| lanes.apply(db, gate, metrics, worker));
         }
-
-        for worker in 0..threads {
-            let err = &err;
-            let metrics = &metrics;
-            let shards = &shards;
-            let loaded = &loaded;
-            let loader_done = &loader_done;
-            scope.spawn(move |_| {
-                crate::recovery::shard_apply::run_shard_worker(
-                    shards,
-                    db,
-                    gate,
-                    metrics,
-                    err,
-                    || loaded.load(Ordering::Acquire),
-                    || loader_done.load(Ordering::Acquire),
-                    worker,
-                );
-            });
-        }
+        let log = lanes.load(source, db, gate, map, metrics);
+        lanes.done.store(true, Ordering::Release);
+        log
     })
     .expect("llr-p online scope");
-    if let Some(e) = err.into_inner() {
+    if let Some(e) = lanes.err.into_inner() {
         return Err(e);
     }
-
-    let (max_ts, txns) = stats.into_inner();
     Ok(LogRecovery {
-        reload: std::time::Duration::from_nanos(
-            reload_ns.load(std::sync::atomic::Ordering::Relaxed),
-        ),
         total: t0.elapsed(),
-        max_ts,
-        txns,
-        applied_writes: txns,
-        ..Default::default()
+        applied_writes: log.txns,
+        ..log
     })
+}
+
+/// Online LLR-P's shared state: one lane per (table, shard), the frontier
+/// the lanes drain to, and the first error.
+struct ShardLanes {
+    lanes: Vec<Lane>,
+    /// Units fully enqueued. Everything enqueued to a lane happens before
+    /// the frontier covering it is published.
+    loaded: AtomicU64,
+    /// The source ended: no further units will be enqueued.
+    done: AtomicBool,
+    err: Mutex<Option<Error>>,
+}
+
+/// One shard's pending writes plus its applied-unit watermark.
+#[derive(Default)]
+struct Lane {
+    queue: Mutex<Vec<(Timestamp, WriteRecord)>>,
+    applied: AtomicU64,
+}
+
+impl ShardLanes {
+    /// Latch the first error and poison the gate, so a follow source
+    /// waiting for its next unit stops too.
+    fn fail(&self, gate: &RecoveryGate, e: Error) {
+        self.err.lock().get_or_insert(e);
+        gate.fail();
+    }
+
+    /// The loader: partition each unit's writes onto the lanes, counting
+    /// the unit's records once.
+    fn load(
+        &self,
+        source: UnitSource,
+        db: &Database,
+        gate: &RecoveryGate,
+        map: &ShardMap,
+        metrics: &RecoveryMetrics,
+    ) -> LogRecovery {
+        let mut log = LogRecovery::default();
+        let mut groups: Vec<Vec<(Timestamp, WriteRecord)>> =
+            (0..self.lanes.len()).map(|_| Vec::new()).collect();
+        for (unit, seq) in source.zip(1..) {
+            if self.err.lock().is_some() {
+                break;
+            }
+            let grouped = unit.and_then(|(view, started)| {
+                log.reload += started.elapsed();
+                metrics.add_load(started.elapsed());
+                group(&view, db, map, &mut groups, &mut log)?;
+                metrics.count_txns(view.len() as u64);
+                Ok(())
+            });
+            if let Err(e) = grouped {
+                self.fail(gate, e);
+                break;
+            }
+            for (lane, g) in self.lanes.iter().zip(&mut groups) {
+                if !g.is_empty() {
+                    lane.queue.lock().append(g);
+                }
+            }
+            self.loaded.store(seq, Ordering::Release);
+        }
+        log
+    }
+
+    /// One worker. Runs until the source ended *and* every lane caught up
+    /// with the frontier, or until an error is latched (here or by a peer).
+    fn apply(&self, db: &Database, gate: &RecoveryGate, metrics: &RecoveryMetrics, worker: usize) {
+        let n = self.lanes.len();
+        let mut rot = worker;
+        while self.err.lock().is_none() {
+            let frontier = self.loaded.load(Ordering::Acquire);
+            let done = self.done.load(Ordering::Acquire);
+            // Shards with blocked admissions first, then every shard.
+            let prioritize = gate.any_wanted();
+            let order = (0..n).map(move |k| (rot + k) % n);
+            let wanted = order.clone().filter(|&p| prioritize && gate.is_wanted(p));
+            let mut progressed = false;
+            for p in wanted.chain(order) {
+                let lane = &self.lanes[p];
+                if lane.applied.load(Ordering::Acquire) >= frontier {
+                    continue;
+                }
+                let Some(mut q) = lane.queue.try_lock() else {
+                    continue; // another worker owns this shard
+                };
+                if lane.applied.load(Ordering::Acquire) >= frontier {
+                    continue;
+                }
+                let drained = std::mem::take(&mut *q);
+                let images = drained.len() as u64;
+                let t0 = Instant::now();
+                for (ts, w) in drained {
+                    match db.table(w.table) {
+                        // The drained queue is owned: the after-image
+                        // moves into the version chain, no copy.
+                        Ok(t) => t.install_lww(w.key, ts, w.after),
+                        Err(e) => return self.fail(gate, e),
+                    }
+                }
+                metrics.add_work(t0.elapsed());
+                metrics.count_writes(images);
+                // The queue lock was held across the install: everything
+                // enqueued before `frontier` was published is applied.
+                lane.applied.fetch_max(frontier, Ordering::AcqRel);
+                drop(q);
+                gate.publish(p, frontier);
+                rot = rot.wrapping_add(1);
+                progressed = true;
+                break;
+            }
+            if progressed {
+                continue;
+            }
+            let frontier = self.loaded.load(Ordering::Acquire);
+            let caught_up = |l: &Lane| l.applied.load(Ordering::Acquire) >= frontier;
+            if done && self.lanes.iter().all(caught_up) {
+                return;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+    }
+}
+
+/// Partition one unit's writes by shard into `groups`.
+fn group(
+    view: &MergedBatchView,
+    db: &Database,
+    map: &ShardMap,
+    groups: &mut [Vec<(Timestamp, WriteRecord)>],
+    log: &mut LogRecovery,
+) -> Result<()> {
+    for rec in view.iter() {
+        let Some(writes) = rec.writes() else {
+            return Err(Error::Corrupt(
+                "LLR-P requires tuple-level log records".into(),
+            ));
+        };
+        log.max_ts = log.max_ts.max(rec.ts());
+        log.txns += 1;
+        for w in writes {
+            groups[map.partition(db, w.table, w.key)?].push((rec.ts(), w));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -547,10 +611,11 @@ mod tests {
         let map = crate::recovery::gate::ShardMap::new(&db);
         let gate = pacman_engine::RecoveryGate::new(map.total());
         gate.set_total_batches(2);
-        let inv = LogInventory::scan(&storage);
+        let source = UnitSource::inventory(&storage, &LogInventory::scan(&storage), u64::MAX, 0);
         let m = RecoveryMetrics::new();
-        let r = recover_log_online(&storage, &inv, &db, &gate, &map, 3, u64::MAX, 0, &m).unwrap();
+        let r = recover_log_online(source, &db, &gate, &map, 3, &m).unwrap();
         assert_eq!(r.txns, 3);
+        assert_eq!((m.txns(), m.writes()), (3, 3));
         let t = db.table(TableId::new(0)).unwrap();
         assert_eq!(
             t.get(7).unwrap().newest().1.unwrap().col(0),
@@ -585,9 +650,10 @@ mod tests {
         let map = crate::recovery::gate::ShardMap::new(&db);
         let gate = pacman_engine::RecoveryGate::new(map.total());
         gate.set_total_batches(1);
-        let inv = LogInventory::scan(&storage);
+        let source = UnitSource::inventory(&storage, &LogInventory::scan(&storage), u64::MAX, 0);
         let m = RecoveryMetrics::new();
-        assert!(recover_log_online(&storage, &inv, &db, &gate, &map, 2, u64::MAX, 0, &m).is_err());
+        assert!(recover_log_online(source, &db, &gate, &map, 2, &m).is_err());
+        assert!(gate.is_failed(), "a failed lane loader poisons the gate");
     }
 
     #[test]

@@ -13,8 +13,9 @@ use crate::recovery::checkpoint::{
     recover_checkpoint_chain, run_lazy_loader, CheckpointRecovery, CheckpointTarget,
 };
 use crate::recovery::gate::{GateMap, GatedAdmission, ShardMap};
+use crate::recovery::plr::LogRecovery;
 use crate::recovery::raw::RawStore;
-use crate::recovery::{alr_p, clr, clr_p, llr, llr_p, plr, LogInventory};
+use crate::recovery::{clr, clr_p, llr, llr_p, plr, FollowHandle, LogInventory, UnitSource};
 use crate::runtime::ReplayMode;
 use crate::static_analysis::GlobalGraph;
 use pacman_common::clock::{epoch_floor, epoch_of, EPOCH_SHIFT};
@@ -23,9 +24,9 @@ use pacman_engine::{AdmissionControl, Catalog, Database, RecoveryGate};
 use pacman_obs::{RecoveryPhase, TraceEvent};
 use pacman_sproc::ProcRegistry;
 use pacman_storage::{StorageSet, TraceDumpSink};
-use pacman_wal::checkpoint::read_chain;
+use pacman_wal::checkpoint::{read_chain, ResolvedPart};
 use pacman_wal::pepoch::PepochHandle;
-use pacman_wal::{Durability, RetentionHold};
+use pacman_wal::{CheckpointChain, Durability, RetentionHold};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -244,52 +245,26 @@ pub fn recover(
         RecoveryScheme::LlrP => llr_p::recover_log(
             storage, &inventory, &db, threads, pepoch, after_ts, &metrics,
         )?,
-        RecoveryScheme::Clr => clr::recover_log(
-            storage, &inventory, &db, registry, pepoch, after_ts, &metrics,
-        )?,
-        RecoveryScheme::ClrP { mode } => {
+        RecoveryScheme::Clr => {
+            let source = UnitSource::inventory(storage, &inventory, pepoch, after_ts);
+            clr::recover_log(source, &db, registry, &metrics, None)?
+        }
+        RecoveryScheme::ClrP { mode } | RecoveryScheme::AlrP { mode } => {
             // Static analysis is compile-time work in the paper (§4.1).
             // Here it runs — dependency graph, then one access plan per
             // piece template — inside the timed region, so it *is* billed
             // to `total_secs` (tens of microseconds; the repo benchmark
             // reports it as `core.static_analysis.gdg_ms`).
             let gdg = Arc::new(GlobalGraph::analyze(registry.all())?);
-            clr_p::recover_log(
-                storage, &inventory, &db, &gdg, registry, threads, mode, pepoch, after_ts, &metrics,
-            )?
-        }
-        RecoveryScheme::AlrP { mode } => {
-            let gdg = Arc::new(GlobalGraph::analyze(registry.all())?);
-            alr_p::recover_log(
-                storage, &inventory, &db, &gdg, registry, threads, mode, pepoch, after_ts, &metrics,
-            )?
+            let source = UnitSource::inventory(storage, &inventory, pepoch, after_ts);
+            clr_p::recover_log(source, &db, &gdg, registry, threads, mode, &metrics, None)?
         }
     };
 
     // Resume the clock past everything replayed.
     db.clock().advance_to(log.max_ts.max(after_ts) + 1);
 
-    let report = RecoveryReport {
-        scheme: config.scheme.label().to_string(),
-        threads,
-        checkpoint_reload_secs: ckpt.reload.as_secs_f64(),
-        checkpoint_total_secs: ckpt.total.as_secs_f64(),
-        log_reload_secs: log.reload.as_secs_f64(),
-        log_total_secs: log.total.as_secs_f64(),
-        total_secs: t_all.elapsed().as_secs_f64(),
-        breakdown: metrics.breakdown(),
-        txns: log.txns,
-        replayed_commands: log.replayed_commands,
-        applied_writes: log.applied_writes,
-        installed_writes: log.installed_writes,
-        skipped_writes: log.skipped_writes,
-        checkpoint_tuples: ckpt.tuples,
-        ckpt_chain_len: ckpt.chain_len,
-        ondemand_shard_loads: 0,
-        background_shard_loads: 0,
-        pepoch,
-        ckpt_ts: after_ts,
-    };
+    let report = report(config, &log, &ckpt, pepoch, t_all, &metrics);
     tracer.emit(TraceEvent::Phase {
         phase: RecoveryPhase::Complete,
     });
@@ -299,8 +274,8 @@ pub fn recover(
 /// Lifecycle state of an online recovery session.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SessionState {
-    /// Background workers are still replaying the log; admission is
-    /// partition-gated.
+    /// Background workers are still replaying the log (a follow session:
+    /// until its source is finished); admission is partition-gated.
     Replaying,
     /// Replay finished; the gate is permanently open.
     Complete,
@@ -329,14 +304,18 @@ struct SessionShared {
 
 /// Handle to an in-flight online recovery: the database is live and may
 /// serve admitted transactions while PACMAN replay proceeds on background
-/// workers. Dropping the handle without calling [`RecoverySession::wait`]
-/// detaches the replay (it still runs to completion through the shared
-/// state, but errors go unobserved), so call `wait` when the outcome
-/// matters.
+/// workers. One session type serves both starting points: *restart*
+/// ([`recover_online`]) replays the log a crash left behind, *follow*
+/// ([`RecoverySession::follow`]) replays a log a hot standby receives as
+/// it is shipped. Dropping the handle without calling
+/// [`RecoverySession::wait`] detaches the replay (it still runs to
+/// completion through the shared state, but errors go unobserved), so
+/// call `wait` when the outcome matters.
 pub struct RecoverySession {
     db: Arc<Database>,
     gate: Arc<RecoveryGate>,
     admission: Arc<GatedAdmission>,
+    metrics: Arc<RecoveryMetrics>,
     shared: Arc<SessionShared>,
     join: Option<JoinHandle<()>>,
     /// Log floor of the session's unreplayed tail (epoch of the base
@@ -370,6 +349,11 @@ impl RecoverySession {
         &self.admission
     }
 
+    /// The session's replay counters and time buckets.
+    pub fn metrics(&self) -> &Arc<RecoveryMetrics> {
+        &self.metrics
+    }
+
     /// Current lifecycle state.
     pub fn state(&self) -> SessionState {
         self.shared.inner.lock().state
@@ -378,6 +362,11 @@ impl RecoverySession {
     /// Whether replay has finished (successfully or not).
     pub fn is_settled(&self) -> bool {
         self.state() != SessionState::Replaying
+    }
+
+    /// The error a failed session settled with (until `wait` takes it).
+    pub fn error(&self) -> Option<Error> {
+        self.shared.inner.lock().error.clone()
     }
 
     /// Pin this session's unreplayed tail in `durability`'s retention
@@ -437,6 +426,57 @@ impl RecoverySession {
             report,
         })
     }
+
+    /// Start a *follow-mode* session over an empty database of `catalog`:
+    /// online recovery of a log that is still being written. Units arrive
+    /// through the returned [`FollowHandle`] — a hot standby's receiver
+    /// loads the shipped base image into [`RecoverySession::db`], then
+    /// announces one unit per seal — and the gate's total moves with every
+    /// announcement, so its watermarks measure replication lag.
+    /// [`FollowHandle::finish`] ends the log; the session then settles
+    /// exactly as a restart session does.
+    ///
+    /// The session registers the `standby.gate` stall probe and removes it
+    /// when it settles.
+    pub fn follow(
+        catalog: &Catalog,
+        registry: &ProcRegistry,
+        config: &RecoveryConfig,
+    ) -> Result<(RecoverySession, FollowHandle)> {
+        reject_ungated(config.scheme)?;
+        let db = Arc::new(Database::new(catalog.clone()));
+        let mut plan = Plan::new(db, registry, config, true)?;
+        let (source, follow) = UnitSource::follow(Arc::clone(&plan.gate));
+        plan.probe = Some(register_gate_probe(&plan.gate));
+        Ok((plan.spawn(source, 0)?, follow))
+    }
+}
+
+/// Register a stall-watchdog probe over a recovery gate: *work* is the
+/// units announced (`total_batches`), *progress* the slowest partition's
+/// applied watermark. The probe is inactive before the first unit and
+/// after the gate finished or failed — a poisoned gate already dumped
+/// through its own hook; the watchdog's job is the silent wedge where
+/// units keep arriving but the watermark stops.
+///
+/// Every follow session installs one (named `standby.gate`) and removes it
+/// when it settles; exposed for drivers and tests that run a gate
+/// directly.
+pub fn register_gate_probe(gate: &Arc<RecoveryGate>) -> pacman_obs::ProbeId {
+    let gate = Arc::clone(gate);
+    pacman_obs::watchdog().register("standby.gate", pacman_obs::StallKind::Gate, move || {
+        if gate.is_complete() || gate.is_failed() {
+            return None;
+        }
+        let total = gate.total_batches();
+        if total == 0 {
+            return None;
+        }
+        Some(pacman_obs::ProbeSample {
+            work: total,
+            progress: gate.min_watermark(),
+        })
+    })
 }
 
 /// Start an online recovery session: restore the checkpoint inline, then
@@ -453,20 +493,10 @@ pub fn recover_online(
     registry: &ProcRegistry,
     config: &RecoveryConfig,
 ) -> Result<RecoverySession> {
-    if matches!(
-        config.scheme,
-        RecoveryScheme::Plr { .. } | RecoveryScheme::Llr { .. }
-    ) {
-        return Err(Error::InvalidConfig(format!(
-            "online recovery is not defined for {}: no partition watermark to gate on",
-            config.scheme.label()
-        )));
-    }
+    reject_ungated(config.scheme)?;
     let t_all = Instant::now();
-    let metrics = Arc::new(RecoveryMetrics::new());
-    metrics.register_into(pacman_obs::registry());
     let tracer = pacman_obs::tracer();
-    let sink_guard = RecoverySinkGuard::register(storage);
+    let sink = RecoverySinkGuard::register(storage);
     tracer.emit(TraceEvent::Phase {
         phase: RecoveryPhase::Scan,
     });
@@ -474,7 +504,6 @@ pub fn recover_online(
     let chain = read_chain(storage)?;
     let inventory = LogInventory::scan(storage);
     let db = Arc::new(Database::new(catalog.clone()));
-    let threads = config.threads.max(1);
 
     // Stage 1: base-image restore. Command schemes load the chain eagerly
     // inline (their replay re-executes reads, so the whole base image
@@ -488,9 +517,12 @@ pub fn recover_online(
     });
     let ckpt: CheckpointRecovery = match &chain {
         None => CheckpointRecovery::default(),
-        Some(c) if !lazy => {
-            recover_checkpoint_chain(storage, c, threads, CheckpointTarget::Tables(&db))?
-        }
+        Some(c) if !lazy => recover_checkpoint_chain(
+            storage,
+            c,
+            config.threads.max(1),
+            CheckpointTarget::Tables(&db),
+        )?,
         Some(c) => CheckpointRecovery {
             ckpt_ts: c.ts(),
             chain_len: c.len(),
@@ -512,253 +544,311 @@ pub fn recover_online(
     }
     db.clock().advance_to(clock_floor);
 
-    // Gate + footprint map, sized by the scheme's partition space. The
-    // tuple scheme's shard numbering is built once and shared by the gate
-    // size, the footprint map, and the replay publisher.
-    let gdg = Arc::new(GlobalGraph::analyze(registry.all())?);
-    let mut session_shards = None;
-    let (gate, map) = match config.scheme {
-        RecoveryScheme::LlrP => {
-            let shards = ShardMap::new(&db);
-            // Residency plane over the same (table, shard) numbering as
-            // the replay watermarks: one footprint gates both.
-            let gate = RecoveryGate::with_residency(shards.total(), shards.total());
-            if chain.is_none() {
-                gate.set_all_resident();
-            }
-            let map = GateMap::shards(Arc::clone(&db), shards.clone(), registry);
-            session_shards = Some(shards);
-            (gate, map)
-        }
-        _ => {
-            let map = GateMap::blocks(&gdg, registry);
-            let gate = RecoveryGate::new(gdg.num_blocks());
-            (gate, map)
-        }
-    };
-    gate.set_total_batches(inventory.batches().len() as u64);
-    let admission = GatedAdmission::new(Arc::clone(&gate), map);
-
+    let mut plan = Plan::new(db, registry, config, chain.is_none() || !lazy)?;
     // What a retention hold must keep for this session: log batches that
-    // may contain the unreplayed tail (records with ts above the base
-    // image can share the coverage epoch's batch), and every link of the
-    // chain the base image resolves across (root..tip).
-    let pin_log_epoch = epoch_of(after_ts);
-    let pin_chain_root = chain
-        .as_ref()
-        .map(|c| c.manifests.last().expect("chains are non-empty").ts)
-        .unwrap_or(u64::MAX);
+    // may contain the unreplayed tail (records with ts above the base image
+    // can share the coverage epoch's batch), and every link of the chain
+    // the base image resolves across (root..tip).
+    plan.pin_log_epoch = epoch_of(after_ts);
+    if let Some(c) = &chain {
+        plan.pin_chain_root = c.manifests.last().expect("chains are non-empty").ts;
+    }
+    plan.lazy = chain.filter(|_| lazy).map(|c| (storage.clone(), c));
+    plan.t_all = t_all;
+    plan.ckpt = ckpt;
+    plan.pepoch = pepoch;
+    plan.sink = Some(sink);
+    let source = UnitSource::inventory(storage, &inventory, pepoch, after_ts);
+    plan.spawn(source, inventory.batches().len() as u64)
+}
 
-    let shared = Arc::new(SessionShared {
-        inner: Mutex::new(SessionInner {
-            state: SessionState::Replaying,
-            report: None,
-            error: None,
-            hold: None,
-        }),
-        cv: Condvar::new(),
-    });
+/// `Plr`/`Llr` recover latched multi-version state: no partition
+/// watermark to gate a session on.
+fn reject_ungated(scheme: RecoveryScheme) -> Result<()> {
+    match scheme {
+        RecoveryScheme::Plr { .. } | RecoveryScheme::Llr { .. } => {
+            Err(Error::InvalidConfig(format!(
+                "online recovery is not defined for {}: no partition watermark to gate on",
+                scheme.label()
+            )))
+        }
+        _ => Ok(()),
+    }
+}
 
-    let join = {
-        let shared = Arc::clone(&shared);
-        let gate = Arc::clone(&gate);
-        let db = Arc::clone(&db);
-        let storage = storage.clone();
-        let registry = registry.clone();
-        let scheme = config.scheme;
-        let metrics = Arc::clone(&metrics);
-        std::thread::Builder::new()
+/// A session before its thread starts: the database, the gate and its
+/// footprint map, sized by the scheme's partition space — built here
+/// once, for restart and follow alike — plus what a restart hands over.
+struct Plan {
+    db: Arc<Database>,
+    registry: ProcRegistry,
+    config: RecoveryConfig,
+    gdg: Arc<GlobalGraph>,
+    gate: Arc<RecoveryGate>,
+    admission: Arc<GatedAdmission>,
+    /// LLR-P: the (table, shard) numbering shared by the gate size, the
+    /// footprint map and the replay lanes — one numbering, one truth.
+    shards: Option<ShardMap>,
+    metrics: Arc<RecoveryMetrics>,
+    t_all: Instant,
+    /// The base image restored inline; nothing for LLR-P's lazy restore
+    /// (filled in when the loader finishes) and for a follow session
+    /// (whose standby loads its own).
+    ckpt: CheckpointRecovery,
+    pepoch: u64,
+    /// LLR-P restart: the chain the lazy loader streams in beside replay.
+    lazy: Option<(StorageSet, CheckpointChain)>,
+    /// Restart: the dump sink over the crash image, held until the
+    /// session settles (the failure dump lands on the session thread).
+    sink: Option<RecoverySinkGuard>,
+    /// Follow: the `standby.gate` probe, removed when the session settles.
+    probe: Option<pacman_obs::ProbeId>,
+    pin_log_epoch: u64,
+    pin_chain_root: Timestamp,
+}
+
+impl Plan {
+    /// `resident`: the base image needs no residency gating (it is loaded
+    /// eagerly, or there is none).
+    fn new(
+        db: Arc<Database>,
+        registry: &ProcRegistry,
+        config: &RecoveryConfig,
+        resident: bool,
+    ) -> Result<Plan> {
+        let metrics = Arc::new(RecoveryMetrics::new());
+        metrics.register_into(pacman_obs::registry());
+        let gdg = Arc::new(GlobalGraph::analyze(registry.all())?);
+        let (gate, map, shards) = match config.scheme {
+            RecoveryScheme::LlrP => {
+                let shards = ShardMap::new(&db);
+                // Residency plane over the same (table, shard) numbering
+                // as the replay watermarks: one footprint gates both.
+                let gate = RecoveryGate::with_residency(shards.total(), shards.total());
+                if resident {
+                    gate.set_all_resident();
+                }
+                let map = GateMap::shards(Arc::clone(&db), shards.clone(), registry);
+                (gate, map, Some(shards))
+            }
+            _ => (
+                RecoveryGate::new(gdg.num_blocks()),
+                GateMap::blocks(&gdg, registry),
+                None,
+            ),
+        };
+        Ok(Plan {
+            db,
+            registry: registry.clone(),
+            config: config.clone(),
+            gdg,
+            admission: GatedAdmission::new(Arc::clone(&gate), map),
+            gate,
+            shards,
+            metrics,
+            t_all: Instant::now(),
+            ckpt: CheckpointRecovery::default(),
+            pepoch: 0,
+            lazy: None,
+            sink: None,
+            probe: None,
+            pin_log_epoch: 0,
+            pin_chain_root: u64::MAX,
+        })
+    }
+
+    /// Publish the `total` units known up front and start replaying
+    /// `source` on the session thread.
+    fn spawn(self, source: UnitSource, total: u64) -> Result<RecoverySession> {
+        self.gate.set_total_batches(total);
+        let shared = Arc::new(SessionShared {
+            inner: Mutex::new(SessionInner {
+                state: SessionState::Replaying,
+                report: None,
+                error: None,
+                hold: None,
+            }),
+            cv: Condvar::new(),
+        });
+        let session = RecoverySession {
+            db: Arc::clone(&self.db),
+            gate: Arc::clone(&self.gate),
+            admission: Arc::clone(&self.admission),
+            metrics: Arc::clone(&self.metrics),
+            shared: Arc::clone(&shared),
+            join: None,
+            pin_log_epoch: self.pin_log_epoch,
+            pin_chain_root: self.pin_chain_root,
+        };
+        let join = std::thread::Builder::new()
             .name("recovery-session".into())
-            .spawn(move || {
-                // A panic anywhere in the recovery body must still settle
-                // the session (gate poisoned, waiters woken) — otherwise
-                // every blocked admission and `wait()` caller hangs.
-                let tracer = pacman_obs::tracer();
-                tracer.emit(TraceEvent::Phase {
-                    phase: RecoveryPhase::Replay,
-                });
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                    || -> Result<RecoveryReport> {
-                        let mut ckpt = ckpt;
-                        let log = match scheme {
-                            RecoveryScheme::Clr => clr::recover_log_online(
-                                &storage,
-                                &inventory,
-                                &db,
-                                &registry,
-                                pepoch,
-                                after_ts,
-                                &metrics,
-                                Some(&gate),
-                            )?,
-                            RecoveryScheme::ClrP { mode } => clr_p::recover_log_online(
-                                &storage,
-                                &inventory,
-                                &db,
-                                &gdg,
-                                &registry,
-                                threads,
-                                mode,
-                                pepoch,
-                                after_ts,
-                                &metrics,
-                                Some(Arc::clone(&gate)),
-                            )?,
-                            RecoveryScheme::AlrP { mode } => alr_p::recover_log_online(
-                                &storage,
-                                &inventory,
-                                &db,
-                                &gdg,
-                                &registry,
-                                threads,
-                                mode,
-                                pepoch,
-                                after_ts,
-                                &metrics,
-                                Some(Arc::clone(&gate)),
-                            )?,
-                            RecoveryScheme::LlrP => {
-                                let shards =
-                                    session_shards.as_ref().expect("LlrP built its shard map");
-                                // The lazy base-image loader races the replay on
-                                // purpose: both sides install timestamped LWW
-                                // (part timestamps sort below every replayed
-                                // record), so per-shard arrival order is
-                                // immaterial and the gate — residency plus
-                                // final watermark — is the only admission
-                                // condition.
-                                let mut log_res: Option<Result<_>> = None;
-                                let mut load_res: Result<CheckpointRecovery> = Ok(ckpt);
-                                crossbeam::thread::scope(|scope| {
-                                    if let Some(c) = &chain {
-                                        let gate2 = Arc::clone(&gate);
-                                        let db2 = Arc::clone(&db);
-                                        let storage2 = storage.clone();
-                                        let metrics2 = Arc::clone(&metrics);
-                                        let h = scope.spawn(move |_| {
-                                            run_lazy_loader(
-                                                &storage2,
-                                                c,
-                                                &db2,
-                                                &gate2,
-                                                |p| {
-                                                    shards.shard_partition(
-                                                        p.table as usize,
-                                                        p.shard as usize,
-                                                    )
-                                                },
-                                                threads,
-                                                &metrics2,
-                                            )
-                                        });
-                                        log_res = Some(llr_p::recover_log_online(
-                                            &storage, &inventory, &db, &gate, shards, threads,
-                                            pepoch, after_ts, &metrics,
-                                        ));
-                                        load_res = h.join().expect("lazy loader thread");
-                                    } else {
-                                        log_res = Some(llr_p::recover_log_online(
-                                            &storage, &inventory, &db, &gate, shards, threads,
-                                            pepoch, after_ts, &metrics,
-                                        ));
-                                    }
-                                })
-                                .expect("llr-p online session scope");
-                                let loaded = load_res?;
-                                ckpt.tuples = loaded.tuples;
-                                ckpt.reload = loaded.reload;
-                                ckpt.total = loaded.total;
-                                log_res.expect("replay ran")?
-                            }
-                            RecoveryScheme::Plr { .. } | RecoveryScheme::Llr { .. } => {
-                                unreachable!()
-                            }
-                        };
-                        db.clock().advance_to(log.max_ts.max(after_ts) + 1);
-                        Ok(RecoveryReport {
-                            scheme: scheme.label().to_string(),
-                            threads,
-                            checkpoint_reload_secs: ckpt.reload.as_secs_f64(),
-                            checkpoint_total_secs: ckpt.total.as_secs_f64(),
-                            log_reload_secs: log.reload.as_secs_f64(),
-                            log_total_secs: log.total.as_secs_f64(),
-                            total_secs: t_all.elapsed().as_secs_f64(),
-                            breakdown: metrics.breakdown(),
-                            txns: log.txns,
-                            replayed_commands: log.replayed_commands,
-                            applied_writes: log.applied_writes,
-                            installed_writes: log.installed_writes,
-                            skipped_writes: log.skipped_writes,
-                            checkpoint_tuples: ckpt.tuples,
-                            ckpt_chain_len: ckpt.chain_len,
-                            ondemand_shard_loads: metrics.ondemand_shard_loads(),
-                            background_shard_loads: metrics.background_shard_loads(),
-                            pepoch,
-                            ckpt_ts: after_ts,
-                        })
-                    },
-                ))
-                .unwrap_or_else(|_| Err(Error::Unknown("recovery session panicked".into())));
-                // Settle the gate first so waiters never hang: open it on
-                // success, *poison* it on failure — a half-recovered state
-                // (missing base-image shards, unreplayed partitions) must
-                // not serve commits; blocked admissions unblock with
-                // `false` and nothing further is admitted.
-                match &result {
-                    Ok(_) => {
-                        tracer.emit(TraceEvent::Phase {
-                            phase: RecoveryPhase::Complete,
-                        });
-                        gate.finish();
-                    }
-                    Err(_) => {
-                        // `fail()` poisons the gate and triggers the
-                        // flight-recorder failure dump.
-                        tracer.emit(TraceEvent::Phase {
-                            phase: RecoveryPhase::Failed,
-                        });
-                        gate.fail();
-                    }
-                }
-                let mut inner = shared.inner.lock();
-                match result {
-                    Ok(report) => {
-                        inner.state = SessionState::Complete;
-                        inner.report = Some(report);
-                        // Release the retention hold: checkpoints (and the
-                        // reclamation behind them) may resume.
-                        inner.hold = None;
-                    }
-                    Err(e) => {
-                        inner.state = SessionState::Failed;
-                        inner.error = Some(e);
-                        // The hold is leaked, never released: the state is
-                        // suspect, so checkpoints and reclamation stay
-                        // blocked for the process lifetime.
-                        if let Some(h) = inner.hold.take() {
-                            h.leak();
-                        }
-                    }
-                }
-                shared.cv.notify_all();
-                // The failure dump (inside `gate.fail()`) has landed by
-                // now; release this session's sink registration so it
-                // stops pinning the StorageSet and can never swallow a
-                // later recovery's dumps.
-                drop(sink_guard);
-            })
-            .map_err(|e| Error::Unknown(format!("spawn recovery session: {e}")))?
-    };
+            .spawn(move || self.run(source, &shared))
+            .map_err(|e| Error::Unknown(format!("spawn recovery session: {e}")))?;
+        Ok(RecoverySession {
+            join: Some(join),
+            ..session
+        })
+    }
 
-    Ok(RecoverySession {
-        db,
-        gate,
-        admission,
-        shared,
-        join: Some(join),
-        pin_log_epoch,
-        pin_chain_root,
-    })
+    /// The session thread: replay, then settle the gate and the state.
+    fn run(mut self, source: UnitSource, shared: &SessionShared) {
+        let tracer = pacman_obs::tracer();
+        tracer.emit(TraceEvent::Phase {
+            phase: RecoveryPhase::Replay,
+        });
+        // A panic anywhere in the replay must still settle the session
+        // (gate poisoned, waiters woken) — otherwise every blocked
+        // admission and `wait()` caller hangs.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.replay(source)))
+            .unwrap_or_else(|_| Err(Error::Unknown("recovery session panicked".into())))
+            .map(|log| {
+                report(
+                    &self.config,
+                    &log,
+                    &self.ckpt,
+                    self.pepoch,
+                    self.t_all,
+                    &self.metrics,
+                )
+            });
+        // Settle the gate first so waiters never hang: open it on
+        // success, *poison* it on failure — a half-recovered state
+        // (missing base-image shards, unreplayed partitions) must not
+        // serve commits; blocked admissions unblock with `false` and
+        // nothing further is admitted.
+        match result {
+            Ok(report) => {
+                tracer.emit(TraceEvent::Phase {
+                    phase: RecoveryPhase::Complete,
+                });
+                self.gate.finish();
+                let mut inner = shared.inner.lock();
+                inner.state = SessionState::Complete;
+                inner.report = Some(report);
+                // Release the retention hold: checkpoints (and the
+                // reclamation behind them) may resume.
+                inner.hold = None;
+            }
+            Err(e) => {
+                // `fail()` poisons the gate and triggers the
+                // flight-recorder failure dump.
+                tracer.emit(TraceEvent::Phase {
+                    phase: RecoveryPhase::Failed,
+                });
+                self.gate.fail();
+                let mut inner = shared.inner.lock();
+                inner.state = SessionState::Failed;
+                inner.error = Some(e);
+                // The hold is leaked, never released: the state is
+                // suspect, so checkpoints and reclamation stay blocked
+                // for the process lifetime.
+                if let Some(h) = inner.hold.take() {
+                    h.leak();
+                }
+            }
+        }
+        shared.cv.notify_all();
+        if let Some(probe) = self.probe {
+            pacman_obs::watchdog().remove(probe);
+        }
+        // The failure dump (inside `gate.fail()`) has landed by now;
+        // release this session's sink registration so it stops pinning
+        // the StorageSet and can never swallow a later recovery's dumps.
+        drop(self.sink.take());
+    }
+
+    /// Replay `source` with the scheme's loader (and, for a lazy LLR-P
+    /// restart, the base-image loader beside it).
+    fn replay(&mut self, source: UnitSource) -> Result<LogRecovery> {
+        let (db, gate, metrics) = (&self.db, &self.gate, &self.metrics);
+        let threads = self.config.threads.max(1);
+        let log = match self.config.scheme {
+            RecoveryScheme::Clr => {
+                clr::recover_log(source, db, &self.registry, metrics, Some(gate.as_ref()))?
+            }
+            RecoveryScheme::ClrP { mode } | RecoveryScheme::AlrP { mode } => {
+                let gate = Some(Arc::clone(gate));
+                clr_p::recover_log(
+                    source,
+                    db,
+                    &self.gdg,
+                    &self.registry,
+                    threads,
+                    mode,
+                    metrics,
+                    gate,
+                )?
+            }
+            RecoveryScheme::LlrP => {
+                let shards = self.shards.as_ref().expect("LlrP built its shard map");
+                let replay =
+                    move || llr_p::recover_log_online(source, db, gate, shards, threads, metrics);
+                match &self.lazy {
+                    None => replay()?,
+                    // The lazy base-image loader races the replay on
+                    // purpose: both sides install timestamped LWW (part
+                    // timestamps sort below every replayed record), so
+                    // per-shard arrival order is immaterial and the gate —
+                    // residency plus final watermark — is the only
+                    // admission condition.
+                    Some((storage, chain)) => {
+                        let (log, loaded) = crossbeam::thread::scope(|scope| {
+                            let loader = scope.spawn(|_| {
+                                let partition = |p: &ResolvedPart| {
+                                    shards.shard_partition(p.table as usize, p.shard as usize)
+                                };
+                                run_lazy_loader(
+                                    storage, chain, db, gate, partition, threads, metrics,
+                                )
+                            });
+                            (replay(), loader.join().expect("lazy loader thread"))
+                        })
+                        .expect("llr-p online session scope");
+                        let loaded = loaded?;
+                        self.ckpt.tuples = loaded.tuples;
+                        self.ckpt.reload = loaded.reload;
+                        self.ckpt.total = loaded.total;
+                        log?
+                    }
+                }
+            }
+            RecoveryScheme::Plr { .. } | RecoveryScheme::Llr { .. } => unreachable!(),
+        };
+        db.clock().advance_to(log.max_ts.max(self.ckpt.ckpt_ts) + 1);
+        Ok(log)
+    }
+}
+
+/// The report of one recovery: `log` replayed onto the base image `ckpt`.
+fn report(
+    config: &RecoveryConfig,
+    log: &LogRecovery,
+    ckpt: &CheckpointRecovery,
+    pepoch: u64,
+    t_all: Instant,
+    metrics: &RecoveryMetrics,
+) -> RecoveryReport {
+    RecoveryReport {
+        scheme: config.scheme.label().to_string(),
+        threads: config.threads.max(1),
+        checkpoint_reload_secs: ckpt.reload.as_secs_f64(),
+        checkpoint_total_secs: ckpt.total.as_secs_f64(),
+        log_reload_secs: log.reload.as_secs_f64(),
+        log_total_secs: log.total.as_secs_f64(),
+        total_secs: t_all.elapsed().as_secs_f64(),
+        breakdown: metrics.breakdown(),
+        txns: log.txns,
+        replayed_commands: log.replayed_commands,
+        applied_writes: log.applied_writes,
+        installed_writes: log.installed_writes,
+        skipped_writes: log.skipped_writes,
+        checkpoint_tuples: ckpt.tuples,
+        ckpt_chain_len: ckpt.chain_len,
+        ondemand_shard_loads: metrics.ondemand_shard_loads(),
+        background_shard_loads: metrics.background_shard_loads(),
+        pepoch,
+        ckpt_ts: ckpt.ckpt_ts,
+    }
 }
 
 #[cfg(test)]

@@ -24,13 +24,14 @@ pub mod llr_p;
 pub mod manager;
 pub mod plr;
 pub mod raw;
-pub(crate) mod shard_apply;
+mod source;
 
 pub use gate::{GateMap, GatedAdmission, ShardMap};
 pub use manager::{
-    recover, recover_online, RecoveryConfig, RecoveryOutcome, RecoveryReport, RecoveryScheme,
-    RecoverySession, SessionState,
+    recover, recover_online, register_gate_probe, RecoveryConfig, RecoveryOutcome, RecoveryReport,
+    RecoveryScheme, RecoverySession, SessionState,
 };
+pub use source::{FollowHandle, UnitSource};
 
 use pacman_common::codec::Cursor;
 use pacman_common::{Decoder, Result, Timestamp};
@@ -109,21 +110,10 @@ pub fn decode_records(bytes: &[u8], pepoch: u64, after_ts: Timestamp) -> Result<
     Ok(out)
 }
 
-/// Read one batch merged across loggers in commitment order (command-log
-/// recovery paths).
-pub fn read_merged_batch(
-    storage: &StorageSet,
-    inventory: &LogInventory,
-    batch: u64,
-    pepoch: u64,
-    after_ts: Timestamp,
-) -> Result<pacman_wal::LogBatch> {
-    Ok(read_merged_batch_view(storage, inventory, batch, pepoch, after_ts)?.to_batch())
-}
-
-/// [`read_merged_batch`] without decode-to-owned: the per-file read
-/// buffers back borrowed [`pacman_wal::RecordView`]s, so replay copies
-/// row bytes only at version-chain installation.
+/// Read one batch merged across loggers in commitment order. The per-file
+/// read buffers back borrowed [`pacman_wal::RecordView`]s, so replay
+/// copies row bytes only at version-chain installation (or decodes the
+/// whole batch with `to_batch()`).
 pub fn read_merged_batch_view(
     storage: &StorageSet,
     inventory: &LogInventory,
@@ -226,9 +216,9 @@ mod tests {
         let inv = LogInventory::scan(&storage);
         assert_eq!(inv.files_for(0).count(), 2);
         storage.disk(1).delete("log/01/0000000000");
-        let batch = read_merged_batch(&storage, &inv, 0, u64::MAX, 0).unwrap();
-        assert_eq!(batch.records.len(), 1);
-        assert_eq!(batch.records[0].ts, epoch_floor(1) | 5);
+        let batch = read_merged_batch_view(&storage, &inv, 0, u64::MAX, 0).unwrap();
+        assert_eq!(batch.len(), 1);
+        assert_eq!(batch.last_ts(), Some(epoch_floor(1) | 5));
     }
 
     #[test]

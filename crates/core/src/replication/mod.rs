@@ -1,28 +1,30 @@
-//! Hot-standby replication: continuous log shipping with live PACMAN
-//! apply and instant failover.
+//! Hot-standby replication: continuous log shipping into a follow-mode
+//! recovery session, and instant failover.
 //!
-//! PRs 1–3 exploited dependency-graph replay *after* a crash (offline and
-//! online recovery). This module keeps a second engine **continuously**
-//! replaying the primary's log, so failure recovery degenerates to a
-//! catch-up (Sauer & Härder's single-pass REDO argument) and the same
-//! logs double as multi-node durability (Yao et al.):
+//! Online recovery after a crash (PR 2) replays a log that has stopped
+//! growing; a hot standby replays one that keeps growing. Both are the
+//! same single-pass REDO over commit-ordered units (Sauer & Härder), so
+//! this module adds no apply engine of its own — failure recovery
+//! degenerates to a catch-up, and the same logs double as multi-node
+//! durability (Yao et al.):
 //!
 //! * the primary's [`pacman_wal::Durability`] exposes a framed,
 //!   versioned ship stream ([`pacman_wal::ship`]) of sealed epochs and
 //!   checkpoint-chain manifests;
-//! * a [`Standby`] consumes that stream through a long-lived apply
-//!   session that reuses the PACMAN machinery from online recovery — the
-//!   [`pacman_engine::RecoveryGate`] now runs with a *moving* total, so
-//!   per-block (CLR-P/ALR-P) or per-(table, shard) (LLR-P) watermarks
-//!   measure **replication lag** instead of one-shot replay progress;
+//! * a [`Standby`] persists that stream into its own directory and
+//!   announces one unit per seal into a
+//!   [`crate::recovery::RecoverySession::follow`] session: the restart
+//!   session's loaders, gate and settle path, with a *moving* total, so
+//!   per-block (CLR / CLR-P / ALR-P) or per-(table, shard) (LLR-P)
+//!   watermarks measure **replication lag**;
 //! * the standby serves gated read-only transactions while applying: a
 //!   read is admitted once its static footprint is caught up with
 //!   everything shipped, and OCC validation protects it from races with
 //!   concurrent installs;
-//! * [`Standby::promote`] drains the shipped tail, finishes the apply
-//!   session, and reopens the standby's own (shipped) log directory for
-//!   resumed logging — the PR 2 `reopen` path — flipping it into a full
-//!   read-write primary. Failover is an epoch drain, not a recovery.
+//! * [`Standby::promote`] drains the shipped tail, finishes the session's
+//!   source, waits for it, and reopens the standby's own (shipped) log
+//!   directory for resumed logging — the PR 2 `reopen` path — flipping it
+//!   into a full read-write primary. Failover is instant restart's tail.
 //!
 //! See `docs/REPLICATION.md` for the ship protocol, the lag-watermark
 //! semantics, promote, and double-failure behavior.
@@ -30,8 +32,7 @@
 pub mod standby;
 
 pub use standby::{
-    register_gate_probe, start_standby, PromotedPrimary, ReplicationStats, Standby, StandbyConfig,
-    StandbyReport, StandbyState,
+    start_standby, PromotedPrimary, ReplicationStats, Standby, StandbyConfig, StandbyReport,
 };
 
 use pacman_common::{Encoder, Error, Result};

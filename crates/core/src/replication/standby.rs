@@ -1,96 +1,75 @@
-//! The standby engine: a database continuously applying a primary's
-//! shipped log, promotable to a full primary in an epoch drain.
+//! The standby engine: a hot standby is a follow-mode recovery session.
 //!
-//! The apply session mirrors `recover_online`'s structure, made
-//! open-ended:
+//! [`start_standby`] opens a [`RecoverySession::follow`] over an empty
+//! database, plus a receiver thread that feeds it. The session owns what
+//! the apply needs — the gate and its footprint map, the scheme's replay
+//! loader (serial CLR, the PACMAN runtime for CLR-P / ALR-P, the shard
+//! lanes for LLR-P) and the settle path — exactly as it does for instant
+//! restart. What stays here is what only replication has:
 //!
-//! * **command/mixed schemes** (CLR / CLR-P / ALR-P) feed each
-//!   seal-delimited apply batch through [`crate::schedule::ExecutionSchedule`]
-//!   into the PACMAN runtime ([`crate::runtime::run_replay_gated`]),
-//!   whose per-block watermarks publish to the shared
-//!   [`pacman_engine::RecoveryGate`];
-//! * the **tuple scheme** (LLR-P) partitions each batch's after-images
-//!   onto per-(table, shard) queues drained latch-free by a worker pool,
-//!   publishing per-shard watermarks — the same shape as LLR-P online
-//!   recovery, fed by the wire instead of a device scan.
+//! * frame decode, and offset dedup plus persist of shipped record runs,
+//!   so the standby's directory is always a valid crash image;
+//! * the checkpoint blob, chain-tip and pepoch writes, the eager load of
+//!   the first (bootstrap) chain tip, and the re-bootstrap after a
+//!   `Reset`;
+//! * one announced unit per `Seal`: the record runs persisted since the
+//!   previous seal;
+//! * lag statistics and gated read-only transactions.
 //!
-//! In both cases the gate's *total* is bumped to the shipped apply-batch
-//! count before each batch is fed, so "partition final" continuously
-//! means "caught up with everything shipped": the watermarks measure
-//! replication lag, and the same [`GatedAdmission`] that gates admission
-//! during online recovery now gates standby reads on footprint
-//! freshness. Epoch timestamps give clean separation between apply
-//! batches, so last-writer-wins installs make batch application
-//! insensitive to within-batch arrival order per partition, and OCC read
-//! validation protects read-only transactions racing the installs.
+//! Each announcement moves the gate's total first, so "partition final"
+//! continuously means "caught up with everything shipped": the watermarks
+//! measure replication lag, and the same [`GatedAdmission`] that gates
+//! admission during instant restart gates standby reads on footprint
+//! freshness. OCC read validation protects a read racing the installs.
+//! [`Standby::promote`] is instant restart's tail: drain the receiver,
+//! finish the source, wait for the session, resume the clock, reopen.
+//!
+//! [`GatedAdmission`]: crate::recovery::GatedAdmission
 
 use crate::metrics::RecoveryMetrics;
 use crate::recovery::checkpoint::{
     recover_checkpoint_chain, resync_checkpoint_chain, CheckpointTarget,
 };
-use crate::recovery::gate::{GateMap, GatedAdmission, ShardMap};
-use crate::recovery::RecoveryScheme;
-use crate::runtime::{run_replay_gated, ReplayMode};
-use crate::schedule::ExecutionSchedule;
-use crate::static_analysis::GlobalGraph;
+use crate::recovery::{FollowHandle, RecoveryConfig, RecoverySession, SessionState};
+use bytes::Bytes;
 use pacman_common::clock::epoch_floor;
 use pacman_common::codec::Cursor;
-use pacman_common::{Decoder, Error, ProcId, Result, Timestamp};
-use pacman_engine::{
-    run_procedure, AdmissionControl, Catalog, Database, RecoveryGate, WriteRecord,
-};
+use pacman_common::{Decoder, Error, ProcId, Result};
+use pacman_engine::{run_procedure, AdmissionControl, Catalog, Database, RecoveryGate};
 use pacman_obs::{Counter as ObsCounter, TraceEvent};
 use pacman_sproc::{Params, ProcRegistry};
 use pacman_storage::StorageSet;
 use pacman_wal::checkpoint::MANIFEST_FILE;
 use pacman_wal::pepoch::PEPOCH_FILE;
-use pacman_wal::{
-    read_chain, Durability, DurabilityConfig, LogBatch, LogPayload, ResumeInfo, ShipFrame,
-    TxnLogRecord,
-};
-use parking_lot::{Condvar, Mutex};
+use pacman_wal::{read_chain, Durability, DurabilityConfig, ResumeInfo, ShipFrame};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Standby configuration.
-#[derive(Clone, Debug)]
-pub struct StandbyConfig {
-    /// Apply scheme — must match the primary's log format: `ClrP`/`Clr`
-    /// for command logs, `LlrP` for logical logs, `AlrP` for adaptive
-    /// (mixed) logs. `Plr`/`Llr` have no partition watermark and are
-    /// rejected, exactly as in `recover_online`.
-    pub scheme: RecoveryScheme,
-    /// Apply worker threads.
-    pub threads: usize,
-}
-
-/// Lifecycle state of a standby.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StandbyState {
-    /// Consuming the stream; reads are gated on footprint freshness.
-    Applying,
-    /// The session hit an error (corrupt frame, apply failure); the gate
-    /// was poisoned and the standby must be discarded.
-    Failed,
-}
+/// Standby configuration: a follow session's recovery configuration. The
+/// scheme must match the primary's log format — `ClrP`/`Clr` for command
+/// logs, `LlrP` for logical logs, `AlrP` for adaptive (mixed) logs;
+/// `Plr`/`Llr` have no partition watermark and are rejected, exactly as in
+/// `recover_online`.
+pub type StandbyConfig = RecoveryConfig;
 
 /// Live replication counters (the lag metrics of `fig_failover`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReplicationStats {
-    /// Seal-delimited apply batches shipped into the session.
+    /// Seal-delimited units announced to the apply session.
     pub shipped_batches: u64,
-    /// Apply batches fully applied (slowest partition's watermark).
+    /// Units fully applied (slowest partition's watermark).
     pub applied_batches: u64,
-    /// `shipped - applied`: the replication lag in apply batches.
+    /// `shipped - applied`: the replication lag in units.
     pub lag_batches: u64,
     /// Log bytes received off the wire.
     pub received_log_bytes: u64,
-    /// Log bytes whose apply batch is fully applied.
+    /// Log bytes whose unit is fully applied.
     pub applied_log_bytes: u64,
-    /// Transactions fed into the apply session.
+    /// Transactions the apply session has loaded (`recovery.txns`).
     pub txns: u64,
     /// The standby's durable frontier (highest shipped seal).
     pub pepoch: u64,
@@ -103,7 +82,7 @@ pub struct ReplicationStats {
 /// What the apply session did by promote time.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StandbyReport {
-    /// Apply batches applied.
+    /// Units applied.
     pub batches: u64,
     /// Transactions applied.
     pub txns: u64,
@@ -133,15 +112,9 @@ pub struct PromotedPrimary {
     pub report: StandbyReport,
 }
 
-struct StateInner {
-    state: StandbyState,
-    error: Option<Error>,
-}
-
-/// Shared standby counters/state.
+/// What the receiver publishes to the [`Standby`] handle.
+#[derive(Default)]
 struct Shared {
-    state: Mutex<StateInner>,
-    cv: Condvar,
     /// Drain-and-exit signal for the receiver.
     promote: AtomicBool,
     /// True until the stream head is processed (bootstrap chain loaded,
@@ -152,106 +125,31 @@ struct Shared {
     /// A [`ShipFrame::Reset`] arrived: the next shipped chain tip is a
     /// re-bootstrap base image to resync onto, not bookkeeping.
     resync_pending: AtomicBool,
-    /// Completed re-bootstraps. These five are detached
-    /// [`pacman_obs::Counter`] handles, bound into the global registry
-    /// under `standby.*` names at session start.
+    /// Detached [`pacman_obs::Counter`] handles, bound into the global
+    /// registry as `standby.*` at session start.
     rebootstraps: ObsCounter,
     received_log_bytes: ObsCounter,
-    txns: ObsCounter,
-    commands: ObsCounter,
-    writes: ObsCounter,
-    max_ts: AtomicU64,
     pepoch: AtomicU64,
     /// Bootstrap chain coverage: shipped records at `ts <=` this are
-    /// already in the base image and are skipped at feed time.
+    /// already in the base image and are filtered out of every unit.
     after_ts: AtomicU64,
     ckpt_tuples: AtomicU64,
-    /// Per fed-but-not-yet-applied batch seq: `(received log bytes,
-    /// highest epoch in the batch)`. Drained into the metrics' applied
-    /// counters (and the span table's `Applied` stage) as the apply
-    /// frontier advances.
+    /// Per announced-but-not-yet-applied unit: `(received log bytes,
+    /// its seal's epoch)`. Drained into the metrics' applied counters (and
+    /// the span table's `Applied` stage) as the apply frontier advances.
     batch_bytes: Mutex<BTreeMap<u64, (u64, u64)>>,
-}
-
-impl Shared {
-    fn fail(&self, gate: &RecoveryGate, e: Error) {
-        gate.fail();
-        let mut st = self.state.lock();
-        if st.error.is_none() {
-            st.error = Some(e);
-        }
-        st.state = StandbyState::Failed;
-        self.cv.notify_all();
-    }
-}
-
-/// Per-shard apply state of the tuple scheme (LLR-P): the shared
-/// recovery lanes plus the standby's frontier/done signals.
-struct ShardApply {
-    lanes: Vec<crate::recovery::shard_apply::ShardLane>,
-    /// Highest batch seq fully enqueued.
-    loaded: AtomicU64,
-    /// No further batches will arrive (promote drain finished).
-    done: AtomicBool,
-    err: Mutex<Option<Error>>,
-}
-
-/// How the receiver hands apply batches to the running engine.
-enum Feed {
-    /// Command/mixed schemes: schedules into the PACMAN runtime.
-    Sched {
-        tx: crossbeam::channel::Sender<ExecutionSchedule>,
-        gdg: Arc<GlobalGraph>,
-        registry: ProcRegistry,
-    },
-    /// Tuple scheme: per-shard queues.
-    Shards {
-        state: Arc<ShardApply>,
-        map: ShardMap,
-    },
 }
 
 /// A hot standby consuming a primary's ship stream.
 pub struct Standby {
-    db: Arc<Database>,
+    /// The apply session; taken by `promote`.
+    session: Option<RecoverySession>,
     storage: StorageSet,
     registry: ProcRegistry,
-    gate: Arc<RecoveryGate>,
-    admission: Arc<GatedAdmission>,
     shared: Arc<Shared>,
-    metrics: Arc<RecoveryMetrics>,
-    recv_join: Option<JoinHandle<()>>,
-    apply_joins: Vec<JoinHandle<()>>,
-    shard_state: Option<Arc<ShardApply>>,
-    /// This session's gate probe in the process-wide watchdog (removed on
-    /// drop so a discarded standby cannot read as stalled forever).
-    gate_probe: pacman_obs::ProbeId,
-}
-
-/// Register a stall-watchdog probe over a recovery/replication gate:
-/// *work* is the batches fed (`total_batches`), *progress* the slowest
-/// partition's applied watermark. The probe is inactive before the first
-/// batch is fed and after the gate finished or failed — a poisoned gate
-/// already dumped through its own hook; the watchdog's job is the silent
-/// wedge where batches keep arriving but the watermark stops.
-///
-/// `start_standby` installs one per session (removed on [`Standby`] drop);
-/// exposed for recovery drivers and tests that run a gate directly.
-pub fn register_gate_probe(gate: &Arc<RecoveryGate>) -> pacman_obs::ProbeId {
-    let gate = Arc::clone(gate);
-    pacman_obs::watchdog().register("standby.gate", pacman_obs::StallKind::Gate, move || {
-        if gate.is_complete() || gate.is_failed() {
-            return None;
-        }
-        let total = gate.total_batches();
-        if total == 0 {
-            return None;
-        }
-        Some(pacman_obs::ProbeSample {
-            work: total,
-            progress: gate.min_watermark(),
-        })
-    })
+    /// Hands the follow handle back when the receiver drains out cleanly;
+    /// `None` when it failed the session through it.
+    recv_join: Option<JoinHandle<Option<FollowHandle>>>,
 }
 
 /// Start a standby over its own (fresh or previously-shipped) `storage`,
@@ -267,220 +165,75 @@ pub fn start_standby(
     config: &StandbyConfig,
     rx: crossbeam::channel::Receiver<Vec<u8>>,
 ) -> Result<Standby> {
-    if matches!(
-        config.scheme,
-        RecoveryScheme::Plr { .. } | RecoveryScheme::Llr { .. }
-    ) {
-        return Err(Error::InvalidConfig(format!(
-            "standby apply is not defined for {}: no partition watermark to gate on",
-            config.scheme.label()
-        )));
-    }
-    let threads = config.threads.max(1);
-    let db = Arc::new(Database::new(catalog.clone()));
-    let metrics = Arc::new(RecoveryMetrics::new());
-
-    // Gate + footprint map, as in `recover_online` — but the total starts
-    // at 0 ("caught up with nothing shipped yet") and moves with every
-    // seal, so admission tracks the shipped frontier. The tuple scheme's
-    // shard numbering is built once and shared by the gate size, the
-    // footprint map, and the apply lanes — one numbering, one truth.
-    let gdg = Arc::new(GlobalGraph::analyze(registry.all())?);
-    let mut session_shards = None;
-    let (gate, map) = match config.scheme {
-        RecoveryScheme::LlrP => {
-            let shards = ShardMap::new(&db);
-            let gate = RecoveryGate::new(shards.total());
-            let map = GateMap::shards(Arc::clone(&db), shards.clone(), registry);
-            session_shards = Some(shards);
-            (gate, map)
-        }
-        _ => {
-            let map = GateMap::blocks(&gdg, registry);
-            let gate = RecoveryGate::new(gdg.num_blocks());
-            (gate, map)
-        }
-    };
-    gate.set_total_batches(0);
-    let admission = GatedAdmission::new(Arc::clone(&gate), map);
-
+    let (session, follow) = RecoverySession::follow(catalog, registry, config)?;
     let shared = Arc::new(Shared {
-        state: Mutex::new(StateInner {
-            state: StandbyState::Applying,
-            error: None,
-        }),
-        cv: Condvar::new(),
-        promote: AtomicBool::new(false),
         bootstrap_pending: AtomicBool::new(true),
-        resync_pending: AtomicBool::new(false),
-        rebootstraps: ObsCounter::new(),
-        received_log_bytes: ObsCounter::new(),
-        txns: ObsCounter::new(),
-        commands: ObsCounter::new(),
-        writes: ObsCounter::new(),
-        max_ts: AtomicU64::new(0),
-        pepoch: AtomicU64::new(0),
-        after_ts: AtomicU64::new(0),
-        ckpt_tuples: AtomicU64::new(0),
-        batch_bytes: Mutex::new(BTreeMap::new()),
+        ..Shared::default()
     });
-    // Bind this standby's counters into the global registry: rebinding on
-    // a later standby replaces the handles, so a snapshot always reflects
-    // the latest session.
-    {
-        let r = pacman_obs::registry();
-        r.bind_counter("standby.rebootstraps", &shared.rebootstraps);
-        r.bind_counter("standby.received_log_bytes", &shared.received_log_bytes);
-        r.bind_counter("standby.txns", &shared.txns);
-        r.bind_counter("standby.commands", &shared.commands);
-        r.bind_counter("standby.writes", &shared.writes);
-    }
-    metrics.register_into(pacman_obs::registry());
+    // Rebinding on a later standby replaces the handles, so a snapshot
+    // always reflects the latest session.
+    let r = pacman_obs::registry();
+    r.bind_counter("standby.rebootstraps", &shared.rebootstraps);
+    r.bind_counter("standby.received_log_bytes", &shared.received_log_bytes);
 
-    // Apply engine.
-    let mut apply_joins = Vec::new();
-    let mut shard_state = None;
-    let feed = match config.scheme {
-        RecoveryScheme::LlrP => {
-            let shards = session_shards.take().expect("LlrP built its shard map");
-            let state = Arc::new(ShardApply {
-                lanes: crate::recovery::shard_apply::lanes(shards.total()),
-                loaded: AtomicU64::new(0),
-                done: AtomicBool::new(false),
-                err: Mutex::new(None),
-            });
-            for worker in 0..threads {
-                let state = Arc::clone(&state);
-                let db = Arc::clone(&db);
-                let gate = Arc::clone(&gate);
-                let metrics = Arc::clone(&metrics);
-                apply_joins.push(
-                    std::thread::Builder::new()
-                        .name(format!("standby-shard-{worker}"))
-                        .spawn(move || shard_worker(&state, &db, &gate, &metrics, worker))
-                        .map_err(|e| Error::Unknown(format!("spawn standby worker: {e}")))?,
-                );
-            }
-            shard_state = Some(Arc::clone(&state));
-            Feed::Shards { state, map: shards }
-        }
-        scheme => {
-            let mode = match scheme {
-                RecoveryScheme::ClrP { mode } | RecoveryScheme::AlrP { mode } => mode,
-                _ => ReplayMode::PureStatic, // Clr: serial per-block apply
-            };
-            let (tx, srx) = crossbeam::channel::unbounded::<ExecutionSchedule>();
-            let db2 = Arc::clone(&db);
-            let gdg2 = Arc::clone(&gdg);
-            let gate2 = Arc::clone(&gate);
-            let metrics2 = Arc::clone(&metrics);
-            let shared2 = Arc::clone(&shared);
-            let estimate = vec![1; gdg.num_blocks()];
-            let threads = if matches!(scheme, RecoveryScheme::Clr) {
-                1
-            } else {
-                threads
-            };
-            apply_joins.push(
-                std::thread::Builder::new()
-                    .name("standby-replay".into())
-                    .spawn(move || {
-                        if let Err(e) = run_replay_gated(
-                            &db2,
-                            &gdg2,
-                            mode,
-                            threads,
-                            &estimate,
-                            &metrics2,
-                            srx,
-                            Some(Arc::clone(&gate2)),
-                        ) {
-                            shared2.fail(&gate2, e);
-                        }
-                    })
-                    .map_err(|e| Error::Unknown(format!("spawn standby replay: {e}")))?,
-            );
-            Feed::Sched {
-                tx,
-                gdg: Arc::clone(&gdg),
-                registry: registry.clone(),
-            }
-        }
+    let mut receiver = Receiver {
+        db: Arc::clone(session.db()),
+        gate: Arc::clone(session.gate()),
+        metrics: Arc::clone(session.metrics()),
+        storage: storage.clone(),
+        shared: Arc::clone(&shared),
+        follow,
+        runs: Vec::new(),
+        run_bytes: 0,
+        threads: config.threads.max(1),
     };
-
-    // Receiver: decode frames, persist them into the standby's own
-    // directory, and feed seal-delimited batches to the apply engine.
-    let recv_join = {
-        let db = Arc::clone(&db);
-        let gate = Arc::clone(&gate);
-        let shared = Arc::clone(&shared);
-        let storage = storage.clone();
-        let metrics = Arc::clone(&metrics);
-        let threads_for_bootstrap = threads;
-        std::thread::Builder::new()
-            .name("standby-recv".into())
-            .spawn(move || {
-                let mut rs = ReceiverState {
-                    db,
-                    storage,
-                    gate: Arc::clone(&gate),
-                    shared: Arc::clone(&shared),
-                    metrics,
-                    feed,
-                    pending: Vec::new(),
-                    pending_bytes: 0,
-                    seq: 0,
-                    threads: threads_for_bootstrap,
-                };
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rs.run(rx)))
+    let recv_join = std::thread::Builder::new()
+        .name("standby-recv".into())
+        .spawn(move || {
+            let result =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| receiver.run(&rx)))
                     .unwrap_or_else(|_| Err(Error::Unknown("standby receiver panicked".into())));
-                match result {
-                    Ok(()) => {}
-                    Err(e) => shared.fail(&gate, e),
+            match result {
+                Ok(()) => Some(receiver.follow),
+                Err(e) => {
+                    receiver.follow.fail(e);
+                    None
                 }
-                // Promote (or failure) ends the feeders either way so the
-                // apply threads can drain out.
-                rs.close_feed();
-            })
-            .map_err(|e| Error::Unknown(format!("spawn standby receiver: {e}")))?
-    };
-
-    let gate_probe = register_gate_probe(&gate);
+            }
+        })
+        .map_err(|e| Error::Unknown(format!("spawn standby receiver: {e}")))?;
     Ok(Standby {
-        db,
+        session: Some(session),
         storage,
         registry: registry.clone(),
-        gate,
-        admission,
         shared,
-        metrics,
         recv_join: Some(recv_join),
-        apply_joins,
-        shard_state,
-        gate_probe,
     })
 }
 
-struct ReceiverState {
+/// The receiver thread: decodes frames, persists them into the standby's
+/// own directory, and announces one unit per seal.
+struct Receiver {
     db: Arc<Database>,
-    storage: StorageSet,
     gate: Arc<RecoveryGate>,
-    shared: Arc<Shared>,
     metrics: Arc<RecoveryMetrics>,
-    feed: Feed,
-    pending: Vec<TxnLogRecord>,
-    pending_bytes: u64,
-    seq: u64,
+    storage: StorageSet,
+    shared: Arc<Shared>,
+    follow: FollowHandle,
+    /// Record runs persisted since the last announced unit.
+    runs: Vec<Bytes>,
+    run_bytes: u64,
     threads: usize,
 }
 
-impl ReceiverState {
-    fn run(&mut self, rx: crossbeam::channel::Receiver<Vec<u8>>) -> Result<()> {
+impl Receiver {
+    fn run(&mut self, rx: &crossbeam::channel::Receiver<Vec<u8>>) -> Result<()> {
         let mut disconnected = false;
         loop {
             if self.shared.promote.load(Ordering::Acquire) {
-                // Drain the shipped tail already on the link, then flush
-                // any sealed-but-unfed records as a final batch.
+                // Drain the shipped tail already on the link. Runs after
+                // the last seal stay unannounced: they are not sealed, and
+                // `Durability::reopen` truncates them.
                 while let Ok(bytes) = rx.try_recv() {
                     self.handle(&bytes)?;
                 }
@@ -492,13 +245,12 @@ impl ReceiverState {
                         "standby reset without a re-bootstrap chain; promote is unsafe".into(),
                     ));
                 }
-                self.flush_pending()?;
                 return Ok(());
             }
             if disconnected {
                 // Keep folding apply progress while holding for a promote
-                // decision — batches fed before the link died are still
-                // being applied behind the gate.
+                // decision — units announced before the link died are
+                // still being applied behind the gate.
                 self.observe_applied();
                 std::thread::sleep(Duration::from_micros(500));
                 continue;
@@ -515,40 +267,34 @@ impl ReceiverState {
         }
     }
 
-    /// Fold newly-applied batches into the metrics counters (the applied
+    /// Fold newly-applied units into the metrics counters (the applied
     /// side of the shipped/applied byte accounting).
     fn observe_applied(&self) {
-        let applied = self.gate.min_watermark().min(self.seq);
+        let applied = self.gate.min_watermark().min(self.follow.announced());
         let mut bb = self.shared.batch_bytes.lock();
-        let done: Vec<u64> = bb.range(..=applied).map(|(s, _)| *s).collect();
-        for s in done {
-            let (bytes, max_epoch) = bb.remove(&s).unwrap_or((0, 0));
+        let pending = bb.split_off(&(applied + 1));
+        for (bytes, epoch) in std::mem::replace(&mut *bb, pending).into_values() {
             self.metrics.count_applied_batch(bytes);
-            // Span attribution: the batch's newest epoch is now queryable on
+            // Span attribution: the unit's seal epoch is now queryable on
             // the standby (standby.apply_lag's right edge).
-            pacman_obs::spans().record(max_epoch, pacman_obs::Stage::Applied);
+            pacman_obs::spans().record(epoch, pacman_obs::Stage::Applied);
         }
     }
 
-    /// Block until the apply engines have fully applied every batch fed
-    /// so far (all partition watermarks at `seq`). Used on a Reset,
-    /// before the resync: replacing shard state while command
-    /// re-execution is still in flight would let it read half-replaced
-    /// rows.
-    fn quiesce_applies(&self) -> Result<()> {
+    /// Block until the session has applied every announced unit (every
+    /// watermark at the announced count). Used on a Reset, before the
+    /// resync: replacing shard state while command re-execution is still
+    /// in flight would let it read half-replaced rows. No unit is
+    /// announced meanwhile — this thread is the only one that announces.
+    fn quiesce(&self) -> Result<()> {
         let deadline = Instant::now() + Duration::from_secs(30);
-        while self.gate.min_watermark() < self.seq {
-            if let Feed::Shards { state, .. } = &self.feed {
-                if let Some(e) = state.err.lock().clone() {
-                    return Err(e);
-                }
-            }
-            if self.shared.state.lock().state == StandbyState::Failed {
+        while self.gate.min_watermark() < self.follow.announced() {
+            if self.gate.is_failed() {
                 return Err(Error::Unknown("standby failed before resync".into()));
             }
             if Instant::now() >= deadline {
                 return Err(Error::Unknown(
-                    "standby apply engines never quiesced for resync".into(),
+                    "standby session never quiesced for resync".into(),
                 ));
             }
             std::thread::sleep(Duration::from_micros(200));
@@ -579,7 +325,7 @@ impl ReceiverState {
                 // severed link can resend a run we already hold. Our own
                 // copy's length is the byte position the next new run must
                 // start at; an overlap is skipped (its records were
-                // already buffered/applied), a gap is corruption.
+                // already announced), a gap is corruption.
                 let have = self.storage.disk(logger).len(&file).unwrap_or(0) as u64;
                 if offset > have {
                     return Err(Error::Corrupt(format!(
@@ -590,20 +336,13 @@ impl ReceiverState {
                 if skip >= bytes.len() {
                     return Ok(()); // pure redelivery, nothing new
                 }
-                let fresh = &bytes[skip..];
+                let fresh = bytes.slice(skip..);
                 // Persist first — the standby's directory must always be a
-                // valid crash image — then buffer for the next seal.
-                self.storage.disk(logger).append(&file, fresh);
-                let after_ts = self.shared.after_ts.load(Ordering::Acquire);
-                let mut cur = Cursor::new(fresh);
-                while !cur.is_empty() {
-                    let rec = TxnLogRecord::decode(&mut cur)?;
-                    if rec.ts > after_ts {
-                        self.pending.push(rec);
-                    }
-                }
-                self.pending_bytes += fresh.len() as u64;
+                // valid crash image — then hold the run for the next seal.
+                self.storage.disk(logger).append(&file, &fresh);
+                self.run_bytes += fresh.len() as u64;
                 self.shared.received_log_bytes.add(fresh.len() as u64);
+                self.runs.push(fresh);
             }
             ShipFrame::Blob { name, disk, bytes } => {
                 if !name.starts_with("ckpt/") {
@@ -617,49 +356,40 @@ impl ReceiverState {
             ShipFrame::ChainTip { bytes } => {
                 self.storage.disk(0).write_file(MANIFEST_FILE, &bytes);
                 self.storage.disk(0).fsync();
-                if self.shared.resync_pending.load(Ordering::Acquire) {
-                    // Re-bootstrap: the primary reclaimed log this standby
-                    // never received, and this tip covers the gap. Replace
-                    // every shard with the chain's state (updates install
-                    // LWW, vanished keys tombstone) and drop buffered
-                    // records the new base already covers.
+                // The first tip is the bootstrap base image, loaded eagerly
+                // before anything is applied. A tip after a Reset is the
+                // re-bootstrap image: the primary reclaimed log this
+                // standby never received and the tip covers the gap, so
+                // every shard is replaced with the chain's state (updates
+                // install LWW, vanished keys tombstone). Other tips (the
+                // primary checkpointed mid-stream) are bookkeeping only —
+                // the standby's state is already newer than the snapshot.
+                let resync = self.shared.resync_pending.load(Ordering::Acquire);
+                let after_ts = self.shared.after_ts.load(Ordering::Acquire);
+                if resync || (after_ts == 0 && self.follow.announced() == 0) {
                     let chain = read_chain(&self.storage)?
-                        .ok_or_else(|| Error::Corrupt("reset chain tip unreadable".into()))?;
-                    if chain.ts() > self.shared.after_ts.load(Ordering::Acquire) {
-                        let ckpt =
-                            resync_checkpoint_chain(&self.storage, &chain, &self.db, self.threads)?;
+                        .ok_or_else(|| Error::Corrupt("shipped chain tip unreadable".into()))?;
+                    if !resync || chain.ts() > after_ts {
+                        let ckpt = if resync {
+                            resync_checkpoint_chain(&self.storage, &chain, &self.db, self.threads)?
+                        } else {
+                            let base = CheckpointTarget::Tables(&self.db);
+                            recover_checkpoint_chain(&self.storage, &chain, self.threads, base)?
+                        };
                         self.shared
                             .ckpt_tuples
                             .fetch_add(ckpt.tuples, Ordering::Release);
+                        // Units announced from here on drop what it covers.
                         self.shared.after_ts.store(chain.ts(), Ordering::Release);
                         self.db.clock().advance_to(chain.ts() + 1);
-                        let after = chain.ts();
-                        self.pending.retain(|r| r.ts > after);
                     }
+                }
+                if resync {
                     self.shared.resync_pending.store(false, Ordering::Release);
                     self.shared.rebootstraps.inc();
                     pacman_obs::tracer().emit(TraceEvent::StandbyRebootstrap {
                         chain_ts: self.shared.after_ts.load(Ordering::Acquire),
                     });
-                } else if self.shared.after_ts.load(Ordering::Acquire) == 0 && self.seq == 0 {
-                    // The first tip is the bootstrap base image: load it
-                    // eagerly before anything is applied. Later tips (the
-                    // primary checkpointed mid-stream) are bookkeeping
-                    // only — the standby's state is already newer than
-                    // the snapshot.
-                    let chain = read_chain(&self.storage)?
-                        .ok_or_else(|| Error::Corrupt("shipped chain tip unreadable".into()))?;
-                    let ckpt = recover_checkpoint_chain(
-                        &self.storage,
-                        &chain,
-                        self.threads,
-                        CheckpointTarget::Tables(&self.db),
-                    )?;
-                    self.shared
-                        .ckpt_tuples
-                        .store(ckpt.tuples, Ordering::Release);
-                    self.shared.after_ts.store(chain.ts(), Ordering::Release);
-                    self.db.clock().advance_to(chain.ts() + 1);
                 }
                 // Base image resident (or already newer): reads may pass.
                 self.shared
@@ -668,29 +398,29 @@ impl ReceiverState {
             }
             ShipFrame::Reset => {
                 // The primary broke this subscriber's cursor (bounded-lag
-                // retention) and a fresh bootstrap stream follows. Drain
-                // the apply engines first: command re-execution racing the
-                // coming resync would read half-replaced state. Buffered
-                // (sealed-but-unfed) records are kept — the fresh cursor
-                // skips what we already hold, so nothing redelivers them —
-                // and the resync purges those its new base covers.
-                self.quiesce_applies()?;
+                // retention) and a fresh bootstrap stream follows. Quiesce
+                // the session first: command re-execution racing the
+                // coming resync would read half-replaced state. Held
+                // (persisted, unannounced) runs are kept — the fresh
+                // cursor skips what we already hold, so nothing redelivers
+                // them — and the resync filters out those its base covers.
+                self.quiesce()?;
                 self.shared.resync_pending.store(true, Ordering::Release);
                 // Reads hold off until the resync lands.
                 self.shared.bootstrap_pending.store(true, Ordering::Release);
             }
             ShipFrame::Seal { pepoch } => {
                 // The shipped prefix is complete up to `pepoch`: persist
-                // the frontier (the standby's own pepoch) and feed the
-                // delimited batch. The in-memory frontier publishes only
-                // after the batch is fed, so an observer seeing
-                // `pepoch >= p` knows every seal at or below `p` has
-                // already moved the gate's total.
+                // the frontier (the standby's own pepoch) and announce the
+                // delimited unit. The in-memory frontier publishes only
+                // after the announcement, so an observer seeing `pepoch >=
+                // p` knows every seal at or below `p` has already moved
+                // the gate's total.
                 self.storage
                     .disk(0)
                     .write_file(PEPOCH_FILE, &pepoch.to_le_bytes());
                 self.storage.disk(0).fsync();
-                self.flush_pending()?;
+                self.announce(pepoch)?;
                 self.shared.pepoch.fetch_max(pepoch, Ordering::AcqRel);
                 // A seal implies the stream head (incl. any bootstrap
                 // chain, which ships ahead of records) was processed —
@@ -706,208 +436,83 @@ impl ReceiverState {
         Ok(())
     }
 
-    /// Feed buffered records as one apply batch (no-op when empty).
-    fn flush_pending(&mut self) -> Result<()> {
-        if self.shared.resync_pending.load(Ordering::Acquire) {
-            // A Reset arrived but its chain tip hasn't: the buffer may
-            // hold records the coming base image covers (a racing
-            // reclaim made the shipper retry the chain). Keep buffering —
-            // the resync purges what its tip covers and the next seal
-            // feeds the remainder.
+    /// Announce the runs held since the previous seal as one unit (no-op
+    /// when there are none).
+    fn announce(&mut self, pepoch: u64) -> Result<()> {
+        if self.shared.resync_pending.load(Ordering::Acquire) || self.runs.is_empty() {
+            // Nothing held, or a Reset whose chain tip has not arrived yet:
+            // the runs may hold records the coming base image covers (a
+            // racing reclaim made the shipper retry the chain). Keep
+            // holding them — the resync moves `after_ts` past its tip, and
+            // the next seal announces the rest.
             return Ok(());
         }
-        if self.pending.is_empty() {
-            self.pending_bytes = 0;
-            return Ok(());
-        }
-        let mut records = std::mem::take(&mut self.pending);
-        records.sort_by_key(|r| r.ts);
-        self.seq += 1;
-        let batch_bytes = self.pending_bytes;
-        self.pending_bytes = 0;
-        if let Some(last) = records.last() {
-            self.shared.max_ts.fetch_max(last.ts, Ordering::AcqRel);
-        }
-        self.shared.txns.add(records.len() as u64);
-        for r in &records {
-            match &r.payload {
-                LogPayload::Command { .. } => {
-                    self.shared.commands.inc();
-                }
-                LogPayload::Writes { .. } | LogPayload::TaggedWrites { .. } => {
-                    self.shared.writes.inc();
-                }
-            }
-        }
-        pacman_obs::tracer().emit(TraceEvent::StandbyApply {
-            batch: self.seq,
-            bytes: batch_bytes,
-        });
-        // Records are ts-sorted: the batch's newest epoch is the last one's.
-        let max_epoch = records
-            .last()
-            .map(|r| pacman_common::clock::epoch_of(r.ts))
-            .unwrap_or(0);
-        self.shared
-            .batch_bytes
-            .lock()
-            .insert(self.seq, (batch_bytes, max_epoch));
-        // Move the frontier *before* feeding: a read admitted after this
-        // point waits for the new batch; one admitted just before reads
-        // the previous consistent prefix.
-        self.gate.set_total_batches(self.seq);
-        match &mut self.feed {
-            Feed::Sched { tx, gdg, registry } => {
-                let batch = LogBatch {
-                    index: self.seq,
-                    records,
-                };
-                let schedule = ExecutionSchedule::build(gdg, registry, &batch)?;
-                tx.send(schedule)
-                    .map_err(|_| Error::Unknown("standby replay runtime exited".into()))?;
-            }
-            Feed::Shards { state, map } => {
-                if state.err.lock().is_some() {
-                    return Err(state
-                        .err
-                        .lock()
-                        .clone()
-                        .unwrap_or_else(|| Error::Unknown("standby shard apply failed".into())));
-                }
-                let mut groups: Vec<Vec<(Timestamp, WriteRecord)>> =
-                    (0..map.total()).map(|_| Vec::new()).collect();
-                for rec in &records {
-                    let writes = match &rec.payload {
-                        LogPayload::Writes { writes, .. }
-                        | LogPayload::TaggedWrites { writes, .. } => writes,
-                        LogPayload::Command { .. } => {
-                            return Err(Error::Corrupt(
-                                "LLR-P standby requires tuple-level log records".into(),
-                            ));
-                        }
-                    };
-                    for w in writes {
-                        let p = map.partition(&self.db, w.table, w.key)?;
-                        groups[p].push((rec.ts, w.clone()));
-                    }
-                }
-                for (p, g) in groups.iter_mut().enumerate() {
-                    if !g.is_empty() {
-                        state.lanes[p].queue.lock().append(g);
-                    }
-                }
-                state.loaded.store(self.seq, Ordering::Release);
-            }
-        }
+        let seq = self.follow.announced() + 1;
+        let bytes = std::mem::take(&mut self.run_bytes);
+        pacman_obs::tracer().emit(TraceEvent::StandbyApply { batch: seq, bytes });
+        self.shared.batch_bytes.lock().insert(seq, (bytes, pepoch));
+        let after_ts = self.shared.after_ts.load(Ordering::Acquire);
+        self.follow
+            .announce(std::mem::take(&mut self.runs), pepoch, after_ts)?;
         self.observe_applied();
         Ok(())
     }
-
-    /// Stop the apply engine's intake (promote drain or failure exit).
-    fn close_feed(&mut self) {
-        match &mut self.feed {
-            Feed::Sched { tx, .. } => {
-                // Replace the sender so the channel disconnects.
-                let (dead, _) = crossbeam::channel::unbounded();
-                *tx = dead;
-            }
-            Feed::Shards { state, .. } => {
-                state.done.store(true, Ordering::Release);
-            }
-        }
-    }
-}
-
-/// The tuple-scheme apply worker: the shared LLR-P shard-queue loop
-/// (`crate::recovery::shard_apply`), fed by shipped seals instead of a
-/// device scan — `loaded` is the highest seal fully enqueued and `done`
-/// flips at promote.
-fn shard_worker(
-    state: &ShardApply,
-    db: &Database,
-    gate: &RecoveryGate,
-    metrics: &RecoveryMetrics,
-    worker: usize,
-) {
-    crate::recovery::shard_apply::run_shard_worker(
-        &state.lanes,
-        db,
-        gate,
-        metrics,
-        &state.err,
-        || state.loaded.load(Ordering::Acquire),
-        || state.done.load(Ordering::Acquire),
-        worker,
-    );
 }
 
 impl Standby {
+    fn session(&self) -> &RecoverySession {
+        self.session
+            .as_ref()
+            .expect("a standby owns its session until promote")
+    }
+
     /// The live (read-only) database.
     pub fn db(&self) -> &Arc<Database> {
-        &self.db
+        self.session().db()
     }
 
     /// The lag gate (partition-level introspection).
     pub fn gate(&self) -> &Arc<RecoveryGate> {
-        &self.gate
+        self.session().gate()
     }
 
-    /// Admission control for standby reads: a transaction passes once its
-    /// static footprint is caught up with everything shipped.
-    pub fn admission(&self) -> Arc<dyn AdmissionControl> {
-        Arc::clone(&self.admission) as Arc<dyn AdmissionControl>
-    }
-
-    /// Current lifecycle state.
-    pub fn state(&self) -> StandbyState {
-        self.shared.state.lock().state
+    /// Lifecycle state of the apply session.
+    pub fn state(&self) -> SessionState {
+        self.session().state()
     }
 
     /// The session error, if the standby failed.
     pub fn error(&self) -> Option<String> {
-        self.shared
-            .state
-            .lock()
-            .error
-            .as_ref()
-            .map(|e| e.to_string())
+        self.session().error().map(|e| e.to_string())
     }
 
     /// Live replication counters.
     pub fn stats(&self) -> ReplicationStats {
         // Read the frontier *before* the gate totals: the receiver
-        // publishes `pepoch` only after bumping the total for its seal,
-        // so a snapshot whose pepoch covers seal P is guaranteed to see
-        // P's total too — otherwise a waiter could observe the new
+        // publishes `pepoch` only after its seal's announcement moved the
+        // total, so a snapshot whose pepoch covers seal P is guaranteed to
+        // see P's total too — otherwise a waiter could observe the new
         // frontier with a stale total and report lag 0 while the final
-        // batch is still applying.
+        // unit is still applying.
         let pepoch = self.shared.pepoch.load(Ordering::Acquire);
-        let shipped = self.gate.total_batches();
-        let applied = self.gate.min_watermark().min(shipped);
-        // The receiver folds applied batches into the metrics counter on
-        // its 1 ms cadence; add what it hasn't observed yet. Both sources
-        // are read under the batch_bytes lock — the receiver moves a
-        // batch between them while holding it, so the sum never dips.
-        // One locked snapshot for the byte counters: the receiver bumps
-        // `received_log_bytes` and moves a batch between `batch_bytes` and
-        // the metrics' applied counter while holding this lock, so reading
-        // both sides under it keeps `received >= applied` and neither sum
-        // ever dips.
-        let (received_log_bytes, applied_log_bytes) = {
+        let shipped = self.gate().total_batches();
+        let applied = self.gate().min_watermark().min(shipped);
+        // The receiver moves an applied unit's bytes out of `batch_bytes`
+        // into the metrics' applied counter while holding the lock, on its
+        // 1 ms cadence: one locked read of both never dips, and adds the
+        // units applied since the last fold.
+        let metrics = self.session().metrics();
+        let applied_log_bytes = {
             let bb = self.shared.batch_bytes.lock();
-            (
-                self.shared.received_log_bytes.get(),
-                self.metrics.applied_log_bytes()
-                    + bb.range(..=applied).map(|(_, &(b, _))| b).sum::<u64>(),
-            )
+            metrics.applied_log_bytes() + bb.range(..=applied).map(|(_, &(b, _))| b).sum::<u64>()
         };
         ReplicationStats {
             shipped_batches: shipped,
             applied_batches: applied,
             lag_batches: shipped.saturating_sub(applied),
-            received_log_bytes,
+            received_log_bytes: self.shared.received_log_bytes.get(),
             applied_log_bytes,
-            txns: self.shared.txns.get(),
+            txns: metrics.txns(),
             pepoch,
             rebootstraps: self.shared.rebootstraps.get(),
         }
@@ -920,7 +525,7 @@ impl Standby {
     pub fn wait_caught_up(&self, min_pepoch: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            if self.state() == StandbyState::Failed {
+            if self.gate().is_failed() {
                 return false;
             }
             let s = self.stats();
@@ -954,7 +559,7 @@ impl Standby {
                 def.name
             )));
         }
-        if self.state() == StandbyState::Failed {
+        if self.gate().is_failed() {
             return Err(Error::Unknown("standby failed".into()));
         }
         // Before the stream head lands (bootstrap base image / first
@@ -963,15 +568,16 @@ impl Standby {
         if self.shared.bootstrap_pending.load(Ordering::Acquire) {
             return Ok(None);
         }
-        if !self.admission.try_admit(proc, params) {
-            self.admission.request(proc, params);
+        let admission = self.session().gated_admission();
+        if !admission.try_admit(proc, params) {
+            admission.request(proc, params);
             return Ok(None);
         }
         // OCC validation protects the read from racing installs: on
         // conflict, retry — the apply frontier only moves forward.
         let mut tries = 0;
         loop {
-            match run_procedure(&self.db, def, params) {
+            match run_procedure(self.db(), def, params) {
                 Ok(info) => return Ok(Some(info)),
                 Err(Error::TxnAborted(_)) if tries < 100 => tries += 1,
                 Err(e) => return Err(e),
@@ -979,85 +585,72 @@ impl Standby {
         }
     }
 
-    /// Promote to a full primary: drain the shipped tail already on the
-    /// link, finish applying every batch, open the gate for good, and
-    /// reopen the standby's own (shipped) log directory for resumed
-    /// logging. `config` must mirror the primary's durability layout
-    /// (`num_loggers`, `batch_epochs`) — batch naming derives from both.
+    /// Promote to a full primary — instant restart's tail: drain the
+    /// shipped tail already on the link, finish the follow source, wait
+    /// for the session to apply every announced unit (its gate then opens
+    /// for good), resume the clock, and reopen the standby's own (shipped)
+    /// log directory for resumed logging. `config` must mirror the
+    /// primary's durability layout (`num_loggers`, `batch_epochs`) — batch
+    /// naming derives from both.
     pub fn promote(mut self, config: DurabilityConfig) -> Result<PromotedPrimary> {
         let t0 = Instant::now();
-        self.shared.promote.store(true, Ordering::Release);
-        if let Some(j) = self.recv_join.take() {
-            let _ = j.join();
+        if let Some(follow) = self.stop_receiver() {
+            follow.finish();
         }
-        // Shard apply: `done` was set by the receiver's close_feed; the
-        // command runtime's channel was disconnected the same way. Wait
-        // for the apply side to drain out.
-        for j in self.apply_joins.drain(..) {
-            let _ = j.join();
-        }
-        if let Some(state) = &self.shard_state {
-            if let Some(e) = state.err.lock().take() {
-                self.shared.fail(&self.gate, e);
-            }
-        }
-        {
-            let st = self.shared.state.lock();
-            if st.state == StandbyState::Failed {
-                return Err(st
-                    .error
-                    .clone()
-                    .unwrap_or_else(|| Error::Unknown("standby failed".into())));
-            }
-        }
-        self.gate.finish();
+        let session = self.session.take().expect("promote owns the session");
+        let db = Arc::clone(session.db());
+        let batches = session.gate().total_batches();
+        let outcome = session.wait()?;
 
-        // Resume the clock past everything applied, then reopen the
-        // shipped log for writing: epoch numbering continues strictly
+        // The session resumed the clock past everything it replayed; move
+        // it past the chain tip and the shipped frontier too, then reopen
+        // the shipped log for writing: epoch numbering continues strictly
         // past max(pepoch, chain tip, clock) — the PR 2 lifecycle.
-        let max_ts = self.shared.max_ts.load(Ordering::Acquire);
         let after_ts = self.shared.after_ts.load(Ordering::Acquire);
         let pepoch = self.shared.pepoch.load(Ordering::Acquire);
-        let floor = max_ts.max(after_ts).max(if pepoch > 0 {
+        let floor = after_ts.max(if pepoch > 0 {
             epoch_floor(pepoch + 1)
         } else {
             0
         });
-        self.db.clock().advance_to(floor.saturating_add(1));
+        db.clock().advance_to(floor.saturating_add(1));
 
         let report = StandbyReport {
-            batches: self.gate.total_batches(),
-            txns: self.shared.txns.get(),
-            replayed_commands: self.shared.commands.get(),
-            applied_writes: self.shared.writes.get(),
+            batches,
+            txns: outcome.report.txns,
+            replayed_commands: outcome.report.replayed_commands,
+            applied_writes: outcome.report.applied_writes,
             received_log_bytes: self.shared.received_log_bytes.get(),
             checkpoint_tuples: self.shared.ckpt_tuples.load(Ordering::Relaxed),
             promote_secs: t0.elapsed().as_secs_f64(),
         };
         let (durability, resume) =
-            Durability::reopen(Arc::clone(&self.db), self.storage.clone(), config);
+            Durability::reopen(Arc::clone(&db), self.storage.clone(), config);
         Ok(PromotedPrimary {
-            db: Arc::clone(&self.db), // `self` drops below; its joins are spent
+            db,
             durability,
             resume,
             report,
         })
     }
+
+    /// Stop the receiver once it drained the link, and take back its
+    /// follow handle (`None` if the receiver failed the session).
+    fn stop_receiver(&mut self) -> Option<FollowHandle> {
+        self.shared.promote.store(true, Ordering::Release);
+        self.recv_join.take()?.join().ok().flatten()
+    }
 }
 
 impl Drop for Standby {
+    /// A discarded standby stops receiving and lets its session apply what
+    /// was announced, so no thread outlives the handle.
     fn drop(&mut self) {
-        pacman_obs::watchdog().remove(self.gate_probe);
-        // An un-promoted standby being discarded: unblock every thread.
-        self.shared.promote.store(true, Ordering::Release);
-        if let Some(j) = self.recv_join.take() {
-            let _ = j.join();
+        if let Some(follow) = self.stop_receiver() {
+            follow.finish();
         }
-        if let Some(state) = &self.shard_state {
-            state.done.store(true, Ordering::Release);
-        }
-        for j in self.apply_joins.drain(..) {
-            let _ = j.join();
+        if let Some(session) = self.session.take() {
+            let _ = session.wait();
         }
     }
 }
@@ -1065,13 +658,15 @@ impl Drop for Standby {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::{recover, RecoveryOutcome, RecoveryScheme};
     use crate::replication::{pump, wire};
+    use crate::runtime::ReplayMode;
     use pacman_common::clock::epoch_of;
     use pacman_common::{Row, TableId, Value};
     use pacman_engine::run_procedure_with_epoch;
     use pacman_sproc::{Expr, ProcBuilder};
     use pacman_storage::{DiskConfig, StorageSet};
-    use pacman_wal::{LogScheme, LogShipper};
+    use pacman_wal::{LogPayload, LogScheme, LogShipper, TxnLogRecord};
 
     const T: TableId = TableId::new(0);
     const ADD: ProcId = ProcId::new(0);
@@ -1171,6 +766,172 @@ mod tests {
         StandbyConfig { scheme, threads: 2 }
     }
 
+    /// Run `f` on its own thread and give it 20 s: a session that never
+    /// settles (say, a promote that skipped `finish()`) fails the test
+    /// instead of hanging the suite.
+    fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(Duration::from_secs(20))
+            .unwrap_or_else(|_| panic!("{what} never settled"))
+    }
+
+    fn promote(standby: Standby, config: DurabilityConfig) -> Result<PromotedPrimary> {
+        within("promote", move || standby.promote(config))
+    }
+
+    fn settle(session: RecoverySession) -> Result<RecoveryOutcome> {
+        within("follow session", move || session.wait())
+    }
+
+    /// The gated schemes, each with the log format it replays.
+    fn gated_schemes() -> [(LogScheme, RecoveryScheme); 4] {
+        let mode = ReplayMode::Pipelined;
+        [
+            (LogScheme::Command, RecoveryScheme::Clr),
+            (LogScheme::Command, RecoveryScheme::ClrP { mode }),
+            (LogScheme::Adaptive, RecoveryScheme::AlrP { mode }),
+            (LogScheme::Logical, RecoveryScheme::LlrP),
+        ]
+    }
+
+    /// A follow session fed the primary's log one unit per seal, exactly
+    /// as the receiver feeds it, ends where offline `recover` does on the
+    /// same image — same state, same counts — under every gated scheme.
+    #[test]
+    fn follow_session_matches_offline_recovery() {
+        let (catalog, reg) = setup();
+        for (log, scheme) in gated_schemes() {
+            let (primary, _, pepoch) = primary_image(&catalog, &reg, log, 40);
+            let config = RecoveryConfig { scheme, threads: 2 };
+            let offline = recover(&primary, &catalog, &reg, &config).unwrap();
+
+            let (session, mut follow) = RecoverySession::follow(&catalog, &reg, &config).unwrap();
+            let metrics = Arc::clone(session.metrics());
+            let chain = read_chain(&primary).unwrap().unwrap();
+            let base = CheckpointTarget::Tables(session.db());
+            recover_checkpoint_chain(&primary, &chain, 1, base).unwrap();
+            let shipper = LogShipper::new(primary.clone(), 1, 4);
+            let mut runs = Vec::new();
+            for p in 1..=pepoch {
+                for frame in shipper.poll(p).unwrap() {
+                    match frame {
+                        ShipFrame::Records { bytes, .. } => runs.push(bytes),
+                        ShipFrame::Seal { pepoch } => {
+                            let runs = std::mem::take(&mut runs);
+                            follow.announce(runs, pepoch, chain.ts()).unwrap();
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            assert_eq!(follow.announced(), pepoch, "one unit per seal");
+            follow.finish();
+            let online = settle(session).unwrap();
+
+            let label = scheme.label();
+            assert_eq!(online.db.fingerprint(), offline.db.fingerprint(), "{label}");
+            let counts = |r: &crate::recovery::RecoveryReport| {
+                (r.txns, r.replayed_commands, r.applied_writes)
+            };
+            assert_eq!(counts(&online.report), counts(&offline.report), "{label}");
+            assert_eq!(online.report.txns, 40, "{label}");
+            // Every Add writes one tuple: one image per transaction.
+            assert_eq!((metrics.txns(), metrics.writes()), (40, 40), "{label}");
+        }
+    }
+
+    /// `recovery.txns` and `recovery.writes` read what the loaders did:
+    /// the report's transactions and the images installed, offline and
+    /// online, for every gated scheme.
+    #[test]
+    fn replay_counters_match_the_report() {
+        use crate::recovery::{clr, clr_p, llr_p, recover_online, LogInventory, UnitSource};
+        use crate::static_analysis::GlobalGraph;
+        let (catalog, reg) = setup();
+        for (log, scheme) in gated_schemes() {
+            let label = scheme.label();
+            let (primary, _, _) = primary_image(&catalog, &reg, log, 40);
+
+            // Offline: the loaders `recover` runs, over the restored base.
+            let db = Arc::new(Database::new(catalog.clone()));
+            let chain = read_chain(&primary).unwrap().unwrap();
+            recover_checkpoint_chain(&primary, &chain, 1, CheckpointTarget::Tables(&db)).unwrap();
+            let inventory = LogInventory::scan(&primary);
+            let source = UnitSource::inventory(&primary, &inventory, u64::MAX, chain.ts());
+            let m = Arc::new(RecoveryMetrics::new());
+            let gdg = Arc::new(GlobalGraph::analyze(reg.all()).unwrap());
+            let r = match scheme {
+                RecoveryScheme::Clr => clr::recover_log(source, &db, &reg, &m, None),
+                RecoveryScheme::ClrP { mode } | RecoveryScheme::AlrP { mode } => {
+                    clr_p::recover_log(source, &db, &gdg, &reg, 2, mode, &m, None)
+                }
+                _ => llr_p::recover_log(&primary, &inventory, &db, 2, u64::MAX, chain.ts(), &m),
+            }
+            .unwrap();
+            // Newest-first LLR-P installs each key's last image only.
+            let images = if r.installed_writes > 0 {
+                r.installed_writes
+            } else {
+                40
+            };
+            assert_eq!((m.txns(), m.writes()), (r.txns, images), "{label} offline");
+
+            // Online: an instant-restart session over the same image.
+            let config = RecoveryConfig { scheme, threads: 2 };
+            let session = recover_online(&primary, &catalog, &reg, &config).unwrap();
+            let m = Arc::clone(session.metrics());
+            let out = settle(session).unwrap();
+            assert_eq!(
+                (m.txns(), m.writes()),
+                (out.report.txns, 40),
+                "{label} online"
+            );
+        }
+    }
+
+    #[test]
+    fn finished_follow_session_without_units_completes_open() {
+        let (catalog, reg) = setup();
+        let config = RecoveryConfig {
+            scheme: RecoveryScheme::ClrP {
+                mode: ReplayMode::Pipelined,
+            },
+            threads: 2,
+        };
+        let (session, follow) = RecoverySession::follow(&catalog, &reg, &config).unwrap();
+        let gate = Arc::clone(session.gate());
+        follow.finish();
+        let out = settle(session).unwrap();
+        assert_eq!(out.report.txns, 0);
+        assert!(gate.is_complete() && !gate.is_failed());
+    }
+
+    #[test]
+    fn unparseable_unit_fails_the_follow_session() {
+        let (catalog, reg) = setup();
+        for (_, scheme) in gated_schemes() {
+            let config = RecoveryConfig { scheme, threads: 2 };
+            let (session, mut follow) = RecoverySession::follow(&catalog, &reg, &config).unwrap();
+            let gate = Arc::clone(session.gate());
+            let garbage = Bytes::copy_from_slice(&[99, 1, 2]);
+            follow.announce(vec![garbage], 1, 0).unwrap();
+            let err = settle(session);
+            assert!(
+                err.is_err(),
+                "{}: an unparseable unit must fail",
+                scheme.label()
+            );
+            assert!(
+                gate.is_failed(),
+                "{}: the gate must be poisoned",
+                scheme.label()
+            );
+            // The session is gone: a later announcement reports it.
+            assert!(follow.announce(Vec::new(), 2, 0).is_err());
+        }
+    }
+
     #[test]
     fn command_standby_applies_and_promotes() {
         let (catalog, reg) = setup();
@@ -1196,9 +957,7 @@ mod tests {
         assert!(s.received_log_bytes > 0);
         assert_eq!(s.pepoch, pepoch);
 
-        let promoted = standby
-            .promote(durability_config(LogScheme::Command))
-            .unwrap();
+        let promoted = promote(standby, durability_config(LogScheme::Command)).unwrap();
         assert_eq!(promoted.db.fingerprint(), reference.fingerprint());
         assert_eq!(promoted.report.txns, 40);
         assert_eq!(promoted.report.replayed_commands, 40);
@@ -1253,9 +1012,7 @@ mod tests {
             .execute_read_only(ADD, &vec![Value::Int(0), Value::Int(1)].into())
             .is_err());
 
-        let promoted = standby
-            .promote(durability_config(LogScheme::Logical))
-            .unwrap();
+        let promoted = promote(standby, durability_config(LogScheme::Logical)).unwrap();
         assert_eq!(promoted.db.fingerprint(), reference.fingerprint());
         assert_eq!(promoted.report.applied_writes, 30);
         promoted.durability.shutdown();
@@ -1279,9 +1036,7 @@ mod tests {
         .unwrap();
         pump(&shipper, pepoch, &tx).unwrap();
         assert!(standby.wait_caught_up(pepoch, Duration::from_secs(5)));
-        let promoted = standby
-            .promote(durability_config(LogScheme::Adaptive))
-            .unwrap();
+        let promoted = promote(standby, durability_config(LogScheme::Adaptive)).unwrap();
         assert_eq!(promoted.db.fingerprint(), reference.fingerprint());
         assert_eq!(
             promoted.report.replayed_commands + promoted.report.applied_writes,
@@ -1309,13 +1064,13 @@ mod tests {
         .unwrap();
         gtx.send(vec![99u8, 0, 0]).unwrap();
         let t0 = Instant::now();
-        while bad.state() != StandbyState::Failed {
+        while bad.state() != SessionState::Failed {
             assert!(t0.elapsed() < Duration::from_secs(2), "never failed");
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(bad.gate().is_failed());
         assert!(bad.error().is_some());
-        assert!(bad.promote(durability_config(LogScheme::Command)).is_err());
+        assert!(promote(bad, durability_config(LogScheme::Command)).is_err());
     }
 
     #[test]
@@ -1471,8 +1226,9 @@ mod tests {
         assert_eq!(standby.stats().rebootstraps, 1);
         assert_eq!(shipper.rebootstraps(), 1);
 
-        let promoted = standby
-            .promote(DurabilityConfig {
+        let promoted = promote(
+            standby,
+            DurabilityConfig {
                 scheme: LogScheme::Command,
                 num_loggers: 1,
                 epoch_interval: Duration::from_millis(2),
@@ -1481,8 +1237,9 @@ mod tests {
                 checkpoint_threads: 1,
                 fsync: true,
                 ..Default::default()
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         assert_eq!(
             promoted.db.fingerprint(),
             db.fingerprint(),
@@ -1521,9 +1278,7 @@ mod tests {
             }
         }
         assert!(standby.wait_caught_up(pepoch, Duration::from_secs(5)));
-        let promoted = standby
-            .promote(durability_config(LogScheme::Command))
-            .unwrap();
+        let promoted = promote(standby, durability_config(LogScheme::Command)).unwrap();
         assert_eq!(promoted.report.txns, 20, "duplicates must not be fed");
         assert_eq!(promoted.db.fingerprint(), reference.fingerprint());
         // The standby's own log copy holds each shipped byte exactly once.
@@ -1570,7 +1325,7 @@ mod tests {
         )
         .unwrap();
         let t0 = Instant::now();
-        while standby.state() != StandbyState::Failed {
+        while standby.state() != SessionState::Failed {
             assert!(t0.elapsed() < Duration::from_secs(2), "gap never detected");
             std::thread::sleep(Duration::from_millis(1));
         }

@@ -89,8 +89,8 @@ impl<'a> Replayer<'a> {
     /// Re-execute one log record in commitment order (the CLR path: one
     /// thread), through the procedure's replay plan — the same replay-live
     /// operations CLR-P spreads over its pieces, so the two differ in
-    /// scheduling only.
-    pub fn replay_record(&mut self, registry: &ProcRegistry, record: &TxnLogRecord) -> Result<()> {
+    /// scheduling only. Returns the number of tuple images installed.
+    pub fn replay_record(&mut self, registry: &ProcRegistry, record: &TxnLogRecord) -> Result<u64> {
         match &record.payload {
             LogPayload::Command { proc, params } => {
                 let def = registry.get(*proc)?;
@@ -107,10 +107,11 @@ impl<'a> Replayer<'a> {
                     &mut self.access,
                 )?;
                 self.access.finish();
-                Ok(())
+                Ok(self.access.take_installed())
             }
             LogPayload::Writes { writes, .. } | LogPayload::TaggedWrites { writes, .. } => {
-                apply_writes(self.db, record.ts, writes)
+                apply_writes(self.db, record.ts, writes)?;
+                Ok(writes.len() as u64)
             }
         }
     }

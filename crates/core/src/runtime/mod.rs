@@ -371,22 +371,11 @@ fn complete_set(shared: &Shared, gdg: &GlobalGraph, set: &ActiveSet) {
 /// shares idle capacity across blocks instead of pinning cores by it
 /// ([`assign_cores`] is the paper's reference policy) and uses it to order
 /// on-demand redo (`Shared::sjf_order`).
-pub fn run_replay(
-    db: &Arc<Database>,
-    gdg: &Arc<GlobalGraph>,
-    mode: ReplayMode,
-    threads: usize,
-    piece_estimate: &[usize],
-    metrics: &Arc<RecoveryMetrics>,
-    rx: crossbeam::channel::Receiver<ExecutionSchedule>,
-) -> Result<()> {
-    run_replay_gated(db, gdg, mode, threads, piece_estimate, metrics, rx, None)
-}
-
-/// [`run_replay`] with an online-recovery gate attached: per-block batch
-/// watermarks are published as piece-sets complete, and piece-sets of
-/// blocks a waiting transaction needs (`gate.is_wanted`) are picked first —
-/// the runtime half of on-demand redo.
+///
+/// With an online-recovery `gate`, per-block batch watermarks are
+/// published as piece-sets complete, and piece-sets of blocks a waiting
+/// transaction needs (`gate.is_wanted`) are picked first — the runtime
+/// half of on-demand redo.
 #[allow(clippy::too_many_arguments)]
 pub fn run_replay_gated(
     db: &Arc<Database>,

@@ -163,9 +163,12 @@ impl RecoveryGate {
     /// Mark the recovery failed; the gate is permanently *closed*. A
     /// half-recovered state (missing base-image shards, unreplayed
     /// partitions) must never serve commits, so blocked admissions
-    /// unblock with `false` and nothing further is admitted.
+    /// unblock with `false` and nothing further is admitted. Idempotent:
+    /// only the first call traces and dumps.
     pub fn fail(&self) {
-        self.failed.store(true, Ordering::Release);
+        if self.failed.swap(true, Ordering::AcqRel) {
+            return;
+        }
         self.notify();
         let tracer = pacman_obs::tracer();
         tracer.emit(TraceEvent::GatePoison {});

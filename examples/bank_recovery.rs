@@ -64,9 +64,14 @@ fn main() {
     let gdg = GlobalGraph::analyze(registry.all()).unwrap();
     let inventory = pacman_core::recovery::LogInventory::scan(&storage);
     for batch_idx in inventory.batches() {
-        let batch =
-            pacman_core::recovery::read_merged_batch(&storage, &inventory, batch_idx, u64::MAX, 1)
-                .unwrap();
+        let view = pacman_core::recovery::read_merged_batch_view(
+            &storage,
+            &inventory,
+            batch_idx,
+            u64::MAX,
+            1,
+        );
+        let batch = view.unwrap().to_batch();
         if batch.records.is_empty() {
             continue;
         }

@@ -35,7 +35,7 @@ use pacman_common::clock::epoch_floor;
 use pacman_common::Encoder;
 use pacman_common::{Error, Key, Result, Row, TableId, Timestamp, Value, VarId};
 use pacman_core::metrics::RecoveryMetrics;
-use pacman_core::recovery::{clr, clr_p, LogInventory};
+use pacman_core::recovery::{clr, clr_p, LogInventory, UnitSource};
 use pacman_core::runtime::ReplayMode;
 use pacman_core::static_analysis::GlobalGraph;
 use pacman_engine::{execute_plan, DataAccess, Database, ExecFrame, ReplayAccess};
@@ -354,23 +354,23 @@ fn compare_live_to_full(ops: &[OpGen], looped: bool) -> std::result::Result<(), 
     let inventory = LogInventory::scan(&storage);
     let metrics = Arc::new(RecoveryMetrics::new());
     let db = seeded_db();
-    clr::recover_log(&storage, &inventory, &db, &registry, u64::MAX, 0, &metrics)
+    let source = || UnitSource::inventory(&storage, &inventory, u64::MAX, 0);
+    clr::recover_log(source(), &db, &registry, &metrics, None)
         .map_err(|e| format!("CLR failed: {e}"))?;
     same("CLR", &db)?;
     let gdg = Arc::new(GlobalGraph::analyze(registry.all()).map_err(|e| e.to_string())?);
     for threads in 1..=3 {
         let db = Arc::new(seeded_db());
+        let mode = ReplayMode::Pipelined;
         clr_p::recover_log(
-            &storage,
-            &inventory,
+            source(),
             &db,
             &gdg,
             &registry,
             threads,
-            ReplayMode::Pipelined,
-            u64::MAX,
-            0,
+            mode,
             &metrics,
+            None,
         )
         .map_err(|e| format!("CLR-P at {threads} threads failed: {e}"))?;
         same(&format!("CLR-P at {threads} threads"), &db)?;

@@ -10,7 +10,7 @@
 
 use pacman_common::clock::epoch_of;
 use pacman_common::{ProcId, Row, TableId, Value};
-use pacman_core::replication::register_gate_probe;
+use pacman_core::recovery::register_gate_probe;
 use pacman_engine::{Catalog, Database, RecoveryGate};
 use pacman_obs::{StallKind, WatchdogConfig};
 use pacman_sproc::params;
