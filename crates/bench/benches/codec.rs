@@ -26,11 +26,11 @@ fn logical_record(writes: usize) -> TxnLogRecord {
                     table: TableId::new(2),
                     key: i as u64,
                     kind: WriteKind::Update,
-                    after: Some(std::sync::Arc::new(Row::from([
+                    after: Some(Row::from([
                         Value::Float(1.5),
                         Value::Int(i as i64),
                         Value::str("payload-payload-payload-payload"),
-                    ]))),
+                    ])),
                     prev_ts: 7,
                 })
                 .collect(),

@@ -14,11 +14,11 @@ fn write_set(n: usize, payload: usize) -> Vec<WriteRecord> {
             table: TableId::new(1),
             key: i as u64,
             kind: WriteKind::Update,
-            after: Some(std::sync::Arc::new(Row::from([
+            after: Some(Row::from([
                 Value::Float(9.5),
                 Value::Int(3),
                 Value::str(&pad),
-            ]))),
+            ])),
             prev_ts: 42,
         })
         .collect()

@@ -54,7 +54,7 @@ fn bench_replay(c: &mut Criterion) {
             db.table(t)
                 .unwrap()
                 .get_or_create(k)
-                .install_lww(ts, Some(std::sync::Arc::new(Row::from([Value::Int(7)]))));
+                .install_lww(ts, Some(Row::from([Value::Int(7)])));
             black_box(k)
         })
     });
@@ -74,10 +74,10 @@ fn bench_llrp_pipeline(c: &mut Criterion) {
         table: TableId::new(0),
         key,
         kind: WriteKind::Update,
-        after: Some(std::sync::Arc::new(Row::from([
+        after: Some(Row::from([
             Value::Int(val as i64),
             Value::str("0123456789abcdef0123456789abcdef"),
-        ]))),
+        ])),
         prev_ts: 0,
     };
     for batch in 0..BATCHES {

@@ -11,13 +11,12 @@
 //!   log record when scanning a batch through `MergedBatchView` (the
 //!   replay hot path), against the owned `read_merged_batch` decode;
 //! * **allocs/txn (read)** — allocator calls per read-only OCC
-//!   transaction on the latch-free read path (shared `Arc<Row>` images +
+//!   transaction on the latch-free read path (shared `Row` images +
 //!   newest-slot validation). Budget: ≤ 1, the read-set map itself.
 //! * **allocs/txn (write)** — allocator calls per single-row
 //!   read-modify-write transaction on the pooled-scratch write path
-//!   (tuple cursor + one staged `Arc<Row>` image shared with the log).
-//!   Budget: ≤ 2, the two allocations that materialize the new image
-//!   (`Arc<[Value]>` column slab + `Arc<Row>` header).
+//!   (tuple cursor + one staged `Row` image shared with the log).
+//!   Budget: ≤ 1, the one allocation that is the new image.
 //!
 //! This bin owns a counting global allocator (a pass-through wrapper
 //! over the system allocator), which is why the measurement lives here
@@ -95,7 +94,7 @@ fn one_write(key: u64) -> WriteRecord {
         table: TableId::new(0),
         key,
         kind: WriteKind::Update,
-        after: Some(Arc::new(Row::from([Value::Int(key as i64)]))),
+        after: Some(Row::from([Value::Int(key as i64)])),
         prev_ts: 0,
     }
 }
@@ -323,7 +322,7 @@ fn main() {
         "read-only txn exceeded the allocation budget: {read_allocs:.3} allocs/txn"
     );
     assert!(
-        write_allocs <= 2.0,
+        write_allocs <= 1.0,
         "update txn exceeded the allocation budget: {write_allocs:.3} allocs/txn"
     );
     assert!(

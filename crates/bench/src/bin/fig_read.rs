@@ -1,6 +1,6 @@
 //! Read-path figure: TPC-C under a read-heavy mix (80% OrderStatus +
 //! StockLevel), the regime where the engine's latch-free read path does
-//! the work — shared `Arc<Row>` images, newest-slot OCC validation, and
+//! the work — shared `Row` images, newest-slot OCC validation, and
 //! lock-free read-only commits that take no tuple latch and tick no
 //! clock.
 //!

@@ -6,6 +6,15 @@
 //! allocation-light (encodes into a caller-provided `Vec<u8>`) and has no
 //! dependency on `serde` — deserialization of a multi-gigabyte log must not
 //! dominate recovery time (Fig. 20 shows data loading staying lightweight).
+//!
+//! A value is a tag byte and its payload: `1` + 8-byte `i64`, `2` + 8-byte
+//! `f64` bits, `3` + varint length + UTF-8 bytes. A row is a varint arity
+//! followed by its values. Every byte that touches disk — log records,
+//! checkpoint parts, ship frames — uses these encodings, and a [`Row`] in
+//! memory holds its encoding verbatim (see [`crate::row`]): encoding a row
+//! is one copy, and decoding one is [`walk_row`] — the same validating walk
+//! the log's borrowed views delimit rows with ([`skip_row`]) — plus one
+//! copy.
 
 use crate::error::{Error, Result};
 use crate::row::Row;
@@ -195,18 +204,16 @@ impl Decoder for Value {
 }
 
 impl Encoder for Row {
+    /// One copy: the image holds the encoding.
     fn encode(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.arity() as u64);
-        for c in self.cols() {
-            c.encode(buf);
-        }
+        buf.extend_from_slice(self.body());
     }
 }
 
 /// Read a row's column count, refusing one the bytes left cannot hold
 /// (every encoded value takes at least two bytes) before anything is
-/// allocated for it. Shared by [`Row::decode`] and the log's borrowed
-/// views, so both reject the same inputs with the same error.
+/// allocated for it. Shared by [`Row::decode`] and [`skip_row`], so both
+/// reject the same inputs with the same error.
 pub fn read_row_arity(cur: &mut Cursor<'_>) -> Result<usize> {
     let n = cur.read_varint()? as usize;
     if n > 1 << 20 || n > cur.remaining() {
@@ -215,26 +222,41 @@ pub fn read_row_arity(cur: &mut Cursor<'_>) -> Result<usize> {
     Ok(n)
 }
 
+/// Skip one encoded [`Value`], applying exactly the validation its owned
+/// decode applies (tag byte, length prefix, UTF-8) without materializing.
+pub fn skip_value(cur: &mut Cursor<'_>) -> Result<()> {
+    match cur.read_u8()? {
+        1 | 2 => {
+            cur.read_u64()?;
+        }
+        3 => {
+            cur.read_str()?;
+        }
+        t => return Err(Error::Corrupt(format!("bad value tag {t}"))),
+    }
+    Ok(())
+}
+
+/// Walk the `n` values of a row whose arity [`read_row_arity`] just read,
+/// validating each, and call `at(i, position)` with the cursor position
+/// of value `i`'s tag before it is read.
+pub fn walk_row(cur: &mut Cursor<'_>, n: usize, mut at: impl FnMut(usize, usize)) -> Result<()> {
+    for i in 0..n {
+        at(i, cur.position());
+        skip_value(cur)?;
+    }
+    Ok(())
+}
+
+/// Skip one encoded [`Row`], validating it exactly as [`Row::decode`] does.
+pub fn skip_row(cur: &mut Cursor<'_>) -> Result<()> {
+    let n = read_row_arity(cur)?;
+    walk_row(cur, n, |_, _| {})
+}
+
 impl Decoder for Row {
     fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
-        let n = read_row_arity(cur)?;
-        // An exact-size iterator lets `collect` write the values straight
-        // into the row's shared slab: one allocation per row. An error is
-        // therefore latched rather than returned from inside the iterator
-        // (the placeholders die with the slab).
-        let mut err = None;
-        let row: Row = (0..n)
-            .map(|_| {
-                if err.is_none() {
-                    match Value::decode(cur) {
-                        Ok(v) => return v,
-                        Err(e) => err = Some(e),
-                    }
-                }
-                Value::Int(0)
-            })
-            .collect();
-        err.map_or(Ok(row), Err)
+        Row::decode_from(cur)
     }
 }
 
@@ -287,6 +309,20 @@ mod tests {
             let mut cur = Cursor::new(&bytes[..cut]);
             assert!(Value::decode(&mut cur).is_err());
         }
+    }
+
+    #[test]
+    fn skip_row_accepts_exactly_what_decode_accepts() {
+        let bytes = Row::from([Value::Int(1), Value::str("ab"), Value::Float(0.5)]).to_bytes();
+        for cut in 0..=bytes.len() {
+            let decoded = Row::decode(&mut Cursor::new(&bytes[..cut]));
+            let mut cur = Cursor::new(&bytes[..cut]);
+            assert_eq!(skip_row(&mut cur).is_ok(), decoded.is_ok(), "cut {cut}");
+        }
+        let mut bad = bytes.clone();
+        bad[1] = 9; // the first value's tag
+        assert!(Row::decode(&mut Cursor::new(&bad)).is_err());
+        assert!(skip_row(&mut Cursor::new(&bad)).is_err());
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Dynamically-typed column values.
 //!
-//! The engine is schema-light: rows are arrays of [`Value`]s. Strings are
-//! reference-counted so cloning rows during MVCC version installation and
-//! logging stays cheap.
+//! The engine is schema-light: a row is a sequence of [`Value`]s, stored
+//! as one immutable byte image ([`crate::Row`]). A string value is a
+//! [`SharedStr`]: a view of bytes inside a shared buffer, so reading a
+//! string column out of a row image is a reference-count bump on the image,
+//! not an allocation.
 
 use std::fmt;
 use std::sync::Arc;
 
-/// A single column value.
+/// A single column value (at most 32 bytes).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// 64-bit signed integer (also used for counts and identifiers).
@@ -15,13 +17,65 @@ pub enum Value {
     /// 64-bit float (balances, amounts).
     Float(f64),
     /// Immutable shared string.
-    Str(Arc<str>),
+    Str(SharedStr),
+}
+
+/// An immutable UTF-8 string held as a window into a shared byte buffer:
+/// its own allocation ([`Value::str`]) or the image of the row it was read
+/// from ([`crate::Row::col`]). Cloning is a reference-count bump.
+#[derive(Clone)]
+pub struct SharedStr {
+    buf: Arc<[u8]>,
+    start: u32,
+    len: u32,
+}
+
+impl SharedStr {
+    /// Copy `s` into a buffer of its own.
+    pub(crate) fn new(s: &str) -> Self {
+        SharedStr::view(Arc::from(s.as_bytes()), 0, s.len())
+    }
+
+    /// The `len` bytes at `start` of `buf`, which the caller has validated
+    /// as UTF-8 (a row image's bytes are validated when the image is built).
+    pub(crate) fn view(buf: Arc<[u8]>, start: usize, len: usize) -> Self {
+        debug_assert!(std::str::from_utf8(&buf[start..start + len]).is_ok());
+        SharedStr {
+            buf,
+            start: u32::try_from(start).expect("string offset fits in u32"),
+            len: u32::try_from(len).expect("string length fits in u32"),
+        }
+    }
+
+    /// The string's bytes.
+    #[inline]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf[self.start as usize..(self.start + self.len) as usize]
+    }
+
+    /// The string. Its bytes were validated as UTF-8 on the way in; this
+    /// checks them again rather than trust that without `unsafe`.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(self.as_bytes()).expect("SharedStr holds UTF-8")
+    }
+}
+
+impl PartialEq for SharedStr {
+    fn eq(&self, other: &SharedStr) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl fmt::Debug for SharedStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
 }
 
 impl Value {
     /// Construct a string value.
     pub fn str(s: &str) -> Self {
-        Value::Str(Arc::from(s))
+        Value::Str(SharedStr::new(s))
     }
 
     /// The integer content, if this is an `Int`.
@@ -47,7 +101,7 @@ impl Value {
     #[inline]
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -83,27 +137,7 @@ impl Value {
         match self {
             Value::Int(i) => *i != 0,
             Value::Float(f) => *f != 0.0,
-            Value::Str(s) => !s.is_empty() && &**s != "NULL",
-        }
-    }
-
-    /// Stable byte representation used for fingerprinting. Floats hash by
-    /// their bit pattern, which is adequate because recovery must reproduce
-    /// *exactly* the same committed values.
-    pub fn hash_into(&self, h: &mut crate::fingerprint::Fnv) {
-        match self {
-            Value::Int(i) => {
-                h.write_u8(1);
-                h.write_u64(*i as u64);
-            }
-            Value::Float(f) => {
-                h.write_u8(2);
-                h.write_u64(f.to_bits());
-            }
-            Value::Str(s) => {
-                h.write_u8(3);
-                h.write_bytes(s.as_bytes());
-            }
+            Value::Str(s) => !s.as_bytes().is_empty() && s.as_bytes() != b"NULL",
         }
     }
 }
@@ -113,7 +147,7 @@ impl fmt::Display for Value {
         match self {
             Value::Int(i) => write!(f, "{i}"),
             Value::Float(x) => write!(f, "{x:.4}"),
-            Value::Str(s) => write!(f, "{s:?}"),
+            Value::Str(s) => write!(f, "{:?}", s.as_str()),
         }
     }
 }
@@ -168,6 +202,21 @@ mod tests {
         assert_eq!(Value::Float(1.5).as_float(), Some(1.5));
         assert_eq!(Value::Int(3).as_float(), Some(3.0));
         assert_eq!(Value::str("x").as_int(), None);
+    }
+
+    #[test]
+    fn a_value_is_at_most_32_bytes() {
+        assert!(std::mem::size_of::<Value>() <= 32);
+    }
+
+    #[test]
+    fn strings_compare_by_content_not_by_buffer() {
+        let row = crate::Row::from([Value::Int(1), Value::str("abc")]);
+        let view = row.col(1);
+        assert_eq!(view, Value::str("abc"));
+        assert_ne!(view, Value::str("abd"));
+        assert_eq!(view.as_str(), Some("abc"));
+        assert_eq!(format!("{view}"), "\"abc\"");
     }
 
     #[test]

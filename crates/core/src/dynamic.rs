@@ -315,7 +315,7 @@ mod tests {
                     table: T,
                     key,
                     kind: WriteKind::Update,
-                    after: Some(std::sync::Arc::new(Row::from([Value::Int(0)]))),
+                    after: Some(Row::from([Value::Int(0)])),
                     prev_ts: 0,
                 }])),
             }
@@ -351,7 +351,7 @@ mod tests {
                 table: T,
                 key: 9,
                 kind: WriteKind::Update,
-                after: Some(std::sync::Arc::new(Row::from([Value::Int(1)]))),
+                after: Some(Row::from([Value::Int(1)])),
                 prev_ts: 0,
             }])),
         };

@@ -95,9 +95,7 @@ mod tests {
                             table: AUDIT,
                             key: k,
                             kind: WriteKind::Update,
-                            after: Some(std::sync::Arc::new(Row::from([Value::Int(
-                                audit_totals[k as usize],
-                            )]))),
+                            after: Some(Row::from([Value::Int(audit_totals[k as usize])])),
                             prev_ts: 0,
                         }],
                     },
@@ -155,9 +153,9 @@ mod tests {
         assert_eq!(r.applied_writes, 16);
         // Commands re-executed: every key saw 4 increments of 1.
         let mut t = db.begin();
-        assert_eq!(t.read(ACCT, 0).unwrap().col(0), &Value::Int(104));
+        assert_eq!(t.read(ACCT, 0).unwrap().col(0), Value::Int(104));
         // Logical records short-circuited: after-images installed as-is.
-        assert_eq!(t.read(AUDIT, 0).unwrap().col(0), &Value::Int(10));
+        assert_eq!(t.read(AUDIT, 0).unwrap().col(0), Value::Int(10));
     }
 
     #[test]

@@ -271,11 +271,10 @@ impl ShardLoader {
 }
 
 /// Decode a part into the run [`pacman_engine::Table::load_shard`] takes:
-/// whole, or the part's first decode error.
-fn decode_run(bytes: &[u8]) -> Result<Vec<(Key, Arc<Row>)>> {
-    PartView::new(bytes)
-        .map(|tuple| tuple.map(|(key, row)| (key, Arc::new(row))))
-        .collect()
+/// whole, or the part's first decode error. One allocation per tuple, its
+/// image.
+fn decode_run(bytes: &[u8]) -> Result<Vec<(Key, Row)>> {
+    PartView::new(bytes).collect()
 }
 
 /// Decode one part and install it into its table.
@@ -347,8 +346,7 @@ pub fn recover_checkpoint_chain(
                     let mut tuples = 0;
                     for tuple in PartView::new(&part.bytes) {
                         let (key, row) = tuple?;
-                        heap.get_or_create(key)
-                            .install_lww(p.ts, Some(Arc::new(row)));
+                        heap.get_or_create(key).install_lww(p.ts, Some(row));
                         tuples += 1;
                     }
                     tally.tuples.fetch_add(tuples, Ordering::Relaxed);
@@ -390,11 +388,6 @@ pub fn resync_checkpoint_chain(
     let loader = ShardLoader::new(storage, chain)?;
     let units = loader.units();
     validate_units_against_catalog(units, db, "resync")?;
-    let live_keys = |t: &pacman_engine::Table, shard: usize| {
-        let mut keys = Vec::new();
-        t.for_each_visible_at_shard(shard, u64::MAX, |key, _| keys.push(key));
-        keys
-    };
 
     let tally = Tally::default();
     let reload = loader.stream(
@@ -407,7 +400,7 @@ pub fn resync_checkpoint_chain(
             let run = decode_run(&part.bytes)?;
             // The apply engines are quiesced, so what is live now and
             // absent from the part is what the gap deleted.
-            let mut stale = live_keys(t, p.shard as usize);
+            let mut stale = t.live_keys_in_shard(p.shard as usize);
             if !stale.is_empty() {
                 let kept: HashSet<Key> = run.iter().map(|&(key, _)| key).collect();
                 stale.retain(|key| !kept.contains(key));
@@ -427,7 +420,7 @@ pub fn resync_checkpoint_chain(
     for t in db.tables() {
         for shard in 0..t.num_shards() {
             if !covered.contains(&(t.meta().id.0, shard as u32)) {
-                for key in live_keys(t, shard) {
+                for key in t.live_keys_in_shard(shard) {
                     t.install_lww(key, tip, None);
                 }
             }
@@ -811,7 +804,7 @@ mod tests {
         fresh.table(TableId::new(0)).unwrap().install_lww(
             5,
             newer_ts,
-            Some(std::sync::Arc::new(Row::from([Value::Int(-555)]))),
+            Some(Row::from([Value::Int(-555)])),
         );
         let shards = fresh.table(TableId::new(0)).unwrap().num_shards();
         let gate = RecoveryGate::with_residency(shards, shards);
@@ -829,7 +822,7 @@ mod tests {
         let chain5 = fresh.table(TableId::new(0)).unwrap().get(5).unwrap();
         assert_eq!(
             chain5.newest().1.unwrap().col(0),
-            &Value::Int(-555),
+            Value::Int(-555),
             "checkpoint install must lose to the newer replayed version"
         );
     }

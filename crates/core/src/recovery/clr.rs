@@ -101,7 +101,7 @@ mod tests {
         let r = recover_log(source, &db, &reg, &m, None).unwrap();
         assert_eq!((r.txns, r.replayed_commands), (3, 3));
         let chain = db.table(T).unwrap().get(1).unwrap();
-        assert_eq!(chain.newest().1.unwrap().col(0), &Value::Int(110));
+        assert_eq!(chain.newest().1.unwrap().col(0), Value::Int(110));
         assert_eq!((m.txns(), m.writes()), (3, 3));
     }
 }

@@ -233,10 +233,10 @@ mod tests {
         // (8 times each); each even account loses 8, its spouse gains 8,
         // and its saving gains 8 bonuses.
         let mut t = db.begin();
-        assert_eq!(t.read(CURRENT, 0).unwrap().col(0), &Value::Int(992));
-        assert_eq!(t.read(CURRENT, 1).unwrap().col(0), &Value::Int(1008));
-        assert_eq!(t.read(SAVING, 0).unwrap().col(0), &Value::Int(8));
-        assert_eq!(t.read(SAVING, 1).unwrap().col(0), &Value::Int(0));
+        assert_eq!(t.read(CURRENT, 0).unwrap().col(0), Value::Int(992));
+        assert_eq!(t.read(CURRENT, 1).unwrap().col(0), Value::Int(1008));
+        assert_eq!(t.read(SAVING, 0).unwrap().col(0), Value::Int(8));
+        assert_eq!(t.read(SAVING, 1).unwrap().col(0), Value::Int(0));
     }
 
     #[test]
@@ -244,7 +244,7 @@ mod tests {
         let (db, r) = run(ReplayMode::Pipelined, 1);
         assert_eq!(r.txns, 40);
         let mut t = db.begin();
-        assert_eq!(t.read(CURRENT, 0).unwrap().col(0), &Value::Int(992));
+        assert_eq!(t.read(CURRENT, 0).unwrap().col(0), Value::Int(992));
     }
 
     #[test]

@@ -136,7 +136,7 @@ mod tests {
                     } else {
                         WriteKind::Delete
                     },
-                    after: val.map(|v| std::sync::Arc::new(Row::from([Value::Int(v)]))),
+                    after: val.map(|v| Row::from([Value::Int(v)])),
                     prev_ts: 0,
                 }],
                 physical: false,
@@ -165,7 +165,7 @@ mod tests {
         assert_eq!(r.txns, 3);
         let chain = db.table(TableId::new(0)).unwrap().get(3).unwrap();
         assert_eq!(chain.num_versions(), 2, "multi-versioned restore");
-        assert_eq!(chain.newest().1.unwrap().col(0), &Value::Int(20));
+        assert_eq!(chain.newest().1.unwrap().col(0), Value::Int(20));
         // Key 4 deleted.
         assert!(db
             .table(TableId::new(0))
@@ -192,6 +192,6 @@ mod tests {
         let r = recover_log(&storage, &inv, &db, 1, false, 1, 0, &m).unwrap();
         assert_eq!(r.txns, 1);
         let chain = db.table(TableId::new(0)).unwrap().get(3).unwrap();
-        assert_eq!(chain.newest().1.unwrap().col(0), &Value::Int(10));
+        assert_eq!(chain.newest().1.unwrap().col(0), Value::Int(10));
     }
 }

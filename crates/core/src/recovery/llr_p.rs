@@ -479,7 +479,7 @@ mod tests {
                     table: TableId::new(0),
                     key,
                     kind: WriteKind::Update,
-                    after: Some(std::sync::Arc::new(Row::from([Value::Int(val)]))),
+                    after: Some(Row::from([Value::Int(val)])),
                     prev_ts: 0,
                 }],
                 physical: false,
@@ -510,14 +510,8 @@ mod tests {
         let r = recover_log(&storage, &inv, &db, 4, 5, 0, &m).unwrap();
         assert_eq!(r.txns, 4);
         let t = db.table(TableId::new(0)).unwrap();
-        assert_eq!(
-            t.get(7).unwrap().newest().1.unwrap().col(0),
-            &Value::Int(30)
-        );
-        assert_eq!(
-            t.get(8).unwrap().newest().1.unwrap().col(0),
-            &Value::Int(40)
-        );
+        assert_eq!(t.get(7).unwrap().newest().1.unwrap().col(0), Value::Int(30));
+        assert_eq!(t.get(8).unwrap().newest().1.unwrap().col(0), Value::Int(40));
         // Single-version recovered state.
         assert_eq!(t.get(7).unwrap().num_versions(), 1);
     }
@@ -553,7 +547,7 @@ mod tests {
             assert_eq!(r.installed_writes, m + 1, "{threads} threads");
             assert_eq!(r.skipped_writes, n - 1, "{threads} threads");
             let chain = db.table(TableId::new(0)).unwrap().get(7).unwrap();
-            assert_eq!(chain.newest().1.unwrap().col(0), &Value::Int(24));
+            assert_eq!(chain.newest().1.unwrap().col(0), Value::Int(24));
             assert_eq!(chain.num_versions(), 1);
         }
     }
@@ -617,14 +611,8 @@ mod tests {
         assert_eq!(r.txns, 3);
         assert_eq!((m.txns(), m.writes()), (3, 3));
         let t = db.table(TableId::new(0)).unwrap();
-        assert_eq!(
-            t.get(7).unwrap().newest().1.unwrap().col(0),
-            &Value::Int(30)
-        );
-        assert_eq!(
-            t.get(8).unwrap().newest().1.unwrap().col(0),
-            &Value::Int(40)
-        );
+        assert_eq!(t.get(7).unwrap().newest().1.unwrap().col(0), Value::Int(30));
+        assert_eq!(t.get(8).unwrap().newest().1.unwrap().col(0), Value::Int(40));
         // Every shard partition reached the final watermark.
         for p in 0..gate.num_partitions() {
             assert!(gate.is_ready(p), "partition {p} never completed");

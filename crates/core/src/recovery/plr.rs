@@ -190,7 +190,7 @@ mod tests {
                     table: TableId::new(0),
                     key,
                     kind: WriteKind::Update,
-                    after: Some(std::sync::Arc::new(Row::from([Value::Int(val)]))),
+                    after: Some(Row::from([Value::Int(val)])),
                     prev_ts: 0,
                 }],
                 physical: true,
@@ -221,7 +221,7 @@ mod tests {
         let chain = db.table(TableId::new(0)).unwrap().get(7).unwrap();
         let (ts, row) = chain.newest();
         assert_eq!(ts, pacman_common::clock::epoch_floor(1) | 2);
-        assert_eq!(row.unwrap().col(0), &Value::Int(20));
+        assert_eq!(row.unwrap().col(0), Value::Int(20));
         // Multi-version: both restored versions retained.
         assert_eq!(chain.num_versions(), 2);
     }

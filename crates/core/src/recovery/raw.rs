@@ -136,16 +136,15 @@ mod tests {
         let db = Database::new(c);
         let raw = RawStore::new(1);
         for k in 0..500u64 {
-            raw.table(TableId::new(0)).get_or_create(k).install_lww(
-                1,
-                Some(std::sync::Arc::new(Row::from([Value::Int(k as i64)]))),
-            );
+            raw.table(TableId::new(0))
+                .get_or_create(k)
+                .install_lww(1, Some(Row::from([Value::Int(k as i64)])));
         }
         assert_eq!(raw.total(), 500);
         raw.build_indexes(&db, 4);
         assert_eq!(db.table(TableId::new(0)).unwrap().num_keys(), 500);
         let chain = db.table(TableId::new(0)).unwrap().get(123).unwrap();
-        assert_eq!(chain.newest().1.unwrap().col(0), &Value::Int(123));
+        assert_eq!(chain.newest().1.unwrap().col(0), Value::Int(123));
         assert_eq!(raw.total(), 0, "drained into the index");
     }
 

@@ -148,7 +148,7 @@ mod tests {
                     table: T,
                     key: 0,
                     kind: WriteKind::Update,
-                    after: Some(std::sync::Arc::new(Row::from([Value::Int(55)]))),
+                    after: Some(Row::from([Value::Int(55)])),
                     prev_ts: 0,
                 },
                 WriteRecord {
@@ -162,7 +162,7 @@ mod tests {
         )
         .unwrap();
         let chain = db.table(T).unwrap().get(0).unwrap();
-        assert_eq!(chain.newest().1.unwrap().col(0), &Value::Int(55));
+        assert_eq!(chain.newest().1.unwrap().col(0), Value::Int(55));
         assert!(db.table(T).unwrap().get(1).unwrap().newest().1.is_none());
     }
 
@@ -190,6 +190,6 @@ mod tests {
         let chain = db.table(T).unwrap().get(2).unwrap();
         let (ts, row) = chain.newest();
         assert_eq!(ts, 7);
-        assert_eq!(row.unwrap().col(0), &Value::Int(105));
+        assert_eq!(row.unwrap().col(0), Value::Int(105));
     }
 }

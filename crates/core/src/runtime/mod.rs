@@ -754,7 +754,7 @@ mod tests {
         replay.join().unwrap().unwrap();
         assert_eq!(metrics.writes(), 2 * N, "one image per transaction");
         let a = db.table(TableId::new(0)).unwrap().get(0).unwrap();
-        assert_eq!(a.newest().1.unwrap().col(0), &Value::Int((N / 4) as i64));
+        assert_eq!(a.newest().1.unwrap().col(0), Value::Int((N / 4) as i64));
     }
 
     #[test]

@@ -285,18 +285,14 @@ mod tests {
                 table: CURRENT,
                 key: 1,
                 kind: WriteKind::Update,
-                after: Some(std::sync::Arc::new(pacman_common::Row::from([Value::Int(
-                    5,
-                )]))),
+                after: Some(pacman_common::Row::from([Value::Int(5)])),
                 prev_ts: 0,
             },
             WriteRecord {
                 table: SAVING,
                 key: 1,
                 kind: WriteKind::Update,
-                after: Some(std::sync::Arc::new(pacman_common::Row::from([Value::Int(
-                    6,
-                )]))),
+                after: Some(pacman_common::Row::from([Value::Int(6)])),
                 prev_ts: 0,
             },
         ];

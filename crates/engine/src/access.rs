@@ -11,8 +11,9 @@
 //!   serialized all conflicting accesses.
 //!
 //! Both are one **tuple cursor** (`TupleCursor`) over two stores: the
-//! tuple last asked for stays open, column writes edit a buffer after one
-//! copy, and one image is built when the cursor leaves the tuple.
+//! tuple last asked for stays open, column writes edit a buffer of
+//! [`Value`]s after one decode of its image, and one image is encoded when
+//! the cursor leaves the tuple.
 
 use crate::chain::TupleChain;
 use crate::database::Database;
@@ -63,9 +64,9 @@ pub(crate) trait TupleStore {
     type Slot;
     /// The current image of `(table, key)`: `None` if the key is missing or
     /// deleted.
-    fn open(&mut self, table: TableId, key: Key) -> Result<(Self::Slot, Option<Arc<Row>>)>;
+    fn open(&mut self, table: TableId, key: Key) -> Result<(Self::Slot, Option<Row>)>;
     /// Take the image the cursor built for the tuple it is leaving.
-    fn put(&mut self, table: TableId, key: Key, slot: Self::Slot, image: Option<Arc<Row>>);
+    fn put(&mut self, table: TableId, key: Key, slot: Self::Slot, image: Option<Row>);
     /// The buffer the open tuple's columns are edited in; it keeps its
     /// capacity from tuple to tuple.
     fn buf(&mut self) -> &mut Vec<Value>;
@@ -78,7 +79,7 @@ struct OpenTuple<H> {
     slot: H,
     /// The tuple's image unless `edited`: as the store gave it, or as a
     /// whole-row write left it.
-    image: Option<Arc<Row>>,
+    image: Option<Row>,
     /// Column writes are pending; the image lives in [`TupleStore::buf`].
     edited: bool,
     /// Anything is pending — the store is owed an image when the cursor moves.
@@ -87,7 +88,7 @@ struct OpenTuple<H> {
 
 impl<H> OpenTuple<H> {
     /// Replace the whole image (`None` deletes the tuple).
-    fn set(&mut self, image: Option<Arc<Row>>) {
+    fn set(&mut self, image: Option<Row>) {
         self.image = image;
         self.edited = false;
         self.dirty = true;
@@ -123,9 +124,12 @@ impl<S: TupleStore> TupleCursor<S> {
             return;
         }
         let image = if cur.edited {
-            // The edited columns move into the image; the buffer keeps its
-            // capacity for the next tuple.
-            Some(Arc::new(store.buf().drain(..).collect::<Row>()))
+            // The edited columns are encoded into the image, once; the
+            // buffer keeps its capacity for the next tuple.
+            let buf = store.buf();
+            let image = Row::from_values(buf);
+            buf.clear();
+            Some(image)
         } else {
             cur.image
         };
@@ -155,18 +159,17 @@ impl<S: TupleStore> TupleCursor<S> {
 
     fn read(&mut self, store: &mut S, table: TableId, key: Key, col: usize) -> Result<Value> {
         let cur = self.seek(store, table, key)?;
-        let cols = match (&cur.image, cur.edited) {
-            (_, true) => &store.buf()[..],
-            (Some(row), false) => row.cols(),
+        let value = match (&cur.image, cur.edited) {
+            (_, true) => store.buf().get(col).cloned(),
+            (Some(row), false) => row.get(col),
             (None, false) => return Err(key_not_found(table, key)),
         };
-        cols.get(col)
-            .cloned()
-            .ok_or_else(|| no_such_column(table, key, col))
+        value.ok_or_else(|| no_such_column(table, key, col))
     }
 
     /// Open column `col` of `(table, key)` for writing: the tuple's image
-    /// moves to the edit buffer on the first write, and a `put` is due.
+    /// is decoded into the edit buffer on the first write (string columns
+    /// as views of the image), and a `put` is due.
     fn edit<'s>(
         &mut self,
         store: &'s mut S,
@@ -185,7 +188,7 @@ impl<S: TupleStore> TupleCursor<S> {
                 return Err(no_such_column(table, key, col));
             }
             buf.clear();
-            buf.extend_from_slice(row.cols());
+            buf.extend(row.iter());
             cur.image = None;
             cur.edited = true;
         }
@@ -318,14 +321,14 @@ impl<'a> TupleStore for ReplayStore<'a> {
     /// key does).
     type Slot = (&'a Table, Option<Arc<TupleChain>>);
 
-    fn open(&mut self, table: TableId, key: Key) -> Result<(Self::Slot, Option<Arc<Row>>)> {
+    fn open(&mut self, table: TableId, key: Key) -> Result<(Self::Slot, Option<Row>)> {
         let table = self.db.table(table)?;
         let chain = table.get(key);
         let image = chain.as_ref().and_then(|c| c.newest().1);
         Ok(((table, chain), image))
     }
 
-    fn put(&mut self, _: TableId, key: Key, (table, chain): Self::Slot, image: Option<Arc<Row>>) {
+    fn put(&mut self, _: TableId, key: Key, (table, chain): Self::Slot, image: Option<Row>) {
         self.installed += 1;
         // Mark before the version becomes visible (`Table::mark_dirty`).
         table.mark_dirty(key, self.ts);
@@ -405,7 +408,7 @@ impl DataAccess for ReplayAccess<'_> {
     fn insert(&mut self, table: TableId, key: Key, row: Row) -> Result<()> {
         self.cursor
             .seek(&mut self.store, table, key)?
-            .set(Some(Arc::new(row)));
+            .set(Some(row));
         Ok(())
     }
 
@@ -460,8 +463,8 @@ mod tests {
         assert_eq!(info.writes[0].kind, WriteKind::Update);
         // The chain and the log record share the one image that was built.
         let after = info.writes[0].after.as_ref().unwrap();
-        assert_eq!(after.cols(), &[Value::Int(15), Value::str("x")]);
-        assert!(Arc::ptr_eq(after, &newest(&db, 1).1.unwrap()));
+        assert_eq!(after, &Row::from([Value::Int(15), Value::str("x")]));
+        assert!(Row::ptr_eq(after, &newest(&db, 1).1.unwrap()));
     }
 
     #[test]
@@ -484,7 +487,7 @@ mod tests {
         let keys: Vec<_> = info.writes.iter().map(|w| w.key).collect();
         assert_eq!(keys, [1, 2], "first-write order");
         let image = info.writes[0].after.as_ref().unwrap();
-        assert_eq!(image.cols(), &[Value::Int(12), Value::str("y")]);
+        assert_eq!(image, &Row::from([Value::Int(12), Value::str("y")]));
     }
 
     #[test]
@@ -507,7 +510,7 @@ mod tests {
         let staged: Vec<_> = info.writes.iter().map(|w| (w.key, w.kind)).collect();
         // Updating a pending insert must still install as an insert.
         assert_eq!(staged, [(1, WriteKind::Delete), (55, WriteKind::Insert)]);
-        assert_eq!(newest(&db, 55).1.unwrap().col(0), &Value::Int(6));
+        assert_eq!(newest(&db, 55).1.unwrap().col(0), Value::Int(6));
     }
 
     #[test]
@@ -519,10 +522,10 @@ mod tests {
         // Never finished: the failed-procedure path.
         let info = txn.commit().unwrap();
         assert!(info.writes.is_empty());
-        assert_eq!(newest(&db, 1).1.unwrap().col(0), &Value::Int(10));
+        assert_eq!(newest(&db, 1).1.unwrap().col(0), Value::Int(10));
     }
 
-    fn newest(db: &Database, key: Key) -> (Timestamp, Option<Arc<Row>>) {
+    fn newest(db: &Database, key: Key) -> (Timestamp, Option<Row>) {
         db.table(T).unwrap().get(key).unwrap().newest()
     }
 
@@ -535,8 +538,8 @@ mod tests {
         let (ts, row) = newest(&db, 1);
         assert_eq!(ts, 42);
         let row = row.unwrap();
-        assert_eq!(row.col(0), &Value::Int(77));
-        assert_eq!(row.col(1), &Value::str("x"), "other columns carried over");
+        assert_eq!(row.col(0), Value::Int(77));
+        assert_eq!(row.col(1), Value::str("x"), "other columns carried over");
         let chain = db.table(T).unwrap().get(1).unwrap();
         assert_eq!(chain.num_versions(), 1, "single-version recovered state");
     }
@@ -553,13 +556,13 @@ mod tests {
         assert_eq!(a.read(T, 1, 0).unwrap(), Value::Int(77));
         // ... the table does not, yet.
         let (ts, row) = newest(&db, 1);
-        assert_eq!((ts, row.unwrap().col(0)), (0, &Value::Int(10)));
+        assert_eq!((ts, row.unwrap().col(0)), (0, Value::Int(10)));
         assert_eq!(table.shard_dirty_ts(table.shard_index(1)), dirty_before);
         a.finish();
         let (ts, row) = newest(&db, 1);
         let row = row.unwrap();
         assert_eq!(ts, 42);
-        assert_eq!(row.cols(), &[Value::Int(77), Value::str("y")]);
+        assert_eq!(row, Row::from([Value::Int(77), Value::str("y")]));
         assert_eq!(table.shard_dirty_ts(table.shard_index(1)), 42);
         assert_eq!(table.get(1).unwrap().num_versions(), 1, "one install");
     }
@@ -588,7 +591,7 @@ mod tests {
         a.finish();
         drop(a);
         let (ts, row) = newest(&db, 1);
-        assert_eq!((ts, row.unwrap().col(0)), (0, &Value::Int(10)));
+        assert_eq!((ts, row.unwrap().col(0)), (0, Value::Int(10)));
     }
 
     #[test]
@@ -601,7 +604,7 @@ mod tests {
         assert_eq!(a.read(T, 99, 0).unwrap(), Value::Int(1));
         a.write_col(T, 99, 0, Value::Int(2)).unwrap();
         a.finish();
-        assert_eq!(newest(&db, 99).1.unwrap().col(0), &Value::Int(2));
+        assert_eq!(newest(&db, 99).1.unwrap().col(0), Value::Int(2));
         let mut a2 = ReplayAccess::new(&db, 8);
         a2.delete(T, 99).unwrap();
         assert!(a2.read(T, 99, 0).is_err());
@@ -659,7 +662,7 @@ mod tests {
         );
         a.finish();
         let row = newest(&db, 1).1.unwrap();
-        assert_eq!(row.cols(), &[Value::Float(13.5), Value::str("x")]);
+        assert_eq!(row, Row::from([Value::Float(13.5), Value::str("x")]));
     }
 
     #[test]

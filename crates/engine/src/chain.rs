@@ -11,32 +11,44 @@
 //!
 //! The dominant read shapes — `read_at(ts)` where the newest version is
 //! visible, and `newest_ts()` during OCC validation — never touch the
-//! version `Mutex`. Installers publish the newest version's `(ts, row)`
-//! pair into a seqlock-guarded slot (the same writer-parity recipe as the
+//! version `Mutex`. Installers publish the newest version's
+//! `(ts, pointer, length)` — the timestamp and the two halves of the
+//! [`Row`] image's raw fat pointer ([`Row::into_raw`]) — into a
+//! seqlock-guarded slot (the same writer-parity recipe as the
 //! flight-recorder ring in `pacman_obs::trace`): bump the sequence odd,
-//! store the pair, bump it even. Readers snapshot the pair and retry if
-//! the sequence moved.
+//! store the triple, bump it even. Readers snapshot the triple and retry if
+//! the sequence moved, so they never pair one image's pointer with another
+//! image's length.
 //!
-//! A plain seqlock cannot hand out an `Arc<Row>`, though: the reader must
-//! bump the refcount *before* it can validate, and in that window the
-//! writer could have dropped the slot's reference and freed the row. The
-//! slot therefore pairs the seqlock with a reader-presence counter:
-//! readers announce themselves (`slot_readers`, SeqCst) before touching
-//! the pointer, and writers move displaced pointers onto a retired list
-//! that is only reclaimed when, *after* swapping the slot (SeqCst), they
-//! observe zero present readers. By SC total order, any reader that shows
-//! up later also loads the pointer later and thus sees the new slot value
-//! — never a retired pointer. Readers fall back to the `Mutex` after a
-//! bounded number of torn snapshots, so the fast path never spins
-//! unboundedly against a storm of writers.
+//! A plain seqlock cannot hand out an owned [`Row`], though: the reader
+//! bumps the image's refcount after validating, and by then the writer
+//! could have dropped the slot's reference and freed the image. The slot
+//! therefore pairs the seqlock with a reader-presence counter: readers
+//! announce themselves (`slot_readers`, SeqCst) before touching the
+//! pointer, and writers move displaced images onto a retired list that is
+//! only reclaimed when, *after* swapping the slot (SeqCst), they observe
+//! zero present readers. By SC total order, any reader that shows up later
+//! also loads the pointer later and thus sees the new slot value — never a
+//! retired image. Readers fall back to the `Mutex` after a bounded number
+//! of torn snapshots, so the fast path never spins unboundedly against a
+//! storm of writers.
+//!
+//! # The held read
+//!
+//! The checkpoint scan ([`TupleChain::visit_held`]) reads the same slot
+//! with neither the presence counter nor a refcount — it writes no shared
+//! cache line. It borrows the image in place, which is sound only while
+//! the version it names cannot be freed; the argument is on
+//! [`crate::SnapshotHold::for_each_visible_in_shard`], the one caller.
 
 use crate::version::{VersionEntry, VersionList};
 use pacman_common::{Row, SpinLatch, Timestamp};
 use pacman_obs::{Counter, Gauge};
 use parking_lot::Mutex;
 use std::fmt;
-use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::mem::ManuallyDrop;
+use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Default number of versions a chain may retain before a commit-path
 /// install prunes below the snapshot floor. Overridable per database via
@@ -59,13 +71,22 @@ fn versions_pruned() -> &'static Counter {
     C.get_or_init(|| pacman_obs::registry().counter("engine.versions.pruned"))
 }
 
-/// A strong `Arc<Row>` reference displaced from the newest slot, held
-/// until the displacing writer proves no reader can still dereference it.
-struct RetiredRow(*const Row);
+/// An image reference displaced from the newest slot, held until the
+/// displacing writer proves no reader can still dereference it.
+struct RetiredRow(*const [u8]);
 
-// SAFETY: the pointer is a strong reference produced by `Arc::into_raw`;
-// `Arc<Row>` itself is Send + Sync, we only move the obligation to drop.
+// SAFETY: the pointer is a reference produced by `Row::into_raw`; `Row`
+// itself is Send + Sync, we only move the obligation to drop.
 unsafe impl Send for RetiredRow {}
+
+impl Drop for RetiredRow {
+    fn drop(&mut self) {
+        // SAFETY: a retired pointer came from `Row::into_raw` and is taken
+        // back exactly once, here. It is dropped only when no slot reader
+        // can reach it (see `publish_newest`) or the chain itself is gone.
+        drop(unsafe { Row::from_raw(self.0) });
+    }
+}
 
 /// Mutex-protected chain state: the version list plus retired slot
 /// pointers awaiting quiescence.
@@ -86,12 +107,24 @@ pub struct TupleChain {
     /// Newest version's timestamp. Monotonic under normal processing, so
     /// it is safe to read on its own (no pairing with the row needed).
     slot_ts: AtomicU64,
-    /// Newest version's image: a strong `Arc<Row>` (null = no version yet
-    /// or tombstone; `slot_ts` disambiguates — an empty chain has ts 0).
-    slot_row: AtomicPtr<Row>,
+    /// Newest version's image: the pointer half of one reference from
+    /// [`Row::into_raw`] (null = no version yet or tombstone; `slot_ts`
+    /// disambiguates — an empty chain has ts 0).
+    slot_ptr: AtomicPtr<u8>,
+    /// The length half of the same raw image pointer.
+    slot_len: AtomicUsize,
     /// Readers currently inside the slot protocol.
     slot_readers: AtomicU64,
 }
+
+/// The slot's raw image pointer from its two halves.
+#[inline]
+fn raw_image(ptr: *mut u8, len: usize) -> *const [u8] {
+    std::ptr::slice_from_raw_parts(ptr, len)
+}
+
+/// One validated snapshot of the slot: `(ts, pointer, length)`.
+type SlotTriple = (Timestamp, *mut u8, usize);
 
 impl Default for TupleChain {
     fn default() -> Self {
@@ -100,7 +133,8 @@ impl Default for TupleChain {
             state: Mutex::new(ChainState::default()),
             slot_seq: AtomicU64::new(0),
             slot_ts: AtomicU64::new(0),
-            slot_row: AtomicPtr::new(std::ptr::null_mut()),
+            slot_ptr: AtomicPtr::new(std::ptr::null_mut()),
+            slot_len: AtomicUsize::new(0),
             slot_readers: AtomicU64::new(0),
         }
     }
@@ -118,14 +152,11 @@ impl Drop for TupleChain {
     fn drop(&mut self) {
         let st = self.state.get_mut();
         let retained = st.list.len();
-        for r in st.retired.drain(..) {
-            // SAFETY: exclusive access; the pointer is a strong reference.
-            unsafe { drop(Arc::from_raw(r.0)) };
-        }
-        let p = *self.slot_row.get_mut();
+        let p = *self.slot_ptr.get_mut();
         if !p.is_null() {
-            // SAFETY: as above; the slot owns one strong reference.
-            unsafe { drop(Arc::from_raw(p)) };
+            // Exclusive access: nobody can read the slot any more, and it
+            // owns one reference.
+            drop(RetiredRow(raw_image(p, *self.slot_len.get_mut())));
         }
         if retained > 0 {
             versions_retained().sub(retained as u64);
@@ -140,7 +171,7 @@ impl TupleChain {
     }
 
     /// A chain seeded with one version (initial load / checkpoint load).
-    pub fn with_version(ts: Timestamp, row: Option<Arc<Row>>) -> Self {
+    pub fn with_version(ts: Timestamp, row: Option<Row>) -> Self {
         versions_retained().inc();
         Self::seeded(ts, row)
     }
@@ -149,10 +180,10 @@ impl TupleChain {
     /// version to `engine.versions.retained` (a bulk load adds a shard's
     /// count at once). Nobody shares the chain yet, so the list and the
     /// slot are written directly — no lock, no seqlock round.
-    pub(crate) fn seeded(ts: Timestamp, row: Option<Arc<Row>>) -> Self {
-        let slot = row.as_ref().map_or(std::ptr::null_mut(), |r| {
-            Arc::into_raw(Arc::clone(r)) as *mut Row
-        });
+    pub(crate) fn seeded(ts: Timestamp, row: Option<Row>) -> Self {
+        let slot = row
+            .clone()
+            .map_or(raw_image(std::ptr::null_mut(), 0), Row::into_raw);
         TupleChain {
             latch: SpinLatch::default(),
             state: Mutex::new(ChainState {
@@ -161,7 +192,8 @@ impl TupleChain {
             }),
             slot_seq: AtomicU64::new(0),
             slot_ts: AtomicU64::new(ts),
-            slot_row: AtomicPtr::new(slot),
+            slot_ptr: AtomicPtr::new(slot as *mut u8),
+            slot_len: AtomicUsize::new(slot.len()),
             slot_readers: AtomicU64::new(0),
         }
     }
@@ -174,76 +206,84 @@ impl TupleChain {
             Some(VersionEntry { ts, row }) => (*ts, row.as_ref()),
             None => (0, None),
         };
-        let expect: *mut Row = row.map_or(std::ptr::null_mut(), |r| Arc::as_ptr(r) as *mut Row);
+        let expect = row.map_or(std::ptr::null(), Row::as_ptr);
         // Slot already current (e.g. an MV install below the newest, or a
         // prune): skip the publish and the pointer churn.
-        if self.slot_row.load(Ordering::Relaxed) == expect
+        if self.slot_ptr.load(Ordering::Relaxed).cast_const() == expect
             && self.slot_ts.load(Ordering::Relaxed) == ts
         {
             return;
         }
-        let new_ptr: *mut Row = row.map_or(std::ptr::null_mut(), |r| {
-            Arc::into_raw(Arc::clone(r)) as *mut Row
-        });
+        let new = row
+            .cloned()
+            .map_or(raw_image(std::ptr::null_mut(), 0), Row::into_raw);
+        let old_len = self.slot_len.load(Ordering::Relaxed);
         let seq = self.slot_seq.load(Ordering::Relaxed);
-        // Writer parity: odd while the pair is torn (same recipe as the
+        // Writer parity: odd while the triple is torn (same recipe as the
         // flight-recorder ring slots).
         self.slot_seq.swap(seq.wrapping_add(1), Ordering::Acquire);
         self.slot_ts.store(ts, Ordering::Relaxed);
-        let old = self.slot_row.swap(new_ptr, Ordering::SeqCst);
+        self.slot_len.store(new.len(), Ordering::Relaxed);
+        let old = self.slot_ptr.swap(new as *mut u8, Ordering::SeqCst);
         self.slot_seq.store(seq.wrapping_add(2), Ordering::Release);
         if !old.is_null() {
-            st.retired.push(RetiredRow(old));
+            st.retired.push(RetiredRow(raw_image(old, old_len)));
         }
         // Reclamation: safe exactly when no reader is present *after* the
         // SeqCst swap above — any reader announcing itself later also
         // loads the pointer later (SC total order) and sees the new slot,
         // so nothing on the retired list is reachable anymore.
         if !st.retired.is_empty() && self.slot_readers.load(Ordering::SeqCst) == 0 {
-            for r in st.retired.drain(..) {
-                // SAFETY: unreachable per the argument above; strong ref.
-                unsafe { drop(Arc::from_raw(r.0)) };
-            }
+            st.retired.clear();
         }
     }
 
-    /// Lock-free snapshot of the slot pair. `None` after bounded torn
-    /// retries (a writer storm); callers fall back to the `Mutex`.
-    fn slot_read(&self) -> Option<(Timestamp, Option<Arc<Row>>)> {
-        self.slot_readers.fetch_add(1, Ordering::SeqCst);
-        let mut out = None;
+    /// One seqlock snapshot of the slot: `None` after bounded torn
+    /// retries (a writer storm). Touches no shared cache line.
+    #[inline]
+    fn slot_snapshot(&self) -> Option<SlotTriple> {
         for _ in 0..SLOT_SPIN_LIMIT {
             let before = self.slot_seq.load(Ordering::Acquire);
             if before & 1 == 0 {
                 let ts = self.slot_ts.load(Ordering::Relaxed);
-                let ptr = self.slot_row.load(Ordering::SeqCst);
-                // Take the strong reference *before* validating: the
-                // presence counter keeps any pointer this load can observe
-                // alive, so the bump is always on a live Arc even if the
-                // snapshot turns out torn and is dropped below.
-                let row = (!ptr.is_null()).then(|| {
-                    // SAFETY: `ptr` came from `Arc::into_raw` and cannot
-                    // have been reclaimed while we are announced present.
-                    unsafe {
-                        Arc::increment_strong_count(ptr);
-                        Arc::from_raw(ptr)
-                    }
-                });
+                let ptr = self.slot_ptr.load(Ordering::SeqCst);
+                let len = self.slot_len.load(Ordering::Relaxed);
                 fence(Ordering::Acquire);
                 if self.slot_seq.load(Ordering::Relaxed) == before {
-                    out = Some((ts, row));
-                    break;
+                    return Some((ts, ptr, len));
                 }
             }
             std::hint::spin_loop();
         }
+        None
+    }
+
+    /// Lock-free snapshot of the slot as `(ts, image)`. `None` after
+    /// bounded torn retries; callers fall back to the `Mutex`.
+    fn slot_read(&self) -> Option<(Timestamp, Option<Row>)> {
+        self.slot_readers.fetch_add(1, Ordering::SeqCst);
+        let out = self.slot_snapshot().map(|(ts, ptr, len)| {
+            let row = (!ptr.is_null()).then(|| {
+                // SAFETY: `(ptr, len)` is one validated snapshot of the
+                // slot, so it is exactly a pointer `Row::into_raw` returned
+                // (the seqlock never lets one image's pointer pair with
+                // another's length). That reference is still alive: the
+                // slot holds it, or a retired list does, and retired
+                // images are not reclaimed while we are announced present.
+                // Cloning the borrowed image takes our own reference; the
+                // borrowed one is never dropped.
+                let slot = ManuallyDrop::new(unsafe { Row::from_raw(raw_image(ptr, len)) });
+                Row::clone(&slot)
+            });
+            (ts, row)
+        });
         self.slot_readers.fetch_sub(1, Ordering::Release);
         out
     }
 
     /// The newest version's `(ts, row)` — `row == None` covers both "no
     /// version" and tombstone. Lock-free in the common case.
-    pub fn newest(&self) -> (Timestamp, Option<Arc<Row>>) {
+    pub fn newest(&self) -> (Timestamp, Option<Row>) {
         if let Some(pair) = self.slot_read() {
             return pair;
         }
@@ -252,6 +292,41 @@ impl TupleChain {
             Some(VersionEntry { ts, row }) => (*ts, row.clone()),
             None => (0, None),
         }
+    }
+
+    /// Call `f` with the image visible at `at` (`None`: absent or deleted),
+    /// borrowed in place: no presence announcement, no refcount. Falls back
+    /// to the version `Mutex` when the newest version is too new.
+    ///
+    /// # Safety
+    /// The image the slot names when it is visible at `at` must stay alive
+    /// until `f` returns: every commit at or below `at` has installed, no
+    /// prune may drop the version visible at `at`, and no install may
+    /// replace a version outright. [`crate::SnapshotHold`] establishes the
+    /// first two; the third is a property of when checkpoint rounds run.
+    pub(crate) unsafe fn visit_held<R>(
+        &self,
+        at: Timestamp,
+        f: impl FnOnce(Option<&Row>) -> R,
+    ) -> R {
+        if let Some((ts, ptr, len)) = self.slot_snapshot() {
+            if ts <= at {
+                if ptr.is_null() {
+                    return f(None);
+                }
+                // SAFETY: `(ptr, len)` is one validated snapshot of the
+                // slot, a pointer `Row::into_raw` returned for the newest
+                // version, at `ts <= at`. By the caller's contract that
+                // version is, and stays, the one visible at `at`, and it
+                // stays on the version list — which holds its own
+                // reference — until `f` returns. The borrowed image is
+                // never dropped, so no count moves.
+                let row = ManuallyDrop::new(unsafe { Row::from_raw(raw_image(ptr, len)) });
+                return f(Some(&row));
+            }
+        }
+        let st = self.state.lock();
+        f(st.list.visible_at(at).and_then(|e| e.row.as_ref()))
     }
 
     /// Timestamp of the newest version (0 if none). Never takes a lock:
@@ -263,7 +338,7 @@ impl TupleChain {
     /// Latest row visible at `ts` (None if absent or deleted). Lock-free
     /// when the newest version answers (the dominant case: reading current
     /// data); older-snapshot reads walk the list under the `Mutex`.
-    pub fn read_at(&self, ts: Timestamp) -> Option<Arc<Row>> {
+    pub fn read_at(&self, ts: Timestamp) -> Option<Row> {
         if let Some((slot_ts, row)) = self.slot_read() {
             if slot_ts <= ts {
                 // The newest version overall is visible at `ts`, so it is
@@ -283,13 +358,13 @@ impl TupleChain {
     /// Prunes versions older than `floor` once the chain holds more than
     /// `max_versions` entries, all inside the critical section.
     ///
-    /// Takes the image as a shared `Arc<Row>`: the committing transaction's
+    /// Takes the image as a shared [`Row`]: the committing transaction's
     /// pending write, the version list, the newest slot, and the log
     /// after-image all hold the same allocation — installs never copy.
     pub fn install_committed(
         &self,
         ts: Timestamp,
-        row: Option<Arc<Row>>,
+        row: Option<Row>,
         floor: Timestamp,
         max_versions: usize,
     ) {
@@ -308,7 +383,7 @@ impl TupleChain {
 
     /// Multi-version recovery install (PLR/LLR), tolerant of out-of-order
     /// timestamps and idempotent on duplicates.
-    pub fn install_mv(&self, ts: Timestamp, row: Option<Arc<Row>>) {
+    pub fn install_mv(&self, ts: Timestamp, row: Option<Row>) {
         let mut st = self.state.lock();
         let before = st.list.len();
         st.list.install_mv(ts, row);
@@ -320,7 +395,7 @@ impl TupleChain {
     }
 
     /// Single-version last-writer-wins install (LLR-P, CLR, CLR-P).
-    pub fn install_lww(&self, ts: Timestamp, row: Option<Arc<Row>>) {
+    pub fn install_lww(&self, ts: Timestamp, row: Option<Row>) {
         let mut st = self.state.lock();
         let before = st.list.len();
         st.list.install_lww(ts, row);
@@ -355,8 +430,8 @@ mod tests {
     use pacman_common::Value;
     use std::sync::Arc;
 
-    fn row(i: i64) -> Option<Arc<Row>> {
-        Some(Arc::new(Row::from([Value::Int(i)])))
+    fn row(i: i64) -> Option<Row> {
+        Some(Row::from([Value::Int(i)]))
     }
 
     #[test]
@@ -364,8 +439,8 @@ mod tests {
         let c = TupleChain::with_version(1, row(10));
         c.install_committed(5, row(50), 0, DEFAULT_VERSION_PRUNE_THRESHOLD);
         assert_eq!(c.newest().0, 5);
-        assert_eq!(c.read_at(1).unwrap().col(0), &Value::Int(10));
-        assert_eq!(c.read_at(9).unwrap().col(0), &Value::Int(50));
+        assert_eq!(c.read_at(1).unwrap().col(0), Value::Int(10));
+        assert_eq!(c.read_at(9).unwrap().col(0), Value::Int(50));
         assert!(c.read_at(0).is_none());
     }
 
@@ -403,18 +478,18 @@ mod tests {
 
         c.install_committed(3, row(30), 0, DEFAULT_VERSION_PRUNE_THRESHOLD);
         assert_eq!(c.newest_ts(), 3);
-        assert_eq!(c.newest().1.unwrap().col(0), &Value::Int(30));
+        assert_eq!(c.newest().1.unwrap().col(0), Value::Int(30));
 
         // MV install below the newest must not disturb the slot.
         c.install_mv(2, row(20));
         assert_eq!(c.newest_ts(), 3);
-        assert_eq!(c.read_at(u64::MAX).unwrap().col(0), &Value::Int(30));
-        assert_eq!(c.read_at(2).unwrap().col(0), &Value::Int(20));
+        assert_eq!(c.read_at(u64::MAX).unwrap().col(0), Value::Int(30));
+        assert_eq!(c.read_at(2).unwrap().col(0), Value::Int(20));
 
         // MV install above it must advance the slot.
         c.install_mv(7, row(70));
         assert_eq!(c.newest_ts(), 7);
-        assert_eq!(c.newest().1.unwrap().col(0), &Value::Int(70));
+        assert_eq!(c.newest().1.unwrap().col(0), Value::Int(70));
 
         // LWW replaces everything.
         c.install_lww(9, None);
@@ -432,7 +507,7 @@ mod tests {
         c.with_versions_locked(move || {
             assert_eq!(c2.newest_ts(), 4);
             assert_eq!(c2.newest().0, 4);
-            assert_eq!(c2.read_at(u64::MAX).unwrap().col(0), &Value::Int(40));
+            assert_eq!(c2.read_at(u64::MAX).unwrap().col(0), Value::Int(40));
         });
     }
 
@@ -441,9 +516,9 @@ mod tests {
         let c = TupleChain::with_version(1, row(10));
         let a = c.read_at(5).unwrap();
         let b = c.read_at(5).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "reads must share one image");
+        assert!(Row::ptr_eq(&a, &b), "reads must share one image");
         let (_, n) = c.newest();
-        assert!(Arc::ptr_eq(&a, &n.unwrap()));
+        assert!(Row::ptr_eq(&a, &n.unwrap()));
     }
 
     #[test]
@@ -473,6 +548,6 @@ mod tests {
         }
         let (ts, r) = c.newest();
         assert_eq!(ts, 4000);
-        assert_eq!(r.unwrap().col(0), &Value::Int(4000));
+        assert_eq!(r.unwrap().col(0), Value::Int(4000));
     }
 }

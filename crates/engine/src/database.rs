@@ -100,7 +100,7 @@ impl Database {
 
     /// Seed a row during initial load (timestamp 0, not logged).
     pub fn seed_row(&self, table: TableId, key: Key, row: Row) -> Result<()> {
-        self.table(table)?.install_lww(key, 0, Some(Arc::new(row)));
+        self.table(table)?.install_lww(key, 0, Some(row));
         Ok(())
     }
 
@@ -118,10 +118,26 @@ impl Database {
         Txn::new(self, scratch)
     }
 
-    /// Register a snapshot hold at `ts`; versions visible at `ts` survive
-    /// pruning until the hold drops.
-    pub fn snapshot_hold(self: &Arc<Self>, ts: Timestamp) -> SnapshotHold {
-        *self.holds.lock().entry(ts).or_insert(0) += 1;
+    /// Take a consistent snapshot for a scan (the checkpointer): register
+    /// a hold at the next commit timestamp `ts`, bump the clock past it so
+    /// later commits sort strictly after it, then wait out the in-flight
+    /// commits at or below it ([`Database::install_barrier`]). While the
+    /// hold lives, every commit-path prune keeps the version visible at
+    /// `ts`, and every effect with a timestamp `<= ts` is installed.
+    ///
+    /// The hold is registered under the holds lock together with the clock
+    /// read, so a committer that drew its timestamp earlier and reads the
+    /// prune floor ([`Database::version_floor`]) before the hold exists
+    /// gets a floor at or below `ts` either way.
+    pub fn snapshot_hold(self: &Arc<Self>) -> SnapshotHold {
+        let ts = {
+            let mut holds = self.holds.lock();
+            let ts = self.clock.peek();
+            *holds.entry(ts).or_insert(0) += 1;
+            ts
+        };
+        self.clock.advance_to(ts + 1);
+        self.install_barrier();
         SnapshotHold {
             db: Arc::clone(self),
             ts,
@@ -168,6 +184,61 @@ impl SnapshotHold {
     /// The held snapshot timestamp.
     pub fn ts(&self) -> Timestamp {
         self.ts
+    }
+
+    /// Visit every row of one shard of `table` visible at the snapshot:
+    /// `f(key, row)` in ascending key order, the row borrowed in place.
+    ///
+    /// This is the checkpoint writer's scan, and it writes no shared cache
+    /// line: it walks the shard under the shard's read lock (no chain
+    /// `Arc` is cloned) and reads each chain's newest slot through the
+    /// seqlock alone — no presence announcement, no refcount on the image
+    /// — falling back to the version `Mutex` only where the newest version
+    /// is newer than the snapshot.
+    ///
+    /// # Why borrowing the slot's image is sound
+    ///
+    /// The slot's presence counter exists so that an image displaced from
+    /// the slot is not freed under a reader. Here the image is kept alive
+    /// by the version list instead, for as long as this hold lives:
+    ///
+    /// * *Every commit at or below the snapshot has installed.*
+    ///   [`Database::snapshot_hold`] ran the install barrier after bumping
+    ///   the clock past `ts`, so a slot showing a version at `ts' <= ts`
+    ///   shows the version visible at `ts`, and no install can later slip
+    ///   a version between `ts'` and `ts`: it stays the visible one.
+    /// * *Commit-path installs prune at `min(holds) <= ts`.*
+    ///   `TupleChain::install_committed` keeps every version at or above
+    ///   its floor plus the newest one below it, so the version visible at
+    ///   `ts` — and its list entry's reference to the image — survives any
+    ///   prune while this hold is registered.
+    /// * *No install replaces a version outright during a round.* Only
+    ///   recovery's `install_lww` / `install_mv` do, and neither runs
+    ///   beside a checkpoint round: a recovery session's retention hold
+    ///   blocks rounds until replay is done, and a standby runs no
+    ///   checkpointer.
+    ///
+    /// Chains themselves leave a shard only under its write lock (restore,
+    /// resync), which the held read lock excludes.
+    pub fn for_each_visible_in_shard(
+        &self,
+        table: TableId,
+        shard: usize,
+        mut f: impl FnMut(Key, &Row),
+    ) -> Result<()> {
+        let map = self.db.table(table)?.read_shard(shard);
+        for (&key, chain) in map.iter() {
+            // SAFETY: the three conditions above hold for `self.ts` while
+            // `self` is alive, which it is for the whole call.
+            unsafe {
+                chain.visit_held(self.ts, |row| {
+                    if let Some(row) = row {
+                        f(key, row);
+                    }
+                })
+            };
+        }
+        Ok(())
     }
 }
 
@@ -219,15 +290,51 @@ mod tests {
     #[test]
     fn version_floor_tracks_holds() {
         let d = db();
-        d.clock().advance_to(100);
-        assert_eq!(d.version_floor(), 100);
-        let h1 = d.snapshot_hold(40);
-        let h2 = d.snapshot_hold(60);
+        d.clock().advance_to(40);
+        assert_eq!(d.version_floor(), 40);
+        let h1 = d.snapshot_hold();
+        assert_eq!(h1.ts(), 40);
+        assert_eq!(d.clock().peek(), 41, "later commits sort after the hold");
+        d.clock().advance_to(60);
+        let h2 = d.snapshot_hold();
+        assert_eq!(h2.ts(), 60);
         assert_eq!(d.version_floor(), 40);
         drop(h1);
         assert_eq!(d.version_floor(), 60);
         drop(h2);
-        assert_eq!(d.version_floor(), 100);
+        assert_eq!(d.version_floor(), 61);
+    }
+
+    #[test]
+    fn held_scan_sees_the_snapshot_not_later_commits() {
+        let d = db();
+        let t = TableId::new(1);
+        for k in [9u64, 3, 7] {
+            d.seed_row(t, k, Row::from([Value::Int(k as i64), Value::str("v")]))
+                .unwrap();
+        }
+        // Every install prunes, and key 3 is written twice after the hold:
+        // only the hold's floor keeps its snapshot version.
+        d.set_version_prune_threshold(1);
+        let hold = d.snapshot_hold();
+        for later in ["later", "later still"] {
+            let mut txn = d.begin();
+            txn.write(t, 3, Row::from([Value::Int(-3), Value::str(later)]))
+                .unwrap();
+            txn.commit().unwrap();
+        }
+        let table = d.table(t).unwrap();
+        let mut seen = Vec::new();
+        for shard in 0..table.num_shards() {
+            hold.for_each_visible_in_shard(t, shard, |k, r| seen.push((k, r.col(0))))
+                .unwrap();
+        }
+        seen.sort_by_key(|&(k, _)| k);
+        let want: Vec<_> = [3, 7, 9].map(|k| (k, Value::Int(k as i64))).into();
+        assert_eq!(seen, want);
+        assert!(hold
+            .for_each_visible_in_shard(TableId::new(5), 0, |_, _| {})
+            .is_err());
     }
 
     #[test]

@@ -241,9 +241,9 @@ mod tests {
         let p = transfer();
         run_procedure(&db, &p, &params([Value::Int(1), Value::Int(30)])).unwrap();
         let mut t = db.begin();
-        assert_eq!(t.read(CURRENT, 1).unwrap().col(0), &Value::Int(70));
-        assert_eq!(t.read(CURRENT, 2).unwrap().col(0), &Value::Int(130));
-        assert_eq!(t.read(SAVING, 1).unwrap().col(0), &Value::Int(1));
+        assert_eq!(t.read(CURRENT, 1).unwrap().col(0), Value::Int(70));
+        assert_eq!(t.read(CURRENT, 2).unwrap().col(0), Value::Int(130));
+        assert_eq!(t.read(SAVING, 1).unwrap().col(0), Value::Int(1));
     }
 
     #[test]
@@ -291,10 +291,10 @@ mod tests {
         )
         .unwrap();
         let mut t = db.begin();
-        assert_eq!(t.read(stock, 0).unwrap().col(0), &Value::Int(9));
-        assert_eq!(t.read(stock, 1).unwrap().col(0), &Value::Int(10));
-        assert_eq!(t.read(stock, 2).unwrap().col(0), &Value::Int(9));
-        assert_eq!(t.read(stock, 4).unwrap().col(0), &Value::Int(9));
+        assert_eq!(t.read(stock, 0).unwrap().col(0), Value::Int(9));
+        assert_eq!(t.read(stock, 1).unwrap().col(0), Value::Int(10));
+        assert_eq!(t.read(stock, 2).unwrap().col(0), Value::Int(9));
+        assert_eq!(t.read(stock, 4).unwrap().col(0), Value::Int(9));
     }
 
     #[test]
@@ -319,12 +319,12 @@ mod tests {
         // The piece's last tuple is installed at the end of the piece, not
         // by its last write.
         let saving = db.table(SAVING).unwrap().get(1).unwrap();
-        assert_eq!(saving.newest().1.unwrap().col(0), &Value::Int(0));
+        assert_eq!(saving.newest().1.unwrap().col(0), Value::Int(0));
         access.finish();
-        assert_eq!(saving.newest().1.unwrap().col(0), &Value::Int(1));
+        assert_eq!(saving.newest().1.unwrap().col(0), Value::Int(1));
         let mut t = db.begin();
-        assert_eq!(t.read(CURRENT, 1).unwrap().col(0), &Value::Int(75));
-        assert_eq!(t.read(CURRENT, 2).unwrap().col(0), &Value::Int(125));
-        assert_eq!(t.read(SAVING, 1).unwrap().col(0), &Value::Int(1));
+        assert_eq!(t.read(CURRENT, 1).unwrap().col(0), Value::Int(75));
+        assert_eq!(t.read(CURRENT, 2).unwrap().col(0), Value::Int(125));
+        assert_eq!(t.read(SAVING, 1).unwrap().col(0), Value::Int(1));
     }
 }

@@ -33,7 +33,7 @@ pub mod version;
 pub use access::{DataAccess, ReplayAccess, TxnAccess};
 pub use catalog::{Catalog, TableMeta};
 pub use chain::{TupleChain, DEFAULT_VERSION_PRUNE_THRESHOLD};
-pub use database::Database;
+pub use database::{Database, SnapshotHold};
 pub use epoch::EpochManager;
 pub use interp::{
     execute_plan, run_procedure, run_procedure_in, run_procedure_with_epoch, ExecFrame,

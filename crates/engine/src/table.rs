@@ -9,7 +9,7 @@ use crate::catalog::TableMeta;
 use crate::chain::{versions_retained, TupleChain};
 use pacman_common::fingerprint::{Fingerprint, Fnv};
 use pacman_common::{Key, Row, Timestamp};
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -112,7 +112,7 @@ impl Table {
 
     /// Latch-free last-writer-wins install that maintains the shard dirty
     /// tracking — the install path of tuple-level recovery and seeding.
-    pub fn install_lww(&self, key: Key, ts: Timestamp, row: Option<Arc<Row>>) {
+    pub fn install_lww(&self, key: Key, ts: Timestamp, row: Option<Row>) {
         self.mark_dirty(key, ts);
         self.get_or_create(key).install_lww(ts, row);
     }
@@ -128,7 +128,7 @@ impl Table {
     /// holding another shard's keys) installs per key, timestamped
     /// last-writer-wins, which reaches the same state in any order and
     /// never replaces a newer version.
-    pub fn load_shard(&self, shard: usize, ts: Timestamp, run: Vec<(Key, Arc<Row>)>) -> ShardLoad {
+    pub fn load_shard(&self, shard: usize, ts: Timestamp, run: Vec<(Key, Row)>) -> ShardLoad {
         let tuples = run.len() as u64;
         let is_shard = shard < self.shards.len()
             && run.iter().all(|&(k, _)| self.shard_of(k) == shard)
@@ -180,54 +180,26 @@ impl Table {
             for (k, c) in entries {
                 let (ts, row) = c.newest();
                 if let Some(row) = row {
-                    f(k, ts, row.as_ref());
+                    f(k, ts, &row);
                 }
             }
         }
     }
 
-    /// Visit the row of every tuple visible at snapshot `at` (checkpointer).
-    pub fn for_each_visible_at(&self, at: Timestamp, mut f: impl FnMut(Key, &Row)) {
-        for shard in self.shards.iter() {
-            let entries: Vec<(Key, Arc<TupleChain>)> = shard
-                .read()
-                .iter()
-                .map(|(k, c)| (*k, Arc::clone(c)))
-                .collect();
-            for (k, c) in entries {
-                if let Some(row) = c.read_at(at) {
-                    f(k, row.as_ref());
-                }
-            }
-        }
-    }
-
-    /// Visit the rows of one shard visible at snapshot `at` (checkpointer
-    /// partition unit).
-    pub fn for_each_visible_at_shard(
+    /// One shard's map, read-locked: chains stay in it (and alive) until
+    /// the guard drops. The held checkpoint scan walks it in place.
+    pub(crate) fn read_shard(
         &self,
         shard: usize,
-        at: Timestamp,
-        mut f: impl FnMut(Key, &Row),
-    ) {
-        let entries: Vec<(Key, Arc<TupleChain>)> = self.shards[shard % self.shards.len()]
-            .read()
-            .iter()
-            .map(|(k, c)| (*k, Arc::clone(c)))
-            .collect();
-        for (k, c) in entries {
-            if let Some(row) = c.read_at(at) {
-                f(k, row.as_ref());
-            }
-        }
+    ) -> RwLockReadGuard<'_, BTreeMap<Key, Arc<TupleChain>>> {
+        self.shards[shard % self.shards.len()].read()
     }
 
-    /// Keys in one shard within `[lo, hi)` — a shard-local ordered scan
-    /// (full cross-shard range scans are not needed by the workloads).
-    pub fn scan_shard_range(&self, shard: usize, lo: Key, hi: Key) -> Vec<Key> {
-        self.shards[shard % self.shards.len()]
-            .read()
-            .range(lo..hi)
+    /// Keys of one shard whose newest version is live, ascending.
+    pub fn live_keys_in_shard(&self, shard: usize) -> Vec<Key> {
+        self.read_shard(shard)
+            .iter()
+            .filter(|(_, c)| c.newest().1.is_some())
             .map(|(k, _)| *k)
             .collect()
     }
@@ -266,8 +238,8 @@ mod tests {
         })
     }
 
-    fn row(i: i64) -> Option<Arc<Row>> {
-        Some(Arc::new(Row::from([Value::Int(i)])))
+    fn row(i: i64) -> Option<Row> {
+        Some(Row::from([Value::Int(i)]))
     }
 
     #[test]
@@ -287,18 +259,9 @@ mod tests {
         t.get_or_create(2).install_committed(1, row(20), 0, DPT);
         t.get_or_create(2).install_committed(2, None, 0, DPT); // delete
         let mut seen = Vec::new();
-        t.for_each_newest(|k, _, r| seen.push((k, r.col(0).clone())));
+        t.for_each_newest(|k, _, r| seen.push((k, r.col(0))));
         assert_eq!(seen, vec![(1, Value::Int(10))]);
-    }
-
-    #[test]
-    fn snapshot_visibility() {
-        let t = table();
-        t.get_or_create(1).install_committed(5, row(1), 0, DPT);
-        t.get_or_create(1).install_committed(9, row(2), 0, DPT);
-        let mut at7 = Vec::new();
-        t.for_each_visible_at(7, |k, r| at7.push((k, r.col(0).clone())));
-        assert_eq!(at7, vec![(1, Value::Int(1))]);
+        assert_eq!(t.live_keys_in_shard(t.shard_index(2)), Vec::<Key>::new());
     }
 
     #[test]
@@ -353,7 +316,7 @@ mod tests {
         let t = table();
         let shard = t.shard_index(42);
         let keys: Vec<Key> = (0..400).filter(|&k| t.shard_index(k) == shard).collect();
-        let run = |keys: &[Key]| -> Vec<(Key, Arc<Row>)> {
+        let run = |keys: &[Key]| -> Vec<(Key, Row)> {
             keys.iter().map(|&k| (k, row(k as i64).unwrap())).collect()
         };
         let n = keys.len() as u64;
@@ -367,7 +330,7 @@ mod tests {
                 bulk: true
             }
         );
-        assert_eq!(t.scan_shard_range(shard, 0, u64::MAX), keys);
+        assert_eq!(t.live_keys_in_shard(shard), keys);
         assert_eq!(t.shard_dirty_ts(shard), 7);
         assert_eq!(t.get(42).unwrap().newest().0, 7);
         assert_eq!(t.get(42).unwrap().num_versions(), 1);
@@ -399,21 +362,6 @@ mod tests {
             for &k in &keys {
                 assert_eq!(u.get(k).unwrap().newest().0, 7, "spoil {spoil}");
             }
-        }
-    }
-
-    #[test]
-    fn shard_scan_is_ordered() {
-        let t = table();
-        for k in [5u64, 1, 9, 3] {
-            t.get_or_create(k);
-        }
-        // Keys land in various shards; check each shard's scan is sorted.
-        for s in 0..t.num_shards() {
-            let keys = t.scan_shard_range(s, 0, u64::MAX);
-            let mut sorted = keys.clone();
-            sorted.sort_unstable();
-            assert_eq!(keys, sorted);
         }
     }
 }

@@ -14,9 +14,9 @@
 //!   interpreter's register file live in a [`TxnScratch`] recycled through
 //!   a thread-local pool (the same arena pattern as the WAL's
 //!   `WorkerLogBuffer`) — `clear()` keeps their capacity warm;
-//! * each written row image is materialized exactly once, as an
-//!   `Arc<Row>`, and shared by the pending write, the version chain, the
-//!   newest slot and the [`CommitInfo`] after-image the log encodes from;
+//! * each written row image is encoded exactly once, as one [`Row`]
+//!   allocation, and shared by the pending write, the version chain, the
+//!   newest slot and the [`CommitInfo`] after-image the log copies from;
 //! * column writes reach the transaction through the tuple cursor
 //!   ([`crate::access::TxnAccess`]), which edits the open tuple's columns in
 //!   a reusable scratch buffer and stages one image per written tuple
@@ -88,9 +88,9 @@ pub struct WriteRecord {
     /// Update / insert / delete.
     pub kind: WriteKind,
     /// The after-image (`None` for deletes). Shared with the version chain
-    /// the write installed into — the log encoder borrows these bytes, it
-    /// never owns a private copy.
-    pub after: Option<Arc<Row>>,
+    /// the write installed into — the log encoder copies its bytes out, it
+    /// never owns a private image.
+    pub after: Option<Row>,
     /// Timestamp of the version this write superseded (physical logging
     /// records old/new locations; this is our stand-in, §6.1.1).
     pub prev_ts: Timestamp,
@@ -112,7 +112,7 @@ pub struct CommitInfo {
 struct PendingWrite {
     chain: Arc<TupleChain>,
     kind: WriteKind,
-    row: Option<Arc<Row>>,
+    row: Option<Row>,
 }
 
 struct ReadEntry {
@@ -121,7 +121,7 @@ struct ReadEntry {
     /// The image observed on first read — repeated reads and
     /// read-modify-write staging reuse it (and the chain handle above)
     /// instead of going back through the shard map.
-    row: Arc<Row>,
+    row: Row,
 }
 
 /// Reusable per-transaction working memory: the read/write sets, the
@@ -267,12 +267,12 @@ impl<'db> Txn<'db> {
     /// first — repeatable read: the one commit validation will check, served
     /// without re-touching the shard map or the chain — else the index, and
     /// then the key joins the read set. `None`: missing or deleted.
-    fn image(&mut self, table: TableId, key: Key) -> Result<Option<Arc<Row>>> {
+    fn image(&mut self, table: TableId, key: Key) -> Result<Option<Row>> {
         if let Some(w) = self.scratch.writes.get(&(table, key)) {
             return Ok(w.row.clone());
         }
         let vacant = match self.scratch.reads.entry((table, key)) {
-            Entry::Occupied(r) => return Ok(Some(Arc::clone(&r.get().row))),
+            Entry::Occupied(r) => return Ok(Some(r.get().row.clone())),
             Entry::Vacant(v) => v,
         };
         let Some(chain) = self.db.table(table)?.get(key) else {
@@ -283,7 +283,7 @@ impl<'db> Txn<'db> {
             vacant.insert(ReadEntry {
                 chain,
                 observed_ts: ts,
-                row: Arc::clone(row),
+                row: row.clone(),
             });
         }
         Ok(row)
@@ -292,7 +292,7 @@ impl<'db> Txn<'db> {
     /// Read the current row for `key`, observing own pending writes first.
     pub fn read(&mut self, table: TableId, key: Key) -> Result<Row> {
         match self.image(table, key)? {
-            Some(row) => Ok((*row).clone()),
+            Some(row) => Ok(row),
             None => Err(Error::KeyNotFound {
                 table: table.0,
                 key,
@@ -300,7 +300,7 @@ impl<'db> Txn<'db> {
         }
     }
 
-    fn stage(&mut self, table: TableId, key: Key, kind: WriteKind, row: Option<Arc<Row>>) {
+    fn stage(&mut self, table: TableId, key: Key, kind: WriteKind, row: Option<Row>) {
         let vacant = match self.scratch.writes.entry((table, key)) {
             Entry::Occupied(mut existing) => {
                 let w = existing.get_mut();
@@ -344,14 +344,14 @@ impl<'db> Txn<'db> {
     pub fn write(&mut self, table: TableId, key: Key, row: Row) -> Result<()> {
         self.db.table(table)?; // validate id
         row_copies().inc();
-        self.stage(table, key, WriteKind::Update, Some(Arc::new(row)));
+        self.stage(table, key, WriteKind::Update, Some(row));
         Ok(())
     }
 
     /// Buffer an insert.
     pub fn insert(&mut self, table: TableId, key: Key, row: Row) -> Result<()> {
         self.db.table(table)?;
-        self.stage(table, key, WriteKind::Insert, Some(Arc::new(row)));
+        self.stage(table, key, WriteKind::Insert, Some(row));
         Ok(())
     }
 
@@ -541,11 +541,11 @@ impl<'db> Txn<'db> {
 impl TupleStore for Txn<'_> {
     type Slot = ();
 
-    fn open(&mut self, table: TableId, key: Key) -> Result<((), Option<Arc<Row>>)> {
+    fn open(&mut self, table: TableId, key: Key) -> Result<((), Option<Row>)> {
         Ok(((), self.image(table, key)?))
     }
 
-    fn put(&mut self, table: TableId, key: Key, (): (), image: Option<Arc<Row>>) {
+    fn put(&mut self, table: TableId, key: Key, (): (), image: Option<Row>) {
         self.stage(table, key, WriteKind::Update, image);
     }
 
@@ -584,7 +584,7 @@ mod tests {
         assert_eq!(info.writes.len(), 1);
         assert_eq!(info.writes[0].kind, WriteKind::Update);
         let mut t2 = db.begin();
-        assert_eq!(t2.read(T, 1).unwrap().col(0), &Value::Int(70));
+        assert_eq!(t2.read(T, 1).unwrap().col(0), Value::Int(70));
     }
 
     #[test]
@@ -600,7 +600,7 @@ mod tests {
         let mut t2 = db.begin();
         assert_eq!(t2.reads_len(), 0);
         assert_eq!(t2.writes_len(), 0);
-        assert_eq!(t2.read(T, 2).unwrap().col(0), &Value::Int(100));
+        assert_eq!(t2.read(T, 2).unwrap().col(0), Value::Int(100));
         let info = t2.commit().unwrap();
         assert!(info.writes.is_empty(), "t1's aborted write leaked");
     }
@@ -610,10 +610,10 @@ mod tests {
         let db = db();
         let mut t = db.begin();
         t.write(T, 2, Row::from([Value::Int(5)])).unwrap();
-        assert_eq!(t.read(T, 2).unwrap().col(0), &Value::Int(5));
+        assert_eq!(t.read(T, 2).unwrap().col(0), Value::Int(5));
         t.abort();
         let mut t2 = db.begin();
-        assert_eq!(t2.read(T, 2).unwrap().col(0), &Value::Int(100));
+        assert_eq!(t2.read(T, 2).unwrap().col(0), Value::Int(100));
     }
 
     #[test]
@@ -665,7 +665,7 @@ mod tests {
         t3.insert(T, 6, Row::from([Value::Int(9)])).unwrap();
         t3.commit().unwrap();
         let mut t4 = db.begin();
-        assert_eq!(t4.read(T, 6).unwrap().col(0), &Value::Int(9));
+        assert_eq!(t4.read(T, 6).unwrap().col(0), Value::Int(9));
     }
 
     #[test]

@@ -1,15 +1,12 @@
 //! Version lists: the per-tuple MVCC state.
 //!
-//! Row images are held as `Arc<Row>` so every read path — transactional
-//! reads, checkpoint scans, the latch-free newest slot on
-//! [`crate::chain::TupleChain`] — hands out a refcount bump on a shared
-//! immutable image instead of materializing a copy (Larson et al.'s
-//! shared-row-image discipline). The `Arc<Row>` is also what makes the
-//! newest slot possible at all: it is a thin pointer, so the chain can
-//! publish it through an `AtomicPtr`.
+//! A [`Row`] is one shared immutable image, so every read path —
+//! transactional reads, the latch-free newest slot on
+//! [`crate::chain::TupleChain`] — hands out a refcount bump instead of
+//! materializing a copy (Larson et al.'s shared-row-image discipline), and
+//! the checkpoint scan copies the image's bytes without even that.
 
 use pacman_common::{Row, Timestamp};
-use std::sync::Arc;
 
 /// One tuple version. `row == None` is a tombstone (deleted at `ts`).
 #[derive(Clone, Debug)]
@@ -17,7 +14,7 @@ pub struct VersionEntry {
     /// Commit timestamp of the transaction that installed this version.
     pub ts: Timestamp,
     /// The shared tuple image, or `None` for a delete.
-    pub row: Option<Arc<Row>>,
+    pub row: Option<Row>,
 }
 
 /// Versions of one tuple, sorted by ascending timestamp (newest last).
@@ -40,7 +37,7 @@ impl VersionList {
 
     /// A list holding one version, allocated for exactly that one: most
     /// restored tuples are never written again.
-    pub fn seeded(ts: Timestamp, row: Option<Arc<Row>>) -> Self {
+    pub fn seeded(ts: Timestamp, row: Option<Row>) -> Self {
         VersionList {
             entries: vec![VersionEntry { ts, row }],
         }
@@ -80,7 +77,7 @@ impl VersionList {
 
     /// Append a committed version. Debug-asserts monotonicity (commit path
     /// guarantees it).
-    pub fn install_committed(&mut self, ts: Timestamp, row: Option<Arc<Row>>) {
+    pub fn install_committed(&mut self, ts: Timestamp, row: Option<Row>) {
         debug_assert!(
             self.newest_ts() < ts || self.entries.is_empty(),
             "non-monotonic commit install: {} then {ts}",
@@ -92,7 +89,7 @@ impl VersionList {
     /// Multi-version recovery install: insert preserving timestamp order,
     /// tolerating out-of-order arrival. Duplicate timestamps overwrite
     /// (idempotent replay).
-    pub fn install_mv(&mut self, ts: Timestamp, row: Option<Arc<Row>>) {
+    pub fn install_mv(&mut self, ts: Timestamp, row: Option<Row>) {
         match self.entries.binary_search_by(|e| e.ts.cmp(&ts)) {
             Ok(i) => self.entries[i] = VersionEntry { ts, row },
             Err(i) => self.entries.insert(i, VersionEntry { ts, row }),
@@ -101,7 +98,7 @@ impl VersionList {
 
     /// Single-version last-writer-wins install: the list keeps exactly one
     /// entry, replaced only by a newer-or-equal timestamp.
-    pub fn install_lww(&mut self, ts: Timestamp, row: Option<Arc<Row>>) {
+    pub fn install_lww(&mut self, ts: Timestamp, row: Option<Row>) {
         match self.entries.last_mut() {
             Some(e) if e.ts <= ts => {
                 *e = VersionEntry { ts, row };
@@ -144,8 +141,8 @@ mod tests {
     use super::*;
     use pacman_common::{Row, Value};
 
-    fn row(i: i64) -> Option<Arc<Row>> {
-        Some(Arc::new(Row::from([Value::Int(i)])))
+    fn row(i: i64) -> Option<Row> {
+        Some(Row::from([Value::Int(i)]))
     }
 
     #[test]
@@ -190,7 +187,7 @@ mod tests {
         assert_eq!(vl.len(), 3);
         assert_eq!(
             vl.visible_at(7).unwrap().row.as_ref().unwrap().col(0),
-            &Value::Int(71)
+            Value::Int(71)
         );
     }
 

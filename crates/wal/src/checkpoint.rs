@@ -18,14 +18,21 @@
 //! under the new timestamp are unreferenced orphans. Recovery resolves
 //! each `(table, shard)` to its newest part along the chain.
 //!
-//! **Consistency.** The snapshot timestamp is fixed with the clock bumped
-//! past it, then [`pacman_engine::Database::install_barrier`] waits out
-//! every in-flight commit install: after the barrier, all effects with
+//! **Consistency.** A round scans under a
+//! [`pacman_engine::SnapshotHold`]: the snapshot timestamp is fixed with
+//! the clock bumped past it, then the install barrier waits out every
+//! in-flight commit install. After that, all effects with
 //! `ts <= snapshot` — and the per-shard dirty marks the delta's skip
 //! decisions read — are visible to the scan, while later commits draw
 //! strictly newer timestamps. The chain therefore covers *all* state up
 //! to its tip timestamp, which is what lets recovery (and log GC) filter
 //! log records at `ts <= tip`.
+//!
+//! **Cost.** The scan writes no shared cache line: it walks each shard
+//! under its read lock and borrows the visible image in place (see
+//! [`pacman_engine::SnapshotHold::for_each_visible_in_shard`]), and a row
+//! image already *is* its encoding, so each tuple costs one copy into the
+//! part buffer.
 
 use pacman_common::codec::{put_u32, put_u64, put_varint, Cursor};
 use pacman_common::{Decoder, Encoder, Error, Key, Result, Row, Timestamp};
@@ -273,8 +280,10 @@ pub fn run_checkpoint_incremental_chained(
 ///
 /// **Part-file invariant.** A part holds the tuples of exactly one
 /// `(table, shard)` visible at the round's timestamp, in ascending key
-/// order (the shard's `BTreeMap` order, via `for_each_visible_at_shard`),
-/// each key once. Restore relies on it to build a shard in one piece
+/// order, each key once: the order
+/// [`pacman_engine::SnapshotHold::for_each_visible_in_shard`] promises, and
+/// the test `every_part_holds_its_shards_keys_ascending` checks. Restore
+/// relies on it to build a shard in one piece
 /// ([`pacman_engine::Table::load_shard`]), and checks it per part: a file
 /// that breaks it still restores, per key.
 fn checkpoint_round(
@@ -283,13 +292,10 @@ fn checkpoint_round(
     threads: usize,
     base: Option<CheckpointChain>,
 ) -> Result<(CheckpointStats, CheckpointChain)> {
-    let ts = db.clock().peek();
-    let _hold = db.snapshot_hold(ts);
-    // Future commits must sort strictly after the snapshot, then the
-    // barrier waits out the in-flight ones at or below it: after this,
-    // every effect (and dirty mark) with `ts' <= ts` is visible.
-    db.clock().advance_to(ts + 1);
-    db.install_barrier();
+    // After this, every effect (and dirty mark) with `ts' <= ts` is
+    // visible, and later commits sort strictly after `ts`.
+    let hold = db.snapshot_hold();
+    let ts = hold.ts();
     let threads = threads.max(1);
     let base_ts = base.as_ref().map(|c| c.ts()).unwrap_or(0);
 
@@ -316,10 +322,10 @@ fn checkpoint_round(
             let units = &units;
             let parts = &parts;
             let bytes_written = &bytes_written;
-            let db = Arc::clone(db);
             // Scoped threads share the borrow — no per-thread StorageSet
             // clone (each clone re-allocated the disk handle vector).
             let storage = &*storage;
+            let hold = &hold;
             let delta = base.is_some();
             scope.spawn(move |_| {
                 let disk_idx = ti % storage.num_disks();
@@ -330,13 +336,17 @@ fn checkpoint_round(
                         continue;
                     }
                     buf.clear();
-                    let t = db.table(pacman_common::TableId::new(table)).expect("table");
                     let mut count = 0u64;
-                    t.for_each_visible_at_shard(shard as usize, ts, |key, row| {
-                        put_u64(&mut buf, key);
-                        row.encode(&mut buf);
-                        count += 1;
-                    });
+                    hold.for_each_visible_in_shard(
+                        pacman_common::TableId::new(table),
+                        shard as usize,
+                        |key, row| {
+                            put_u64(&mut buf, key);
+                            row.encode(&mut buf);
+                            count += 1;
+                        },
+                    )
+                    .expect("units name the database's own tables");
                     if count == 0 && !delta {
                         continue; // full: an absent shard means empty
                     }
@@ -588,9 +598,58 @@ mod tests {
         }
         assert_eq!(
             found.unwrap().col(0),
-            &Value::Int(5),
+            Value::Int(5),
             "checkpoint must hold the pre-update value"
         );
+    }
+
+    /// The part-file invariant `Table::load_shard`'s bulk path relies on:
+    /// in full and delta parts alike, keys strictly ascend and all belong
+    /// to the part's shard, whatever order they were inserted in.
+    #[test]
+    fn every_part_holds_its_shards_keys_ascending() {
+        let (db, storage) = setup();
+        let insert = |keys: &[u64]| {
+            for &k in keys {
+                let mut t = db.begin();
+                t.insert(TableId::new(0), k, Row::from([Value::Int(k as i64)]))
+                    .unwrap();
+                t.commit().unwrap();
+            }
+        };
+        insert(&[977, 130, 555, 101, 4242, 150]);
+        assert!(
+            run_checkpoint_incremental(&db, &storage, 2, 8)
+                .unwrap()
+                .full
+        );
+        insert(&[9001, 200, 199, 3000]);
+        assert!(
+            !run_checkpoint_incremental(&db, &storage, 2, 8)
+                .unwrap()
+                .full
+        );
+        let chain = read_chain(&storage).unwrap().unwrap();
+        let mut tuples = 0;
+        for m in &chain.manifests {
+            for &(table, shard, disk) in &m.parts {
+                let bytes = storage
+                    .disk(disk as usize)
+                    .read(&part_name(m.ts, table, shard as usize))
+                    .unwrap();
+                let keys: Vec<Key> = PartView::new(&bytes).map(|t| t.unwrap().0).collect();
+                assert!(
+                    keys.windows(2).all(|w| w[0] < w[1]),
+                    "part {table}/{shard} at {}: {keys:?}",
+                    m.ts
+                );
+                let t = db.table(TableId::new(table)).unwrap();
+                assert!(keys.iter().all(|&k| t.shard_index(k) == shard as usize));
+                tuples += keys.len();
+            }
+        }
+        // The full round's 146 tuples, and the delta's dirty shards again.
+        assert!(tuples > 146 + 4, "{tuples} tuples");
     }
 
     #[test]
@@ -649,7 +708,7 @@ mod tests {
         let rows: Vec<(Key, Row)> = PartView::new(&bytes).map(|t| t.unwrap()).collect();
         assert!(rows
             .iter()
-            .any(|(k, r)| *k == 7 && r.col(0) == &Value::Int(-7)));
+            .any(|(k, r)| *k == 7 && r.col(0) == Value::Int(-7)));
     }
 
     #[test]

@@ -86,7 +86,7 @@ mod tests {
                     table: TableId::new(0),
                     key: i as u64,
                     kind: WriteKind::Update,
-                    after: Some(std::sync::Arc::new(Row::from([Value::Int(0)]))),
+                    after: Some(Row::from([Value::Int(0)])),
                     prev_ts: 0,
                 })
                 .collect(),

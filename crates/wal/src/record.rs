@@ -14,11 +14,10 @@
 //! * `AdHoc` — logical payload logged under command logging for
 //!   transactions not issued from stored procedures (§4.5).
 
-use pacman_common::codec::{put_u32, put_u64, put_varint, read_row_arity, Cursor};
+use pacman_common::codec::{put_u32, put_u64, put_varint, skip_row, skip_value, Cursor};
 use pacman_common::{Decoder, Encoder, Error, ProcId, Result, Row, TableId, Timestamp, Value};
 use pacman_engine::{WriteKind, WriteRecord};
 use pacman_sproc::Params;
-use std::sync::Arc;
 
 /// A transaction's log record.
 #[derive(Clone, Debug, PartialEq)]
@@ -202,7 +201,7 @@ fn decode_write(cur: &mut Cursor<'_>, physical: bool) -> Result<WriteRecord> {
     let key = cur.read_u64()?;
     let kind = write_kind(cur.read_u8()?)?;
     let after = match cur.read_u8()? {
-        1 => Some(Arc::new(Row::decode(cur)?)),
+        1 => Some(Row::decode(cur)?),
         0 => None,
         t => return Err(Error::Corrupt(format!("bad after flag {t}"))),
     };
@@ -280,30 +279,6 @@ impl Decoder for TxnLogRecord {
         };
         Ok(TxnLogRecord { ts, payload })
     }
-}
-
-/// Skip one encoded [`Value`], applying exactly the validation its owned
-/// decode applies (tag byte, length prefix, UTF-8) without materializing.
-fn skip_value(cur: &mut Cursor<'_>) -> Result<()> {
-    match cur.read_u8()? {
-        1 | 2 => {
-            cur.read_u64()?;
-        }
-        3 => {
-            cur.read_str()?;
-        }
-        t => return Err(Error::Corrupt(format!("bad value tag {t}"))),
-    }
-    Ok(())
-}
-
-/// Skip one encoded [`Row`] (same arity guard as `Row::decode`).
-fn skip_row(cur: &mut Cursor<'_>) -> Result<()> {
-    let n = read_row_arity(cur)?;
-    for _ in 0..n {
-        skip_value(cur)?;
-    }
-    Ok(())
 }
 
 /// Skip one encoded write (same validation as [`decode_write`]).
@@ -558,15 +533,17 @@ pub struct WriteRef<'a> {
 }
 
 impl WriteRef<'_> {
-    /// Decode the after-image (the copy point: one `Arc<Row>` per call).
-    pub fn decode_after(&self) -> Option<Arc<Row>> {
+    /// Decode the after-image (the copy point: one image per call).
+    pub fn decode_after(&self) -> Option<Row> {
         self.after.map(decode_after_image)
     }
 }
 
-/// Decode an after-image delimited by [`RecordView::write_refs`].
-pub fn decode_after_image(bytes: &[u8]) -> Arc<Row> {
-    Arc::new(Row::decode(&mut Cursor::new(bytes)).expect("image validated by parse"))
+/// Decode an after-image delimited by [`RecordView::write_refs`]: the
+/// row walk that fills the image's column offsets, then one copy of
+/// `bytes` — one allocation.
+pub fn decode_after_image(bytes: &[u8]) -> Row {
+    Row::decode(&mut Cursor::new(bytes)).expect("image validated by parse")
 }
 
 /// Lazy write-header iterator over a validated [`RecordView`] span.
@@ -704,10 +681,7 @@ mod tests {
             table: TableId::new(1),
             key,
             kind: WriteKind::Update,
-            after: Some(std::sync::Arc::new(Row::from([
-                Value::Int(val),
-                Value::str("pad"),
-            ]))),
+            after: Some(Row::from([Value::Int(val), Value::str("pad")])),
             prev_ts: 7,
         }
     }

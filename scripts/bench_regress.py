@@ -41,7 +41,7 @@ GATED_FIGURES = ("fig11", "fig_read")
 ALLOC_BUDGETS = {
     "bench.fig_alloc.commit_allocs_per_txn_arena": (2.0, "allocs/txn"),
     "bench.fig_alloc.read_allocs_per_txn": (1.0, "allocs/txn"),
-    "bench.fig_alloc.write_allocs_per_txn": (2.0, "allocs/txn"),
+    "bench.fig_alloc.write_allocs_per_txn": (1.0, "allocs/txn"),
 }
 
 

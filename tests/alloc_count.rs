@@ -14,19 +14,19 @@
 //! * **replay** — iterating a `MergedBatchView` materializes row images
 //!   only at installation; it must allocate strictly fewer bytes per
 //!   record than the owned `read_merged_batch` decode path.
-//! * **read** — a read-only OCC transaction over shared `Arc<Row>` images
+//! * **read** — a read-only OCC transaction over shared `Row` images
 //!   and the latch-free newest slot must stay at or under 1 allocation
 //!   per transaction (the read-set map itself; the reads and the
 //!   lock-free validating commit allocate nothing — with the pooled
 //!   scratch it measures ~0 in steady state).
 //! * **write** — a transaction through the tuple cursor and the
-//!   pooled-scratch write path must stay at or under 2 allocations per
-//!   *written tuple*, however many of its columns were written: the
-//!   `Arc<[Value]>` column slab and the `Arc<Row>` header of the new
-//!   image. Everything else (read/write maps, lock set, record vec,
-//!   column buffer, interpreter frame) is recycled capacity, and the
-//!   staged image is the same `Arc` the chain installs and the log
-//!   record carries (no clones).
+//!   pooled-scratch write path must stay at or under 1 allocation per
+//!   *written tuple*, however many of its columns were written: the new
+//!   image, one byte buffer (string columns read out of the old image
+//!   are views of it, not copies). Everything else (read/write maps, lock
+//!   set, record vec, column buffer, image scratch, interpreter frame) is
+//!   recycled capacity, and the staged image is the same allocation the
+//!   chain installs and the log record carries (no clones).
 //! * **interpret** — running a compiled plan through `execute_plan` on a
 //!   warm `ExecFrame` allocates nothing of its own: the register file and
 //!   the site keys reuse the frame's capacity, operands are read in place,
@@ -113,7 +113,7 @@ fn one_write() -> WriteRecord {
         table: TableId::new(0),
         key: 7,
         kind: WriteKind::Update,
-        after: Some(Arc::new(Row::from([Value::Int(42)]))),
+        after: Some(Row::from([Value::Int(42)])),
         prev_ts: 0,
     }
 }
@@ -251,12 +251,12 @@ fn read_only_txn_stays_within_alloc_budget() {
     );
 }
 
-/// A steady-state single-row update transaction pays at most 2
-/// allocations: the column slab and header of the freshly materialized
-/// `Arc<Row>` image. The scratch (read/write maps, lock set, record
-/// vec) comes warm from the thread-local pool, `commit` shares the
-/// image `Arc` between the chain install and the `CommitInfo` record,
-/// and `recycle_commit_info` hands the record buffer back to the pool.
+/// A steady-state single-row update transaction pays at most 1
+/// allocation: the freshly encoded image. The scratch (read/write maps,
+/// lock set, record vec) comes warm from the thread-local pool, `commit`
+/// shares the image between the chain install and the `CommitInfo`
+/// record, and `recycle_commit_info` hands the record buffer back to the
+/// pool.
 #[test]
 fn update_txn_stays_within_alloc_budget() {
     let mut c = Catalog::new();
@@ -291,7 +291,7 @@ fn update_txn_stays_within_alloc_budget() {
         let chain = db.table(t).unwrap().get(i % ACCTS).unwrap();
         let (_, newest) = chain.newest();
         assert!(
-            Arc::ptr_eq(staged, &newest.unwrap()),
+            Row::ptr_eq(staged, &newest.unwrap()),
             "install path cloned the row image"
         );
         pacman_engine::recycle_commit_info(info);
@@ -299,18 +299,19 @@ fn update_txn_stays_within_alloc_budget() {
     let per_txn = measured_allocs as f64 / MEASURED as f64;
     println!("update txn: {per_txn:.3} allocs/txn over {MEASURED} txns");
     assert!(
-        per_txn <= 2.0,
-        "update txn exceeded the allocation budget: {per_txn:.3} allocs/txn (budget 2.0)"
+        per_txn <= 1.0,
+        "update txn exceeded the allocation budget: {per_txn:.3} allocs/txn (budget 1.0)"
     );
 }
 
 /// A warm ten-line TPC-C NewOrder through `run_procedure` writes eleven
 /// tuples — the district's order counter and three columns of each of ten
-/// stock rows — and pays for eleven images, two blocks each: the tuple
-/// cursor builds an image when it leaves a tuple, not per column write
-/// (which would be 31 images here).
+/// stock rows — and pays for eleven images, one block each: the tuple
+/// cursor encodes an image when it leaves a tuple, not per column write
+/// (which would be 31 images here), and the stock rows' string columns
+/// travel as views of the image they were read from.
 #[test]
-fn new_order_allocates_two_blocks_per_written_tuple() {
+fn new_order_allocates_one_block_per_written_tuple() {
     use pacman_workloads::tpcc::{procs::new_order, Tpcc, TpccConfig};
     use pacman_workloads::Workload;
     let tpcc = Tpcc::new(TpccConfig::small());
@@ -338,8 +339,8 @@ fn new_order_allocates_two_blocks_per_written_tuple() {
     let per_tuple = measured_allocs as f64 / (MEASURED * 11) as f64;
     println!("NewOrder: {per_tuple:.3} allocs/written tuple over {MEASURED} txns");
     assert!(
-        per_tuple <= 2.0,
-        "NewOrder exceeded the allocation budget: {per_tuple:.3} allocs/written tuple (budget 2.0)"
+        per_tuple <= 1.0,
+        "NewOrder exceeded the allocation budget: {per_tuple:.3} allocs/written tuple (budget 1.0)"
     );
 }
 
@@ -359,10 +360,10 @@ fn replay_view_copies_fewer_bytes_than_owned_decode() {
                     table: TableId::new(0),
                     key: i,
                     kind: WriteKind::Update,
-                    after: Some(Arc::new(Row::from([
+                    after: Some(Row::from([
                         Value::Int(i as i64),
                         Value::str("payload-payload-payload"),
-                    ]))),
+                    ])),
                     prev_ts: 0,
                 }],
                 physical: false,

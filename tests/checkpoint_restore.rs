@@ -84,7 +84,7 @@ struct Source {
     parts: Vec<ResolvedPart>,
     /// The key written after the last checkpoint round, with the
     /// timestamp and image of that write.
-    late: (Key, Timestamp, Arc<Row>),
+    late: (Key, Timestamp, Row),
 }
 
 fn source() -> Source {
@@ -141,7 +141,7 @@ fn restore_per_key(s: &Source, into: &Database) {
     for p in &s.parts {
         let t = into.table(TableId::new(p.table)).unwrap();
         for (key, row) in read_part(&s.storage, p) {
-            t.install_lww(key, p.ts, Some(Arc::new(row)));
+            t.install_lww(key, p.ts, Some(row));
         }
     }
 }
@@ -177,7 +177,7 @@ fn assert_same_state(got: &Database, want: &Database, what: &str) {
                 .get(key)
                 .unwrap_or_else(|| panic!("{what}: key {key} unreachable"));
             let (gts, grow) = chain.newest();
-            assert_eq!((gts, grow.as_deref()), (ts, Some(row)), "{what}: key {key}");
+            assert_eq!((gts, grow.as_ref()), (ts, Some(row)), "{what}: key {key}");
         });
         for shard in 0..w.num_shards() {
             assert_eq!(
@@ -228,7 +228,7 @@ fn bulk_and_fallback_restores_agree() {
         raced
             .table(A)
             .unwrap()
-            .install_lww(late_key, late_ts, Some(Arc::clone(&late_row)));
+            .install_lww(late_key, late_ts, Some(late_row.clone()));
         let (r, rose) = restore(&s, &raced, threads);
         assert_eq!((r.tuples, r.bulk_parts, rose), (KEYS, parts - 1, KEYS - 1));
         assert_eq!(
@@ -274,7 +274,7 @@ fn bulk_and_fallback_restores_agree() {
             let got = a
                 .get(key)
                 .unwrap_or_else(|| panic!("(iv) key {key} unreachable"));
-            assert_eq!(got.newest().1.as_deref(), Some(row), "(iv) key {key}");
+            assert_eq!(got.newest().1.as_ref(), Some(row), "(iv) key {key}");
         });
     }
 }

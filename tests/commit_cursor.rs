@@ -37,16 +37,15 @@ struct NaiveTxnAccess<'a, 'db> {
     txn: &'a mut Txn<'db>,
 }
 
-fn column(row: &Row, table: TableId, key: Key, col: usize) -> Result<&Value> {
-    row.cols()
-        .get(col)
+fn column(row: &Row, table: TableId, key: Key, col: usize) -> Result<Value> {
+    row.get(col)
         .ok_or_else(|| Error::Unknown(format!("column {col} of {table}:{key}")))
 }
 
 impl DataAccess for NaiveTxnAccess<'_, '_> {
     fn read(&mut self, table: TableId, key: Key, col: usize) -> Result<Value> {
         let row = self.txn.read(table, key)?;
-        column(&row, table, key, col).cloned()
+        column(&row, table, key, col)
     }
 
     fn write_col(&mut self, table: TableId, key: Key, col: usize, value: Value) -> Result<()> {

@@ -8,7 +8,6 @@ use pacman_common::{Error, ProcId, Result, Row, TableId, Timestamp, Value, VarId
 use pacman_engine::{Catalog, DataAccess, Database};
 use pacman_sproc::{EvalCtx, Expr, OpKind, Params, ProcBuilder, ProcedureDef, VarStore};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 pub const T: TableId = TableId::new(0);
 pub const U: TableId = TableId::new(1);
@@ -243,7 +242,7 @@ pub fn build(ops: &[OpGen], looped: bool) -> ProcedureDef {
 }
 
 /// Every tuple of both tables, tombstones and their timestamps included.
-pub fn all_newest(db: &Database) -> Vec<Option<(Timestamp, Option<Arc<Row>>)>> {
+pub fn all_newest(db: &Database) -> Vec<Option<(Timestamp, Option<Row>)>> {
     [T, U]
         .into_iter()
         .flat_map(|table| {

@@ -177,7 +177,7 @@ fn torn_first_checkpoint_recovers_from_log_alone() {
                 .get(key)
                 .expect("recovered key exists live");
             let (_, live_row) = live.newest();
-            assert_eq!(live_row.unwrap().as_ref(), row, "key {key} diverged");
+            assert_eq!(&live_row.unwrap(), row, "key {key} diverged");
         });
     }
 }

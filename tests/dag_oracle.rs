@@ -336,7 +336,7 @@ fn write_sets_and_readers_match_the_oracle() {
             table: T,
             key,
             kind: WriteKind::Update,
-            after: Some(Arc::new(Row::from([Value::Int(1)]))),
+            after: Some(Row::from([Value::Int(1)])),
             prev_ts: 0,
         }]))
     };

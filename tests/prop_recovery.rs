@@ -133,7 +133,7 @@ fn write_strategy() -> impl Strategy<Value = WriteRecord> {
                 after: if kind == WriteKind::Delete {
                     None
                 } else {
-                    Some(std::sync::Arc::new(Row::new(cols)))
+                    Some(Row::new(cols))
                 },
                 prev_ts,
             }
@@ -410,7 +410,7 @@ proptest! {
             table: TableId::new(table),
             key,
             kind: [WriteKind::Update, WriteKind::Insert, WriteKind::Delete][kind.min(2) as usize],
-            after: (kind != 2).then(|| std::sync::Arc::new(Row::from([Value::Int(val)]))),
+            after: (kind != 2).then(|| Row::from([Value::Int(val)])),
             prev_ts: 0,
         };
         let storage = StorageSet::for_tests();

@@ -1,13 +1,17 @@
 //! Concurrency stress for the latch-free engine read path.
 //!
-//! The newest slot on `TupleChain` is a seqlock-published `(ts, Arc<Row>)`
-//! pair with a reader-presence counter guarding `Arc` reclamation. These
-//! tests race lock-free readers against latched installers (and unlatched
-//! MV recovery installers) and assert, in the style of the `obs` ring
-//! tests, that a torn observation is impossible:
+//! The newest slot on `TupleChain` is a seqlock-published
+//! `(ts, image pointer, image length)` triple with a reader-presence
+//! counter guarding image reclamation. These tests race lock-free readers
+//! against latched installers (and unlatched MV recovery installers) and
+//! assert, in the style of the `obs` ring tests, that a torn observation
+//! is impossible:
 //!
-//! * every row read is internally consistent (its two columns are a
-//!   self-checking pair derived from the install timestamp);
+//! * every row read is internally consistent and is, byte for byte and
+//!   length for length, the image installed under the timestamp its first
+//!   column names — images differ in arity and string lengths from one
+//!   timestamp to the next, so a read that paired one image's pointer with
+//!   another image's length would not be;
 //! * `newest()` pairs the row with exactly the timestamp it was installed
 //!   under (no mixing of one install's ts with another's row);
 //! * `newest_ts()` is monotone from any single observer;
@@ -19,16 +23,29 @@ use pacman_engine::{TupleChain, DEFAULT_VERSION_PRUNE_THRESHOLD};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
-/// A self-checking image: `col(0) = ts`, `col(1) = !ts`. Any torn mix of
-/// two installs breaks one of the equalities below.
-fn tagged_row(ts: u64) -> Arc<Row> {
-    Arc::new(Row::from([Value::Int(ts as i64), Value::Int(!(ts as i64))]))
+/// A self-checking image: `col(0) = ts`, `col(1) = !ts`, then `ts % 5`
+/// strings whose lengths also follow from `ts`, so consecutive installs
+/// differ in arity and byte length. Any torn mix of two installs breaks one
+/// of the equalities below.
+fn tagged_row(ts: u64) -> Row {
+    let mut cols = vec![Value::Int(ts as i64), Value::Int(!(ts as i64))];
+    for i in 0..ts % 5 {
+        cols.push(Value::str(&"x".repeat(((ts + 7 * i) % 41) as usize)));
+    }
+    Row::new(cols)
 }
 
 fn assert_tagged(row: &Row, expect_ts: Option<u64>, what: &str) {
     let a = row.col(0).as_int().unwrap();
     let b = row.col(1).as_int().unwrap();
     assert_eq!(b, !a, "{what}: torn row image (cols {a} / {b})");
+    let want = tagged_row(a as u64);
+    assert_eq!(
+        row.byte_size(),
+        want.byte_size(),
+        "{what}: image length from another install"
+    );
+    assert_eq!(row, &want, "{what}: image bytes from another install");
     if let Some(ts) = expect_ts {
         assert_eq!(a, ts as i64, "{what}: row from a different install");
     }
@@ -200,7 +217,7 @@ fn concurrent_reads_share_row_images() {
         .collect();
     for w in images.windows(2) {
         assert!(
-            Arc::ptr_eq(&w[0], &w[1]),
+            Row::ptr_eq(&w[0], &w[1]),
             "readers materialized separate images"
         );
     }

@@ -60,7 +60,7 @@ struct NaiveAccess<'a> {
 }
 
 impl NaiveAccess<'_> {
-    fn live_row(&self, table: TableId, key: Key) -> Result<Arc<Row>> {
+    fn live_row(&self, table: TableId, key: Key) -> Result<Row> {
         let missing = Error::KeyNotFound {
             table: table.0,
             key,
@@ -73,9 +73,7 @@ impl NaiveAccess<'_> {
 impl DataAccess for NaiveAccess<'_> {
     fn read(&mut self, table: TableId, key: Key, col: usize) -> Result<Value> {
         let row = self.live_row(table, key)?;
-        row.cols()
-            .get(col)
-            .cloned()
+        row.get(col)
             .ok_or_else(|| Error::Unknown(format!("column {col} of {table}:{key}")))
     }
 
@@ -86,14 +84,12 @@ impl DataAccess for NaiveAccess<'_> {
         }
         self.db
             .table(table)?
-            .install_lww(key, self.ts, Some(Arc::new(row.with_col(col, value))));
+            .install_lww(key, self.ts, Some(row.with_col(col, value)));
         Ok(())
     }
 
     fn insert(&mut self, table: TableId, key: Key, row: Row) -> Result<()> {
-        self.db
-            .table(table)?
-            .install_lww(key, self.ts, Some(Arc::new(row)));
+        self.db.table(table)?.install_lww(key, self.ts, Some(row));
         Ok(())
     }
 
