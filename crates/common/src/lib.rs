@@ -13,6 +13,8 @@
 //! * a global [`LogicalClock`] issuing commit timestamps,
 //! * a [`SpinLatch`] mirroring the per-tuple latches of the paper's
 //!   tuple-level recovery schemes,
+//! * one fixed [`KeyHasher`] (with [`KeyMap`] / [`KeySet`]) for every map
+//!   keyed by a tuple,
 //! * a log-bucketed [`Histogram`] for latency percentiles, and
 //! * [`fingerprint`] utilities used by the recovery-equivalence tests.
 
@@ -20,6 +22,7 @@ pub mod clock;
 pub mod codec;
 pub mod error;
 pub mod fingerprint;
+pub mod hash;
 pub mod histogram;
 pub mod ids;
 pub mod key;
@@ -31,6 +34,7 @@ pub use clock::{LogicalClock, Timestamp};
 pub use codec::{Decoder, Encoder};
 pub use error::{Error, Result};
 pub use fingerprint::Fingerprint;
+pub use hash::{KeyHasher, KeyMap, KeySet};
 pub use histogram::Histogram;
 pub use ids::{BlockId, OpId, ProcId, SliceId, TableId, VarId};
 pub use key::Key;

@@ -18,9 +18,8 @@
 //! The arena lives exactly as long as the piece-set is active.
 
 use crate::schedule::{PieceOps, PieceSet, TxnCtx};
-use pacman_common::{Key, TableId};
+use pacman_common::{Key, KeyMap, TableId};
 use pacman_sproc::{resolve_accesses, Access, ExecFrame};
-use std::collections::HashMap;
 use std::sync::atomic::AtomicU32;
 
 /// Dependency DAG over the pieces of one piece-set, plus the accesses
@@ -71,7 +70,7 @@ struct KeyState {
 /// next by the worker that owns it.
 #[derive(Default)]
 pub struct DagScratch {
-    keys: HashMap<(TableId, Key), KeyState>,
+    keys: KeyMap<(TableId, Key), KeyState>,
     /// `(reader piece, next node)` nodes of every key's reader list.
     readers: Vec<(u32, u32)>,
     /// Backward adjacency in CSR form while the set is scanned.
@@ -87,7 +86,7 @@ pub struct DagScratch {
 /// Append the dependencies the access `(table, key, write)` of `piece`
 /// creates to `deps`, and enter the access into the key's chain.
 fn chain_access(
-    keys: &mut HashMap<(TableId, Key), KeyState>,
+    keys: &mut KeyMap<(TableId, Key), KeyState>,
     readers: &mut Vec<(u32, u32)>,
     deps: &mut Vec<u32>,
     piece: u32,

@@ -33,11 +33,10 @@
 use crate::metrics::RecoveryMetrics;
 use crate::recovery::raw::RawStore;
 use bytes::Bytes;
-use pacman_common::{Error, Key, Result, Row, TableId, Timestamp};
+use pacman_common::{Error, Key, KeySet, Result, Row, TableId, Timestamp};
 use pacman_engine::{Database, RecoveryGate, ShardLoad};
 use pacman_storage::StorageSet;
 use pacman_wal::checkpoint::{part_name, CheckpointChain, PartView, ResolvedPart};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -402,7 +401,7 @@ pub fn resync_checkpoint_chain(
             // absent from the part is what the gap deleted.
             let mut stale = t.live_keys_in_shard(p.shard as usize);
             if !stale.is_empty() {
-                let kept: HashSet<Key> = run.iter().map(|&(key, _)| key).collect();
+                let kept: KeySet<Key> = run.iter().map(|&(key, _)| key).collect();
                 stale.retain(|key| !kept.contains(key));
             }
             tally.add(t.load_shard(p.shard as usize, p.ts, run));
@@ -415,7 +414,7 @@ pub fn resync_checkpoint_chain(
 
     // Shards the chain does not cover were empty at the tip: clear any
     // survivors the reclaimed gap deleted on the primary.
-    let covered: HashSet<(u32, u32)> = units.iter().map(|u| (u.part.table, u.part.shard)).collect();
+    let covered: KeySet<(u32, u32)> = units.iter().map(|u| (u.part.table, u.part.shard)).collect();
     let tip = chain.ts();
     for t in db.tables() {
         for shard in 0..t.num_shards() {
@@ -459,7 +458,7 @@ pub fn run_lazy_loader(
     }
 
     // Everything the chain does not cover is resident by definition.
-    let covered: HashSet<usize> = parts.iter().copied().collect();
+    let covered: KeySet<usize> = parts.iter().copied().collect();
     for s in (0..gate.num_shards()).filter(|s| !covered.contains(s)) {
         gate.publish_resident(s);
     }

@@ -5,10 +5,9 @@
 //! (our stand-in for page/slot ids), and the B-tree indexes are rebuilt
 //! lazily at the end of log recovery (§2.3, §6.2.1).
 
-use pacman_common::{Key, TableId};
+use pacman_common::{Key, KeyMap, TableId};
 use pacman_engine::{Database, TupleChain};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 const SHARDS: usize = 64;
@@ -16,13 +15,13 @@ const SHARDS: usize = 64;
 /// Per-table hash store of tuple chains (no ordering).
 #[derive(Debug)]
 pub struct RawTable {
-    shards: Vec<Mutex<HashMap<Key, Arc<TupleChain>>>>,
+    shards: Vec<Mutex<KeyMap<Key, Arc<TupleChain>>>>,
 }
 
 impl RawTable {
     fn new() -> Self {
         RawTable {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
         }
     }
 

@@ -32,10 +32,10 @@ use crate::access::TupleStore;
 use crate::chain::TupleChain;
 use crate::database::Database;
 use crate::interp::ExecFrame;
-use pacman_common::{Error, Key, Result, Row, TableId, Timestamp, Value};
+use pacman_common::{Error, Key, KeyMap, Result, Row, TableId, Timestamp, Value};
 use pacman_obs::Counter;
 use std::cell::RefCell;
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::Entry;
 use std::sync::{Arc, OnceLock};
 
 /// Registry-backed OCC conflict counters. Lazily bound into the global
@@ -135,8 +135,8 @@ struct ReadEntry {
 /// scratch for tests that want guaranteed-fresh state.
 #[derive(Default)]
 pub struct TxnScratch {
-    reads: HashMap<(TableId, Key), ReadEntry>,
-    writes: HashMap<(TableId, Key), PendingWrite>,
+    reads: KeyMap<(TableId, Key), ReadEntry>,
+    writes: KeyMap<(TableId, Key), PendingWrite>,
     write_order: Vec<(TableId, Key)>,
     lock_set: Vec<((TableId, Key), Arc<TupleChain>)>,
     records: Vec<WriteRecord>,
