@@ -2,7 +2,7 @@
 
 use crate::catalog::Catalog;
 use crate::chain::DEFAULT_VERSION_PRUNE_THRESHOLD;
-use crate::table::Table;
+use crate::table::{ShardLoad, Table};
 use crate::txn::{Txn, TxnScratch};
 use pacman_common::fingerprint::Fingerprint;
 use pacman_common::{Error, Key, LogicalClock, Result, Row, TableId, Timestamp};
@@ -102,6 +102,37 @@ impl Database {
     pub fn seed_row(&self, table: TableId, key: Key, row: Row) -> Result<()> {
         self.table(table)?.install_lww(key, 0, Some(row));
         Ok(())
+    }
+
+    /// Seed many rows of one table during initial load (timestamp 0, not
+    /// logged). Each row goes straight into its shard's run; each run is
+    /// sorted only if it is not already ascending, then built in one piece
+    /// by [`Table::load_shard`] — the path checkpoint restore takes. A
+    /// shard that already holds chains falls back to per-key installs, so
+    /// the state is that of [`Database::seed_row`] per row either way.
+    /// Returns what the load did with each non-empty shard.
+    pub fn seed_rows(
+        &self,
+        table: TableId,
+        rows: impl IntoIterator<Item = (Key, Row)>,
+    ) -> Result<Vec<ShardLoad>> {
+        let t = self.table(table)?;
+        let mut runs: Vec<Vec<(Key, Row)>> = (0..t.num_shards()).map(|_| Vec::new()).collect();
+        for (key, row) in rows {
+            runs[t.shard_index(key)].push((key, row));
+        }
+        Ok(runs
+            .into_iter()
+            .enumerate()
+            .filter(|(_, run)| !run.is_empty())
+            .map(|(shard, mut run)| {
+                if !run.is_sorted_by_key(|&(k, _)| k) {
+                    // Stable: a key seeded twice keeps its last row.
+                    run.sort_by_key(|&(k, _)| k);
+                }
+                t.load_shard(shard, 0, run)
+            })
+            .collect())
     }
 
     /// Begin an OCC transaction on pooled per-thread scratch (the steady
@@ -285,6 +316,36 @@ mod tests {
         )
         .unwrap();
         assert_ne!(d1.fingerprint(), d2.fingerprint());
+    }
+
+    #[test]
+    fn seed_rows_bulk_builds_and_matches_seed_row() {
+        let t = TableId::new(1);
+        let rows = |keys: &[Key]| -> Vec<(Key, Row)> {
+            let row = |k: Key| Row::from([Value::Int(k as i64), Value::str("r")]);
+            keys.iter().map(|&k| (k, row(k))).collect()
+        };
+        // Descending input: every run is sorted before the build.
+        let keys: Vec<Key> = (0..300).rev().collect();
+        let (bulk, per_row) = (db(), db());
+        let loads = bulk.seed_rows(t, rows(&keys)).unwrap();
+        for (k, r) in rows(&keys) {
+            per_row.seed_row(t, k, r).unwrap();
+        }
+        assert_eq!(bulk.fingerprint(), per_row.fingerprint());
+        assert_eq!(loads.iter().map(|l| l.tuples).sum::<u64>(), 300);
+        assert!(loads.iter().all(|l| l.bulk), "{loads:?}");
+        // Into populated shards (and with a key seeded twice): per key,
+        // the last row of a key wins, same state again.
+        let mut again = rows(&[5, 400, 5]);
+        again[2].1 = Row::from([Value::Int(-5), Value::str("last")]);
+        let loads = bulk.seed_rows(t, again.clone()).unwrap();
+        assert!(loads.iter().all(|l| !l.bulk), "{loads:?}");
+        for (k, r) in again {
+            per_row.seed_row(t, k, r).unwrap();
+        }
+        assert_eq!(bulk.fingerprint(), per_row.fingerprint());
+        assert!(bulk.seed_rows(TableId::new(9), rows(&[1])).is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! its global dependency graph is exactly Fig. 5(c), which makes assertions
 //! about schedules and piece-sets easy to read.
 
-use crate::Workload;
+use crate::{SeedSink, Workload};
 use pacman_common::{ProcId, Row, TableId, Value};
 use pacman_engine::{Catalog, Database};
 use pacman_sproc::{Expr, Params, ProcBuilder, ProcRegistry};
@@ -146,25 +146,25 @@ impl Workload for Bank {
         reg
     }
 
-    fn load(&self, db: &Database) {
-        for k in 0..self.accounts {
-            // Even accounts are married to the next odd account; odd
-            // accounts and the last one have no spouse.
-            let spouse = if k % 2 == 0 && k + 1 < self.accounts {
-                Value::Int((k + 1) as i64)
-            } else {
-                Value::str("NULL")
-            };
-            db.seed_row(FAMILY, k, Row::from([spouse])).expect("seed");
-            db.seed_row(CURRENT, k, Row::from([Value::Int(5_000)]))
-                .expect("seed");
-            db.seed_row(SAVING, k, Row::from([Value::Int(100)]))
-                .expect("seed");
-        }
-        for n in 0..self.nations {
-            db.seed_row(STATS, n, Row::from([Value::Int(0)]))
-                .expect("seed");
-        }
+    fn populate(&self, seed: &mut SeedSink<'_>) {
+        let accounts = self.accounts;
+        seed(
+            FAMILY,
+            &mut (0..accounts).map(|k| {
+                // Even accounts are married to the next odd account; odd
+                // accounts and the last one have no spouse.
+                let spouse = if k % 2 == 0 && k + 1 < accounts {
+                    Value::Int((k + 1) as i64)
+                } else {
+                    Value::str("NULL")
+                };
+                (k, Row::from([spouse]))
+            }),
+        );
+        let int_rows = |n: u64, v: i64| (0..n).map(move |k| (k, Row::from([Value::Int(v)])));
+        seed(CURRENT, &mut int_rows(accounts, 5_000));
+        seed(SAVING, &mut int_rows(accounts, 100));
+        seed(STATS, &mut int_rows(self.nations, 0));
     }
 
     fn next_txn(&self, rng: &mut SmallRng) -> (ProcId, Params) {

@@ -19,9 +19,13 @@ pub mod tpcc;
 
 pub use driver::{run_ramp, run_workload, DriverConfig, DriverResult, RampConfig, RampResult};
 
+use pacman_common::{Key, Row, TableId};
 use pacman_engine::{Catalog, Database};
 use pacman_sproc::{Params, ProcRegistry};
 use rand::rngs::SmallRng;
+
+/// Receives a workload's initial population one table at a time.
+pub type SeedSink<'a> = dyn FnMut(TableId, &mut dyn Iterator<Item = (Key, Row)>) + 'a;
 
 /// A benchmark workload: schema, procedures, initial population and a
 /// transaction generator.
@@ -32,8 +36,17 @@ pub trait Workload: Send + Sync {
     fn catalog(&self) -> Catalog;
     /// Stored procedures (ids dense from 0).
     fn registry(&self) -> ProcRegistry;
-    /// Populate the initial database (timestamp-0 rows, not logged).
-    fn load(&self, db: &Database);
+    /// The initial population: `seed(table, rows)` once per table, the
+    /// rows in ascending key order.
+    fn populate(&self, seed: &mut SeedSink<'_>);
+    /// Populate the initial database (timestamp-0 rows, not logged), each
+    /// table through [`Database::seed_rows`], so every shard is built in
+    /// one piece.
+    fn load(&self, db: &Database) {
+        self.populate(&mut |table, rows| {
+            db.seed_rows(table, rows).expect("seed");
+        });
+    }
     /// Draw the next transaction: `(procedure, params)`.
     fn next_txn(&self, rng: &mut SmallRng) -> (pacman_common::ProcId, Params);
 }

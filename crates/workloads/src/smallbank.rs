@@ -6,7 +6,7 @@
 //! the first accounts, producing the cross-transaction conflicts that make
 //! recovery parallelism non-trivial.
 
-use crate::Workload;
+use crate::{SeedSink, Workload};
 use pacman_common::{ProcId, Row, TableId, Value};
 use pacman_engine::{Catalog, Database};
 use pacman_sproc::{Expr, Params, ProcBuilder, ProcRegistry};
@@ -188,18 +188,19 @@ impl Workload for Smallbank {
         reg
     }
 
-    fn load(&self, db: &Database) {
-        for k in 0..self.accounts {
-            db.seed_row(
-                ACCOUNTS,
-                k,
-                Row::from([Value::Int(k as i64), Value::str(&format!("cust{k:08}"))]),
-            )
-            .expect("seed");
-            db.seed_row(SAVINGS, k, Row::from([Value::Float(1_000.0)]))
-                .expect("seed");
-            db.seed_row(CHECKING, k, Row::from([Value::Float(1_000.0)]))
-                .expect("seed");
+    fn populate(&self, seed: &mut SeedSink<'_>) {
+        seed(
+            ACCOUNTS,
+            &mut (0..self.accounts).map(|k| {
+                let name = Value::str(&format!("cust{k:08}"));
+                (k, Row::from([Value::Int(k as i64), name]))
+            }),
+        );
+        for table in [SAVINGS, CHECKING] {
+            seed(
+                table,
+                &mut (0..self.accounts).map(|k| (k, Row::from([Value::Float(1_000.0)]))),
+            );
         }
     }
 

@@ -4,9 +4,9 @@ pub mod keys;
 pub mod procs;
 pub mod schema;
 
-use crate::Workload;
+use crate::{SeedSink, Workload};
 use pacman_common::{ProcId, Value};
-use pacman_engine::{Catalog, Database};
+use pacman_engine::Catalog;
 use pacman_sproc::{Params, ProcRegistry};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -233,8 +233,8 @@ impl Workload for Tpcc {
         procs::registry(self.cfg.districts_per_warehouse)
     }
 
-    fn load(&self, db: &Database) {
-        schema::load(&self.cfg, db);
+    fn populate(&self, seed: &mut SeedSink<'_>) {
+        schema::populate(&self.cfg, seed);
     }
 
     /// Draw from the configured mix (default: 45% NewOrder, 43% Payment,
@@ -265,7 +265,7 @@ impl Workload for Tpcc {
 mod tests {
     use super::schema::{d_col, DISTRICT, WAREHOUSE};
     use super::*;
-    use pacman_engine::run_procedure;
+    use pacman_engine::{run_procedure, Database};
     use rand::SeedableRng;
 
     #[test]

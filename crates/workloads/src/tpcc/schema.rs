@@ -8,8 +8,9 @@
 
 use super::keys::{customer_key, district_key, order_key, stock_key};
 use super::TpccConfig;
+use crate::SeedSink;
 use pacman_common::{Row, TableId, Value};
-use pacman_engine::{Catalog, Database};
+use pacman_engine::Catalog;
 
 /// WAREHOUSE table id.
 pub const WAREHOUSE: TableId = TableId::new(0);
@@ -113,92 +114,102 @@ pub fn order_customer(cfg: &TpccConfig, o: u64) -> u64 {
     (o * 7 + 3) % cfg.customers_per_district
 }
 
-/// Populate the database at timestamp 0.
-pub fn load(cfg: &TpccConfig, db: &Database) {
-    let c_data: String = "c".repeat(cfg.customer_data_bytes);
-    let s_data: String = "s".repeat(cfg.stock_data_bytes);
-    for w in 0..cfg.warehouses {
-        db.seed_row(
-            WAREHOUSE,
-            w,
-            Row::from([
+/// The initial population, table by table, each in ascending key order
+/// (the packers keep `(w, d, …)` order): `seed(table, rows)`.
+pub fn populate(cfg: &TpccConfig, seed: &mut SeedSink<'_>) {
+    let c_data = "c".repeat(cfg.customer_data_bytes);
+    let s_data = "s".repeat(cfg.stock_data_bytes);
+    let (c_data, s_data) = (c_data.as_str(), s_data.as_str());
+    let districts = || {
+        (0..cfg.warehouses).flat_map(|w| (1..=cfg.districts_per_warehouse).map(move |d| (w, d)))
+    };
+    seed(
+        WAREHOUSE,
+        &mut (0..cfg.warehouses).map(|w| {
+            let row = Row::from([
                 Value::Float(0.0),
                 Value::Float(0.05 + w as f64 * 0.001),
                 Value::str(&format!("warehouse-{w:04}")),
-            ]),
-        )
-        .expect("seed warehouse");
-        for d in 1..=cfg.districts_per_warehouse {
-            db.seed_row(
-                DISTRICT,
-                district_key(w, d),
-                Row::from([
-                    Value::Float(0.0),
-                    Value::Float(0.07),
-                    Value::Int(cfg.orders_per_district as i64 + 1),
-                    Value::str(&format!("district-{w:04}-{d:02}")),
-                ]),
-            )
-            .expect("seed district");
-            for c in 0..cfg.customers_per_district {
-                db.seed_row(
-                    CUSTOMER,
-                    customer_key(w, d, c),
-                    Row::from([
-                        Value::Float(-10.0),
-                        Value::Float(10.0),
-                        Value::Int(1),
-                        Value::Int(0),
-                        Value::str(&c_data),
-                    ]),
-                )
-                .expect("seed customer");
-            }
-            for o in 1..=cfg.orders_per_district {
-                db.seed_row(
-                    ORDER,
-                    order_key(w, d, o),
-                    Row::from([
-                        Value::Int(0),
-                        Value::Int(order_customer(cfg, o) as i64),
-                        Value::Float(20.0 + (o % 50) as f64),
-                        Value::Int(o as i64),
-                    ]),
-                )
-                .expect("seed order");
-            }
-        }
-        for i in 0..cfg.items {
-            db.seed_row(
-                STOCK,
-                stock_key(w, i),
-                Row::from([
+            ]);
+            (w, row)
+        }),
+    );
+    seed(
+        DISTRICT,
+        &mut districts().map(|(w, d)| {
+            let row = Row::from([
+                Value::Float(0.0),
+                Value::Float(0.07),
+                Value::Int(cfg.orders_per_district as i64 + 1),
+                Value::str(&format!("district-{w:04}-{d:02}")),
+            ]);
+            (district_key(w, d), row)
+        }),
+    );
+    seed(
+        CUSTOMER,
+        &mut districts().flat_map(|(w, d)| {
+            (0..cfg.customers_per_district).map(move |c| {
+                let row = Row::from([
+                    Value::Float(-10.0),
+                    Value::Float(10.0),
+                    Value::Int(1),
+                    Value::Int(0),
+                    Value::str(c_data),
+                ]);
+                (customer_key(w, d, c), row)
+            })
+        }),
+    );
+    seed(
+        ORDER,
+        &mut districts().flat_map(|(w, d)| {
+            (1..=cfg.orders_per_district).map(move |o| {
+                let row = Row::from([
+                    Value::Int(0),
+                    Value::Int(order_customer(cfg, o) as i64),
+                    Value::Float(20.0 + (o % 50) as f64),
+                    Value::Int(o as i64),
+                ]);
+                (order_key(w, d, o), row)
+            })
+        }),
+    );
+    seed(
+        STOCK,
+        &mut (0..cfg.warehouses).flat_map(|w| {
+            (0..cfg.items).map(move |i| {
+                let row = Row::from([
                     Value::Int(50 + (i % 50) as i64),
                     Value::Float(0.0),
                     Value::Int(0),
                     Value::Int(0),
-                    Value::str(&s_data),
-                ]),
-            )
-            .expect("seed stock");
-        }
-    }
-    for i in 0..cfg.items {
-        db.seed_row(
-            ITEM,
-            i,
-            Row::from([
+                    Value::str(s_data),
+                ]);
+                (stock_key(w, i), row)
+            })
+        }),
+    );
+    seed(
+        ITEM,
+        &mut (0..cfg.items).map(|i| {
+            let row = Row::from([
                 Value::Float(1.0 + (i % 100) as f64 / 10.0),
                 Value::str(&format!("item-{i:06}")),
-            ]),
-        )
-        .expect("seed item");
-    }
+            ]);
+            (i, row)
+        }),
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank::Bank;
+    use crate::smallbank::Smallbank;
+    use crate::tpcc::Tpcc;
+    use crate::Workload;
+    use pacman_engine::{Database, ShardLoad};
 
     #[test]
     fn load_populates_expected_counts() {
@@ -207,7 +218,7 @@ mod tests {
             ..TpccConfig::small()
         };
         let db = Database::new(catalog());
-        load(&cfg, &db);
+        Tpcc::new(cfg.clone()).load(&db);
         let expect = |t: TableId| db.table(t).unwrap().num_keys();
         assert_eq!(expect(WAREHOUSE), 2);
         assert_eq!(expect(DISTRICT), (2 * cfg.districts_per_warehouse) as usize);
@@ -221,6 +232,35 @@ mod tests {
             expect(ORDER),
             (2 * cfg.districts_per_warehouse * cfg.orders_per_district) as usize
         );
+    }
+
+    /// Every loader's rows, seeded in bulk the way `load` seeds them, build
+    /// every shard in one piece and reach the state row-at-a-time seeding
+    /// reaches.
+    #[test]
+    fn bulk_seeding_matches_per_row_seeding() {
+        let workloads: [&dyn Workload; 3] = [
+            &Tpcc::new(TpccConfig::small()),
+            &Smallbank::default(),
+            &Bank::default(),
+        ];
+        for w in workloads {
+            let (bulk, per_row) = (Database::new(w.catalog()), Database::new(w.catalog()));
+            let mut loads: Vec<ShardLoad> = Vec::new();
+            w.populate(&mut |t, rows| loads.extend(bulk.seed_rows(t, rows).unwrap()));
+            w.populate(&mut |t, rows| {
+                for (k, row) in rows {
+                    per_row.seed_row(t, k, row).unwrap();
+                }
+            });
+            assert_eq!(bulk.fingerprint(), per_row.fingerprint(), "{}", w.name());
+            let tuples: u64 = loads.iter().map(|l| l.tuples).sum();
+            assert_eq!(tuples as usize, per_row.total_tuples(), "{}", w.name());
+            assert!(loads.iter().all(|l| l.bulk), "{}: {loads:?}", w.name());
+            let loaded = Database::new(w.catalog());
+            w.load(&loaded);
+            assert_eq!(loaded.fingerprint(), per_row.fingerprint(), "{}", w.name());
+        }
     }
 
     #[test]
