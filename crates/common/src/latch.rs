@@ -41,6 +41,14 @@ impl SpinLatch {
         !self.locked.swap(true, Ordering::Acquire)
     }
 
+    /// Whether someone holds the latch right now. An Acquire load: seeing
+    /// it free after a holder's [`SpinLatch::unlock`] also shows everything
+    /// the holder wrote before unlocking (optimistic read validation).
+    #[inline]
+    pub fn is_locked(&self) -> bool {
+        self.locked.load(Ordering::Acquire)
+    }
+
     /// Release the latch. Callers must hold it.
     #[inline]
     pub fn unlock(&self) {
@@ -75,8 +83,10 @@ mod tests {
     fn try_lock_fails_when_held() {
         let l = SpinLatch::new();
         assert!(l.try_lock());
+        assert!(l.is_locked());
         assert!(!l.try_lock());
         l.unlock();
+        assert!(!l.is_locked());
         assert!(l.try_lock());
         l.unlock();
     }

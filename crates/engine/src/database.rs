@@ -145,7 +145,7 @@ impl Database {
     /// tests use this with [`TxnScratch::new`] to compare pooled reuse
     /// against guaranteed-fresh state; the scratch still returns to the
     /// thread-local pool when the transaction ends.
-    pub fn begin_with(&self, scratch: TxnScratch) -> Txn<'_> {
+    pub fn begin_with<'db>(&'db self, scratch: TxnScratch<'db>) -> Txn<'db> {
         Txn::new(self, scratch)
     }
 

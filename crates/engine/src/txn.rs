@@ -2,18 +2,21 @@
 //!
 //! Reads observe the newest committed version and are validated for
 //! stability at commit; writes are buffered and installed under per-tuple
-//! latches after drawing the commit timestamp. The timestamp therefore *is*
-//! the serialization order, which is exactly the commitment order the log
-//! records — the property recovery relies on (§3).
+//! latches after drawing the commit timestamp. Only the write set is
+//! latched: a key that is only read is validated without its latch (see
+//! [`Txn::commit_with`]). The timestamp *is* the serialization order, which
+//! is exactly the commitment order the log records — the property recovery
+//! relies on (§3).
 //!
 //! # Memory discipline
 //!
 //! A steady-state write transaction allocates nothing but its row images:
 //!
-//! * the read map, write map, lock-set vector, write-record vector and the
-//!   interpreter's register file live in a [`TxnScratch`] recycled through
-//!   a thread-local pool (the same arena pattern as the WAL's
-//!   `WorkerLogBuffer`) — `clear()` keeps their capacity warm;
+//! * the read map, the write index and its pending writes, the lock order,
+//!   the write-record vector and the interpreter's register file live in a
+//!   [`TxnScratch`] recycled through a thread-local pool (the same arena
+//!   pattern as the WAL's `WorkerLogBuffer`) — `clear()` keeps their
+//!   capacity warm;
 //! * each written row image is encoded exactly once, as one [`Row`]
 //!   allocation, and shared by the pending write, the version chain, the
 //!   newest slot and the [`CommitInfo`] after-image the log copies from;
@@ -32,6 +35,7 @@ use crate::access::TupleStore;
 use crate::chain::TupleChain;
 use crate::database::Database;
 use crate::interp::ExecFrame;
+use crate::table::Table;
 use pacman_common::{Error, Key, KeyMap, Result, Row, TableId, Timestamp, Value};
 use pacman_obs::Counter;
 use std::cell::RefCell;
@@ -109,10 +113,17 @@ pub struct CommitInfo {
     pub ops: u64,
 }
 
-struct PendingWrite {
+/// One buffered write. The table and the chain are resolved once, when the
+/// key is first staged, and carried to the install.
+struct PendingWrite<'db> {
+    table: &'db Table,
+    key: (TableId, Key),
     chain: Arc<TupleChain>,
     kind: WriteKind,
     row: Option<Row>,
+    /// The timestamp the transaction read the key at, if it read it first:
+    /// a key both read and written is validated under its own latch.
+    observed: Option<Timestamp>,
 }
 
 struct ReadEntry {
@@ -122,10 +133,14 @@ struct ReadEntry {
     /// read-modify-write staging reuse it (and the chain handle above)
     /// instead of going back through the shard map.
     row: Row,
+    /// The key is also in the write set, so it is validated with the
+    /// writes, under its latch, not with the read-only keys.
+    written: bool,
 }
 
-/// Reusable per-transaction working memory: the read/write sets, the
-/// commit lock-set and write-record buffers, the read-modify-write column
+/// Reusable per-transaction working memory: the read set, the write set
+/// (an index over pending writes kept in first-write order), the commit
+/// lock order and write-record buffers, the read-modify-write column
 /// scratch, and the interpreter's register file.
 ///
 /// [`Database::begin`] draws scratch from a thread-local pool and the
@@ -134,11 +149,15 @@ struct ReadEntry {
 /// of their bookkeeping. [`Database::begin_with`] accepts caller-built
 /// scratch for tests that want guaranteed-fresh state.
 #[derive(Default)]
-pub struct TxnScratch {
+pub struct TxnScratch<'db> {
     reads: KeyMap<(TableId, Key), ReadEntry>,
-    writes: KeyMap<(TableId, Key), PendingWrite>,
-    write_order: Vec<(TableId, Key)>,
-    lock_set: Vec<((TableId, Key), Arc<TupleChain>)>,
+    /// Position in `pending` of each written key.
+    writes: KeyMap<(TableId, Key), u32>,
+    /// The write set in first-write order — the order of
+    /// [`CommitInfo::writes`], and so of the log record.
+    pending: Vec<PendingWrite<'db>>,
+    /// Positions in `pending`, sorted by key: the order latches are taken.
+    lock_set: Vec<u32>,
     records: Vec<WriteRecord>,
     row_buf: Vec<Value>,
     frame: ExecFrame,
@@ -150,16 +169,62 @@ pub struct TxnScratch {
 const POOL_CAP: usize = 8;
 
 thread_local! {
-    static SCRATCH_POOL: RefCell<Vec<TxnScratch>> = const { RefCell::new(Vec::new()) };
+    static SCRATCH_POOL: RefCell<Vec<TxnScratch<'static>>> = const { RefCell::new(Vec::new()) };
     static RECORD_POOL: RefCell<Vec<Vec<WriteRecord>>> = const { RefCell::new(Vec::new()) };
 }
 
-impl TxnScratch {
+impl TxnScratch<'_> {
     /// Fresh, empty scratch (cold start; the pool refills from these).
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Clear every set, buffer and variable binding while keeping their
+    /// capacity. Runs on *every* transaction exit — commit, abort, drop —
+    /// so pooled reuse is observationally identical to fresh scratch.
+    pub fn reset(&mut self) {
+        self.reads.clear();
+        self.writes.clear();
+        self.pending.clear();
+        self.lock_set.clear();
+        self.records.clear();
+        self.row_buf.clear();
+        self.frame.clear();
+    }
+
+    /// Reset, and return to the pool. The pending-write vector is the one
+    /// buffer whose elements borrow the database; emptied, it is re-typed
+    /// for the pool by an in-place collect, which keeps its allocation.
+    fn release(mut self) {
+        self.reset();
+        let TxnScratch {
+            reads,
+            writes,
+            pending,
+            lock_set,
+            records,
+            row_buf,
+            frame,
+        } = self;
+        let pooled = TxnScratch {
+            reads,
+            writes,
+            pending: pending.into_iter().map(|_| unreachable!()).collect(),
+            lock_set,
+            records,
+            row_buf,
+            frame,
+        };
+        SCRATCH_POOL.with(|p| {
+            let mut p = p.borrow_mut();
+            if p.len() < POOL_CAP {
+                p.push(pooled);
+            }
+        });
+    }
+}
+
+impl TxnScratch<'static> {
     /// Draw scratch from the thread-local pool, or build it cold. Either
     /// way a write-record buffer recycled via [`recycle_commit_info`] is
     /// re-attached if the scratch has none.
@@ -177,29 +242,6 @@ impl TxnScratch {
             }
         }
         s
-    }
-
-    /// Clear every set, buffer and variable binding while keeping their
-    /// capacity. Runs on *every* transaction exit — commit, abort, drop —
-    /// so pooled reuse is observationally identical to fresh scratch.
-    pub fn reset(&mut self) {
-        self.reads.clear();
-        self.writes.clear();
-        self.write_order.clear();
-        self.lock_set.clear();
-        self.records.clear();
-        self.row_buf.clear();
-        self.frame.clear();
-    }
-
-    fn release(mut self) {
-        self.reset();
-        SCRATCH_POOL.with(|p| {
-            let mut p = p.borrow_mut();
-            if p.len() < POOL_CAP {
-                p.push(self);
-            }
-        });
     }
 }
 
@@ -221,17 +263,17 @@ pub fn recycle_commit_info(info: CommitInfo) {
     });
 }
 
-/// Unlocks every latch in the commit lock-set on drop, so each of
-/// `commit_with`'s early abort returns — and the success path — releases
-/// exactly once and a future early return cannot leak a held latch.
-struct Latched<'a> {
-    set: &'a [((TableId, Key), Arc<TupleChain>)],
+/// Unlocks every pending write's latch on drop, so each of `commit_with`'s
+/// early abort returns — and the success path — releases exactly once and
+/// a future early return cannot leak a held latch.
+struct Latched<'a, 'db> {
+    set: &'a [PendingWrite<'db>],
 }
 
-impl Drop for Latched<'_> {
+impl Drop for Latched<'_, '_> {
     fn drop(&mut self) {
-        for (_, chain) in self.set {
-            chain.latch.unlock();
+        for w in self.set {
+            w.chain.latch.unlock();
         }
     }
 }
@@ -241,10 +283,16 @@ fn abort_err(msg: String) -> Error {
     Error::TxnAborted(msg)
 }
 
+fn invalidated((t, k): (TableId, Key), observed: Timestamp, now: Timestamp) -> Error {
+    abort_err(format!(
+        "read of {t}:{k} invalidated (observed ts {observed}, now {now})"
+    ))
+}
+
 /// An in-flight transaction.
 pub struct Txn<'db> {
     db: &'db Database,
-    scratch: TxnScratch,
+    scratch: TxnScratch<'db>,
 }
 
 impl Drop for Txn<'_> {
@@ -254,29 +302,37 @@ impl Drop for Txn<'_> {
 }
 
 impl<'db> Txn<'db> {
-    pub(crate) fn new(db: &'db Database, scratch: TxnScratch) -> Self {
+    pub(crate) fn new(db: &'db Database, scratch: TxnScratch<'db>) -> Self {
         debug_assert!(
-            scratch.reads.is_empty() && scratch.writes.is_empty(),
+            scratch.reads.is_empty() && scratch.pending.is_empty(),
             "scratch handed to a transaction must be reset"
         );
         Txn { db, scratch }
     }
 
-    /// The transaction's view of `key`'s current image: its own pending
-    /// write first (a pending delete holds none), else the image observed
-    /// first — repeatable read: the one commit validation will check, served
-    /// without re-touching the shard map or the chain — else the index, and
-    /// then the key joins the read set. `None`: missing or deleted.
-    fn image(&mut self, table: TableId, key: Key) -> Result<Option<Row>> {
-        if let Some(w) = self.scratch.writes.get(&(table, key)) {
-            return Ok(w.row.clone());
+    /// The transaction's view of `key`'s current image, with its table: its
+    /// own pending write first (a pending delete holds none), else the image
+    /// observed first — repeatable read: the one commit validation will
+    /// check, served without re-touching the shard map or the chain — else
+    /// the index, and then the key joins the read set. `None`: missing or
+    /// deleted.
+    fn image(&mut self, table: TableId, key: Key) -> Result<(&'db Table, Option<Row>)> {
+        let t = self.db.table(table)?;
+        let TxnScratch {
+            reads,
+            writes,
+            pending,
+            ..
+        } = &mut self.scratch;
+        if let Some(&i) = writes.get(&(table, key)) {
+            return Ok((t, pending[i as usize].row.clone()));
         }
-        let vacant = match self.scratch.reads.entry((table, key)) {
-            Entry::Occupied(r) => return Ok(Some(r.get().row.clone())),
+        let vacant = match reads.entry((table, key)) {
+            Entry::Occupied(r) => return Ok((t, Some(r.get().row.clone()))),
             Entry::Vacant(v) => v,
         };
-        let Some(chain) = self.db.table(table)?.get(key) else {
-            return Ok(None);
+        let Some(chain) = t.get(key) else {
+            return Ok((t, None));
         };
         let (ts, row) = chain.newest();
         if let Some(row) = &row {
@@ -284,14 +340,15 @@ impl<'db> Txn<'db> {
                 chain,
                 observed_ts: ts,
                 row: row.clone(),
+                written: false,
             });
         }
-        Ok(row)
+        Ok((t, row))
     }
 
     /// Read the current row for `key`, observing own pending writes first.
     pub fn read(&mut self, table: TableId, key: Key) -> Result<Row> {
-        match self.image(table, key)? {
+        match self.image(table, key)?.1 {
             Some(row) => Ok(row),
             None => Err(Error::KeyNotFound {
                 table: table.0,
@@ -300,17 +357,32 @@ impl<'db> Txn<'db> {
         }
     }
 
-    fn stage(&mut self, table: TableId, key: Key, kind: WriteKind, row: Option<Row>) {
-        let vacant = match self.scratch.writes.entry((table, key)) {
-            Entry::Occupied(mut existing) => {
-                let w = existing.get_mut();
+    fn stage(&mut self, t: &'db Table, id: (TableId, Key), kind: WriteKind, row: Option<Row>) {
+        let TxnScratch {
+            reads,
+            writes,
+            pending,
+            ..
+        } = &mut self.scratch;
+        let vacant = match writes.entry(id) {
+            Entry::Occupied(existing) => {
+                let i = *existing.get() as usize;
+                let w = &mut pending[i];
                 match (w.kind, kind) {
                     // insert then update: still an insert with the newer image
                     (WriteKind::Insert, WriteKind::Update) => w.row = row,
                     // insert then delete: net nothing; drop the pending write
                     (WriteKind::Insert, WriteKind::Delete) => {
                         existing.remove();
-                        self.scratch.write_order.retain(|k| *k != (table, key));
+                        pending.remove(i);
+                        for j in writes.values_mut() {
+                            if *j as usize > i {
+                                *j -= 1;
+                            }
+                        }
+                        if let Some(r) = reads.get_mut(&id) {
+                            r.written = false;
+                        }
                     }
                     _ => {
                         w.kind = kind;
@@ -323,42 +395,54 @@ impl<'db> Txn<'db> {
         };
         // A prior read of the key already resolved the chain; reuse the
         // handle so read-modify-write does one shard-map lookup per key.
-        let chain = if let Some(r) = self.scratch.reads.get(&(table, key)) {
-            Arc::clone(&r.chain)
-        } else {
-            let t = self.db.table(table).expect("validated table id");
-            match kind {
-                WriteKind::Insert => t.get_or_create(key),
-                // Blind update/delete of a missing key: stage against a
-                // fresh chain; commit-time validation will abort.
-                _ => t.get(key).unwrap_or_else(|| t.get_or_create(key)),
+        let (chain, observed) = match reads.get_mut(&id) {
+            Some(r) => {
+                r.written = true;
+                (Arc::clone(&r.chain), Some(r.observed_ts))
+            }
+            None => {
+                let key = id.1;
+                let chain = match kind {
+                    WriteKind::Insert => t.get_or_create(key),
+                    // Blind update/delete of a missing key: stage against a
+                    // fresh chain; commit-time validation will abort.
+                    _ => t.get(key).unwrap_or_else(|| t.get_or_create(key)),
+                };
+                (chain, None)
             }
         };
-        vacant.insert(PendingWrite { chain, kind, row });
-        self.scratch.write_order.push((table, key));
+        vacant.insert(pending.len() as u32);
+        pending.push(PendingWrite {
+            table: t,
+            key: id,
+            chain,
+            kind,
+            row,
+            observed,
+        });
     }
 
     /// Buffer a full-row update (the general clone-modify-reinsert path;
     /// column writes on hot shapes go through [`crate::access::TxnAccess`] —
     /// this one bumps the `engine.txn.row_copies` counter).
     pub fn write(&mut self, table: TableId, key: Key, row: Row) -> Result<()> {
-        self.db.table(table)?; // validate id
+        let t = self.db.table(table)?;
         row_copies().inc();
-        self.stage(table, key, WriteKind::Update, Some(row));
+        self.stage(t, (table, key), WriteKind::Update, Some(row));
         Ok(())
     }
 
     /// Buffer an insert.
     pub fn insert(&mut self, table: TableId, key: Key, row: Row) -> Result<()> {
-        self.db.table(table)?;
-        self.stage(table, key, WriteKind::Insert, Some(row));
+        let t = self.db.table(table)?;
+        self.stage(t, (table, key), WriteKind::Insert, Some(row));
         Ok(())
     }
 
     /// Buffer a delete.
     pub fn delete(&mut self, table: TableId, key: Key) -> Result<()> {
-        self.db.table(table)?;
-        self.stage(table, key, WriteKind::Delete, None);
+        let t = self.db.table(table)?;
+        self.stage(t, (table, key), WriteKind::Delete, None);
         Ok(())
     }
 
@@ -382,7 +466,7 @@ impl<'db> Txn<'db> {
 
     /// Pending writes buffered so far (diagnostic/test use).
     pub fn writes_len(&self) -> usize {
-        self.scratch.writes.len()
+        self.scratch.pending.len()
     }
 
     /// Validate, claim a commit timestamp and install all writes, reading
@@ -393,16 +477,51 @@ impl<'db> Txn<'db> {
 
     /// Validate, claim a commit timestamp and install all writes.
     ///
-    /// `epoch_fn` is invoked *while the write latches are held* (the Silo
-    /// rule): conflicting transactions therefore obtain epochs consistent
-    /// with their serialization order, and the composed timestamp
+    /// Only the write set is latched (optimistic validation, Larson et al.):
+    ///
+    /// 1. latch the written keys in key order (a global order: no deadlock);
+    /// 2. check the write preconditions, and validate the keys that were
+    ///    read and then written — both under their latches;
+    /// 3. call `epoch_fn` and draw `ts`, still under the write latches;
+    /// 4. validate each read-only key: its latch is free
+    ///    ([`SpinLatch::is_locked`](pacman_common::SpinLatch::is_locked), an
+    ///    Acquire load) and `newest_ts()` is what the read observed;
+    /// 5. install, then unlock.
+    ///
+    /// `epoch_fn` runs while the write latches are held (the Silo rule):
+    /// conflicting writers obtain epochs consistent with their
+    /// serialization order, and the composed timestamp
     /// `(epoch << EPOCH_SHIFT) | seq` makes log-batch order a refinement of
     /// conflict order.
+    ///
+    /// # Why timestamp order is still a serial order
+    ///
+    /// Keys this transaction (V) writes are held from before `ts_V` is
+    /// drawn until they are installed, exactly as when every key was
+    /// latched. What needs an argument is a key X that V only reads, and a
+    /// writer W of X:
+    ///
+    /// * `ts_W < ts_V`. Both timestamps come from SeqCst read-modify-writes
+    ///   of one clock (`LogicalClock::tick_at_least`), so W's tick precedes
+    ///   V's in the clock's modification order and synchronizes with it. W
+    ///   latched X before its tick and V checks X's latch after its own, so
+    ///   W's acquire happens-before V's load: V sees X latched, or a later
+    ///   release of the latch — W's unlock, after which the Acquire load
+    ///   also shows W's install, so `newest_ts()` has moved (or V read W's
+    ///   version in the first place, and serializes after W correctly).
+    ///   Either way a stale read aborts V.
+    /// * `ts_W > ts_V`. If W latched X after V's check, W serializes after
+    ///   V, and V read the version before W's — correct for that order. If
+    ///   W held the latch earlier, V saw it and aborted (conservatively).
+    ///
+    /// So every committed transaction read, for each key, the version
+    /// installed by the latest writer below its own timestamp: timestamp
+    /// order is a serial order, which is what command-log replay relies on.
     ///
     /// On conflict the transaction aborts with [`Error::TxnAborted`]; the
     /// caller may retry with a fresh transaction.
     pub fn commit_with(mut self, epoch_fn: impl FnOnce() -> u64) -> Result<CommitInfo> {
-        if self.scratch.writes.is_empty() {
+        if self.scratch.pending.is_empty() {
             return self.commit_read_only();
         }
         let db = self.db;
@@ -413,46 +532,34 @@ impl<'db> Txn<'db> {
         let _install = db.install_guard();
         let TxnScratch {
             reads,
-            writes,
-            write_order,
+            pending,
             lock_set,
             records,
             ..
         } = &mut self.scratch;
-        // Union of read and write chains, globally ordered to avoid deadlock.
-        lock_set.reserve(reads.len() + writes.len());
-        for (k, r) in reads.iter() {
-            lock_set.push((*k, Arc::clone(&r.chain)));
-        }
-        for (k, w) in writes.iter() {
-            if !reads.contains_key(k) {
-                lock_set.push((*k, Arc::clone(&w.chain)));
-            }
-        }
-        lock_set.sort_unstable_by_key(|(k, _)| *k);
-
-        for (_, chain) in lock_set.iter() {
-            chain.latch.lock();
+        // 1. The write set, globally ordered to avoid deadlock.
+        lock_set.extend(0..pending.len() as u32);
+        lock_set.sort_unstable_by_key(|&i| pending[i as usize].key);
+        for &i in lock_set.iter() {
+            pending[i as usize].chain.latch.lock();
         }
         // Every return below — abort or success — unlocks via this guard.
-        let latched = Latched { set: lock_set };
+        let latched = Latched { set: pending };
 
-        // Read-set stability.
-        for ((t, k), r) in reads.iter() {
-            if r.chain.newest_ts() != r.observed_ts {
-                return Err(abort_err(format!(
-                    "read of {t}:{k} invalidated (observed ts {}, now {})",
-                    r.observed_ts,
-                    r.chain.newest_ts()
-                )));
-            }
-        }
-        // Write preconditions.
-        for (key @ (t, k), w) in writes.iter() {
-            // A key in the read set was observed live and has just been
-            // validated at an unchanged timestamp; only blind writes and
-            // inserts of unread keys need the chain's word.
-            let live = reads.contains_key(key) || w.chain.newest().1.is_some();
+        // 2. Write preconditions, and the keys read before being written.
+        for w in pending.iter() {
+            let live = match w.observed {
+                // Observed live at `ts`; latched, so stable from here.
+                Some(ts) => {
+                    let now = w.chain.newest_ts();
+                    if now != ts {
+                        return Err(invalidated(w.key, ts, now));
+                    }
+                    true
+                }
+                None => w.chain.newest().1.is_some(),
+            };
+            let (t, k) = w.key;
             match w.kind {
                 WriteKind::Insert if live => {
                     return Err(abort_err(format!("insert of live key {t}:{k}")));
@@ -464,27 +571,44 @@ impl<'db> Txn<'db> {
             }
         }
 
+        // 3. The commit timestamp, under the write latches.
         let epoch = epoch_fn();
         let ts = db
             .clock()
             .tick_at_least(pacman_common::clock::epoch_floor(epoch));
+
+        // 4. Read-only keys: free of any committer's latch, and unchanged.
+        for (&key, r) in reads.iter() {
+            if r.written {
+                continue;
+            }
+            let (t, k) = key;
+            if r.chain.latch.is_locked() {
+                return Err(abort_err(format!(
+                    "read of {t}:{k} invalidated (latched by a concurrent commit)"
+                )));
+            }
+            let now = r.chain.newest_ts();
+            if now != r.observed_ts {
+                return Err(invalidated(key, r.observed_ts, now));
+            }
+        }
+
+        // 5. Install.
         let floor = db.version_floor().min(ts);
         let prune_threshold = db.version_prune_threshold();
-        records.reserve(write_order.len());
-        for key in write_order.iter() {
-            let w = &writes[key];
+        records.reserve(pending.len());
+        for w in pending.iter() {
             let prev_ts = w.chain.newest_ts();
             // Dirty mark before the install becomes visible (incremental
             // checkpointing reads the marks to skip clean shards).
-            db.table(key.0)
-                .expect("validated table id")
-                .mark_dirty(key.1, ts);
+            w.table.mark_dirty(w.key.1, ts);
             // The chain shares the pending image — no copy on install.
             w.chain
                 .install_committed(ts, w.row.clone(), floor, prune_threshold);
             records.push(WriteRecord {
-                table: key.0,
-                key: key.1,
+                table: w.key.0,
+                key: w.key.1,
                 kind: w.kind,
                 after: w.row.clone(),
                 prev_ts,
@@ -511,14 +635,15 @@ impl<'db> Txn<'db> {
     /// have serialized after us anyway. Nothing is installed, so the
     /// install fence and the commit clock are not involved; the reported
     /// timestamp is the current clock reading.
+    ///
+    /// A transaction that also writes cannot argue this way — it must take
+    /// a place in timestamp order; [`Txn::commit_with`] carries its
+    /// argument.
     fn commit_read_only(self) -> Result<CommitInfo> {
-        for ((t, k), r) in &self.scratch.reads {
+        for (&key, r) in &self.scratch.reads {
             let now = r.chain.newest_ts();
             if now != r.observed_ts {
-                return Err(abort_err(format!(
-                    "read of {t}:{k} invalidated (observed ts {}, now {now})",
-                    r.observed_ts
-                )));
+                return Err(invalidated(key, r.observed_ts, now));
             }
         }
         occ_commits().inc();
@@ -537,16 +662,16 @@ impl<'db> Txn<'db> {
 /// The transaction as the tuple cursor's store: a tuple opens on the
 /// transaction's view of it, joining the read set exactly as [`Txn::read`]
 /// places it there, and the image the cursor built is staged as a pending
-/// update.
-impl TupleStore for Txn<'_> {
-    type Slot = ();
+/// update against the table resolved at open.
+impl<'db> TupleStore for Txn<'db> {
+    type Slot = &'db Table;
 
-    fn open(&mut self, table: TableId, key: Key) -> Result<((), Option<Row>)> {
-        Ok(((), self.image(table, key)?))
+    fn open(&mut self, table: TableId, key: Key) -> Result<(&'db Table, Option<Row>)> {
+        self.image(table, key)
     }
 
-    fn put(&mut self, table: TableId, key: Key, (): (), image: Option<Row>) {
-        self.stage(table, key, WriteKind::Update, image);
+    fn put(&mut self, table: TableId, key: Key, t: &'db Table, image: Option<Row>) {
+        self.stage(t, (table, key), WriteKind::Update, image);
     }
 
     fn buf(&mut self) -> &mut Vec<Value> {

@@ -184,3 +184,82 @@ fn concurrent_commit_order_witnesses() {
         assert_eq!(row.col(0).as_int().unwrap(), expect, "key {k} lost updates");
     }
 }
+
+/// The written value of [`timestamp_order_is_a_serial_order`]: depends on
+/// both inputs and on their order, so replaying against any other version
+/// of `a` or `b` changes it.
+fn mix(a: i64, b: i64) -> i64 {
+    b.wrapping_mul(31).wrapping_add(a).wrapping_add(7)
+}
+
+/// Serializability oracle for write-set-only latching: concurrent
+/// transactions read a key `a` they do not write and write `b := mix(a, b)`.
+/// Replaying the committed ones serially in timestamp order — what
+/// command-log recovery does — must reproduce every written value, so a
+/// read-only key validated against the wrong version fails it.
+#[test]
+fn timestamp_order_is_a_serial_order() {
+    const KEYS: u64 = 8;
+    let mut c = Catalog::new();
+    c.add_table("t", 1);
+    let db = Database::new(c);
+    for k in 0..KEYS {
+        db.seed_row(T, k, Row::from([Value::Int(k as i64)])).unwrap();
+    }
+    // (ts, a, b, a observed, b observed, b written)
+    let log = std::sync::Mutex::new(Vec::<(u64, Key, Key, i64, i64, i64)>::new());
+    crossbeam::thread::scope(|scope| {
+        for w in 0..6u64 {
+            let (db, log) = (&db, &log);
+            scope.spawn(move |_| {
+                let mut rng = w.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                for _ in 0..1500 {
+                    rng = rng
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let (a, b) = ((rng >> 33) % KEYS, (rng >> 45) % KEYS);
+                    if a == b {
+                        continue;
+                    }
+                    let mut t = db.begin();
+                    let va = t.read(T, a).unwrap().col(0).as_int().unwrap();
+                    let vb = t.read(T, b).unwrap().col(0).as_int().unwrap();
+                    let out = mix(va, vb);
+                    t.write(T, b, Row::from([Value::Int(out)])).unwrap();
+                    // A slow epoch read now and then: the commit is
+                    // descheduled while it holds its write latch.
+                    let slow = (rng >> 20) % 8 == 0;
+                    let committed = t.commit_with(|| {
+                        if slow {
+                            std::thread::yield_now();
+                        }
+                        1
+                    });
+                    if let Ok(info) = committed {
+                        log.lock().unwrap().push((info.ts, a, b, va, vb, out));
+                    }
+                }
+            });
+        }
+    })
+    .unwrap();
+    let mut log = log.into_inner().unwrap();
+    assert!(log.len() > 500, "too few commits: {}", log.len());
+    log.sort_unstable_by_key(|e| e.0);
+    let mut model: Vec<i64> = (0..KEYS as i64).collect();
+    for &(ts, a, b, va, vb, out) in &log {
+        let (ma, mb) = (model[a as usize], model[b as usize]);
+        assert_eq!(
+            (va, vb),
+            (ma, mb),
+            "commit at ts {ts} (read {a}, wrote {b}) did not read the state \
+             its timestamp places it after"
+        );
+        assert_eq!(out, mix(ma, mb));
+        model[b as usize] = out;
+    }
+    for k in 0..KEYS {
+        let row = db.table(T).unwrap().get(k).unwrap().newest().1.unwrap();
+        assert_eq!(row.col(0).as_int().unwrap(), model[k as usize], "key {k}");
+    }
+}
