@@ -36,8 +36,8 @@ pub trait Workload: Send + Sync {
     fn catalog(&self) -> Catalog;
     /// Stored procedures (ids dense from 0).
     fn registry(&self) -> ProcRegistry;
-    /// The initial population: `seed(table, rows)` once per table, the
-    /// rows in ascending key order.
+    /// The initial population: `seed(table, rows)` once per table. Rows in
+    /// ascending key order spare seeding a sort.
     fn populate(&self, seed: &mut SeedSink<'_>);
     /// Populate the initial database (timestamp-0 rows, not logged), each
     /// table through [`Database::seed_rows`], so every shard is built in

@@ -120,9 +120,8 @@ pub fn populate(cfg: &TpccConfig, seed: &mut SeedSink<'_>) {
     let c_data = "c".repeat(cfg.customer_data_bytes);
     let s_data = "s".repeat(cfg.stock_data_bytes);
     let (c_data, s_data) = (c_data.as_str(), s_data.as_str());
-    let districts = || {
-        (0..cfg.warehouses).flat_map(|w| (1..=cfg.districts_per_warehouse).map(move |d| (w, d)))
-    };
+    let districts =
+        || (0..cfg.warehouses).flat_map(|w| (1..=cfg.districts_per_warehouse).map(move |d| (w, d)));
     seed(
         WAREHOUSE,
         &mut (0..cfg.warehouses).map(|w| {

@@ -204,7 +204,8 @@ fn timestamp_order_is_a_serial_order() {
     c.add_table("t", 1);
     let db = Database::new(c);
     for k in 0..KEYS {
-        db.seed_row(T, k, Row::from([Value::Int(k as i64)])).unwrap();
+        db.seed_row(T, k, Row::from([Value::Int(k as i64)]))
+            .unwrap();
     }
     // (ts, a, b, a observed, b observed, b written)
     let log = std::sync::Mutex::new(Vec::<(u64, Key, Key, i64, i64, i64)>::new());
