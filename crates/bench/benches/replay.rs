@@ -3,6 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use pacman_common::clock::epoch_floor;
+use pacman_common::codec::Cursor;
 use pacman_common::{Encoder, Row, TableId, Value};
 use pacman_core::metrics::RecoveryMetrics;
 use pacman_core::recovery::{llr_p, LogInventory};
@@ -10,7 +11,7 @@ use pacman_core::runtime::exec::Replayer;
 use pacman_engine::{Database, WriteKind, WriteRecord};
 use pacman_sproc::ProcRegistry;
 use pacman_storage::StorageSet;
-use pacman_wal::{LogPayload, TxnLogRecord};
+use pacman_wal::{LogPayload, RecordView, TxnLogRecord};
 use pacman_workloads::bank::{Bank, TRANSFER};
 use pacman_workloads::Workload;
 
@@ -32,16 +33,20 @@ fn bench_replay(c: &mut Criterion) {
     g.bench_function("clr_reexecute_transfer", |b| {
         let mut replayer = Replayer::new(&db);
         let mut k = 0u64;
+        let mut log = Vec::new();
         b.iter(|| {
             k = (k + 2) % 4096;
             ts += 1;
-            let rec = TxnLogRecord {
+            log.clear();
+            TxnLogRecord {
                 ts,
                 payload: LogPayload::Command {
                     proc: TRANSFER,
                     params: vec![Value::Int(k as i64), Value::Int(1)].into(),
                 },
-            };
+            }
+            .encode(&mut log);
+            let rec = RecordView::parse(&mut Cursor::new(&log)).unwrap();
             replayer.replay_record(&reg, black_box(&rec)).unwrap()
         })
     });

@@ -3,34 +3,34 @@
 //! Fig. 20.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use pacman_common::Value;
+use pacman_common::{Encoder, Value};
 use pacman_core::dynamic::{build_piece_dag, DagScratch};
 use pacman_core::schedule::ExecutionSchedule;
 use pacman_core::static_analysis::GlobalGraph;
-use pacman_wal::{LogBatch, LogPayload, TxnLogRecord};
+use pacman_wal::{merged_view_from_buffers, LogPayload, MergedBatchView, TxnLogRecord};
 use pacman_workloads::bank::{Bank, TRANSFER};
 use pacman_workloads::Workload;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::sync::Arc;
 
-fn batch(n: usize, accounts: u64) -> LogBatch {
+fn batch(n: usize, accounts: u64) -> MergedBatchView {
     let mut rng = SmallRng::seed_from_u64(1);
-    LogBatch {
-        index: 0,
-        records: (0..n)
-            .map(|i| TxnLogRecord {
-                ts: (1u64 << 40) | (i as u64 + 1),
-                payload: LogPayload::Command {
-                    proc: TRANSFER,
-                    params: vec![
-                        Value::Int(rng.gen_range(0..accounts) as i64 & !1),
-                        Value::Int(5),
-                    ]
-                    .into(),
-                },
-            })
-            .collect(),
+    let mut log = Vec::new();
+    for i in 0..n {
+        TxnLogRecord {
+            ts: (1u64 << 40) | (i as u64 + 1),
+            payload: LogPayload::Command {
+                proc: TRANSFER,
+                params: vec![
+                    Value::Int(rng.gen_range(0..accounts) as i64 & !1),
+                    Value::Int(5),
+                ]
+                .into(),
+            },
+        }
+        .encode(&mut log);
     }
+    merged_view_from_buffers(0, vec![log.into()], u64::MAX, 0).unwrap()
 }
 
 fn bench_schedule(c: &mut Criterion) {

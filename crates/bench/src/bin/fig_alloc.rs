@@ -1,15 +1,14 @@
 //! Allocation-count figure: what the zero-copy hot paths cost in
 //! allocator traffic.
 //!
-//! Reports two numbers next to the throughput figures:
+//! Reports, next to the throughput figures:
 //!
 //! * **allocs/txn (commit)** — allocator calls per command-logged
 //!   transaction through the per-worker epoch arena
-//!   (`log_commit_buffered`), measured against the per-record
-//!   `log_commit` path it replaced;
+//!   (`log_commit_buffered`). Budget: ≤ 2;
 //! * **bytes/record (replay)** — bytes requested from the allocator per
-//!   log record when scanning a batch through `MergedBatchView` (the
-//!   replay hot path), against the owned `read_merged_batch` decode;
+//!   log record when scanning a batch through `MergedBatchView` and
+//!   decoding each write (the replay hot path);
 //! * **allocs/txn (read)** — allocator calls per read-only OCC
 //!   transaction on the latch-free read path (shared `Row` images +
 //!   newest-slot validation). Budget: ≤ 1, the read-set map itself.
@@ -28,8 +27,8 @@ use pacman_common::{ProcId, Row, TableId, Value};
 use pacman_engine::{Catalog, CommitInfo, DataAccess, Database, TxnAccess, WriteKind, WriteRecord};
 use pacman_storage::{DiskConfig, StorageSet};
 use pacman_wal::{
-    batch_name, read_merged_batch, read_merged_batch_view, Durability, DurabilityConfig,
-    LogPayload, LogScheme, TxnLogRecord, WorkerLogBuffer,
+    merged_view_from_buffers, Durability, DurabilityConfig, LogPayload, LogScheme, TxnLogRecord,
+    WorkerLogBuffer,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -99,25 +98,12 @@ fn one_write(key: u64) -> WriteRecord {
     }
 }
 
-/// (allocs/txn via arena, allocs/txn via per-record path).
-fn measure_commit(txns: u64) -> (f64, f64) {
+/// Allocs/txn through the worker's epoch arena.
+fn measure_commit(txns: u64) -> f64 {
     let dur = boot_command();
     let we = dur.register_worker();
     let params = pacman_sproc::params([Value::Int(7), Value::Int(42)]);
     let writes = vec![one_write(7)];
-
-    let mut per_record = 0u64;
-    for i in 0..txns {
-        let e = we.enter();
-        let info = CommitInfo {
-            ts: epoch_floor(e) | (i + 1),
-            writes: writes.clone(),
-            ops: 4,
-        };
-        let a0 = allocs_now();
-        dur.log_commit(0, &info, ProcId::new(0), &params, false);
-        per_record += allocs_now() - a0;
-    }
 
     let mut wb = WorkerLogBuffer::new();
     let mut buffered = 0u64;
@@ -128,7 +114,7 @@ fn measure_commit(txns: u64) -> (f64, f64) {
         let flush_cost = allocs_now() - a0;
         we.enter_at(e);
         let info = CommitInfo {
-            ts: epoch_floor(e) | (txns + i + 1),
+            ts: epoch_floor(e) | (i + 1),
             writes: writes.clone(),
             ops: 4,
         };
@@ -138,15 +124,11 @@ fn measure_commit(txns: u64) -> (f64, f64) {
     }
     dur.flush_worker(&mut wb, 0);
     dur.shutdown();
-    (
-        buffered as f64 / txns as f64,
-        per_record as f64 / txns as f64,
-    )
+    buffered as f64 / txns as f64
 }
 
-/// (bytes/record via view scan, bytes/record via owned decode).
-fn measure_replay(records: u64) -> (f64, f64) {
-    let storage = StorageSet::identical(1, DiskConfig::unthrottled("fig_alloc"));
+/// Bytes/record scanning a one-write-per-record batch through its view.
+fn measure_replay(records: u64) -> f64 {
     let mut buf = Vec::new();
     for i in 0..records {
         let rec = TxnLogRecord {
@@ -159,16 +141,9 @@ fn measure_replay(records: u64) -> (f64, f64) {
         };
         pacman_common::Encoder::encode(&rec, &mut buf);
     }
-    storage.disk(0).append(&batch_name(0, 0), &buf);
 
     let b0 = bytes_now();
-    let owned = read_merged_batch(&storage, 1, 0, u64::MAX, 0).unwrap();
-    let owned_bytes = bytes_now() - b0;
-    assert_eq!(owned.records.len() as u64, records);
-    drop(owned);
-
-    let b1 = bytes_now();
-    let view = read_merged_batch_view(&storage, 1, 0, u64::MAX, 0).unwrap();
+    let view = merged_view_from_buffers(0, vec![buf.into()], u64::MAX, 0).unwrap();
     let mut n = 0u64;
     for rec in view.iter() {
         for w in rec.writes().expect("tuple-level records") {
@@ -176,12 +151,9 @@ fn measure_replay(records: u64) -> (f64, f64) {
             n += 1;
         }
     }
-    let view_bytes = bytes_now() - b1;
+    let view_bytes = bytes_now() - b0;
     assert_eq!(n, records);
-    (
-        view_bytes as f64 / records as f64,
-        owned_bytes as f64 / records as f64,
-    )
+    view_bytes as f64 / records as f64
 }
 
 /// (allocs/txn, bytes/txn) for a read-only bank-audit transaction: three
@@ -270,48 +242,23 @@ fn main() {
     let txns: u64 = if opts.quick { 2_000 } else { 20_000 };
     let records: u64 = if opts.quick { 1_000 } else { 10_000 };
 
-    let (arena_per_txn, record_per_txn) = measure_commit(txns);
-    let (view_per_rec, owned_per_rec) = measure_replay(records);
+    let arena_per_txn = measure_commit(txns);
+    let view_per_rec = measure_replay(records);
     let (read_allocs, read_bytes) = measure_read(txns);
     let (write_allocs, write_bytes) = measure_write(txns);
 
-    let widths = [26, 14, 14];
-    print_row(
-        &["path".into(), "arena/view".into(), "per-record".into()],
-        &widths,
-    );
-    print_row(
-        &[
-            "commit allocs/txn".into(),
-            format!("{arena_per_txn:.3}"),
-            format!("{record_per_txn:.3}"),
-        ],
-        &widths,
-    );
-    print_row(
-        &[
-            "replay bytes/record".into(),
-            format!("{view_per_rec:.0}"),
-            format!("{owned_per_rec:.0}"),
-        ],
-        &widths,
-    );
-    print_row(
-        &[
-            "read allocs/txn".into(),
-            format!("{read_allocs:.3}"),
-            format!("({read_bytes:.0} B)"),
-        ],
-        &widths,
-    );
-    print_row(
-        &[
-            "write allocs/txn".into(),
-            format!("{write_allocs:.3}"),
-            format!("({write_bytes:.0} B)"),
-        ],
-        &widths,
-    );
+    let widths = [26, 14];
+    print_row(&["path".into(), "value".into()], &widths);
+    for (path, value) in [
+        ("commit allocs/txn", format!("{arena_per_txn:.3}")),
+        ("replay bytes/record", format!("{view_per_rec:.0}")),
+        ("read allocs/txn", format!("{read_allocs:.3}")),
+        ("read bytes/txn", format!("{read_bytes:.0}")),
+        ("write allocs/txn", format!("{write_allocs:.3}")),
+        ("write bytes/txn", format!("{write_bytes:.0}")),
+    ] {
+        print_row(&[path.into(), value], &widths);
+    }
 
     assert!(
         arena_per_txn <= 2.0,
@@ -325,20 +272,12 @@ fn main() {
         write_allocs <= 1.0,
         "update txn exceeded the allocation budget: {write_allocs:.3} allocs/txn"
     );
-    assert!(
-        view_per_rec < owned_per_rec,
-        "view replay must copy fewer bytes than owned decode: {view_per_rec:.0} >= {owned_per_rec:.0}"
-    );
 
     let reg = pacman_obs::registry();
     reg.gauge_f("bench.fig_alloc.commit_allocs_per_txn_arena")
         .set(arena_per_txn);
-    reg.gauge_f("bench.fig_alloc.commit_allocs_per_txn_record")
-        .set(record_per_txn);
     reg.gauge_f("bench.fig_alloc.replay_bytes_per_record_view")
         .set(view_per_rec);
-    reg.gauge_f("bench.fig_alloc.replay_bytes_per_record_owned")
-        .set(owned_per_rec);
     reg.gauge_f("bench.fig_alloc.read_allocs_per_txn")
         .set(read_allocs);
     reg.gauge_f("bench.fig_alloc.read_bytes_per_txn")

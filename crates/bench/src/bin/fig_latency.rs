@@ -35,7 +35,7 @@ use pacman_core::runtime::ReplayMode;
 use pacman_engine::run_procedure_with_epoch;
 use pacman_obs::HistoSummary;
 use pacman_storage::StorageSet;
-use pacman_wal::{DurabilityConfig, LogScheme};
+use pacman_wal::{DurabilityConfig, LogScheme, WorkerLogBuffer};
 use pacman_workloads::Workload;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -74,14 +74,23 @@ fn main() {
         },
     );
     let txns = if opts.quick { 100 } else { 400 };
-    let worker = sys.durability.register_worker();
-    let em = sys.durability.epoch_manager().clone();
-    let pepoch = sys.durability.pepoch_arc();
+    let dur = &sys.durability;
+    let worker = dur.register_worker();
+    let mut arena = WorkerLogBuffer::new();
+    // The driver's seal rule: the arena hands older epochs to the logger
+    // before the worker acknowledges a newer one.
+    let enter = |arena: &mut WorkerLogBuffer| {
+        let e = worker.peek();
+        dur.flush_before_ack(arena, 0, e);
+        worker.enter_at(e);
+    };
+    let em = dur.epoch_manager().clone();
+    let pepoch = dur.pepoch_arc();
     let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
     let mut latency = pacman_common::Histogram::new();
     let mut committed = 0u64;
     while committed < txns {
-        worker.enter_at(worker.peek());
+        enter(&mut arena);
         let (pid, params) = wl.next_txn(&mut rng);
         let proc = sys.registry.get(pid).expect("registered procedure");
         let submit = Instant::now();
@@ -93,19 +102,19 @@ fn main() {
         if info.writes.is_empty() {
             continue; // read-only: never logged, nothing to attribute
         }
-        // The unbuffered path hands the record straight to the logger and
-        // stamps the epoch's `Staged` mark — under pacing, ≈ the submit.
-        sys.durability.log_commit(0, &info, pid, &params, false);
+        // Staging stamps the epoch's `Staged` mark — under pacing, ≈ the
+        // submit.
+        dur.log_commit_buffered(&mut arena, 0, &info, pid, &params, false);
         let epoch = epoch_of(info.ts);
         // Wait for durability while keeping this worker's ack advancing —
-        // the logger cannot seal an epoch a registered worker still sits in.
+        // the logger cannot seal an epoch a registered worker still sits
+        // in, and the epoch's record leaves the arena just before the ack
+        // passes it.
         let deadline = Instant::now() + Duration::from_secs(10);
         while pepoch.load(Ordering::Acquire) < epoch {
-            worker.enter_at(worker.peek());
+            enter(&mut arena);
             assert!(Instant::now() < deadline, "commit never became durable");
-            sys.durability
-                .durable_signal()
-                .wait_for(Duration::from_millis(1));
+            dur.durable_signal().wait_for(Duration::from_millis(1));
         }
         latency.record(submit.elapsed().as_micros() as u64);
         committed += 1;
@@ -113,8 +122,9 @@ fn main() {
         // epoch (and its Staged stamp is that commit's submit).
         std::thread::sleep(epoch_interval);
     }
+    dur.flush_worker(&mut arena, 0);
     worker.retire();
-    sys.durability.wait_durable(em.current().saturating_sub(1));
+    dur.wait_durable(em.current().saturating_sub(1));
     pacman_obs::registry()
         .histogram("driver.commit_latency_us")
         .merge(&latency);

@@ -23,8 +23,7 @@
 mod tests {
     use crate::metrics::RecoveryMetrics;
     use crate::recovery::clr_p::recover_log;
-    use crate::recovery::plr::LogRecovery;
-    use crate::recovery::{LogInventory, UnitSource};
+    use crate::recovery::{LogInventory, LogRecovery, UnitSource};
     use crate::runtime::ReplayMode;
     use crate::static_analysis::GlobalGraph;
     use pacman_common::clock::epoch_floor;

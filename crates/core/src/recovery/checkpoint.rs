@@ -46,7 +46,9 @@ use std::time::{Duration, Instant};
 /// bytes.
 const PART_QUEUE: usize = 4;
 
-/// Where restored tuples go.
+/// Where restored tuples go — from the checkpoint, and for the per-file
+/// tuple-level schemes from the log too (`llr::recover_log`).
+#[derive(Clone, Copy)]
 pub enum CheckpointTarget<'a> {
     /// Insert into the database tables (index built online).
     Tables(&'a Database),

@@ -6,8 +6,7 @@
 //! complete the log recovery", §6.2.2).
 
 use crate::metrics::RecoveryMetrics;
-use crate::recovery::plr::LogRecovery;
-use crate::recovery::UnitSource;
+use crate::recovery::{LogRecovery, UnitSource};
 use crate::runtime::exec::Replayer;
 use pacman_common::Result;
 use pacman_engine::{Database, RecoveryGate};
@@ -30,14 +29,13 @@ pub fn recover_log(
     let mut replayer = Replayer::new(db);
     for (unit, seq) in source.zip(1..) {
         let (view, started) = unit?;
-        let merged = view.to_batch();
         log.reload += started.elapsed();
         metrics.add_load(started.elapsed());
-        log.count_unit(&merged, metrics);
+        log.count_unit(&view, metrics);
         let tw = Instant::now();
         let mut images = 0;
-        for rec in &merged.records {
-            images += replayer.replay_record(registry, rec)?;
+        for rec in view.iter() {
+            images += replayer.replay_record(registry, &rec)?;
         }
         metrics.add_work(tw.elapsed());
         metrics.count_writes(images);

@@ -9,8 +9,7 @@
 //! log (see `alr_p.rs`).
 
 use crate::metrics::RecoveryMetrics;
-use crate::recovery::plr::LogRecovery;
-use crate::recovery::UnitSource;
+use crate::recovery::{LogRecovery, UnitSource};
 use crate::runtime::{run_replay_gated, ReplayMode};
 use crate::schedule::ExecutionSchedule;
 use crate::static_analysis::GlobalGraph;
@@ -83,8 +82,8 @@ pub fn recover_log(
     })
 }
 
-/// Decode and schedule one unit, billing it from the moment its read
-/// began to the load bucket.
+/// Schedule one unit straight from its record views, billing it from the
+/// moment its read began to the load bucket.
 fn load(
     unit: Result<(MergedBatchView, Instant)>,
     log: &mut LogRecovery,
@@ -93,9 +92,8 @@ fn load(
     metrics: &RecoveryMetrics,
 ) -> Result<ExecutionSchedule> {
     let (view, started) = unit?;
-    let batch = view.to_batch();
-    log.count_unit(&batch, metrics);
-    let schedule = ExecutionSchedule::build(gdg, registry, &batch)?;
+    log.count_unit(&view, metrics);
+    let schedule = ExecutionSchedule::build(gdg, registry, &view)?;
     log.reload += started.elapsed();
     metrics.add_load(started.elapsed());
     Ok(schedule)

@@ -20,8 +20,7 @@
 
 use crate::metrics::RecoveryMetrics;
 use crate::recovery::gate::ShardMap;
-use crate::recovery::plr::LogRecovery;
-use crate::recovery::{LogInventory, UnitSource};
+use crate::recovery::{LogInventory, LogRecovery, UnitSource};
 use bytes::Bytes;
 use pacman_common::codec::Cursor;
 use pacman_common::{Error, Result, TableId, Timestamp};

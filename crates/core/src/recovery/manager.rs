@@ -13,9 +13,10 @@ use crate::recovery::checkpoint::{
     recover_checkpoint_chain, run_lazy_loader, CheckpointRecovery, CheckpointTarget,
 };
 use crate::recovery::gate::{GateMap, GatedAdmission, ShardMap};
-use crate::recovery::plr::LogRecovery;
 use crate::recovery::raw::RawStore;
-use crate::recovery::{clr, clr_p, llr, llr_p, plr, FollowHandle, LogInventory, UnitSource};
+use crate::recovery::{
+    clr, clr_p, llr, llr_p, FollowHandle, LogInventory, LogRecovery, UnitSource,
+};
 use crate::runtime::ReplayMode;
 use crate::static_analysis::GlobalGraph;
 use pacman_common::clock::{epoch_floor, epoch_of, EPOCH_SHIFT};
@@ -215,19 +216,20 @@ pub fn recover(
     let threads = config.threads.max(1);
 
     // Stage 1: checkpoint recovery — every offline scheme restores the
-    // manifest chain eagerly through the parallel shard loader.
+    // manifest chain eagerly through the parallel shard loader. PLR
+    // restores records into the raw heap, unindexed, and replays its log
+    // there too.
     tracer.emit(TraceEvent::Phase {
         phase: RecoveryPhase::Load,
     });
     let raw = RawStore::new(catalog.len());
-    let ckpt: CheckpointRecovery = match (&chain, &config.scheme) {
-        (None, _) => CheckpointRecovery::default(),
-        (Some(c), RecoveryScheme::Plr { .. }) => {
-            recover_checkpoint_chain(storage, c, threads, CheckpointTarget::Raw(&raw))?
-        }
-        (Some(c), _) => {
-            recover_checkpoint_chain(storage, c, threads, CheckpointTarget::Tables(&db))?
-        }
+    let target = match config.scheme {
+        RecoveryScheme::Plr { .. } => CheckpointTarget::Raw(&raw),
+        _ => CheckpointTarget::Tables(&db),
+    };
+    let ckpt: CheckpointRecovery = match &chain {
+        None => CheckpointRecovery::default(),
+        Some(c) => recover_checkpoint_chain(storage, c, threads, target)?,
     };
     let after_ts = ckpt.ckpt_ts;
 
@@ -236,12 +238,20 @@ pub fn recover(
         phase: RecoveryPhase::Replay,
     });
     let log = match config.scheme {
-        RecoveryScheme::Plr { latch } => plr::recover_log(
-            storage, &inventory, &raw, &db, threads, latch, pepoch, after_ts, &metrics,
-        )?,
-        RecoveryScheme::Llr { latch } => llr::recover_log(
-            storage, &inventory, &db, threads, latch, pepoch, after_ts, &metrics,
-        )?,
+        RecoveryScheme::Plr { latch } | RecoveryScheme::Llr { latch } => {
+            let mut log = llr::recover_log(
+                storage, &inventory, target, threads, latch, pepoch, after_ts, &metrics,
+            )?;
+            if let CheckpointTarget::Raw(raw) = target {
+                // PLR's lazy index reconstruction is part of its log
+                // recovery (§2.3).
+                let t = Instant::now();
+                raw.build_indexes(&db, threads);
+                metrics.add_work(t.elapsed());
+                log.total += t.elapsed();
+            }
+            log
+        }
         RecoveryScheme::LlrP => llr_p::recover_log(
             storage, &inventory, &db, threads, pepoch, after_ts, &metrics,
         )?,

@@ -22,7 +22,6 @@ pub mod gate;
 pub mod llr;
 pub mod llr_p;
 pub mod manager;
-pub mod plr;
 pub mod raw;
 mod source;
 
@@ -33,10 +32,57 @@ pub use manager::{
 };
 pub use source::{FollowHandle, UnitSource};
 
-use pacman_common::codec::Cursor;
-use pacman_common::{Decoder, Result, Timestamp};
+use crate::metrics::RecoveryMetrics;
+use bytes::Bytes;
+use pacman_common::{Error, Result, Timestamp};
 use pacman_storage::StorageSet;
-use pacman_wal::TxnLogRecord;
+use pacman_wal::{MergedBatchView, PayloadKind};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
+
+/// Timing result of a log-recovery stage.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LogRecovery {
+    /// Pure log file reloading (Fig. 14a).
+    pub reload: Duration,
+    /// Whole log-recovery stage (Fig. 14b).
+    pub total: Duration,
+    /// Largest replayed timestamp (clock resume point).
+    pub max_ts: Timestamp,
+    /// Records replayed.
+    pub txns: u64,
+    /// Command records re-executed through the interpreter (ALR-P/CLR).
+    pub replayed_commands: u64,
+    /// Tuple-level records applied as after-images (ALR-P and every
+    /// tuple-level scheme).
+    pub applied_writes: u64,
+    /// Writes offline LLR-P decoded and installed (the other schemes
+    /// install every write and leave both counts 0).
+    pub installed_writes: u64,
+    /// Writes offline LLR-P skipped undecoded because a newer version of
+    /// the key was already installed; `installed + skipped` is every write
+    /// in the replayed records.
+    pub skipped_writes: u64,
+}
+
+impl LogRecovery {
+    /// Count one loaded unit: its records, their format mix and newest
+    /// timestamp, and — once per unit — the session's `recovery.txns`.
+    pub(crate) fn count_unit(&mut self, batch: &MergedBatchView, metrics: &RecoveryMetrics) {
+        let n = batch.len() as u64;
+        let commands = batch
+            .iter()
+            .filter(|r| matches!(r.kind(), PayloadKind::Command { .. }))
+            .count() as u64;
+        self.replayed_commands += commands;
+        self.applied_writes += n - commands;
+        if let Some(last) = batch.last_ts() {
+            self.max_ts = self.max_ts.max(last);
+        }
+        self.txns += n;
+        metrics.count_txns(n);
+    }
+}
 
 /// One log file found on a device.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -96,24 +142,50 @@ impl LogInventory {
     }
 }
 
-/// Decode the records of one file, filtering by the durability frontier and
-/// the checkpoint watermark.
-pub fn decode_records(bytes: &[u8], pepoch: u64, after_ts: Timestamp) -> Result<Vec<TxnLogRecord>> {
-    let mut cur = Cursor::new(bytes);
-    let mut out = Vec::new();
-    while !cur.is_empty() {
-        let rec = TxnLogRecord::decode(&mut cur)?;
-        if rec.epoch() <= pepoch && rec.ts > after_ts {
-            out.push(rec);
+/// Read every log file of `inventory` into memory, in parallel
+/// (bandwidth-bound): the reload phase of the per-file tuple-level
+/// schemes. Buffers are in inventory order.
+pub(crate) fn reload_files(
+    storage: &StorageSet,
+    inventory: &LogInventory,
+    threads: usize,
+) -> Result<Vec<Bytes>> {
+    let n = inventory.files.len();
+    let slots: Vec<parking_lot::Mutex<Option<Bytes>>> =
+        (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let err = parking_lot::Mutex::new(None::<Error>);
+    crossbeam::thread::scope(|scope| {
+        for _ in 0..threads.max(1) {
+            scope.spawn(|_| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    return;
+                }
+                let f = &inventory.files[i];
+                match storage.disk(f.disk).read(&f.name) {
+                    Ok(b) => *slots[i].lock() = Some(b),
+                    Err(e) => {
+                        err.lock().get_or_insert(e);
+                    }
+                }
+            });
         }
+    })
+    .expect("reload scope");
+    if let Some(e) = err.into_inner() {
+        return Err(e);
     }
-    Ok(out)
+    Ok(slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("loaded"))
+        .collect())
 }
 
 /// Read one batch merged across loggers in commitment order. The per-file
 /// read buffers back borrowed [`pacman_wal::RecordView`]s, so replay
-/// copies row bytes only at version-chain installation (or decodes the
-/// whole batch with `to_batch()`).
+/// copies only what it keeps: a command's parameter list, or a write's
+/// after-image at version-chain installation.
 pub fn read_merged_batch_view(
     storage: &StorageSet,
     inventory: &LogInventory,
@@ -142,7 +214,7 @@ mod tests {
     use super::*;
     use pacman_common::{Encoder, ProcId, Value};
     use pacman_storage::DiskConfig;
-    use pacman_wal::LogPayload;
+    use pacman_wal::{LogPayload, TxnLogRecord};
 
     fn cmd(ts: u64) -> TxnLogRecord {
         TxnLogRecord {
@@ -219,17 +291,5 @@ mod tests {
         let batch = read_merged_batch_view(&storage, &inv, 0, u64::MAX, 0).unwrap();
         assert_eq!(batch.len(), 1);
         assert_eq!(batch.last_ts(), Some(epoch_floor(1) | 5));
-    }
-
-    #[test]
-    fn decode_filters_frontier_and_watermark() {
-        use pacman_common::clock::epoch_floor;
-        let mut buf = Vec::new();
-        cmd(epoch_floor(1) | 5).encode(&mut buf);
-        cmd(epoch_floor(2) | 6).encode(&mut buf);
-        cmd(epoch_floor(3) | 7).encode(&mut buf);
-        let recs = decode_records(&buf, 2, epoch_floor(1) | 5).unwrap();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].ts, epoch_floor(2) | 6);
     }
 }

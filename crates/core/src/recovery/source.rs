@@ -13,15 +13,13 @@
 //!   grows with every announcement, and the source ends at
 //!   [`FollowHandle::finish`].
 
-use crate::metrics::RecoveryMetrics;
-use crate::recovery::plr::LogRecovery;
 use crate::recovery::{read_merged_batch_view, LogInventory};
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use pacman_common::{Error, Result, Timestamp};
 use pacman_engine::RecoveryGate;
 use pacman_storage::StorageSet;
-use pacman_wal::{merged_view_from_buffers, LogBatch, LogPayload, MergedBatchView, TxnLogRecord};
+use pacman_wal::{merged_view_from_buffers, MergedBatchView};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -210,22 +208,5 @@ impl FollowHandle {
     pub fn fail(self, e: Error) {
         *self.end.lock() = Some(Err(e));
         self.gate.fail();
-    }
-}
-
-impl LogRecovery {
-    /// Count one loaded unit: its records, their format mix and newest
-    /// timestamp, and — once per unit — the session's `recovery.txns`.
-    pub(crate) fn count_unit(&mut self, batch: &LogBatch, metrics: &RecoveryMetrics) {
-        let n = batch.records.len() as u64;
-        let is_command = |r: &&TxnLogRecord| matches!(r.payload, LogPayload::Command { .. });
-        let commands = batch.records.iter().filter(is_command).count() as u64;
-        self.replayed_commands += commands;
-        self.applied_writes += n - commands;
-        if let Some(last) = batch.records.last() {
-            self.max_ts = self.max_ts.max(last.ts);
-        }
-        self.txns += n;
-        metrics.count_txns(n);
     }
 }

@@ -666,7 +666,7 @@ mod tests {
     use pacman_engine::run_procedure_with_epoch;
     use pacman_sproc::{Expr, ProcBuilder};
     use pacman_storage::{DiskConfig, StorageSet};
-    use pacman_wal::{LogPayload, LogScheme, LogShipper, TxnLogRecord};
+    use pacman_wal::{LogPayload, LogScheme, LogShipper, TxnLogRecord, WorkerLogBuffer};
 
     const T: TableId = TableId::new(0);
     const ADD: ProcId = ProcId::new(0);
@@ -965,18 +965,20 @@ mod tests {
         assert!(promoted.resume.base_epoch >= pepoch);
 
         // The promoted primary serves writes with strictly newer epochs.
-        let worker = promoted.durability.register_worker();
-        let em = Arc::clone(promoted.durability.epoch_manager());
-        worker.enter();
+        let dur = &promoted.durability;
+        let worker = dur.register_worker();
+        let mut wb = WorkerLogBuffer::new();
+        let e = worker.peek();
+        dur.flush_before_ack(&mut wb, 0, e);
+        worker.enter_at(e);
         let proc = reg.get(ADD).unwrap();
         let params: Params = vec![Value::Int(0), Value::Int(1)].into();
-        let info = run_procedure_with_epoch(&promoted.db, proc, &params, || em.current()).unwrap();
+        let info = run_procedure_with_epoch(&promoted.db, proc, &params, || e).unwrap();
         assert!(epoch_of(info.ts) > promoted.resume.base_epoch);
-        promoted
-            .durability
-            .log_commit(0, &info, ADD, &params, false);
+        dur.log_commit_buffered(&mut wb, 0, &info, ADD, &params, false);
+        dur.flush_worker(&mut wb, 0);
         worker.retire();
-        promoted.durability.wait_durable(epoch_of(info.ts));
+        dur.wait_durable(epoch_of(info.ts));
         promoted.durability.shutdown();
     }
 

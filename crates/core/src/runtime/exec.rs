@@ -9,22 +9,25 @@ use crate::schedule::{Piece, PieceOps, TxnCtx};
 use pacman_common::{Result, Timestamp};
 use pacman_engine::{execute_plan, Database, ExecFrame, ReplayAccess, WriteKind, WriteRecord};
 use pacman_sproc::{Access, ProcRegistry, VarStore};
-use pacman_wal::{LogPayload, TxnLogRecord};
+use pacman_wal::{PayloadKind, RecordView};
 
-/// Install a tuple-level write set at timestamp `ts`.
-pub fn apply_writes(db: &Database, ts: Timestamp, writes: &[WriteRecord]) -> Result<()> {
+/// Install a tuple-level write set at timestamp `ts`. Returns the number of
+/// images installed.
+pub fn apply_writes(
+    db: &Database,
+    ts: Timestamp,
+    writes: impl IntoIterator<Item = WriteRecord>,
+) -> Result<u64> {
+    let mut installed = 0;
     for w in writes {
-        let table = db.table(w.table)?;
-        match (w.kind, &w.after) {
-            (WriteKind::Delete, _) | (_, None) => {
-                table.install_lww(w.key, ts, None);
-            }
-            (_, Some(row)) => {
-                table.install_lww(w.key, ts, Some(row.clone()));
-            }
-        }
+        let after = match w.kind {
+            WriteKind::Delete => None,
+            WriteKind::Update | WriteKind::Insert => w.after,
+        };
+        db.table(w.table)?.install_lww(w.key, ts, after);
+        installed += 1;
     }
-    Ok(())
+    Ok(installed)
 }
 
 /// One replay thread's executor: the tuple cursor and the interpreter
@@ -79,10 +82,7 @@ impl<'a> Replayer<'a> {
                 self.access.finish();
                 Ok(self.access.take_installed())
             }
-            PieceOps::Writes(writes) => {
-                apply_writes(self.db, piece.ts, writes)?;
-                Ok(writes.len() as u64)
-            }
+            PieceOps::Writes(writes) => apply_writes(self.db, piece.ts, writes.iter().cloned()),
         }
     }
 
@@ -90,17 +90,18 @@ impl<'a> Replayer<'a> {
     /// thread), through the procedure's replay plan — the same replay-live
     /// operations CLR-P spreads over its pieces, so the two differ in
     /// scheduling only. Returns the number of tuple images installed.
-    pub fn replay_record(&mut self, registry: &ProcRegistry, record: &TxnLogRecord) -> Result<u64> {
-        match &record.payload {
-            LogPayload::Command { proc, params } => {
-                let def = registry.get(*proc)?;
-                self.access.retarget(record.ts);
+    pub fn replay_record(&mut self, registry: &ProcRegistry, record: &RecordView) -> Result<u64> {
+        match record.kind() {
+            PayloadKind::Command { proc } => {
+                let def = registry.get(proc)?;
+                let params = record.params().expect("command records carry params");
+                self.access.retarget(record.ts());
                 // One plan holds every operation replay runs: no variable
                 // leaves its register.
                 execute_plan(
                     def,
                     def.replay_plan(),
-                    params,
+                    &params,
                     VarStore::shared_empty(),
                     None,
                     &mut self.frame,
@@ -109,10 +110,11 @@ impl<'a> Replayer<'a> {
                 self.access.finish();
                 Ok(self.access.take_installed())
             }
-            LogPayload::Writes { writes, .. } | LogPayload::TaggedWrites { writes, .. } => {
-                apply_writes(self.db, record.ts, writes)?;
-                Ok(writes.len() as u64)
-            }
+            PayloadKind::Writes { .. } | PayloadKind::TaggedWrites { .. } => apply_writes(
+                self.db,
+                record.ts(),
+                record.writes().expect("tuple-level records carry writes"),
+            ),
         }
     }
 }
@@ -120,9 +122,11 @@ impl<'a> Replayer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pacman_common::{ProcId, Row, TableId, Value};
+    use pacman_common::codec::Cursor;
+    use pacman_common::{Encoder, ProcId, Row, TableId, Value};
     use pacman_engine::Catalog;
     use pacman_sproc::{Expr, ProcBuilder};
+    use pacman_wal::{LogPayload, TxnLogRecord};
     use std::sync::Arc;
 
     const T: TableId = TableId::new(0);
@@ -140,10 +144,10 @@ mod tests {
     #[test]
     fn apply_writes_installs_and_deletes() {
         let db = db();
-        apply_writes(
+        let installed = apply_writes(
             &db,
             9,
-            &[
+            [
                 WriteRecord {
                     table: T,
                     key: 0,
@@ -161,6 +165,7 @@ mod tests {
             ],
         )
         .unwrap();
+        assert_eq!(installed, 2);
         let chain = db.table(T).unwrap().get(0).unwrap();
         assert_eq!(chain.newest().1.unwrap().col(0), Value::Int(55));
         assert!(db.table(T).unwrap().get(1).unwrap().newest().1.is_none());
@@ -179,14 +184,16 @@ mod tests {
             Expr::add(Expr::var(v), Expr::param(1)),
         );
         reg.register(b.build().unwrap()).unwrap();
-        let rec = TxnLogRecord {
+        let bytes = TxnLogRecord {
             ts: 7,
             payload: LogPayload::Command {
                 proc: ProcId::new(0),
                 params: Arc::from(vec![Value::Int(2), Value::Int(5)]),
             },
-        };
-        Replayer::new(&db).replay_record(&reg, &rec).unwrap();
+        }
+        .to_bytes();
+        let rec = RecordView::parse(&mut Cursor::new(&bytes)).unwrap();
+        assert_eq!(Replayer::new(&db).replay_record(&reg, &rec).unwrap(), 1);
         let chain = db.table(T).unwrap().get(2).unwrap();
         let (ts, row) = chain.newest();
         assert_eq!(ts, 7);

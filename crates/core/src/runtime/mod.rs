@@ -620,10 +620,11 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pacman_common::Encoder;
     use pacman_common::{ProcId, Row, TableId, Value};
     use pacman_engine::Catalog;
     use pacman_sproc::{Expr, ProcBuilder, ProcRegistry};
-    use pacman_wal::{LogBatch, LogPayload, TxnLogRecord};
+    use pacman_wal::{merged_view_from_buffers, LogPayload, MergedBatchView, TxnLogRecord};
     use std::sync::Weak;
     use std::time::Duration;
 
@@ -643,17 +644,19 @@ mod tests {
     }
 
     /// Batch `index`: one IncA and one IncB on key `index % 4`.
-    fn batch(index: u64) -> LogBatch {
-        let records = (0..2u32)
-            .map(|p| TxnLogRecord {
+    fn batch(index: u64) -> MergedBatchView {
+        let mut buf = Vec::new();
+        for p in 0..2u32 {
+            TxnLogRecord {
                 ts: 10 + 2 * index + p as u64,
                 payload: LogPayload::Command {
                     proc: ProcId::new(p),
                     params: vec![Value::Int((index % 4) as i64)].into(),
                 },
-            })
-            .collect();
-        LogBatch { index, records }
+            }
+            .encode(&mut buf);
+        }
+        merged_view_from_buffers(index, vec![buf.into()], u64::MAX, 0).unwrap()
     }
 
     fn alive(canaries: &[Weak<BatchEntry>]) -> usize {

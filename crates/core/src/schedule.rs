@@ -10,7 +10,7 @@ use crate::static_analysis::GlobalGraph;
 use pacman_common::{BlockId, Result, Timestamp};
 use pacman_engine::WriteRecord;
 use pacman_sproc::{Params, PiecePlan, ProcRegistry, ProcedureDef, VarStore};
-use pacman_wal::{LogBatch, LogPayload};
+use pacman_wal::{MergedBatchView, PayloadKind};
 use std::sync::Arc;
 
 /// Per-transaction context shared by all of its pieces.
@@ -71,15 +71,21 @@ pub struct ExecutionSchedule {
 
 impl ExecutionSchedule {
     /// Instantiate the schedule for `batch` using the global dependency
-    /// graph (Fig. 6's construction).
-    pub fn build(gdg: &GlobalGraph, registry: &ProcRegistry, batch: &LogBatch) -> Result<Self> {
+    /// graph (Fig. 6's construction). Records are read in place: a command
+    /// decodes its parameter list once, into its [`TxnCtx`], and a
+    /// tuple-level record decodes each write once, into its piece.
+    pub fn build(
+        gdg: &GlobalGraph,
+        registry: &ProcRegistry,
+        batch: &MergedBatchView,
+    ) -> Result<Self> {
         let mut piece_sets: Vec<PieceSet> = (0..gdg.num_blocks())
             .map(|b| PieceSet {
                 block: BlockId::new(b as u32),
                 pieces: Vec::new(),
             })
             .collect();
-        let mut txns = Vec::with_capacity(batch.records.len());
+        let mut txns = Vec::with_capacity(batch.len());
         // Scratch arena reused across the whole batch: the outer grouping
         // vector keeps its capacity from record to record (the per-group
         // vectors move into their pieces' `Arc`s), and transactions with
@@ -90,55 +96,56 @@ impl ExecutionSchedule {
         let empty_params: Params = Arc::from(Vec::new());
         let empty_vars = Arc::new(VarStore::new(0));
 
-        for record in &batch.records {
+        for record in batch.iter() {
             let txn_idx = txns.len();
-            match &record.payload {
-                LogPayload::Command { proc, params } => {
-                    let def = Arc::clone(registry.get(*proc)?);
-                    let plans = gdg.plans_for(*proc);
+            let ts = record.ts();
+            match record.kind() {
+                PayloadKind::Command { proc } => {
+                    let def = Arc::clone(registry.get(proc)?);
+                    let plans = gdg.plans_for(proc);
                     let vars = if plans.iter().any(|p| p.hands_off()) {
                         Arc::new(VarStore::new(def.num_vars))
                     } else {
                         Arc::clone(&empty_vars)
                     };
-                    for (tmpl, plan) in gdg.templates_for(*proc).iter().zip(plans) {
+                    for (tmpl, plan) in gdg.templates_for(proc).iter().zip(plans) {
                         piece_sets[tmpl.block.index()].pieces.push(Piece {
                             txn: txn_idx,
-                            ts: record.ts,
+                            ts,
                             ops: PieceOps::Slice(Arc::clone(plan)),
                         });
                     }
                     txns.push(TxnCtx {
-                        ts: record.ts,
+                        ts,
                         proc: Some(def),
-                        params: Arc::clone(params),
+                        params: record.params().expect("command records carry params"),
                         vars,
                     });
                 }
                 // Tuple-level records — ad-hoc transactions (§4.5) and
                 // adaptive logical records — short-circuit re-execution:
                 // their write sets install directly, dispatched per block.
-                LogPayload::Writes { writes, .. } | LogPayload::TaggedWrites { writes, .. } => {
+                PayloadKind::Writes { .. } | PayloadKind::TaggedWrites { .. } => {
                     // Group the write set by owning block (§4.5): each write
                     // operation is dispatched to the piece-subset of the
                     // block that owns its table.
                     by_block.clear();
-                    for w in writes {
+                    for w in record.writes().expect("tuple-level records carry writes") {
                         let block = gdg.install_block(w.table);
                         match by_block.iter_mut().find(|(b, _)| *b == block) {
-                            Some((_, v)) => v.push(w.clone()),
-                            None => by_block.push((block, vec![w.clone()])),
+                            Some((_, v)) => v.push(w),
+                            None => by_block.push((block, vec![w])),
                         }
                     }
                     for (block, group) in by_block.drain(..) {
                         piece_sets[block.index()].pieces.push(Piece {
                             txn: txn_idx,
-                            ts: record.ts,
+                            ts,
                             ops: PieceOps::Writes(Arc::new(group)),
                         });
                     }
                     txns.push(TxnCtx {
-                        ts: record.ts,
+                        ts,
                         proc: None,
                         params: Arc::clone(&empty_params),
                         vars: Arc::clone(&empty_vars),
@@ -168,10 +175,11 @@ impl ExecutionSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pacman_common::Encoder;
     use pacman_common::{ProcId, TableId, Value};
     use pacman_engine::WriteKind;
     use pacman_sproc::{Expr, ProcBuilder};
-    use pacman_wal::TxnLogRecord;
+    use pacman_wal::{merged_view_from_buffers, LogPayload, TxnLogRecord};
 
     const FAMILY: TableId = TableId::new(0);
     const CURRENT: TableId = TableId::new(1);
@@ -237,6 +245,15 @@ mod tests {
         reg
     }
 
+    /// `records` encoded into one file and read back as batch `index`.
+    fn batch(index: u64, records: &[TxnLogRecord]) -> MergedBatchView {
+        let mut buf = Vec::new();
+        for r in records {
+            r.encode(&mut buf);
+        }
+        merged_view_from_buffers(index, vec![buf.into()], u64::MAX, 0).unwrap()
+    }
+
     fn cmd(ts: u64, proc: u32, params: Vec<Value>) -> TxnLogRecord {
         TxnLogRecord {
             ts,
@@ -252,14 +269,14 @@ mod tests {
     fn fig6_schedule_shape() {
         let reg = registry();
         let gdg = GlobalGraph::analyze(reg.all()).unwrap();
-        let batch = LogBatch {
-            index: 0,
-            records: vec![
+        let batch = batch(
+            0,
+            &[
                 cmd(10, 0, vec![Value::Int(1), Value::Int(5)]),
                 cmd(11, 1, vec![Value::Int(2), Value::Int(7), Value::Int(0)]),
                 cmd(12, 0, vec![Value::Int(3), Value::Int(9)]),
             ],
-        };
+        );
         let s = ExecutionSchedule::build(&gdg, &reg, &batch).unwrap();
         assert_eq!(s.txns.len(), 3);
         assert_eq!(s.piece_sets.len(), 4);
@@ -274,6 +291,10 @@ mod tests {
             vec![10, 11, 12]
         );
         assert_eq!(s.total_pieces(), 9);
+        assert_eq!(
+            &s.txns[1].params[..],
+            &[Value::Int(2), Value::Int(7), Value::Int(0)]
+        );
     }
 
     #[test]
@@ -296,9 +317,9 @@ mod tests {
                 prev_ts: 0,
             },
         ];
-        let batch = LogBatch {
-            index: 3,
-            records: vec![TxnLogRecord {
+        let batch = batch(
+            3,
+            &[TxnLogRecord {
                 ts: 20,
                 payload: LogPayload::Writes {
                     writes,
@@ -306,8 +327,9 @@ mod tests {
                     adhoc: true,
                 },
             }],
-        };
+        );
         let s = ExecutionSchedule::build(&gdg, &reg, &batch).unwrap();
+        assert_eq!(s.batch_index, 3);
         // Current is owned by Bβ (index 1), Saving by Bγ (index 2).
         assert_eq!(s.piece_counts(), vec![0, 1, 1, 0]);
         match &s.piece_sets[1].pieces[0].ops {
@@ -320,7 +342,7 @@ mod tests {
     fn empty_batch_gives_empty_schedule() {
         let reg = registry();
         let gdg = GlobalGraph::analyze(reg.all()).unwrap();
-        let s = ExecutionSchedule::build(&gdg, &reg, &LogBatch::default()).unwrap();
+        let s = ExecutionSchedule::build(&gdg, &reg, &MergedBatchView::default()).unwrap();
         assert_eq!(s.total_pieces(), 0);
         assert!(s.txns.is_empty());
     }

@@ -8,21 +8,12 @@
 //! files of a batch and sorts by commit timestamp, yielding exactly the
 //! paper's batch abstraction.
 
-use crate::record::{PayloadKind, RecordView, TxnLogRecord};
+use crate::record::{PayloadKind, RecordView};
 use bytes::Bytes;
 use pacman_common::codec::Cursor;
 use pacman_common::Result;
 use pacman_storage::StorageSet;
 use std::collections::BTreeSet;
-
-/// A reloaded, commit-ordered log batch.
-#[derive(Clone, Debug, Default)]
-pub struct LogBatch {
-    /// Batch sequence number.
-    pub index: u64,
-    /// Records sorted by commit timestamp.
-    pub records: Vec<TxnLogRecord>,
-}
 
 /// The batch an epoch belongs to.
 #[inline]
@@ -144,22 +135,6 @@ pub fn truncate_log_tail(storage: &StorageSet, pepoch: u64, batch_epochs: u64) -
     (dropped, max_kept)
 }
 
-/// Read batch `index` from every logger's device, keeping only records with
-/// `epoch <= pepoch` (the durability frontier) and `ts > after_ts` (already
-/// covered by the checkpoint), merged into commit order.
-///
-/// The read pays the devices' read bandwidth — this is the "log reloading"
-/// time of Fig. 14a.
-pub fn read_merged_batch(
-    storage: &StorageSet,
-    num_loggers: usize,
-    index: u64,
-    pepoch: u64,
-    after_ts: u64,
-) -> Result<LogBatch> {
-    Ok(read_merged_batch_view(storage, num_loggers, index, pepoch, after_ts)?.to_batch())
-}
-
 /// One validated record's location inside a [`MergedBatchView`], with the
 /// header fields `RecordView::parse` extracted, so iteration rebuilds the
 /// view without walking the record again.
@@ -177,9 +152,7 @@ struct Span {
 ///
 /// The file payloads stay in their (ref-counted) read buffers; the merge
 /// sorts lightweight spans instead of owned records. Consumers iterate
-/// [`RecordView`]s and copy only what they install — the owned
-/// [`LogBatch`] is available via [`MergedBatchView::to_batch`] for
-/// consumers that need full ownership.
+/// [`RecordView`]s and copy only what they install.
 #[derive(Clone, Debug, Default)]
 pub struct MergedBatchView {
     /// Batch sequence number.
@@ -216,39 +189,12 @@ impl MergedBatchView {
             RecordView::from_validated(s.ts, s.kind, slice, s.body_at as usize)
         })
     }
-
-    /// Decode every record to an owned, commit-ordered [`LogBatch`].
-    pub fn to_batch(&self) -> LogBatch {
-        LogBatch {
-            index: self.index,
-            records: self.iter().map(|v| v.to_owned()).collect(),
-        }
-    }
 }
 
-/// [`read_merged_batch`] without decode-to-owned: reads each logger's file
-/// once and merges borrowed record spans by commit timestamp.
-pub fn read_merged_batch_view(
-    storage: &StorageSet,
-    num_loggers: usize,
-    index: u64,
-    pepoch: u64,
-    after_ts: u64,
-) -> Result<MergedBatchView> {
-    let mut buffers = Vec::new();
-    for logger in 0..num_loggers {
-        let name = batch_name(logger, index);
-        match storage.disk(logger).read(&name) {
-            Ok(b) => buffers.push(b),
-            Err(_) => continue, // this logger wrote nothing for the batch
-        }
-    }
-    merged_view_from_buffers(index, buffers, pepoch, after_ts)
-}
-
-/// Build a merged, commit-ordered view over raw per-file buffers (for
-/// recovery paths that discover log files by inventory scan rather than
-/// the loggers' own naming). Filters like [`read_merged_batch_view`].
+/// Merge raw per-file buffers into one commit-ordered view, keeping only
+/// records with `epoch <= pepoch` (the durability frontier) and
+/// `ts > after_ts` (not covered by the checkpoint). Every record is
+/// validated once, here; iteration revisits the spans without parsing.
 pub fn merged_view_from_buffers(
     index: u64,
     buffers: Vec<Bytes>,
@@ -282,11 +228,33 @@ pub fn merged_view_from_buffers(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::record::LogPayload;
+    use crate::record::{LogPayload, TxnLogRecord};
     use pacman_common::clock::epoch_floor;
     use pacman_common::{Encoder, ProcId, Value};
+
+    /// Batch `index` as the loggers left it: logger `l` writes
+    /// `batch_name(l, index)` on disk `l`; a missing file contributes
+    /// nothing.
+    pub(crate) fn read_batch(
+        storage: &StorageSet,
+        index: u64,
+        pepoch: u64,
+        after_ts: u64,
+    ) -> MergedBatchView {
+        let buffers = storage
+            .disks()
+            .iter()
+            .enumerate()
+            .filter_map(|(logger, disk)| disk.read(&batch_name(logger, index)).ok())
+            .collect();
+        merged_view_from_buffers(index, buffers, pepoch, after_ts).unwrap()
+    }
+
+    fn ts_of(batch: &MergedBatchView) -> Vec<u64> {
+        batch.iter().map(|r| r.ts()).collect()
+    }
 
     fn cmd(ts: u64) -> TxnLogRecord {
         TxnLogRecord {
@@ -320,16 +288,16 @@ mod tests {
         storage.disk(1).append(&batch_name(1, 0), &buf1);
 
         // pepoch = 2: the epoch-3 record is not yet durable.
-        let batch = read_merged_batch(&storage, 2, 0, 2, 0).unwrap();
-        let ts: Vec<u64> = batch.records.iter().map(|r| r.ts).collect();
+        let batch = read_batch(&storage, 0, 2, 0);
         assert_eq!(
-            ts,
+            ts_of(&batch),
             vec![epoch_floor(1) | 3, epoch_floor(1) | 5, epoch_floor(2) | 1]
         );
+        assert_eq!(batch.last_ts(), Some(epoch_floor(2) | 1));
 
         // after_ts filters checkpoint-covered records.
-        let batch = read_merged_batch(&storage, 2, 0, 2, epoch_floor(1) | 4).unwrap();
-        assert_eq!(batch.records.len(), 2);
+        let batch = read_batch(&storage, 0, 2, epoch_floor(1) | 4);
+        assert_eq!(batch.len(), 2);
     }
 
     #[test]
@@ -353,10 +321,8 @@ mod tests {
         let (dropped, max_kept) = truncate_log_tail(&storage, 2, 10);
         assert_eq!(dropped, 2);
         assert_eq!(max_kept, 2);
-        let b = read_merged_batch(&storage, 2, 0, u64::MAX, 0).unwrap();
-        let ts: Vec<u64> = b.records.iter().map(|r| r.ts).collect();
         assert_eq!(
-            ts,
+            ts_of(&read_batch(&storage, 0, u64::MAX, 0)),
             vec![epoch_floor(1) | 1, epoch_floor(2) | 2, epoch_floor(2) | 4]
         );
         assert!(storage.disk(0).read(&batch_name(0, 3)).is_err());
@@ -372,8 +338,7 @@ mod tests {
         buf.extend_from_slice(&[0xFF; 3]); // torn write
         storage.disk(0).append(&batch_name(0, 0), &buf);
         assert_eq!(truncate_log_tail(&storage, 5, 10), (1, 1));
-        let b = read_merged_batch(&storage, 1, 0, u64::MAX, 0).unwrap();
-        assert_eq!(b.records.len(), 1);
+        assert_eq!(read_batch(&storage, 0, u64::MAX, 0).len(), 1);
     }
 
     #[test]
@@ -382,8 +347,7 @@ mod tests {
         let mut buf = Vec::new();
         cmd(epoch_floor(1) | 1).encode(&mut buf);
         storage.disk(0).append(&batch_name(0, 3), &buf);
-        let batch = read_merged_batch(&storage, 2, 3, 10, 0).unwrap();
-        assert_eq!(batch.records.len(), 1);
+        assert_eq!(read_batch(&storage, 3, 10, 0).len(), 1);
         assert_eq!(list_batch_indices(&storage), vec![3]);
     }
 }

@@ -692,46 +692,13 @@ impl Durability {
         Some(payload)
     }
 
-    /// Serialize and enqueue the log record for a committed transaction.
-    /// `worker` selects the logger (sub-group mapping). Returns the record
-    /// size in bytes (0 when logging is off).
-    ///
-    /// One queue entry (and one buffer allocation) per transaction; the
-    /// hot benchmark path uses [`Durability::log_commit_buffered`] instead,
-    /// which stages records in a per-worker epoch arena.
-    pub fn log_commit(
-        &self,
-        worker: usize,
-        info: &CommitInfo,
-        proc: ProcId,
-        params: &Params,
-        adhoc: bool,
-    ) -> usize {
-        let Some(payload) = self.commit_payload(info, proc, params, adhoc) else {
-            return 0;
-        };
-        // Worker-side serialization (this is the per-txn CPU cost that
-        // separates tuple-level from command logging in §6.1.1).
-        let mut bytes = Vec::with_capacity(64);
-        payload.encode_record(info.ts, &mut bytes);
-        let len = bytes.len();
-        self.bytes_logged.add(len as u64);
-        let loggers = self.loggers.read();
-        if loggers.is_empty() {
-            return 0;
-        }
-        let idx = worker % loggers.len();
-        let epoch = epoch_of(info.ts);
-        pacman_obs::spans().record(epoch, Stage::Staged);
-        let _ = loggers[idx].sender.send(QueuedRecord { epoch, bytes });
-        len
-    }
-
     /// Encode a committed transaction's record into the worker's epoch
-    /// arena. Same wire bytes as [`Durability::log_commit`], but the
-    /// encode appends to the arena's buffer (amortizing the allocation
-    /// over the whole epoch) and the logger receives *one* queue entry per
-    /// worker per epoch instead of one per transaction.
+    /// arena — the one way a commit reaches the log. `worker` selects the
+    /// logger (sub-group mapping). Returns the record size in bytes (0
+    /// when logging is off). The encode appends to the arena's buffer
+    /// (amortizing the allocation over the whole epoch), and the logger
+    /// receives *one* queue entry per worker per epoch, holding that
+    /// epoch's run of records.
     ///
     /// Safety contract (enforced by the drivers): before a worker's
     /// acknowledged epoch advances past `buf.epoch()` — i.e. before every
@@ -739,7 +706,8 @@ impl Durability {
     /// that committed nothing — the arena must be handed to the logger via
     /// [`Durability::flush_before_ack`]. The logger seals epoch `e` the
     /// moment every ack exceeds `e`; records still staged in a worker
-    /// arena at that point would miss their batch file.
+    /// arena at that point would miss their batch file. Before the worker
+    /// retires, [`Durability::flush_worker`] hands over what is left.
     pub fn log_commit_buffered(
         &self,
         buf: &mut WorkerLogBuffer,
@@ -1009,7 +977,8 @@ type _AssertSend = StdArc<Durability>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{LogPayload, TxnLogRecord};
+    use crate::batch::tests::read_batch;
+    use crate::record::{LogPayload, PayloadKind, TxnLogRecord};
     use pacman_common::{Encoder, Row, TableId, Value};
     use pacman_engine::Catalog;
     use pacman_storage::{DiskConfig, StorageSet};
@@ -1037,38 +1006,62 @@ mod tests {
         (db, dur)
     }
 
-    fn commit_one(db: &Database, dur: &Durability, worker: &WorkerEpoch, k: u64, v: i64) -> u64 {
-        loop {
-            let e = worker.enter();
-            let mut t = db.begin();
-            let r = t.read(TableId::new(0), k).unwrap();
-            t.write(TableId::new(0), k, r.with_col(0, Value::Int(v)))
-                .unwrap();
-            match t.commit_with(|| e) {
-                Ok(info) => {
-                    dur.log_commit(
+    /// A test worker with the commit driver's staging discipline: the
+    /// arena's older epochs go to the logger before the ack advances, and
+    /// what is left goes before the worker retires.
+    struct Worker {
+        epoch: WorkerEpoch,
+        buf: WorkerLogBuffer,
+    }
+
+    impl Worker {
+        fn new(dur: &Durability) -> Worker {
+            Worker {
+                epoch: dur.register_worker(),
+                buf: WorkerLogBuffer::new(),
+            }
+        }
+
+        /// Commit `k := v`, stage its record, return the record's epoch.
+        fn commit(&mut self, db: &Database, dur: &Durability, k: u64, v: i64, adhoc: bool) -> u64 {
+            loop {
+                let e = self.epoch.peek();
+                dur.flush_before_ack(&mut self.buf, 0, e);
+                self.epoch.enter_at(e);
+                let mut t = db.begin();
+                let r = t.read(TableId::new(0), k).unwrap();
+                t.write(TableId::new(0), k, r.with_col(0, Value::Int(v)))
+                    .unwrap();
+                if let Ok(info) = t.commit_with(|| e) {
+                    let params = pacman_sproc::params([Value::Int(k as i64), Value::Int(v)]);
+                    dur.log_commit_buffered(
+                        &mut self.buf,
                         0,
                         &info,
                         ProcId::new(0),
-                        &pacman_sproc::params([Value::Int(k as i64), Value::Int(v)]),
-                        false,
+                        &params,
+                        adhoc,
                     );
-                    return pacman_common::clock::epoch_of(info.ts);
+                    return epoch_of(info.ts);
                 }
-                Err(_) => continue,
             }
+        }
+
+        fn retire(mut self, dur: &Durability) {
+            dur.flush_worker(&mut self.buf, 0);
+            self.epoch.retire();
         }
     }
 
     #[test]
     fn commits_become_durable() {
         let (db, dur) = setup(LogScheme::Command);
-        let worker = dur.register_worker();
+        let mut worker = Worker::new(&dur);
         let mut max_epoch = 0;
         for k in 0..16u64 {
-            max_epoch = commit_one(&db, &dur, &worker, k, k as i64 + 1);
+            max_epoch = worker.commit(&db, &dur, k, k as i64 + 1, false);
         }
-        worker.retire();
+        worker.retire(&dur);
         dur.wait_durable(max_epoch);
         assert!(dur.pepoch() >= max_epoch);
         assert!(dur.bytes_logged() > 0);
@@ -1081,8 +1074,7 @@ mod tests {
     #[test]
     fn off_scheme_logs_nothing() {
         let (db, dur) = setup(LogScheme::Off);
-        let worker = dur.register_worker();
-        commit_one(&db, &dur, &worker, 1, 5);
+        Worker::new(&dur).commit(&db, &dur, 1, 5, false);
         assert_eq!(dur.bytes_logged(), 0);
         assert_eq!(dur.pepoch(), u64::MAX);
         dur.shutdown();
@@ -1092,9 +1084,9 @@ mod tests {
     #[test]
     fn crash_preserves_only_sealed_epochs() {
         let (db, dur) = setup(LogScheme::Logical);
-        let worker = dur.register_worker();
+        let mut worker = Worker::new(&dur);
         for k in 0..8u64 {
-            commit_one(&db, &dur, &worker, k, 42);
+            worker.commit(&db, &dur, k, 42, false);
         }
         // Crash immediately: the current epoch cannot have sealed.
         let pepoch_before = dur.pepoch();
@@ -1103,8 +1095,7 @@ mod tests {
         assert!(persisted >= pepoch_before.saturating_sub(1));
         // All batch contents decode cleanly.
         for idx in crate::batch::list_batch_indices(dur.storage()) {
-            let b = crate::batch::read_merged_batch(dur.storage(), 2, idx, persisted, 0).unwrap();
-            for r in &b.records {
+            for r in read_batch(dur.storage(), idx, persisted, 0).iter() {
                 assert!(r.epoch() <= persisted);
             }
         }
@@ -1130,12 +1121,12 @@ mod tests {
         }
         let (db, dur) = setup(LogScheme::Adaptive);
         dur.set_classifier(Arc::new(ByKeyParity));
-        let worker = dur.register_worker();
+        let mut worker = Worker::new(&dur);
         let mut max_epoch = 0;
         for k in 0..16u64 {
-            max_epoch = commit_one(&db, &dur, &worker, k, 7);
+            max_epoch = worker.commit(&db, &dur, k, 7, false);
         }
-        worker.retire();
+        worker.retire(&dur);
         dur.wait_durable(max_epoch);
         assert_eq!(dur.command_records(), 8);
         assert_eq!(dur.logical_records(), 8);
@@ -1144,13 +1135,12 @@ mod tests {
         let mut commands = 0;
         let mut tagged = 0;
         for idx in crate::batch::list_batch_indices(dur.storage()) {
-            let b = crate::batch::read_merged_batch(dur.storage(), 2, idx, u64::MAX, 0).unwrap();
-            for r in &b.records {
-                match &r.payload {
-                    LogPayload::Command { .. } => commands += 1,
-                    LogPayload::TaggedWrites { proc, writes } => {
-                        assert_eq!(*proc, ProcId::new(0));
-                        assert_eq!(writes.len(), 1);
+            for r in read_batch(dur.storage(), idx, u64::MAX, 0).iter() {
+                match r.kind() {
+                    PayloadKind::Command { .. } => commands += 1,
+                    PayloadKind::TaggedWrites { proc } => {
+                        assert_eq!(proc, ProcId::new(0));
+                        assert_eq!(r.writes().unwrap().len(), 1);
                         tagged += 1;
                     }
                     other => panic!("unexpected payload {other:?}"),
@@ -1164,43 +1154,28 @@ mod tests {
     #[test]
     fn adaptive_adhoc_still_logs_plain_writes() {
         let (db, dur) = setup(LogScheme::Adaptive);
-        let worker = dur.register_worker();
-        let epoch = {
-            loop {
-                let e = worker.enter();
-                let mut t = db.begin();
-                let r = t.read(TableId::new(0), 1).unwrap();
-                t.write(TableId::new(0), 1, r.with_col(0, Value::Int(9)))
-                    .unwrap();
-                match t.commit_with(|| e) {
-                    Ok(info) => {
-                        dur.log_commit(0, &info, ProcId::new(0), &pacman_sproc::params([]), true);
-                        break pacman_common::clock::epoch_of(info.ts);
-                    }
-                    Err(_) => continue,
-                }
-            }
-        };
-        worker.retire();
+        let mut worker = Worker::new(&dur);
+        let epoch = worker.commit(&db, &dur, 1, 9, true);
+        worker.retire(&dur);
         dur.wait_durable(epoch);
         dur.shutdown();
         let idx = crate::batch::list_batch_indices(dur.storage());
-        let b = crate::batch::read_merged_batch(dur.storage(), 2, idx[0], u64::MAX, 0).unwrap();
+        let b = read_batch(dur.storage(), idx[0], u64::MAX, 0);
         assert!(matches!(
-            b.records[0].payload,
-            LogPayload::Writes { adhoc: true, .. }
+            b.iter().next().unwrap().kind(),
+            PayloadKind::Writes { adhoc: true, .. }
         ));
     }
 
     #[test]
     fn reopen_resumes_epochs_past_the_frontier() {
         let (db, dur) = setup(LogScheme::Command);
-        let worker = dur.register_worker();
+        let mut worker = Worker::new(&dur);
         let mut max_epoch = 0;
         for k in 0..8u64 {
-            max_epoch = commit_one(&db, &dur, &worker, k, 1);
+            max_epoch = worker.commit(&db, &dur, k, 1, false);
         }
-        worker.retire();
+        worker.retire(&dur);
         dur.wait_durable(max_epoch);
         let storage = dur.storage().clone();
         dur.crash();
@@ -1221,16 +1196,16 @@ mod tests {
         };
         let (dur2, info) = Durability::reopen(Arc::clone(&db), storage.clone(), config);
         assert!(info.base_epoch >= frontier);
-        let worker = dur2.register_worker();
+        let mut worker = Worker::new(&dur2);
         let mut max2 = 0;
         for k in 0..8u64 {
-            max2 = commit_one(&db, &dur2, &worker, k, 2);
+            max2 = worker.commit(&db, &dur2, k, 2, false);
         }
         assert!(
             max2 > info.base_epoch,
             "fresh commits must use epochs past the resumed base"
         );
-        worker.retire();
+        worker.retire(&dur2);
         dur2.wait_durable(max2);
         dur2.shutdown();
         // One continuous stream: all 16 records decode, epochs never exceed
@@ -1239,8 +1214,7 @@ mod tests {
         assert!(final_pepoch >= max2);
         let mut n = 0;
         for idx in crate::batch::list_batch_indices(&storage) {
-            let b = crate::batch::read_merged_batch(&storage, 2, idx, final_pepoch, 0).unwrap();
-            n += b.records.len();
+            n += read_batch(&storage, idx, final_pepoch, 0).len();
         }
         assert_eq!(n, 16);
     }
@@ -1303,9 +1277,9 @@ mod tests {
         assert_eq!(info.truncated_records, 1);
         assert_eq!(info.base_epoch, 3);
         dur.shutdown();
-        let b = crate::batch::read_merged_batch(&storage, 1, 0, u64::MAX, 0).unwrap();
-        assert_eq!(b.records.len(), 1);
-        assert_eq!(b.records[0].ts, epoch_floor(3) | 1);
+        let b = read_batch(&storage, 0, u64::MAX, 0);
+        assert_eq!(b.len(), 1);
+        assert_eq!(b.last_ts(), Some(epoch_floor(3) | 1));
         // The ghost batch file disappeared entirely.
         assert!(storage
             .disk(0)
@@ -1346,14 +1320,14 @@ mod tests {
                 ..Default::default()
             },
         );
-        let worker = dur.register_worker();
+        let mut worker = Worker::new(&dur);
         let t0 = std::time::Instant::now();
         let mut k = 0u64;
         while t0.elapsed() < Duration::from_millis(120) {
-            commit_one(&db, &dur, &worker, k % 64, k as i64);
+            worker.commit(&db, &dur, k % 64, k as i64, false);
             k += 1;
         }
-        worker.retire();
+        worker.retire(&dur);
         std::thread::sleep(Duration::from_millis(40));
         dur.shutdown();
         assert!(dur.last_checkpoint_ts() > 0, "checkpoint never completed");

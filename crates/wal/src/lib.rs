@@ -34,7 +34,7 @@ pub mod ship;
 
 pub use batch::{
     batch_index_of_epoch, batch_name, list_batch_indices, merged_view_from_buffers,
-    read_merged_batch, read_merged_batch_view, truncate_log_tail, LogBatch, MergedBatchView,
+    truncate_log_tail, MergedBatchView,
 };
 pub use checkpoint::{
     read_chain, run_checkpoint, run_checkpoint_full, run_checkpoint_full_chained,

@@ -17,13 +17,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// A record handed to a logger: pre-serialized bytes plus its epoch.
-/// Workers serialize their own records (the serialization overhead the
-/// paper attributes to tuple-level schemes is paid on the worker, §6.1.1).
+/// What a worker hands a logger: one worker arena's run of records of a
+/// single epoch, already serialized back to back. Workers serialize their
+/// own records (the serialization overhead the paper attributes to
+/// tuple-level schemes is paid on the worker, §6.1.1).
 pub struct QueuedRecord {
-    /// Epoch the record's timestamp belongs to.
+    /// Epoch every record of the run belongs to.
     pub epoch: u64,
-    /// Encoded [`crate::record::TxnLogRecord`].
+    /// Encoded [`crate::record::TxnLogRecord`]s, in staging order.
     pub bytes: Vec<u8>,
 }
 

@@ -226,6 +226,10 @@ impl Encoder for TxnLogRecord {
     }
 }
 
+/// The owned decoder is the reference [`RecordView::parse`] is tested
+/// against (`tests/prop_recovery.rs`): same bytes consumed, same errors,
+/// same fields. Replay reads views; nothing in the product decodes to an
+/// owned record.
 impl Decoder for TxnLogRecord {
     fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
         let tag = cur.read_u8()?;
@@ -329,9 +333,9 @@ pub enum PayloadKind {
 /// kind / flag byte checks, same UTF-8 checks — but allocates nothing: a
 /// truncated or torn tail errors on the view if and only if it errors on
 /// the owned decode (`tests/prop_recovery.rs` holds this property). The
-/// bytes stay owned by the batch buffer; consumers that need owned data
-/// copy at the last possible moment ([`RecordView::to_owned`], or
-/// per-write via [`RecordView::writes`]).
+/// bytes stay owned by the batch buffer; consumers copy at the last
+/// possible moment: a command's parameter list via [`RecordView::params`],
+/// a tuple-level record's writes one at a time via [`RecordView::writes`].
 #[derive(Clone, Copy, Debug)]
 pub struct RecordView<'a> {
     ts: Timestamp,
@@ -441,11 +445,20 @@ impl<'a> RecordView<'a> {
         self.bytes
     }
 
-    /// Decode to an owned record (the single copy point for consumers
-    /// that need ownership, e.g. the piece-DAG schedule builder).
-    pub fn to_owned(&self) -> TxnLogRecord {
-        let mut cur = Cursor::new(self.bytes);
-        TxnLogRecord::decode(&mut cur).expect("span validated by RecordView::parse")
+    /// Decode a command record's parameter list (`None` for tuple-level
+    /// records): one decode straight into the shared list, no
+    /// intermediate owned record.
+    pub fn params(&self) -> Option<Params> {
+        let PayloadKind::Command { .. } = self.kind else {
+            return None;
+        };
+        let mut cur = Cursor::new(&self.bytes[self.body_at..]);
+        let n = cur.read_varint().expect("validated by parse") as usize;
+        Some(
+            (0..n)
+                .map(|_| Value::decode(&mut cur).expect("span validated by parse"))
+                .collect(),
+        )
     }
 
     /// Iterate this record's writes, decoding each at the point of use

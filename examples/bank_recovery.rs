@@ -13,7 +13,7 @@ use pacman_core::runtime::ReplayMode;
 use pacman_core::schedule::ExecutionSchedule;
 use pacman_core::static_analysis::GlobalGraph;
 use pacman_repro::harness::System;
-use pacman_wal::{DurabilityConfig, LogScheme};
+use pacman_wal::{DurabilityConfig, LogScheme, WorkerLogBuffer};
 use pacman_workloads::bank::{Bank, DEPOSIT, TRANSFER};
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,8 +36,13 @@ fn main() {
     pacman_wal::run_checkpoint(&sys.db, &sys.storage, 1).unwrap();
 
     // The Fig. 6 batch: Txn1 = Transfer, Txn2 = Deposit, Txn3 = Transfer.
-    let worker = sys.durability.register_worker();
-    let em = Arc::clone(sys.durability.epoch_manager());
+    // Each commit stages its record in the worker's epoch arena; the arena
+    // goes to the logger before the worker acknowledges a newer epoch, and
+    // before it retires.
+    let dur = &sys.durability;
+    let worker = dur.register_worker();
+    let mut arena = WorkerLogBuffer::new();
+    let em = Arc::clone(dur.epoch_manager());
     let txns: Vec<(pacman_common::ProcId, pacman_sproc::Params)> = vec![
         (TRANSFER, vec![Value::Int(0), Value::Int(25)].into()),
         (
@@ -46,16 +51,21 @@ fn main() {
         ),
         (TRANSFER, vec![Value::Int(2), Value::Int(10)].into()),
     ];
+    let mut last_epoch = 0;
     for (pid, params) in &txns {
-        worker.enter();
+        let e = worker.peek();
+        dur.flush_before_ack(&mut arena, 0, e);
+        worker.enter_at(e);
         let proc = sys.registry.get(*pid).unwrap();
         let info = pacman_engine::run_procedure_with_epoch(&sys.db, proc, params, || em.current())
             .expect("commit");
-        sys.durability.log_commit(0, &info, *pid, params, false);
+        dur.log_commit_buffered(&mut arena, 0, &info, *pid, params, false);
+        last_epoch = pacman_common::clock::epoch_of(info.ts);
         println!("committed {} at ts {:#x}", proc.name, info.ts);
     }
+    dur.flush_worker(&mut arena, 0);
     worker.retire();
-    sys.durability.wait_durable(em.current().saturating_sub(0));
+    dur.wait_durable(last_epoch);
 
     let before = sys.db.fingerprint();
     let (storage, registry, catalog) = sys.crash();
@@ -64,21 +74,21 @@ fn main() {
     let gdg = GlobalGraph::analyze(registry.all()).unwrap();
     let inventory = pacman_core::recovery::LogInventory::scan(&storage);
     for batch_idx in inventory.batches() {
-        let view = pacman_core::recovery::read_merged_batch_view(
+        let batch = pacman_core::recovery::read_merged_batch_view(
             &storage,
             &inventory,
             batch_idx,
             u64::MAX,
             1,
-        );
-        let batch = view.unwrap().to_batch();
-        if batch.records.is_empty() {
+        )
+        .unwrap();
+        if batch.is_empty() {
             continue;
         }
         let schedule = ExecutionSchedule::build(&gdg, &registry, &batch).unwrap();
         println!(
             "\nbatch {batch_idx}: {} txns -> piece-sets {:?} (Fig. 6 shape)",
-            batch.records.len(),
+            batch.len(),
             schedule.piece_counts()
         );
         let mut scratch = DagScratch::default();

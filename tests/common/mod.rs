@@ -1,13 +1,88 @@
-//! What the interpreter oracles share (`replay_cursor`, `commit_cursor`):
-//! a two-table database with live, missing and tombstoned keys, random
-//! procedures over it, and an interpreter that walks the op list itself.
+//! What several integration tests share:
+//!
+//! * the interpreter oracles (`replay_cursor`, `commit_cursor`): a
+//!   two-table database with live, missing and tombstoned keys, random
+//!   procedures over it, and an interpreter that walks the op list itself;
+//! * the lifecycle and durability tests: [`LoggingWorker`], a worker that
+//!   commits through a durability stack the way the commit driver does.
 
 #![allow(dead_code)]
 
+use pacman_common::clock::epoch_of;
 use pacman_common::{Error, ProcId, Result, Row, TableId, Timestamp, Value, VarId};
-use pacman_engine::{Catalog, DataAccess, Database};
-use pacman_sproc::{EvalCtx, Expr, OpKind, Params, ProcBuilder, ProcedureDef, VarStore};
+use pacman_engine::epoch::WorkerEpoch;
+use pacman_engine::{run_procedure_with_epoch, Catalog, CommitInfo, DataAccess, Database};
+use pacman_sproc::{
+    EvalCtx, Expr, OpKind, Params, ProcBuilder, ProcRegistry, ProcedureDef, VarStore,
+};
+use pacman_wal::{Durability, WorkerLogBuffer};
 use proptest::prelude::*;
+
+/// A worker committing through a durability stack with the commit
+/// driver's staging discipline: records stage into the worker's epoch
+/// arena; before the worker acknowledges a newer epoch, the arena hands
+/// its older records to the logger; before it retires, the rest. The
+/// logger seals an epoch as soon as every acknowledgement is past it, so a
+/// record still in an arena at that point would miss its batch file.
+pub struct LoggingWorker<'a> {
+    dur: &'a Durability,
+    epoch: WorkerEpoch,
+    buf: WorkerLogBuffer,
+    logger: usize,
+    max_epoch: u64,
+}
+
+impl<'a> LoggingWorker<'a> {
+    /// A registered worker whose records go to logger `logger`.
+    pub fn new(dur: &'a Durability, logger: usize) -> Self {
+        LoggingWorker {
+            dur,
+            epoch: dur.register_worker(),
+            buf: WorkerLogBuffer::new(),
+            logger,
+            max_epoch: 0,
+        }
+    }
+
+    /// Acknowledge the current epoch, first handing the logger what the
+    /// arena holds of older ones. Call before each transaction.
+    pub fn enter(&mut self) -> u64 {
+        let e = self.epoch.peek();
+        self.dur.flush_before_ack(&mut self.buf, self.logger, e);
+        self.epoch.enter_at(e);
+        e
+    }
+
+    /// Stage a committed transaction's record; a read-only one logs
+    /// nothing.
+    pub fn log(&mut self, info: &CommitInfo, proc: ProcId, params: &Params) {
+        if info.writes.is_empty() {
+            return;
+        }
+        self.max_epoch = self.max_epoch.max(epoch_of(info.ts));
+        self.dur
+            .log_commit_buffered(&mut self.buf, self.logger, info, proc, params, false);
+    }
+
+    /// One sequential transaction: enter, run `proc` at the current epoch,
+    /// log it.
+    pub fn run(&mut self, db: &Database, registry: &ProcRegistry, proc: ProcId, params: &Params) {
+        self.enter();
+        let def = registry.get(proc).expect("registered procedure");
+        let em = self.dur.epoch_manager();
+        let info = run_procedure_with_epoch(db, def, params, || em.current())
+            .expect("sequential txns never abort");
+        self.log(&info, proc, params);
+    }
+
+    /// Hand the arena to the logger and retire. Returns the highest epoch
+    /// staged: the one to wait for.
+    pub fn retire(mut self) -> u64 {
+        self.dur.flush_worker(&mut self.buf, self.logger);
+        self.epoch.retire();
+        self.max_epoch
+    }
+}
 
 pub const T: TableId = TableId::new(0);
 pub const U: TableId = TableId::new(1);

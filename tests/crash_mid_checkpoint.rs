@@ -7,10 +7,13 @@
 //! in between leaves (a) the old manifest in effect and (b) orphan part
 //! files under a newer timestamp directory that nothing references.
 
+mod common;
+
+use common::LoggingWorker;
 use pacman_common::Encoder;
 use pacman_core::recovery::{recover, RecoveryConfig, RecoveryScheme};
 use pacman_core::runtime::ReplayMode;
-use pacman_engine::{run_procedure_with_epoch, Database};
+use pacman_engine::Database;
 use pacman_wal::checkpoint::{manifest_name, part_name, read_chain, CheckpointManifest};
 use pacman_wal::{run_checkpoint_incremental, Durability, DurabilityConfig, LogScheme};
 use pacman_workloads::bank::Bank;
@@ -22,22 +25,13 @@ use std::time::Duration;
 
 fn run_txns(db: &Arc<Database>, bank: &Bank, dur: &Arc<Durability>, seed: u64, n: usize) {
     let registry = bank.registry();
-    let worker = dur.register_worker();
-    let em = Arc::clone(dur.epoch_manager());
+    let mut worker = LoggingWorker::new(dur, 0);
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut max_epoch = 0;
     for _ in 0..n {
-        worker.enter();
         let (pid, params) = bank.next_txn(&mut rng);
-        let proc = registry.get(pid).unwrap();
-        let info = run_procedure_with_epoch(db, proc, &params, || em.current()).unwrap();
-        if !info.writes.is_empty() {
-            dur.log_commit(0, &info, pid, &params, false);
-            max_epoch = max_epoch.max(pacman_common::clock::epoch_of(info.ts));
-        }
+        worker.run(db, &registry, pid, &params);
     }
-    worker.retire();
-    dur.wait_durable(max_epoch);
+    dur.wait_durable(worker.retire());
 }
 
 /// Build a crashed image where a second checkpoint was torn mid-write:

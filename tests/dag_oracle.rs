@@ -15,6 +15,7 @@
 //! oracle's on TPC-C and Smallbank schedules, and on the hand-built
 //! opaque-piece and unevaluable-guard cases of `core::dynamic`'s tests.
 
+use pacman_common::Encoder;
 use pacman_common::{BlockId, Key, ProcId, TableId, Value};
 use pacman_core::dynamic::{build_piece_dag, DagScratch};
 use pacman_core::runtime::exec::Replayer;
@@ -22,7 +23,7 @@ use pacman_core::schedule::{ExecutionSchedule, Piece, PieceOps, PieceSet, TxnCtx
 use pacman_core::static_analysis::GlobalGraph;
 use pacman_engine::Database;
 use pacman_sproc::{EvalCtx, Expr, Params, PiecePlan, ProcBuilder, ProcedureDef, VarStore};
-use pacman_wal::{LogBatch, LogPayload, TxnLogRecord};
+use pacman_wal::{merged_view_from_buffers, LogPayload, TxnLogRecord};
 use pacman_workloads::smallbank::Smallbank;
 use pacman_workloads::tpcc::{Tpcc, TpccConfig};
 use pacman_workloads::Workload;
@@ -163,18 +164,16 @@ fn check_workload(workload: &dyn Workload, n: usize, seed: u64) {
     let registry = workload.registry();
     let gdg = GlobalGraph::analyze(registry.all()).unwrap();
     let mut rng = SmallRng::seed_from_u64(seed);
-    let batch = LogBatch {
-        index: 0,
-        records: (0..n)
-            .map(|i| {
-                let (proc, params) = workload.next_txn(&mut rng);
-                TxnLogRecord {
-                    ts: (1u64 << 40) | (i as u64 + 1),
-                    payload: LogPayload::Command { proc, params },
-                }
-            })
-            .collect(),
-    };
+    let mut log = Vec::new();
+    for i in 0..n {
+        let (proc, params) = workload.next_txn(&mut rng);
+        TxnLogRecord {
+            ts: (1u64 << 40) | (i as u64 + 1),
+            payload: LogPayload::Command { proc, params },
+        }
+        .encode(&mut log);
+    }
+    let batch = merged_view_from_buffers(0, vec![log.into()], u64::MAX, 0).unwrap();
     let schedule = ExecutionSchedule::build(&gdg, &registry, &batch).unwrap();
 
     let mut scratch = DagScratch::default();

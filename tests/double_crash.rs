@@ -11,6 +11,9 @@
 //! same sequence applied with no crash) is byte-for-byte comparable by
 //! fingerprint.
 
+mod common;
+
+use common::LoggingWorker;
 use pacman_core::recovery::{recover, RecoveryConfig, RecoveryScheme};
 use pacman_core::runtime::ReplayMode;
 use pacman_engine::{run_procedure_with_epoch, Database};
@@ -53,21 +56,11 @@ fn phase_txns(
 /// wait until everything is durable.
 fn apply_phase(db: &Arc<Database>, workload: &dyn Workload, dur: &Arc<Durability>, phase: u64) {
     let registry = workload.registry();
-    let worker = dur.register_worker();
-    let em = Arc::clone(dur.epoch_manager());
-    let mut max_epoch = 0;
+    let mut worker = LoggingWorker::new(dur, 0);
     for (pid, params) in phase_txns(workload, phase) {
-        worker.enter();
-        let proc = registry.get(pid).expect("registered");
-        let info = run_procedure_with_epoch(db, proc, &params, || em.current())
-            .expect("sequential txns never abort");
-        if !info.writes.is_empty() {
-            dur.log_commit(0, &info, pid, &params, false);
-            max_epoch = max_epoch.max(pacman_common::clock::epoch_of(info.ts));
-        }
+        worker.run(db, &registry, pid, &params);
     }
-    worker.retire();
-    dur.wait_durable(max_epoch);
+    dur.wait_durable(worker.retire());
 }
 
 /// The never-crashed reference: both phases applied back to back.
@@ -356,21 +349,12 @@ fn bank_double_crash_with_online_first_recovery() {
     // each transaction on its replayed footprint.
     let admission = session.admission();
     let stop = std::sync::atomic::AtomicBool::new(false);
-    let worker = dur2.register_worker();
-    let em = Arc::clone(dur2.epoch_manager());
-    let mut max_epoch = 0;
+    let mut worker = LoggingWorker::new(&dur2, 0);
     for (pid, params) in phase_txns(&bank, 2) {
-        worker.enter();
         assert!(admission.admit(pid, &params, &stop));
-        let proc = registry.get(pid).unwrap();
-        let info = run_procedure_with_epoch(&db2, proc, &params, || em.current()).unwrap();
-        if !info.writes.is_empty() {
-            dur2.log_commit(0, &info, pid, &params, false);
-            max_epoch = max_epoch.max(pacman_common::clock::epoch_of(info.ts));
-        }
+        worker.run(&db2, &registry, pid, &params);
     }
-    worker.retire();
-    dur2.wait_durable(max_epoch);
+    dur2.wait_durable(worker.retire());
     session.wait().unwrap();
     assert_eq!(db2.fingerprint(), reference);
     dur2.crash();

@@ -1,12 +1,16 @@
 //! Group-commit / durability invariants (paper Appendix A).
 
+mod common;
+
+use common::LoggingWorker;
 use pacman_common::clock::epoch_of;
 use pacman_common::{ProcId, Row, TableId, Value};
+use pacman_core::recovery::{read_merged_batch_view, LogInventory};
 use pacman_engine::{Catalog, Database};
 use pacman_sproc::params;
 use pacman_storage::{DiskConfig, StorageSet};
 use pacman_wal::pepoch::PepochHandle;
-use pacman_wal::{list_batch_indices, read_merged_batch, Durability, DurabilityConfig, LogScheme};
+use pacman_wal::{Durability, DurabilityConfig, LogScheme, MergedBatchView};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -37,11 +41,13 @@ fn setup(scheme: LogScheme, disks: usize, batch_epochs: u64) -> (Arc<Database>, 
     (db, dur)
 }
 
+/// `n` increments from two workers taking turns, one per logger (with a
+/// single logger both feed it), so a two-logger stack writes both devices.
 fn commit_burst(db: &Database, dur: &Durability, n: u64) -> u64 {
-    let worker = dur.register_worker();
+    let mut workers = [LoggingWorker::new(dur, 0), LoggingWorker::new(dur, 1)];
     let em = Arc::clone(dur.epoch_manager());
-    let mut max_epoch = 0;
     for i in 0..n {
+        let worker = &mut workers[i as usize % 2];
         worker.enter();
         let mut t = db.begin();
         let k = i % 64;
@@ -49,20 +55,28 @@ fn commit_burst(db: &Database, dur: &Durability, n: u64) -> u64 {
         let v = r.col(0).as_int().unwrap();
         t.write(T, k, r.with_col(0, Value::Int(v + 1))).unwrap();
         let info = t.commit_with(|| em.current()).unwrap();
-        dur.log_commit(
-            i as usize,
+        worker.log(
             &info,
             ProcId::new(0),
             &params([Value::Int(k as i64), Value::Int(1)]),
-            false,
         );
-        max_epoch = max_epoch.max(epoch_of(info.ts));
         if i % 40 == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
-    worker.retire();
-    max_epoch
+    let [a, b] = workers;
+    a.retire().max(b.retire())
+}
+
+/// Every batch left on the devices, merged across loggers, keeping records
+/// with `epoch <= pepoch`.
+fn batches(storage: &StorageSet, pepoch: u64) -> Vec<MergedBatchView> {
+    let inventory = LogInventory::scan(storage);
+    inventory
+        .batches()
+        .into_iter()
+        .map(|b| read_merged_batch_view(storage, &inventory, b, pepoch, 0).unwrap())
+        .collect()
 }
 
 /// A transaction acknowledged durable (epoch ≤ pepoch) is actually on a
@@ -80,13 +94,11 @@ fn acknowledged_commits_survive_crash() {
     let persisted = PepochHandle::read_persisted(storage.disk(0));
     assert!(persisted >= max_epoch, "pepoch file lost the frontier");
     let mut recovered = 0;
-    for idx in list_batch_indices(storage) {
-        let batch = read_merged_batch(storage, 2, idx, persisted, 0).unwrap();
-        recovered += batch.records.len();
+    for batch in batches(storage, persisted) {
+        recovered += batch.len();
         // Commit order within a batch is non-decreasing.
-        for pair in batch.records.windows(2) {
-            assert!(pair[0].ts <= pair[1].ts, "batch out of order");
-        }
+        let ts: Vec<u64> = batch.iter().map(|r| r.ts()).collect();
+        assert!(ts.is_sorted(), "batch out of order");
     }
     assert_eq!(recovered, 300, "every acknowledged record must be on disk");
 }
@@ -101,9 +113,9 @@ fn batches_align_to_epoch_boundaries() {
     dur.wait_durable(max_epoch);
     dur.shutdown();
     let storage = dur.storage();
-    for idx in list_batch_indices(storage) {
-        let batch = read_merged_batch(storage, 1, idx, u64::MAX, 0).unwrap();
-        for rec in &batch.records {
+    for batch in batches(storage, u64::MAX) {
+        let idx = batch.index;
+        for rec in batch.iter() {
             let e = rec.epoch();
             assert!(
                 e >= idx * batch_epochs && e < (idx + 1) * batch_epochs,
@@ -125,13 +137,7 @@ fn pepoch_is_conservative_across_loggers() {
     let frontier = dur.pepoch();
     dur.crash();
     let storage = dur.storage();
-    let mut total = 0;
-    for idx in list_batch_indices(storage) {
-        total += read_merged_batch(storage, 2, idx, frontier, 0)
-            .unwrap()
-            .records
-            .len();
-    }
+    let total: usize = batches(storage, frontier).iter().map(|b| b.len()).sum();
     assert_eq!(total, 150);
 }
 
@@ -148,7 +154,7 @@ fn read_only_txns_are_never_logged() {
             let _ = t.read(T, k).unwrap();
             let info = t.commit_with(|| em.current()).unwrap();
             assert!(info.writes.is_empty());
-            // Driver convention: empty write set → no log_commit call.
+            // Driver convention: empty write set → no log_commit_buffered call.
         }
         worker.retire();
         dur.shutdown();

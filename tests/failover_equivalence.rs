@@ -15,6 +15,9 @@
 //! before the kill, so nothing acknowledged is lost and the reference
 //! fingerprint is exact.
 
+mod common;
+
+use common::LoggingWorker;
 use pacman_core::recovery::{recover, RecoveryConfig, RecoveryScheme};
 use pacman_core::replication::{pump, start_standby, wire, StandbyConfig};
 use pacman_core::runtime::ReplayMode;
@@ -57,21 +60,11 @@ fn phase_txns(
 /// until everything is durable (so the kill loses nothing acknowledged).
 fn apply_phase(db: &Arc<Database>, workload: &dyn Workload, dur: &Arc<Durability>, phase: u64) {
     let registry = workload.registry();
-    let worker = dur.register_worker();
-    let em = Arc::clone(dur.epoch_manager());
-    let mut max_epoch = 0;
+    let mut worker = LoggingWorker::new(dur, 0);
     for (pid, params) in phase_txns(workload, phase) {
-        worker.enter();
-        let proc = registry.get(pid).expect("registered");
-        let info = run_procedure_with_epoch(db, proc, &params, || em.current())
-            .expect("sequential txns never abort");
-        if !info.writes.is_empty() {
-            dur.log_commit(0, &info, pid, &params, false);
-            max_epoch = max_epoch.max(pacman_common::clock::epoch_of(info.ts));
-        }
+        worker.run(db, &registry, pid, &params);
     }
-    worker.retire();
-    dur.wait_durable(max_epoch);
+    dur.wait_durable(worker.retire());
 }
 
 /// The never-failed reference: both phases applied back to back.

@@ -12,6 +12,9 @@
 //! The only timing-dependent waits are on the live checkpointer's
 //! reclaim rounds, with generous timeouts.
 
+mod common;
+
+use common::LoggingWorker;
 use pacman_core::recovery::RecoveryScheme;
 use pacman_core::replication::{pump, start_standby, wire, StandbyConfig};
 use pacman_engine::{run_procedure_with_epoch, Database};
@@ -70,18 +73,9 @@ fn apply_phase(
     )>,
 ) {
     let registry = workload.registry();
-    let worker = dur.register_worker();
-    let em = Arc::clone(dur.epoch_manager());
-    let mut max_epoch = 0;
+    let mut worker = LoggingWorker::new(dur, 0);
     for (i, (pid, params)) in phase_txns(workload, phase).into_iter().enumerate() {
-        worker.enter();
-        let proc = registry.get(pid).expect("registered");
-        let info = run_procedure_with_epoch(db, proc, &params, || em.current())
-            .expect("sequential txns never abort");
-        if !info.writes.is_empty() {
-            dur.log_commit(0, &info, pid, &params, false);
-            max_epoch = max_epoch.max(pacman_common::clock::epoch_of(info.ts));
-        }
+        worker.run(db, &registry, pid, &params);
         if (i + 1) % 25 == 0 {
             if let Some((shipper, tx)) = pump_into {
                 let _ = pump(shipper, dur.pepoch(), tx);
@@ -89,8 +83,7 @@ fn apply_phase(
             std::thread::sleep(Duration::from_millis(3));
         }
     }
-    worker.retire();
-    dur.wait_durable(max_epoch);
+    dur.wait_durable(worker.retire());
     if let Some((shipper, tx)) = pump_into {
         let _ = pump(shipper, dur.pepoch(), tx);
     }

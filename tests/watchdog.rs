@@ -8,7 +8,9 @@
 //! the two tests serialize on a mutex and assert *deltas* of the stall /
 //! dump counters, never absolutes.
 
-use pacman_common::clock::epoch_of;
+mod common;
+
+use common::LoggingWorker;
 use pacman_common::{ProcId, Row, TableId, Value};
 use pacman_core::recovery::register_gate_probe;
 use pacman_engine::{Catalog, Database, RecoveryGate};
@@ -40,9 +42,8 @@ fn cfg() -> WatchdogConfig {
 }
 
 fn commit_burst(db: &Database, dur: &Durability, n: u64) -> u64 {
-    let worker = dur.register_worker();
+    let mut worker = LoggingWorker::new(dur, 0);
     let em = Arc::clone(dur.epoch_manager());
-    let mut max_epoch = 0;
     for i in 0..n {
         worker.enter();
         let mut t = db.begin();
@@ -51,17 +52,13 @@ fn commit_burst(db: &Database, dur: &Durability, n: u64) -> u64 {
         let v = r.col(0).as_int().unwrap();
         t.write(T, k, r.with_col(0, Value::Int(v + 1))).unwrap();
         let info = t.commit_with(|| em.current()).unwrap();
-        dur.log_commit(
-            i as usize,
+        worker.log(
             &info,
             ProcId::new(0),
             &params([Value::Int(k as i64), Value::Int(1)]),
-            false,
         );
-        max_epoch = max_epoch.max(epoch_of(info.ts));
     }
-    worker.retire();
-    max_epoch
+    worker.retire()
 }
 
 /// A live primary keeps committing while its shipper stops pumping: the
