@@ -208,9 +208,8 @@ fn measure_write(txns: u64) -> (f64, f64) {
     }
     let t = TableId::new(0);
 
-    // Warm until every chain's version list has hit its pruned steady
-    // state (several installs per account), not just the txn scratch —
-    // version-vec growth is a one-time cost, not per-txn traffic.
+    // Warm several installs per account, not just the txn scratch: the
+    // first installs on a chain are one-time costs, not per-txn traffic.
     let warmup = (txns / 10).max(ACCTS * 8);
     let mut allocs = 0u64;
     let mut bytes = 0u64;

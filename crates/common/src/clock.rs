@@ -82,6 +82,25 @@ impl LogicalClock {
     pub fn advance_to(&self, to: Timestamp) {
         self.now.fetch_max(to, Ordering::SeqCst);
     }
+
+    /// Take the next timestamp `ts` for a snapshot rather than a commit:
+    /// no commit is ever issued it. `publish(ts)` runs before the clock
+    /// moves past `ts`, and the move is a swap from exactly `ts`, so every
+    /// timestamp above `ts` is drawn after it. If a commit drew `ts`
+    /// meanwhile, `publish` runs again with the new next timestamp.
+    pub fn reserve(&self, mut publish: impl FnMut(Timestamp)) -> Timestamp {
+        let mut ts = self.peek();
+        loop {
+            publish(ts);
+            match self
+                .now
+                .compare_exchange(ts, ts + 1, Ordering::SeqCst, Ordering::SeqCst)
+            {
+                Ok(_) => return ts,
+                Err(now) => ts = now,
+            }
+        }
+    }
 }
 
 impl Default for LogicalClock {
@@ -132,6 +151,16 @@ mod tests {
         assert_eq!(c.peek(), 100);
         c.advance_to(50);
         assert_eq!(c.peek(), 100);
+    }
+
+    #[test]
+    fn reserved_timestamps_are_published_first_and_never_issued() {
+        let c = LogicalClock::new();
+        assert_eq!(c.tick(), 1);
+        let mut published = Vec::new();
+        assert_eq!(c.reserve(|ts| published.push((ts, c.peek()))), 2);
+        assert_eq!(published, vec![(2, 2)], "published before the move");
+        assert_eq!(c.tick(), 3);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! LLR and PLR: tuple-level log recovery, one log file at a time (§6.2).
 //!
 //! Both reload every log file into memory in parallel, then replay whole
-//! files on `threads` workers, installing each record's after-images as
-//! new versions under per-tuple latches. Multi-versioning lets two threads
-//! restore different versions of the same tuple concurrently, in any
-//! order — but the latch remains the scalability ceiling (Figs. 14/15).
-//! The two schemes differ only in where the versions go, the
+//! files on `threads` workers, installing each record's after-images
+//! under per-tuple latches. Installs are last-writer-wins by timestamp, so
+//! two threads may restore writes to the same tuple in any order and the
+//! newest survives — but the latch remains the scalability ceiling
+//! (Figs. 14/15). The two schemes differ only in where the images go, the
 //! [`CheckpointTarget`] their checkpoint restore filled:
 //!
 //! * **LLR** (SiloR-style, logical records) — the indexed tables: every
@@ -148,7 +148,7 @@ fn replay_file(
         if latch {
             chain.latch.lock();
         }
-        chain.install_mv(ts, w.after);
+        chain.install_lww(ts, w.after);
         if latch {
             chain.latch.unlock();
         }
@@ -201,7 +201,7 @@ mod tests {
     }
 
     #[test]
-    fn llr_restores_versions_and_indexes_together() {
+    fn llr_restores_images_and_indexes_together() {
         let storage = StorageSet::for_tests();
         let mut buf = Vec::new();
         logical(epoch_floor(1) | 1, 3, Some(10)).encode(&mut buf);
@@ -218,7 +218,6 @@ mod tests {
         let r = recover_log(&storage, &inv, target, 2, true, 5, 0, &m).unwrap();
         assert_eq!((r.txns, r.max_ts), (3, epoch_floor(1) | 3));
         let chain = db.table(TableId::new(0)).unwrap().get(3).unwrap();
-        assert_eq!(chain.num_versions(), 2, "multi-versioned restore");
         assert_eq!(chain.newest().1.unwrap().col(0), Value::Int(20));
         // Key 4 deleted.
         assert!(db
@@ -246,7 +245,6 @@ mod tests {
         let r = recover_log(&storage, &inv, target, 1, false, 1, epoch_floor(1) | 1, &m).unwrap();
         assert_eq!(r.txns, 1);
         let chain = db.table(TableId::new(0)).unwrap().get(3).unwrap();
-        assert_eq!(chain.num_versions(), 1);
         assert_eq!(chain.newest().1.unwrap().col(0), Value::Int(20));
     }
 
@@ -273,8 +271,6 @@ mod tests {
         let (ts, row) = chain.newest();
         assert_eq!(ts, epoch_floor(1) | 2);
         assert_eq!(row.unwrap().col(0), Value::Int(20));
-        // Multi-version: both restored versions retained.
-        assert_eq!(chain.num_versions(), 2);
     }
 
     #[test]

@@ -494,7 +494,7 @@ pub fn register_gate_probe(gate: &Arc<RecoveryGate>) -> pacman_obs::ProbeId {
 /// database serves admitted transactions.
 ///
 /// Supported schemes: `Clr`, `ClrP`, `AlrP` (per-block gating) and `LlrP`
-/// (per-table-shard gating). `Plr`/`Llr` recover multi-version state with
+/// (per-table-shard gating). `Plr`/`Llr` install file by file under
 /// per-tuple latches and have no partition watermark to gate on — use
 /// [`recover`] for those.
 pub fn recover_online(
@@ -572,7 +572,7 @@ pub fn recover_online(
     plan.spawn(source, inventory.batches().len() as u64)
 }
 
-/// `Plr`/`Llr` recover latched multi-version state: no partition
+/// `Plr`/`Llr` install file by file under tuple latches: no partition
 /// watermark to gate a session on.
 fn reject_ungated(scheme: RecoveryScheme) -> Result<()> {
     match scheme {

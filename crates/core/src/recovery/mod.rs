@@ -1,14 +1,17 @@
 //! Failure recovery: checkpoint restore + log replay for the five
 //! evaluated schemes of §6.2 plus adaptive hybrid recovery (ALR-P).
 //!
-//! | Scheme | Log type | Parallelism | Latches | Recovered state |
-//! |--------|----------|-------------|---------|-----------------|
-//! | PLR    | physical | per-file, LWW | yes  | multi-version   |
-//! | LLR    | logical  | per-file      | yes  | multi-version   |
-//! | LLR-P  | logical  | key-partitioned (from PACMAN, §4.5) | no | single-version |
-//! | CLR    | command  | single thread | no   | single-version  |
-//! | CLR-P  | command  | **PACMAN**    | no   | single-version  |
-//! | ALR-P  | mixed (command + logical) | **PACMAN** | no | single-version |
+//! | Scheme | Log type | Parallelism | Latches |
+//! |--------|----------|-------------|---------|
+//! | PLR    | physical | per-file      | yes  |
+//! | LLR    | logical  | per-file      | yes  |
+//! | LLR-P  | logical  | key-partitioned (from PACMAN, §4.5) | no |
+//! | CLR    | command  | single thread | no   |
+//! | CLR-P  | command  | **PACMAN**    | no   |
+//! | ALR-P  | mixed (command + logical) | **PACMAN** | no |
+//!
+//! Every scheme recovers the same state: one version per tuple, the one
+//! with the highest timestamp (tuple-level installs are last-writer-wins).
 //!
 //! ALR-P consumes the adaptive scheme's mixed log: command records
 //! re-execute through the interpreter, logical records short-circuit into

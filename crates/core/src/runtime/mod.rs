@@ -14,10 +14,10 @@
 //!
 //! A pool of exactly `threads` workers drains the active sets. The paper
 //! statically pins cores to blocks in proportion to the estimated piece
-//! distribution (Fig. 10); we compute the same distribution
-//! ([`assign_cores`], used for reporting) but let idle workers help other
-//! blocks — a work-sharing refinement of the same assignment that the
-//! paper's own Fig. 20 analysis (scheduling = 30% of time) motivates.
+//! distribution (Fig. 10); we let idle workers help other blocks instead —
+//! a work-sharing refinement of that assignment that the paper's own
+//! Fig. 20 analysis (scheduling = 30% of time) motivates — and use the
+//! distribution only to order on-demand redo.
 
 pub mod exec;
 
@@ -53,52 +53,6 @@ impl ReplayMode {
             ReplayMode::Pipelined => "pipelined",
         }
     }
-}
-
-/// §4.4: assign `total_threads` cores over blocks proportionally to the
-/// estimated piece distribution, at least one core per block. Used for
-/// reporting and as the paper's reference policy.
-pub fn assign_cores(piece_estimate: &[usize], total_threads: usize) -> Vec<usize> {
-    let blocks = piece_estimate.len();
-    if blocks == 0 {
-        return Vec::new();
-    }
-    let total: usize = piece_estimate.iter().sum();
-    let budget = total_threads.max(1);
-    if total == 0 {
-        return vec![1; blocks];
-    }
-    let mut assignment: Vec<usize> = piece_estimate
-        .iter()
-        .map(|&c| ((c * budget) as f64 / total as f64).floor() as usize)
-        .collect();
-    for a in assignment.iter_mut() {
-        if *a == 0 {
-            *a = 1;
-        }
-    }
-    let mut spent: usize = assignment.iter().sum();
-    while spent > budget.max(blocks) {
-        let (i, _) = assignment
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &a)| a)
-            .expect("non-empty");
-        if assignment[i] <= 1 {
-            break;
-        }
-        assignment[i] -= 1;
-        spent -= 1;
-    }
-    let mut order: Vec<usize> = (0..blocks).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(piece_estimate[i]));
-    let mut k = 0;
-    while spent < budget {
-        assignment[order[k % blocks]] += 1;
-        spent += 1;
-        k += 1;
-    }
-    assignment
 }
 
 /// Execution state of one *activated* piece-set.
@@ -368,9 +322,9 @@ fn complete_set(shared: &Shared, gdg: &GlobalGraph, set: &ActiveSet) {
 /// Run the replay: consume schedules from `rx` (produced by the reload
 /// pipeline in batch order) and execute every piece-set with exactly
 /// `threads` workers. `piece_estimate` is the §4.4 distribution; the pool
-/// shares idle capacity across blocks instead of pinning cores by it
-/// ([`assign_cores`] is the paper's reference policy) and uses it to order
-/// on-demand redo (`Shared::sjf_order`).
+/// shares idle capacity across blocks instead of pinning cores by it (the
+/// paper's policy, Fig. 10) and uses it to order on-demand redo
+/// (`Shared::sjf_order`).
 ///
 /// With an online-recovery `gate`, per-block batch watermarks are
 /// published as piece-sets complete, and piece-sets of blocks a waiting
@@ -758,34 +712,5 @@ mod tests {
         assert_eq!(metrics.writes(), 2 * N, "one image per transaction");
         let a = db.table(TableId::new(0)).unwrap().get(0).unwrap();
         assert_eq!(a.newest().1.unwrap().col(0), Value::Int((N / 4) as i64));
-    }
-
-    #[test]
-    fn core_assignment_is_proportional_with_floor_one() {
-        // Fig. 10's example: 20/40/20/20 % over 5 cores.
-        let a = assign_cores(&[20, 40, 20, 20], 5);
-        assert_eq!(a.iter().sum::<usize>(), 5);
-        assert_eq!(a[1], 2, "hottest block gets the extra core: {a:?}");
-        assert!(a.iter().all(|&x| x >= 1));
-    }
-
-    #[test]
-    fn core_assignment_handles_more_blocks_than_threads() {
-        let a = assign_cores(&[5, 5, 5, 5], 2);
-        assert_eq!(a, vec![1, 1, 1, 1], "every block keeps one core");
-    }
-
-    #[test]
-    fn core_assignment_zero_estimate() {
-        let a = assign_cores(&[0, 0], 8);
-        assert_eq!(a, vec![1, 1]);
-        assert!(assign_cores(&[], 8).is_empty());
-    }
-
-    #[test]
-    fn core_assignment_large_pool() {
-        let a = assign_cores(&[10, 30], 24);
-        assert_eq!(a.iter().sum::<usize>(), 24);
-        assert!(a[1] > a[0] * 2, "{a:?}");
     }
 }

@@ -1,5 +1,5 @@
-//! The per-tuple chain: a version list, the tuple latch, and a latch-free
-//! "newest" slot.
+//! The per-tuple chain: the newest version, one held pre-image, the tuple
+//! latch, and a latch-free "newest" slot.
 //!
 //! The [`SpinLatch`] is the synchronization point the paper's evaluation
 //! revolves around: normal OCC commits take it briefly; PLR/LLR recovery
@@ -7,14 +7,21 @@
 //! PACMAN's recovery never takes it ("CLR-P does not require latching",
 //! §6.2.2) because the schedule already serializes conflicting pieces.
 //!
+//! # One version, plus one for a checkpoint
+//!
+//! A chain keeps its newest version and nothing else, with one exception:
+//! while a snapshot hold is live ([`crate::Database::snapshot_hold`]), the
+//! commit that displaces the version visible at the hold keeps it as the
+//! chain's `held` pre-image, for the checkpoint scan. Recovery needs no
+//! history at all: every scheme installs last-writer-wins by timestamp.
+//!
 //! # The newest slot
 //!
-//! The dominant read shapes — `read_at(ts)` where the newest version is
-//! visible, and `newest_ts()` during OCC validation — never touch the
-//! version `Mutex`. Installers publish the newest version's
-//! `(ts, pointer, length)` — the timestamp and the two halves of the
-//! [`Row`] image's raw fat pointer ([`Row::into_raw`]) — into a
-//! seqlock-guarded slot (the same writer-parity recipe as the
+//! The dominant read shapes — `newest()` and `newest_ts()` during OCC
+//! validation — never touch the state `Mutex`. Installers publish the
+//! newest version's `(ts, pointer, length)` — the timestamp and the two
+//! halves of the [`Row`] image's raw fat pointer ([`Row::into_raw`]) — into
+//! a seqlock-guarded slot (the same writer-parity recipe as the
 //! flight-recorder ring in `pacman_obs::trace`): bump the sequence odd,
 //! store the triple, bump it even. Readers snapshot the triple and retry if
 //! the sequence moved, so they never pair one image's pointer with another
@@ -41,35 +48,18 @@
 //! the version it names cannot be freed; the argument is on
 //! [`crate::SnapshotHold::for_each_visible_in_shard`], the one caller.
 
-use crate::version::{VersionEntry, VersionList};
 use pacman_common::{Row, SpinLatch, Timestamp};
-use pacman_obs::{Counter, Gauge};
 use parking_lot::Mutex;
 use std::fmt;
 use std::mem::ManuallyDrop;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
-/// Default number of versions a chain may retain before a commit-path
-/// install prunes below the snapshot floor. Overridable per database via
-/// [`crate::Database::set_version_prune_threshold`] (plumbed from
-/// `DurabilityConfig::version_prune_threshold`).
-pub const DEFAULT_VERSION_PRUNE_THRESHOLD: usize = 4;
 
 /// Torn-snapshot retries before a slot reader falls back to the `Mutex`.
 const SLOT_SPIN_LIMIT: u32 = 64;
 
-/// Registry-backed version-memory telemetry, bound lazily like the OCC
-/// counters in `txn.rs` so installs pay one `OnceLock` load + relaxed add.
-pub(crate) fn versions_retained() -> &'static Gauge {
-    static G: OnceLock<Gauge> = OnceLock::new();
-    G.get_or_init(|| pacman_obs::registry().gauge("engine.versions.retained"))
-}
-
-fn versions_pruned() -> &'static Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
-    C.get_or_init(|| pacman_obs::registry().counter("engine.versions.pruned"))
-}
+/// One tuple version: its commit timestamp and image (`None`: absent or
+/// deleted).
+type Version = (Timestamp, Option<Row>);
 
 /// An image reference displaced from the newest slot, held until the
 /// displacing writer proves no reader can still dereference it.
@@ -88,15 +78,34 @@ impl Drop for RetiredRow {
     }
 }
 
-/// Mutex-protected chain state: the version list plus retired slot
-/// pointers awaiting quiescence.
+/// Mutex-protected chain state.
 #[derive(Default)]
 struct ChainState {
-    list: VersionList,
+    /// The newest version; `(0, None)` for a chain nothing was installed
+    /// into.
+    newest: Version,
+    /// The version visible at the live snapshot hold, once a newer one
+    /// displaced it (see [`TupleChain::install_committed`]).
+    held: Option<Version>,
+    /// Slot pointers awaiting quiescence.
     retired: Vec<RetiredRow>,
 }
 
-/// One tuple: latch + versions + latch-free newest slot.
+impl ChainState {
+    /// The image visible at `at`, for a snapshot hold at `at`: the newest
+    /// version if it is old enough, the held pre-image otherwise.
+    fn visible_at(&self, at: Timestamp) -> Option<&Row> {
+        let (_, row) = if self.newest.0 <= at {
+            &self.newest
+        } else {
+            self.held.as_ref()?
+        };
+        row.as_ref()
+    }
+}
+
+/// One tuple: latch + newest version (+ held pre-image) + latch-free
+/// newest slot.
 pub struct TupleChain {
     /// The tuple latch (commit path and latched recovery schemes).
     pub latch: SpinLatch,
@@ -128,15 +137,7 @@ type SlotTriple = (Timestamp, *mut u8, usize);
 
 impl Default for TupleChain {
     fn default() -> Self {
-        TupleChain {
-            latch: SpinLatch::default(),
-            state: Mutex::new(ChainState::default()),
-            slot_seq: AtomicU64::new(0),
-            slot_ts: AtomicU64::new(0),
-            slot_ptr: AtomicPtr::new(std::ptr::null_mut()),
-            slot_len: AtomicUsize::new(0),
-            slot_readers: AtomicU64::new(0),
-        }
+        Self::with_version(0, None)
     }
 }
 
@@ -150,16 +151,11 @@ impl fmt::Debug for TupleChain {
 
 impl Drop for TupleChain {
     fn drop(&mut self) {
-        let st = self.state.get_mut();
-        let retained = st.list.len();
         let p = *self.slot_ptr.get_mut();
         if !p.is_null() {
             // Exclusive access: nobody can read the slot any more, and it
             // owns one reference.
             drop(RetiredRow(raw_image(p, *self.slot_len.get_mut())));
-        }
-        if retained > 0 {
-            versions_retained().sub(retained as u64);
         }
     }
 }
@@ -171,24 +167,17 @@ impl TupleChain {
     }
 
     /// A chain seeded with one version (initial load / checkpoint load).
+    /// Nobody shares the chain yet, so the state and the slot are written
+    /// directly — no lock, no seqlock round.
     pub fn with_version(ts: Timestamp, row: Option<Row>) -> Self {
-        versions_retained().inc();
-        Self::seeded(ts, row)
-    }
-
-    /// [`TupleChain::with_version`] without the gauge: the caller adds the
-    /// version to `engine.versions.retained` (a bulk load adds a shard's
-    /// count at once). Nobody shares the chain yet, so the list and the
-    /// slot are written directly — no lock, no seqlock round.
-    pub(crate) fn seeded(ts: Timestamp, row: Option<Row>) -> Self {
         let slot = row
             .clone()
             .map_or(raw_image(std::ptr::null_mut(), 0), Row::into_raw);
         TupleChain {
             latch: SpinLatch::default(),
             state: Mutex::new(ChainState {
-                list: VersionList::seeded(ts, row),
-                retired: Vec::new(),
+                newest: (ts, row),
+                ..ChainState::default()
             }),
             slot_seq: AtomicU64::new(0),
             slot_ts: AtomicU64::new(ts),
@@ -198,17 +187,14 @@ impl TupleChain {
         }
     }
 
-    /// Publish the version list's newest entry into the slot. Callers hold
+    /// Publish the state's newest version into the slot. Callers hold
     /// `state`'s lock, which serializes writers; the seqlock + presence
     /// counter make the slot safe against lock-free readers.
     fn publish_newest(&self, st: &mut ChainState) {
-        let (ts, row) = match st.list.newest() {
-            Some(VersionEntry { ts, row }) => (*ts, row.as_ref()),
-            None => (0, None),
-        };
+        let (ts, row) = (st.newest.0, st.newest.1.as_ref());
         let expect = row.map_or(std::ptr::null(), Row::as_ptr);
-        // Slot already current (e.g. an MV install below the newest, or a
-        // prune): skip the publish and the pointer churn.
+        // Slot already current (a stale last-writer-wins install lost):
+        // skip the publish and the pointer churn.
         if self.slot_ptr.load(Ordering::Relaxed).cast_const() == expect
             && self.slot_ts.load(Ordering::Relaxed) == ts
         {
@@ -260,7 +246,7 @@ impl TupleChain {
 
     /// Lock-free snapshot of the slot as `(ts, image)`. `None` after
     /// bounded torn retries; callers fall back to the `Mutex`.
-    fn slot_read(&self) -> Option<(Timestamp, Option<Row>)> {
+    fn slot_read(&self) -> Option<Version> {
         self.slot_readers.fetch_add(1, Ordering::SeqCst);
         let out = self.slot_snapshot().map(|(ts, ptr, len)| {
             let row = (!ptr.is_null()).then(|| {
@@ -283,27 +269,25 @@ impl TupleChain {
 
     /// The newest version's `(ts, row)` — `row == None` covers both "no
     /// version" and tombstone. Lock-free in the common case.
-    pub fn newest(&self) -> (Timestamp, Option<Row>) {
+    pub fn newest(&self) -> Version {
         if let Some(pair) = self.slot_read() {
             return pair;
         }
-        let st = self.state.lock();
-        match st.list.newest() {
-            Some(VersionEntry { ts, row }) => (*ts, row.clone()),
-            None => (0, None),
-        }
+        self.state.lock().newest.clone()
     }
 
     /// Call `f` with the image visible at `at` (`None`: absent or deleted),
     /// borrowed in place: no presence announcement, no refcount. Falls back
-    /// to the version `Mutex` when the newest version is too new.
+    /// to the state `Mutex` — and the held pre-image — when the newest
+    /// version is too new.
     ///
     /// # Safety
     /// The image the slot names when it is visible at `at` must stay alive
-    /// until `f` returns: every commit at or below `at` has installed, no
-    /// prune may drop the version visible at `at`, and no install may
-    /// replace a version outright. [`crate::SnapshotHold`] establishes the
-    /// first two; the third is a property of when checkpoint rounds run.
+    /// until `f` returns: every commit at or below `at` has installed, a
+    /// commit that displaces the version visible at `at` keeps it as the
+    /// held pre-image, and no install replaces a version outright.
+    /// [`crate::SnapshotHold`] establishes the first two; the third is a
+    /// property of when checkpoint rounds run.
     pub(crate) unsafe fn visit_held<R>(
         &self,
         at: Timestamp,
@@ -318,15 +302,15 @@ impl TupleChain {
                 // slot, a pointer `Row::into_raw` returned for the newest
                 // version, at `ts <= at`. By the caller's contract that
                 // version is, and stays, the one visible at `at`, and it
-                // stays on the version list — which holds its own
-                // reference — until `f` returns. The borrowed image is
-                // never dropped, so no count moves.
+                // stays in the state — as the newest version, or as the
+                // held pre-image once a commit displaces it, either of
+                // which holds its own reference — until `f` returns. The
+                // borrowed image is never dropped, so no count moves.
                 let row = ManuallyDrop::new(unsafe { Row::from_raw(raw_image(ptr, len)) });
                 return f(Some(&row));
             }
         }
-        let st = self.state.lock();
-        f(st.list.visible_at(at).and_then(|e| e.row.as_ref()))
+        f(self.state.lock().visible_at(at))
     }
 
     /// Timestamp of the newest version (0 if none). Never takes a lock:
@@ -335,88 +319,50 @@ impl TupleChain {
         self.slot_ts.load(Ordering::Acquire)
     }
 
-    /// Latest row visible at `ts` (None if absent or deleted). Lock-free
-    /// when the newest version answers (the dominant case: reading current
-    /// data); older-snapshot reads walk the list under the `Mutex`.
-    pub fn read_at(&self, ts: Timestamp) -> Option<Row> {
-        if let Some((slot_ts, row)) = self.slot_read() {
-            if slot_ts <= ts {
-                // The newest version overall is visible at `ts`, so it is
-                // the latest visible one. Covers the empty chain too
-                // (slot = (0, null) — nothing to see).
-                return row;
-            }
-        }
-        self.state
-            .lock()
-            .list
-            .visible_at(ts)
-            .and_then(|e| e.row.clone())
-    }
-
     /// Commit-path install (callers hold the latch; monotonic timestamps).
-    /// Prunes versions older than `floor` once the chain holds more than
-    /// `max_versions` entries, all inside the critical section.
+    /// `hold` is the live snapshot hold's timestamp, loaded after `ts` was
+    /// drawn (see [`crate::Database::snapshot_hold`]).
+    ///
+    /// A displaced version at or below the hold is the one visible at it:
+    /// every commit after the hold draws a timestamp above it. So it
+    /// becomes the held pre-image, and later installs — which displace
+    /// versions above the hold — leave that alone. The first install
+    /// after the hold is gone drops it.
     ///
     /// Takes the image as a shared [`Row`]: the committing transaction's
-    /// pending write, the version list, the newest slot, and the log
+    /// pending write, the chain state, the newest slot, and the log
     /// after-image all hold the same allocation — installs never copy.
-    pub fn install_committed(
-        &self,
-        ts: Timestamp,
-        row: Option<Row>,
-        floor: Timestamp,
-        max_versions: usize,
-    ) {
+    pub fn install_committed(&self, ts: Timestamp, row: Option<Row>, hold: Option<Timestamp>) {
         let mut st = self.state.lock();
-        st.list.install_committed(ts, row);
-        versions_retained().inc();
-        if st.list.len() > max_versions {
-            let dropped = st.list.prune(floor);
-            if dropped > 0 {
-                versions_pruned().add(dropped as u64);
-                versions_retained().sub(dropped as u64);
-            }
+        debug_assert!(
+            st.newest.0 < ts,
+            "non-monotonic commit install: {} then {ts}",
+            st.newest.0
+        );
+        let displaced = std::mem::replace(&mut st.newest, (ts, row));
+        match hold {
+            Some(hold) if displaced.0 <= hold => st.held = Some(displaced),
+            Some(_) => {}
+            None => st.held = None,
         }
         self.publish_newest(&mut st);
     }
 
-    /// Multi-version recovery install (PLR/LLR), tolerant of out-of-order
-    /// timestamps and idempotent on duplicates.
-    pub fn install_mv(&self, ts: Timestamp, row: Option<Row>) {
-        let mut st = self.state.lock();
-        let before = st.list.len();
-        st.list.install_mv(ts, row);
-        let grew = st.list.len() - before; // 0 on duplicate-ts overwrite
-        if grew > 0 {
-            versions_retained().add(grew as u64);
-        }
-        self.publish_newest(&mut st);
-    }
-
-    /// Single-version last-writer-wins install (LLR-P, CLR, CLR-P).
+    /// Last-writer-wins install (every recovery scheme, and seeding): the
+    /// chain takes `(ts, row)` unless its newest version is newer. Equal
+    /// timestamps resolve to the later install.
     pub fn install_lww(&self, ts: Timestamp, row: Option<Row>) {
         let mut st = self.state.lock();
-        let before = st.list.len();
-        st.list.install_lww(ts, row);
-        let after = st.list.len();
-        if after > before {
-            versions_retained().add((after - before) as u64);
-        } else if before > after {
-            versions_retained().sub((before - after) as u64);
+        if st.newest.0 <= ts {
+            st.newest = (ts, row);
         }
         self.publish_newest(&mut st);
     }
 
-    /// Number of retained versions (test/diagnostic use).
-    pub fn num_versions(&self) -> usize {
-        self.state.lock().list.len()
-    }
-
-    /// Hold the internal version `Mutex` for the duration of `f`.
+    /// Hold the internal state `Mutex` for the duration of `f`.
     /// Test-only hook: lets the stress suite prove that `newest()` /
-    /// `newest_ts()` / latest-visible `read_at` complete while the lock is
-    /// held by someone else (i.e. the fast path really is lock-free).
+    /// `newest_ts()` complete while the lock is held by someone else (i.e.
+    /// the fast path really is lock-free).
     #[doc(hidden)]
     pub fn with_versions_locked<R>(&self, f: impl FnOnce() -> R) -> R {
         let _st = self.state.lock();
@@ -434,40 +380,39 @@ mod tests {
         Some(Row::from([Value::Int(i)]))
     }
 
+    /// The image visible at a hold at `at`, as the scan's locked fallback
+    /// reads it.
+    fn visible(c: &TupleChain, at: Timestamp) -> Option<Value> {
+        c.state.lock().visible_at(at).map(|r| r.col(0))
+    }
+
     #[test]
     fn commit_install_and_read() {
         let c = TupleChain::with_version(1, row(10));
-        c.install_committed(5, row(50), 0, DEFAULT_VERSION_PRUNE_THRESHOLD);
+        c.install_committed(5, row(50), None);
         assert_eq!(c.newest().0, 5);
-        assert_eq!(c.read_at(1).unwrap().col(0), Value::Int(10));
-        assert_eq!(c.read_at(9).unwrap().col(0), Value::Int(50));
-        assert!(c.read_at(0).is_none());
+        assert_eq!(c.newest().1.unwrap().col(0), Value::Int(50));
+        assert!(c.state.lock().held.is_none(), "no hold, no pre-image");
     }
 
     #[test]
-    fn install_prunes_under_floor() {
-        let c = TupleChain::new();
-        for ts in 1..=10 {
-            c.install_committed(ts, row(ts as i64), 9, DEFAULT_VERSION_PRUNE_THRESHOLD);
-        }
-        assert!(c.num_versions() <= 4, "chain grew to {}", c.num_versions());
-        // The newest version is intact.
-        assert_eq!(c.newest().0, 10);
-    }
-
-    #[test]
-    fn prune_threshold_is_configurable() {
-        let eager = TupleChain::new();
-        for ts in 1..=10 {
-            eager.install_committed(ts, row(ts as i64), ts, 1);
-        }
-        assert_eq!(eager.num_versions(), 1, "threshold 1 keeps only newest");
-
-        let lazy = TupleChain::new();
-        for ts in 1..=10 {
-            lazy.install_committed(ts, row(ts as i64), ts, 64);
-        }
-        assert_eq!(lazy.num_versions(), 10, "threshold 64 never pruned here");
+    fn held_pre_image_lifecycle() {
+        let hold = 5;
+        // Two installs above the hold: the version visible at it stays.
+        let c = TupleChain::with_version(1, row(10));
+        c.install_committed(6, row(60), Some(hold));
+        c.install_committed(7, row(70), Some(hold));
+        assert_eq!(visible(&c, hold), Some(Value::Int(10)));
+        assert_eq!(c.newest().1.unwrap().col(0), Value::Int(70));
+        // A key created after the hold reads absent at it.
+        let fresh = TupleChain::new();
+        fresh.install_committed(8, row(80), Some(hold));
+        assert_eq!(visible(&fresh, hold), None);
+        assert_eq!(visible(&fresh, 8), Some(Value::Int(80)));
+        // The first install after the hold drops clears the pre-image.
+        c.install_committed(9, row(90), None);
+        assert!(c.state.lock().held.is_none());
+        assert_eq!(visible(&c, hold), None);
     }
 
     #[test]
@@ -476,49 +421,45 @@ mod tests {
         assert_eq!(c.newest(), (0, None));
         assert_eq!(c.newest_ts(), 0);
 
-        c.install_committed(3, row(30), 0, DEFAULT_VERSION_PRUNE_THRESHOLD);
+        c.install_committed(3, row(30), None);
         assert_eq!(c.newest_ts(), 3);
         assert_eq!(c.newest().1.unwrap().col(0), Value::Int(30));
 
-        // MV install below the newest must not disturb the slot.
-        c.install_mv(2, row(20));
+        // A stale LWW install loses and must not disturb the slot.
+        c.install_lww(2, row(20));
         assert_eq!(c.newest_ts(), 3);
-        assert_eq!(c.read_at(u64::MAX).unwrap().col(0), Value::Int(30));
-        assert_eq!(c.read_at(2).unwrap().col(0), Value::Int(20));
+        assert_eq!(c.newest().1.unwrap().col(0), Value::Int(30));
 
-        // MV install above it must advance the slot.
-        c.install_mv(7, row(70));
+        // A newer one advances it; an equal one wins too.
+        c.install_lww(7, row(70));
         assert_eq!(c.newest_ts(), 7);
         assert_eq!(c.newest().1.unwrap().col(0), Value::Int(70));
+        c.install_lww(7, row(71));
+        assert_eq!(c.newest().1.unwrap().col(0), Value::Int(71));
 
-        // LWW replaces everything.
         c.install_lww(9, None);
         assert_eq!(c.newest_ts(), 9);
         assert!(c.newest().1.is_none(), "tombstone publishes a null row");
-        assert!(c.read_at(u64::MAX).is_none());
     }
 
     #[test]
     fn fast_path_does_not_need_the_version_mutex() {
         let c = Arc::new(TupleChain::with_version(4, row(40)));
         let c2 = Arc::clone(&c);
-        // If newest()/newest_ts()/latest-visible read_at touched the
-        // Mutex, this would deadlock (we hold it for the whole closure).
+        // If newest()/newest_ts() touched the Mutex, this would deadlock
+        // (we hold it for the whole closure).
         c.with_versions_locked(move || {
             assert_eq!(c2.newest_ts(), 4);
-            assert_eq!(c2.newest().0, 4);
-            assert_eq!(c2.read_at(u64::MAX).unwrap().col(0), Value::Int(40));
+            assert_eq!(c2.newest().1.unwrap().col(0), Value::Int(40));
         });
     }
 
     #[test]
     fn reads_share_the_row_image() {
         let c = TupleChain::with_version(1, row(10));
-        let a = c.read_at(5).unwrap();
-        let b = c.read_at(5).unwrap();
+        let a = c.newest().1.unwrap();
+        let b = c.newest().1.unwrap();
         assert!(Row::ptr_eq(&a, &b), "reads must share one image");
-        let (_, n) = c.newest();
-        assert!(Row::ptr_eq(&a, &n.unwrap()));
     }
 
     #[test]
@@ -533,12 +474,7 @@ mod tests {
                     for _ in 0..1000 {
                         let _g = c.latch.guard();
                         let ts = clock.tick();
-                        c.install_committed(
-                            ts,
-                            row(ts as i64),
-                            ts.saturating_sub(2),
-                            DEFAULT_VERSION_PRUNE_THRESHOLD,
-                        );
+                        c.install_committed(ts, row(ts as i64), Some(2000));
                     }
                 })
             })
@@ -549,5 +485,6 @@ mod tests {
         let (ts, r) = c.newest();
         assert_eq!(ts, 4000);
         assert_eq!(r.unwrap().col(0), Value::Int(4000));
+        assert_eq!(visible(&c, 2000), Some(Value::Int(2000)));
     }
 }

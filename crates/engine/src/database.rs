@@ -1,15 +1,16 @@
 //! The database: catalog + tables + clock + snapshot holds.
 
 use crate::catalog::Catalog;
-use crate::chain::DEFAULT_VERSION_PRUNE_THRESHOLD;
 use crate::table::{ShardLoad, Table};
 use crate::txn::{Txn, TxnScratch};
 use pacman_common::fingerprint::Fingerprint;
 use pacman_common::{Error, Key, LogicalClock, Result, Row, TableId, Timestamp};
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// [`Database::hold_ts`] when no snapshot hold is live.
+const NO_HOLD: Timestamp = Timestamp::MAX;
 
 /// A main-memory database instance.
 #[derive(Debug)]
@@ -17,18 +18,19 @@ pub struct Database {
     catalog: Catalog,
     tables: Vec<Table>,
     clock: LogicalClock,
-    /// Active snapshot holds (checkpointers): timestamps whose versions must
-    /// not be pruned, with reference counts.
-    holds: Mutex<BTreeMap<Timestamp, usize>>,
+    /// The live snapshot hold's timestamp, or [`NO_HOLD`]. Written only
+    /// under `hold_gate`.
+    hold_ts: AtomicU64,
+    /// Serializes snapshot holds: taken to wait for, publish and clear one.
+    hold_gate: Mutex<()>,
+    /// Signalled when a hold drops.
+    hold_dropped: Condvar,
     /// Install fence between committers and the checkpointer. Commits hold
     /// the read side from before the commit timestamp is drawn until every
     /// write is installed; [`Database::install_barrier`] acquires the write
     /// side once, so after the barrier every commit with a timestamp at or
     /// below the snapshot has fully installed (and marked its shards dirty).
     install_lock: RwLock<()>,
-    /// Versions a chain may retain before commit-path installs prune below
-    /// the snapshot floor (see `DurabilityConfig::version_prune_threshold`).
-    prune_threshold: AtomicUsize,
 }
 
 impl Database {
@@ -43,22 +45,11 @@ impl Database {
             catalog,
             tables,
             clock: LogicalClock::new(),
-            holds: Mutex::new(BTreeMap::new()),
+            hold_ts: AtomicU64::new(NO_HOLD),
+            hold_gate: Mutex::new(()),
+            hold_dropped: Condvar::new(),
             install_lock: RwLock::new(()),
-            prune_threshold: AtomicUsize::new(DEFAULT_VERSION_PRUNE_THRESHOLD),
         }
-    }
-
-    /// Versions a chain may retain before a commit prunes it (memory/GC
-    /// knob; higher keeps longer history for snapshot readers).
-    pub fn version_prune_threshold(&self) -> usize {
-        self.prune_threshold.load(Ordering::Relaxed)
-    }
-
-    /// Set the per-chain retained-version threshold. Clamped to ≥ 1: the
-    /// newest version must always survive.
-    pub fn set_version_prune_threshold(&self, n: usize) {
-        self.prune_threshold.store(n.max(1), Ordering::Relaxed);
     }
 
     /// Enter an install section (commit path): held from before the commit
@@ -149,25 +140,38 @@ impl Database {
         Txn::new(self, scratch)
     }
 
-    /// Take a consistent snapshot for a scan (the checkpointer): register
-    /// a hold at the next commit timestamp `ts`, bump the clock past it so
-    /// later commits sort strictly after it, then wait out the in-flight
-    /// commits at or below it ([`Database::install_barrier`]). While the
-    /// hold lives, every commit-path prune keeps the version visible at
-    /// `ts`, and every effect with a timestamp `<= ts` is installed.
+    /// Take a consistent snapshot for a scan (the checkpointer): reserve
+    /// the next commit timestamp `ts` as the hold, so later commits sort
+    /// strictly after it, then wait out the in-flight commits at or below
+    /// it ([`Database::install_barrier`]). While the hold lives, a commit
+    /// that displaces the version visible at `ts` keeps it as the chain's
+    /// held pre-image, and every effect with a timestamp `<= ts` is
+    /// installed.
     ///
-    /// The hold is registered under the holds lock together with the clock
-    /// read, so a committer that drew its timestamp earlier and reads the
-    /// prune floor ([`Database::version_floor`]) before the hold exists
-    /// gets a floor at or below `ts` either way.
+    /// One hold is live at a time: a second call waits until the first
+    /// drops.
+    ///
+    /// # Ordering
+    ///
+    /// The hold is published before the clock moves past `ts`, and a
+    /// commit loads it once, after drawing its timestamp (both SeqCst). The
+    /// move is a swap from exactly `ts` ([`LogicalClock::reserve`]), so a
+    /// commit that draws a timestamp above `ts` draws it after the move,
+    /// and its load then sees the hold. (A plain bump would not do: a
+    /// commit could draw `ts` between the clock read and the publish, and
+    /// the next one `ts + 1` before the publish.) When the swap fails, the
+    /// hold is republished at the new next timestamp; a commit that saw
+    /// the earlier value kept at most a pre-image the final hold does not
+    /// need, and the crossing install for the final hold replaces it.
     pub fn snapshot_hold(self: &Arc<Self>) -> SnapshotHold {
         let ts = {
-            let mut holds = self.holds.lock();
-            let ts = self.clock.peek();
-            *holds.entry(ts).or_insert(0) += 1;
-            ts
+            let mut gate = self.hold_gate.lock();
+            while self.live_hold().is_some() {
+                self.hold_dropped.wait(&mut gate);
+            }
+            self.clock
+                .reserve(|ts| self.hold_ts.store(ts, Ordering::SeqCst))
         };
-        self.clock.advance_to(ts + 1);
         self.install_barrier();
         SnapshotHold {
             db: Arc::clone(self),
@@ -175,14 +179,13 @@ impl Database {
         }
     }
 
-    /// The prune floor: the oldest held snapshot, or "now" when nothing is
-    /// held (then only the newest version of each tuple must survive).
-    pub fn version_floor(&self) -> Timestamp {
-        let holds = self.holds.lock();
-        match holds.keys().next() {
-            Some(&ts) => ts,
-            None => self.clock.peek(),
-        }
+    /// The live snapshot hold's timestamp, if one is live. The commit path
+    /// loads it once, after drawing its timestamp (see
+    /// [`Database::snapshot_hold`]).
+    #[inline]
+    pub(crate) fn live_hold(&self) -> Option<Timestamp> {
+        let ts = self.hold_ts.load(Ordering::SeqCst);
+        (ts != NO_HOLD).then_some(ts)
     }
 
     /// Total live tuples across tables.
@@ -224,30 +227,33 @@ impl SnapshotHold {
     /// line: it walks the shard under the shard's read lock (no chain
     /// `Arc` is cloned) and reads each chain's newest slot through the
     /// seqlock alone — no presence announcement, no refcount on the image
-    /// — falling back to the version `Mutex` only where the newest version
-    /// is newer than the snapshot.
+    /// — falling back to the chain's `Mutex` and its held pre-image only
+    /// where the newest version is newer than the snapshot.
     ///
     /// # Why borrowing the slot's image is sound
     ///
     /// The slot's presence counter exists so that an image displaced from
     /// the slot is not freed under a reader. Here the image is kept alive
-    /// by the version list instead, for as long as this hold lives:
+    /// by the chain state instead, for as long as this hold lives:
     ///
     /// * *Every commit at or below the snapshot has installed.*
-    ///   [`Database::snapshot_hold`] ran the install barrier after bumping
+    ///   [`Database::snapshot_hold`] ran the install barrier after moving
     ///   the clock past `ts`, so a slot showing a version at `ts' <= ts`
     ///   shows the version visible at `ts`, and no install can later slip
     ///   a version between `ts'` and `ts`: it stays the visible one.
-    /// * *Commit-path installs prune at `min(holds) <= ts`.*
-    ///   `TupleChain::install_committed` keeps every version at or above
-    ///   its floor plus the newest one below it, so the version visible at
-    ///   `ts` — and its list entry's reference to the image — survives any
-    ///   prune while this hold is registered.
+    /// * *The commit that displaces it keeps it as `held`.* That commit
+    ///   draws a timestamp above `ts`, so it sees this hold (the ordering
+    ///   argument on [`Database::snapshot_hold`]), and
+    ///   `TupleChain::install_committed` makes a displaced version at or
+    ///   below the hold the chain's held pre-image. Installs on a chain run
+    ///   in timestamp order, so every later one draws a timestamp above
+    ///   `ts` too: it sees the hold, displaces a version above `ts` and
+    ///   leaves `held` alone. So the version visible at `ts` — and the
+    ///   state's reference to its image — survives while this hold lives.
     /// * *No install replaces a version outright during a round.* Only
-    ///   recovery's `install_lww` / `install_mv` do, and neither runs
-    ///   beside a checkpoint round: a recovery session's retention hold
-    ///   blocks rounds until replay is done, and a standby runs no
-    ///   checkpointer.
+    ///   recovery's `install_lww` does, and it does not run beside a
+    ///   checkpoint round: a recovery session's retention hold blocks
+    ///   rounds until replay is done, and a standby runs no checkpointer.
     ///
     /// Chains themselves leave a shard only under its write lock (restore,
     /// resync), which the held read lock excludes.
@@ -275,13 +281,9 @@ impl SnapshotHold {
 
 impl Drop for SnapshotHold {
     fn drop(&mut self) {
-        let mut holds = self.db.holds.lock();
-        if let Some(n) = holds.get_mut(&self.ts) {
-            *n -= 1;
-            if *n == 0 {
-                holds.remove(&self.ts);
-            }
-        }
+        let _gate = self.db.hold_gate.lock();
+        self.db.hold_ts.store(NO_HOLD, Ordering::SeqCst);
+        self.db.hold_dropped.notify_one();
     }
 }
 
@@ -349,21 +351,26 @@ mod tests {
     }
 
     #[test]
-    fn version_floor_tracks_holds() {
+    fn a_second_hold_waits_for_the_first_to_drop() {
         let d = db();
         d.clock().advance_to(40);
-        assert_eq!(d.version_floor(), 40);
+        assert_eq!(d.live_hold(), None);
         let h1 = d.snapshot_hold();
-        assert_eq!(h1.ts(), 40);
+        assert_eq!((h1.ts(), d.live_hold()), (40, Some(40)));
         assert_eq!(d.clock().peek(), 41, "later commits sort after the hold");
-        d.clock().advance_to(60);
-        let h2 = d.snapshot_hold();
-        assert_eq!(h2.ts(), 60);
-        assert_eq!(d.version_floor(), 40);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let second = {
+            let d = Arc::clone(&d);
+            std::thread::spawn(move || tx.send(d.snapshot_hold().ts()).unwrap())
+        };
+        let wait = std::time::Duration::from_millis(200);
+        assert!(rx.recv_timeout(wait).is_err(), "second hold taken early");
+        assert_eq!(d.live_hold(), Some(40));
         drop(h1);
-        assert_eq!(d.version_floor(), 60);
-        drop(h2);
-        assert_eq!(d.version_floor(), 61);
+        let ts = rx.recv_timeout(wait * 50).expect("second hold never taken");
+        assert_eq!(ts, 41);
+        second.join().unwrap();
+        assert_eq!(d.live_hold(), None, "dropped with its thread");
     }
 
     #[test]
@@ -374,9 +381,8 @@ mod tests {
             d.seed_row(t, k, Row::from([Value::Int(k as i64), Value::str("v")]))
                 .unwrap();
         }
-        // Every install prunes, and key 3 is written twice after the hold:
-        // only the hold's floor keeps its snapshot version.
-        d.set_version_prune_threshold(1);
+        // Key 3 is written twice after the hold: only its held pre-image
+        // keeps the snapshot version.
         let hold = d.snapshot_hold();
         for later in ["later", "later still"] {
             let mut txn = d.begin();

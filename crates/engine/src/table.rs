@@ -6,7 +6,7 @@
 //! the concurrent database indexes", §6.2.2).
 
 use crate::catalog::TableMeta;
-use crate::chain::{versions_retained, TupleChain};
+use crate::chain::TupleChain;
 use pacman_common::fingerprint::{Fingerprint, Fnv};
 use pacman_common::{Key, Row, Timestamp};
 use parking_lot::{RwLock, RwLockReadGuard};
@@ -122,12 +122,11 @@ impl Table {
     ///
     /// A run that *is* the shard — keys strictly ascending, all owned by
     /// `shard`, and the shard still empty — becomes the shard's map in one
-    /// build under one write lock, with one dirty mark and one addition to
-    /// `engine.versions.retained`. Anything else (a shard a racing replay
-    /// or an earlier state already populated, a part out of order or
-    /// holding another shard's keys) installs per key, timestamped
-    /// last-writer-wins, which reaches the same state in any order and
-    /// never replaces a newer version.
+    /// build under one write lock, with one dirty mark. Anything else (a
+    /// shard a racing replay or an earlier state already populated, a part
+    /// out of order or holding another shard's keys) installs per key,
+    /// timestamped last-writer-wins, which reaches the same state in any
+    /// order and never replaces a newer version.
     pub fn load_shard(&self, shard: usize, ts: Timestamp, run: Vec<(Key, Row)>) -> ShardLoad {
         let tuples = run.len() as u64;
         let is_shard = shard < self.shards.len()
@@ -140,9 +139,8 @@ impl Table {
             if map.is_empty() {
                 *map = run
                     .into_iter()
-                    .map(|(k, row)| (k, Arc::new(TupleChain::seeded(ts, Some(row)))))
+                    .map(|(k, row)| (k, Arc::new(TupleChain::with_version(ts, Some(row)))))
                     .collect();
-                versions_retained().add(tuples);
                 return ShardLoad { tuples, bulk: true };
             }
         }
@@ -226,7 +224,6 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::DEFAULT_VERSION_PRUNE_THRESHOLD as DPT;
     use pacman_common::{TableId, Value};
 
     fn table() -> Table {
@@ -255,9 +252,9 @@ mod tests {
     #[test]
     fn for_each_newest_skips_tombstones() {
         let t = table();
-        t.get_or_create(1).install_committed(1, row(10), 0, DPT);
-        t.get_or_create(2).install_committed(1, row(20), 0, DPT);
-        t.get_or_create(2).install_committed(2, None, 0, DPT); // delete
+        t.get_or_create(1).install_committed(1, row(10), None);
+        t.get_or_create(2).install_committed(1, row(20), None);
+        t.get_or_create(2).install_committed(2, None, None); // delete
         let mut seen = Vec::new();
         t.for_each_newest(|k, _, r| seen.push((k, r.col(0))));
         assert_eq!(seen, vec![(1, Value::Int(10))]);
@@ -270,24 +267,24 @@ mod tests {
         let t2 = table();
         for k in 0..100 {
             t1.get_or_create(k)
-                .install_committed(1, row(k as i64), 0, DPT);
+                .install_committed(1, row(k as i64), None);
             t2.get_or_create(k)
-                .install_committed(1, row(k as i64), 0, DPT);
+                .install_committed(1, row(k as i64), None);
         }
         assert_eq!(t1.fingerprint(), t2.fingerprint());
-        t2.get_or_create(50).install_committed(2, row(-1), 0, DPT);
+        t2.get_or_create(50).install_committed(2, row(-1), None);
         assert_ne!(t1.fingerprint(), t2.fingerprint());
     }
 
     #[test]
-    fn fingerprint_ignores_version_count() {
-        // Multi-version and single-version states with the same newest rows
-        // must match (PLR/LLR restore history, CLR-P does not).
+    fn fingerprint_ignores_history() {
+        // States that reached the same newest rows by different histories
+        // (and one still holding a pre-image for a hold) must match.
         let t1 = table();
         let t2 = table();
-        t1.get_or_create(7).install_committed(3, row(30), 0, DPT);
-        t2.get_or_create(7).install_committed(1, row(10), 0, DPT);
-        t2.get_or_create(7).install_committed(3, row(30), 0, DPT);
+        t1.get_or_create(7).install_committed(3, row(30), None);
+        t2.get_or_create(7).install_committed(1, row(10), None);
+        t2.get_or_create(7).install_committed(3, row(30), Some(2));
         assert_eq!(t1.fingerprint(), t2.fingerprint());
     }
 
@@ -333,7 +330,6 @@ mod tests {
         assert_eq!(t.live_keys_in_shard(shard), keys);
         assert_eq!(t.shard_dirty_ts(shard), 7);
         assert_eq!(t.get(42).unwrap().newest().0, 7);
-        assert_eq!(t.get(42).unwrap().num_versions(), 1);
 
         // Again, older: the shard is no longer empty, every key loses.
         let load = t.load_shard(shard, 5, run(&keys));

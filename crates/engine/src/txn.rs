@@ -594,9 +594,9 @@ impl<'db> Txn<'db> {
             }
         }
 
-        // 5. Install.
-        let floor = db.version_floor().min(ts);
-        let prune_threshold = db.version_prune_threshold();
+        // 5. Install. The hold is loaded once, after `ts` was drawn (see
+        // `Database::snapshot_hold` for why that sees every hold below it).
+        let hold = db.live_hold();
         records.reserve(pending.len());
         for w in pending.iter() {
             let prev_ts = w.chain.newest_ts();
@@ -604,8 +604,7 @@ impl<'db> Txn<'db> {
             // checkpointing reads the marks to skip clean shards).
             w.table.mark_dirty(w.key.1, ts);
             // The chain shares the pending image — no copy on install.
-            w.chain
-                .install_committed(ts, w.row.clone(), floor, prune_threshold);
+            w.chain.install_committed(ts, w.row.clone(), hold);
             records.push(WriteRecord {
                 table: w.key.0,
                 key: w.key.1,

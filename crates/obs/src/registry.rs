@@ -70,26 +70,6 @@ impl Gauge {
         self.0.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Add `n` (level gauges tracking a population, e.g. retained tuple
-    /// versions: installs add, prunes sub).
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Subtract `n` (counterpart of [`Gauge::add`]; callers keep the
-    /// balance, the gauge does not saturate).
-    #[inline]
-    pub fn sub(&self, n: u64) {
-        self.0.fetch_sub(n, Ordering::Relaxed);
-    }
-
     /// Overwrite with `Release` ordering. Pair with [`Gauge::get_acquire`]
     /// when the gauge publishes a happens-before edge — e.g. "everything
     /// this checkpoint round wrote (manifest, retention reclaim) is

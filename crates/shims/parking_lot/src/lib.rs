@@ -177,7 +177,7 @@ impl WaitTimeoutResult {
 }
 
 /// A condition variable paired with [`Mutex`].
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
 }

@@ -1,9 +1,10 @@
 //! Transactionally-consistent checkpointing (§2.2), incremental since the
 //! chained-manifest rework.
 //!
-//! Multi-versioning makes consistent checkpoints trivial: the checkpointer
+//! A snapshot hold makes consistent checkpoints cheap: the checkpointer
 //! reads every table at a fixed snapshot timestamp while transactions keep
-//! committing newer versions. One checkpoint thread runs per device; each
+//! committing newer versions, each chain keeping the one version visible at
+//! the snapshot as a held pre-image once a newer commit displaces it. One checkpoint thread runs per device; each
 //! thread persists its share of the (table, shard) partitions.
 //!
 //! **Manifest chain.** A checkpoint is either *full* (`base_ts == 0`:

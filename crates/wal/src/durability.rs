@@ -99,12 +99,6 @@ pub struct DurabilityConfig {
     /// re-bootstraps) so a lagging standby can never pin unbounded disk.
     /// `None` = never break.
     pub max_subscriber_lag_bytes: Option<u64>,
-    /// Versions a tuple chain may retain before commit-path installs
-    /// prune below the snapshot floor (applied to the engine at boot via
-    /// `Database::set_version_prune_threshold`). Higher keeps more
-    /// history for snapshot readers at the cost of memory; 1 keeps only
-    /// the newest version.
-    pub version_prune_threshold: usize,
     /// Whether loggers fsync on epoch seal (Table 3 ablation).
     pub fsync: bool,
     /// Observability handles: the flight-recorder tracer every wal thread
@@ -139,7 +133,6 @@ impl Default for DurabilityConfig {
             checkpoint_incremental: true,
             checkpoint_max_chain: 8,
             max_subscriber_lag_bytes: None,
-            version_prune_threshold: pacman_engine::DEFAULT_VERSION_PRUNE_THRESHOLD,
             fsync: true,
             obs: Obs::default(),
             watchdog: Some(WatchdogConfig::default()),
@@ -303,9 +296,6 @@ impl Durability {
         base_epoch: u64,
     ) -> Arc<Self> {
         let em = EpochManager::start_at(config.epoch_interval, base_epoch + 1);
-        // Apply the engine-side memory knob; the engine crate cannot see
-        // DurabilityConfig, so the setting is pushed down at boot.
-        db.set_version_prune_threshold(config.version_prune_threshold);
         // The crash image carries its own flight-recorder tail: dumps land
         // in `trace/` on these devices. Keyed per instance so concurrent
         // stacks sharing the (usually global) tracer never cross-write

@@ -7,8 +7,8 @@
 //! a *pepoch* watcher publishes the slowest logger's progress, which is the
 //! durability frontier transactions are acknowledged at; checkpointer
 //! threads (one per device) periodically persist a transactionally
-//! consistent snapshot taken against the multi-version store without
-//! blocking transactions.
+//! consistent snapshot (a snapshot hold, under which each tuple keeps the
+//! version visible at it) without blocking transactions.
 //!
 //! Four logging schemes are implemented (§2.1 plus adaptive hybrid
 //! logging after Yao et al.):

@@ -1,10 +1,6 @@
 //! Checkpoint restore: the borrowed part walk against the writer's
 //! encoding, and the bulk shard build against the per-key install it
 //! replaced.
-//!
-//! The differential test reads the process-wide `engine.versions.retained`
-//! gauge, so everything that creates tuple chains lives in that one test
-//! function; the property test decodes rows only.
 
 use pacman_common::codec::put_u64;
 use pacman_common::{Encoder, Key, Row, TableId, Timestamp, Value};
@@ -146,16 +142,15 @@ fn restore_per_key(s: &Source, into: &Database) {
     }
 }
 
-fn retained() -> u64 {
-    pacman_obs::registry()
-        .gauge("engine.versions.retained")
-        .get()
+/// Keys in every table of `db`, tombstoned chains included.
+fn keys(db: &Database) -> u64 {
+    db.tables().iter().map(|t| t.num_keys() as u64).sum()
 }
 
-/// Restore `s`'s chain into `into`; returns the report and by how much
-/// `engine.versions.retained` rose.
+/// Restore `s`'s chain into `into`; returns the report and how many keys
+/// the restore added.
 fn restore(s: &Source, into: &Database, threads: usize) -> (CheckpointRecovery, u64) {
-    let before = retained();
+    let before = keys(into);
     let r = recover_checkpoint_chain(
         &s.storage,
         &s.chain,
@@ -163,7 +158,7 @@ fn restore(s: &Source, into: &Database, threads: usize) -> (CheckpointRecovery, 
         CheckpointTarget::Tables(into),
     )
     .unwrap();
-    (r, retained() - before)
+    (r, keys(into) - before)
 }
 
 /// Every key reachable through the index at the same `(ts, row)`, the

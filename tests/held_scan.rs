@@ -3,19 +3,19 @@
 //! `SnapshotHold::for_each_visible_in_shard` copies each tuple's image out
 //! of its chain's newest slot with neither a presence announcement nor a
 //! refcount. That is sound only while the image cannot be freed: every
-//! commit at or below the hold has installed, and every commit-path prune
-//! keeps the version visible at the hold. This test makes pruning as eager
-//! as it gets — `set_version_prune_threshold(1)`, so every install prunes —
-//! and runs one committer thread of random updates, deletes and re-inserts
-//! beside checkpoint rounds. Half the writes go to a few hot keys, the
+//! commit at or below the hold has installed, and the commit that displaces
+//! the version visible at the hold keeps it as the chain's held pre-image.
+//! A chain keeps nothing else, so every later install above the hold would
+//! free the image if `held` did not. This test runs one committer thread of
+//! random updates, deletes and re-inserts beside checkpoint rounds. Half the writes go to a few hot keys, the
 //! largest ones, which a scan reaches last in their shards: by then the
 //! committer has usually written them again, more than once. Each round is
 //! restored into a fresh database and compared, key by key and byte by
 //! byte, with a shadow model of the state at the round's timestamp.
 //!
-//! A prune that ignored the holds (floor = the commit's own timestamp)
-//! drops the version a round is copying: the round then loses the tuple, or
-//! copies freed bytes, and the comparison fails. Images differ in arity and
+//! A commit that kept no pre-image, or replaced it on every install above
+//! the hold, drops the version a round is copying: the round then loses the
+//! tuple, or copies freed bytes, and the comparison fails. Images differ in arity and
 //! string lengths from one update to the next, so a copy of the wrong image,
 //! or of the right one with the wrong length, fails it too.
 
@@ -59,7 +59,6 @@ fn every_round_restores_the_state_at_its_timestamp() {
     for key in 0..KEYS {
         db.seed_row(T, key, image(key, 0)).unwrap();
     }
-    db.set_version_prune_threshold(1);
     let log: Arc<Mutex<Vec<Committed>>> = Arc::default();
     let commits = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));

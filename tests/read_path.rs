@@ -3,8 +3,8 @@
 //! The newest slot on `TupleChain` is a seqlock-published
 //! `(ts, image pointer, image length)` triple with a reader-presence
 //! counter guarding image reclamation. These tests race lock-free readers
-//! against latched installers (and unlatched MV recovery installers) and
-//! assert, in the style of the `obs` ring tests, that a torn observation
+//! against latched installers (and an unlatched installer of stale
+//! last-writer-wins writes) and assert, in the style of the `obs` ring tests, that a torn observation
 //! is impossible:
 //!
 //! * every row read is internally consistent and is, byte for byte and
@@ -15,11 +15,11 @@
 //! * `newest()` pairs the row with exactly the timestamp it was installed
 //!   under (no mixing of one install's ts with another's row);
 //! * `newest_ts()` is monotone from any single observer;
-//! * the fast path completes while another thread holds the version
+//! * the fast path completes while another thread holds the chain's
 //!   `Mutex` — i.e. it really is lock-free.
 
 use pacman_common::{LogicalClock, Row, Value};
-use pacman_engine::{TupleChain, DEFAULT_VERSION_PRUNE_THRESHOLD};
+use pacman_engine::TupleChain;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -58,10 +58,10 @@ const READERS: usize = 3;
 /// writers finish first (release-mode installs can outrun thread spawn
 /// on a small box; the checks must still run).
 const MIN_READS: u64 = 1_000;
-/// Writers' clock starts above the MV installer's fixed range so the MV
-/// installs never become the newest version.
+/// Writers' clock starts above the stale installer's fixed range, so its
+/// installs always lose.
 const CLOCK_BASE: u64 = 1_000;
-const MV_RANGE: u64 = 50;
+const STALE_RANGE: u64 = 50;
 
 #[test]
 fn slot_readers_never_observe_torn_state() {
@@ -87,17 +87,13 @@ fn slot_readers_never_observe_torn_state() {
             for _ in 0..INSTALLS_PER_WRITER {
                 let _g = chain.latch.guard();
                 let ts = clock.tick();
-                chain.install_committed(
-                    ts,
-                    Some(tagged_row(ts)),
-                    ts.saturating_sub(2),
-                    DEFAULT_VERSION_PRUNE_THRESHOLD,
-                );
+                chain.install_committed(ts, Some(tagged_row(ts)), None);
             }
         }));
     }
-    // Unlatched MV installer: recovery-shaped writes below the newest
-    // version, exercising the Mutex path and slot no-op publishes.
+    // Unlatched stale installer: recovery-shaped last-writer-wins writes
+    // below the newest version, exercising the stale-loses path under the
+    // Mutex and the slot's no-op publish.
     {
         let chain = Arc::clone(&chain);
         let done = Arc::clone(&done);
@@ -106,8 +102,8 @@ fn slot_readers_never_observe_torn_state() {
             start.wait();
             let mut ts = 1u64;
             while !done.load(Ordering::Relaxed) {
-                chain.install_mv(ts, Some(tagged_row(ts)));
-                ts = ts % MV_RANGE + 1;
+                chain.install_lww(ts, Some(tagged_row(ts)));
+                ts = ts % STALE_RANGE + 1;
             }
         }));
     }
@@ -128,25 +124,13 @@ fn slot_readers_never_observe_torn_state() {
                     assert_tagged(row, Some(ts), "newest()");
                 }
                 assert!(ts >= last_ts, "newest() ts went backwards");
+                assert!(ts >= CLOCK_BASE, "a stale install won: {ts}");
                 last_ts = ts;
 
                 // Monotonicity of the bare ts load.
                 let t2 = chain.newest_ts();
                 assert!(t2 >= last_ts, "newest_ts() went backwards");
                 last_ts = t2;
-
-                // Latest-visible read: internally consistent, ts-tagged.
-                if let Some(row) = chain.read_at(u64::MAX) {
-                    assert_tagged(&row, None, "read_at(MAX)");
-                    assert!(
-                        row.col(0).as_int().unwrap() as u64 >= CLOCK_BASE,
-                        "read_at(MAX) returned a stale MV image"
-                    );
-                }
-                // Old-snapshot read: the locked fallback, racing installers.
-                if let Some(row) = chain.read_at(MV_RANGE) {
-                    assert_tagged(&row, None, "read_at(old)");
-                }
                 observed += 1;
             }
             observed
@@ -166,22 +150,16 @@ fn slot_readers_never_observe_torn_state() {
         "readers never ran"
     );
 
-    // Final state: the last install is exactly what the slot serves, and
-    // pruning kept the chain bounded.
+    // Final state: the last install is exactly what the slot serves.
     let final_ts = CLOCK_BASE + WRITERS as u64 * INSTALLS_PER_WRITER;
     let (ts, row) = chain.newest();
     assert_eq!(ts, final_ts);
     assert_tagged(&row.unwrap(), Some(final_ts), "final newest()");
-    assert!(
-        chain.num_versions() <= DEFAULT_VERSION_PRUNE_THRESHOLD + MV_RANGE as usize,
-        "chain failed to prune: {} versions",
-        chain.num_versions()
-    );
 }
 
-/// The fast path must complete while another thread holds the version
-/// `Mutex` — if `newest()`, `newest_ts()`, or latest-visible `read_at`
-/// ever took that lock, this test would deadlock instead of finishing.
+/// The fast path must complete while another thread holds the chain's
+/// `Mutex` — if `newest()` or `newest_ts()` ever took that lock, this test
+/// would deadlock instead of finishing.
 #[test]
 fn fast_path_reads_complete_while_version_mutex_is_held() {
     let chain = Arc::new(TupleChain::with_version(7, Some(tagged_row(7))));
@@ -193,11 +171,6 @@ fn fast_path_reads_complete_while_version_mutex_is_held() {
                 assert_eq!(ts, 7);
                 assert_tagged(&row.unwrap(), Some(7), "newest() under held lock");
                 assert_eq!(c2.newest_ts(), 7);
-                assert_tagged(
-                    &c2.read_at(u64::MAX).unwrap(),
-                    Some(7),
-                    "read_at(MAX) under held lock",
-                );
             }
         });
         reader.join().unwrap();
@@ -211,7 +184,7 @@ fn concurrent_reads_share_row_images() {
     let images: Vec<_> = (0..4)
         .map(|_| {
             let c = Arc::clone(&chain);
-            std::thread::spawn(move || c.read_at(u64::MAX).unwrap())
+            std::thread::spawn(move || c.newest().1.unwrap())
         })
         .map(|h| h.join().unwrap())
         .collect();
