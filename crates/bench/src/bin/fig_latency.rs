@@ -3,7 +3,10 @@
 //! Where does a committed transaction's latency go? The epoch span table
 //! stamps every epoch at each lifecycle stage — first commit staged,
 //! sealed, persisted (fsynced), ack signaled, shipped, standby applied —
-//! and this binary turns those stamps into a per-stage breakdown:
+//! and this binary turns those stamps into a per-stage breakdown. On the
+//! commit side `seal_wait` is the epoch close plus the logger's poll,
+//! `persist` the log write and fsync on every device, and `ack_delay` the
+//! publishing logger's `pepoch.log` fsync plus the wakeup:
 //!
 //! * **Phase A (commit attribution)**: a paced single worker commits
 //!   roughly one transaction per epoch against a live primary, measuring

@@ -52,7 +52,7 @@ fn main() {
     );
 
     // Hard guard: the span-table record path — the per-epoch-stage stamp
-    // the logger / pepoch watcher / shipper pay. A fresh table keeps the
+    // the loggers and the shipper pay. A fresh table keeps the
     // microbench loop out of the global `wal.epoch.*` histograms; each
     // iteration claims a slot (the slow path) and feeds one transition
     // histogram, so this bounds the *worst* stamp, not the amortized one.

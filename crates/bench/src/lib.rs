@@ -113,7 +113,7 @@ pub fn num_threads() -> usize {
 }
 
 /// The standard transaction-worker count of the harness binaries: leave
-/// headroom for loggers/checkpointer/pepoch threads, floor at 2 — except
+/// headroom for loggers/checkpointer threads, floor at 2 — except
 /// on a single-hardware-thread machine, where extra workers only contend
 /// with each other (and with the durability threads) for the one core:
 /// there every sweep degrades to an honest single-thread point.

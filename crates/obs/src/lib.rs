@@ -98,7 +98,7 @@ pub fn registry() -> &'static Arc<MetricsRegistry> {
 /// The process-wide epoch span table.
 ///
 /// Global (not per-`Obs`) because the stages of one epoch are stamped from
-/// different subsystems — workers, logger, pepoch watcher, shipper, standby —
+/// different subsystems — workers, loggers, shipper, standby —
 /// that do not share a config handle. On first use its five transition
 /// histograms are bound into the global registry under the `wal.epoch.*` /
 /// `wal.ship.*` / `standby.*` names in [`STAGE_HISTOGRAMS`].

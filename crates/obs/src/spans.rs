@@ -2,8 +2,8 @@
 //! durability pipeline.
 //!
 //! Every committed epoch moves through a fixed stage sequence — first
-//! commit staged → sealed → persisted (fsynced pepoch) → ack signaled →
-//! shipped → standby applied — and the paper's headline latency claims
+//! commit staged → sealed → persisted (log fsynced on every device) → ack
+//! signaled → shipped → standby applied — and the paper's headline latency claims
 //! (Table 3's group-commit latency, replication lag) are statements about
 //! how long epochs spend *between* those stages. The [`EpochSpanTable`]
 //! records one nanosecond timestamp per (epoch, stage) in a fixed-size
@@ -12,9 +12,9 @@
 //!
 //! | histogram | duration |
 //! |---|---|
-//! | `wal.epoch.seal_wait` | first commit staged → epoch sealed |
-//! | `wal.epoch.persist` | sealed → pepoch persisted (fsynced) |
-//! | `wal.epoch.ack_delay` | persisted → durable ack signaled |
+//! | `wal.epoch.seal_wait` | first commit staged → a logger decides to seal it (epoch close + logger poll) |
+//! | `wal.epoch.persist` | sealed → every logger's seal fsynced (log write + fsync) |
+//! | `wal.epoch.ack_delay` | persisted → durable ack signaled (`pepoch.log` fsync + wake) |
 //! | `wal.ship.lag` | ack (or persist) → shipped to a subscriber |
 //! | `standby.apply_lag` | shipped → applied on the standby |
 //!
@@ -53,11 +53,13 @@ pub const NUM_STAGES: usize = 6;
 pub enum Stage {
     /// First commit of the epoch handed to the durability layer.
     Staged = 0,
-    /// A logger sealed the epoch durably.
+    /// A logger's seal pass decided to seal the epoch's records (before
+    /// the append; an epoch with no records is never stamped).
     Sealed = 1,
-    /// The persisted-epoch watcher fsynced the frontier past the epoch.
+    /// Every logger's fsynced seal reached the epoch (the publishing
+    /// logger found the frontier past it).
     Persisted = 2,
-    /// The durable ack (pepoch publish + signal) covered the epoch.
+    /// `pepoch.log` was fsynced past the epoch and the waiters woken.
     Acked = 3,
     /// A ship pass announced the epoch to a subscriber.
     Shipped = 4,

@@ -1,5 +1,5 @@
-//! The durability manager: wires epoch management, loggers, pepoch and
-//! checkpointing around a running database.
+//! The durability manager: wires epoch management, loggers (which publish
+//! the pepoch frontier) and checkpointing around a running database.
 
 use crate::batch::truncate_log_tail;
 use crate::checkpoint::{
@@ -7,7 +7,7 @@ use crate::checkpoint::{
 };
 use crate::classify::{CommitClassifier, LogChoice, WriteCountClassifier};
 use crate::logger::{LoggerHandle, QueuedRecord};
-use crate::pepoch::{DurableSignal, PepochHandle};
+use crate::pepoch::{DurableSignal, Frontier, PepochHandle};
 use crate::record::PayloadRef;
 use crate::retention::{RetentionManager, RetentionPolicy};
 use crate::ship::{LogShipper, ShipCounters};
@@ -148,7 +148,6 @@ pub struct Durability {
     config: DurabilityConfig,
     em: Arc<EpochManager>,
     loggers: RwLock<Vec<LoggerHandle>>,
-    pepoch: Mutex<Option<PepochHandle>>,
     pepoch_value: Arc<AtomicU64>,
     durable_signal: Arc<DurableSignal>,
     commit_group_size: HistoHandle,
@@ -234,7 +233,7 @@ pub struct ResumeInfo {
 }
 
 impl Durability {
-    /// Start loggers, the pepoch watcher and (optionally) the checkpointer.
+    /// Start loggers and (optionally) the checkpointer.
     pub fn start(
         db: Arc<Database>,
         storage: pacman_storage::StorageSet,
@@ -317,41 +316,24 @@ impl Durability {
         // position.)
         pacman_obs::spans().reset();
         let mut loggers = Vec::new();
-        let mut sealed = Vec::new();
-        let mut real = Vec::new();
-        if config.scheme != LogScheme::Off {
-            for i in 0..config.num_loggers.max(1) {
-                let logger = LoggerHandle::spawn_resuming(
+        let (pepoch_value, durable_signal) = if config.scheme == LogScheme::Off {
+            // OFF: everything "durable"
+            (Arc::new(AtomicU64::new(u64::MAX)), Arc::default())
+        } else {
+            let n = config.num_loggers.max(1);
+            let frontier = Arc::new(Frontier::new(n, base_epoch, Arc::clone(storage.disk(0))));
+            for i in 0..n {
+                loggers.push(LoggerHandle::spawn(
                     i,
                     Arc::clone(storage.disk(i)),
                     Arc::clone(&em),
                     config.batch_epochs,
                     config.fsync,
-                    base_epoch,
+                    Arc::clone(&frontier),
                     Arc::clone(&config.obs.tracer),
-                );
-                sealed.push(logger.sealed_arc());
-                real.push(logger.real_sealed_arc());
-                loggers.push(logger);
+                ));
             }
-        }
-        let (pepoch, pepoch_value, durable_signal) = if sealed.is_empty() {
-            // OFF: everything "durable"
-            (
-                None,
-                Arc::new(AtomicU64::new(u64::MAX)),
-                Arc::new(DurableSignal::default()),
-            )
-        } else {
-            let h = PepochHandle::spawn(
-                sealed,
-                real,
-                Arc::clone(storage.disk(0)),
-                config.epoch_interval / 4,
-            );
-            let v = h.value_arc();
-            let s = h.signal_arc();
-            (Some(h), v, s)
+            (Arc::clone(&frontier.value), Arc::clone(&frontier.signal))
         };
 
         // One reclaim frontier for the whole stack: the manager owns every
@@ -517,7 +499,6 @@ impl Durability {
             config,
             em,
             loggers: RwLock::new(loggers),
-            pepoch: Mutex::new(pepoch),
             pepoch_value,
             durable_signal,
             commit_group_size: HistoHandle::new(),
@@ -831,11 +812,6 @@ impl Durability {
         self.ckpt_bytes_written.get()
     }
 
-    /// Parts the periodic checkpointer has written so far.
-    pub fn checkpoint_parts_written(&self) -> u64 {
-        self.ckpt_parts_written.get()
-    }
-
     /// Shards skipped as dirty-clean across all delta rounds so far.
     pub fn checkpoint_shards_skipped(&self) -> u64 {
         self.ckpt_shards_skipped.get()
@@ -930,9 +906,6 @@ impl Durability {
         for logger in self.loggers.write().iter_mut() {
             logger.stop(true);
         }
-        if let Some(mut p) = self.pepoch.lock().take() {
-            p.stop();
-        }
         self.em.stop();
         // Final space accounting for this stack — snapshots taken after a
         // graceful stop see the settled footprint.
@@ -952,9 +925,6 @@ impl Durability {
         }
         for logger in self.loggers.write().iter_mut() {
             logger.stop(false);
-        }
-        if let Some(mut p) = self.pepoch.lock().take() {
-            p.stop();
         }
         self.em.stop();
         self.obs.tracer.remove_sink(&self.sink_key);

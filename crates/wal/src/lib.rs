@@ -4,8 +4,9 @@
 //! worker threads serialize their own commit records and hand them to
 //! logger threads (one per device); loggers group-commit in units of
 //! epochs, truncating their output into fixed-size *log batches* (files);
-//! a *pepoch* watcher publishes the slowest logger's progress, which is the
-//! durability frontier transactions are acknowledged at; checkpointer
+//! the logger whose seal raises the slowest logger's progress publishes it
+//! as the *pepoch*, the durability frontier transactions are acknowledged
+//! at; checkpointer
 //! threads (one per device) periodically persist a transactionally
 //! consistent snapshot (a snapshot hold, under which each tuple keeps the
 //! version visible at it) without blocking transactions.

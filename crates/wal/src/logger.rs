@@ -6,14 +6,16 @@
 //! once every worker's acknowledged epoch is `> e` — at that point no
 //! record with epoch `≤ e` can still arrive — then appends the epoch's
 //! records to the current batch file and fsyncs (group commit: one fsync
-//! per epoch, not per transaction).
+//! per epoch, not per transaction), then publishes the seal through the
+//! stack's [`Frontier`].
 
 use crate::batch::{batch_index_of_epoch, batch_name};
+use crate::pepoch::Frontier;
 use pacman_engine::EpochManager;
-use pacman_obs::{TraceEvent, Tracer};
+use pacman_obs::{Stage, TraceEvent, Tracer};
 use pacman_storage::SimDisk;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -32,54 +34,29 @@ pub struct QueuedRecord {
 pub struct LoggerHandle {
     /// Queue the assigned workers push to.
     pub sender: crossbeam::channel::Sender<QueuedRecord>,
-    sealed: Arc<AtomicU64>,
-    real_sealed: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
     join: Option<JoinHandle<()>>,
 }
 
 impl LoggerHandle {
-    /// Spawn a logger writing to `disk`, sealing epochs according to `em`.
-    /// `fsync` disabled models the Table 3 "w/o fsync" configuration.
+    /// Spawn logger `id` writing to `disk`, sealing epochs according to
+    /// `em` and publishing its seals through `frontier` (whose counters
+    /// start at the recovered prefix of a reopened log, so the logger never
+    /// rewrites recovered batches). `fsync` disabled models the Table 3
+    /// "w/o fsync" configuration. Seal/persist events are emitted through
+    /// `tracer`.
+    #[allow(clippy::too_many_arguments)]
     pub fn spawn(
         id: usize,
         disk: Arc<SimDisk>,
         em: Arc<EpochManager>,
         batch_epochs: u64,
         fsync: bool,
-    ) -> Self {
-        Self::spawn_resuming(
-            id,
-            disk,
-            em,
-            batch_epochs,
-            fsync,
-            0,
-            Arc::clone(pacman_obs::tracer()),
-        )
-    }
-
-    /// [`LoggerHandle::spawn`] resuming a surviving log directory: epochs
-    /// `<= resume_from` are treated as already sealed (they belong to the
-    /// recovered prefix), so the logger never rewrites recovered batches
-    /// and the pepoch watcher's min starts at the resumed frontier.
-    /// Seal/persist events are emitted through `tracer`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn_resuming(
-        id: usize,
-        disk: Arc<SimDisk>,
-        em: Arc<EpochManager>,
-        batch_epochs: u64,
-        fsync: bool,
-        resume_from: u64,
+        frontier: Arc<Frontier>,
         tracer: Arc<Tracer>,
     ) -> Self {
         let (sender, receiver) = crossbeam::channel::unbounded::<QueuedRecord>();
-        let sealed = Arc::new(AtomicU64::new(resume_from));
-        let real_sealed = Arc::new(AtomicU64::new(resume_from));
         let stop = Arc::new(AtomicBool::new(false));
-        let sealed2 = Arc::clone(&sealed);
-        let real2 = Arc::clone(&real_sealed);
         let stop2 = Arc::clone(&stop);
         let join = std::thread::Builder::new()
             .name(format!("logger-{id}"))
@@ -91,8 +68,7 @@ impl LoggerHandle {
                     batch_epochs,
                     fsync,
                     receiver,
-                    sealed2,
-                    real2,
+                    frontier,
                     stop2,
                     tracer,
                 );
@@ -100,30 +76,9 @@ impl LoggerHandle {
             .expect("spawn logger");
         LoggerHandle {
             sender,
-            sealed,
-            real_sealed,
             stop,
             join: Some(join),
         }
-    }
-
-    /// Highest epoch durably sealed by this logger. Reports `u64::MAX`
-    /// after a graceful drain ("stream complete").
-    pub fn sealed_epoch(&self) -> u64 {
-        self.sealed.load(Ordering::Acquire)
-    }
-
-    /// Shared counter of the sealed epoch (wired into the pepoch watcher).
-    pub fn sealed_arc(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.sealed)
-    }
-
-    /// Shared counter of the *numeric* sealed epoch: tracks `sealed` but
-    /// never becomes the `u64::MAX` stream-complete sentinel, so the
-    /// pepoch file persists a real epoch the next incarnation can resume
-    /// numbering from.
-    pub fn real_sealed_arc(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.real_sealed)
     }
 
     /// Stop the logger. With `graceful = true` it first drains and seals
@@ -157,21 +112,21 @@ fn logger_loop(
     batch_epochs: u64,
     fsync: bool,
     receiver: crossbeam::channel::Receiver<QueuedRecord>,
-    sealed: Arc<AtomicU64>,
-    real_sealed: Arc<AtomicU64>,
+    frontier: Arc<Frontier>,
     stop: Arc<AtomicBool>,
     tracer: Arc<Tracer>,
 ) {
     let mut pending: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     let mut disconnected = false;
+    let mut sealed = frontier.sealed_epoch(id);
     loop {
         if stop.load(Ordering::Acquire) {
             return; // crash: whatever was not sealed is lost
         }
-        // The sealing frontier: min over worker acks and the global epoch.
-        let frontier = em.min_ack().min(em.current());
-        // Drain the queue *after* reading the frontier (see epoch.rs: every
-        // record with epoch < frontier was pushed before the acks moved).
+        // The sealing bound: min over worker acks and the global epoch.
+        let bound = em.min_ack().min(em.current());
+        // Drain the queue *after* reading the bound (see epoch.rs: every
+        // record with epoch < bound was pushed before the acks moved).
         loop {
             match receiver.try_recv() {
                 Ok(rec) => pending.entry(rec.epoch).or_default().extend(rec.bytes),
@@ -186,11 +141,18 @@ fn logger_loop(
             // Graceful shutdown: everything queued is final.
             pending.keys().next_back().copied().unwrap_or(0)
         } else {
-            frontier.saturating_sub(1)
+            bound.saturating_sub(1)
         };
+        if seal_to > sealed {
+            // Span attribution: the pass has decided which epochs' records
+            // it seals (idle epochs have nothing to seal or persist).
+            let spans = pacman_obs::spans();
+            for (&e, _) in pending.range(sealed + 1..=seal_to) {
+                spans.record(e, Stage::Sealed);
+            }
+        }
         let mut wrote = false;
-        let already = sealed.load(Ordering::Acquire);
-        let mut cursor = already;
+        let mut cursor = sealed;
         while cursor < seal_to {
             cursor += 1;
             if let Some(bytes) = pending.remove(&cursor) {
@@ -205,34 +167,24 @@ fn logger_loop(
                 wrote = true;
             }
         }
-        if cursor > already {
+        if cursor > sealed {
             if wrote && fsync {
                 disk.fsync();
             }
-            sealed.store(cursor, Ordering::Release);
-            real_sealed.store(cursor, Ordering::Release);
+            sealed = cursor;
             tracer.emit(TraceEvent::EpochSeal {
                 logger: id as u32,
-                epoch: cursor,
+                epoch: sealed,
             });
-            // Span attribution: every epoch this pass sealed (capped to the
-            // table's window — a logger catching up over thousands of idle
-            // epochs must not spin here).
-            let spans = pacman_obs::spans();
-            for e in already.max(cursor.saturating_sub(pacman_obs::SPAN_SLOTS as u64)) + 1..=cursor
-            {
-                spans.record(e, pacman_obs::Stage::Sealed);
-            }
+            frontier.seal(id, sealed);
         }
         if disconnected {
             // Graceful drain: everything this logger will ever receive is
             // on the device. Report the stream complete rather than the
             // highest epoch that happened to be queued here — otherwise a
             // logger whose queue ended one epoch early would pin the
-            // pepoch below records its peers durably wrote. `real_sealed`
-            // keeps the numeric cursor: the pepoch watcher persists a real
-            // epoch, never the sentinel.
-            sealed.store(u64::MAX, Ordering::Release);
+            // pepoch below records its peers durably wrote.
+            frontier.seal(id, u64::MAX);
             return;
         }
         // Wait for more work without burning a core.
@@ -265,13 +217,32 @@ mod tests {
         .to_bytes()
     }
 
+    /// One logger over `disk`, with the frontier it publishes through.
+    fn spawn(
+        disk: &Arc<SimDisk>,
+        em: &Arc<EpochManager>,
+        batch: u64,
+    ) -> (LoggerHandle, Arc<Frontier>) {
+        let frontier = Arc::new(Frontier::new(1, 0, Arc::clone(disk)));
+        let logger = LoggerHandle::spawn(
+            0,
+            Arc::clone(disk),
+            Arc::clone(em),
+            batch,
+            true,
+            Arc::clone(&frontier),
+            Arc::clone(pacman_obs::tracer()),
+        );
+        (logger, frontier)
+    }
+
     #[test]
     fn seals_only_acknowledged_epochs() {
         let em = EpochManager::new_manual();
         let worker = em.register_worker();
         worker.enter(); // ack = 1
         let disk = Arc::new(SimDisk::new(DiskConfig::unthrottled("t")));
-        let mut logger = LoggerHandle::spawn(0, Arc::clone(&disk), Arc::clone(&em), 100, true);
+        let (mut logger, frontier) = spawn(&disk, &em, 100);
 
         logger
             .sender
@@ -282,7 +253,7 @@ mod tests {
             .unwrap();
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert_eq!(
-            logger.sealed_epoch(),
+            frontier.sealed_epoch(0),
             0,
             "epoch 1 not yet acknowledged past"
         );
@@ -290,7 +261,7 @@ mod tests {
         em.advance(); // epoch 2
         worker.enter(); // ack = 2
         std::thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(logger.sealed_epoch(), 1);
+        assert_eq!(frontier.sealed_epoch(0), 1);
         assert!(disk.len(&batch_name(0, 0)).unwrap() > 0);
         logger.stop(true);
     }
@@ -299,7 +270,7 @@ mod tests {
     fn graceful_stop_flushes_everything() {
         let em = EpochManager::new_manual();
         let disk = Arc::new(SimDisk::new(DiskConfig::unthrottled("t")));
-        let mut logger = LoggerHandle::spawn(0, Arc::clone(&disk), Arc::clone(&em), 10, true);
+        let (mut logger, frontier) = spawn(&disk, &em, 10);
         for e in 1..=25u64 {
             logger
                 .sender
@@ -312,7 +283,9 @@ mod tests {
         logger.stop(true);
         // A graceful drain reports the stream complete (nothing further
         // can arrive), so the pepoch never pins below a peer's records.
-        assert_eq!(logger.sealed_epoch(), u64::MAX);
+        assert_eq!(frontier.sealed_epoch(0), u64::MAX);
+        // ... and publishes the highest epoch it wrote, never the sentinel.
+        assert_eq!(Frontier::read_persisted(&disk), 25);
         // Batch files 0,1,2 exist (epochs 1-9, 10-19, 20-25).
         assert!(disk.len(&batch_name(0, 0)).unwrap() > 0);
         assert!(disk.len(&batch_name(0, 1)).unwrap() > 0);
@@ -325,7 +298,7 @@ mod tests {
         let worker = em.register_worker();
         worker.enter();
         let disk = Arc::new(SimDisk::new(DiskConfig::unthrottled("t")));
-        let mut logger = LoggerHandle::spawn(0, Arc::clone(&disk), Arc::clone(&em), 10, true);
+        let (mut logger, frontier) = spawn(&disk, &em, 10);
         logger
             .sender
             .send(QueuedRecord {
@@ -336,7 +309,7 @@ mod tests {
         // Worker never re-enters: epoch 1 cannot seal. Crash.
         std::thread::sleep(std::time::Duration::from_millis(10));
         logger.stop(false);
-        assert_eq!(logger.sealed_epoch(), 0);
+        assert_eq!(frontier.sealed_epoch(0), 0);
         assert!(disk.is_empty(), "nothing should have hit the disk");
     }
 }

@@ -44,6 +44,7 @@
 
 use crate::batch::batch_name;
 use crate::checkpoint::{manifest_name, part_name, read_chain, read_manifest};
+use crate::pepoch::stamp_epochs;
 use crate::record::RecordView;
 use crate::retention::{RetentionHold, RetentionManager};
 use bytes::Bytes;
@@ -420,14 +421,11 @@ impl LogShipper {
         // to the span table's window — a bootstrap pass covers the whole
         // history). A reset pass rewinds the cursor; skip stamping there.
         if cur.shipped_pepoch > p.prev_shipped && cur.shipped_pepoch != u64::MAX {
-            let spans = pacman_obs::spans();
-            let lo = p.prev_shipped.max(
-                cur.shipped_pepoch
-                    .saturating_sub(pacman_obs::SPAN_SLOTS as u64),
+            stamp_epochs(
+                p.prev_shipped,
+                cur.shipped_pepoch,
+                pacman_obs::Stage::Shipped,
             );
-            for e in lo + 1..=cur.shipped_pepoch {
-                spans.record(e, pacman_obs::Stage::Shipped);
-            }
         }
         if self.retention.is_some() {
             let mut hold = self.hold.lock();

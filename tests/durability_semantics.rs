@@ -11,6 +11,7 @@ use pacman_sproc::params;
 use pacman_storage::{DiskConfig, StorageSet};
 use pacman_wal::pepoch::PepochHandle;
 use pacman_wal::{Durability, DurabilityConfig, LogScheme, MergedBatchView};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -139,6 +140,30 @@ fn pepoch_is_conservative_across_loggers() {
     let storage = dur.storage();
     let total: usize = batches(storage, frontier).iter().map(|b| b.len()).sum();
     assert_eq!(total, 150);
+}
+
+/// The published frontier is never ahead of `pepoch.log` while two loggers
+/// race to publish: a waiter it releases never runs past what recovery
+/// reads back.
+#[test]
+fn published_frontier_never_ahead_of_file() {
+    let (db, dur) = setup(LogScheme::Command, 2, 4);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::Acquire) {
+                let published = dur.pepoch();
+                let persisted = PepochHandle::read_persisted(dur.storage().disk(0));
+                assert!(
+                    published <= persisted,
+                    "{published} ahead of file {persisted}"
+                );
+            }
+        });
+        dur.wait_durable(commit_burst(&db, &dur, 400));
+        done.store(true, Ordering::Release);
+    });
+    dur.shutdown();
 }
 
 /// Read-only transactions produce no log records under any scheme.

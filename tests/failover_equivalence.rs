@@ -127,7 +127,7 @@ fn failover_roundtrip(
     );
 
     // Kill the primary. The devices survive; drain the sealed tail the
-    // watcher persisted (failover's "epoch drain").
+    // loggers persisted (failover's "epoch drain").
     dur1.crash();
     let final_pepoch = pacman_wal::pepoch::PepochHandle::read_persisted(primary_storage.disk(0));
     pump(&shipper, final_pepoch, &tx).expect("tail drain");
