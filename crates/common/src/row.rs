@@ -106,6 +106,38 @@ impl Row {
         err.map_or(Ok(row), Err)
     }
 
+    /// Build a row from bytes a validating walk has already accepted
+    /// ([`crate::codec::skip_row`], inside a log record's parse), advancing
+    /// `cur` past it. The column offsets are filled by reading tags and
+    /// lengths only: no string is checked for UTF-8 a second time. The
+    /// result equals what [`Row::decode`] returns for the same bytes.
+    ///
+    /// # Panics
+    /// If the bytes are not an encoded row, which means they were never
+    /// validated (a bug in the caller).
+    pub fn from_validated(cur: &mut Cursor<'_>) -> Row {
+        const VALID: &str = "row validated before from_validated";
+        let body = cur.rest();
+        let start = cur.position();
+        let n = cur.read_varint().expect(VALID) as usize;
+        build(n, |buf| {
+            for i in 0..n {
+                set_offset(buf, i, cur.position() - start);
+                match cur.read_u8().expect(VALID) {
+                    1 | 2 => {
+                        cur.read_u64().expect(VALID);
+                    }
+                    3 => {
+                        let s = cur.read_bytes().expect(VALID);
+                        debug_assert!(std::str::from_utf8(s).is_ok(), "{VALID}");
+                    }
+                    t => panic!("{VALID}: bad value tag {t}"),
+                }
+            }
+            buf.extend_from_slice(&body[..cur.position() - start]);
+        })
+    }
+
     /// Number of columns.
     #[inline]
     pub fn arity(&self) -> usize {
@@ -307,6 +339,29 @@ mod tests {
         );
         // A decode error leaves no half-built row behind.
         assert!(Row::decode(&mut Cursor::new(&bytes[..bytes.len() - 1])).is_err());
+    }
+
+    #[test]
+    fn validated_images_equal_decoded_ones() {
+        let rows = [
+            Row::new(vec![]),
+            Row::from([Value::Int(-3), Value::str("héllo"), Value::Float(1.5)]),
+            Row::from([Value::str(""), Value::str(&"y".repeat(200))]),
+        ];
+        let mut stream = Vec::new();
+        for r in &rows {
+            r.encode(&mut stream);
+        }
+        let mut cur = Cursor::new(&stream);
+        for r in &rows {
+            let back = Row::from_validated(&mut cur);
+            assert_eq!(back, *r);
+            assert_eq!(
+                back.iter().collect::<Vec<_>>(),
+                r.iter().collect::<Vec<_>>()
+            );
+        }
+        assert!(cur.is_empty(), "each row consumed exactly its bytes");
     }
 
     #[test]

@@ -22,12 +22,14 @@ use crate::metrics::RecoveryMetrics;
 use crate::recovery::gate::ShardMap;
 use crate::recovery::{LogInventory, LogRecovery, UnitSource};
 use bytes::Bytes;
+use pacman_common::clock::epoch_of;
 use pacman_common::codec::Cursor;
-use pacman_common::{Error, Result, TableId, Timestamp};
+use pacman_common::{Error, KeyMap, Result, TableId, Timestamp};
 use pacman_engine::{Database, RecoveryGate, WriteRecord};
 use pacman_storage::StorageSet;
-use pacman_wal::{decode_after_image, MergedBatchView, RecordView};
+use pacman_wal::{decode_after_image, MergedBatchView, PayloadKind, RecordView};
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -50,28 +52,44 @@ fn lane_of(table: TableId, key: u64, lanes: usize) -> usize {
     h as usize % lanes
 }
 
-/// LLR-P log recovery (offline): reader → indexer → lanes, newest first.
+/// LLR-P log recovery (offline): per device a reader and an indexer, then
+/// the shared key-hash lanes; newest first.
 ///
-/// 1. The **reader** thread walks the inventory from the newest file to
-///    the oldest and does nothing but the paced device read, so device
-///    wait overlaps the CPU stages (`load` bucket).
-/// 2. The **indexer** (the calling thread) validates each file with one
-///    [`RecordView::parse`] per record, applies the `pepoch` / `after_ts`
-///    filters, and emits one [`WriteLoc`] per write into the owning key's
-///    lane — no row is decoded, nothing is sorted (`param` bucket).
-/// 3. Each **lane** walks its references newest first and asks the owning
-///    chain `newest_ts() >= ts`: a stale write is skipped without its
-///    bytes being touched, a winning one is decoded by the lane and
-///    installed last-writer-wins (`work` bucket).
+/// 1. Each device's **reader** walks that device's files from the newest
+///    to the oldest and does nothing but the paced device read, so the
+///    devices read in parallel and device wait overlaps the CPU stages.
+///    It hands each file to its device's indexer through a channel of
+///    depth one, which keeps at most two files queued over two devices.
+/// 2. Each device's **indexer** validates a file with one
+///    [`RecordView::parse_with`] per record, applies the `pepoch` /
+///    `after_ts` filters, and in the same walk emits one [`WriteLoc`] per
+///    write into the owning key's lane — no row is decoded, nothing is
+///    sorted.
+/// 3. Each **lane** walks its references newest first and asks whether the
+///    key's newest timestamp is `>= ts`: a stale write is skipped without
+///    its bytes being touched, a winning one is decoded by the lane and
+///    installed last-writer-wins. The lane reads a key's chain once and
+///    then keeps its newest timestamp in a lane-private map, so the skip
+///    check of an overwritten write costs no index probe. Every indexer
+///    feeds every lane.
+///
+/// Metrics: `reload` is the reload stage's wall time, the longest of the
+/// readers' device reads; the `load` bucket is the readers' read time and
+/// `param` the indexers' time, each summed over threads; `work` is the
+/// lanes' thread-seconds.
 ///
 /// Why the result equals ascending replay:
 ///
 /// * a key belongs to exactly one lane, so its check-then-install cannot
-///   race another thread;
+///   race another thread, and the lane's map of newest timestamps stays
+///   equal to the chains';
 /// * `install_lww` keeps the version with the highest timestamp, so the
 ///   final chain is the same for any arrival order — order only decides
 ///   how many writes are skipped, which is why the per-logger files of a
 ///   batch need no merge;
+/// * for the same reason the devices need no order between them: a
+///   lane's writes may arrive from several indexers interleaved, and each
+///   key still ends at its newest write;
 /// * a delete installs a tombstone *carrying its timestamp*, so an older
 ///   insert met later loses to it and cannot resurrect the key;
 /// * chains restored from the checkpoint carry `ts <= after_ts`, below
@@ -96,44 +114,21 @@ pub fn recover_log(
         err.lock().get_or_insert(e);
     };
     let failed = || err.lock().is_some();
+    let mut disks: Vec<usize> = inventory.files.iter().map(|f| f.disk).collect();
+    disks.sort_unstable();
+    disks.dedup();
 
-    let (file_tx, file_rx) = crossbeam::channel::bounded::<Bytes>(2);
     let (reload, max_ts, txns, installed, skipped) = crossbeam::thread::scope(|scope| {
-        let reader = scope.spawn(move |_| {
-            let mut reload = Duration::ZERO;
-            for f in inventory.files.iter().rev() {
-                if failed() {
-                    break;
-                }
-                let t = Instant::now();
-                let read = storage.disk(f.disk).read(&f.name);
-                let waited = t.elapsed();
-                metrics.add_load(waited);
-                reload += waited;
-                match read {
-                    Ok(bytes) => {
-                        if file_tx.send(bytes).is_err() {
-                            break;
-                        }
-                    }
-                    // Deleted between scan and read: see
-                    // `read_merged_batch_view`.
-                    Err(Error::FileNotFound(_)) => {}
-                    Err(e) => {
-                        fail(e);
-                        break;
-                    }
-                }
-            }
-            drop(file_tx);
-            reload
-        });
-
         let (lane_txs, lanes): (Vec<_>, Vec<_>) = (0..threads)
             .map(|_| {
                 let (tx, rx) = crossbeam::channel::bounded::<(Bytes, Vec<WriteLoc>)>(2);
                 let lane = scope.spawn(move |_| {
                     let (mut installed, mut skipped) = (0u64, 0u64);
+                    // The newest timestamp of every key this lane has
+                    // looked up. The lane is the key's only writer, so
+                    // this equals the chain's `newest_ts()`, and a write
+                    // it covers is skipped without an index probe.
+                    let mut newest: KeyMap<(TableId, u64), Timestamp> = KeyMap::default();
                     for (file, locs) in rx.iter() {
                         if failed() {
                             break;
@@ -141,6 +136,13 @@ pub fn recover_log(
                         let t = Instant::now();
                         let before = installed;
                         for w in locs.iter().rev() {
+                            let seen = newest.entry((w.table, w.key));
+                            if let Entry::Occupied(ts) = &seen {
+                                if *ts.get() >= w.ts {
+                                    skipped += 1;
+                                    continue;
+                                }
+                            }
                             let table = match db.table(w.table) {
                                 Ok(t) => t,
                                 Err(e) => {
@@ -149,7 +151,9 @@ pub fn recover_log(
                                 }
                             };
                             let chain = table.get_or_create(w.key);
-                            if chain.newest_ts() >= w.ts {
+                            let chain_ts = chain.newest_ts();
+                            if chain_ts >= w.ts {
+                                seen.insert_entry(chain_ts);
                                 skipped += 1;
                                 continue;
                             }
@@ -157,6 +161,7 @@ pub fn recover_log(
                             let after = (len != 0).then(|| decode_after_image(&file[at..at + len]));
                             table.mark_dirty(w.key, w.ts);
                             chain.install_lww(w.ts, after);
+                            seen.insert_entry(w.ts);
                             installed += 1;
                         }
                         metrics.add_work(t.elapsed());
@@ -168,36 +173,85 @@ pub fn recover_log(
             })
             .unzip();
 
-        let (mut max_ts, mut txns) = (0u64, 0u64);
-        'files: for file in file_rx.iter() {
-            if failed() {
-                break;
-            }
-            let t = Instant::now();
-            let mut parts: Vec<Vec<WriteLoc>> = (0..threads).map(|_| Vec::new()).collect();
-            match index_file(&file, pepoch, after_ts, &mut parts) {
-                Ok((file_max_ts, records)) => {
-                    max_ts = max_ts.max(file_max_ts);
-                    txns += records;
-                    metrics.count_txns(records);
-                }
-                Err(e) => {
-                    fail(e);
-                    break;
-                }
-            }
-            metrics.add_param(t.elapsed());
-            for (tx, locs) in lane_txs.iter().zip(parts) {
-                // A lane that failed has dropped its receiver.
-                if !locs.is_empty() && (failed() || tx.send((file.clone(), locs)).is_err()) {
-                    break 'files;
-                }
-            }
-        }
-        // Unblock a reader waiting to send, then let the lanes drain.
-        drop(file_rx);
+        let pipelines: Vec<_> = disks
+            .iter()
+            .map(|&disk| {
+                let (file_tx, file_rx) = crossbeam::channel::bounded::<Bytes>(1);
+                let reader = scope.spawn(move |_| {
+                    let mut reload = Duration::ZERO;
+                    for f in inventory.files.iter().rev().filter(|f| f.disk == disk) {
+                        if failed() {
+                            break;
+                        }
+                        let t = Instant::now();
+                        let read = storage.disk(disk).read(&f.name);
+                        let waited = t.elapsed();
+                        metrics.add_load(waited);
+                        reload += waited;
+                        match read {
+                            Ok(bytes) => {
+                                if file_tx.send(bytes).is_err() {
+                                    break;
+                                }
+                            }
+                            // Deleted between scan and read: see
+                            // `read_merged_batch_view`.
+                            Err(Error::FileNotFound(_)) => {}
+                            Err(e) => {
+                                fail(e);
+                                break;
+                            }
+                        }
+                    }
+                    reload
+                });
+                let lane_txs = lane_txs.clone();
+                let indexer = scope.spawn(move |_| {
+                    let (mut max_ts, mut txns) = (0u64, 0u64);
+                    'files: for file in file_rx.iter() {
+                        if failed() {
+                            break;
+                        }
+                        let t = Instant::now();
+                        let mut parts: Vec<Vec<WriteLoc>> =
+                            (0..threads).map(|_| Vec::new()).collect();
+                        match index_file(&file, pepoch, after_ts, &mut parts) {
+                            Ok((file_max_ts, records)) => {
+                                max_ts = max_ts.max(file_max_ts);
+                                txns += records;
+                                metrics.count_txns(records);
+                            }
+                            Err(e) => {
+                                fail(e);
+                                break;
+                            }
+                        }
+                        metrics.add_param(t.elapsed());
+                        for (tx, locs) in lane_txs.iter().zip(parts) {
+                            // A lane that failed has dropped its receiver.
+                            if !locs.is_empty()
+                                && (failed() || tx.send((file.clone(), locs)).is_err())
+                            {
+                                break 'files;
+                            }
+                        }
+                    }
+                    // Returning drops `file_rx`, which unblocks a reader
+                    // waiting to send, and this indexer's lane senders.
+                    (max_ts, txns)
+                });
+                (reader, indexer)
+            })
+            .collect();
+        // The lanes drain until the last indexer lets go of its senders.
         drop(lane_txs);
-        let reload = reader.join().expect("llr-p reader");
+        let (mut reload, mut max_ts, mut txns) = (Duration::ZERO, 0u64, 0u64);
+        for (reader, indexer) in pipelines {
+            reload = reload.max(reader.join().expect("llr-p reader"));
+            let (m, t) = indexer.join().expect("llr-p indexer");
+            max_ts = max_ts.max(m);
+            txns += t;
+        }
         let (mut installed, mut skipped) = (0u64, 0u64);
         for lane in lanes {
             let (i, s) = lane.join().expect("llr-p lane");
@@ -223,9 +277,10 @@ pub fn recover_log(
     })
 }
 
-/// Validate one log file record by record and append a [`WriteLoc`] for
-/// every write of every surviving record to its lane in `parts`. Returns
-/// the surviving records' highest timestamp and their count.
+/// Validate one log file record by record and, in the same walk, append a
+/// [`WriteLoc`] for every write of every surviving record to its lane in
+/// `parts`. Returns the surviving records' highest timestamp and their
+/// count.
 fn index_file(
     file: &Bytes,
     pepoch: u64,
@@ -238,30 +293,35 @@ fn index_file(
             file.len()
         )));
     }
+    let survives = |ts: Timestamp| epoch_of(ts) <= pepoch && ts > after_ts;
+    let lanes = parts.len();
     let (mut max_ts, mut records) = (0, 0);
     let mut cur = Cursor::new(file);
     while !cur.is_empty() {
-        let start = cur.position();
-        let rec = RecordView::parse(&mut cur)?;
-        if rec.epoch() > pepoch || rec.ts() <= after_ts {
+        // The cursor spans the whole file, so image positions are file
+        // offsets, which fit in u32 (checked above).
+        let rec = RecordView::parse_with(&mut cur, |w| {
+            if survives(w.ts) {
+                let (at, len) = w.after.map_or((0, 0), |a| (a.start, a.len()));
+                parts[lane_of(w.table, w.key, lanes)].push(WriteLoc {
+                    ts: w.ts,
+                    key: w.key,
+                    table: w.table,
+                    at: at as u32,
+                    len: len as u32,
+                });
+            }
+        })?;
+        if !survives(rec.ts()) {
             continue;
         }
-        let Some(writes) = rec.write_refs() else {
+        if let PayloadKind::Command { .. } = rec.kind() {
             return Err(Error::Corrupt(
                 "LLR-P requires tuple-level log records".into(),
             ));
-        };
+        }
         max_ts = max_ts.max(rec.ts());
         records += 1;
-        for w in writes {
-            parts[lane_of(w.table, w.key, parts.len())].push(WriteLoc {
-                ts: rec.ts(),
-                key: w.key,
-                table: w.table,
-                at: (start + w.after_at) as u32,
-                len: w.after.map_or(0, |a| a.len() as u32),
-            });
-        }
     }
     Ok((max_ts, records))
 }
@@ -489,9 +549,10 @@ mod tests {
 
     #[test]
     fn llr_p_applies_in_commit_order_per_key() {
-        let storage = StorageSet::for_tests();
-        // Two loggers' files for one batch, interleaved timestamps on the
-        // same key: the merge must serialize them correctly.
+        let storage = StorageSet::identical(2, pacman_storage::DiskConfig::unthrottled("t"));
+        // Two loggers' files for one batch, one per device, interleaved
+        // timestamps on the same key: whichever device's indexer reaches a
+        // lane first, the newest write must win.
         let mut a = Vec::new();
         logical(epoch_floor(1) | 1, 7, 10).encode(&mut a);
         logical(epoch_floor(1) | 3, 7, 30).encode(&mut a);
@@ -499,7 +560,7 @@ mod tests {
         let mut b = Vec::new();
         logical(epoch_floor(1) | 2, 7, 20).encode(&mut b);
         logical(epoch_floor(1) | 4, 8, 40).encode(&mut b);
-        storage.disk(0).append("log/01/0000000000", &b);
+        storage.disk(1).append("log/01/0000000000", &b);
 
         let mut c = Catalog::new();
         c.add_table("t", 1);
@@ -553,7 +614,7 @@ mod tests {
         // 40 batches; the newest — the first one the pipeline reaches —
         // writes a table the catalog does not have. The lane that meets it
         // latches the error and every stage stops: at most the files already
-        // in flight (one per stage plus the two bounded channels) are read.
+        // in flight (one per stage plus the bounded channels) are read.
         let storage = StorageSet::for_tests();
         let batches = 40u64;
         for batch in 0..batches {

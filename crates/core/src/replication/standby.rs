@@ -1096,8 +1096,11 @@ mod tests {
         )
         .unwrap();
         pump(&shipper, 0, &tx).unwrap();
+        // Wait for the bootstrap to *finish*, not for its tuples: the
+        // restore installs them before it lets reads pass.
         let t0 = Instant::now();
-        while standby.db().total_tuples() < 8 {
+        let get = |standby: &Standby| standby.execute_read_only(GET, &vec![Value::Int(1)].into());
+        while get(&standby).unwrap().is_none() {
             assert!(
                 t0.elapsed() < Duration::from_secs(2),
                 "bootstrap never landed"

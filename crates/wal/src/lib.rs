@@ -46,8 +46,8 @@ pub use classify::{CommitClassifier, LogChoice, WriteCountClassifier};
 pub use durability::{Durability, DurabilityConfig, LogScheme, ResumeInfo, WorkerLogBuffer};
 pub use pepoch::DurableSignal;
 pub use record::{
-    decode_after_image, LogPayload, PayloadKind, PayloadRef, RecordView, TxnLogRecord, WriteRef,
-    WriteRefs, WritesIter,
+    decode_after_image, LogPayload, PayloadKind, PayloadRef, RecordView, TxnLogRecord, WriteSpan,
+    WritesIter,
 };
 pub use retention::{
     HoldKind, ReclaimStats, RetentionHold, RetentionManager, RetentionPolicy, RETENTION_FILE,

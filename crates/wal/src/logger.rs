@@ -1,13 +1,18 @@
 //! Logger threads with epoch group commit.
 //!
-//! Each logger owns one device and a queue fed by its assigned workers
-//! (Appendix A: "worker threads are divided into multiple sub-groups, each
-//! of which is mapped to a single logger thread"). A logger seals epoch `e`
-//! once every worker's acknowledged epoch is `> e` — at that point no
-//! record with epoch `≤ e` can still arrive — then appends the epoch's
-//! records to the current batch file and fsyncs (group commit: one fsync
-//! per epoch, not per transaction), then publishes the seal through the
-//! stack's [`Frontier`].
+//! Each logger owns one device and a queue fed by the workers. Appendix A
+//! maps each worker to one logger for good ("worker threads are divided
+//! into multiple sub-groups, each of which is mapped to a single logger
+//! thread"); here a worker's run of epoch `e` goes to logger
+//! `(worker + e) % loggers` instead, so fewer workers than loggers still
+//! use every device (see `Durability::flush_worker` for why any
+//! assignment is sound, and why it rotates per epoch, not per batch).
+//! A logger seals epoch `e` once every worker's acknowledged epoch is
+//! `> e` — at that point no record with epoch `≤ e` can still arrive,
+//! whichever logger it was sent to — then appends the epoch's records to
+//! the current batch file and fsyncs (group commit: one fsync per epoch,
+//! not per transaction), then publishes the seal through the stack's
+//! [`Frontier`].
 
 use crate::batch::{batch_index_of_epoch, batch_name};
 use crate::pepoch::Frontier;

@@ -18,6 +18,7 @@ use pacman_common::codec::{put_u32, put_u64, put_varint, skip_row, skip_value, C
 use pacman_common::{Decoder, Encoder, Error, ProcId, Result, Row, TableId, Timestamp, Value};
 use pacman_engine::{WriteKind, WriteRecord};
 use pacman_sproc::Params;
+use std::ops::Range;
 
 /// A transaction's log record.
 #[derive(Clone, Debug, PartialEq)]
@@ -196,12 +197,19 @@ fn write_kind(byte: u8) -> Result<WriteKind> {
     }
 }
 
-fn decode_write(cur: &mut Cursor<'_>, physical: bool) -> Result<WriteRecord> {
+/// Decode one encoded write, its after-image through `row`: the validating
+/// [`Row::decode`] for the owned decoder, [`Row::from_validated`] for a
+/// span [`RecordView::parse`] has walked.
+fn decode_write(
+    cur: &mut Cursor<'_>,
+    physical: bool,
+    row: impl FnOnce(&mut Cursor<'_>) -> Result<Row>,
+) -> Result<WriteRecord> {
     let table = TableId::new(cur.read_u32()?);
     let key = cur.read_u64()?;
     let kind = write_kind(cur.read_u8()?)?;
     let after = match cur.read_u8()? {
-        1 => Some(Row::decode(cur)?),
+        1 => Some(row(cur)?),
         0 => None,
         t => return Err(Error::Corrupt(format!("bad after flag {t}"))),
     };
@@ -259,7 +267,7 @@ impl Decoder for TxnLogRecord {
                 }
                 let mut writes = Vec::with_capacity(n);
                 for _ in 0..n {
-                    writes.push(decode_write(cur, physical)?);
+                    writes.push(decode_write(cur, physical, Row::decode)?);
                 }
                 LogPayload::Writes {
                     writes,
@@ -275,7 +283,7 @@ impl Decoder for TxnLogRecord {
                 }
                 let mut writes = Vec::with_capacity(n);
                 for _ in 0..n {
-                    writes.push(decode_write(cur, false)?);
+                    writes.push(decode_write(cur, false, Row::decode)?);
                 }
                 LogPayload::TaggedWrites { proc, writes }
             }
@@ -285,21 +293,52 @@ impl Decoder for TxnLogRecord {
     }
 }
 
-/// Skip one encoded write (same validation as [`decode_write`]).
-fn skip_write(cur: &mut Cursor<'_>, physical: bool) -> Result<()> {
-    cur.read_u32()?; // table
-    cur.read_u64()?; // key
+/// One write of a tuple-level record, as [`RecordView::parse_with`] meets
+/// it: the header fields and where the still-encoded after-image sits.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct WriteSpan {
+    /// Commit timestamp of the record the write belongs to.
+    pub ts: Timestamp,
+    /// Table written.
+    pub table: TableId,
+    /// Primary key written.
+    pub key: u64,
+    /// The encoded after-image, as positions in the parsed cursor's slice
+    /// (`None` = tombstone). Decode it with [`decode_after_image`].
+    pub after: Option<Range<usize>>,
+}
+
+/// Walk one encoded write with the same validation as [`decode_write`],
+/// then hand it to `sink`.
+fn walk_write(
+    cur: &mut Cursor<'_>,
+    ts: Timestamp,
+    physical: bool,
+    sink: &mut impl FnMut(WriteSpan),
+) -> Result<()> {
+    let table = TableId::new(cur.read_u32()?);
+    let key = cur.read_u64()?;
     write_kind(cur.read_u8()?)?;
-    match cur.read_u8()? {
-        1 => skip_row(cur)?,
-        0 => {}
+    let after = match cur.read_u8()? {
+        1 => {
+            let at = cur.position();
+            skip_row(cur)?;
+            Some(at..cur.position())
+        }
+        0 => None,
         t => return Err(Error::Corrupt(format!("bad after flag {t}"))),
-    }
+    };
     if physical {
         cur.read_u64()?; // prev_ts
         cur.read_u64()?; // slot
         cur.read_u64()?; // new location
     }
+    sink(WriteSpan {
+        ts,
+        table,
+        key,
+        after,
+    });
     Ok(())
 }
 
@@ -350,6 +389,18 @@ impl<'a> RecordView<'a> {
     /// Parse (and fully validate) the next record in `cur`, advancing the
     /// cursor past it. Returns a borrowed view over the record's span.
     pub fn parse(cur: &mut Cursor<'a>) -> Result<RecordView<'a>> {
+        Self::parse_with(cur, |_| {})
+    }
+
+    /// [`RecordView::parse`], handing each write of a tuple-level record
+    /// to `sink` from the same validating walk, so a consumer that needs
+    /// only where each image sits walks the record once. A record that
+    /// fails validation part-way has already sunk its earlier writes: on
+    /// an error the caller discards what the sink collected.
+    pub fn parse_with(
+        cur: &mut Cursor<'a>,
+        mut sink: impl FnMut(WriteSpan),
+    ) -> Result<RecordView<'a>> {
         let full = cur.rest();
         let start = cur.position();
         let tag = cur.read_u8()?;
@@ -385,12 +436,12 @@ impl<'a> RecordView<'a> {
             }
             PayloadKind::Writes { physical, .. } => {
                 for _ in 0..n {
-                    skip_write(cur, physical)?;
+                    walk_write(cur, ts, physical, &mut sink)?;
                 }
             }
             PayloadKind::TaggedWrites { .. } => {
                 for _ in 0..n {
-                    skip_write(cur, false)?;
+                    walk_write(cur, ts, false, &mut sink)?;
                 }
             }
         }
@@ -466,32 +517,6 @@ impl<'a> RecordView<'a> {
     /// point for replay: one owned [`WriteRecord`] per write, no
     /// intermediate owned record.
     pub fn writes(&self) -> Option<WritesIter<'a>> {
-        let (cur, remaining, physical) = self.write_cursor()?;
-        Some(WritesIter {
-            cur,
-            remaining,
-            physical,
-        })
-    }
-
-    /// Iterate this record's write *headers* without decoding any
-    /// after-image (tuple-level payloads only): each [`WriteRef`] borrows
-    /// the encoded row from the batch buffer, so a consumer that may
-    /// discard the write (newest-first LLR-P skips every overwritten one)
-    /// pays for [`WriteRef::decode_after`] only on the writes it keeps.
-    pub fn write_refs(&self) -> Option<WriteRefs<'a>> {
-        let (cur, remaining, physical) = self.write_cursor()?;
-        Some(WriteRefs {
-            cur,
-            base: self.body_at,
-            remaining,
-            physical,
-        })
-    }
-
-    /// A cursor over the span from `body_at`, positioned at the first
-    /// write; the write count; whether writes carry physical locations.
-    fn write_cursor(&self) -> Option<(Cursor<'a>, usize, bool)> {
         let physical = match self.kind {
             PayloadKind::Writes { physical, .. } => physical,
             PayloadKind::TaggedWrites { .. } => false,
@@ -499,7 +524,11 @@ impl<'a> RecordView<'a> {
         };
         let mut cur = Cursor::new(&self.bytes[self.body_at..]);
         let remaining = cur.read_varint().expect("validated by parse") as usize;
-        Some((cur, remaining, physical))
+        Some(WritesIter {
+            cur,
+            remaining,
+            physical,
+        })
     }
 }
 
@@ -518,7 +547,8 @@ impl Iterator for WritesIter<'_> {
             return None;
         }
         self.remaining -= 1;
-        Some(decode_write(&mut self.cur, self.physical).expect("span validated by parse"))
+        let row = |cur: &mut Cursor<'_>| Ok(Row::from_validated(cur));
+        Some(decode_write(&mut self.cur, self.physical, row).expect("span validated by parse"))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -528,87 +558,12 @@ impl Iterator for WritesIter<'_> {
 
 impl ExactSizeIterator for WritesIter<'_> {}
 
-/// One write's header plus its still-encoded after-image, borrowed from a
-/// validated [`RecordView`] span.
-#[derive(Clone, Copy, Debug)]
-pub struct WriteRef<'a> {
-    /// Table written.
-    pub table: TableId,
-    /// Primary key written.
-    pub key: u64,
-    /// Update / insert / delete.
-    pub kind: WriteKind,
-    /// The encoded after-image row (`None` = tombstone).
-    pub after: Option<&'a [u8]>,
-    /// Offset of `after` within [`RecordView::as_bytes`], so a consumer can
-    /// keep a `(buffer, offset, len)` reference instead of the borrow.
-    pub after_at: usize,
-}
-
-impl WriteRef<'_> {
-    /// Decode the after-image (the copy point: one image per call).
-    pub fn decode_after(&self) -> Option<Row> {
-        self.after.map(decode_after_image)
-    }
-}
-
-/// Decode an after-image delimited by [`RecordView::write_refs`]: the
-/// row walk that fills the image's column offsets, then one copy of
-/// `bytes` — one allocation.
+/// Decode an after-image delimited by [`RecordView::parse_with`] (one
+/// [`WriteSpan::after`]): a walk of tags and lengths that fills the
+/// image's column offsets, then one copy of `bytes` — one allocation.
 pub fn decode_after_image(bytes: &[u8]) -> Row {
-    Row::decode(&mut Cursor::new(bytes)).expect("image validated by parse")
+    Row::from_validated(&mut Cursor::new(bytes))
 }
-
-/// Lazy write-header iterator over a validated [`RecordView`] span.
-pub struct WriteRefs<'a> {
-    cur: Cursor<'a>,
-    /// Offset of `cur`'s slice within the record span.
-    base: usize,
-    remaining: usize,
-    physical: bool,
-}
-
-impl<'a> Iterator for WriteRefs<'a> {
-    type Item = WriteRef<'a>;
-
-    fn next(&mut self) -> Option<WriteRef<'a>> {
-        const VALID: &str = "span validated by parse";
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let cur = &mut self.cur;
-        let table = TableId::new(cur.read_u32().expect(VALID));
-        let key = cur.read_u64().expect(VALID);
-        let kind = write_kind(cur.read_u8().expect(VALID)).expect(VALID);
-        let (after, after_at) = match cur.read_u8().expect(VALID) {
-            0 => (None, 0),
-            _ => {
-                let (at, rest) = (cur.position(), cur.rest());
-                skip_row(cur).expect(VALID);
-                (Some(&rest[..cur.position() - at]), self.base + at)
-            }
-        };
-        if self.physical {
-            for _ in 0..3 {
-                cur.read_u64().expect(VALID); // prev_ts, slot, new location
-            }
-        }
-        Some(WriteRef {
-            table,
-            key,
-            kind,
-            after,
-            after_at,
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for WriteRefs<'_> {}
 
 // `WriteRecord` equality is needed by the round-trip tests but lives in the
 // engine crate without `PartialEq`; compare field-wise here.
@@ -858,6 +813,27 @@ mod tests {
             },
         };
         assert_eq!(r.epoch(), 9);
+    }
+
+    #[test]
+    fn invalid_utf8_in_an_image_is_rejected_by_parse() {
+        let bytes = TxnLogRecord {
+            ts: 5,
+            payload: LogPayload::Writes {
+                writes: vec![write(1, 10)],
+                physical: false,
+                adhoc: false,
+            },
+        }
+        .to_bytes();
+        let at = bytes.windows(3).position(|w| w == b"pad").expect("string");
+        let mut bad = bytes.clone();
+        bad[at] = 0xFF;
+        assert!(RecordView::parse(&mut Cursor::new(&bytes)).is_ok());
+        let mut sunk = 0;
+        assert!(RecordView::parse_with(&mut Cursor::new(&bad), |_| sunk += 1).is_err());
+        assert_eq!(sunk, 0, "the bad image's write never reaches the sink");
+        assert!(TxnLogRecord::decode(&mut Cursor::new(&bad)).is_err());
     }
 
     #[test]

@@ -12,7 +12,10 @@ use pacman_core::static_analysis::{GlobalGraph, LocalGraph};
 use pacman_engine::{Database, WriteKind, WriteRecord};
 use pacman_sproc::{Expr, ProcBuilder, ProcRegistry};
 use pacman_storage::StorageSet;
-use pacman_wal::{LogPayload, PayloadKind, RecordView, ShipFrame, TxnLogRecord, SHIP_WIRE_VERSION};
+use pacman_wal::{
+    decode_after_image, LogPayload, PayloadKind, RecordView, ShipFrame, TxnLogRecord,
+    SHIP_WIRE_VERSION,
+};
 use proptest::prelude::*;
 
 const T_A: TableId = TableId::new(0);
@@ -313,7 +316,8 @@ proptest! {
         for _ in &records {
             let owned = TxnLogRecord::decode(&mut owned_cur)
                 .map_err(|e| TestCaseError::fail(format!("owned decode: {e}")))?;
-            let view = RecordView::parse(&mut view_cur)
+            let mut spans = Vec::new();
+            let view = RecordView::parse_with(&mut view_cur, |w| spans.push(w))
                 .map_err(|e| TestCaseError::fail(format!("view parse: {e}")))?;
             prop_assert_eq!(owned_cur.position(), view_cur.position(), "span divergence");
             prop_assert_eq!(view.ts(), owned.ts);
@@ -340,24 +344,19 @@ proptest! {
                 ) => {
                     let from_view: Vec<WriteRecord> = it.collect();
                     prop_assert_eq!(&from_view, writes);
-                    // The header-only iterator sees the same writes and
-                    // delimits exactly the after-image the owned decode
+                    // The parse sink sees the same writes and delimits
+                    // exactly the after-image the owned decode
                     // materializes.
-                    let refs: Vec<_> = view.write_refs().expect("tuple-level").collect();
-                    prop_assert_eq!(refs.len(), writes.len());
-                    for (r, w) in refs.iter().zip(writes) {
-                        prop_assert_eq!((r.table, r.key, r.kind), (w.table, w.key, w.kind));
-                        prop_assert_eq!(&r.decode_after(), &w.after);
-                        if let Some(bytes) = r.after {
-                            prop_assert_eq!(
-                                &view.as_bytes()[r.after_at..r.after_at + bytes.len()],
-                                bytes
-                            );
-                        }
+                    prop_assert_eq!(spans.len(), writes.len());
+                    for (s, w) in spans.iter().zip(writes) {
+                        prop_assert_eq!((s.ts, s.table, s.key), (owned.ts, w.table, w.key));
+                        let image = s.after.clone().map(|r| &stream[r]);
+                        prop_assert_eq!(image, w.after.as_ref().map(Row::body));
+                        prop_assert_eq!(&image.map(decode_after_image), &w.after);
                     }
                 }
                 (LogPayload::Command { .. }, None) => {
-                    prop_assert!(view.write_refs().is_none());
+                    prop_assert!(spans.is_empty());
                 }
                 (p, v) => {
                     return Err(TestCaseError::fail(format!(
@@ -762,5 +761,51 @@ proptest! {
             }
             prop_assert!(owners.len() <= 1, "table {table} owned by {owners:?}");
         }
+    }
+}
+
+/// Every after-image of a seeded TPC-C logical log, walked by the lanes'
+/// trusting decode, equals the validating decode: same bytes, same
+/// columns.
+#[test]
+fn validated_images_of_a_tpcc_log_equal_their_decode() {
+    use pacman_wal::PayloadRef;
+    use pacman_workloads::tpcc::{Tpcc, TpccConfig};
+    use pacman_workloads::Workload;
+    use rand::{rngs::SmallRng, SeedableRng};
+
+    let tpcc = Tpcc::new(TpccConfig::small());
+    let db = Database::new(tpcc.catalog());
+    tpcc.load(&db);
+    let registry = tpcc.registry();
+    let mut rng = SmallRng::seed_from_u64(42);
+    let mut log = Vec::new();
+    for _ in 0..400 {
+        let (proc, params) = tpcc.next_txn(&mut rng);
+        let def = registry.get(proc).unwrap();
+        if let Ok(info) = pacman_engine::run_procedure(&db, def, &params) {
+            let payload = PayloadRef::Writes {
+                writes: &info.writes,
+                physical: false,
+                adhoc: false,
+            };
+            payload.encode_record(info.ts, &mut log);
+        }
+    }
+    let mut cur = Cursor::new(&log);
+    let mut images = Vec::new();
+    while !cur.is_empty() {
+        RecordView::parse_with(&mut cur, |w| images.extend(w.after)).unwrap();
+    }
+    assert!(images.len() > 1_000, "{} images", images.len());
+    for span in images {
+        let bytes = &log[span];
+        let trusted = decode_after_image(bytes);
+        let checked = Row::decode(&mut Cursor::new(bytes)).unwrap();
+        assert_eq!(trusted, checked);
+        assert_eq!(
+            trusted.iter().collect::<Vec<_>>(),
+            checked.iter().collect::<Vec<_>>()
+        );
     }
 }
