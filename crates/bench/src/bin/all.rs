@@ -23,7 +23,6 @@ const TARGETS: &[&str] = &[
     "fig21",
     "table2",
     "table3",
-    "fig_adaptive",
     "fig_restart",
     "fig_failover",
     "fig_space",

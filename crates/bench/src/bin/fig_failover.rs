@@ -46,7 +46,7 @@ fn main() {
     let secs = opts.run_secs();
     let tpcc = pacman_workloads::tpcc::Tpcc::new(bench_tpcc(opts.quick).cfg.skewed_restart());
 
-    let configs: [(LogScheme, RecoveryScheme, &'static str); 3] = [
+    let configs: [(LogScheme, RecoveryScheme, &'static str); 2] = [
         (
             LogScheme::Command,
             RecoveryScheme::ClrP {
@@ -55,13 +55,6 @@ fn main() {
             "CLR-P",
         ),
         (LogScheme::Logical, RecoveryScheme::LlrP, "LLR-P"),
-        (
-            LogScheme::Adaptive,
-            RecoveryScheme::AlrP {
-                mode: ReplayMode::Pipelined,
-            },
-            "ALR-P",
-        ),
     ];
 
     println!(
@@ -92,7 +85,7 @@ fn main() {
             .promote(pacman_bench::bench_durability(log, 2))
             .unwrap_or_else(|e| panic!("{label}: promote failed: {e}"));
         // The acceptance bar: a promoted standby is byte-exact with the
-        // never-failed (graceful-stop) run on all three schemes.
+        // never-failed (graceful-stop) run on both schemes.
         assert_eq!(
             promoted.db.fingerprint(),
             crashed.reference,

@@ -18,9 +18,10 @@
 //!   a small absolute floor for 1-core scheduling noise) — the
 //!   attribution must add up, or it is decoration.
 //! * **Phase B (replication attribution)**: a crashed primary's image is
-//!   shipped to a hot standby, populating the `wal.ship.lag` and
-//!   `standby.apply_lag` stages — how far behind durability the
-//!   replication pipeline runs.
+//!   shipped to a hot standby one seal per epoch, populating the
+//!   `wal.ship.lag` and `standby.apply_lag` stages — how far behind
+//!   durability the replication pipeline runs. The binary asserts that
+//!   nearly every applied unit left an `apply_lag` sample.
 //!
 //! All distributions land in the registry (`wal.epoch.*`, `wal.ship.lag`,
 //! `standby.apply_lag`, `driver.commit_latency_us`) and export through
@@ -211,6 +212,14 @@ fn main() {
     let secs = if opts.quick { 1 } else { 2 };
     let crashed = pacman_bench::prepare_crashed(&wl, LogScheme::Command, secs, 1, 0.0);
     let threads = capped_threads(2);
+    let apply_lag_samples = || {
+        let summaries = spans.summaries();
+        let lag = summaries
+            .iter()
+            .find(|(name, _)| *name == "standby.apply_lag");
+        lag.expect("standby.apply_lag is a span stage").1.count
+    };
+    let samples_before = apply_lag_samples();
     let (standby, catchup_secs) = ship_standby(
         &crashed,
         RecoveryScheme::ClrP {
@@ -219,11 +228,9 @@ fn main() {
         threads,
         bench_disk(),
     );
+    let units = standby.stats().applied_batches;
     println!();
-    println!(
-        "replication: standby caught up in {catchup_secs:.2}s ({} batches)",
-        standby.stats().applied_batches
-    );
+    println!("replication: standby caught up in {catchup_secs:.2}s ({units} batches)");
     for (name, s) in spans.summaries() {
         if name == "wal.ship.lag" || name == "standby.apply_lag" {
             println!(
@@ -233,6 +240,13 @@ fn main() {
         }
     }
     drop(standby);
+    // Every applied unit stamps its seal epoch `Applied` after the shipper
+    // stamped it `Shipped`: one sample each, short of evicted span slots.
+    let samples = apply_lag_samples() - samples_before;
+    assert!(
+        samples as f64 >= 0.9 * units as f64,
+        "standby.apply_lag gained {samples} samples over {units} applied units"
+    );
 
     pacman_bench::finish_bin("fig_latency");
 }

@@ -1,5 +1,5 @@
 //! Instant restart: offline recovery vs. online recovery with on-demand
-//! replay, across CLR-P / LLR-P / ALR-P on the replay-cost-skewed TPC-C.
+//! replay, across CLR-P / LLR-P on the block-skewed TPC-C.
 //!
 //! Offline recovery acknowledges its first post-crash transaction only
 //! after the *entire* log has replayed, so its time-to-first-commit is the
@@ -44,7 +44,7 @@ fn main() {
     let secs = opts.run_secs();
     let tpcc = pacman_workloads::tpcc::Tpcc::new(bench_tpcc(opts.quick).cfg.skewed_restart());
 
-    let configs: [(LogScheme, RecoveryScheme, &'static str); 3] = [
+    let configs: [(LogScheme, RecoveryScheme, &'static str); 2] = [
         (
             LogScheme::Command,
             RecoveryScheme::ClrP {
@@ -53,13 +53,6 @@ fn main() {
             "CLR-P",
         ),
         (LogScheme::Logical, RecoveryScheme::LlrP, "LLR-P"),
-        (
-            LogScheme::Adaptive,
-            RecoveryScheme::AlrP {
-                mode: ReplayMode::Pipelined,
-            },
-            "ALR-P",
-        ),
     ];
 
     println!(
@@ -136,10 +129,7 @@ fn main() {
         "{:>8} {:>8} {:>8} {:>14} {:>14} {:>8} {:>14}",
         "scheme", "rounds", "fulls", "Δ KB/round", "full KB/round", "Δ/full", "skipped/round"
     );
-    for (log, label) in [
-        (LogScheme::Logical, "LLR-P"),
-        (LogScheme::Adaptive, "ALR-P"),
-    ] {
+    for (log, label) in [(LogScheme::Logical, "LLR-P"), (LogScheme::Command, "CLR-P")] {
         if let Some(o) = only {
             if o != log {
                 continue;
@@ -174,7 +164,7 @@ fn main() {
         // The chained image recovers to exactly the pre-crash state.
         let rec = match log {
             LogScheme::Logical => RecoveryScheme::LlrP,
-            _ => RecoveryScheme::AlrP {
+            _ => RecoveryScheme::ClrP {
                 mode: ReplayMode::Pipelined,
             },
         };
@@ -193,9 +183,7 @@ fn main() {
          streams its base image lazily — checkpoint shards load *during* the session, \
          wanted shards first — so a first commit no longer waits for full residency; its \
          floor is the log-read share, which on a single hardware thread still time-slices \
-         against the serving workers and can push the ratio past 100%. ALR-P loads its \
-         base eagerly — command records re-execute reads — but through the same parallel \
-         chain-aware loader.)"
+         against the serving workers and can push the ratio past 100%.)"
     );
 
     pacman_bench::finish_bin("fig_restart");

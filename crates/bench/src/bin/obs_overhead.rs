@@ -6,9 +6,9 @@
 //!   path every production call site pays when tracing is off (one
 //!   relaxed load + branch). This is the hard guard: it must stay in the
 //!   low tens of nanoseconds even on the slowest machine.
-//! * an end-to-end A/B: the adaptive-logging drive (`fig_adaptive`'s
-//!   quick shape) with tracing disabled twice (run-to-run noise
-//!   baseline) and enabled once. The ratio is recorded, not asserted —
+//! * an end-to-end A/B: a command-logged Smallbank drive with 10% ad-hoc
+//!   transactions (so both record kinds hit the log) with tracing
+//!   disabled twice (run-to-run noise baseline) and enabled once. The ratio is recorded, not asserted —
 //!   on a loaded 1-core box the noise between two *disabled* runs can
 //!   exceed the tracing cost, so a hard threshold would only flake.
 //!
@@ -20,9 +20,9 @@ use pacman_obs::TraceEvent;
 use pacman_wal::LogScheme;
 use std::time::Instant;
 
-fn adaptive_drive(quick: bool) -> f64 {
+fn command_drive(quick: bool) -> f64 {
     let wl = bench_smallbank(quick);
-    let sys = boot(&wl, 2, LogScheme::Adaptive, None, true);
+    let sys = boot(&wl, 2, LogScheme::Command, None, true);
     let secs = if quick { 1 } else { 2 };
     let r = drive(&sys, &wl, secs, default_workers(), 0.1);
     sys.durability.shutdown();
@@ -70,12 +70,12 @@ fn main() {
         "span-table record costs {ns_per_record:.1} ns/op — the stamp must stay under 100 ns"
     );
 
-    // End-to-end A/B on the adaptive drive. Two disabled runs bracket the
+    // End-to-end A/B on the command-logged drive. Two disabled runs bracket the
     // machine's run-to-run noise; the enabled run is read against them.
-    let disabled_a = adaptive_drive(opts.quick);
-    let disabled_b = adaptive_drive(opts.quick);
+    let disabled_a = command_drive(opts.quick);
+    let disabled_b = command_drive(opts.quick);
     tracer.enable();
-    let enabled = adaptive_drive(opts.quick);
+    let enabled = command_drive(opts.quick);
     tracer.disable();
 
     let base = disabled_a.max(disabled_b);

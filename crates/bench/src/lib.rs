@@ -62,12 +62,6 @@ impl BenchOpts {
         None
     }
 
-    /// Parse `--scheme <name>` from `std::env::args` (off / physical /
-    /// logical / command / adaptive), falling back to `default`.
-    pub fn scheme_from_args(default: LogScheme) -> LogScheme {
-        Self::scheme_filter().unwrap_or(default)
-    }
-
     /// `--scheme <name>` as a filter: `None` when the flag is absent
     /// (= run every scheme), `Some` to narrow a sweep to one scheme.
     pub fn scheme_filter() -> Option<LogScheme> {
@@ -143,7 +137,7 @@ pub fn bench_disk() -> DiskConfig {
 
 /// The paper's evaluation device (≈550/520 MB/s SSD), unscaled — used
 /// where replay *compute* (not reload bandwidth) is the effect under
-/// measurement (adaptive logging, instant restart).
+/// measurement (instant restart, failover).
 pub fn full_speed_ssd() -> DiskConfig {
     DiskConfig::scaled_ssd("ssd", 1.0)
 }
@@ -226,11 +220,8 @@ pub fn boot_on(
     )
 }
 
-/// The single boot path every bench helper shares: load the workload,
-/// start durability, and (under adaptive logging) wire the
-/// static-analysis cost model into the commit-time classifier — the
-/// driver feeds execution costs back through
-/// `Durability::observe_execution`.
+/// The single boot path every bench helper shares: load the workload and
+/// start durability over it.
 pub fn boot_with_config(
     workload: &dyn Workload,
     storage: StorageSet,
@@ -239,13 +230,7 @@ pub fn boot_with_config(
     let db = Arc::new(Database::new(workload.catalog()));
     workload.load(&db);
     let registry = workload.registry();
-    let scheme = config.scheme;
     let durability = Durability::start(Arc::clone(&db), storage.clone(), config);
-    if scheme == LogScheme::Adaptive {
-        durability.set_classifier(Arc::new(
-            pacman_core::static_analysis::CostModel::for_procs(registry.all()),
-        ));
-    }
     LiveSystem {
         db,
         durability,
@@ -294,9 +279,9 @@ pub struct Crashed {
     pub log_bytes: u64,
     /// Bytes handed to the loggers during the measured window.
     pub bytes_logged: u64,
-    /// Command records emitted (adaptive-mix accounting).
+    /// Command records emitted (under CL, the stored-procedure share).
     pub command_records: u64,
-    /// Tuple-level records emitted (adaptive-mix accounting).
+    /// Tuple-level records emitted (under CL, the ad-hoc share).
     pub logical_records: u64,
     /// Periodic-checkpointer rounds completed during the run (`(total,
     /// full)`; zeros when no checkpointer was armed).
@@ -320,8 +305,8 @@ pub fn prepare_crashed(
     prepare_crashed_on(workload, scheme, secs, workers, adhoc, bench_disk())
 }
 
-/// [`prepare_crashed`] with an explicit device model (the adaptive-logging
-/// figure measures replay-cost differences on the paper's full-speed SSD,
+/// [`prepare_crashed`] with an explicit device model (the restart and
+/// failover figures measure replay-cost differences on the full-speed SSD,
 /// where recovery is not purely reload-bound).
 pub fn prepare_crashed_on(
     workload: &dyn Workload,
@@ -467,10 +452,12 @@ pub fn instant_restart(
 }
 
 /// Ship a crashed primary's surviving image to a fresh hot standby over
-/// an in-process link and wait for full catch-up. Returns the caught-up
+/// an in-process link, one seal per epoch as a standby following the live
+/// primary would have received it (one apply unit per epoch that logged
+/// records), and wait for full catch-up. Returns the caught-up
 /// standby (promotable) plus the attach→caught-up wall time. The standby
 /// gets its own devices of the same `disk` model; `apply` must match the
-/// image's log format (CLR-P / LLR-P / ALR-P).
+/// image's log format (CLR-P / LLR-P).
 pub fn ship_standby(
     crashed: &Crashed,
     apply: RecoveryScheme,
@@ -501,7 +488,9 @@ pub fn ship_standby(
         rx,
     )
     .unwrap_or_else(|e| panic!("{}: standby start failed: {e}", apply.label()));
-    pump(&shipper, pepoch, &tx).expect("ship");
+    for p in 1..=pepoch {
+        pump(&shipper, p, &tx).expect("ship");
+    }
     assert!(
         standby.wait_caught_up(pepoch, Duration::from_secs(120)),
         "{}: standby never caught up ({:?} / {:?})",

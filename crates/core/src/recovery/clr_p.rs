@@ -5,8 +5,9 @@
 //! feeds them to the block worker groups of the [`crate::runtime`]. The
 //! workload distribution is estimated from the first unit at reload time
 //! (§4.4); replay runs in one of the three modes of Fig. 19 (pure-static
-//! / synchronous / pipelined). ALR-P runs this same pipeline over a mixed
-//! log (see `alr_p.rs`).
+//! / synchronous / pipelined). Under command logging the log is mixed:
+//! ad-hoc transactions leave their write sets (§4.5), which the schedule
+//! installs as write-only pieces beside the re-executed commands.
 
 use crate::metrics::RecoveryMetrics;
 use crate::recovery::{LogRecovery, UnitSource};
@@ -105,7 +106,7 @@ mod tests {
     use crate::recovery::LogInventory;
     use pacman_common::clock::epoch_floor;
     use pacman_common::{Encoder, ProcId, Row, TableId, Value};
-    use pacman_engine::Catalog;
+    use pacman_engine::{Catalog, WriteKind, WriteRecord};
     use pacman_sproc::{Expr, ProcBuilder};
     use pacman_storage::StorageSet;
     use pacman_wal::{LogPayload, TxnLogRecord};
@@ -166,17 +167,38 @@ mod tests {
         db
     }
 
-    fn write_logs(storage: &StorageSet, n: u64, per_batch: u64) {
+    /// `n` transfers; with `adhoc`, every third is instead an ad-hoc
+    /// transaction (§4.5) logged as its write set: five more on an odd
+    /// account's saving, which no transfer writes.
+    fn write_logs(storage: &StorageSet, n: u64, per_batch: u64, adhoc: bool) {
         let mut buf = Vec::new();
         let mut batch = 0;
+        let mut savings = [0i64; 10];
         for i in 0..n {
-            let src = (i * 2) % 10; // even accounts have spouses
-            TxnLogRecord {
-                ts: epoch_floor(1 + i / 4) | (i + 1),
-                payload: LogPayload::Command {
+            let payload = if adhoc && i % 3 == 0 {
+                let k = (i % 5) * 2 + 1;
+                savings[k as usize] += 5;
+                LogPayload::Writes {
+                    writes: vec![WriteRecord {
+                        table: SAVING,
+                        key: k,
+                        kind: WriteKind::Update,
+                        after: Some(Row::from([Value::Int(savings[k as usize])])),
+                        prev_ts: 0,
+                    }],
+                    physical: false,
+                    adhoc: true,
+                }
+            } else {
+                let src = (i * 2) % 10; // even accounts have spouses
+                LogPayload::Command {
                     proc: ProcId::new(0),
                     params: vec![Value::Int(src as i64), Value::Int(1)].into(),
-                },
+                }
+            };
+            TxnLogRecord {
+                ts: epoch_floor(1 + i / 4) | (i + 1),
+                payload,
             }
             .encode(&mut buf);
             if (i + 1) % per_batch == 0 {
@@ -204,8 +226,17 @@ mod tests {
     }
 
     fn run(mode: ReplayMode, threads: usize) -> (Arc<Database>, LogRecovery) {
+        run_log(mode, threads, 40, false)
+    }
+
+    fn run_log(
+        mode: ReplayMode,
+        threads: usize,
+        n: u64,
+        adhoc: bool,
+    ) -> (Arc<Database>, LogRecovery) {
         let storage = StorageSet::for_tests();
-        write_logs(&storage, 40, 8);
+        write_logs(&storage, n, 8, adhoc);
         let db = bank_db();
         let r = replay(&storage, &db, mode, threads);
         (db, r)
@@ -243,6 +274,38 @@ mod tests {
         assert_eq!(r.txns, 40);
         let mut t = db.begin();
         assert_eq!(t.read(CURRENT, 0).unwrap().col(0), Value::Int(992));
+    }
+
+    #[test]
+    fn mixed_batches_replay_and_count_formats() {
+        let (db, r) = run_log(ReplayMode::Pipelined, 4, 48, true);
+        assert_eq!(r.txns, 48);
+        assert_eq!(r.replayed_commands, 32);
+        assert_eq!(r.applied_writes, 16);
+        let mut t = db.begin();
+        let col = |t: &mut pacman_engine::Txn, table, k| match t.read(table, k).unwrap().col(0) {
+            Value::Int(v) => v,
+            v => panic!("{v:?}"),
+        };
+        // Commands re-executed: transfers conserve money, and each paid
+        // one bonus into an even account's saving.
+        let current: i64 = (0..10).map(|k| col(&mut t, CURRENT, k)).sum();
+        assert_eq!(current, 10_000);
+        let bonuses: i64 = (0..10).step_by(2).map(|k| col(&mut t, SAVING, k)).sum();
+        assert_eq!(bonuses, 32);
+        // Ad-hoc records short-circuited: after-images installed as-is
+        // (account 1 took the ad-hoc writes at i = 0, 15, 30, 45).
+        assert_eq!(col(&mut t, SAVING, 1), 20);
+    }
+
+    #[test]
+    fn all_modes_agree_on_mixed_logs() {
+        let (db_ps, _) = run_log(ReplayMode::PureStatic, 4, 48, true);
+        let (db_sync, _) = run_log(ReplayMode::Synchronous, 4, 48, true);
+        let (db_pipe, _) = run_log(ReplayMode::Pipelined, 8, 48, true);
+        let f = db_ps.fingerprint();
+        assert_eq!(f, db_sync.fingerprint());
+        assert_eq!(f, db_pipe.fingerprint());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! and the mapping from a transaction invocation to the partitions it can
 //! touch — its **static footprint**:
 //!
-//! * **command schemes** (CLR / CLR-P / ALR-P) replay by re-executing
+//! * **command schemes** (CLR / CLR-P) replay by re-executing
 //!   procedure pieces block by block, so a partition is one global
 //!   dependency-graph block. A procedure's footprint is, for *every* one
 //!   of its operations, the block in which replay installs writes to the

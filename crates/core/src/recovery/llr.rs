@@ -111,16 +111,13 @@ fn replay_file(
         if rec.epoch() > pepoch || rec.ts() <= after_ts {
             continue;
         }
-        // LLR takes plain logical records and adaptive proc-tagged ones
-        // alike (matching LLR-P on the same bytes); PLR takes physical
-        // ones.
+        // LLR takes logical records, PLR physical ones.
         match (target, rec.kind()) {
             (
                 CheckpointTarget::Tables(_),
                 PayloadKind::Writes {
                     physical: false, ..
-                }
-                | PayloadKind::TaggedWrites { .. },
+                },
             ) => {}
             (CheckpointTarget::Raw(_), PayloadKind::Writes { physical: true, .. }) => {}
             (CheckpointTarget::Tables(_), _) => {

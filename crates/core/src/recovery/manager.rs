@@ -87,12 +87,6 @@ pub enum RecoveryScheme {
         /// Replay mode (Fig. 19 ablation; `Pipelined` is full PACMAN).
         mode: ReplayMode,
     },
-    /// Adaptive hybrid log recovery: PACMAN's partitioned schedule over a
-    /// mixed command/logical log (`LogScheme::Adaptive`).
-    AlrP {
-        /// Replay mode (`Pipelined` is the full scheme).
-        mode: ReplayMode,
-    },
 }
 
 impl RecoveryScheme {
@@ -114,15 +108,6 @@ impl RecoveryScheme {
             RecoveryScheme::ClrP {
                 mode: ReplayMode::Pipelined,
             } => "CLR-P",
-            RecoveryScheme::AlrP {
-                mode: ReplayMode::PureStatic,
-            } => "ALR-P/static",
-            RecoveryScheme::AlrP {
-                mode: ReplayMode::Synchronous,
-            } => "ALR-P/sync",
-            RecoveryScheme::AlrP {
-                mode: ReplayMode::Pipelined,
-            } => "ALR-P",
         }
     }
 }
@@ -259,7 +244,7 @@ pub fn recover(
             let source = UnitSource::inventory(storage, &inventory, pepoch, after_ts);
             clr::recover_log(source, &db, registry, &metrics, None)?
         }
-        RecoveryScheme::ClrP { mode } | RecoveryScheme::AlrP { mode } => {
+        RecoveryScheme::ClrP { mode } => {
             // Static analysis is compile-time work in the paper (§4.1).
             // Here it runs — dependency graph, then one access plan per
             // piece template — inside the timed region, so it *is* billed
@@ -493,7 +478,7 @@ pub fn register_gate_probe(gate: &Arc<RecoveryGate>) -> pacman_obs::ProbeId {
 /// replay the log on background workers while the returned session's
 /// database serves admitted transactions.
 ///
-/// Supported schemes: `Clr`, `ClrP`, `AlrP` (per-block gating) and `LlrP`
+/// Supported schemes: `Clr`, `ClrP` (per-block gating) and `LlrP`
 /// (per-table-shard gating). `Plr`/`Llr` install file by file under
 /// per-tuple latches and have no partition watermark to gate on — use
 /// [`recover`] for those.
@@ -776,7 +761,7 @@ impl Plan {
             RecoveryScheme::Clr => {
                 clr::recover_log(source, db, &self.registry, metrics, Some(gate.as_ref()))?
             }
-            RecoveryScheme::ClrP { mode } | RecoveryScheme::AlrP { mode } => {
+            RecoveryScheme::ClrP { mode } => {
                 let gate = Some(Arc::clone(gate));
                 clr_p::recover_log(
                     source,
@@ -1002,9 +987,6 @@ mod tests {
         for scheme in [
             RecoveryScheme::Clr,
             RecoveryScheme::ClrP {
-                mode: ReplayMode::Pipelined,
-            },
-            RecoveryScheme::AlrP {
                 mode: ReplayMode::Pipelined,
             },
         ] {

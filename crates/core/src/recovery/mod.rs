@@ -1,5 +1,5 @@
 //! Failure recovery: checkpoint restore + log replay for the five
-//! evaluated schemes of §6.2 plus adaptive hybrid recovery (ALR-P).
+//! evaluated schemes of §6.2.
 //!
 //! | Scheme | Log type | Parallelism | Latches |
 //! |--------|----------|-------------|---------|
@@ -8,16 +8,15 @@
 //! | LLR-P  | logical  | key-partitioned (from PACMAN, §4.5) | no |
 //! | CLR    | command  | single thread | no   |
 //! | CLR-P  | command  | **PACMAN**    | no   |
-//! | ALR-P  | mixed (command + logical) | **PACMAN** | no |
 //!
 //! Every scheme recovers the same state: one version per tuple, the one
 //! with the highest timestamp (tuple-level installs are last-writer-wins).
 //!
-//! ALR-P consumes the adaptive scheme's mixed log: command records
-//! re-execute through the interpreter, logical records short-circuit into
-//! write-only pieces (see `docs/RECOVERY.md` for when each scheme wins).
+//! A command log is mixed: ad-hoc transactions log their write sets
+//! (§4.5). CLR and CLR-P re-execute the command records through the
+//! interpreter and install the ad-hoc ones as write-only pieces (see
+//! `docs/RECOVERY.md` for when each scheme wins).
 
-pub mod alr_p;
 pub mod checkpoint;
 pub mod clr;
 pub mod clr_p;
@@ -54,10 +53,10 @@ pub struct LogRecovery {
     pub max_ts: Timestamp,
     /// Records replayed.
     pub txns: u64,
-    /// Command records re-executed through the interpreter (ALR-P/CLR).
+    /// Command records re-executed through the interpreter (CLR/CLR-P).
     pub replayed_commands: u64,
-    /// Tuple-level records applied as after-images (ALR-P and every
-    /// tuple-level scheme).
+    /// Tuple-level records applied as after-images (ad-hoc records under
+    /// CLR/CLR-P, and every record of a tuple-level scheme).
     pub applied_writes: u64,
     /// Writes offline LLR-P decoded and installed (the other schemes
     /// install every write and leave both counts 0).

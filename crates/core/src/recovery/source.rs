@@ -1,7 +1,7 @@
 //! Where replay loaders take their units from.
 //!
 //! A *unit* is one commit-ordered [`MergedBatchView`]. The gate's
-//! watermarks count units, and every gated loader (CLR, CLR-P / ALR-P,
+//! watermarks count units, and every gated loader (CLR, CLR-P,
 //! online LLR-P) consumes them in order from one [`UnitSource`]. The
 //! source has one constructor per way a session learns about its log:
 //!

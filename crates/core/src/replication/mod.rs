@@ -15,7 +15,7 @@
 //!   announces one unit per seal into a
 //!   [`crate::recovery::RecoverySession::follow`] session: the restart
 //!   session's loaders, gate and settle path, with a *moving* total, so
-//!   per-block (CLR / CLR-P / ALR-P) or per-(table, shard) (LLR-P)
+//!   per-block (CLR / CLR-P) or per-(table, shard) (LLR-P)
 //!   watermarks measure **replication lag**;
 //! * the standby serves gated read-only transactions while applying: a
 //!   read is admitted once its static footprint is caught up with

@@ -3,7 +3,7 @@
 //! [`start_standby`] opens a [`RecoverySession::follow`] over an empty
 //! database, plus a receiver thread that feeds it. The session owns what
 //! the apply needs — the gate and its footprint map, the scheme's replay
-//! loader (serial CLR, the PACMAN runtime for CLR-P / ALR-P, the shard
+//! loader (serial CLR, the PACMAN runtime for CLR-P, the shard
 //! lanes for LLR-P) and the settle path — exactly as it does for instant
 //! restart. What stays here is what only replication has:
 //!
@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 
 /// Standby configuration: a follow session's recovery configuration. The
 /// scheme must match the primary's log format — `ClrP`/`Clr` for command
-/// logs, `LlrP` for logical logs, `AlrP` for adaptive (mixed) logs;
+/// logs (ad-hoc write sets included), `LlrP` for logical logs;
 /// `Plr`/`Llr` have no partition watermark and are rejected, exactly as in
 /// `recover_online`.
 pub type StandbyConfig = RecoveryConfig;
@@ -519,8 +519,10 @@ impl Standby {
     }
 
     /// Block until the standby has received seals through `min_pepoch`
-    /// *and* applied everything shipped (lag 0). Returns `false` if the
-    /// standby failed or `timeout` elapsed first. Pass the primary's
+    /// *and* applied everything shipped (lag 0), and the receiver has
+    /// folded every applied unit (so each one's `Applied` span stamp, and
+    /// its `standby.apply_lag` sample, is recorded). Returns `false` if
+    /// the standby failed or `timeout` elapsed first. Pass the primary's
     /// (persisted) pepoch to wait for a full catch-up.
     pub fn wait_caught_up(&self, min_pepoch: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
@@ -529,9 +531,13 @@ impl Standby {
                 return false;
             }
             let s = self.stats();
+            let bb = self.shared.batch_bytes.lock();
+            let folded = bb.range(..=s.applied_batches).next().is_none();
+            drop(bb);
             if s.pepoch >= min_pepoch
                 && s.lag_batches == 0
                 && !self.shared.resync_pending.load(Ordering::Acquire)
+                && folded
             {
                 return true;
             }
@@ -704,13 +710,25 @@ mod tests {
         }
     }
 
+    /// The log a test primary writes.
+    #[derive(Clone, Copy, Debug)]
+    enum Log {
+        /// Command records only.
+        Command,
+        /// A command log where every second transaction is ad-hoc and
+        /// logs its write set (§4.5).
+        Mixed,
+        /// Logical records only.
+        Logical,
+    }
+
     /// Build a primary image: seeded + checkpointed base, then `n`
-    /// committed transactions logged in `scheme` format. Returns the
-    /// primary storage, the reference database and the persisted pepoch.
+    /// committed transactions logged as `log`. Returns the primary
+    /// storage, the reference database and the persisted pepoch.
     fn primary_image(
         catalog: &Catalog,
         registry: &ProcRegistry,
-        scheme: LogScheme,
+        log: Log,
         n: u64,
     ) -> (StorageSet, Arc<Database>, u64) {
         use pacman_common::Encoder;
@@ -729,15 +747,16 @@ mod tests {
             let epoch = 1 + i / 5;
             let info = run_procedure_with_epoch(&db, proc, &params, || epoch).unwrap();
             max_epoch = max_epoch.max(epoch_of(info.ts));
-            let payload = match scheme {
-                LogScheme::Logical => LogPayload::Writes {
+            let payload = match log {
+                Log::Logical => LogPayload::Writes {
                     writes: info.writes.clone(),
                     physical: false,
                     adhoc: false,
                 },
-                LogScheme::Adaptive if i % 2 == 0 => LogPayload::TaggedWrites {
-                    proc: ADD,
+                Log::Mixed if i % 2 == 0 => LogPayload::Writes {
                     writes: info.writes.clone(),
+                    physical: false,
+                    adhoc: true,
                 },
                 _ => LogPayload::Command { proc: ADD, params },
             };
@@ -785,13 +804,13 @@ mod tests {
     }
 
     /// The gated schemes, each with the log format it replays.
-    fn gated_schemes() -> [(LogScheme, RecoveryScheme); 4] {
+    fn gated_schemes() -> [(Log, RecoveryScheme); 4] {
         let mode = ReplayMode::Pipelined;
         [
-            (LogScheme::Command, RecoveryScheme::Clr),
-            (LogScheme::Command, RecoveryScheme::ClrP { mode }),
-            (LogScheme::Adaptive, RecoveryScheme::AlrP { mode }),
-            (LogScheme::Logical, RecoveryScheme::LlrP),
+            (Log::Command, RecoveryScheme::Clr),
+            (Log::Command, RecoveryScheme::ClrP { mode }),
+            (Log::Mixed, RecoveryScheme::ClrP { mode }),
+            (Log::Logical, RecoveryScheme::LlrP),
         ]
     }
 
@@ -863,7 +882,7 @@ mod tests {
             let gdg = Arc::new(GlobalGraph::analyze(reg.all()).unwrap());
             let r = match scheme {
                 RecoveryScheme::Clr => clr::recover_log(source, &db, &reg, &m, None),
-                RecoveryScheme::ClrP { mode } | RecoveryScheme::AlrP { mode } => {
+                RecoveryScheme::ClrP { mode } => {
                     clr_p::recover_log(source, &db, &gdg, &reg, 2, mode, &m, None)
                 }
                 _ => llr_p::recover_log(&primary, &inventory, &db, 2, u64::MAX, chain.ts(), &m),
@@ -935,7 +954,7 @@ mod tests {
     #[test]
     fn command_standby_applies_and_promotes() {
         let (catalog, reg) = setup();
-        let (primary, reference, pepoch) = primary_image(&catalog, &reg, LogScheme::Command, 40);
+        let (primary, reference, pepoch) = primary_image(&catalog, &reg, Log::Command, 40);
         let shipper = LogShipper::new(primary.clone(), 1, 4);
         let (tx, rx) = wire();
         let standby_storage = StorageSet::identical(1, DiskConfig::unthrottled("stb"));
@@ -985,7 +1004,7 @@ mod tests {
     #[test]
     fn llr_p_standby_applies_logical_stream() {
         let (catalog, reg) = setup();
-        let (primary, reference, pepoch) = primary_image(&catalog, &reg, LogScheme::Logical, 30);
+        let (primary, reference, pepoch) = primary_image(&catalog, &reg, Log::Logical, 30);
         let shipper = LogShipper::new(primary.clone(), 1, 4);
         let (tx, rx) = wire();
         let standby = start_standby(
@@ -1021,24 +1040,30 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_standby_applies_mixed_stream() {
+    fn standby_applies_mixed_command_and_adhoc_stream() {
         let (catalog, reg) = setup();
-        let (primary, reference, pepoch) = primary_image(&catalog, &reg, LogScheme::Adaptive, 30);
+        let (primary, reference, pepoch) = primary_image(&catalog, &reg, Log::Mixed, 30);
         let shipper = LogShipper::new(primary.clone(), 1, 4);
         let (tx, rx) = wire();
         let standby = start_standby(
             StorageSet::identical(1, DiskConfig::unthrottled("stb")),
             &catalog,
             &reg,
-            &standby_config(RecoveryScheme::AlrP {
+            &standby_config(RecoveryScheme::ClrP {
                 mode: ReplayMode::Pipelined,
             }),
             rx,
         )
         .unwrap();
-        pump(&shipper, pepoch, &tx).unwrap();
+        for p in 1..=pepoch {
+            pump(&shipper, p, &tx).unwrap();
+        }
         assert!(standby.wait_caught_up(pepoch, Duration::from_secs(5)));
-        let promoted = promote(standby, durability_config(LogScheme::Adaptive)).unwrap();
+        // Caught up means folded too: no applied unit still waits for the
+        // receiver to record it.
+        assert!(standby.shared.batch_bytes.lock().is_empty());
+        assert_eq!(standby.stats().applied_batches, pepoch);
+        let promoted = promote(standby, durability_config(LogScheme::Command)).unwrap();
         assert_eq!(promoted.db.fingerprint(), reference.fingerprint());
         assert_eq!(
             promoted.report.replayed_commands + promoted.report.applied_writes,
@@ -1082,7 +1107,7 @@ mod tests {
         let (catalog, reg) = setup();
         // Bootstrap only (checkpointed base image, no log): the standby's
         // database holds the seeded rows and no seal has shipped.
-        let (primary, _reference, _pepoch) = primary_image(&catalog, &reg, LogScheme::Command, 0);
+        let (primary, _reference, _pepoch) = primary_image(&catalog, &reg, Log::Command, 0);
         let shipper = LogShipper::new(primary, 1, 4);
         let (tx, rx) = wire();
         let standby = start_standby(
@@ -1256,7 +1281,7 @@ mod tests {
     #[test]
     fn redelivered_record_runs_are_applied_exactly_once() {
         let (catalog, reg) = setup();
-        let (primary, reference, pepoch) = primary_image(&catalog, &reg, LogScheme::Command, 20);
+        let (primary, reference, pepoch) = primary_image(&catalog, &reg, Log::Command, 20);
         let (tx, rx) = wire();
         let standby_storage = StorageSet::identical(1, DiskConfig::unthrottled("stb"));
         let standby = start_standby(

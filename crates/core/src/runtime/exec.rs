@@ -110,7 +110,7 @@ impl<'a> Replayer<'a> {
                 self.access.finish();
                 Ok(self.access.take_installed())
             }
-            PayloadKind::Writes { .. } | PayloadKind::TaggedWrites { .. } => apply_writes(
+            PayloadKind::Writes { .. } => apply_writes(
                 self.db,
                 record.ts(),
                 record.writes().expect("tuple-level records carry writes"),

@@ -122,10 +122,10 @@ impl ExecutionSchedule {
                         vars,
                     });
                 }
-                // Tuple-level records — ad-hoc transactions (§4.5) and
-                // adaptive logical records — short-circuit re-execution:
-                // their write sets install directly, dispatched per block.
-                PayloadKind::Writes { .. } | PayloadKind::TaggedWrites { .. } => {
+                // Tuple-level records — ad-hoc transactions (§4.5) —
+                // short-circuit re-execution: their write sets install
+                // directly, dispatched per block.
+                PayloadKind::Writes { .. } => {
                     // Group the write set by owning block (§4.5): each write
                     // operation is dispatched to the piece-subset of the
                     // block that owns its table.

@@ -192,7 +192,7 @@ impl GlobalGraph {
             })
             .collect();
         // Block 0 always exists: tuple-level records (ad-hoc transactions,
-        // adaptive logical records) are replayed through the schedule too,
+        // §4.5) are replayed through the schedule too,
         // and with no procedure writing anything they still need a block to
         // be dispatched to ([`GlobalGraph::install_block`]).
         if blocks.is_empty() {

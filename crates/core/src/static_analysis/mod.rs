@@ -1,13 +1,11 @@
 //! Compile-time analysis of stored procedures (§4.1).
 
 pub mod chopping;
-pub mod cost;
 pub mod global;
 pub mod local;
 mod union_find;
 
 pub use chopping::ChoppingGraph;
-pub use cost::{static_replay_cost, CostModel, CostModelConfig};
 pub use global::{Block, GlobalGraph, PieceTemplate};
 pub use local::{LocalGraph, Slice};
 pub use union_find::UnionFind;

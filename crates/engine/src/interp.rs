@@ -23,8 +23,8 @@ pub use pacman_sproc::ExecFrame;
 /// during normal processing, its replay plan during serial replay, one
 /// piece during CLR-P. Returns the number of operations actually executed
 /// (loops unrolled, guard-skipped ops excluded, a fused read–write pair
-/// counted as the two it is) — the dynamic replay-cost signal of the
-/// adaptive-logging cost model.
+/// counted as the two it is), which the commit reports as
+/// [`crate::CommitInfo::ops`].
 ///
 /// Every access site's key is determined at most once per iteration: taken
 /// from `resolved` — the piece's slots as `pacman_sproc::resolve_accesses`

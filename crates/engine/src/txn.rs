@@ -108,8 +108,8 @@ pub struct CommitInfo {
     /// Installed writes in buffer order.
     pub writes: Vec<WriteRecord>,
     /// Operations the interpreter executed to produce this transaction
-    /// (guards skipped, loops unrolled); 0 for raw `Txn` use. Feeds the
-    /// adaptive-logging cost model's dynamic replay-cost estimator.
+    /// (guards skipped, loops unrolled); 0 for raw `Txn` use. A measure of
+    /// interpretation work per transaction.
     pub ops: u64,
 }
 

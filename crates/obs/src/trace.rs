@@ -95,13 +95,6 @@ pub enum TraceEvent {
         /// Whether this flush ended in an fsync.
         fsync: bool,
     },
-    /// The adaptive classifier routed one commit.
-    ClassifierDecision {
-        /// Stored procedure id.
-        proc: u32,
-        /// True → command-logged; false → logically logged.
-        command: bool,
-    },
     /// A checkpoint round started (full/delta is decided inside the round).
     CkptBegin {
         /// Round ordinal (1-based).

@@ -5,7 +5,6 @@ use crate::batch::truncate_log_tail;
 use crate::checkpoint::{
     read_manifest, run_checkpoint_full_chained, run_checkpoint_incremental_chained,
 };
-use crate::classify::{CommitClassifier, LogChoice, WriteCountClassifier};
 use crate::logger::{LoggerHandle, QueuedRecord};
 use crate::pepoch::{DurableSignal, Frontier, PepochHandle};
 use crate::record::PayloadRef;
@@ -39,11 +38,6 @@ pub enum LogScheme {
     Logical,
     /// Transaction-level command logging (CL).
     Command,
-    /// Adaptive hybrid logging (ALR): each committing transaction is
-    /// classified by a [`CommitClassifier`] and emits either a command
-    /// record or a proc-tagged logical record into the same epoch-batched
-    /// stream.
-    Adaptive,
 }
 
 impl LogScheme {
@@ -54,18 +48,16 @@ impl LogScheme {
             LogScheme::Physical => "PL",
             LogScheme::Logical => "LL",
             LogScheme::Command => "CL",
-            LogScheme::Adaptive => "ALR",
         }
     }
 
-    /// Parse a command-line scheme name (`--scheme adaptive` and friends).
+    /// Parse a command-line scheme name (`--scheme command` and friends).
     pub fn parse(s: &str) -> Option<LogScheme> {
         match s.to_ascii_lowercase().as_str() {
             "off" => Some(LogScheme::Off),
             "physical" | "pl" => Some(LogScheme::Physical),
             "logical" | "ll" => Some(LogScheme::Logical),
             "command" | "cl" => Some(LogScheme::Command),
-            "adaptive" | "alr" => Some(LogScheme::Adaptive),
             _ => None,
         }
     }
@@ -163,7 +155,6 @@ pub struct Durability {
     ckpt_full_rounds: Counter,
     ckpt_join: Mutex<Option<JoinHandle<()>>>,
     bytes_logged: Counter,
-    classifier: RwLock<Arc<dyn CommitClassifier>>,
     command_records: Counter,
     logical_records: Counter,
     ship_counters: Arc<ShipCounters>,
@@ -514,7 +505,6 @@ impl Durability {
             ckpt_full_rounds,
             ckpt_join: Mutex::new(ckpt_join),
             bytes_logged: Counter::new(),
-            classifier: RwLock::new(Arc::new(WriteCountClassifier::default())),
             command_records: Counter::new(),
             logical_records: Counter::new(),
             ship_counters: Arc::default(),
@@ -561,21 +551,8 @@ impl Durability {
             .set(self.live_ckpt_bytes());
     }
 
-    /// Install the classifier consulted under [`LogScheme::Adaptive`]
-    /// (e.g. `pacman_core`'s cost model). Replaces the write-count
-    /// fallback installed at start.
-    pub fn set_classifier(&self, classifier: Arc<dyn CommitClassifier>) {
-        *self.classifier.write() = classifier;
-    }
-
-    /// Forward runtime execution feedback (interpreter ops executed,
-    /// tuples written) to the installed classifier so its dynamic
-    /// estimators adapt mid-run.
-    pub fn observe_execution(&self, proc: ProcId, replay_ops: f64, writes: usize) {
-        self.classifier.read().observe(proc, replay_ops, writes);
-    }
-
-    /// Command records emitted so far (adaptive-mix reporting).
+    /// Command records emitted so far (under CL, the stored-procedure
+    /// share of the mixed log).
     pub fn command_records(&self) -> u64 {
         self.command_records.get()
     }
@@ -621,28 +598,11 @@ impl Durability {
                 proc,
                 params: &params[..],
             },
-            (LogScheme::Command, true) | (LogScheme::Adaptive, true) => PayloadRef::Writes {
+            (LogScheme::Command, true) => PayloadRef::Writes {
                 writes: &info.writes,
                 physical: false,
                 adhoc: true,
             },
-            (LogScheme::Adaptive, false) => {
-                let choice = self.classifier.read().classify(proc, info);
-                self.obs.tracer.emit(TraceEvent::ClassifierDecision {
-                    proc: proc.0,
-                    command: choice == LogChoice::Command,
-                });
-                match choice {
-                    LogChoice::Command => PayloadRef::Command {
-                        proc,
-                        params: &params[..],
-                    },
-                    LogChoice::Logical => PayloadRef::TaggedWrites {
-                        proc,
-                        writes: &info.writes,
-                    },
-                }
-            }
             (LogScheme::Logical, _) => PayloadRef::Writes {
                 writes: &info.writes,
                 physical: false,
@@ -656,9 +616,7 @@ impl Durability {
         };
         match payload {
             PayloadRef::Command { .. } => self.command_records.inc(),
-            PayloadRef::Writes { .. } | PayloadRef::TaggedWrites { .. } => {
-                self.logical_records.inc()
-            }
+            PayloadRef::Writes { .. } => self.logical_records.inc(),
         }
         Some(payload)
     }
@@ -1125,29 +1083,12 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_scheme_mixes_record_formats() {
-        // Classifier: even keys (params[0]) log as commands, odd ones
-        // logically — exercised via a custom classifier reading the info.
-        struct ByKeyParity;
-        impl crate::classify::CommitClassifier for ByKeyParity {
-            fn classify(
-                &self,
-                _proc: ProcId,
-                info: &pacman_engine::CommitInfo,
-            ) -> crate::classify::LogChoice {
-                if info.writes[0].key.is_multiple_of(2) {
-                    crate::classify::LogChoice::Command
-                } else {
-                    crate::classify::LogChoice::Logical
-                }
-            }
-        }
-        let (db, dur) = setup(LogScheme::Adaptive);
-        dur.set_classifier(Arc::new(ByKeyParity));
+    fn command_scheme_logs_adhoc_commits_as_write_sets() {
+        let (db, dur) = setup(LogScheme::Command);
         let mut worker = Worker::new(&dur);
         let mut max_epoch = 0;
         for k in 0..16u64 {
-            max_epoch = worker.commit(&db, &dur, k, 7, false);
+            max_epoch = worker.commit(&db, &dur, k, 7, k % 2 == 1);
         }
         worker.retire(&dur);
         dur.wait_durable(max_epoch);
@@ -1155,39 +1096,26 @@ mod tests {
         assert_eq!(dur.logical_records(), 8);
         dur.shutdown();
         // Both formats decode from the same stream.
-        let mut commands = 0;
-        let mut tagged = 0;
+        let (mut commands, mut adhoc) = (0, 0);
         for idx in crate::batch::list_batch_indices(dur.storage()) {
             for r in read_batch(dur.storage(), idx, u64::MAX, 0).iter() {
                 match r.kind() {
-                    PayloadKind::Command { .. } => commands += 1,
-                    PayloadKind::TaggedWrites { proc } => {
+                    PayloadKind::Command { proc } => {
                         assert_eq!(proc, ProcId::new(0));
+                        commands += 1;
+                    }
+                    PayloadKind::Writes {
+                        physical: false,
+                        adhoc: true,
+                    } => {
                         assert_eq!(r.writes().unwrap().len(), 1);
-                        tagged += 1;
+                        adhoc += 1;
                     }
                     other => panic!("unexpected payload {other:?}"),
                 }
             }
         }
-        assert_eq!(commands, 8);
-        assert_eq!(tagged, 8);
-    }
-
-    #[test]
-    fn adaptive_adhoc_still_logs_plain_writes() {
-        let (db, dur) = setup(LogScheme::Adaptive);
-        let mut worker = Worker::new(&dur);
-        let epoch = worker.commit(&db, &dur, 1, 9, true);
-        worker.retire(&dur);
-        dur.wait_durable(epoch);
-        dur.shutdown();
-        let idx = crate::batch::list_batch_indices(dur.storage());
-        let b = read_batch(dur.storage(), idx[0], u64::MAX, 0);
-        assert!(matches!(
-            b.iter().next().unwrap().kind(),
-            PayloadKind::Writes { adhoc: true, .. }
-        ));
+        assert_eq!((commands, adhoc), (8, 8));
     }
 
     #[test]
@@ -1312,8 +1240,7 @@ mod tests {
 
     #[test]
     fn scheme_parsing() {
-        assert_eq!(LogScheme::parse("adaptive"), Some(LogScheme::Adaptive));
-        assert_eq!(LogScheme::parse("ALR"), Some(LogScheme::Adaptive));
+        assert_eq!(LogScheme::parse("adaptive"), None);
         assert_eq!(LogScheme::parse("command"), Some(LogScheme::Command));
         assert_eq!(LogScheme::parse("LL"), Some(LogScheme::Logical));
         assert_eq!(LogScheme::parse("nope"), None);

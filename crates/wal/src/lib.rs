@@ -11,21 +11,15 @@
 //! consistent snapshot (a snapshot hold, under which each tuple keeps the
 //! version visible at it) without blocking transactions.
 //!
-//! Four logging schemes are implemented (§2.1 plus adaptive hybrid
-//! logging after Yao et al.):
+//! Three logging schemes are implemented (§2.1):
 //!
 //! * **Physical** (`PL`) — after-images plus old/new version locations;
 //! * **Logical** (`LL`) — after-images only;
 //! * **Command** (`CL`) — procedure id + parameters (+ logical records for
-//!   ad-hoc transactions, §4.5);
-//! * **Adaptive** (`ALR`) — per-transaction choice between a command
-//!   record and a proc-tagged logical record, made at commit time by a
-//!   pluggable [`classify::CommitClassifier`] (cost model in
-//!   `pacman_core::static_analysis::cost`). Recovered by `ALR-P`.
+//!   ad-hoc transactions, §4.5).
 
 pub mod batch;
 pub mod checkpoint;
-pub mod classify;
 pub mod durability;
 pub mod logger;
 pub mod pepoch;
@@ -42,7 +36,6 @@ pub use checkpoint::{
     run_checkpoint_incremental, run_checkpoint_incremental_chained, CheckpointChain,
     CheckpointManifest, CheckpointStats, PartView, ResolvedPart,
 };
-pub use classify::{CommitClassifier, LogChoice, WriteCountClassifier};
 pub use durability::{Durability, DurabilityConfig, LogScheme, ResumeInfo, WorkerLogBuffer};
 pub use pepoch::DurableSignal;
 pub use record::{

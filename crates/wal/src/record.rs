@@ -49,16 +49,6 @@ pub enum LogPayload {
         /// logging (replayed as a write-only transaction, §4.5).
         adhoc: bool,
     },
-    /// Adaptive logging (ALR): a logical record that remembers the stored
-    /// procedure that produced it. Replay installs the after-images without
-    /// re-execution; the procedure id feeds the cost model's replay
-    /// statistics and keeps mixed batches attributable per procedure.
-    TaggedWrites {
-        /// Stored procedure that produced the writes.
-        proc: ProcId,
-        /// After-images in write order.
-        writes: Vec<WriteRecord>,
-    },
 }
 
 impl TxnLogRecord {
@@ -82,10 +72,6 @@ impl TxnLogRecord {
                 writes,
                 physical: *physical,
                 adhoc: *adhoc,
-            },
-            LogPayload::TaggedWrites { proc, writes } => PayloadRef::TaggedWrites {
-                proc: *proc,
-                writes,
             },
         }
     }
@@ -111,13 +97,6 @@ pub enum PayloadRef<'a> {
         physical: bool,
         /// Ad-hoc transaction under command logging (§4.5).
         adhoc: bool,
-    },
-    /// Adaptive logging: proc-tagged logical record.
-    TaggedWrites {
-        /// Stored procedure that produced the writes.
-        proc: ProcId,
-        /// After-images in write order.
-        writes: &'a [WriteRecord],
     },
 }
 
@@ -150,15 +129,6 @@ impl PayloadRef<'_> {
                 put_varint(buf, writes.len() as u64);
                 for w in writes.iter() {
                     encode_write(buf, w, *physical);
-                }
-            }
-            PayloadRef::TaggedWrites { proc, writes } => {
-                buf.push(6);
-                put_u64(buf, ts);
-                put_u32(buf, proc.0);
-                put_varint(buf, writes.len() as u64);
-                for w in writes.iter() {
-                    encode_write(buf, w, false);
                 }
             }
         }
@@ -275,18 +245,6 @@ impl Decoder for TxnLogRecord {
                     adhoc,
                 }
             }
-            6 => {
-                let proc = ProcId::new(cur.read_u32()?);
-                let n = cur.read_varint()? as usize;
-                if n > 1 << 22 {
-                    return Err(Error::Corrupt(format!("implausible write count {n}")));
-                }
-                let mut writes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    writes.push(decode_write(cur, false, Row::decode)?);
-                }
-                LogPayload::TaggedWrites { proc, writes }
-            }
             t => return Err(Error::Corrupt(format!("bad record tag {t}"))),
         };
         Ok(TxnLogRecord { ts, payload })
@@ -357,11 +315,6 @@ pub enum PayloadKind {
         /// Ad-hoc transaction under command logging.
         adhoc: bool,
     },
-    /// A proc-tagged logical record (adaptive logging).
-    TaggedWrites {
-        /// Stored procedure that produced the writes.
-        proc: ProcId,
-    },
 }
 
 /// A borrowed view of one encoded [`TxnLogRecord`] inside a sealed batch
@@ -413,9 +366,6 @@ impl<'a> RecordView<'a> {
                 physical: tag == 3 || tag == 5,
                 adhoc: tag == 4 || tag == 5,
             },
-            6 => PayloadKind::TaggedWrites {
-                proc: ProcId::new(cur.read_u32()?),
-            },
             t => return Err(Error::Corrupt(format!("bad record tag {t}"))),
         };
         let body_at = cur.position() - start;
@@ -437,11 +387,6 @@ impl<'a> RecordView<'a> {
             PayloadKind::Writes { physical, .. } => {
                 for _ in 0..n {
                     walk_write(cur, ts, physical, &mut sink)?;
-                }
-            }
-            PayloadKind::TaggedWrites { .. } => {
-                for _ in 0..n {
-                    walk_write(cur, ts, false, &mut sink)?;
                 }
             }
         }
@@ -519,7 +464,6 @@ impl<'a> RecordView<'a> {
     pub fn writes(&self) -> Option<WritesIter<'a>> {
         let physical = match self.kind {
             PayloadKind::Writes { physical, .. } => physical,
-            PayloadKind::TaggedWrites { .. } => false,
             PayloadKind::Command { .. } => return None,
         };
         let mut cur = Cursor::new(&self.bytes[self.body_at..]);
@@ -605,25 +549,6 @@ impl TxnLogRecord {
                             && x.kind == y.kind
                             && x.after == y.after
                             && (!f1 || x.prev_ts == y.prev_ts)
-                    })
-            }
-            (
-                LogPayload::TaggedWrites {
-                    proc: p1,
-                    writes: w1,
-                },
-                LogPayload::TaggedWrites {
-                    proc: p2,
-                    writes: w2,
-                },
-            ) => {
-                p1 == p2
-                    && w1.len() == w2.len()
-                    && w1.iter().zip(w2).all(|(x, y)| {
-                        x.table == y.table
-                            && x.key == y.key
-                            && x.kind == y.kind
-                            && x.after == y.after
                     })
             }
             _ => false,
@@ -768,42 +693,6 @@ mod tests {
     }
 
     #[test]
-    fn tagged_writes_roundtrip() {
-        roundtrip(&TxnLogRecord {
-            ts: pacman_common::clock::epoch_floor(4) | 17,
-            payload: LogPayload::TaggedWrites {
-                proc: ProcId::new(3),
-                writes: vec![write(1, 10), write(2, 20)],
-            },
-        });
-    }
-
-    #[test]
-    fn tagged_writes_cost_logical_size_plus_proc_id() {
-        let writes = vec![write(1, 10), write(2, 20), write(3, 30)];
-        let ll = TxnLogRecord {
-            ts: 1,
-            payload: LogPayload::Writes {
-                writes: writes.clone(),
-                physical: false,
-                adhoc: false,
-            },
-        };
-        let alr = TxnLogRecord {
-            ts: 1,
-            payload: LogPayload::TaggedWrites {
-                proc: ProcId::new(9),
-                writes,
-            },
-        };
-        assert_eq!(
-            alr.to_bytes().len(),
-            ll.to_bytes().len() + 4,
-            "the proc tag costs exactly one u32"
-        );
-    }
-
-    #[test]
     fn epoch_extraction() {
         let r = TxnLogRecord {
             ts: pacman_common::clock::epoch_floor(9) | 123,
@@ -840,5 +729,29 @@ mod tests {
     fn corrupt_tag_rejected() {
         let mut cur = Cursor::new(&[99u8, 0, 0, 0, 0, 0, 0, 0, 0]);
         assert!(TxnLogRecord::decode(&mut cur).is_err());
+    }
+
+    #[test]
+    fn unknown_tags_fail_view_and_owned_decode_alike() {
+        // 6 was the retired proc-tagged record; 0 and 7 flank the live
+        // tags 1..=5.
+        let good = TxnLogRecord {
+            ts: 5,
+            payload: LogPayload::Writes {
+                writes: vec![write(1, 10)],
+                physical: false,
+                adhoc: true,
+            },
+        }
+        .to_bytes();
+        for tag in [0u8, 6, 7] {
+            let mut bytes = good.clone();
+            bytes[0] = tag;
+            let want = format!("bad record tag {tag}");
+            let view = RecordView::parse(&mut Cursor::new(&bytes)).unwrap_err();
+            let owned = TxnLogRecord::decode(&mut Cursor::new(&bytes)).unwrap_err();
+            assert_eq!(view.to_string(), owned.to_string());
+            assert!(view.to_string().contains(&want), "{view}");
+        }
     }
 }

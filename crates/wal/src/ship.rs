@@ -381,6 +381,9 @@ impl LogShipper {
         let mut p = self.produce(&mut scratch, pepoch)?;
         *cur = scratch;
         self.commit_pass(&cur, &mut p);
+        for f in &p.frames {
+            stamp_seal(p.prev_shipped, f);
+        }
         Ok(p.frames)
     }
 
@@ -389,6 +392,13 @@ impl LogShipper {
     /// link that dies mid-stream leaves the cursor untouched, so the next
     /// `ship` re-produces the same frames (the standby dedups redelivered
     /// record runs by file offset). Returns the number of frames sent.
+    ///
+    /// A `Seal`'s epochs are stamped `Shipped` in the span table as soon as
+    /// the sink accepts that frame, before the pass commits, so a standby
+    /// that applies the unit at once still finds the stamp its
+    /// `standby.apply_lag` sample is measured from. A pass that fails
+    /// after a seal keeps those stamps: the span table keeps the first
+    /// stamp, and the retry re-ships the same epochs.
     pub fn ship(
         &self,
         pepoch: u64,
@@ -399,6 +409,7 @@ impl LogShipper {
         let mut p = self.produce(&mut scratch, pepoch)?;
         for f in &p.frames {
             sink(f)?;
+            stamp_seal(p.prev_shipped, f);
         }
         *cur = scratch;
         self.commit_pass(&cur, &mut p);
@@ -416,16 +427,6 @@ impl LogShipper {
                 frames: p.frames.len() as u64,
                 bytes: p.bytes,
             });
-        }
-        // Span attribution: the epochs this committed pass shipped (capped
-        // to the span table's window — a bootstrap pass covers the whole
-        // history). A reset pass rewinds the cursor; skip stamping there.
-        if cur.shipped_pepoch > p.prev_shipped && cur.shipped_pepoch != u64::MAX {
-            stamp_epochs(
-                p.prev_shipped,
-                cur.shipped_pepoch,
-                pacman_obs::Stage::Shipped,
-            );
         }
         if self.retention.is_some() {
             let mut hold = self.hold.lock();
@@ -505,6 +506,14 @@ impl LogShipper {
         let mut shipped_records = false;
         for disk in self.storage.disks() {
             for name in disk.list("log/") {
+                // A batch whose first epoch is past the frontier holds no
+                // sealed record yet: skip it unread, or a drain that steps
+                // the frontier epoch by epoch re-reads every later batch
+                // on every pass.
+                let index = name.rsplit('/').next().and_then(|s| s.parse::<u64>().ok());
+                if index.is_some_and(|b| b.saturating_mul(self.batch_epochs) > pepoch) {
+                    continue;
+                }
                 let start = cur.offsets.get(&name).copied().unwrap_or(0);
                 // Length is a metadata lookup (no simulated I/O cost):
                 // skip fully-shipped files without paying read bandwidth.
@@ -706,6 +715,15 @@ impl LogShipper {
     }
 }
 
+/// Stamp `Shipped` for the epochs a delivered `Seal` closes past the
+/// frontier its pass started from (capped to the span table's window — a
+/// bootstrap pass covers the whole history). Other frames stamp nothing.
+fn stamp_seal(prev_shipped: u64, frame: &ShipFrame) {
+    if let ShipFrame::Seal { pepoch } = frame {
+        stamp_epochs(prev_shipped, *pepoch, pacman_obs::Stage::Shipped);
+    }
+}
+
 /// One production pass's output: frames plus the counter deltas to commit
 /// after (successful) delivery.
 #[derive(Default)]
@@ -718,8 +736,8 @@ struct Produced {
     /// dropped (released) if delivery fails.
     new_hold: Option<RetentionHold>,
     /// The shipped frontier when the pass started — the epochs in
-    /// `(prev_shipped, shipped_pepoch]` get their `Shipped` span stamp when
-    /// the pass commits.
+    /// `(prev_shipped, seal]` get their `Shipped` span stamp when the
+    /// pass's seal is delivered.
     prev_shipped: u64,
 }
 
@@ -839,6 +857,21 @@ mod tests {
         assert!(rc.is_empty());
         assert_eq!(frames[1], ShipFrame::Seal { pepoch: 3 });
         assert_eq!(shipper.shipped_records(), 3);
+    }
+
+    #[test]
+    fn batches_past_the_frontier_are_not_read() {
+        let storage = StorageSet::identical(1, DiskConfig::unthrottled("s"));
+        let (mut early, mut late) = (Vec::new(), Vec::new());
+        cmd(epoch_floor(1) | 1).encode(&mut early);
+        cmd(epoch_floor(16) | 2).encode(&mut late);
+        storage.disk(0).append(&batch_name(0, 0), &early);
+        storage.disk(0).append(&batch_name(0, 1), &late);
+        let shipper = LogShipper::new(storage.clone(), 1, 16);
+        assert_eq!(shipper.poll(15).unwrap().len(), 3, "hello, records, seal");
+        assert_eq!(storage.disk(0).stats().bytes_read, early.len() as u64);
+        assert_eq!(shipper.poll(16).unwrap().len(), 2, "records, seal");
+        assert_eq!(shipper.shipped_records(), 2);
     }
 
     #[test]

@@ -127,9 +127,6 @@ pub fn run_workload(
                 let we = durability.register_worker();
                 let pepoch = durability.pepoch_arc();
                 let em = Arc::clone(durability.epoch_manager());
-                // Under adaptive logging, feed per-procedure execution
-                // costs back into the classifier's dynamic estimator.
-                let adaptive = durability.scheme() == pacman_wal::LogScheme::Adaptive;
                 let mut rng = SmallRng::seed_from_u64(config.seed ^ (worker as u64) << 32);
                 let mut pending: VecDeque<(u64, Instant)> = VecDeque::new();
                 let mut local_hist = Histogram::new();
@@ -168,18 +165,6 @@ pub fn run_workload(
                     loop {
                         match run_procedure_with_epoch(&db, proc, &params, || em.current()) {
                             Ok(info) => {
-                                // Feed the classifier only from commits
-                                // that produce log records: read-only (and
-                                // guard-skipped) invocations execute few
-                                // ops and would bias the replay-cost EWMA
-                                // low for the invocations that do log.
-                                if adaptive && !info.writes.is_empty() {
-                                    durability.observe_execution(
-                                        pid,
-                                        info.ops as f64,
-                                        info.writes.len(),
-                                    );
-                                }
                                 let sec = start.elapsed().as_secs() as usize;
                                 if sec < buckets.len() {
                                     buckets[sec].fetch_add(1, Ordering::Relaxed);

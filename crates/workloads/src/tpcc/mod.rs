@@ -34,8 +34,7 @@ pub struct TpccConfig {
     pub remote_fraction: f64,
     /// Transaction-mix weights `[NewOrder, Payment, Delivery, OrderStatus,
     /// StockLevel]` (need not sum to 100). The default is the standard-ish
-    /// 45/43/4/4/4; skewing Delivery up creates the replay-cost-skewed
-    /// scenario the adaptive-logging bench exercises.
+    /// 45/43/4/4/4.
     pub mix: [u32; 5],
 }
 
@@ -73,19 +72,6 @@ impl TpccConfig {
     /// The standard-ish mix: 45% NewOrder, 43% Payment, 4% Delivery,
     /// 4% OrderStatus, 4% StockLevel.
     pub const STANDARD_MIX: [u32; 5] = [45, 43, 4, 4, 4];
-
-    /// A replay-cost-skewed scenario: the loop-heavy procedures
-    /// (NewOrder's order-line loop, Delivery's ten districts of
-    /// read-modify-write) dominate the logged work, while the filler
-    /// payloads stay narrow so after-images are cheap to ship — i.e.
-    /// re-execution compute per logged byte is maximal. This is the
-    /// regime where per-transaction adaptive logging pays off.
-    pub fn skewed_replay(mut self) -> Self {
-        self.mix = [45, 25, 26, 2, 2];
-        self.customer_data_bytes = 24;
-        self.stock_data_bytes = 12;
-        self
-    }
 
     /// The *block-skewed* restart scenario: replay cost concentrates in
     /// NewOrder's stock/order-line blocks (70% NewOrder, Delivery nearly

@@ -6,7 +6,7 @@ use pacman_repro::harness::{recover_crashed, System};
 use pacman_wal::{DurabilityConfig, LogScheme};
 use pacman_workloads::bank::Bank;
 use pacman_workloads::smallbank::Smallbank;
-use pacman_workloads::DriverConfig;
+use pacman_workloads::{DriverConfig, Workload};
 use std::time::Duration;
 
 fn durability(scheme: LogScheme, checkpoints: bool) -> DurabilityConfig {
@@ -32,40 +32,52 @@ fn driver(adhoc: f64) -> DriverConfig {
     }
 }
 
-/// Command logging with a mixed ad-hoc fraction: CLR-P must unify the
-/// replay of command records and tuple-level records in one schedule.
+/// Command logging with a mixed ad-hoc fraction, driven end to end: CLR
+/// and every CLR-P mode, at one thread and at four, must unify the replay
+/// of command records and tuple-level records in one schedule.
 #[test]
 fn adhoc_mixture_recovers_exactly() {
-    for fraction in [0.25, 0.5, 1.0] {
-        let bank = Bank {
-            accounts: 512,
-            ..Bank::default()
-        };
-        let sys = System::boot_for_tests(&bank, durability(LogScheme::Command, false));
-        pacman_wal::run_checkpoint(&sys.db, &sys.storage, 2).unwrap();
-        let result = sys.run(&bank, &driver(fraction));
-        assert!(result.committed > 50);
-        let (storage, registry, catalog, reference) = sys.shutdown();
-        let want = reference.fingerprint();
-        for scheme in [
-            RecoveryScheme::Clr,
-            RecoveryScheme::ClrP {
-                mode: ReplayMode::Pipelined,
-            },
-        ] {
-            let out = recover_crashed(
-                &storage,
-                &catalog,
-                &registry,
-                &RecoveryConfig { scheme, threads: 4 },
-            )
-            .unwrap();
-            assert_eq!(
-                out.db.fingerprint(),
-                want,
-                "{} diverged at ad-hoc fraction {fraction}",
-                scheme.label()
-            );
+    let bank = Bank {
+        accounts: 512,
+        ..Bank::default()
+    };
+    let smallbank = Smallbank {
+        accounts: 1024,
+        ..Smallbank::default()
+    };
+    let mut configs = vec![RecoveryConfig {
+        scheme: RecoveryScheme::Clr,
+        threads: 1,
+    }];
+    for mode in [
+        ReplayMode::PureStatic,
+        ReplayMode::Synchronous,
+        ReplayMode::Pipelined,
+    ] {
+        for threads in [1, 4] {
+            let scheme = RecoveryScheme::ClrP { mode };
+            configs.push(RecoveryConfig { scheme, threads });
+        }
+    }
+    for workload in [&bank as &dyn Workload, &smallbank] {
+        for fraction in [0.25, 0.5, 1.0] {
+            let sys = System::boot_for_tests(workload, durability(LogScheme::Command, false));
+            pacman_wal::run_checkpoint(&sys.db, &sys.storage, 2).unwrap();
+            let result = sys.run(workload, &driver(fraction));
+            assert!(result.committed > 50);
+            let (storage, registry, catalog, reference) = sys.shutdown();
+            let want = reference.fingerprint();
+            for config in &configs {
+                let out = recover_crashed(&storage, &catalog, &registry, config).unwrap();
+                assert_eq!(
+                    out.db.fingerprint(),
+                    want,
+                    "{} x{} diverged on {} at ad-hoc fraction {fraction}",
+                    config.scheme.label(),
+                    config.threads,
+                    workload.name()
+                );
+            }
         }
     }
 }

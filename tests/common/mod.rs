@@ -4,7 +4,8 @@
 //!   two-table database with live, missing and tombstoned keys, random
 //!   procedures over it, and an interpreter that walks the op list itself;
 //! * the lifecycle and durability tests: [`LoggingWorker`], a worker that
-//!   commits through a durability stack the way the commit driver does.
+//!   commits through a durability stack the way the commit driver does,
+//!   writing one of the logs [`Log`] names.
 
 #![allow(dead_code)]
 
@@ -15,8 +16,30 @@ use pacman_engine::{run_procedure_with_epoch, Catalog, CommitInfo, DataAccess, D
 use pacman_sproc::{
     EvalCtx, Expr, OpKind, Params, ProcBuilder, ProcRegistry, ProcedureDef, VarStore,
 };
-use pacman_wal::{Durability, WorkerLogBuffer};
+use pacman_wal::{Durability, LogScheme, WorkerLogBuffer};
 use proptest::prelude::*;
+
+/// The log a lifecycle test writes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Log {
+    /// Command records only.
+    Command,
+    /// Command logging where every third transaction is ad-hoc and logs
+    /// its write set (§4.5): the mixed log CLR and CLR-P replay.
+    Mixed,
+    /// Logical records only.
+    Logical,
+}
+
+impl Log {
+    /// The durability scheme that writes this log.
+    pub fn scheme(self) -> LogScheme {
+        match self {
+            Log::Command | Log::Mixed => LogScheme::Command,
+            Log::Logical => LogScheme::Logical,
+        }
+    }
+}
 
 /// A worker committing through a durability stack with the commit
 /// driver's staging discipline: records stage into the worker's epoch
@@ -30,6 +53,9 @@ pub struct LoggingWorker<'a> {
     buf: WorkerLogBuffer,
     logger: usize,
     max_epoch: u64,
+    /// Every `adhoc_every`-th staged transaction is ad-hoc (0 = none).
+    adhoc_every: u64,
+    staged: u64,
 }
 
 impl<'a> LoggingWorker<'a> {
@@ -41,7 +67,19 @@ impl<'a> LoggingWorker<'a> {
             buf: WorkerLogBuffer::new(),
             logger,
             max_epoch: 0,
+            adhoc_every: 0,
+            staged: 0,
         }
+    }
+
+    /// [`LoggingWorker::new`], writing `log` (the durability stack must
+    /// run `log.scheme()`).
+    pub fn writing(dur: &'a Durability, logger: usize, log: Log) -> Self {
+        let mut worker = LoggingWorker::new(dur, logger);
+        if log == Log::Mixed {
+            worker.adhoc_every = 3;
+        }
+        worker
     }
 
     /// Acknowledge the current epoch, first handing the logger what the
@@ -60,8 +98,10 @@ impl<'a> LoggingWorker<'a> {
             return;
         }
         self.max_epoch = self.max_epoch.max(epoch_of(info.ts));
+        self.staged += 1;
+        let adhoc = self.adhoc_every > 0 && self.staged.is_multiple_of(self.adhoc_every);
         self.dur
-            .log_commit_buffered(&mut self.buf, self.logger, info, proc, params, false);
+            .log_commit_buffered(&mut self.buf, self.logger, info, proc, params, adhoc);
     }
 
     /// One sequential transaction: enter, run `proc` at the current epoch,

@@ -13,11 +13,11 @@
 
 mod common;
 
-use common::LoggingWorker;
+use common::{Log, LoggingWorker};
 use pacman_core::recovery::{recover, RecoveryConfig, RecoveryScheme};
 use pacman_core::runtime::ReplayMode;
 use pacman_engine::{run_procedure_with_epoch, Database};
-use pacman_wal::{Durability, DurabilityConfig, LogScheme};
+use pacman_wal::{Durability, DurabilityConfig};
 use pacman_workloads::bank::Bank;
 use pacman_workloads::smallbank::Smallbank;
 use pacman_workloads::Workload;
@@ -28,9 +28,9 @@ use std::time::Duration;
 
 const PHASE_TXNS: usize = 400;
 
-fn durability_config(scheme: LogScheme) -> DurabilityConfig {
+fn durability_config(log: Log) -> DurabilityConfig {
     DurabilityConfig {
-        scheme,
+        scheme: log.scheme(),
         num_loggers: 2,
         epoch_interval: Duration::from_millis(2),
         batch_epochs: 8,
@@ -54,9 +54,15 @@ fn phase_txns(
 
 /// Apply one phase through a live durability stack, sequentially, and
 /// wait until everything is durable.
-fn apply_phase(db: &Arc<Database>, workload: &dyn Workload, dur: &Arc<Durability>, phase: u64) {
+fn apply_phase(
+    db: &Arc<Database>,
+    workload: &dyn Workload,
+    dur: &Arc<Durability>,
+    phase: u64,
+    log: Log,
+) {
     let registry = workload.registry();
-    let mut worker = LoggingWorker::new(dur, 0);
+    let mut worker = LoggingWorker::writing(dur, 0, log);
     for (pid, params) in phase_txns(workload, phase) {
         worker.run(db, &registry, pid, &params);
     }
@@ -78,11 +84,7 @@ fn reference_fingerprint(workload: &dyn Workload) -> pacman_common::Fingerprint 
     db.fingerprint()
 }
 
-fn double_crash_roundtrip(
-    workload: &dyn Workload,
-    log_scheme: LogScheme,
-    recovery: RecoveryScheme,
-) {
+fn double_crash_roundtrip(workload: &dyn Workload, log: Log, recovery: RecoveryScheme) {
     let reference = reference_fingerprint(workload);
     let registry = workload.registry();
     let storage =
@@ -92,12 +94,8 @@ fn double_crash_roundtrip(
     let db1 = Arc::new(Database::new(workload.catalog()));
     workload.load(&db1);
     pacman_wal::run_checkpoint(&db1, &storage, 2).expect("initial checkpoint");
-    let dur1 = Durability::start(
-        Arc::clone(&db1),
-        storage.clone(),
-        durability_config(log_scheme),
-    );
-    apply_phase(&db1, workload, &dur1, 1);
+    let dur1 = Durability::start(Arc::clone(&db1), storage.clone(), durability_config(log));
+    apply_phase(&db1, workload, &dur1, 1, log);
     dur1.crash();
     drop(db1);
 
@@ -113,11 +111,8 @@ fn double_crash_roundtrip(
     )
     .unwrap_or_else(|e| panic!("{} first recovery failed: {e}", recovery.label()));
     let db2 = out1.db;
-    let (dur2, resume) = Durability::reopen(
-        Arc::clone(&db2),
-        storage.clone(),
-        durability_config(log_scheme),
-    );
+    let (dur2, resume) =
+        Durability::reopen(Arc::clone(&db2), storage.clone(), durability_config(log));
     assert!(
         resume.persisted_pepoch < u64::MAX,
         "pepoch file must hold a real epoch, not the sentinel"
@@ -128,7 +123,7 @@ fn double_crash_roundtrip(
     );
 
     // Incarnation 2: run phase 2 against the recovered state, crash again.
-    apply_phase(&db2, workload, &dur2, 2);
+    apply_phase(&db2, workload, &dur2, 2, log);
     let live = db2.fingerprint();
     assert_eq!(
         live,
@@ -160,21 +155,14 @@ fn double_crash_roundtrip(
     );
 }
 
-fn schemes() -> [(LogScheme, RecoveryScheme); 3] {
+fn schemes() -> [(Log, RecoveryScheme); 3] {
+    let clr_p = RecoveryScheme::ClrP {
+        mode: ReplayMode::Pipelined,
+    };
     [
-        (
-            LogScheme::Command,
-            RecoveryScheme::ClrP {
-                mode: ReplayMode::Pipelined,
-            },
-        ),
-        (LogScheme::Logical, RecoveryScheme::LlrP),
-        (
-            LogScheme::Adaptive,
-            RecoveryScheme::AlrP {
-                mode: ReplayMode::Pipelined,
-            },
-        ),
+        (Log::Command, clr_p),
+        (Log::Logical, RecoveryScheme::LlrP),
+        (Log::Mixed, clr_p),
     ]
 }
 
@@ -212,10 +200,10 @@ fn chained_delta_double_crash_equivalence() {
         ..Bank::default()
     };
     for (log, rec) in [
-        (LogScheme::Logical, RecoveryScheme::LlrP),
+        (Log::Logical, RecoveryScheme::LlrP),
         (
-            LogScheme::Adaptive,
-            RecoveryScheme::AlrP {
+            Log::Mixed,
+            RecoveryScheme::ClrP {
                 mode: ReplayMode::Pipelined,
             },
         ),
@@ -244,13 +232,13 @@ fn chained_delta_double_crash_equivalence() {
         bank.load(&db1);
         pacman_wal::run_checkpoint_incremental(&db1, &storage, 2, 8).unwrap();
         let dur1 = Durability::start(Arc::clone(&db1), storage.clone(), durability_config(log));
-        apply_phase(&db1, &bank, &dur1, 1);
+        apply_phase(&db1, &bank, &dur1, 1, log);
         let d1 = pacman_wal::run_checkpoint_incremental(&db1, &storage, 2, 8).unwrap();
         assert!(!d1.full);
-        apply_phase(&db1, &bank, &dur1, 2);
+        apply_phase(&db1, &bank, &dur1, 2, log);
         let d2 = pacman_wal::run_checkpoint_incremental(&db1, &storage, 2, 8).unwrap();
         assert!(!d2.full);
-        apply_phase(&db1, &bank, &dur1, 3);
+        apply_phase(&db1, &bank, &dur1, 3, log);
         dur1.crash();
         drop(db1);
         let chain = pacman_wal::read_chain(&storage).unwrap().unwrap();
@@ -271,13 +259,13 @@ fn chained_delta_double_crash_equivalence() {
         let db2 = out1.db;
         let (dur2, _resume) =
             Durability::reopen(Arc::clone(&db2), storage.clone(), durability_config(log));
-        apply_phase(&db2, &bank, &dur2, 4);
+        apply_phase(&db2, &bank, &dur2, 4, log);
         // A post-recovery delta chains onto the pre-crash history: the
         // dirty marks left by replay make exactly the replayed and fresh
         // shards re-scan.
         let d3 = pacman_wal::run_checkpoint_incremental(&db2, &storage, 2, 8).unwrap();
         assert!(!d3.full, "post-recovery round must extend the chain");
-        apply_phase(&db2, &bank, &dur2, 5);
+        apply_phase(&db2, &bank, &dur2, 5, log);
         let live = db2.fingerprint();
         assert_eq!(live, reference, "{}: live state diverged", rec.label());
         dur2.crash();
@@ -325,9 +313,9 @@ fn bank_double_crash_with_online_first_recovery() {
     let dur1 = Durability::start(
         Arc::clone(&db1),
         storage.clone(),
-        durability_config(LogScheme::Command),
+        durability_config(Log::Command),
     );
-    apply_phase(&db1, &bank, &dur1, 1);
+    apply_phase(&db1, &bank, &dur1, 1, Log::Command);
     dur1.crash();
     drop(db1);
 
@@ -342,7 +330,7 @@ fn bank_double_crash_with_online_first_recovery() {
     let (dur2, _resume) = Durability::reopen(
         Arc::clone(&db2),
         storage.clone(),
-        durability_config(LogScheme::Command),
+        durability_config(Log::Command),
     );
     session.pin_retention_on(&dur2);
     // Resume writing while (possibly) still replaying: admission gates

@@ -17,12 +17,12 @@
 
 mod common;
 
-use common::LoggingWorker;
+use common::{Log, LoggingWorker};
 use pacman_core::recovery::{recover, RecoveryConfig, RecoveryScheme};
 use pacman_core::replication::{pump, start_standby, wire, StandbyConfig};
 use pacman_core::runtime::ReplayMode;
 use pacman_engine::{run_procedure_with_epoch, Database};
-use pacman_wal::{Durability, DurabilityConfig, LogScheme};
+use pacman_wal::{Durability, DurabilityConfig};
 use pacman_workloads::bank::Bank;
 use pacman_workloads::smallbank::Smallbank;
 use pacman_workloads::Workload;
@@ -33,9 +33,9 @@ use std::time::Duration;
 
 const PHASE_TXNS: usize = 400;
 
-fn durability_config(scheme: LogScheme) -> DurabilityConfig {
+fn durability_config(log: Log) -> DurabilityConfig {
     DurabilityConfig {
-        scheme,
+        scheme: log.scheme(),
         num_loggers: 2,
         epoch_interval: Duration::from_millis(2),
         batch_epochs: 8,
@@ -58,9 +58,15 @@ fn phase_txns(
 
 /// Apply one phase sequentially through a live durability stack and wait
 /// until everything is durable (so the kill loses nothing acknowledged).
-fn apply_phase(db: &Arc<Database>, workload: &dyn Workload, dur: &Arc<Durability>, phase: u64) {
+fn apply_phase(
+    db: &Arc<Database>,
+    workload: &dyn Workload,
+    dur: &Arc<Durability>,
+    phase: u64,
+    log: Log,
+) {
     let registry = workload.registry();
-    let mut worker = LoggingWorker::new(dur, 0);
+    let mut worker = LoggingWorker::writing(dur, 0, log);
     for (pid, params) in phase_txns(workload, phase) {
         worker.run(db, &registry, pid, &params);
     }
@@ -82,11 +88,7 @@ fn reference_fingerprint(workload: &dyn Workload) -> pacman_common::Fingerprint 
     db.fingerprint()
 }
 
-fn failover_roundtrip(
-    workload: &dyn Workload,
-    log_scheme: LogScheme,
-    apply_scheme: RecoveryScheme,
-) {
+fn failover_roundtrip(workload: &dyn Workload, log: Log, apply_scheme: RecoveryScheme) {
     let reference = reference_fingerprint(workload);
     let registry = workload.registry();
     let primary_storage =
@@ -100,7 +102,7 @@ fn failover_roundtrip(
     let dur1 = Durability::start(
         Arc::clone(&db1),
         primary_storage.clone(),
-        durability_config(log_scheme),
+        durability_config(log),
     );
     let shipper = dur1.shipper();
     let (tx, rx) = wire();
@@ -119,7 +121,7 @@ fn failover_roundtrip(
     .unwrap_or_else(|e| panic!("{}: standby start failed: {e}", apply_scheme.label()));
 
     // Phase 1 under live shipping: pump mid-phase and after durability.
-    apply_phase(&db1, workload, &dur1, 1);
+    apply_phase(&db1, workload, &dur1, 1, log);
     pump(&shipper, dur1.pepoch(), &tx).expect("pump");
     assert!(
         dur1.shipped_bytes() > 0 && dur1.shipped_frames() > 0,
@@ -146,7 +148,7 @@ fn failover_roundtrip(
 
     // Promote: the standby becomes the primary over its own shipped log.
     let promoted = standby
-        .promote(durability_config(log_scheme))
+        .promote(durability_config(log))
         .unwrap_or_else(|e| panic!("{}: promote failed: {e}", apply_scheme.label()));
     assert_eq!(
         promoted.db.fingerprint(),
@@ -167,7 +169,7 @@ fn failover_roundtrip(
 
     // Resume the load on the promoted primary: phase 2 extends the
     // shipped log through the reopened durability stack.
-    apply_phase(&promoted.db, workload, &promoted.durability, 2);
+    apply_phase(&promoted.db, workload, &promoted.durability, 2, log);
     assert_eq!(
         promoted.db.fingerprint(),
         reference,
@@ -201,21 +203,14 @@ fn failover_roundtrip(
     );
 }
 
-fn schemes() -> [(LogScheme, RecoveryScheme); 3] {
+fn schemes() -> [(Log, RecoveryScheme); 3] {
+    let clr_p = RecoveryScheme::ClrP {
+        mode: ReplayMode::Pipelined,
+    };
     [
-        (
-            LogScheme::Command,
-            RecoveryScheme::ClrP {
-                mode: ReplayMode::Pipelined,
-            },
-        ),
-        (LogScheme::Logical, RecoveryScheme::LlrP),
-        (
-            LogScheme::Adaptive,
-            RecoveryScheme::AlrP {
-                mode: ReplayMode::Pipelined,
-            },
-        ),
+        (Log::Command, clr_p),
+        (Log::Logical, RecoveryScheme::LlrP),
+        (Log::Mixed, clr_p),
     ]
 }
 

@@ -143,7 +143,8 @@ fn write_strategy() -> impl Strategy<Value = WriteRecord> {
         })
 }
 
-/// Every [`LogPayload`] variant, including the adaptive `TaggedWrites`.
+/// Every [`LogPayload`] variant: commands, logical and physical write
+/// sets, and ad-hoc write sets.
 fn payload_strategy() -> impl Strategy<Value = LogPayload> {
     let writes = || proptest::collection::vec(write_strategy(), 0..6);
     prop_oneof![
@@ -162,10 +163,6 @@ fn payload_strategy() -> impl Strategy<Value = LogPayload> {
             writes: w,
             physical: false,
             adhoc: true,
-        }),
-        (0u32..8, writes()).prop_map(|(p, w)| LogPayload::TaggedWrites {
-            proc: ProcId::new(p),
-            writes: w,
         }),
     ]
 }
@@ -328,7 +325,6 @@ proptest! {
                     physical: *physical,
                     adhoc: *adhoc,
                 },
-                LogPayload::TaggedWrites { proc, .. } => PayloadKind::TaggedWrites { proc: *proc },
             };
             prop_assert_eq!(view.kind(), shape);
             match &owned.payload {
@@ -338,10 +334,7 @@ proptest! {
                 _ => prop_assert!(view.params().is_none()),
             }
             match (&owned.payload, view.writes()) {
-                (
-                    LogPayload::Writes { writes, .. } | LogPayload::TaggedWrites { writes, .. },
-                    Some(it),
-                ) => {
+                (LogPayload::Writes { writes, .. }, Some(it)) => {
                     let from_view: Vec<WriteRecord> = it.collect();
                     prop_assert_eq!(&from_view, writes);
                     // The parse sink sees the same writes and delimits
@@ -499,9 +492,10 @@ proptest! {
         }
     }
 
-    /// Serially commit a random history, logging each transaction in a
-    /// randomly chosen adaptive format (command or proc-tagged logical):
-    /// ALR-P in every replay mode must recover the exact state.
+    /// Serially commit a random history under command logging, each
+    /// transaction randomly a stored-procedure call (command record) or
+    /// ad-hoc (its write set, §4.5): CLR and CLR-P in every replay mode
+    /// must recover the exact state.
     #[test]
     fn random_mixed_histories_recover_exactly(
         txns in proptest::collection::vec((txn_strategy(), any::<bool>()), 1..60),
@@ -514,7 +508,7 @@ proptest! {
         let mut buf = Vec::new();
         let mut batch = 0u64;
         let mut count = 0u64;
-        for (i, (t, logical)) in txns.iter().enumerate() {
+        for (i, (t, adhoc)) in txns.iter().enumerate() {
             let params: pacman_sproc::Params = vec![
                 Value::Int(t.k1 as i64),
                 if t.proc == 0 { Value::Int(t.k2 as i64) } else { Value::Int(t.amt) },
@@ -523,8 +517,8 @@ proptest! {
             let epoch = 1 + (i as u64) / 7;
             match pacman_engine::run_procedure_with_epoch(&reference, proc, &params, || epoch) {
                 Ok(info) => {
-                    let payload = if *logical {
-                        LogPayload::TaggedWrites { proc: proc.id, writes: info.writes.clone() }
+                    let payload = if *adhoc {
+                        LogPayload::Writes { writes: info.writes.clone(), physical: false, adhoc: true }
                     } else {
                         LogPayload::Command { proc: proc.id, params }
                     };
@@ -546,9 +540,9 @@ proptest! {
 
         let want = reference.fingerprint();
         for scheme in [
-            RecoveryScheme::AlrP { mode: ReplayMode::PureStatic },
-            RecoveryScheme::AlrP { mode: ReplayMode::Synchronous },
-            RecoveryScheme::AlrP { mode: ReplayMode::Pipelined },
+            RecoveryScheme::ClrP { mode: ReplayMode::PureStatic },
+            RecoveryScheme::ClrP { mode: ReplayMode::Synchronous },
+            RecoveryScheme::ClrP { mode: ReplayMode::Pipelined },
             RecoveryScheme::Clr,
         ] {
             let out = pacman_core::recovery::recover(

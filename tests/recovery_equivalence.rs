@@ -193,96 +193,12 @@ fn tpcc_physical_and_logical() {
     );
 }
 
-/// Adaptive logging end to end: driver → durability (cost-model
-/// classifier) → graceful stop → ALR-P recovery, exact on bank and
-/// Smallbank.
+/// From the *same* crash point — one serial history, logged three ways
+/// (command / logical / command with ad-hoc write sets), truncated at the
+/// same durability frontier — CLR-P on both command logs and LLR-P recover
+/// byte-identical table states.
 #[test]
-fn adaptive_logging_alr_p_roundtrip() {
-    for workload in [
-        &Bank {
-            accounts: 512,
-            ..Bank::default()
-        } as &dyn Workload,
-        &Smallbank {
-            accounts: 1024,
-            ..Smallbank::default()
-        },
-    ] {
-        let sys = System::boot_for_tests(workload, durability(LogScheme::Adaptive));
-        sys.durability.set_classifier(std::sync::Arc::new(
-            pacman_core::static_analysis::CostModel::for_procs(sys.registry.all()),
-        ));
-        pacman_wal::run_checkpoint(&sys.db, &sys.storage, 2).unwrap();
-        let result = sys.run(workload, &driver());
-        assert!(result.committed > 50);
-        let (storage, registry, catalog, reference) = sys.shutdown();
-        for scheme in [
-            RecoveryScheme::AlrP {
-                mode: ReplayMode::Pipelined,
-            },
-            RecoveryScheme::AlrP {
-                mode: ReplayMode::Synchronous,
-            },
-            RecoveryScheme::AlrP {
-                mode: ReplayMode::PureStatic,
-            },
-        ] {
-            for threads in [1usize, 4] {
-                let out = recover_crashed(
-                    &storage,
-                    &catalog,
-                    &registry,
-                    &RecoveryConfig { scheme, threads },
-                )
-                .unwrap_or_else(|e| panic!("{} recovery failed: {e}", scheme.label()));
-                assert_eq!(
-                    out.db.fingerprint(),
-                    reference.fingerprint(),
-                    "{} with {threads} threads diverged",
-                    scheme.label()
-                );
-            }
-        }
-    }
-}
-
-/// Adaptive logging after a hard crash: the durable prefix recovers
-/// without error and the recovered transaction count is sane.
-#[test]
-fn adaptive_logging_survives_hard_crash() {
-    let bank = Bank {
-        accounts: 256,
-        ..Bank::default()
-    };
-    let sys = System::boot_for_tests(&bank, durability(LogScheme::Adaptive));
-    sys.durability.set_classifier(std::sync::Arc::new(
-        pacman_core::static_analysis::CostModel::for_procs(sys.registry.all()),
-    ));
-    pacman_wal::run_checkpoint(&sys.db, &sys.storage, 2).unwrap();
-    let result = sys.run(&bank, &driver());
-    let (storage, registry, catalog) = sys.crash();
-    let out = recover_crashed(
-        &storage,
-        &catalog,
-        &registry,
-        &RecoveryConfig {
-            scheme: RecoveryScheme::AlrP {
-                mode: ReplayMode::Pipelined,
-            },
-            threads: 4,
-        },
-    )
-    .unwrap();
-    assert!(out.report.txns > 0, "nothing durable after crash");
-    assert!(out.report.txns <= result.committed);
-}
-
-/// The ISSUE's core equivalence property: from the *same* crash point —
-/// one serial history, logged three ways (command / logical / adaptive
-/// mix), truncated at the same durability frontier — ALR-P, CLR-P and
-/// LLR-P recover byte-identical table states.
-#[test]
-fn alr_p_clr_p_llr_p_byte_identical_from_same_crash_point() {
+fn clr_p_llr_p_byte_identical_from_same_crash_point() {
     use pacman_common::{Encoder, Fingerprint};
     use pacman_engine::Database;
     use pacman_sproc::Params;
@@ -315,7 +231,7 @@ fn alr_p_clr_p_llr_p_byte_identical_from_same_crash_point() {
         let mut rng = SmallRng::seed_from_u64(0xADA97);
         let mut cl_log = Vec::new();
         let mut ll_log = Vec::new();
-        let mut alr_log = Vec::new();
+        let mut mixed_log = Vec::new();
         let mut reference: Option<Fingerprint> = None;
         let mut i = 0u64;
         while i < TXNS {
@@ -348,12 +264,13 @@ fn alr_p_clr_p_llr_p_byte_identical_from_same_crash_point() {
                 },
             }
             .encode(&mut ll_log);
-            // Adaptive mix: every third transaction is "expensive" and
-            // carries its after-images; the rest stay commands.
+            // Mixed command log: every third transaction is ad-hoc and
+            // carries its write set (§4.5); the rest stay commands.
             let payload = if i.is_multiple_of(3) {
-                LogPayload::TaggedWrites {
-                    proc: pid,
+                LogPayload::Writes {
                     writes: info.writes.clone(),
+                    physical: false,
+                    adhoc: true,
                 }
             } else {
                 LogPayload::Command {
@@ -365,7 +282,7 @@ fn alr_p_clr_p_llr_p_byte_identical_from_same_crash_point() {
                 ts: info.ts,
                 payload,
             }
-            .encode(&mut alr_log);
+            .encode(&mut mixed_log);
 
             if epoch == PEPOCH && i.is_multiple_of(PER_EPOCH) {
                 // State at the crash point: everything with epoch <= PEPOCH.
@@ -402,15 +319,20 @@ fn alr_p_clr_p_llr_p_byte_identical_from_same_crash_point() {
             },
         );
         let llr_p = run(&ll_log, RecoveryScheme::LlrP);
-        let alr_p = run(
-            &alr_log,
-            RecoveryScheme::AlrP {
+        let mixed = run(
+            &mixed_log,
+            RecoveryScheme::ClrP {
                 mode: ReplayMode::Pipelined,
             },
         );
         assert_eq!(clr_p, want, "CLR-P diverged on {}", workload.name());
         assert_eq!(llr_p, want, "LLR-P diverged on {}", workload.name());
-        assert_eq!(alr_p, want, "ALR-P diverged on {}", workload.name());
+        assert_eq!(
+            mixed,
+            want,
+            "CLR-P (ad-hoc mix) diverged on {}",
+            workload.name()
+        );
     }
 }
 

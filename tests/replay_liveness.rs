@@ -5,7 +5,7 @@
 //! table a transaction may touch. Two things depend on blocks for other
 //! reasons and are checked here end to end:
 //!
-//! * tuple-level records (ad-hoc transactions, adaptive logical records)
+//! * tuple-level records (ad-hoc write sets and plain logical records)
 //!   are dispatched to blocks — also when no procedure writes anything and
 //!   the graph has no block of its own;
 //! * online recovery admits a transaction once the blocks of its
@@ -36,9 +36,9 @@ fn seal(storage: &StorageSet) {
         .write_file("pepoch.log", &u64::MAX.to_le_bytes());
 }
 
-/// Ad-hoc and proc-tagged write records against registries whose graph has
-/// no block of its own — no procedure at all, and procedures that only
-/// read — recover to the pre-crash state under CLR-P and ALR-P.
+/// Ad-hoc and plain logical write records against registries whose graph
+/// has no block of its own — no procedure at all, and procedures that only
+/// read — recover to the pre-crash state under CLR and CLR-P.
 #[test]
 fn tuple_level_records_replay_without_any_writing_procedure() {
     const T: TableId = TableId::new(0);
@@ -90,21 +90,13 @@ fn tuple_level_records_replay_without_any_writing_procedure() {
                 _ => {}
             }
             let info = txn.commit_with(|| 1 + i / 10).unwrap();
-            let payload = if i % 2 == 0 {
-                LogPayload::Writes {
-                    writes: info.writes,
-                    physical: false,
-                    adhoc: true,
-                }
-            } else {
-                LogPayload::TaggedWrites {
-                    proc: ProcId::new(0),
-                    writes: info.writes,
-                }
-            };
             TxnLogRecord {
                 ts: info.ts,
-                payload,
+                payload: LogPayload::Writes {
+                    writes: info.writes,
+                    physical: false,
+                    adhoc: i % 2 == 0,
+                },
             }
             .encode(&mut buf);
             if (i + 1) % 10 == 0 {
@@ -117,8 +109,8 @@ fn tuple_level_records_replay_without_any_writing_procedure() {
         seal(&storage);
 
         for scheme in [
+            RecoveryScheme::Clr,
             RecoveryScheme::ClrP { mode: PIPELINED },
-            RecoveryScheme::AlrP { mode: PIPELINED },
         ] {
             let out = recover(
                 &storage,
