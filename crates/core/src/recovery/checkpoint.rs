@@ -4,9 +4,9 @@
 //! The durable base image is a *manifest chain* (full checkpoint + delta
 //! links, see `pacman_wal::checkpoint`); the [`ShardLoader`] resolves
 //! every `(table, shard)` to its newest part along the chain. All three
-//! consumers restore through one pipeline ([`ShardLoader::stream`]): a
-//! reader per device does nothing but the paced read and hands each part
-//! over a bounded channel to `threads` installers, so part *k+1* is on the
+//! consumers restore through the recovery read pipeline: a reader per
+//! device does nothing but the paced read and hands each part over a
+//! bounded channel to `threads` installers, so part *k+1* is on the
 //! device while part *k* is decoded and installed, and only the parts in
 //! flight are resident. An installer walks the part once
 //! ([`PartView`]) and installs it with [`pacman_engine::Table::load_shard`]
@@ -31,8 +31,8 @@
 //!   chain: the same walk plus the tombstone rule.
 
 use crate::metrics::RecoveryMetrics;
+use crate::recovery::pipeline::{self, FirstError, Read};
 use crate::recovery::raw::RawStore;
-use bytes::Bytes;
 use pacman_common::{Error, Key, KeySet, Result, Row, TableId, Timestamp};
 use pacman_engine::{Database, RecoveryGate, ShardLoad};
 use pacman_storage::StorageSet;
@@ -40,11 +40,6 @@ use pacman_wal::checkpoint::{part_name, CheckpointChain, PartView, ResolvedPart}
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Parts the readers may queue ahead of the installers: with one part in
-/// each reader's and each installer's hands, the bound on resident part
-/// bytes.
-const PART_QUEUE: usize = 4;
 
 /// Where restored tuples go — from the checkpoint, and for the per-file
 /// tuple-level schemes from the log too (`llr::recover_log`).
@@ -82,17 +77,6 @@ pub struct LoadUnit {
     pub part: ResolvedPart,
     /// Part size in bytes (SJF ordering; metadata lookup, no I/O cost).
     pub bytes: usize,
-}
-
-/// One part off its device, on its way to an installer.
-struct ReadPart {
-    /// Index into [`ShardLoader::units`].
-    unit: usize,
-    /// Whether a blocked admission wanted the shard when it was claimed.
-    wanted: bool,
-    /// Time its reader spent in the device read.
-    read: Duration,
-    bytes: Bytes,
 }
 
 /// Tuples and bulk-built parts counted across installers.
@@ -151,112 +135,28 @@ impl ShardLoader {
         self.ckpt_ts
     }
 
-    /// Read every unit and hand it to `install`, pipelined: one reader per
-    /// device claims its next unit — the first for which `wanted` holds,
-    /// else the cheapest left — reads it, and queues it for one of
-    /// `threads` installers. The readers sleep in the device pacer, so
-    /// runnable threads stay at `threads`. Returns the time at which the
-    /// last part byte left its device.
-    ///
-    /// The first error, whoever meets it, stops the run: readers stop
-    /// claiming and installers leave. The receiver is owned by the
-    /// installers alone and goes with the last of them — on an error or a
-    /// panic alike — which fails the `send` of any reader still blocked
-    /// on the full channel, so nobody is left waiting. Parts already
-    /// installed stay installed.
+    /// Read every unit and hand it to one of `threads` installers through
+    /// the recovery read pipeline: a device's reader claims the first of
+    /// its units for which `wanted` holds, else the cheapest left. Returns
+    /// the time at which the last part byte left its device. The first
+    /// error stops the run; parts already installed stay installed.
     fn stream(
         &self,
         storage: &StorageSet,
         threads: usize,
         wanted: impl Fn(usize) -> bool + Sync,
-        install: impl Fn(&ReadPart) -> Result<()> + Sync,
+        install: impl Fn(Read) -> Result<()> + Sync,
     ) -> Result<Duration> {
-        let t0 = Instant::now();
-        let disks = storage.num_disks();
-        let mut queues: Vec<Vec<usize>> = vec![Vec::new(); disks];
-        for (i, u) in self.units.iter().enumerate() {
-            queues[u.part.disk as usize % disks].push(i);
-        }
-        let err = parking_lot::Mutex::new(None::<Error>);
-        let fail = |e: Error| {
-            err.lock().get_or_insert(e);
-        };
-        let failed = || err.lock().is_some();
-        let (tx, rx) = crossbeam::channel::bounded::<ReadPart>(PART_QUEUE);
-        let rx = Arc::new(parking_lot::Mutex::new(rx));
-
-        let reload = crossbeam::thread::scope(|scope| {
-            let readers: Vec<_> = queues
-                .into_iter()
-                .enumerate()
-                .filter(|(_, queue)| !queue.is_empty())
-                .map(|(disk, mut queue)| {
-                    let tx = tx.clone();
-                    let (fail, failed, wanted) = (&fail, &failed, &wanted);
-                    scope.spawn(move |_| {
-                        let mut last_read = Duration::ZERO;
-                        while !queue.is_empty() && !failed() {
-                            let hit = queue.iter().position(|&i| wanted(i));
-                            let unit = queue.remove(hit.unwrap_or(0));
-                            let p = &self.units[unit].part;
-                            let t = Instant::now();
-                            let read = storage.disk(disk).read(&part_name(
-                                p.ts,
-                                p.table,
-                                p.shard as usize,
-                            ));
-                            last_read = t0.elapsed();
-                            let part = match read {
-                                Ok(bytes) => ReadPart {
-                                    unit,
-                                    wanted: hit.is_some(),
-                                    read: t.elapsed(),
-                                    bytes,
-                                },
-                                Err(e) => {
-                                    fail(e);
-                                    break;
-                                }
-                            };
-                            if tx.send(part).is_err() {
-                                break;
-                            }
-                        }
-                        last_read
-                    })
-                })
-                .collect();
-            // A receive ends when the last reader is gone, a send when the
-            // last installer is.
-            drop(tx);
-            for _ in 0..threads.max(1) {
-                let rx = Arc::clone(&rx);
-                let (fail, failed, install) = (&fail, &failed, &install);
-                scope.spawn(move |_| loop {
-                    // One installer waits in `recv`, the others on the lock.
-                    let next = rx.lock().recv();
-                    match next {
-                        Ok(part) if !failed() => {
-                            if let Err(e) = install(&part) {
-                                return fail(e);
-                            }
-                        }
-                        _ => return,
-                    }
-                });
-            }
-            drop(rx);
-            readers
-                .into_iter()
-                .map(|r| r.join().expect("checkpoint reader"))
-                .max()
-                .unwrap_or_default()
-        })
-        .expect("checkpoint restore scope");
-        match err.into_inner() {
-            Some(e) => Err(e),
-            None => Ok(reload),
-        }
+        let files = self
+            .units
+            .iter()
+            .map(|u| {
+                let p = &u.part;
+                (p.disk as usize, part_name(p.ts, p.table, p.shard as usize))
+            })
+            .collect();
+        let errors = FirstError::default();
+        Ok(pipeline::read_all(storage, files, threads, &errors, wanted, install)?.last_byte)
     }
 
     fn report(&self, t0: Instant, reload: Duration, tally: Tally) -> CheckpointRecovery {
@@ -474,7 +374,7 @@ pub fn run_lazy_loader(
             let t = Instant::now();
             install_part(db, &units[part.unit].part, &part.bytes, &tally)?;
             metrics.add_load(part.read + t.elapsed());
-            metrics.count_shard_load(part.wanted);
+            metrics.count_shard_load(part.preferred);
             gate.publish_resident(parts[part.unit]);
             Ok(())
         },
@@ -485,6 +385,7 @@ pub fn run_lazy_loader(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::pipeline::within_bounded_wait;
     use pacman_common::Value;
     use pacman_engine::Catalog;
     use pacman_storage::DiskConfig;
@@ -559,29 +460,20 @@ mod tests {
         let storage = StorageSet::identical(2, DiskConfig::unthrottled("t"));
         run_checkpoint(&db, &storage, 2).unwrap();
         let chain = read_chain(&storage).unwrap().unwrap();
-        assert!(chain.resolve_parts().len() > 4 * (PART_QUEUE + 2 + 4));
+        assert!(chain.resolve_parts().len() > 4 * (pipeline::QUEUE + 2 + 4));
         (db, storage, chain)
     }
 
     /// Cut the last byte off a part early in the walk, so that it ends
-    /// inside its last tuple — not the very first part: by the ninth the
+    /// inside its last tuple — not the very first part: by the seventh the
     /// readers have had time to fill the channel behind the installers.
     fn truncate_early_part(storage: &StorageSet, chain: &CheckpointChain) {
         let loader = ShardLoader::new(storage, chain).unwrap();
-        let p = loader.units()[2 * PART_QUEUE].part;
+        let p = loader.units()[2 * pipeline::QUEUE].part;
         let name = part_name(p.ts, p.table, p.shard as usize);
         let disk = storage.disk(p.disk as usize);
         let bytes = disk.read(&name).unwrap();
         disk.write_file(&name, &bytes[..bytes.len() - 1]);
-    }
-
-    /// `f` on its own thread; a restore that has not returned after 20 s
-    /// is hung (an unthrottled one takes milliseconds).
-    fn within_bounded_wait<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || tx.send(f()));
-        rx.recv_timeout(Duration::from_secs(20))
-            .expect("checkpoint restore hung on its error path")
     }
 
     #[test]

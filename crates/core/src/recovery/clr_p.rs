@@ -1,13 +1,14 @@
 //! CLR-P: PACMAN — parallel command log recovery (§4, §6.2).
 //!
-//! A loader thread takes units from the source in commitment order,
-//! instantiates execution schedules from the global dependency graph and
-//! feeds them to the block worker groups of the [`crate::runtime`]. The
-//! workload distribution is estimated from the first unit at reload time
-//! (§4.4); replay runs in one of the three modes of Fig. 19 (pure-static
-//! / synchronous / pipelined). Under command logging the log is mixed:
-//! ad-hoc transactions leave their write sets (§4.5), which the schedule
-//! installs as write-only pieces beside the re-executed commands.
+//! The calling thread is the loader: it takes units from the source in
+//! commitment order, instantiates execution schedules from the global
+//! dependency graph and hands them straight to the block worker groups of
+//! the [`crate::runtime`]. The workload distribution is estimated from the
+//! first unit at reload time (§4.4); replay runs in one of the three modes
+//! of Fig. 19 (pure-static / synchronous / pipelined). Under command
+//! logging the log is mixed: ad-hoc transactions leave their write sets
+//! (§4.5), which the schedule installs as write-only pieces beside the
+//! re-executed commands.
 
 use crate::metrics::RecoveryMetrics;
 use crate::recovery::{LogRecovery, UnitSource};
@@ -53,33 +54,18 @@ pub fn recover_log(
         }
     };
 
-    let (tx, rx) = crossbeam::channel::bounded::<ExecutionSchedule>(4);
-    let (replayed, loaded) = crossbeam::thread::scope(|scope| {
-        // Loader: schedule the remaining units in order. Dropping `tx`
-        // (done, or an error) ends the replay.
-        let loader = scope.spawn(move |_| -> Result<LogRecovery> {
-            let _ = tx.send(first);
-            for unit in source {
-                let schedule = load(unit, &mut log, gdg, registry, metrics)?;
-                if tx.send(schedule).is_err() {
-                    break; // replay aborted
-                }
-            }
-            Ok(log)
-        });
-        let replayed =
-            run_replay_gated(db, gdg, mode, threads, &estimate, metrics, rx, gate.clone());
-        if let (Err(_), Some(g)) = (&replayed, &gate) {
-            // Poison now: a follow source waiting for its next unit stops.
-            g.fail();
-        }
-        (replayed, loader.join().expect("clr-p loader"))
-    })
-    .expect("clr-p scope");
-    replayed?;
+    // The remaining units, scheduled on this thread; a failed one ends them.
+    let mut loaded = Ok(());
+    let schedules = std::iter::once(first).chain(source.map_while(|unit| {
+        load(unit, &mut log, gdg, registry, metrics)
+            .map_err(|e| loaded = Err(e))
+            .ok()
+    }));
+    run_replay_gated(db, gdg, mode, threads, &estimate, metrics, schedules, gate)?;
+    loaded?;
     Ok(LogRecovery {
         total: t0.elapsed(),
-        ..loaded?
+        ..log
     })
 }
 

@@ -1,9 +1,11 @@
 //! LLR and PLR: tuple-level log recovery, one log file at a time (§6.2).
 //!
-//! Both reload every log file into memory in parallel, then replay whole
-//! files on `threads` workers, installing each record's after-images
-//! under per-tuple latches. Installs are last-writer-wins by timestamp, so
-//! two threads may restore writes to the same tuple in any order and the
+//! Both stream the log through the recovery read pipeline
+//! ([`crate::recovery::pipeline`]): a reader per device, and `threads`
+//! replayers that each take whole files off the channel and install
+//! every record's after-images under per-tuple latches. Installs are
+//! last-writer-wins by timestamp, so two threads may restore writes to the
+//! same tuple in any order, and files may arrive in any order, and the
 //! newest survives — but the latch remains the scalability ceiling
 //! (Figs. 14/15). The two schemes differ only in where the images go, the
 //! [`CheckpointTarget`] their checkpoint restore filled:
@@ -17,17 +19,22 @@
 
 use crate::metrics::RecoveryMetrics;
 use crate::recovery::checkpoint::CheckpointTarget;
-use crate::recovery::{reload_files, LogInventory, LogRecovery};
+use crate::recovery::pipeline::{self, FirstError};
+use crate::recovery::{LogInventory, LogRecovery};
 use pacman_common::codec::Cursor;
 use pacman_common::{Error, Result, Timestamp};
 use pacman_storage::StorageSet;
 use pacman_wal::{PayloadKind, RecordView};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// LLR (`target` = tables) or PLR (`target` = raw heap) log recovery of
 /// the records with `epoch <= pepoch` and `ts > after_ts`. With `latch`
 /// off, installs skip the per-tuple latch (the Fig. 15 ablation).
+///
+/// Metrics: `reload` is the longest of the per-device readers' summed
+/// device reads; the `load` bucket is every read, summed over readers, and
+/// `work` the replayers' walks.
 #[allow(clippy::too_many_arguments)]
 pub fn recover_log(
     storage: &StorageSet,
@@ -40,48 +47,34 @@ pub fn recover_log(
     metrics: &RecoveryMetrics,
 ) -> Result<LogRecovery> {
     let t0 = Instant::now();
-    let files = metrics.timed(RecoveryMetrics::add_load, || {
-        reload_files(storage, inventory, threads)
-    })?;
-    let reload = t0.elapsed();
-
-    let max_ts = AtomicU64::new(0);
-    let txns = AtomicU64::new(0);
-    let next = AtomicUsize::new(0);
-    let err = parking_lot::Mutex::new(None::<Error>);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= files.len() {
-                    return;
-                }
-                // The whole walk is work: parsing the records, decoding
-                // the images and installing them.
-                let walked = metrics.timed(RecoveryMetrics::add_work, || {
-                    replay_file(&files[i], target, latch, pepoch, after_ts)
-                });
-                match walked {
-                    Ok((records, newest)) => {
-                        txns.fetch_add(records, Ordering::Relaxed);
-                        max_ts.fetch_max(newest, Ordering::Relaxed);
-                    }
-                    Err(e) => {
-                        err.lock().get_or_insert(e);
-                        return;
-                    }
-                }
-            });
-        }
-    })
-    .expect("tuple-level replay scope");
-    if let Some(e) = err.into_inner() {
-        return Err(e);
-    }
+    let (max_ts, txns) = (AtomicU64::new(0), AtomicU64::new(0));
+    let files = inventory
+        .files
+        .iter()
+        .map(|f| (f.disk, f.name.clone()))
+        .collect();
+    let reload = pipeline::read_all(
+        storage,
+        files,
+        threads,
+        &FirstError::default(),
+        |_| false,
+        |file| {
+            metrics.add_load(file.read);
+            // The whole walk is work: parsing the records, decoding the
+            // images and installing them.
+            let (records, newest) = metrics.timed(RecoveryMetrics::add_work, || {
+                replay_file(&file.bytes, target, latch, pepoch, after_ts)
+            })?;
+            txns.fetch_add(records, Ordering::Relaxed);
+            max_ts.fetch_max(newest, Ordering::Relaxed);
+            Ok(())
+        },
+    )?;
 
     let txns = txns.into_inner();
     Ok(LogRecovery {
-        reload,
+        reload: reload.longest_reader,
         total: t0.elapsed(),
         max_ts: max_ts.into_inner(),
         txns,
@@ -268,6 +261,59 @@ mod tests {
         let (ts, row) = chain.newest();
         assert_eq!(ts, epoch_floor(1) | 2);
         assert_eq!(row.unwrap().col(0), Value::Int(20));
+    }
+
+    #[test]
+    fn llr_and_plr_stop_reading_at_the_first_error() {
+        use crate::recovery::pipeline::{within_bounded_wait, QUEUE};
+        // 40 batches on each of two devices; the second file of each is cut
+        // inside its record (a replayer fails) or, with `vanish`, deleted
+        // after the scan (its reader fails). At most three good files reach
+        // the channel ahead of the first bad one; once the error is latched,
+        // only what the pipeline holds may still be read: the channel, one
+        // file per reader, one per replayer.
+        for vanish in [false, true] {
+            for (physical, threads) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
+                let storage =
+                    StorageSet::identical(2, pacman_storage::DiskConfig::unthrottled("t"));
+                for (batch, disk) in (0..40u64).flat_map(|b| [(b, 0), (b, 1)]) {
+                    let mut bytes =
+                        record(epoch_floor(batch + 1) | 1, batch, Some(1), physical).to_bytes();
+                    bytes.truncate(bytes.len() - usize::from(batch == 1 && !vanish));
+                    storage
+                        .disk(disk)
+                        .append(&format!("log/{disk:02}/{batch:010}"), &bytes);
+                }
+                let file_len = storage.disk(0).len("log/00/0000000000").unwrap() as u64;
+                let probe = storage.clone();
+                let r = within_bounded_wait(move || {
+                    let (db, raw) = (one_table(), RawStore::new(1));
+                    let target = match physical {
+                        true => CheckpointTarget::Raw(&raw),
+                        false => CheckpointTarget::Tables(&db),
+                    };
+                    let (inv, m) = (LogInventory::scan(&probe), RecoveryMetrics::new());
+                    if vanish {
+                        inv.files[2..4]
+                            .iter()
+                            .for_each(|f| probe.disk(f.disk).delete(&f.name));
+                    }
+                    recover_log(&probe, &inv, target, threads, true, u64::MAX, 0, &m)
+                        .map(|r| r.txns)
+                });
+                let label = format!("physical {physical}, {threads} threads, vanish {vanish}");
+                match vanish {
+                    true => assert!(matches!(r, Err(Error::FileNotFound(_))), "{label}: {r:?}"),
+                    false => assert!(matches!(r, Err(Error::Corrupt(_))), "{label}: {r:?}"),
+                }
+                let files_read = storage.total_stats().bytes_read / file_len;
+                let bound = 4 + QUEUE as u64 + 2 + threads as u64;
+                assert!(
+                    files_read <= bound,
+                    "{label}: read {files_read} of 80 files"
+                );
+            }
+        }
     }
 
     #[test]

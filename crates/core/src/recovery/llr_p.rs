@@ -20,11 +20,12 @@
 
 use crate::metrics::RecoveryMetrics;
 use crate::recovery::gate::ShardMap;
+use crate::recovery::pipeline::{self, FirstError};
 use crate::recovery::{LogInventory, LogRecovery, UnitSource};
 use bytes::Bytes;
 use pacman_common::clock::epoch_of;
 use pacman_common::codec::Cursor;
-use pacman_common::{Error, KeyMap, Result, TableId, Timestamp};
+use pacman_common::{Error, KeyMap, KeySet, Result, TableId, Timestamp};
 use pacman_engine::{Database, RecoveryGate, WriteRecord};
 use pacman_storage::StorageSet;
 use pacman_wal::{decode_after_image, MergedBatchView, PayloadKind, RecordView};
@@ -52,19 +53,19 @@ fn lane_of(table: TableId, key: u64, lanes: usize) -> usize {
     h as usize % lanes
 }
 
-/// LLR-P log recovery (offline): per device a reader and an indexer, then
-/// the shared key-hash lanes; newest first.
+/// LLR-P log recovery (offline): the recovery read pipeline with one
+/// indexer per log device as its consumers, then the shared key-hash
+/// lanes; newest first.
 ///
 /// 1. Each device's **reader** walks that device's files from the newest
 ///    to the oldest and does nothing but the paced device read, so the
-///    devices read in parallel and device wait overlaps the CPU stages.
-///    It hands each file to its device's indexer through a channel of
-///    depth one, which keeps at most two files queued over two devices.
-/// 2. Each device's **indexer** validates a file with one
-///    [`RecordView::parse_with`] per record, applies the `pepoch` /
-///    `after_ts` filters, and in the same walk emits one [`WriteLoc`] per
-///    write into the owning key's lane — no row is decoded, nothing is
-///    sorted.
+///    devices read in parallel and device wait overlaps the CPU stages
+///    ([`crate::recovery::pipeline`]).
+/// 2. An **indexer** (one per log device) takes any device's next file,
+///    validates it with one [`RecordView::parse_with`] per record, applies
+///    the `pepoch` / `after_ts` filters, and in the same walk emits one
+///    [`WriteLoc`] per write into the owning key's lane — no row is
+///    decoded, nothing is sorted.
 /// 3. Each **lane** walks its references newest first and asks whether the
 ///    key's newest timestamp is `>= ts`: a stale write is skipped without
 ///    its bytes being touched, a winning one is decoded by the lane and
@@ -74,9 +75,9 @@ fn lane_of(table: TableId, key: u64, lanes: usize) -> usize {
 ///    feeds every lane.
 ///
 /// Metrics: `reload` is the reload stage's wall time, the longest of the
-/// readers' device reads; the `load` bucket is the readers' read time and
-/// `param` the indexers' time, each summed over threads; `work` is the
-/// lanes' thread-seconds.
+/// readers' summed device reads; the `load` bucket is the readers' read
+/// time and `param` the indexers' time, each summed over threads; `work`
+/// is the lanes' thread-seconds.
 ///
 /// Why the result equals ascending replay:
 ///
@@ -108,17 +109,19 @@ pub fn recover_log(
 ) -> Result<LogRecovery> {
     let threads = threads.max(1);
     let t0 = Instant::now();
-    let err = parking_lot::Mutex::new(None::<Error>);
     // Every stage stops at the first latched error, whoever latched it.
-    let fail = |e: Error| {
-        err.lock().get_or_insert(e);
-    };
-    let failed = || err.lock().is_some();
-    let mut disks: Vec<usize> = inventory.files.iter().map(|f| f.disk).collect();
-    disks.sort_unstable();
-    disks.dedup();
+    let errors = FirstError::default();
+    let log_disks: KeySet<usize> = inventory.files.iter().map(|f| f.disk).collect();
+    let files = inventory
+        .files
+        .iter()
+        .rev()
+        .map(|f| (f.disk, f.name.clone()))
+        .collect();
+    let (max_ts, txns) = (AtomicU64::new(0), AtomicU64::new(0));
 
-    let (reload, max_ts, txns, installed, skipped) = crossbeam::thread::scope(|scope| {
+    let (reload, installed, skipped) = crossbeam::thread::scope(|scope| {
+        let errors = &errors;
         let (lane_txs, lanes): (Vec<_>, Vec<_>) = (0..threads)
             .map(|_| {
                 let (tx, rx) = crossbeam::channel::bounded::<(Bytes, Vec<WriteLoc>)>(2);
@@ -130,7 +133,7 @@ pub fn recover_log(
                     // it covers is skipped without an index probe.
                     let mut newest: KeyMap<(TableId, u64), Timestamp> = KeyMap::default();
                     for (file, locs) in rx.iter() {
-                        if failed() {
+                        if errors.is_set() {
                             break;
                         }
                         let t = Instant::now();
@@ -146,7 +149,7 @@ pub fn recover_log(
                             let table = match db.table(w.table) {
                                 Ok(t) => t,
                                 Err(e) => {
-                                    fail(e);
+                                    errors.set(e);
                                     return (installed, skipped);
                                 }
                             };
@@ -173,102 +176,49 @@ pub fn recover_log(
             })
             .unzip();
 
-        let pipelines: Vec<_> = disks
-            .iter()
-            .map(|&disk| {
-                let (file_tx, file_rx) = crossbeam::channel::bounded::<Bytes>(1);
-                let reader = scope.spawn(move |_| {
-                    let mut reload = Duration::ZERO;
-                    for f in inventory.files.iter().rev().filter(|f| f.disk == disk) {
-                        if failed() {
-                            break;
-                        }
-                        let t = Instant::now();
-                        let read = storage.disk(disk).read(&f.name);
-                        let waited = t.elapsed();
-                        metrics.add_load(waited);
-                        reload += waited;
-                        match read {
-                            Ok(bytes) => {
-                                if file_tx.send(bytes).is_err() {
-                                    break;
-                                }
-                            }
-                            // Deleted between scan and read: see
-                            // `read_merged_batch_view`.
-                            Err(Error::FileNotFound(_)) => {}
-                            Err(e) => {
-                                fail(e);
-                                break;
-                            }
-                        }
+        let reload = pipeline::read_all(
+            storage,
+            files,
+            log_disks.len(),
+            errors,
+            |_| false,
+            |file| {
+                metrics.add_load(file.read);
+                let t = Instant::now();
+                let mut parts: Vec<Vec<WriteLoc>> = (0..threads).map(|_| Vec::new()).collect();
+                let (file_max_ts, records) = index_file(&file.bytes, pepoch, after_ts, &mut parts)?;
+                max_ts.fetch_max(file_max_ts, Ordering::Relaxed);
+                txns.fetch_add(records, Ordering::Relaxed);
+                metrics.count_txns(records);
+                metrics.add_param(t.elapsed());
+                for (tx, locs) in lane_txs.iter().zip(parts) {
+                    // A lane that stopped has latched its error and dropped
+                    // its receiver; the pipeline stops on the latch.
+                    if !locs.is_empty() && tx.send((file.bytes.clone(), locs)).is_err() {
+                        break;
                     }
-                    reload
-                });
-                let lane_txs = lane_txs.clone();
-                let indexer = scope.spawn(move |_| {
-                    let (mut max_ts, mut txns) = (0u64, 0u64);
-                    'files: for file in file_rx.iter() {
-                        if failed() {
-                            break;
-                        }
-                        let t = Instant::now();
-                        let mut parts: Vec<Vec<WriteLoc>> =
-                            (0..threads).map(|_| Vec::new()).collect();
-                        match index_file(&file, pepoch, after_ts, &mut parts) {
-                            Ok((file_max_ts, records)) => {
-                                max_ts = max_ts.max(file_max_ts);
-                                txns += records;
-                                metrics.count_txns(records);
-                            }
-                            Err(e) => {
-                                fail(e);
-                                break;
-                            }
-                        }
-                        metrics.add_param(t.elapsed());
-                        for (tx, locs) in lane_txs.iter().zip(parts) {
-                            // A lane that failed has dropped its receiver.
-                            if !locs.is_empty()
-                                && (failed() || tx.send((file.clone(), locs)).is_err())
-                            {
-                                break 'files;
-                            }
-                        }
-                    }
-                    // Returning drops `file_rx`, which unblocks a reader
-                    // waiting to send, and this indexer's lane senders.
-                    (max_ts, txns)
-                });
-                (reader, indexer)
-            })
-            .collect();
-        // The lanes drain until the last indexer lets go of its senders.
+                }
+                Ok(())
+            },
+        );
+        // The lanes drain until the indexers' senders are gone.
         drop(lane_txs);
-        let (mut reload, mut max_ts, mut txns) = (Duration::ZERO, 0u64, 0u64);
-        for (reader, indexer) in pipelines {
-            reload = reload.max(reader.join().expect("llr-p reader"));
-            let (m, t) = indexer.join().expect("llr-p indexer");
-            max_ts = max_ts.max(m);
-            txns += t;
-        }
         let (mut installed, mut skipped) = (0u64, 0u64);
         for lane in lanes {
             let (i, s) = lane.join().expect("llr-p lane");
             installed += i;
             skipped += s;
         }
-        (reload, max_ts, txns, installed, skipped)
+        (reload, installed, skipped)
     })
     .expect("llr-p scope");
-    if let Some(e) = err.into_inner() {
-        return Err(e);
-    }
-
+    // A lane may fail after the reads are done.
+    errors.check()?;
+    let txns = txns.into_inner();
     Ok(LogRecovery {
-        reload,
+        reload: reload?.longest_reader,
         total: t0.elapsed(),
-        max_ts,
+        max_ts: max_ts.into_inner(),
         txns,
         applied_writes: txns,
         installed_writes: installed,
@@ -353,7 +303,7 @@ pub fn recover_log_online(
         lanes: (0..map.total()).map(|_| Lane::default()).collect(),
         loaded: AtomicU64::new(0),
         done: AtomicBool::new(false),
-        err: Mutex::new(None),
+        err: FirstError::default(),
     };
     let log = crossbeam::thread::scope(|scope| {
         for worker in 0..threads.max(1) {
@@ -365,9 +315,7 @@ pub fn recover_log_online(
         log
     })
     .expect("llr-p online scope");
-    if let Some(e) = lanes.err.into_inner() {
-        return Err(e);
-    }
+    lanes.err.check()?;
     Ok(LogRecovery {
         total: t0.elapsed(),
         applied_writes: log.txns,
@@ -384,7 +332,7 @@ struct ShardLanes {
     loaded: AtomicU64,
     /// The source ended: no further units will be enqueued.
     done: AtomicBool,
-    err: Mutex<Option<Error>>,
+    err: FirstError,
 }
 
 /// One shard's pending writes plus its applied-unit watermark.
@@ -398,7 +346,7 @@ impl ShardLanes {
     /// Latch the first error and poison the gate, so a follow source
     /// waiting for its next unit stops too.
     fn fail(&self, gate: &RecoveryGate, e: Error) {
-        self.err.lock().get_or_insert(e);
+        self.err.set(e);
         gate.fail();
     }
 
@@ -416,7 +364,7 @@ impl ShardLanes {
         let mut groups: Vec<Vec<(Timestamp, WriteRecord)>> =
             (0..self.lanes.len()).map(|_| Vec::new()).collect();
         for (unit, seq) in source.zip(1..) {
-            if self.err.lock().is_some() {
+            if self.err.is_set() {
                 break;
             }
             let grouped = unit.and_then(|(view, started)| {
@@ -445,7 +393,7 @@ impl ShardLanes {
     fn apply(&self, db: &Database, gate: &RecoveryGate, metrics: &RecoveryMetrics, worker: usize) {
         let n = self.lanes.len();
         let mut rot = worker;
-        while self.err.lock().is_none() {
+        while !self.err.is_set() {
             let frontier = self.loaded.load(Ordering::Acquire);
             let done = self.done.load(Ordering::Acquire);
             // Shards with blocked admissions first, then every shard.

@@ -24,6 +24,7 @@ pub mod gate;
 pub mod llr;
 pub mod llr_p;
 pub mod manager;
+mod pipeline;
 pub mod raw;
 mod source;
 
@@ -35,11 +36,9 @@ pub use manager::{
 pub use source::{FollowHandle, UnitSource};
 
 use crate::metrics::RecoveryMetrics;
-use bytes::Bytes;
-use pacman_common::{Error, Result, Timestamp};
+use pacman_common::{Result, Timestamp};
 use pacman_storage::StorageSet;
 use pacman_wal::{MergedBatchView, PayloadKind};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Timing result of a log-recovery stage.
@@ -142,46 +141,6 @@ impl LogInventory {
             .map(|f| storage.disk(f.disk).len(&f.name).unwrap_or(0) as u64)
             .sum()
     }
-}
-
-/// Read every log file of `inventory` into memory, in parallel
-/// (bandwidth-bound): the reload phase of the per-file tuple-level
-/// schemes. Buffers are in inventory order.
-pub(crate) fn reload_files(
-    storage: &StorageSet,
-    inventory: &LogInventory,
-    threads: usize,
-) -> Result<Vec<Bytes>> {
-    let n = inventory.files.len();
-    let slots: Vec<parking_lot::Mutex<Option<Bytes>>> =
-        (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let err = parking_lot::Mutex::new(None::<Error>);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                let f = &inventory.files[i];
-                match storage.disk(f.disk).read(&f.name) {
-                    Ok(b) => *slots[i].lock() = Some(b),
-                    Err(e) => {
-                        err.lock().get_or_insert(e);
-                    }
-                }
-            });
-        }
-    })
-    .expect("reload scope");
-    if let Some(e) = err.into_inner() {
-        return Err(e);
-    }
-    Ok(slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("loaded"))
-        .collect())
 }
 
 /// Read one batch merged across loggers in commitment order. The per-file

@@ -951,6 +951,44 @@ mod tests {
         }
     }
 
+    /// A unit that schedules but fails on a worker: an ad-hoc write to a
+    /// table outside the catalog. The session must settle `Failed` with
+    /// its gate poisoned while its follow handle is still open — not wait
+    /// for `finish()`.
+    #[test]
+    fn failed_worker_fails_the_open_follow_session() {
+        use pacman_common::clock::epoch_floor;
+        use pacman_common::Encoder;
+        use pacman_engine::{WriteKind, WriteRecord};
+        let (catalog, reg) = setup();
+        let mut unit = Vec::new();
+        TxnLogRecord {
+            ts: epoch_floor(1) | 1,
+            payload: LogPayload::Writes {
+                writes: vec![WriteRecord {
+                    table: TableId::new(9),
+                    key: 0,
+                    kind: WriteKind::Update,
+                    after: Some(Row::from([Value::Int(1)])),
+                    prev_ts: 0,
+                }],
+                physical: false,
+                adhoc: true,
+            },
+        }
+        .encode(&mut unit);
+        for (_, scheme) in gated_schemes() {
+            let config = RecoveryConfig { scheme, threads: 2 };
+            let (session, mut follow) = RecoverySession::follow(&catalog, &reg, &config).unwrap();
+            let gate = Arc::clone(session.gate());
+            follow.announce(vec![unit.clone().into()], 1, 0).unwrap();
+            let label = scheme.label();
+            assert!(settle(session).is_err(), "{label}: the unit must fail");
+            assert!(gate.is_failed(), "{label}: the gate must be poisoned");
+            drop(follow);
+        }
+    }
+
     #[test]
     fn command_standby_applies_and_promotes() {
         let (catalog, reg) = setup();

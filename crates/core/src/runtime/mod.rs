@@ -12,7 +12,9 @@
 //!   block finished the previous batch and its upstream blocks finished
 //!   the same batch (Fig. 9b).
 //!
-//! A pool of exactly `threads` workers drains the active sets. The paper
+//! A pool of exactly `threads` workers drains the active sets; the thread
+//! that calls [`run_replay_gated`] is the loader, which hands each batch's
+//! schedule to the pool and activates what it opens. The paper
 //! statically pins cores to blocks in proportion to the estimated piece
 //! distribution (Fig. 10); we let idle workers help other blocks instead —
 //! a work-sharing refinement of that assignment that the paper's own
@@ -197,12 +199,13 @@ impl Shared {
         drop(released);
     }
 
+    /// Latch the first error, abort, and poison an attached gate.
     fn fail(&self, e: Error) {
-        let mut err = self.error.lock();
-        if err.is_none() {
-            *err = Some(e);
-        }
+        self.error.lock().get_or_insert(e);
         self.aborted.store(true, Ordering::Release);
+        if let Some(gate) = &self.gate {
+            gate.fail();
+        }
         self.notify();
     }
 
@@ -319,12 +322,16 @@ fn complete_set(shared: &Shared, gdg: &GlobalGraph, set: &ActiveSet) {
     shared.notify();
 }
 
-/// Run the replay: consume schedules from `rx` (produced by the reload
-/// pipeline in batch order) and execute every piece-set with exactly
-/// `threads` workers. `piece_estimate` is the §4.4 distribution; the pool
-/// shares idle capacity across blocks instead of pinning cores by it (the
-/// paper's policy, Fig. 10) and uses it to order on-demand redo
+/// Run the replay: take schedules from `schedules` (the loader, in batch
+/// order) and execute every piece-set with exactly `threads` workers.
+/// `piece_estimate` is the §4.4 distribution; the pool shares idle
+/// capacity across blocks instead of pinning cores by it (the paper's
+/// policy, Fig. 10) and uses it to order on-demand redo
 /// (`Shared::sjf_order`).
+///
+/// The calling thread is the loader: it stops pulling once the replay
+/// aborts, and a failure poisons an attached `gate` at once, so a follow
+/// source waiting for its next unit stops too.
 ///
 /// With an online-recovery `gate`, per-block batch watermarks are
 /// published as piece-sets complete, and piece-sets of blocks a waiting
@@ -338,42 +345,29 @@ pub fn run_replay_gated(
     threads: usize,
     piece_estimate: &[usize],
     metrics: &Arc<RecoveryMetrics>,
-    rx: crossbeam::channel::Receiver<ExecutionSchedule>,
+    mut schedules: impl Iterator<Item = ExecutionSchedule>,
     gate: Option<Arc<RecoveryGate>>,
 ) -> Result<()> {
-    let shared = Arc::new(Shared::new(gdg.num_blocks(), mode, gate, piece_estimate));
+    let shared = Shared::new(gdg.num_blocks(), mode, gate, piece_estimate);
 
     crossbeam::thread::scope(|scope| {
-        // Intake thread.
-        {
-            let shared = Arc::clone(&shared);
-            let gdg = Arc::clone(gdg);
-            scope.spawn(move |_| {
-                for schedule in rx.iter() {
-                    shared.receive(schedule);
-                    try_activate(&shared, &gdg);
-                    shared.notify();
-                }
-                shared.loading_done.store(true, Ordering::Release);
-                shared.notify();
-            });
-        }
-
         for worker in 0..threads.max(1) {
-            let shared = Arc::clone(&shared);
-            let gdg = Arc::clone(gdg);
-            let db = Arc::clone(db);
-            let metrics = Arc::clone(metrics);
-            scope.spawn(move |_| worker_loop(&db, &gdg, &shared, worker, &metrics));
+            let shared = &shared;
+            scope.spawn(move |_| worker_loop(db, gdg, shared, worker, metrics));
         }
+        while !shared.aborted.load(Ordering::Acquire) {
+            let Some(schedule) = schedules.next() else {
+                break;
+            };
+            shared.receive(schedule);
+            try_activate(&shared, gdg);
+            shared.notify();
+        }
+        shared.loading_done.store(true, Ordering::Release);
+        shared.notify();
     })
     .expect("replay scope");
-
-    let err = shared.error.lock().take();
-    match err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    shared.error.into_inner().map_or(Ok(()), Err)
 }
 
 /// How many pieces a worker grabs per shared-queue access. Amortizes lock
@@ -681,7 +675,7 @@ mod tests {
                     2,
                     &[1, 1],
                     &metrics,
-                    rx,
+                    rx.into_iter(),
                     Some(gate),
                 )
             })

@@ -15,15 +15,14 @@ use parking_lot::Mutex;
 use std::cell::{RefCell, UnsafeCell};
 use std::fmt::Write as _;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 /// Events per thread retained by the flight recorder (power of two).
 pub const RING_CAPACITY: usize = 1024;
 
-/// Default events included in a merged dump tail (tunable per tracer via
-/// [`Tracer::set_dump_tail`] / `DurabilityConfig::dump_tail_events`).
+/// Events included in a merged failure dump.
 pub const DUMP_TAIL_EVENTS: usize = 256;
 
 /// What kind of retention hold an event refers to.
@@ -362,8 +361,6 @@ pub struct Tracer {
     /// sequence of runs against fresh storage doesn't accumulate sinks.
     sinks: Mutex<Vec<(String, Arc<dyn DumpSink>)>>,
     dumps: AtomicU64,
-    /// Events per merged dump tail; defaults to [`DUMP_TAIL_EVENTS`].
-    dump_tail: AtomicUsize,
 }
 
 impl Tracer {
@@ -376,19 +373,7 @@ impl Tracer {
             rings: Mutex::new(Vec::new()),
             sinks: Mutex::new(Vec::new()),
             dumps: AtomicU64::new(0),
-            dump_tail: AtomicUsize::new(DUMP_TAIL_EVENTS),
         }
-    }
-
-    /// Set how many events a merged failure dump includes (floored at 1).
-    /// Plumbed from `DurabilityConfig::dump_tail_events` at boot.
-    pub fn set_dump_tail(&self, events: usize) {
-        self.dump_tail.store(events.max(1), Ordering::Relaxed);
-    }
-
-    /// Events a merged failure dump currently includes.
-    pub fn dump_tail(&self) -> usize {
-        self.dump_tail.load(Ordering::Relaxed)
     }
 
     /// Turn event recording on.
@@ -488,15 +473,15 @@ impl Tracer {
         out
     }
 
-    /// Dump the merged tail (the configured [`Tracer::dump_tail`] events,
-    /// default [`DUMP_TAIL_EVENTS`]) to stderr and every registered sink.
+    /// Dump the merged tail ([`DUMP_TAIL_EVENTS`] events) to stderr and
+    /// every registered sink.
     /// No-op (returns `None`) while tracing is disabled, so failure paths
     /// exercised by ordinary tests stay silent.
     pub fn dump_on_failure(&self, reason: &str) -> Option<String> {
         if !self.enabled.load(Ordering::Relaxed) {
             return None;
         }
-        let text = self.render_tail(reason, self.dump_tail());
+        let text = self.render_tail(reason, DUMP_TAIL_EVENTS);
         eprintln!("{text}");
         let n = self.dumps.fetch_add(1, Ordering::SeqCst);
         let name = format!("dump-{n:04}.txt");
@@ -690,17 +675,12 @@ mod tests {
     fn dump_tail_length_is_tunable() {
         let t = Tracer::new();
         t.enable();
-        assert_eq!(t.dump_tail(), DUMP_TAIL_EVENTS);
         for code in 0..100u64 {
             t.emit(TraceEvent::Marker { code });
         }
-        t.set_dump_tail(4);
-        assert_eq!(t.dump_tail(), 4);
-        let text = t.render_tail("tunable", t.dump_tail());
+        let text = t.render_tail("tunable", 4);
         assert!(text.contains("4 events"), "tail not truncated: {text}");
         assert!(text.contains("Marker { code: 99 }"), "newest kept: {text}");
         assert!(!text.contains("Marker { code: 95 }"), "oldest cut: {text}");
-        t.set_dump_tail(0); // floored at 1, never a zero-event dump
-        assert_eq!(t.dump_tail(), 1);
     }
 }

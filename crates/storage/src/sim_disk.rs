@@ -161,10 +161,16 @@ impl SimDisk {
 
     /// Read a whole file, paying read bandwidth.
     pub fn read(&self, name: &str) -> Result<Bytes> {
+        self.read_from(name, 0)
+    }
+
+    /// Read a file from byte `offset` to its end (empty past the end),
+    /// paying read bandwidth for those bytes only.
+    pub fn read_from(&self, name: &str, offset: usize) -> Result<Bytes> {
         let data = {
             let files = self.files.lock();
             match files.get(name) {
-                Some(f) => Bytes::copy_from_slice(f),
+                Some(f) => Bytes::copy_from_slice(&f[offset.min(f.len())..]),
                 None => return Err(Error::FileNotFound(name.to_string())),
             }
         };

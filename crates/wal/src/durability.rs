@@ -108,9 +108,6 @@ pub struct DurabilityConfig {
     /// an ephemeral port, readable via [`Durability::introspect_addr`].
     /// `None` (the default) serves nothing.
     pub introspect_addr: Option<String>,
-    /// Flight-recorder dump tail length in events (applied to the tracer
-    /// at boot via `Tracer::set_dump_tail`).
-    pub dump_tail_events: usize,
 }
 
 impl Default for DurabilityConfig {
@@ -129,7 +126,6 @@ impl Default for DurabilityConfig {
             obs: Obs::default(),
             watchdog: Some(WatchdogConfig::default()),
             introspect_addr: None,
-            dump_tail_events: pacman_obs::DUMP_TAIL_EVENTS,
         }
     }
 }
@@ -298,7 +294,6 @@ impl Durability {
             .obs
             .tracer
             .set_sink(&sink_key, Arc::new(TraceDumpSink::new(storage.clone())));
-        config.obs.tracer.set_dump_tail(config.dump_tail_events);
         // Epochs restart small after a reboot (fresh directories) or resume
         // mid-range (reopen); either way the span table's slots and stage
         // frontiers describe the *previous* incarnation. Reset them so the

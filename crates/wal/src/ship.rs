@@ -520,15 +520,13 @@ impl LogShipper {
                 if disk.len(&name).unwrap_or(0) <= start {
                     continue;
                 }
-                let Ok(bytes) = disk.read(&name) else {
+                // Only the unshipped tail is read off the device.
+                let Ok(tail) = disk.read_from(&name, start) else {
                     continue;
                 };
-                if start >= bytes.len() {
-                    continue;
-                }
                 // Borrowed-view scan: validate and measure the sealed run
                 // without decoding records to owned values.
-                let mut rc = Cursor::new(&bytes[start..]);
+                let mut rc = Cursor::new(&tail);
                 let mut end = 0usize;
                 let mut n = 0u64;
                 loop {
@@ -548,7 +546,7 @@ impl LogShipper {
                 if end > 0 {
                     // Zero-copy: the frame references the sealed batch
                     // file's read buffer.
-                    let run = bytes.slice(start..start + end);
+                    let run = tail.slice(..end);
                     out.bytes += run.len() as u64;
                     out.records += n;
                     out.frames.push(ShipFrame::Records {
@@ -872,6 +870,23 @@ mod tests {
         assert_eq!(storage.disk(0).stats().bytes_read, early.len() as u64);
         assert_eq!(shipper.poll(16).unwrap().len(), 2, "records, seal");
         assert_eq!(shipper.shipped_records(), 2);
+    }
+
+    #[test]
+    fn per_epoch_polls_read_each_byte_once() {
+        // A live primary: each epoch's seal appends to the batch file, and
+        // the shipper polls once per epoch. Only the unshipped tail is read.
+        let storage = StorageSet::identical(1, DiskConfig::unthrottled("s"));
+        let shipper = LogShipper::new(storage.clone(), 1, 8);
+        let mut len = 0;
+        for epoch in 1..=8 {
+            let sealed = cmd(epoch_floor(epoch) | epoch).to_bytes();
+            storage.disk(0).append(&batch_name(0, 0), &sealed);
+            len += sealed.len() as u64;
+            shipper.poll(epoch).unwrap();
+        }
+        assert_eq!(shipper.shipped_records(), 8);
+        assert_eq!(storage.disk(0).stats().bytes_read, len);
     }
 
     #[test]
