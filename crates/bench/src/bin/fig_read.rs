@@ -4,9 +4,9 @@
 //! lock-free read-only commits that take no tuple latch and tick no
 //! clock.
 //!
-//! Reported next to fig11 (the standard write-heavy mix) and gated by
-//! `scripts/bench_regress.py` on `driver.committed` across the committed
-//! `BENCH_*.json` trajectory.
+//! Reported next to fig11 (the standard write-heavy mix). `scripts/bench_ab.sh`
+//! runs it on both sides of an A/B and fails when the median `CL` K tps
+//! drops more than 15%.
 
 use pacman_bench::{banner, boot, default_workers, drive, BenchOpts};
 use pacman_wal::LogScheme;

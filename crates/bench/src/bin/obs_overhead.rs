@@ -12,8 +12,8 @@
 //!   on a loaded 1-core box the noise between two *disabled* runs can
 //!   exceed the tracing cost, so a hard threshold would only flake.
 //!
-//! Results land in the registry under `bench.obs_overhead.*` and are
-//! exported through the standard `--json` path.
+//! Results land in the registry under `bench.obs_overhead.*`, printed at
+//! exit.
 
 use pacman_bench::{banner, bench_smallbank, boot, default_workers, drive, BenchOpts};
 use pacman_obs::TraceEvent;

@@ -50,18 +50,6 @@ impl BenchOpts {
         opts
     }
 
-    /// `--json <path>` from `std::env::args`: where [`finish_bin`] writes
-    /// this binary's registry snapshot as JSON (`None` = don't).
-    pub fn json_path() -> Option<String> {
-        let mut args = std::env::args();
-        while let Some(a) = args.next() {
-            if a == "--json" {
-                return Some(args.next().expect("--json requires a path"));
-            }
-        }
-        None
-    }
-
     /// `--scheme <name>` as a filter: `None` when the flag is absent
     /// (= run every scheme), `Some` to narrow a sweep to one scheme.
     pub fn scheme_filter() -> Option<LogScheme> {
@@ -548,30 +536,13 @@ pub fn banner(what: &str, paper: &str) {
     println!("==================================================================");
 }
 
-/// Build the standard per-binary export object: the unified registry
-/// snapshot (one consistent read of every counter/gauge/histogram — no
-/// per-accessor tearing) tagged with the binary's name.
-pub fn bin_snapshot_json(name: &str) -> pacman_obs::Json {
-    let snap = pacman_obs::registry().snapshot();
-    pacman_obs::Json::Obj(vec![
-        ("bin".into(), pacman_obs::Json::Str(name.into())),
-        ("metrics".into(), snap.to_json()),
-    ])
-}
-
 /// Standard epilogue of every figure/table binary: print the unified
-/// metrics-registry snapshot, and when `--json <path>` was given write the
-/// same snapshot there as JSON. Call it once, at the end of `main`.
+/// metrics-registry snapshot. Call it once, at the end of `main`.
 pub fn finish_bin(name: &str) {
     let snap = pacman_obs::registry().snapshot();
     println!();
     println!("--- metrics registry ({name}) ---");
     print!("{}", snap.to_table());
-    if let Some(path) = BenchOpts::json_path() {
-        let json = bin_snapshot_json(name);
-        std::fs::write(&path, json.render_pretty()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("[{name}] metrics JSON written to {path}");
-    }
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@
 //! plain drop — runs [`TxnScratch::reset`] before its scratch re-enters
 //! the pool, so no read set, pending write, latch handle or variable
 //! binding can leak into a later transaction. The budget is enforced by
-//! `tests/alloc_count.rs` and the `fig_alloc` bench.
+//! `tests/alloc_count.rs`.
 
 use crate::access::TupleStore;
 use crate::chain::TupleChain;

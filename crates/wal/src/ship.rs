@@ -209,6 +209,10 @@ impl Decoder for ShipFrame {
 pub struct ShipCursor {
     /// Bytes already shipped per log file.
     offsets: BTreeMap<String, usize>,
+    /// Per log file, the bytes read past its offset but not yet shipped
+    /// (records past the frontier, or a torn tail): the next poll reads
+    /// on from their end instead of reading them again.
+    unshipped: BTreeMap<String, Bytes>,
     /// Highest pepoch a [`ShipFrame::Seal`] announced.
     shipped_pepoch: u64,
     /// Chain tip timestamp already shipped (0 = none yet).
@@ -515,15 +519,32 @@ impl LogShipper {
                     continue;
                 }
                 let start = cur.offsets.get(&name).copied().unwrap_or(0);
-                // Length is a metadata lookup (no simulated I/O cost):
-                // skip fully-shipped files without paying read bandwidth.
-                if disk.len(&name).unwrap_or(0) <= start {
+                // Length is a metadata lookup (no simulated I/O cost). A
+                // file shorter than what an earlier poll read was cut
+                // (a reopen truncates unsealed tails): read it again.
+                let len = disk.len(&name).unwrap_or(0);
+                let held = cur
+                    .unshipped
+                    .remove(&name)
+                    .filter(|held| len >= start + held.len())
+                    .unwrap_or_default();
+                // Only bytes no earlier poll read come off the device.
+                let read_at = start + held.len();
+                let tail = if len <= read_at {
+                    held
+                } else {
+                    let Ok(fresh) = disk.read_from(&name, read_at) else {
+                        continue;
+                    };
+                    if held.is_empty() {
+                        fresh
+                    } else {
+                        Bytes::from([&held[..], &fresh[..]].concat())
+                    }
+                };
+                if tail.is_empty() {
                     continue;
                 }
-                // Only the unshipped tail is read off the device.
-                let Ok(tail) = disk.read_from(&name, start) else {
-                    continue;
-                };
                 // Borrowed-view scan: validate and measure the sealed run
                 // without decoding records to owned values.
                 let mut rc = Cursor::new(&tail);
@@ -542,6 +563,9 @@ impl LogShipper {
                     if rc.is_empty() {
                         break;
                     }
+                }
+                if end < tail.len() {
+                    cur.unshipped.insert(name.clone(), tail.slice(end..));
                 }
                 if end > 0 {
                     // Zero-copy: the frame references the sealed batch
@@ -886,6 +910,23 @@ mod tests {
             shipper.poll(epoch).unwrap();
         }
         assert_eq!(shipper.shipped_records(), 8);
+        assert_eq!(storage.disk(0).stats().bytes_read, len);
+
+        // A complete image (a crashed primary's): every epoch of the batch
+        // is on the device before the first poll, and the pump steps the
+        // frontier epoch by epoch. The records past the frontier read on
+        // one poll ship from the cursor on a later one, not from the disk.
+        let storage = StorageSet::identical(1, DiskConfig::unthrottled("s"));
+        let shipper = LogShipper::new(storage.clone(), 1, 4);
+        for epoch in 1..=4 {
+            let sealed = cmd(epoch_floor(epoch) | epoch).to_bytes();
+            storage.disk(0).append(&batch_name(0, 0), &sealed);
+        }
+        for epoch in 1..=4 {
+            shipper.poll(epoch).unwrap();
+        }
+        assert_eq!(shipper.shipped_records(), 4);
+        let len = storage.disk(0).len(&batch_name(0, 0)).unwrap() as u64;
         assert_eq!(storage.disk(0).stats().bytes_read, len);
     }
 

@@ -109,7 +109,7 @@ fn one_write() -> WriteRecord {
 }
 
 /// Steady-state command-logged commits through the epoch arena stay at
-/// or under 2 allocations per transaction — the `fig_alloc` budget.
+/// or under 2 allocations per transaction.
 #[test]
 fn buffered_command_commit_stays_within_alloc_budget() {
     let dur = boot_command();
